@@ -177,30 +177,45 @@ def write_forecasts_csv(path: Path, forecasts: ForecastSeries, config_hash: str)
 
 def read_forecasts(path: Path, labels: LabelSeries) -> ForecastSeries:
     """Rebuild a ForecastSeries from forecasts.csv plus the label series
-    (which supplies the current-month market controls)."""
+    (which supplies the current-month market controls).
+
+    Every (month, model) cell must appear exactly once with a finite raw
+    score and probability; a duplicate or missing cell raises DataError.
+    """
     rows = read_rows(
         path, ["month", "model", "raw_score", "probability", "y_next", "next_vol", "next_ret"]
     )
-    months: list[str] = []
-    models: list[str] = []
+    cells: dict[tuple[str, str], dict] = {}
     for r in rows:
-        if r["month"] not in months:
-            months.append(r["month"])
-        if r["model"] not in models:
-            models.append(r["model"])
-    raw = {m: np.full(len(months), np.nan) for m in models}
-    prob = {m: np.full(len(months), np.nan) for m in models}
-    y_next = np.full(len(months), np.nan)
-    next_vol = np.full(len(months), np.nan)
-    next_ret = np.full(len(months), np.nan)
-    month_pos = {m: i for i, m in enumerate(months)}
-    for r in rows:
-        j = month_pos[r["month"]]
-        raw[r["model"]][j] = float(r["raw_score"])
-        prob[r["model"]][j] = float(r["probability"])
-        y_next[j] = _parse_opt_float(r["y_next"])
-        next_vol[j] = _parse_opt_float(r["next_vol"])
-        next_ret[j] = _parse_opt_float(r["next_ret"])
+        key = (r["month"], r["model"])
+        if key in cells:
+            raise DataError(f"{path}: duplicate row for month {key[0]} model {key[1]}")
+        cells[key] = r
+    months = list(dict.fromkeys(m for m, _ in cells))
+    models = list(dict.fromkeys(k for _, k in cells))
+    absent = [(m, k) for m in months for k in models if (m, k) not in cells]
+    if absent:
+        raise DataError(
+            f"{path}: {len(absent)} (month, model) cells have no row, "
+            f"first month {absent[0][0]} model {absent[0][1]}"
+        )
+
+    def score(m: str, k: str, column: str) -> float:
+        token = cells[m, k][column]
+        try:
+            value = float(token)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise DataError(f"{path}: month {m} model {k} has {column} {token!r}")
+        return value
+
+    raw = {k: np.array([score(m, k, "raw_score") for m in months]) for k in models}
+    prob = {k: np.array([score(m, k, "probability") for m in months]) for k in models}
+    first = [cells[m, models[0]] for m in months]
+    y_next = np.array([_parse_opt_float(r["y_next"]) for r in first])
+    next_vol = np.array([_parse_opt_float(r["next_vol"]) for r in first])
+    next_ret = np.array([_parse_opt_float(r["next_ret"]) for r in first])
 
     label_pos = {m: i for i, m in enumerate(labels.months)}
     missing = [m for m in months if m not in label_pos]

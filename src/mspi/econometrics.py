@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backtest import ForecastSeries
-from .errors import DataError
+from .errors import DataError, NumericError
 from .features import FeatureMatrix
 from .learners import LogitModel, fit_logit_l2
 
@@ -205,7 +205,8 @@ def crash_regression(
     """Downside-indicator regressions: Crash_{t+1} = 1{R_{t+1} <= cutoff}.
 
     Fits a linear probability model with HAC errors and, when both crash
-    classes are present, an unpenalized logistic variant on the same design.
+    classes are present and the unpenalized logistic MLE exists (the design
+    does not separate them), a logistic variant on the same design.
     """
     mask = forecasts.observed_mask()
     prob = forecasts.prob[model][mask]
@@ -227,7 +228,12 @@ def crash_regression(
         warning = "single-class crash indicator; logistic variant skipped"
         logger.warning("%s", warning)
     else:
-        logistic = fit_logit_l2(X[:, 1:], crash, lam=0.0)
+        try:
+            logistic = fit_logit_l2(X[:, 1:], crash, lam=0.0)
+        except NumericError as exc:
+            # quasi-separable crash indicator: the unpenalized MLE is at infinity
+            warning = f"logistic variant skipped: {exc}"
+            logger.warning("%s", warning)
     return CrashRegressionResult(
         linear=linear, logistic=logistic, cutoff=cutoff,
         crash_rate=float(np.mean(crash)), warning=warning,

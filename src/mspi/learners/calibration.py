@@ -1,10 +1,12 @@
 """Platt scaling: a logistic map from raw scores to probabilities.
 
 The map p = sigmoid(a*s + b) is fitted by maximum likelihood on a held-out
-calibration segment (with a tiny ridge term so separable segments stay
-finite). Degenerate segments fall back gracefully: a single-class segment
-yields an identity-on-probability map and a constant-score segment yields
-the Laplace-smoothed event rate.
+calibration segment (Platt 1999) with Newton's method on (a, b), as Lin,
+Lin and Weng (2007) recommend: ``fit_logit_l2``, with a tiny ridge term so
+separable segments stay finite, reaches the exact optimum in a handful of
+iterations. Degenerate segments fall back gracefully: a single-class
+segment yields an identity-on-probability map and a constant-score segment
+yields the Laplace-smoothed event rate.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ def fit_platt(scores: np.ndarray, y: np.ndarray) -> CalibrationMap:
         n = y.shape[0]
         rate = (float(np.sum(y)) + 1.0) / (n + 2.0)
         return CalibrationMap(a=0.0, b=math.log(rate / (1.0 - rate)))
-    model = fit_logit_l2(scores[:, None], y, lam=_RIDGE, step_tol=1e-12)
+    model = fit_logit_l2(scores[:, None], y, lam=_RIDGE)
     return CalibrationMap(a=float(model.coef[0]), b=model.intercept)
 
 

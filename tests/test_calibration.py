@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+import mspi.learners.calibration as calibration
 from mspi.learners import CalibrationMap, calibrate, calibrate_many, fit_platt
+
+from .oracles import newton_logit
 
 
 class TestFitPlatt:
@@ -49,6 +52,32 @@ class TestFitPlatt:
         assert np.isfinite(cmap.a) and np.isfinite(cmap.b)
         out = calibrate_many(cmap, scores)
         assert np.all((out > 0.0) & (out < 1.0))
+
+    def test_matches_newton_oracle_on_unscaled_scores(self):
+        # rf-style scores: vote shares in [0, 1], not log-odds
+        rng = np.random.default_rng(20)
+        scores = np.round(rng.random(60), 2)
+        y = (rng.random(60) < scores).astype(float)
+        cmap = fit_platt(scores, y)
+        b, a = newton_logit(scores[:, None], y, l2=1e-8)
+        assert abs(cmap.a - a) <= 1e-10 * max(1.0, abs(a))
+        assert abs(cmap.b - b) <= 1e-10 * max(1.0, abs(b))
+
+    def test_solver_looked_up_at_module_level(self, monkeypatch):
+        # the per-layer benchmark counts Platt solves by patching this name
+        calls = []
+        real = calibration.fit_logit_l2
+
+        def spy(*args, **kwargs):
+            model = real(*args, **kwargs)
+            calls.append(model.iterations)
+            return model
+
+        monkeypatch.setattr(calibration, "fit_logit_l2", spy)
+        rng = np.random.default_rng(21)
+        scores = rng.random(30)
+        fit_platt(scores, (rng.random(30) < scores).astype(float))
+        assert len(calls) == 1 and 0 < calls[0] < 20
 
     def test_output_clamped(self):
         cmap = CalibrationMap(a=100.0, b=0.0)

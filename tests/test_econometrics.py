@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
+from mspi.artifacts import write_forecasts_csv, write_labels_csv
 from mspi.backtest import ForecastSeries
+from mspi.cli import main
 from mspi.econometrics import (
     crash_regression,
     hac_covariance,
@@ -12,6 +16,7 @@ from mspi.econometrics import (
     predictive_vol_regression,
 )
 from mspi.errors import DataError
+from mspi.labels import LabelSeries
 
 from .oracles import white_covariance
 
@@ -135,6 +140,32 @@ class TestCrashRegression:
             fitted = res.linear.coef[0] + res.linear.coef[1] * level
             group_rate = float(np.mean(crash[fs.prob["l1"] == level]))
             assert fitted == pytest.approx(group_rate, abs=1e-10)
+
+    @staticmethod
+    def separable_forecasts():
+        fs = toy_forecasts(n=120, seed=9)
+        high = fs.prob["l1"] > np.median(fs.prob["l1"])
+        fs.next_ret[:] = np.where(high, -0.10, 0.02)  # crash iff the index is high
+        return fs
+
+    def test_separable_design_skips_logistic(self):
+        res = crash_regression(self.separable_forecasts(), cutoff=-0.05)
+        assert res.logistic is None and "logistic variant skipped" in res.warning
+        assert res.crash_rate == pytest.approx(0.5)
+        assert res.to_dict()["logistic"] is None
+
+    def test_separable_design_regress_stage_exits_zero(self, tmp_path, capsys):
+        fs = self.separable_forecasts()
+        labels = LabelSeries(
+            months=fs.months, r_mkt=fs.r_mkt, sigma_mkt=fs.sigma_mkt,
+            q_prev=np.full(120, 0.2), s=fs.y_next.astype(np.int64), y_next=fs.y_next,
+        )
+        write_labels_csv(tmp_path / "labels.csv", labels, "test")
+        write_forecasts_csv(tmp_path / "forecasts.csv", fs, "test")
+        assert main(["regress", "--out", str(tmp_path)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        crash = json.loads((tmp_path / "regression.json").read_text())["crash"]
+        assert crash["logistic"] is None and "logistic variant skipped" in crash["warning"]
 
     def test_synthetic_backtest_positive_coefficient(self, small_forecasts):
         res = crash_regression(small_forecasts, cutoff=-0.05)

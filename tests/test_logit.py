@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mspi.errors import DataError
+from mspi.errors import DataError, NumericError
 from mspi.learners import (
     fit_logit_l1,
     fit_logit_l2,
@@ -109,6 +109,12 @@ class TestLogitL1:
         with pytest.raises(DataError):
             fit_logit_l1(np.zeros((4, 1)), np.array([0.0, 1, 0, 1]), lam=-1.0)
 
+    def test_iteration_cap_raises(self):
+        rng = np.random.default_rng(13)
+        X, y = logistic_sample(rng, 60, 4)
+        with pytest.raises(NumericError, match="did not converge in 3 iterations"):
+            fit_logit_l1(X, y, lam=0.01, max_iter=3)
+
 
 class TestLogitL2:
     def test_huge_penalty_shrinks_to_base_rate(self):
@@ -151,6 +157,82 @@ class TestLogitL2:
         m1 = fit_logit_l2(X, y, lam=0.02)
         m2 = fit_logit_l2(X[:, perm], y, lam=0.02)
         assert np.max(np.abs(m2.coef - m1.coef[perm])) < 1e-7
+
+
+def assert_matches_oracle(model, w, tol=1e-10):
+    got = np.concatenate([[model.intercept], model.coef])
+    assert np.max(np.abs(got - w)) <= tol * max(1.0, float(np.max(np.abs(w))))
+
+
+class TestNewtonL2:
+    """The ridge solve is exact: it agrees with the oracle to 1e-10."""
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-3, 0.05, 1.0])
+    def test_matches_newton_oracle(self, lam):
+        for seed in range(4):
+            rng = np.random.default_rng(300 + seed)
+            X, y = logistic_sample(rng, 80, 4)
+            model = fit_logit_l2(X, y, lam=lam)
+            assert_matches_oracle(model, newton_logit(X, y, l2=lam))
+            assert model.iterations < 20
+
+    def test_unscaled_design_matches_oracle(self):
+        # crash-logit shape: a probability and two raw market controls
+        rng = np.random.default_rng(14)
+        n = 240
+        prob = np.clip(rng.beta(2.0, 8.0, n), 0.01, 0.99)
+        X = np.column_stack([prob, rng.normal(0.004, 0.04, n), rng.lognormal(-2.0, 0.3, n)])
+        y = (rng.normal(0.005, 0.04 + 0.05 * prob) <= -0.05).astype(float)
+        assert_matches_oracle(fit_logit_l2(X, y, lam=0.0), newton_logit(X, y))
+
+    def test_platt_shape_matches_oracle(self):
+        # one unscaled rf-style score in [0, 1] at Platt's ridge, including
+        # a separable segment whose optimum is large but finite
+        for seed in range(6):
+            rng = np.random.default_rng(400 + seed)
+            s = rng.random(40) ** (1 + seed % 3)
+            y = (rng.random(40) < s).astype(float)
+            if seed == 5:
+                y = (s > np.median(s)).astype(float)
+            model = fit_logit_l2(s[:, None], y, lam=1e-8)
+            assert_matches_oracle(model, newton_logit(s[:, None], y, l2=1e-8))
+
+    def test_warm_and_cold_start_same_optimum(self):
+        rng = np.random.default_rng(15)
+        X, y = logistic_sample(rng, 90, 3)
+        cold = fit_logit_l2(X, y, lam=0.02)
+        w = newton_logit(X, y, l2=0.02)
+        for init in [(1.5, np.array([-1.0, 2.0, 0.5])), (cold.intercept, cold.coef)]:
+            warm = fit_logit_l2(X, y, lam=0.02, init=init)
+            assert_matches_oracle(warm, w)
+        again = fit_logit_l2(X, y, lam=0.02, init=(cold.intercept, cold.coef))
+        assert again.iterations <= 2
+
+    def test_separable_unpenalized_raises(self):
+        x = np.concatenate([np.linspace(-2, -1, 10), np.linspace(1, 2, 10)])
+        y = np.array([0.0] * 10 + [1.0] * 10)
+        with pytest.raises(NumericError):
+            fit_logit_l2(x[:, None], y, lam=0.0)
+
+    def test_singular_hessian_raises(self):
+        rng = np.random.default_rng(16)
+        X, y = logistic_sample(rng, 30, 2)
+        X[:, 1] = 0.0  # no curvature along an unpenalized coefficient
+        with pytest.raises(NumericError, match="singular Hessian"):
+            fit_logit_l2(X, y, lam=0.0)
+
+    def test_non_finite_input_raises(self):
+        rng = np.random.default_rng(17)
+        X, y = logistic_sample(rng, 30, 2)
+        X[3, 0] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+            fit_logit_l2(X, y, lam=0.1)
+
+    def test_iteration_cap_raises(self):
+        rng = np.random.default_rng(18)
+        X, y = logistic_sample(rng, 50, 3)
+        with pytest.raises(NumericError, match="did not converge in 1 Newton iterations"):
+            fit_logit_l2(X, y, lam=0.01, max_iter=1)
 
 
 class TestPredict:
