@@ -21,7 +21,7 @@ from .backtest import ForecastSeries
 from .errors import DataError
 from .features import FEATURE_NAMES, FeatureMatrix
 from .labels import LabelSeries
-from .panel import DailyPanel, MarketSeries
+from .panel import PANEL_COLUMNS, DailyPanel, MarketSeries
 from .simulate import SimOutput, security_ids
 
 
@@ -81,25 +81,38 @@ def _parse_opt_float(token: str) -> float:
 # ---------------------------------------------------------------------------
 # Simulation outputs (panel/market in the ingestion contract).
 
+def _float_tokens(values: np.ndarray) -> list[str]:
+    """``repr`` of every value, NaN as an empty field (as ``_fmt`` writes them)."""
+    tokens = list(map(repr, values.tolist()))
+    if np.isnan(values).any():
+        tokens = ["" if t == "nan" else t for t in tokens]
+    return tokens
+
+
 def write_panel_csv(path: Path, panel: DailyPanel, config_hash: str):
-    def rows():
-        ids_cache: dict[int, list[str]] = {}
+    """Write the panel one day at a time, formatting each column in one pass.
+
+    The bytes equal those ``write_csv`` writes for the per-row tuples.
+    """
+    flag_tokens = ("0", "1")
+    ids_cache: dict[int, list[str]] = {}
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# config_hash={config_hash}\n{','.join(PANEL_COLUMNS)}\n")
         for day in panel.dates:
             cs = panel.days[day]
-            ids = ids_cache.setdefault(cs.n_stocks, security_ids(cs.n_stocks))
-            iso = day.isoformat()
-            for i in range(cs.n_stocks):
-                yield (
-                    iso, ids[i], cs.ret[i], cs.prc[i], cs.vol[i], cs.shrout[i],
-                    int(cs.share_ok[i]), int(cs.exch_ok[i]),
-                )
-
-    write_csv(
-        path,
-        ["date", "security_id", "ret", "prc", "vol", "shrout", "shrcd_ok", "exchcd_ok"],
-        rows(),
-        config_hash,
-    )
+            n = cs.n_stocks
+            if not n:
+                continue
+            if n not in ids_cache:
+                ids_cache[n] = security_ids(n)
+            columns = (
+                [day.isoformat()] * n, ids_cache[n],
+                _float_tokens(cs.ret), _float_tokens(cs.prc),
+                _float_tokens(cs.vol), _float_tokens(cs.shrout),
+                [flag_tokens[v] for v in cs.share_ok.tolist()],
+                [flag_tokens[v] for v in cs.exch_ok.tolist()],
+            )
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 def write_market_csv(path: Path, market: MarketSeries, config_hash: str):
@@ -110,10 +123,6 @@ def write_market_csv(path: Path, market: MarketSeries, config_hash: str):
 def write_true_regime_csv(path: Path, sim: SimOutput, config_hash: str):
     rows = ((m, int(v)) for m, v in sim.true_regime.items())
     write_csv(path, ["month", "stress"], rows, config_hash)
-
-
-def read_true_regime(path: Path) -> dict[str, bool]:
-    return {r["month"]: r["stress"] == "1" for r in read_rows(path, ["month", "stress"])}
 
 
 # ---------------------------------------------------------------------------

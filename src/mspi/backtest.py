@@ -79,6 +79,16 @@ class BacktestConfig:
     calibration_min_months: int = 12
 
     def validate(self):
+        for name in ("cv_folds", "min_validation_months", "rf_trees", "rf_max_depth",
+                     "rf_min_leaf", "gb_max_depth", "calibration_min_months"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 < self.gb_shrinkage <= 1:
+            raise ConfigError(f"gb_shrinkage must be in (0,1], got {self.gb_shrinkage}")
+        if not 0 < self.calibration_fraction < 1:
+            raise ConfigError(
+                f"calibration_fraction must be in (0,1), got {self.calibration_fraction}"
+            )
         if self.initial_window_months < self.cv_folds + 1:
             raise ConfigError(
                 "initial_window_months must be >= cv_folds + 1, got "
@@ -86,6 +96,10 @@ class BacktestConfig:
             )
         if not self.l1_grid or not self.l2_grid or not self.gb_stage_grid:
             raise ConfigError("hyperparameter grids must be non-empty")
+        if not all(lam >= 0 for lam in self.l1_grid + self.l2_grid):
+            raise ConfigError("l1_grid and l2_grid entries must be >= 0")
+        if min(self.gb_stage_grid) < 1:
+            raise ConfigError(f"gb_stage_grid entries must be >= 1, got {min(self.gb_stage_grid)}")
         unknown = [m for m in self.models if m not in MODEL_NAMES]
         if unknown:
             raise ConfigError(f"models: unknown model name(s) {unknown}")

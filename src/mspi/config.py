@@ -19,6 +19,20 @@ from .panel import EligibilityFilter
 from .simulate import RegimeParams, SimConfig
 
 
+_KINDS = {"int": int, "float": float, "bool": bool, "str": str, "str | None": str, "list": list}
+
+
+def _is_kind(value, kind: type) -> bool:
+    """JSON-level type check: bools are not numbers, ints are valid floats."""
+    if kind is bool:
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
+
+
 def _lambda_grid() -> list:
     from .backtest import _default_lambda_grid
 
@@ -107,10 +121,28 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
-        known = {f.name: f.type for f in fields(cls)}
+        """Build a config from parsed JSON; raises ConfigError on an unknown
+        field, a value of the wrong type or a value out of range."""
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+        known = {f.name: f for f in fields(cls)}
         unknown = sorted(set(raw) - set(known))
         if unknown:
             raise ConfigError(f"unknown config field '{unknown[0]}'")
+        for name, value in raw.items():
+            f = known[name]
+            if value is None and f.type == "str | None":
+                continue
+            kind = _KINDS[f.type]
+            if not _is_kind(value, kind):
+                raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
+            if kind is list:
+                item = type(f.default_factory()[0])
+                bad = [v for v in value if not _is_kind(v, item)]
+                if bad:
+                    raise ConfigError(
+                        f"{name} entries must be of type {item.__name__}, got {bad[0]!r}"
+                    )
         cfg = cls(**raw)
         cfg.validate()
         return cfg
@@ -128,6 +160,8 @@ class PipelineConfig:
             )
         if self.lp_horizon < 0:
             raise ConfigError(f"lp_horizon must be >= 0, got {self.lp_horizon}")
+        if self.hac_lag < 0:
+            raise ConfigError(f"hac_lag must be >= 0, got {self.hac_lag}")
         if self.regress_model not in self.models:
             raise ConfigError(
                 f"regress_model '{self.regress_model}' is not among models {self.models}"

@@ -187,22 +187,6 @@ def pr_points(scores: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return np.array(recall), np.array(precision)
 
 
-def trapezoid_auc(fpr: np.ndarray, tpr: np.ndarray) -> float:
-    """Area under an ROC curve by the trapezoid rule.
-
-    Takes the ``(fpr, tpr)`` pair from :func:`roc_points`, with ``fpr``
-    non-decreasing, and sums the trapezoids between consecutive points. On
-    those points the result equals the midrank :func:`auc` of the same scores.
-    The explicit sum is the formula NumPy's ``trapz`` applied, so it gives the
-    same result as the former ``trapz(tpr, fpr)`` call, and it uses only
-    ``np.diff`` and ``np.sum``, so it runs on every NumPy the package declares
-    (``trapz`` is gone in 2.x and ``trapezoid`` is new in 2.0).
-    """
-    fpr = np.asarray(fpr, dtype=float)
-    tpr = np.asarray(tpr, dtype=float)
-    return float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0))
-
-
 @dataclass(frozen=True)
 class ModelMetrics:
     auc: float

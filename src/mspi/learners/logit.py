@@ -238,7 +238,10 @@ def fit_logit_l2(
     ``NumericError`` on a singular Hessian, a non-finite step, a failed line
     search or ``max_iter`` iterations without convergence; with ``lam`` = 0
     a separable design ends in one of these, since its optimum is at
-    infinity.
+    infinity. A solve from ``init`` that fails is retried once from the cold
+    start (all zeros), since a start deep in the saturated region can stall
+    where the cold start converges; the error is raised only if that fails
+    too.
     """
     if lam < 0:
         raise DataError(f"penalty weight must be >= 0, got {lam}")
@@ -246,12 +249,22 @@ def fit_logit_l2(
     n, p = X.shape
     if single_class:
         return laplace_base_rate(y, p, "l2", lam)
+    if init is not None:
+        try:
+            return _newton_l2(X, y, lam, max_iter, _start(p, init))
+        except NumericError:
+            pass
+    return _newton_l2(X, y, lam, max_iter, _start(p, None))
 
+
+def _newton_l2(X: np.ndarray, y: np.ndarray, lam: float, max_iter: int,
+               w: np.ndarray) -> LogitModel:
+    """The damped Newton solve of ``fit_logit_l2`` from the start ``w``."""
+    n, p = X.shape
     aug = np.column_stack([np.ones(n), X])
     abs_aug = np.abs(aug)
     ridge = np.full(p + 1, 2.0 * lam)
     ridge[0] = 0.0
-    w = _start(p, init)
     # Work with q = sigmoid(sign * z), the probability of the class not
     # observed: p - y = sign * q, p(1 - p) = q(1 - q) and the row's NLL is
     # softplus(sign * z). All three stay exact for well-classified rows,

@@ -8,6 +8,16 @@ CSV contracts (UTF-8, comma-delimited, ISO-8601 dates, decimal returns):
 Lines starting with ``#`` are treated as comments (artifacts written by the
 CLI carry a ``# config_hash=...`` first line).
 
+The panel is read in chunks of about a megabyte and parsed column by column:
+each float column in one ``float`` pass, dates and flags once per distinct
+token, the drop reasons as masks, and dates and security ids as integer
+codes, so no per-row Python object outlives its chunk. A chunk the column
+pass cannot take as it is (a quote character, a blank, comment or ragged
+line, or a token that fails to parse) is parsed again row by row by
+``_parse_panel_row``, the one definition of what a row means: it raises the
+``DataError`` naming the line and column, or returns the same values. The
+contract and the loaded panel do not depend on which path a chunk took.
+
 Within each date the retained observations are sorted by ``security_id``
 before being packed into arrays, so every downstream accumulation runs in a
 fixed order and results are bit-reproducible regardless of input row order.
@@ -17,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -29,6 +40,7 @@ MARKET_COLUMNS = ["date", "mkt_ret"]
 
 _TRUE_TOKENS = {"1", "true", "t", "yes"}
 _FALSE_TOKENS = {"0", "false", "f", "no"}
+_CHUNK_CHARS = 1 << 20  # characters read per panel chunk, extended to the end of its last line
 
 
 def month_key(day: dt.date) -> str:
@@ -114,8 +126,9 @@ class IngestSummary:
     rows_kept: int = 0
     dropped: dict[str, int] = field(default_factory=dict)
 
-    def drop(self, reason: str):
-        self.dropped[reason] = self.dropped.get(reason, 0) + 1
+    def drop(self, reason: str, count: int = 1):
+        if count:
+            self.dropped[reason] = self.dropped.get(reason, 0) + count
 
     def to_dict(self) -> dict:
         return {
@@ -148,23 +161,25 @@ def _parse_float(token: str, line: int, column: str) -> float:
         raise DataError(f"line {line}, column '{column}': cannot parse number from {token!r}") from None
 
 
+def _read_header(reader, path: str, required: list[str]) -> tuple[dict[str, int], int]:
+    """Column positions and width from the first non-comment row of a CSV reader."""
+    for header in reader:
+        if header and not header[0].startswith("#"):
+            break
+    else:
+        raise DataError(f"{path}: empty file")
+    index = {name.strip(): i for i, name in enumerate(header)}
+    missing = [c for c in required if c not in index]
+    if missing:
+        raise DataError(f"{path}: header is missing columns {missing}")
+    return index, len(header)
+
+
 def _open_rows(path: str, required: list[str]):
     """Yield (line_number, row dict) for a headered CSV, skipping comments."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = None
-        for row in reader:
-            if not row or (row[0].startswith("#") and header is None):
-                continue
-            header = row
-            break
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        index = {name.strip(): i for i, name in enumerate(header)}
-        missing = [c for c in required if c not in index]
-        if missing:
-            raise DataError(f"{path}: header is missing columns {missing}")
-        width = len(header)
+        index, width = _read_header(reader, path, required)
         for row in reader:
             if not row or row[0].startswith("#"):
                 continue
@@ -173,6 +188,225 @@ def _open_rows(path: str, required: list[str]):
                     f"line {reader.line_num}: expected {width} fields, found {len(row)}"
                 )
             yield reader.line_num, {c: row[index[c]] for c in required}
+
+
+def _parse_panel_row(line: int, row: dict[str, str]) -> tuple:
+    """One panel row as (day, security_id, ret, prc, vol, shrout, share_ok, exch_ok).
+
+    Blank return, price, volume and share fields become NaN. Raises DataError
+    naming the line and column for a malformed field, an empty identifier or
+    a negative volume or share count.
+    """
+    day = _parse_date(row["date"], line, "date")
+    sec = row["security_id"].strip()
+    if not sec:
+        raise DataError(f"line {line}, column 'security_id': empty identifier")
+    share_ok = _parse_bool(row["shrcd_ok"], line, "shrcd_ok")
+    exch_ok = _parse_bool(row["exchcd_ok"], line, "exchcd_ok")
+
+    ret_tok = row["ret"].strip()
+    prc_tok = row["prc"].strip()
+    ret = _parse_float(ret_tok, line, "ret") if ret_tok else math.nan
+    prc = _parse_float(prc_tok, line, "prc") if prc_tok else math.nan
+
+    vol_tok = row["vol"].strip()
+    shrout_tok = row["shrout"].strip()
+    vol = _parse_float(vol_tok, line, "vol") if vol_tok else math.nan
+    shrout = _parse_float(shrout_tok, line, "shrout") if shrout_tok else math.nan
+    if not math.isnan(vol) and vol < 0:
+        raise DataError(f"line {line}, column 'vol': negative volume {vol}")
+    if not math.isnan(shrout) and shrout < 0:
+        raise DataError(f"line {line}, column 'shrout': negative shares outstanding {shrout}")
+    return day, sec, ret, prc, vol, shrout, share_ok, exch_ok
+
+
+def _float_or_nan(token: str) -> float:
+    return float(token) if token.strip() else math.nan
+
+
+def _float_column(tokens: list[str]) -> np.ndarray:
+    """``float`` of every token, blank or whitespace-only tokens as NaN."""
+    try:
+        return np.fromiter(map(float, tokens), float, len(tokens))
+    except ValueError:  # a blank token, or one the row-by-row parse rejects as well
+        return np.fromiter(map(_float_or_nan, tokens), float, len(tokens))
+
+
+class _PanelColumns:
+    """The parsed and filtered columns of one panel file, built chunk by chunk.
+
+    Dates are kept as proleptic ordinals and security ids as codes in order
+    of first appearance; the token caches map each distinct raw token to its
+    parsed value once.
+    """
+
+    def __init__(self, index: dict[str, int], width: int, filt: EligibilityFilter,
+                 summary: IngestSummary):
+        self.index = index
+        self.width = width
+        self.filt = filt
+        self.summary = summary
+        self._sec_codes: dict[str, int] = {}
+        self._sec_tokens: dict[str, int] = {}
+        self._day_tokens: dict[str, int] = {}
+        self._flag_tokens: dict[str, bool] = {}
+        self._parts: list[list[np.ndarray]] = []
+
+    def parse_columnar(self, text: str) -> tuple[list[np.ndarray], int]:
+        """(columns, line count) of a chunk of whole lines, column by column.
+
+        Raises ValueError or DataError where the row-by-row parse could
+        differ; the chunk must then go through ``parse_rowwise``.
+        """
+        if '"' in text or "\0" in text:
+            raise ValueError("quoted or NUL field")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n")
+            if "\r" in text:
+                raise ValueError("bare carriage return")
+        if text.endswith("\n"):
+            text = text[:-1]
+        if text.startswith("#") or "\n#" in text:
+            raise ValueError("comment line")
+        lines = text.split("\n")
+        width = self.width
+        if (not all(lines)
+                or set(map(str.count, lines, [","] * len(lines))) != {width - 1}
+                or max(map(len, lines)) > csv.field_size_limit()):
+            raise ValueError("blank, ragged or oversized line")
+        n = len(lines)
+        fields = text.replace("\n", ",").split(",")
+
+        def column(name: str) -> list[str]:
+            return fields[self.index[name]::width]
+
+        day_tokens = column("date")
+        for token in set(day_tokens).difference(self._day_tokens):
+            self._day_tokens[token] = _parse_date(token, 0, "date").toordinal()
+        sec_tokens = column("security_id")
+        for token in set(sec_tokens).difference(self._sec_tokens):
+            sec = token.strip()
+            if not sec:
+                raise ValueError("empty identifier")
+            self._sec_tokens[token] = self._sec_codes.setdefault(sec, len(self._sec_codes))
+
+        def flags(name: str) -> np.ndarray:
+            tokens = column(name)
+            for token in set(tokens).difference(self._flag_tokens):
+                self._flag_tokens[token] = _parse_bool(token, 0, name)
+            return np.fromiter(map(self._flag_tokens.__getitem__, tokens), bool, n)
+
+        vol = _float_column(column("vol"))
+        shrout = _float_column(column("shrout"))
+        if np.any(vol < 0) or np.any(shrout < 0):
+            raise ValueError("negative volume or shares outstanding")
+        return [
+            np.fromiter(map(self._day_tokens.__getitem__, day_tokens), np.int64, n),
+            np.fromiter(map(self._sec_tokens.__getitem__, sec_tokens), np.int64, n),
+            _float_column(column("ret")),
+            _float_column(column("prc")),
+            vol,
+            shrout,
+            flags("shrcd_ok"),
+            flags("exchcd_ok"),
+        ], n
+
+    def parse_rowwise(self, text: str, fh, line_base: int) -> tuple[list[np.ndarray], int]:
+        """(columns, line count) of a chunk, parsed row by row.
+
+        ``line_base`` is the number of lines before the chunk. A quoted field
+        left open at the end of the chunk is completed from ``fh``; the line
+        count includes the lines taken from it.
+        """
+        record_done = True
+
+        def lines():
+            nonlocal record_done
+            for line in io.StringIO(text, newline=""):
+                record_done = False
+                yield line
+            while not record_done:
+                line = fh.readline()
+                if not line:
+                    return
+                yield line
+
+        reader = csv.reader(lines())
+        rows = []
+        for row in reader:
+            record_done = True
+            if not row or row[0].startswith("#"):
+                continue
+            line = line_base + reader.line_num
+            if len(row) != self.width:
+                raise DataError(
+                    f"line {line}: expected {self.width} fields, found {len(row)}"
+                )
+            rows.append(_parse_panel_row(line, {c: row[self.index[c]] for c in PANEL_COLUMNS}))
+        codes = self._sec_codes
+        columns = [
+            np.array([r[0].toordinal() for r in rows], dtype=np.int64),
+            np.array([codes.setdefault(r[1], len(codes)) for r in rows], dtype=np.int64),
+        ]
+        columns += [np.array([r[k] for r in rows], dtype=float) for k in range(2, 6)]
+        columns += [np.array([r[k] for r in rows], dtype=bool) for k in (6, 7)]
+        return columns, reader.line_num
+
+    def keep(self, columns: list[np.ndarray]):
+        """Count the chunk's rows and drop reasons; retain the rows that pass."""
+        day, sec, ret, prc, vol, shrout, share_ok, exch_ok = columns
+        filt = self.filt
+        reasons = [
+            ("missing_ret", ~np.isfinite(ret)),
+            ("missing_prc", ~np.isfinite(prc)),
+            ("price_below_min", np.abs(prc) < filt.min_abs_price),
+        ]
+        if filt.require_share_class:
+            reasons.append(("share_class", ~share_ok))
+        if filt.require_exchange:
+            reasons.append(("exchange", ~exch_ok))
+        kept = np.ones(ret.shape[0], dtype=bool)
+        for reason, bad in reasons:
+            bad &= kept  # each row counts under its first reason only
+            self.summary.drop(reason, int(np.count_nonzero(bad)))
+            kept &= ~bad
+        self.summary.rows_read += ret.shape[0]
+        self.summary.rows_kept += int(np.count_nonzero(kept))
+        self._parts.append([c[kept] for c in columns])
+
+    def panel(self, path: str) -> DailyPanel:
+        """Sort the retained rows by (date, security_id), reject duplicate
+        ids within a date, and slice one cross section per date."""
+        if not self.summary.rows_kept:
+            raise DataError(f"{path}: empty panel after filtering")
+        day, sec, *values = (np.concatenate(c) for c in zip(*self._parts))
+        self._parts = []
+        names = sorted(self._sec_codes)
+        rank = np.empty(len(names), dtype=np.int64)
+        rank[[self._sec_codes[name] for name in names]] = np.arange(len(names))
+        sec = rank[sec]
+        order = np.lexsort((sec, day))
+        day, sec = day[order], sec[order]
+        same = (day[1:] == day[:-1]) & (sec[1:] == sec[:-1])
+        if same.any():
+            i = int(np.argmax(same))
+            raise DataError(
+                f"duplicate security_id {names[sec[i]]!r} on "
+                f"{dt.date.fromordinal(int(day[i])).isoformat()}"
+            )
+        ret, prc, vol, shrout, share_ok, exch_ok = (v[order] for v in values)
+        starts = np.concatenate([[0], np.flatnonzero(day[1:] != day[:-1]) + 1])
+        ends = np.append(starts[1:], day.shape[0])
+        dates = [dt.date.fromordinal(o) for o in day[starts].tolist()]
+        days = {
+            d: DayCrossSection(
+                ret=ret[a:b].copy(), prc=prc[a:b].copy(), vol=vol[a:b].copy(),
+                shrout=shrout[a:b].copy(), share_ok=share_ok[a:b].copy(),
+                exch_ok=exch_ok[a:b].copy(),
+            )
+            for d, a, b in zip(dates, starts.tolist(), ends.tolist())
+        }
+        return DailyPanel(dates=dates, days=days)
 
 
 def load_daily_panel(path: str, filt: EligibilityFilter) -> tuple[DailyPanel, IngestSummary]:
@@ -184,69 +418,21 @@ def load_daily_panel(path: str, filt: EligibilityFilter) -> tuple[DailyPanel, In
     Malformed rows raise DataError naming the line and column.
     """
     summary = IngestSummary()
-    by_date: dict[dt.date, list[tuple]] = {}
-    for line, row in _open_rows(path, PANEL_COLUMNS):
-        summary.rows_read += 1
-        day = _parse_date(row["date"], line, "date")
-        sec = row["security_id"].strip()
-        if not sec:
-            raise DataError(f"line {line}, column 'security_id': empty identifier")
-        share_ok = _parse_bool(row["shrcd_ok"], line, "shrcd_ok")
-        exch_ok = _parse_bool(row["exchcd_ok"], line, "exchcd_ok")
-
-        ret_tok = row["ret"].strip()
-        prc_tok = row["prc"].strip()
-        ret = _parse_float(ret_tok, line, "ret") if ret_tok else math.nan
-        prc = _parse_float(prc_tok, line, "prc") if prc_tok else math.nan
-
-        vol_tok = row["vol"].strip()
-        shrout_tok = row["shrout"].strip()
-        vol = _parse_float(vol_tok, line, "vol") if vol_tok else math.nan
-        shrout = _parse_float(shrout_tok, line, "shrout") if shrout_tok else math.nan
-        if not math.isnan(vol) and vol < 0:
-            raise DataError(f"line {line}, column 'vol': negative volume {vol}")
-        if not math.isnan(shrout) and shrout < 0:
-            raise DataError(f"line {line}, column 'shrout': negative shares outstanding {shrout}")
-
-        if not math.isfinite(ret):
-            summary.drop("missing_ret")
-            continue
-        if not math.isfinite(prc):
-            summary.drop("missing_prc")
-            continue
-        if abs(prc) < filt.min_abs_price:
-            summary.drop("price_below_min")
-            continue
-        if filt.require_share_class and not share_ok:
-            summary.drop("share_class")
-            continue
-        if filt.require_exchange and not exch_ok:
-            summary.drop("exchange")
-            continue
-
-        summary.rows_kept += 1
-        by_date.setdefault(day, []).append((sec, ret, prc, vol, shrout, share_ok, exch_ok))
-
-    if not by_date:
-        raise DataError(f"{path}: empty panel after filtering")
-
-    dates = sorted(by_date)
-    days: dict[dt.date, DayCrossSection] = {}
-    for day in dates:
-        rows = by_date[day]
-        rows.sort(key=lambda r: r[0])
-        for (a, *_), (b, *_) in zip(rows, rows[1:]):
-            if a == b:
-                raise DataError(f"duplicate security_id {a!r} on {day.isoformat()}")
-        days[day] = DayCrossSection(
-            ret=np.array([r[1] for r in rows], dtype=float),
-            prc=np.array([r[2] for r in rows], dtype=float),
-            vol=np.array([r[3] for r in rows], dtype=float),
-            shrout=np.array([r[4] for r in rows], dtype=float),
-            share_ok=np.array([r[5] for r in rows], dtype=bool),
-            exch_ok=np.array([r[6] for r in rows], dtype=bool),
-        )
-    return DailyPanel(dates=dates, days=days), summary
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(iter(fh.readline, ""))
+        index, width = _read_header(reader, path, PANEL_COLUMNS)
+        columns = _PanelColumns(index, width, filt, summary)
+        line_base = reader.line_num
+        while text := fh.read(_CHUNK_CHARS):
+            if not text.endswith("\n"):
+                text += fh.readline()
+            try:
+                chunk, n_lines = columns.parse_columnar(text)
+            except (ValueError, DataError):
+                chunk, n_lines = columns.parse_rowwise(text, fh, line_base)
+            line_base += n_lines
+            columns.keep(chunk)
+    return columns.panel(path), summary
 
 
 def refilter_panel(panel: DailyPanel, filt: EligibilityFilter) -> tuple[DailyPanel, int]:

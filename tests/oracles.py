@@ -2,13 +2,21 @@
 
 These deliberately use different algorithms from the library code: full
 Newton-Raphson for logistic MLEs, direct order-statistic interpolation for
-quantiles, explicit pair enumeration for ranking metrics, and a literal
-White covariance formula.
+quantiles, explicit pair enumeration for ranking metrics, the trapezoid rule
+for ROC areas, a literal White covariance formula, and a row-by-row panel
+CSV loader.
 """
 
 from __future__ import annotations
 
+import csv
+import datetime as dt
+import math
+
 import numpy as np
+
+from mspi.errors import DataError
+from mspi.panel import DailyPanel, DayCrossSection, EligibilityFilter, IngestSummary
 
 
 def newton_logit(X: np.ndarray, y: np.ndarray, l2: float = 0.0,
@@ -66,3 +74,147 @@ def white_covariance(X: np.ndarray, residuals: np.ndarray) -> np.ndarray:
     meat = (X * (residuals**2)[:, None]).T @ X
     bread = np.linalg.inv(X.T @ X)
     return bread @ meat @ bread
+
+
+def trapezoid_auc(fpr: np.ndarray, tpr: np.ndarray) -> float:
+    """Area under an ROC curve by the trapezoid rule.
+
+    Takes the ``(fpr, tpr)`` pair from ``roc_points``, with ``fpr``
+    non-decreasing, and sums the trapezoids between consecutive points. It
+    uses only ``np.diff`` and ``np.sum``, so it runs on every NumPy the
+    package declares (``trapz`` is gone in 2.x and ``trapezoid`` is new in
+    2.0).
+    """
+    fpr = np.asarray(fpr, dtype=float)
+    tpr = np.asarray(tpr, dtype=float)
+    return float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0))
+
+
+# ---------------------------------------------------------------------------
+# Row-by-row panel loader: one csv.reader row and one Python tuple per line,
+# sorted per date by a Python key. It defines the values, drop counts and
+# error messages the package's chunked column-wise loader must reproduce.
+
+PANEL_COLUMNS = ["date", "security_id", "ret", "prc", "vol", "shrout", "shrcd_ok", "exchcd_ok"]
+_TRUE_TOKENS = {"1", "true", "t", "yes"}
+_FALSE_TOKENS = {"0", "false", "f", "no"}
+
+
+def _parse_bool(token: str, line: int, column: str) -> bool:
+    low = token.strip().lower()
+    if low in _TRUE_TOKENS:
+        return True
+    if low in _FALSE_TOKENS:
+        return False
+    raise DataError(f"line {line}, column '{column}': cannot parse boolean from {token!r}")
+
+
+def _parse_date(token: str, line: int, column: str) -> dt.date:
+    try:
+        return dt.date.fromisoformat(token.strip())
+    except ValueError as exc:
+        raise DataError(f"line {line}, column '{column}': {exc}") from None
+
+
+def _parse_float(token: str, line: int, column: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise DataError(f"line {line}, column '{column}': cannot parse number from {token!r}") from None
+
+
+def _open_rows(path: str, required: list[str]):
+    """Yield (line_number, row dict) for a headered CSV, skipping comments."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = None
+        for row in reader:
+            if not row or (row[0].startswith("#") and header is None):
+                continue
+            header = row
+            break
+        if header is None:
+            raise DataError(f"{path}: empty file")
+        index = {name.strip(): i for i, name in enumerate(header)}
+        missing = [c for c in required if c not in index]
+        if missing:
+            raise DataError(f"{path}: header is missing columns {missing}")
+        width = len(header)
+        for row in reader:
+            if not row or row[0].startswith("#"):
+                continue
+            if len(row) != width:
+                raise DataError(
+                    f"line {reader.line_num}: expected {width} fields, found {len(row)}"
+                )
+            yield reader.line_num, {c: row[index[c]] for c in required}
+
+
+def load_daily_panel_rowwise(
+    path: str, filt: EligibilityFilter
+) -> tuple[DailyPanel, IngestSummary]:
+    """Load and filter the daily panel CSV one row at a time."""
+    summary = IngestSummary()
+    by_date: dict[dt.date, list[tuple]] = {}
+    for line, row in _open_rows(path, PANEL_COLUMNS):
+        summary.rows_read += 1
+        day = _parse_date(row["date"], line, "date")
+        sec = row["security_id"].strip()
+        if not sec:
+            raise DataError(f"line {line}, column 'security_id': empty identifier")
+        share_ok = _parse_bool(row["shrcd_ok"], line, "shrcd_ok")
+        exch_ok = _parse_bool(row["exchcd_ok"], line, "exchcd_ok")
+
+        ret_tok = row["ret"].strip()
+        prc_tok = row["prc"].strip()
+        ret = _parse_float(ret_tok, line, "ret") if ret_tok else math.nan
+        prc = _parse_float(prc_tok, line, "prc") if prc_tok else math.nan
+
+        vol_tok = row["vol"].strip()
+        shrout_tok = row["shrout"].strip()
+        vol = _parse_float(vol_tok, line, "vol") if vol_tok else math.nan
+        shrout = _parse_float(shrout_tok, line, "shrout") if shrout_tok else math.nan
+        if not math.isnan(vol) and vol < 0:
+            raise DataError(f"line {line}, column 'vol': negative volume {vol}")
+        if not math.isnan(shrout) and shrout < 0:
+            raise DataError(f"line {line}, column 'shrout': negative shares outstanding {shrout}")
+
+        if not math.isfinite(ret):
+            summary.drop("missing_ret")
+            continue
+        if not math.isfinite(prc):
+            summary.drop("missing_prc")
+            continue
+        if abs(prc) < filt.min_abs_price:
+            summary.drop("price_below_min")
+            continue
+        if filt.require_share_class and not share_ok:
+            summary.drop("share_class")
+            continue
+        if filt.require_exchange and not exch_ok:
+            summary.drop("exchange")
+            continue
+
+        summary.rows_kept += 1
+        by_date.setdefault(day, []).append((sec, ret, prc, vol, shrout, share_ok, exch_ok))
+
+    if not by_date:
+        raise DataError(f"{path}: empty panel after filtering")
+
+    dates = sorted(by_date)
+    days: dict[dt.date, DayCrossSection] = {}
+    for day in dates:
+        rows = by_date[day]
+        rows.sort(key=lambda r: r[0])
+        for (a, *_), (b, *_) in zip(rows, rows[1:]):
+            if a == b:
+                raise DataError(f"duplicate security_id {a!r} on {day.isoformat()}")
+        days[day] = DayCrossSection(
+            ret=np.array([r[1] for r in rows], dtype=float),
+            prc=np.array([r[2] for r in rows], dtype=float),
+            vol=np.array([r[3] for r in rows], dtype=float),
+            shrout=np.array([r[4] for r in rows], dtype=float),
+            share_ok=np.array([r[5] for r in rows], dtype=bool),
+            exch_ok=np.array([r[6] for r in rows], dtype=bool),
+        )
+    return DailyPanel(dates=dates, days=days), summary

@@ -1,9 +1,19 @@
+import datetime as dt
+
 import numpy as np
 import pytest
 
-from mspi.artifacts import read_forecasts, write_forecasts_csv
+from mspi.artifacts import read_forecasts, write_csv, write_forecasts_csv, write_panel_csv
 from mspi.errors import DataError
 from mspi.labels import LabelSeries
+from mspi.panel import (
+    PANEL_COLUMNS,
+    DailyPanel,
+    DayCrossSection,
+    EligibilityFilter,
+    load_daily_panel,
+)
+from mspi.simulate import security_ids
 
 from .test_econometrics import toy_forecasts
 
@@ -64,3 +74,46 @@ class TestReadForecasts:
         edit_lines(path, blank)
         with pytest.raises(DataError, match="month 2000-01 model l2 has probability ''"):
             read_forecasts(path, labels)
+
+
+class TestWritePanelCsv:
+    @pytest.fixture
+    def panel(self):
+        rng = np.random.default_rng(5)
+        days = {}
+        for k, n in enumerate([3, 7, 0, 7, 12]):
+            vol = np.round(rng.lognormal(9.0, 1.0, n))
+            vol[:k % 3] = np.nan
+            ret = rng.normal(0.0, 0.02, n)
+            ret[-1:] = -0.0
+            days[dt.date(2001, 1, 2 + k)] = DayCrossSection(
+                ret=ret, prc=rng.uniform(1.0, 90.0, n) * np.where(rng.random(n) < 0.3, -1, 1),
+                vol=vol, shrout=np.full(n, np.nan) if k == 2 else np.round(rng.lognormal(8, 1, n)),
+                share_ok=rng.random(n) < 0.8, exch_ok=rng.random(n) < 0.8,
+            )
+        return DailyPanel(dates=list(days), days=days)
+
+    def test_bytes_equal_row_by_row_csv_writer(self, panel, tmp_path):
+        def rows():
+            for day in panel.dates:
+                cs = panel.days[day]
+                ids = security_ids(cs.n_stocks)
+                for i in range(cs.n_stocks):
+                    yield (day.isoformat(), ids[i], cs.ret[i], cs.prc[i], cs.vol[i],
+                           cs.shrout[i], int(cs.share_ok[i]), int(cs.exch_ok[i]))
+
+        write_panel_csv(tmp_path / "fast.csv", panel, "h")
+        write_csv(tmp_path / "rows.csv", PANEL_COLUMNS, rows(), "h")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_round_trip_exact(self, panel, tmp_path):
+        write_panel_csv(tmp_path / "panel.csv", panel, "h")
+        filt = EligibilityFilter(min_abs_price=0.0, require_share_class=False,
+                                 require_exchange=False)
+        got, summary = load_daily_panel(str(tmp_path / "panel.csv"), filt)
+        assert got.dates == [d for d in panel.dates if panel.days[d].n_stocks]
+        assert summary.rows_kept == 29
+        for day in got.dates:
+            for name in ("ret", "prc", "vol", "shrout", "share_ok", "exch_ok"):
+                a, b = getattr(got.days[day], name), getattr(panel.days[day], name)
+                assert a.tobytes() == b.tobytes(), (day, name)

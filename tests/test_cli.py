@@ -1,0 +1,71 @@
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from mspi.cli import main
+
+from .conftest import SMALL_SIM
+
+# The small simulated panel of conftest.py run through every stage, with a
+# backtest cut down so the whole run takes seconds.
+SMALL_CONFIG = {
+    "sim_n_stocks": SMALL_SIM.n_stocks,
+    "sim_n_years": SMALL_SIM.n_years,
+    "sim_p_calm_to_stress": SMALL_SIM.p_calm_to_stress,
+    "sim_p_stress_to_calm": SMALL_SIM.p_stress_to_calm,
+    "seed": SMALL_SIM.seed,
+    "l1_grid": [float(v) for v in np.logspace(-3, 0, 6)],
+    "l2_grid": [float(v) for v in np.logspace(-3, 0, 6)],
+    "rf_trees": 10,
+    "gb_stage_grid": [10, 20],
+    "bootstrap_reps": 200,
+}
+STAGES = ("simulate", "features", "label", "backtest", "evaluate",
+          "bootstrap", "regress", "lp", "report")
+# sha256 of each artifact without its first (config hash) line
+GOLDEN_BODIES = {
+    "panel.csv": "386b9cc3b7820ed4c1b4bda38bd930db804792f05e43dfcf02dc08065bb8f0b8",
+    "features.csv": "a4028b4f33345ef67f1f9ac1a4d1be4e3563bf24fafec62a065db89db8ecdd97",
+    "labels.csv": "1d2495c7af86f4582530c579fe8a25aa3425d31b9c8a52eef764b4513017b0bf",
+    "forecasts.csv": "8e43e656bf06e7d7f325729770822f9b1680951c5979e117dbe5e21ef4a22827",
+}
+
+
+def write_config(tmp_path, payload) -> str:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+def body_sha256(path) -> str:
+    body = path.read_bytes().split(b"\n", 1)[1]
+    return hashlib.sha256(body).hexdigest()
+
+
+def test_all_stages_reproduce_golden_artifacts(tmp_path):
+    out = tmp_path / "out"
+    config = write_config(tmp_path, {**SMALL_CONFIG, "out_dir": str(out)})
+    for stage in STAGES:
+        assert main(["--log-level", "WARNING", stage, "--config", config]) == 0, stage
+    assert {name: body_sha256(out / name) for name in GOLDEN_BODIES} == GOLDEN_BODIES
+
+
+@pytest.mark.parametrize("payload, field", [
+    ({"seed": "7"}, "seed"),
+    ({"rf_trees": 0}, "rf_trees"),
+    ({"cv_folds": 0}, "cv_folds"),
+    ({"gb_shrinkage": 2.0}, "gb_shrinkage"),
+    ({"calibration_fraction": 1.5}, "calibration_fraction"),
+    ({"require_exchange": 1}, "require_exchange"),
+    ({"l1_grid": [0.1, "big"]}, "l1_grid"),
+    ({"gb_stage_grid": [0, 10]}, "gb_stage_grid"),
+], ids=["seed_string", "rf_trees", "cv_folds", "gb_shrinkage", "calibration_fraction",
+        "flag_int", "grid_entry", "stage_grid"])
+def test_bad_config_exits_2(tmp_path, capsys, payload, field):
+    config = write_config(tmp_path, {**payload, "out_dir": str(tmp_path / "out")})
+    assert main(["backtest", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and field in err
+    assert "Traceback" not in err

@@ -16,10 +16,9 @@ from mspi.evaluation import (
     pr_auc,
     pr_points,
     roc_points,
-    trapezoid_auc,
 )
 
-from .oracles import pairwise_auc
+from .oracles import pairwise_auc, trapezoid_auc
 
 
 class TestAuc:

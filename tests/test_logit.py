@@ -14,6 +14,7 @@ from mspi.learners import (
     standardize_apply,
     standardize_fit,
 )
+from mspi.learners.logit import NEWTON_MAX_ITER, _newton_l2
 
 from .oracles import newton_logit
 
@@ -208,11 +209,28 @@ class TestNewtonL2:
         again = fit_logit_l2(X, y, lam=0.02, init=(cold.intercept, cold.coef))
         assert again.iterations <= 2
 
+    def test_far_warm_start_restarts_cold(self):
+        # crash-logit shape (a probability and two raw market controls): from
+        # this start the line search fails, while the cold start converges
+        rng = np.random.default_rng(24)
+        n = 60
+        prob = np.clip(rng.beta(2.0, 8.0, n), 0.01, 0.99)
+        X = np.column_stack([prob, rng.normal(0.004, 0.04, n), rng.lognormal(-2.0, 0.3, n)])
+        y = (rng.normal(0.005, 0.04 + 0.05 * prob) <= -0.05).astype(float)
+        start = np.array([3.0, -20.0, 50.0, 100.0])
+        with pytest.raises(NumericError, match="line search failed"):
+            _newton_l2(X, y, 0.0, NEWTON_MAX_ITER, start.copy())
+        cold = fit_logit_l2(X, y, lam=0.0)
+        warm = fit_logit_l2(X, y, lam=0.0, init=(start[0], start[1:]))
+        assert_matches_oracle(warm, np.concatenate([[cold.intercept], cold.coef]))
+        assert_matches_oracle(warm, newton_logit(X, y))
+
     def test_separable_unpenalized_raises(self):
         x = np.concatenate([np.linspace(-2, -1, 10), np.linspace(1, 2, 10)])
         y = np.array([0.0] * 10 + [1.0] * 10)
-        with pytest.raises(NumericError):
-            fit_logit_l2(x[:, None], y, lam=0.0)
+        for init in [None, (0.5, np.array([3.0]))]:  # a warm start's cold retry fails too
+            with pytest.raises(NumericError):
+                fit_logit_l2(x[:, None], y, lam=0.0, init=init)
 
     def test_singular_hessian_raises(self):
         rng = np.random.default_rng(16)

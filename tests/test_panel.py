@@ -1,8 +1,10 @@
+import csv
 import datetime as dt
 
 import numpy as np
 import pytest
 
+import mspi.panel
 from mspi.errors import DataError
 from mspi.panel import (
     EligibilityFilter,
@@ -12,6 +14,8 @@ from mspi.panel import (
     partition_months,
     refilter_panel,
 )
+
+from .oracles import load_daily_panel_rowwise
 
 PANEL_HEADER = "date,security_id,ret,prc,vol,shrout,shrcd_ok,exchcd_ok\n"
 
@@ -117,6 +121,208 @@ class TestLoadDailyPanel:
         panel, summary = load_daily_panel(write_panel(tmp_path, rows), EligibilityFilter())
         assert sum(panel.n_on(d) for d in panel.dates) == panel.total_observations
         assert panel.total_observations == summary.rows_kept
+
+
+def messy_panel_lines(rng, n_stocks: int, n_days: int) -> list[str]:
+    """Body lines shaped like a real export, one stock after another.
+
+    Stocks come in shuffled order. Rows carry blank and whitespace-only
+    fields, padded ids, mixed-case flag tokens, negative and sub-$1 prices,
+    non-finite values and a share count that repeats within each stock; a few ids and returns are quoted (some returns
+    over two physical lines), and comment and blank lines sit in the body.
+    """
+    dates = [(dt.date(2001, 1, 1) + dt.timedelta(days=i)).isoformat() for i in range(n_days)]
+    true_tokens = ["1", "true", "True", "T", "t", "yes", " YES ", "TRUE"]
+    false_tokens = ["0", "false", "F", "no", " No", "FALSE"]
+    n = n_stocks * n_days
+    ret = rng.normal(0.0, 0.02, n)
+    prc = rng.uniform(0.2, 60.0, n) * np.where(rng.random(n) < 0.1, -1.0, 1.0)
+    vol = np.round(rng.lognormal(9.0, 1.0, n))
+    shrout = np.round(rng.lognormal(8.0, 1.0, n_stocks))  # one count per stock
+    u = rng.random((n, 8))
+    lines = []
+    r = 0
+    for s in rng.permutation(n_stocks):
+        for day in dates:
+            sec = f"X{s:04d}"
+            if u[r, 0] < 0.02:
+                sec = f" {sec} "
+            elif u[r, 0] < 0.025:
+                sec = f'"{sec}"'
+            ret_s = repr(float(ret[r]))
+            if u[r, 1] < 0.02:
+                ret_s = ""
+            elif u[r, 1] < 0.03:
+                ret_s = "  "
+            elif u[r, 1] < 0.035:
+                ret_s = "nan"
+            elif u[r, 1] < 0.04:
+                ret_s = f'"{ret_s}\n"'
+            prc_s = f"{prc[r]:.4f}" if u[r, 2] > 0.02 else ("" if u[r, 2] < 0.01 else "inf")
+            vol_s = f"{vol[r]:.0f}"
+            if u[r, 3] < 0.03:
+                vol_s = ""
+            elif u[r, 3] < 0.05:
+                vol_s = "   "
+            elif u[r, 3] < 0.06:
+                vol_s = f" {vol_s} "
+            shrout_s = f"{shrout[s]:.1f}" if u[r, 4] > 0.05 else ("" if u[r, 4] < 0.03 else " ")
+            share = false_tokens[r % 6] if u[r, 5] < 0.03 else true_tokens[r % 8]
+            exch = false_tokens[r % 5] if u[r, 6] < 0.03 else true_tokens[r % 7]
+            lines.append(f"{day},{sec},{ret_s},{prc_s},{vol_s},{shrout_s},{share},{exch}")
+            if u[r, 7] < 0.002:
+                lines.append("# exported by a desk tool")
+            elif u[r, 7] < 0.004:
+                lines.append("")
+            r += 1
+    return lines
+
+
+def write_lines(tmp_path, lines, ending="\n", name="panel.csv"):
+    path = tmp_path / name
+    text = "# source=test\n" + PANEL_HEADER + "".join(line + "\n" for line in lines)
+    path.write_bytes(text.replace("\n", ending).encode("utf-8"))
+    return str(path)
+
+
+def assert_same_load(path, filt):
+    """The chunked loader and the row-by-row oracle agree bit for bit."""
+    panel, summary = load_daily_panel(path, filt)
+    ref_panel, ref_summary = load_daily_panel_rowwise(path, filt)
+    assert panel.dates == ref_panel.dates
+    for day in ref_panel.dates:
+        got, ref = panel.days[day], ref_panel.days[day]
+        for name in ("ret", "prc", "vol", "shrout", "share_ok", "exch_ok"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (day, name)
+    assert summary == ref_summary
+    return summary
+
+
+def load_error(loader, path) -> str:
+    with pytest.raises(DataError) as info:
+        loader(path, EligibilityFilter())
+    return str(info.value)
+
+
+class TestChunkedLoad:
+    """The chunked column-wise loader reproduces the row-by-row oracle."""
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_messy_panel_across_small_chunks(self, tmp_path, monkeypatch, ending):
+        path = write_lines(tmp_path, messy_panel_lines(np.random.default_rng(1), 30, 120), ending)
+        monkeypatch.setattr(mspi.panel, "_CHUNK_CHARS", 3000)
+        summary = assert_same_load(path, EligibilityFilter())
+        assert summary.rows_read == 3600
+        assert set(summary.dropped) == {
+            "missing_ret", "missing_prc", "price_below_min", "share_class", "exchange",
+        }
+        assert_same_load(path, EligibilityFilter(min_abs_price=0.0, require_share_class=False))
+
+    def test_messy_panel_across_default_chunks(self, tmp_path):
+        lines = messy_panel_lines(np.random.default_rng(2), 80, 500)
+        path = write_lines(tmp_path, lines)
+        assert (tmp_path / "panel.csv").stat().st_size > 2 * mspi.panel._CHUNK_CHARS
+        assert_same_load(path, EligibilityFilter())
+
+    def test_clean_chunks_take_the_columnar_path(self, tmp_path, monkeypatch):
+        rows = [f"2001-01-{2 + d:02d},S{i:03d},0.01,{5 + i}.5,100,1000,1,1"
+                for i in range(50) for d in range(20)]
+        path = write_panel(tmp_path, rows)
+        monkeypatch.setattr(mspi.panel, "_CHUNK_CHARS", 2000)
+
+        def no_rowwise(*args):
+            raise AssertionError("clean chunk parsed row by row")
+
+        monkeypatch.setattr(mspi.panel._PanelColumns, "parse_rowwise", no_rowwise)
+        panel, summary = load_daily_panel(path, EligibilityFilter())
+        assert summary.rows_kept == 1000 and len(panel.dates) == 20
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("row, message", [
+        ("2001-03-01,X0001,zap,5.00,100,1000,1,1",
+         "line {line}, column 'ret': cannot parse number from 'zap'"),
+        ("2001-03-01,X0001,0.01,5.00,-100,1000,1,1",
+         "line {line}, column 'vol': negative volume -100.0"),
+        ("2001-03-01,X0001,0.01,5.00,100,1000,maybe,1",
+         "line {line}, column 'shrcd_ok': cannot parse boolean from 'maybe'"),
+        ("2001-03-01,X0001,0.01,5.00,100,1000,1",
+         "line {line}: expected 8 fields, found 7"),
+        # a short line then a long one: the same number of fields in total
+        ("2001-03-01,X0001,0.01,5.00,100,1000,1\n1,2001-03-01,X0002,0.01,5.00,100,1000,1,1",
+         "line {line}: expected 8 fields, found 7"),
+        ("2001-03-01,  ,0.01,5.00,100,1000,1,1",
+         "line {line}, column 'security_id': empty identifier"),
+    ], ids=["number", "negative_volume", "flag", "ragged", "ragged_pair", "empty_id"])
+    def test_bad_row_after_first_chunk(self, tmp_path, ending, row, message):
+        lines = [f"2001-01-{2 + d:02d},S{i:04d},0.01,5.00,100,1000,1,1"
+                 for d in range(20) for i in range(1600)]
+        at = 30_000
+        assert len("".join(lines[:at])) > mspi.panel._CHUNK_CHARS  # past the first chunk
+        lines.insert(at, row)
+        path = write_lines(tmp_path, lines, ending)
+        expected = message.format(line=at + 3)  # comment and header lines come first
+        assert load_error(load_daily_panel, path) == expected
+        assert load_error(load_daily_panel_rowwise, path) == expected
+
+    def test_duplicate_after_first_chunk(self, tmp_path):
+        lines = [f"2001-01-{2 + d:02d},S{i:04d},0.01,5.00,100,1000,1,1"
+                 for d in range(20) for i in range(1600)]
+        lines.insert(30_000, "2001-01-18, S0042 ,0.02,6.00,100,1000,yes,T")
+        path = write_lines(tmp_path, lines)
+        expected = "duplicate security_id 'S0042' on 2001-01-18"
+        assert load_error(load_daily_panel, path) == expected
+        assert load_error(load_daily_panel_rowwise, path) == expected
+
+    def test_comment_shaped_like_a_row(self, tmp_path):
+        # with security_id first, this comment parses as a row unless skipped
+        header = "security_id,date,ret,prc,vol,shrout,shrcd_ok,exchcd_ok\n"
+        body = "".join(f"S{i:03d},2001-01-02,0.01,5.00,100,1000,1,1\n" for i in range(50))
+        path = tmp_path / "panel.csv"
+        path.write_text(header + body + "#S999,2001-01-02,0.01,5.00,100,1000,1,1\n")
+        summary = assert_same_load(str(path), EligibilityFilter())
+        assert summary.rows_read == 50
+
+    @pytest.mark.parametrize("text", [
+        PANEL_HEADER + "2001-01-02,A,0.01,5.0,100,1000,1,1\n2001-01-03,A,0.02,5.1,,1000,1,1",
+        PANEL_HEADER.replace("\n", "\r") + "2001-01-02,A,0.01,5.0,100,1000,1,1\r"
+        "2001-01-02,B,0.01,5.0,100,1000,1,1\r",
+        PANEL_HEADER + "2001-01-02,A,0.01,5.0,100,1000,1,1\r\n"
+        "2001-01-02,B,0.01,5.0,100,1000,1,1\r2001-01-03,B,x,5.0,100,1000,1,1\n",
+        PANEL_HEADER + "2001-01-02,A\rB,0.01,5.0,100,1000,1,1\n",
+        PANEL_HEADER.replace("\n", ",note\n") + "2001-01-02,A,0.01,5.0,100,1000,1,1,x\n",
+        PANEL_HEADER,
+        PANEL_HEADER + "2001-01-02," + "A" * 140_000 + ",0.01,5.0,100,1000,1,1\n",
+    ], ids=["no_final_newline", "cr_endings", "mixed_endings", "cr_in_field", "extra_column",
+            "header_only", "field_over_csv_limit"])
+    def test_small_files_match_oracle(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "panel.csv"
+        path.write_bytes(text.encode("utf-8"))
+
+        def outcome(loader):
+            try:
+                panel, summary = loader(str(path), EligibilityFilter())
+            except (DataError, csv.Error) as exc:
+                return type(exc), str(exc)
+            arrays = [getattr(panel.days[d], name).tobytes() for d in panel.dates
+                      for name in ("ret", "prc", "vol", "shrout", "share_ok", "exch_ok")]
+            return panel.dates, arrays, summary
+
+        expected = outcome(load_daily_panel_rowwise)
+        for chunk in (mspi.panel._CHUNK_CHARS, 7):  # 7: every line is its own chunk
+            monkeypatch.setattr(mspi.panel, "_CHUNK_CHARS", chunk)
+            assert outcome(load_daily_panel) == expected
+
+    def test_quoted_field_spanning_chunks(self, tmp_path, monkeypatch):
+        lines = [f'2001-01-02,S{i:03d},"0.0{i % 10}\n",5.00,100,1000,1,1' for i in range(200)]
+        lines.append("2001-01-02,S999,0.01,5.00,100,1000,1,yes?")
+        path = write_lines(tmp_path, lines)
+        monkeypatch.setattr(mspi.panel, "_CHUNK_CHARS", 1000)
+        expected = "line 403, column 'exchcd_ok': cannot parse boolean from 'yes?'"
+        assert load_error(load_daily_panel, path) == expected
+        assert load_error(load_daily_panel_rowwise, path) == expected
+        write_lines(tmp_path, lines[:-1])
+        assert_same_load(path, EligibilityFilter())
 
 
 class TestLoadMarketSeries:
