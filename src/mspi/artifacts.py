@@ -10,7 +10,6 @@ produce byte-identical files.
 from __future__ import annotations
 
 import csv
-import datetime as dt
 import json
 import math
 from pathlib import Path
@@ -90,27 +89,28 @@ def _float_tokens(values: np.ndarray) -> list[str]:
 
 
 def write_panel_csv(path: Path, panel: DailyPanel, config_hash: str):
-    """Write the panel one day at a time, formatting each column in one pass.
+    """Write the panel one day at a time, formatting each column of the
+    day's slice in one pass.
 
     The bytes equal those ``write_csv`` writes for the per-row tuples.
     """
     flag_tokens = ("0", "1")
     ids_cache: dict[int, list[str]] = {}
+    bounds = panel.starts.tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config_hash={config_hash}\n{','.join(PANEL_COLUMNS)}\n")
-        for day in panel.dates:
-            cs = panel.days[day]
-            n = cs.n_stocks
+        for day, a, b in zip(panel.dates, bounds, bounds[1:]):
+            n = b - a
             if not n:
                 continue
             if n not in ids_cache:
                 ids_cache[n] = security_ids(n)
             columns = (
                 [day.isoformat()] * n, ids_cache[n],
-                _float_tokens(cs.ret), _float_tokens(cs.prc),
-                _float_tokens(cs.vol), _float_tokens(cs.shrout),
-                [flag_tokens[v] for v in cs.share_ok.tolist()],
-                [flag_tokens[v] for v in cs.exch_ok.tolist()],
+                _float_tokens(panel.ret[a:b]), _float_tokens(panel.prc[a:b]),
+                _float_tokens(panel.vol[a:b]), _float_tokens(panel.shrout[a:b]),
+                [flag_tokens[v] for v in panel.share_ok[a:b].tolist()],
+                [flag_tokens[v] for v in panel.exch_ok[a:b].tolist()],
             )
             fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 

@@ -455,15 +455,8 @@ def run_expanding_backtest(
     features: FeatureMatrix,
     labels: LabelSeries,
     config: BacktestConfig,
-    threads: int = 1,
 ) -> ForecastSeries:
-    """Execute the protocol described in the module docstring.
-
-    ``threads`` caps worker counts for stages that can parallelize; the
-    forecast loop itself runs serially because each month's solver is
-    warm-started from the previous month, so output never depends on the
-    cap.
-    """
+    """Execute the protocol described in the module docstring."""
     config.validate()
     missing = [m for m in labels.months if m not in features.months]
     if missing:

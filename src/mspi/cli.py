@@ -2,8 +2,8 @@
 
 Subcommands cover the full run: simulate, features, label, backtest,
 evaluate, bootstrap, bins, regress, lp, report. All stages share one flat
-JSON config (--config); --out, --seed, and --threads override the config's
-out_dir, seed, and worker cap. Exit codes: 0 success, 2 config error,
+JSON config (--config); --out and --seed override the config's out_dir and
+seed. Exit codes: 0 success, 2 config error,
 3 data error, 4 numeric failure.
 """
 
@@ -35,7 +35,7 @@ from .artifacts import (
 from .backtest import run_expanding_backtest
 from .config import PipelineConfig
 from .errors import ConfigError, DataError, MspiError, NumericError
-from .features import TailThreshold, aggregate_monthly, compute_daily_stats
+from .features import aggregate_monthly, compute_daily_stats
 from .labels import build_market_monthly, label_stress
 from .panel import load_daily_panel, load_market_series, partition_months
 from .simulate import simulate
@@ -123,8 +123,7 @@ def cmd_backtest(cfg: PipelineConfig, args) -> int:
     h = cfg.config_hash()
     features = read_features(_artifact(cfg, "features.csv"))
     labels = read_labels(_artifact(cfg, "labels.csv"))
-    forecasts = run_expanding_backtest(features, labels, cfg.backtest_config(),
-                                       threads=args.threads)
+    forecasts = run_expanding_backtest(features, labels, cfg.backtest_config())
     write_forecasts_csv(out / "forecasts.csv", forecasts, h)
     write_json(out / "provenance.json", {
         "seed": forecasts.seed,
@@ -382,8 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to the flat JSON config file")
         p.add_argument("--out", help="output directory (overrides config out_dir)")
         p.add_argument("--seed", type=int, help="master seed (overrides config seed)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap for parallel stages (default 1)")
         if name == "features":
             p.add_argument("--ingest-summary", action="store_true",
                            help="also write ingest_summary.json")
@@ -400,8 +397,6 @@ def main(argv=None) -> int:
             cfg.out_dir = args.out
         if args.seed is not None:
             cfg.seed = args.seed
-        if args.threads is not None and args.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {args.threads}")
         cfg.validate()
         return _HANDLERS[args.command](cfg, args)
     except ConfigError as exc:

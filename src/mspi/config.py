@@ -33,10 +33,11 @@ def _is_kind(value, kind: type) -> bool:
     return isinstance(value, kind)
 
 
-def _lambda_grid() -> list:
-    from .backtest import _default_lambda_grid
-
-    return list(_default_lambda_grid())
+# Each default below is read from the stage dataclass that owns it.
+_FILTER = EligibilityFilter()
+_STRESS = StressConfig()
+_BACKTEST = BacktestConfig()
+_SIM = SimConfig()
 
 
 @dataclass
@@ -47,34 +48,34 @@ class PipelineConfig:
     out_dir: str = "out"
 
     # eligibility filter
-    min_abs_price: float = 1.0
-    require_share_class: bool = True
-    require_exchange: bool = True
+    min_abs_price: float = _FILTER.min_abs_price
+    require_share_class: bool = _FILTER.require_share_class
+    require_exchange: bool = _FILTER.require_exchange
 
     # features
-    tail_threshold: float = 0.05
+    tail_threshold: float = TailThreshold().tau
 
     # stress labeling
-    return_cutoff: float = -0.05
-    vol_quantile: float = 0.90
-    min_history_months: int = 36
+    return_cutoff: float = _STRESS.return_cutoff
+    vol_quantile: float = _STRESS.vol_quantile
+    min_history_months: int = _STRESS.min_history_months
 
     # backtest
-    initial_window_months: int = 120
-    cv_folds: int = 5
-    min_validation_months: int = 6
-    l1_grid: list = field(default_factory=_lambda_grid)
-    l2_grid: list = field(default_factory=_lambda_grid)
-    rf_trees: int = 500
-    rf_max_depth: int = 8
-    rf_min_leaf: int = 5
-    gb_stage_grid: list = field(default_factory=lambda: [50, 100, 200, 400])
-    gb_max_depth: int = 2
-    gb_shrinkage: float = 0.1
-    models: list = field(default_factory=lambda: ["l1", "l2", "rf", "gb"])
-    seed: int = 7
-    calibration_fraction: float = 0.2
-    calibration_min_months: int = 12
+    initial_window_months: int = _BACKTEST.initial_window_months
+    cv_folds: int = _BACKTEST.cv_folds
+    min_validation_months: int = _BACKTEST.min_validation_months
+    l1_grid: list = field(default_factory=lambda: list(_BACKTEST.l1_grid))
+    l2_grid: list = field(default_factory=lambda: list(_BACKTEST.l2_grid))
+    rf_trees: int = _BACKTEST.rf_trees
+    rf_max_depth: int = _BACKTEST.rf_max_depth
+    rf_min_leaf: int = _BACKTEST.rf_min_leaf
+    gb_stage_grid: list = field(default_factory=lambda: list(_BACKTEST.gb_stage_grid))
+    gb_max_depth: int = _BACKTEST.gb_max_depth
+    gb_shrinkage: float = _BACKTEST.gb_shrinkage
+    models: list = field(default_factory=lambda: list(_BACKTEST.models))
+    seed: int = _BACKTEST.seed  # also the simulation seed
+    calibration_fraction: float = _BACKTEST.calibration_fraction
+    calibration_min_months: int = _BACKTEST.calibration_min_months
 
     # evaluation
     ece_bins: int = 10
@@ -92,22 +93,22 @@ class PipelineConfig:
     regress_model: str = "l1"
 
     # simulation
-    sim_n_stocks: int = 500
-    sim_n_years: int = 40
-    sim_trading_days_per_year: int = 252
-    sim_start_year: int = 1980
-    sim_p_calm_to_stress: float = 0.04
-    sim_p_stress_to_calm: float = 0.35
-    sim_calm_mkt_drift: float = 0.0005
-    sim_calm_mkt_vol: float = 0.0075
-    sim_calm_dispersion: float = 0.015
-    sim_calm_tail_prob: float = 0.003
-    sim_calm_volume_scale: float = 1.0
-    sim_stress_mkt_drift: float = -0.003
-    sim_stress_mkt_vol: float = 0.022
-    sim_stress_dispersion: float = 0.035
-    sim_stress_tail_prob: float = 0.05
-    sim_stress_volume_scale: float = 1.8
+    sim_n_stocks: int = _SIM.n_stocks
+    sim_n_years: int = _SIM.n_years
+    sim_trading_days_per_year: int = _SIM.trading_days_per_year
+    sim_start_year: int = _SIM.start_year
+    sim_p_calm_to_stress: float = _SIM.p_calm_to_stress
+    sim_p_stress_to_calm: float = _SIM.p_stress_to_calm
+    sim_calm_mkt_drift: float = _SIM.calm.mkt_drift
+    sim_calm_mkt_vol: float = _SIM.calm.mkt_vol
+    sim_calm_dispersion: float = _SIM.calm.dispersion
+    sim_calm_tail_prob: float = _SIM.calm.tail_prob
+    sim_calm_volume_scale: float = _SIM.calm.volume_scale
+    sim_stress_mkt_drift: float = _SIM.stress.mkt_drift
+    sim_stress_mkt_vol: float = _SIM.stress.mkt_vol
+    sim_stress_dispersion: float = _SIM.stress.dispersion
+    sim_stress_tail_prob: float = _SIM.stress.tail_prob
+    sim_stress_volume_scale: float = _SIM.stress.volume_scale
 
     @classmethod
     def from_file(cls, path: str) -> "PipelineConfig":

@@ -8,14 +8,13 @@ monthly predictors.
 
 from __future__ import annotations
 
-import datetime as dt
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .panel import DailyPanel, DayCrossSection, MonthPartition
+from .panel import DailyPanel, MonthPartition
 
 FEATURE_NAMES = [
     "n_stocks",
@@ -43,27 +42,26 @@ class TailThreshold:
 
 
 @dataclass(frozen=True)
-class DailyCrossSectionStats:
-    """One day's cross-sectional statistics.
+class DailyStats:
+    """Cross-sectional statistics of every panel day, one array per statistic.
 
     ``degenerate`` marks a zero-dispersion day: skew and kurtosis are
     reported as 0 and excluded from monthly averages. Intensity fields are
     NaN when no row carried the needed volume data that day.
     """
 
-    date: dt.date
-    n_stocks: int
-    xs_mean: float
-    xs_std: float
-    xs_skew: float
-    xs_kurt: float
-    mean_abs_ret: float
-    frac_dn: float
-    frac_up: float
-    mean_log_vol: float
-    mean_dollar_vol: float
-    mean_turnover: float
-    degenerate: bool
+    n_stocks: np.ndarray
+    xs_mean: np.ndarray
+    xs_std: np.ndarray
+    xs_skew: np.ndarray
+    xs_kurt: np.ndarray
+    mean_abs_ret: np.ndarray
+    frac_dn: np.ndarray
+    frac_up: np.ndarray
+    mean_log_vol: np.ndarray
+    mean_dollar_vol: np.ndarray
+    mean_turnover: np.ndarray
+    degenerate: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -81,19 +79,9 @@ class FeatureMatrix:
         return self.values[self.months.index(month)]
 
 
-def cross_section_stats(day: DayCrossSection, date: dt.date, tau: TailThreshold) -> DailyCrossSectionStats:
-    """Compute one day's cross-sectional statistics.
-
-    Moments divide by the stock count (population convention); tail
-    fractions use weak inequalities (ret <= -tau, ret >= +tau). Intensity
-    means are taken over rows whose volume fields are present, and turnover
-    additionally requires shares outstanding > 0.
-    """
-    r = day.ret
+def _day_stats(r, prc, vol, shrout, tau: float) -> tuple:
+    """One day's statistics, in the field order of DailyStats."""
     n = r.shape[0]
-    if n == 0:
-        raise DataError(f"{date.isoformat()}: empty cross section")
-
     mean = float(np.mean(r))
     dev = r - mean
     var = float(np.mean(dev * dev))
@@ -109,74 +97,63 @@ def cross_section_stats(day: DayCrossSection, date: dt.date, tau: TailThreshold)
         skew = float(np.mean(dev2 * dev)) / (var * std)
         kurt = float(np.mean(dev2 * dev2)) / (var * var)
 
-    frac_dn = float(np.mean(r <= -tau.tau))
-    frac_up = float(np.mean(r >= tau.tau))
-
-    vol_ok = np.isfinite(day.vol)
-    mean_log_vol = float(np.mean(np.log1p(day.vol[vol_ok]))) if vol_ok.any() else math.nan
+    vol_ok = np.isfinite(vol)
+    mean_log_vol = float(np.mean(np.log1p(vol[vol_ok]))) if vol_ok.any() else math.nan
     mean_dollar_vol = (
-        float(np.mean(np.abs(day.prc[vol_ok]) * day.vol[vol_ok])) if vol_ok.any() else math.nan
+        float(np.mean(np.abs(prc[vol_ok]) * vol[vol_ok])) if vol_ok.any() else math.nan
     )
-    turn_ok = vol_ok & np.isfinite(day.shrout) & (day.shrout > 0)
-    mean_turnover = (
-        float(np.mean(day.vol[turn_ok] / day.shrout[turn_ok])) if turn_ok.any() else math.nan
-    )
-
-    return DailyCrossSectionStats(
-        date=date,
-        n_stocks=n,
-        xs_mean=mean,
-        xs_std=std,
-        xs_skew=skew,
-        xs_kurt=kurt,
-        mean_abs_ret=float(np.mean(np.abs(r))),
-        frac_dn=frac_dn,
-        frac_up=frac_up,
-        mean_log_vol=mean_log_vol,
-        mean_dollar_vol=mean_dollar_vol,
-        mean_turnover=mean_turnover,
-        degenerate=degenerate,
+    turn_ok = vol_ok & np.isfinite(shrout) & (shrout > 0)
+    mean_turnover = float(np.mean(vol[turn_ok] / shrout[turn_ok])) if turn_ok.any() else math.nan
+    return (
+        n, mean, std, skew, kurt, float(np.mean(np.abs(r))),
+        float(np.mean(r <= -tau)), float(np.mean(r >= tau)),
+        mean_log_vol, mean_dollar_vol, mean_turnover, degenerate,
     )
 
 
-def compute_daily_stats(panel: DailyPanel, tau: TailThreshold) -> list[DailyCrossSectionStats]:
-    """Daily statistics for every date in the panel, in calendar order."""
-    return [cross_section_stats(panel.days[d], d, tau) for d in panel.dates]
+def compute_daily_stats(panel: DailyPanel, tau: TailThreshold) -> DailyStats:
+    """Cross-sectional statistics of every panel day, in calendar order.
+
+    Moments divide by the stock count (population convention); tail
+    fractions use weak inequalities (ret <= -tau, ret >= +tau). Intensity
+    means are taken over rows whose volume fields are present, and turnover
+    additionally requires shares outstanding > 0. Each statistic is a
+    ``np.mean`` over the day's own slice, so it does not depend on the
+    other days.
+    """
+    bounds = panel.starts.tolist()
+    empty = [d for d, a, b in zip(panel.dates, bounds, bounds[1:]) if a == b]
+    if empty:
+        raise DataError(f"{empty[0].isoformat()}: empty cross section")
+    rows = [
+        _day_stats(panel.ret[a:b], panel.prc[a:b], panel.vol[a:b], panel.shrout[a:b], tau.tau)
+        for a, b in zip(bounds, bounds[1:])
+    ]
+    return DailyStats(*(np.array(column) for column in zip(*rows)))
 
 
-def aggregate_monthly(
-    daily_stats: list[DailyCrossSectionStats], partition: MonthPartition
-) -> FeatureMatrix:
+def aggregate_monthly(daily_stats: DailyStats, partition: MonthPartition) -> FeatureMatrix:
     """Average daily statistics within each month of the partition.
 
     Skew/kurtosis values from degenerate days, and NaN intensity values from
     days without volume data, are excluded from their feature's average. A
     month whose every day is excluded for some feature is an error.
     """
-    by_date = {s.date: s for s in daily_stats}
-    for month in partition.months:
-        for day in partition.days[month]:
-            if day not in by_date:
-                raise DataError(f"no daily statistics for {day.isoformat()} in month {month}")
-
+    n_days = daily_stats.n_stocks.shape[0]
+    if int(partition.starts[-1]) != n_days:
+        raise DataError(
+            f"partition covers {int(partition.starts[-1])} days, daily statistics {n_days}"
+        )
+    moments_ok = ~daily_stats.degenerate
     rows = np.empty((len(partition.months), len(FEATURE_NAMES)))
-    for i, month in enumerate(partition.months):
-        stats = [by_date[d] for d in partition.days[month]]
-        rows[i, 0] = _mean([float(s.n_stocks) for s in stats], "n_stocks", month)
-        rows[i, 1] = _mean([s.xs_std for s in stats], "xs_std", month)
-        rows[i, 2] = _mean([s.xs_skew for s in stats if not s.degenerate], "xs_skew", month)
-        rows[i, 3] = _mean([s.xs_kurt for s in stats if not s.degenerate], "xs_kurt", month)
-        rows[i, 4] = _mean([s.mean_abs_ret for s in stats], "mean_abs_ret", month)
-        rows[i, 5] = _mean([s.frac_dn for s in stats], "frac_dn", month)
-        rows[i, 6] = _mean([s.frac_up for s in stats], "frac_up", month)
-        rows[i, 7] = _mean([s.mean_log_vol for s in stats], "mean_log_vol", month)
-        rows[i, 8] = _mean([s.mean_dollar_vol for s in stats], "mean_dollar_vol", month)
-        rows[i, 9] = _mean([s.mean_turnover for s in stats], "mean_turnover", month)
+    bounds = partition.starts.tolist()
+    for i, (month, a, b) in enumerate(zip(partition.months, bounds, bounds[1:])):
+        for j, name in enumerate(FEATURE_NAMES):
+            values = getattr(daily_stats, name)[a:b]
+            if name in ("xs_skew", "xs_kurt"):
+                values = values[moments_ok[a:b]]
+            kept = values[~np.isnan(values)]
+            if not kept.size:
+                raise DataError(f"feature '{name}' has no usable days in month {month}")
+            rows[i, j] = float(np.mean(kept))
     return FeatureMatrix(months=list(partition.months), values=rows)
-
-
-def _mean(values: list[float], feature: str, month: str) -> float:
-    kept = [v for v in values if not math.isnan(v)]
-    if not kept:
-        raise DataError(f"feature '{feature}' has no usable days in month {month}")
-    return float(np.mean(np.array(kept)))

@@ -68,30 +68,32 @@ class LabelSeries:
     y_next: np.ndarray
 
 
-def monthly_market_return(market: MarketSeries, partition: MonthPartition) -> dict[str, float]:
+def _month_returns(market: MarketSeries, partition: MonthPartition):
+    """(month, daily index returns) for each partition month."""
+    bounds = partition.starts.tolist()
+    for month, a, b in zip(partition.months, bounds, bounds[1:]):
+        yield month, market.mkt_ret[partition.market_rows[a:b]]
+
+
+def monthly_market_return(market: MarketSeries, partition: MonthPartition) -> np.ndarray:
     """Compound daily index returns within each partition month."""
-    by_date = market.by_date()
-    out = {}
-    for month in partition.months:
-        rets = np.array([by_date[d] for d in partition.days[month]])
-        out[month] = float(np.prod(1.0 + rets) - 1.0)
-    return out
+    return np.array([
+        float(np.prod(1.0 + rets) - 1.0) for _, rets in _month_returns(market, partition)
+    ])
 
 
 def realized_monthly_vol(
     market: MarketSeries,
     partition: MonthPartition,
     annualization: float = ANNUALIZATION_DEFAULT,
-) -> dict[str, float]:
+) -> np.ndarray:
     """Within-month sample std (ddof=1) of daily returns, annualized."""
-    by_date = market.by_date()
-    out = {}
-    for month in partition.months:
-        rets = np.array([by_date[d] for d in partition.days[month]])
+    out = []
+    for month, rets in _month_returns(market, partition):
         if rets.shape[0] < 2:
             raise DataError(f"month {month} has a single trading day; volatility undefined")
-        out[month] = float(np.std(rets, ddof=1) * annualization)
-    return out
+        out.append(float(np.std(rets, ddof=1) * annualization))
+    return np.array(out)
 
 
 def build_market_monthly(
@@ -99,13 +101,10 @@ def build_market_monthly(
     partition: MonthPartition,
     annualization: float = ANNUALIZATION_DEFAULT,
 ) -> MarketMonthly:
-    rets = monthly_market_return(market, partition)
-    vols = realized_monthly_vol(market, partition, annualization)
-    months = list(partition.months)
     return MarketMonthly(
-        months=months,
-        r_mkt=np.array([rets[m] for m in months]),
-        sigma_mkt=np.array([vols[m] for m in months]),
+        months=list(partition.months),
+        r_mkt=monthly_market_return(market, partition),
+        sigma_mkt=realized_monthly_vol(market, partition, annualization),
     )
 
 

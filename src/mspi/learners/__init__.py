@@ -1,8 +1,8 @@
 """Probability learners: penalized logits, tree ensembles, Platt calibration."""
 
-from .boosting import BoostModel, GradientBoostingParams, fit_gradient_boosting, gb_score, gb_score_many
-from .calibration import CalibrationMap, calibrate, calibrate_many, fit_platt
-from .forest import ForestModel, RandomForestParams, fit_random_forest, rf_score, rf_score_many
+from .boosting import BoostModel, GradientBoostingParams, fit_gradient_boosting, gb_score_many
+from .calibration import CalibrationMap, calibrate_many, fit_platt
+from .forest import ForestModel, RandomForestParams, fit_random_forest, rf_score_many
 from .logit import (
     PROB_CLAMP,
     LogitModel,
@@ -10,9 +10,7 @@ from .logit import (
     fit_logit_l2,
     l1_objective,
     laplace_base_rate,
-    linear_score,
     mean_nll,
-    predict_proba,
     sigmoid,
 )
 from .standardize import StandardizationParams, standardize_apply, standardize_fit
@@ -26,21 +24,16 @@ __all__ = [
     "PROB_CLAMP",
     "RandomForestParams",
     "StandardizationParams",
-    "calibrate",
     "calibrate_many",
     "fit_gradient_boosting",
     "fit_logit_l1",
     "fit_logit_l2",
     "fit_platt",
     "fit_random_forest",
-    "gb_score",
     "gb_score_many",
     "l1_objective",
     "laplace_base_rate",
-    "linear_score",
     "mean_nll",
-    "predict_proba",
-    "rf_score",
     "rf_score_many",
     "sigmoid",
     "standardize_apply",

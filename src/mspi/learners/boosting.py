@@ -39,16 +39,6 @@ class BoostModel:
     params: GradientBoostingParams
     train_loss: list[float]
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "gradient_boosting",
-            "f0": self.f0,
-            "n_stages": self.params.n_stages,
-            "max_depth": self.params.max_depth,
-            "shrinkage": self.params.shrinkage,
-            "trees": [t.to_dict() for t in self.trees],
-        }
-
 
 def fit_gradient_boosting(X: np.ndarray, y: np.ndarray, params: GradientBoostingParams) -> BoostModel:
     """Fit the boosted ensemble; requires both classes present."""
@@ -92,7 +82,3 @@ def gb_score_many(model: BoostModel, X: np.ndarray) -> np.ndarray:
     for tree in model.trees:
         f += model.params.shrinkage * tree_predict(tree, X)
     return f
-
-
-def gb_score(model: BoostModel, x: np.ndarray) -> float:
-    return float(gb_score_many(model, np.asarray(x, dtype=float)[None, :])[0])

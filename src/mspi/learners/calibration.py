@@ -30,10 +30,6 @@ class CalibrationMap:
     identity: bool = False
     warning: str | None = None
 
-    def to_dict(self) -> dict:
-        return {"kind": "platt", "a": self.a, "b": self.b,
-                "identity": self.identity, "warning": self.warning}
-
 
 def fit_platt(scores: np.ndarray, y: np.ndarray) -> CalibrationMap:
     """Maximum-likelihood calibration map on a segment of (score, outcome) pairs."""
@@ -49,15 +45,6 @@ def fit_platt(scores: np.ndarray, y: np.ndarray) -> CalibrationMap:
         return CalibrationMap(a=0.0, b=math.log(rate / (1.0 - rate)))
     model = fit_logit_l2(scores[:, None], y, lam=_RIDGE)
     return CalibrationMap(a=float(model.coef[0]), b=model.intercept)
-
-
-def calibrate(cmap: CalibrationMap, score: float) -> float:
-    """Calibrated probability for one raw score."""
-    if cmap.identity:
-        p = score
-    else:
-        p = float(sigmoid(np.array([cmap.a * score + cmap.b]))[0])
-    return min(max(p, PROB_CLAMP), 1.0 - PROB_CLAMP)
 
 
 def calibrate_many(cmap: CalibrationMap, scores: np.ndarray) -> np.ndarray:

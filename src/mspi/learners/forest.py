@@ -36,17 +36,6 @@ class RandomForestParams:
 class ForestModel:
     trees: list[Tree]
     params: RandomForestParams
-    seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "random_forest",
-            "seed": self.seed,
-            "n_trees": self.params.n_trees,
-            "max_depth": self.params.max_depth,
-            "min_leaf": self.params.min_leaf,
-            "trees": [t.to_dict() for t in self.trees],
-        }
 
 
 def fit_random_forest(
@@ -71,14 +60,7 @@ def fit_random_forest(
                 n_candidate_features=mtry, criterion="gini",
             )
         )
-    seed_repr = seed.entropy if isinstance(seed, np.random.SeedSequence) else seed
-    return ForestModel(trees=trees, params=params, seed=_scalar_seed(seed_repr))
-
-
-def _scalar_seed(entropy) -> int:
-    if isinstance(entropy, (list, tuple)):
-        return int(entropy[0]) if entropy else 0
-    return int(entropy)
+    return ForestModel(trees=trees, params=params)
 
 
 def rf_score_many(model: ForestModel, X: np.ndarray) -> np.ndarray:
@@ -88,8 +70,3 @@ def rf_score_many(model: ForestModel, X: np.ndarray) -> np.ndarray:
     for tree in model.trees:
         acc += tree_predict(tree, X)
     return acc / len(model.trees)
-
-
-def rf_score(model: ForestModel, x: np.ndarray) -> float:
-    """Raw forest score for one row, in [0, 1]."""
-    return float(rf_score_many(model, np.asarray(x, dtype=float)[None, :])[0])

@@ -66,18 +66,6 @@ class LogitModel:
             "fallback": self.fallback,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "LogitModel":
-        return cls(
-            intercept=float(d["intercept"]),
-            coef=np.asarray(d["coef"], dtype=float),
-            penalty=d["penalty"],
-            lam=float(d["lambda"]),
-            iterations=int(d["iterations"]),
-            objective=float(d["objective"]),
-            fallback=bool(d.get("fallback", False)),
-        )
-
 
 def sigmoid(z):
     """Numerically stable logistic function."""
@@ -312,20 +300,6 @@ def _newton_l2(X: np.ndarray, y: np.ndarray, lam: float, max_iter: int,
         intercept=float(w[0]), coef=w[1:], penalty="l2", lam=lam,
         iterations=iters, objective=f_w,
     )
-
-
-def linear_score(model: LogitModel, x: np.ndarray) -> float:
-    """Linear predictor for one feature row."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != model.coef.shape:
-        raise DataError(f"row has {x.shape} features, model expects {model.coef.shape}")
-    return float(model.intercept + x @ model.coef)
-
-
-def predict_proba(model: LogitModel, x: np.ndarray) -> float:
-    """Stress probability for one row, clamped away from {0,1} for scoring."""
-    p = float(sigmoid(np.array([linear_score(model, x)]))[0])
-    return min(max(p, PROB_CLAMP), 1.0 - PROB_CLAMP)
 
 
 def l1_objective(model: LogitModel, X: np.ndarray, y: np.ndarray) -> float:

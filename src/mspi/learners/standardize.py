@@ -26,15 +26,6 @@ class StandardizationParams:
     dropped: np.ndarray
     n_features: int
 
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean.tolist(),
-            "std": self.std.tolist(),
-            "kept": self.kept.tolist(),
-            "dropped": self.dropped.tolist(),
-            "n_features": self.n_features,
-        }
-
 
 def standardize_fit(X: np.ndarray) -> StandardizationParams:
     """Estimate standardization parameters on a training window."""

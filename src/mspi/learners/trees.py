@@ -22,25 +22,6 @@ class Tree:
     right: np.ndarray
     value: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Tree":
-        return cls(
-            feature=np.asarray(d["feature"], dtype=np.int64),
-            threshold=np.asarray(d["threshold"], dtype=float),
-            left=np.asarray(d["left"], dtype=np.int64),
-            right=np.asarray(d["right"], dtype=np.int64),
-            value=np.asarray(d["value"], dtype=float),
-        )
-
 
 def _best_split(V: np.ndarray, y: np.ndarray, min_leaf: int, criterion: str):
     """Best (column, threshold) over candidate-feature columns V, or None.

@@ -18,9 +18,14 @@ line, or a token that fails to parse) is parsed again row by row by
 ``DataError`` naming the line and column, or returns the same values. The
 contract and the loaded panel do not depend on which path a chunk took.
 
-Within each date the retained observations are sorted by ``security_id``
-before being packed into arrays, so every downstream accumulation runs in a
-fixed order and results are bit-reproducible regardless of input row order.
+The loaded panel is columnar: one array per field (``ret``, ``prc``,
+``vol``, ``shrout``, ``share_ok``, ``exch_ok``) holding every retained
+observation in (date, security_id) order, plus the sorted ``dates`` and day
+offsets ``starts``, so day i is rows ``starts[i]:starts[i+1]``. Sorting by
+security id within each date fixes the order of every downstream
+accumulation, so results are bit-reproducible regardless of input row
+order. A ``MonthPartition`` holds month offsets into those days and each
+day's row in the market series.
 """
 
 from __future__ import annotations
@@ -62,13 +67,16 @@ class EligibilityFilter:
 
 
 @dataclass(frozen=True)
-class DayCrossSection:
-    """All retained observations for one trading day, sorted by security id.
+class DailyPanel:
+    """Filtered daily panel: one array per field, rows in (date, security_id)
+    order; day i is rows ``starts[i]:starts[i+1]``.
 
     ``vol`` and ``shrout`` hold NaN where the source field was missing; such
     rows still contribute to return-based statistics.
     """
 
+    dates: list[dt.date]
+    starts: np.ndarray  # len(dates) + 1 row offsets
     ret: np.ndarray
     prc: np.ndarray
     vol: np.ndarray
@@ -77,23 +85,8 @@ class DayCrossSection:
     exch_ok: np.ndarray
 
     @property
-    def n_stocks(self) -> int:
-        return self.ret.shape[0]
-
-
-@dataclass(frozen=True)
-class DailyPanel:
-    """Filtered daily panel: per-date cross sections on a shared calendar."""
-
-    dates: list[dt.date]
-    days: dict[dt.date, DayCrossSection]
-
-    def n_on(self, day: dt.date) -> int:
-        return self.days[day].n_stocks
-
-    @property
     def total_observations(self) -> int:
-        return sum(d.n_stocks for d in self.days.values())
+        return int(self.starts[-1])
 
 
 @dataclass(frozen=True)
@@ -103,19 +96,18 @@ class MarketSeries:
     dates: list[dt.date]
     mkt_ret: np.ndarray
 
-    def by_date(self) -> dict[dt.date, float]:
-        return dict(zip(self.dates, self.mkt_ret.tolist()))
-
 
 @dataclass(frozen=True)
 class MonthPartition:
-    """Calendar year-month buckets of the panel's trading days."""
+    """Calendar year-month buckets of the panel's trading days.
+
+    Month j is panel days ``starts[j]:starts[j+1]``; ``market_rows[i]`` is
+    the row of panel day i in the market series.
+    """
 
     months: list[str]
-    days: dict[str, list[dt.date]]
-
-    def day_count(self, month: str) -> int:
-        return len(self.days[month])
+    starts: np.ndarray  # len(months) + 1 day offsets
+    market_rows: np.ndarray
 
 
 @dataclass
@@ -375,8 +367,8 @@ class _PanelColumns:
         self._parts.append([c[kept] for c in columns])
 
     def panel(self, path: str) -> DailyPanel:
-        """Sort the retained rows by (date, security_id), reject duplicate
-        ids within a date, and slice one cross section per date."""
+        """Sort the retained rows by (date, security_id) and reject
+        duplicate ids within a date."""
         if not self.summary.rows_kept:
             raise DataError(f"{path}: empty panel after filtering")
         day, sec, *values = (np.concatenate(c) for c in zip(*self._parts))
@@ -394,19 +386,12 @@ class _PanelColumns:
                 f"duplicate security_id {names[sec[i]]!r} on "
                 f"{dt.date.fromordinal(int(day[i])).isoformat()}"
             )
-        ret, prc, vol, shrout, share_ok, exch_ok = (v[order] for v in values)
-        starts = np.concatenate([[0], np.flatnonzero(day[1:] != day[:-1]) + 1])
-        ends = np.append(starts[1:], day.shape[0])
-        dates = [dt.date.fromordinal(o) for o in day[starts].tolist()]
-        days = {
-            d: DayCrossSection(
-                ret=ret[a:b].copy(), prc=prc[a:b].copy(), vol=vol[a:b].copy(),
-                shrout=shrout[a:b].copy(), share_ok=share_ok[a:b].copy(),
-                exch_ok=exch_ok[a:b].copy(),
-            )
-            for d, a, b in zip(dates, starts.tolist(), ends.tolist())
-        }
-        return DailyPanel(dates=dates, days=days)
+        starts = np.flatnonzero(np.diff(day, prepend=-1, append=-1))
+        dates = [dt.date.fromordinal(o) for o in day[starts[:-1]].tolist()]
+        del sec, same
+        for k in range(len(values)):  # one column at a time, to bound peak memory
+            values[k] = values[k][order]
+        return DailyPanel(dates, starts, *values)
 
 
 def load_daily_panel(path: str, filt: EligibilityFilter) -> tuple[DailyPanel, IngestSummary]:
@@ -435,35 +420,6 @@ def load_daily_panel(path: str, filt: EligibilityFilter) -> tuple[DailyPanel, In
     return columns.panel(path), summary
 
 
-def refilter_panel(panel: DailyPanel, filt: EligibilityFilter) -> tuple[DailyPanel, int]:
-    """Re-apply an eligibility filter to an in-memory panel.
-
-    Returns the filtered panel and the number of rows dropped. Applying the
-    filter a panel was built with drops nothing.
-    """
-    days: dict[dt.date, DayCrossSection] = {}
-    dates: list[dt.date] = []
-    dropped = 0
-    for day in panel.dates:
-        cs = panel.days[day]
-        keep = np.isfinite(cs.ret) & np.isfinite(cs.prc) & (np.abs(cs.prc) >= filt.min_abs_price)
-        if filt.require_share_class:
-            keep &= cs.share_ok
-        if filt.require_exchange:
-            keep &= cs.exch_ok
-        dropped += int(cs.n_stocks - keep.sum())
-        if not keep.any():
-            continue
-        dates.append(day)
-        days[day] = DayCrossSection(
-            ret=cs.ret[keep], prc=cs.prc[keep], vol=cs.vol[keep],
-            shrout=cs.shrout[keep], share_ok=cs.share_ok[keep], exch_ok=cs.exch_ok[keep],
-        )
-    if not dates:
-        raise DataError("empty panel after filtering")
-    return DailyPanel(dates=dates, days=days), dropped
-
-
 def load_market_series(path: str) -> MarketSeries:
     """Load the daily market index series; rejects duplicates and non-finite returns."""
     rows: list[tuple[dt.date, float]] = []
@@ -489,13 +445,15 @@ def partition_months(panel: DailyPanel, market: MarketSeries) -> MonthPartition:
     The market calendar may be a superset of the panel calendar, but every
     panel date must appear in it.
     """
-    market_dates = set(market.dates)
-    missing = [d for d in panel.dates if d not in market_dates]
+    market_row = {d: i for i, d in enumerate(market.dates)}
+    missing = [d for d in panel.dates if d not in market_row]
     if missing:
         shown = ", ".join(d.isoformat() for d in missing[:5])
         raise DataError(f"{len(missing)} panel date(s) absent from market calendar: {shown}")
-    days: dict[str, list[dt.date]] = {}
-    for day in panel.dates:
-        days.setdefault(month_key(day), []).append(day)
-    months = sorted(days)
-    return MonthPartition(months=months, days=days)
+    keys = [month_key(d) for d in panel.dates]
+    starts = [i for i, k in enumerate(keys) if i == 0 or k != keys[i - 1]]
+    return MonthPartition(
+        months=[keys[i] for i in starts],
+        starts=np.array(starts + [len(keys)]),
+        market_rows=np.array([market_row[d] for d in panel.dates]),
+    )

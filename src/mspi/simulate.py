@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .panel import DailyPanel, DayCrossSection, MarketSeries
+from .panel import DailyPanel, MarketSeries, month_key
 
 JUMP_RETURN = -0.08
 
@@ -63,8 +63,8 @@ class SimConfig:
     trading_days_per_year: int = 252
     calm: RegimeParams = field(default_factory=lambda: CALM_DEFAULT)
     stress: RegimeParams = field(default_factory=lambda: STRESS_DEFAULT)
-    p_calm_to_stress: float = 0.028
-    p_stress_to_calm: float = 0.25
+    p_calm_to_stress: float = 0.04
+    p_stress_to_calm: float = 0.35
     start_year: int = 1980
     seed: int = 7
 
@@ -119,41 +119,46 @@ def simulate(config: SimConfig) -> SimOutput:
     shrout = np.round(np.exp(rng.normal(np.log(2e7), 1.0, size=n)))
     base_volume = np.exp(rng.normal(np.log(1e5), 0.7, size=n))
 
-    dates: list[dt.date] = []
-    days: dict[dt.date, DayCrossSection] = {}
-    mkt: list[float] = []
+    calendar_days = [
+        _trading_days(config.start_year + m // 12, m % 12 + 1, per_month)
+        for m in range(config.n_years * 12)
+    ]
+    dates = [day for days in calendar_days for day in days]
+    ret = np.empty((len(dates), n))
+    prc = np.empty((len(dates), n))
+    vol = np.empty((len(dates), n))
+    mkt = np.empty(len(dates))
     true_regime: dict[str, bool] = {}
-    share_ok = np.ones(n, dtype=bool)
-    exch_ok = np.ones(n, dtype=bool)
 
     stress = False
-    for m in range(config.n_years * 12):
-        year = config.start_year + m // 12
-        month = m % 12 + 1
+    d = 0
+    for m, days in enumerate(calendar_days):
         if m > 0:
             u = rng.random()
             stress = (u < config.p_calm_to_stress) if not stress else (u >= config.p_stress_to_calm)
-        true_regime[f"{year:04d}-{month:02d}"] = stress
+        true_regime[month_key(days[0])] = stress
         params = config.stress if stress else config.calm
 
-        for day in _trading_days(year, month, per_month):
+        for _ in days:
             mkt_ret = params.mkt_drift + params.mkt_vol * rng.standard_normal()
             idio = params.dispersion * rng.standard_normal(n)
             jumps = rng.random(n) < params.tail_prob
-            ret = mkt_ret + idio + np.where(jumps, JUMP_RETURN, 0.0)
-            prices = np.maximum(1.0, prices * (1.0 + ret))
-            volume = np.round(
+            ret[d] = mkt_ret + idio + np.where(jumps, JUMP_RETURN, 0.0)
+            prices = np.maximum(1.0, prices * (1.0 + ret[d]))
+            prc[d] = prices
+            mkt[d] = mkt_ret
+            vol[d] = np.round(
                 base_volume * params.volume_scale * np.exp(0.5 * rng.standard_normal(n))
             )
-            dates.append(day)
-            days[day] = DayCrossSection(
-                ret=ret, prc=prices.copy(), vol=volume, shrout=shrout,
-                share_ok=share_ok, exch_ok=exch_ok,
-            )
-            mkt.append(mkt_ret)
+            d += 1
 
-    panel = DailyPanel(dates=dates, days=days)
-    market = MarketSeries(dates=list(dates), mkt_ret=np.array(mkt))
+    panel = DailyPanel(
+        dates=dates, starts=np.arange(0, len(dates) * n + 1, n),
+        ret=ret.ravel(), prc=prc.ravel(), vol=vol.ravel(),
+        shrout=np.tile(shrout, len(dates)),
+        share_ok=np.ones(len(dates) * n, dtype=bool), exch_ok=np.ones(len(dates) * n, dtype=bool),
+    )
+    market = MarketSeries(dates=list(dates), mkt_ret=mkt)
     return SimOutput(panel=panel, market=market, true_regime=true_regime)
 
 

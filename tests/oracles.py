@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from mspi.errors import DataError
-from mspi.panel import DailyPanel, DayCrossSection, EligibilityFilter, IngestSummary
+from mspi.panel import DailyPanel, EligibilityFilter, IngestSummary
 
 
 def newton_logit(X: np.ndarray, y: np.ndarray, l2: float = 0.0,
@@ -202,19 +202,22 @@ def load_daily_panel_rowwise(
         raise DataError(f"{path}: empty panel after filtering")
 
     dates = sorted(by_date)
-    days: dict[dt.date, DayCrossSection] = {}
+    packed = []
     for day in dates:
         rows = by_date[day]
         rows.sort(key=lambda r: r[0])
         for (a, *_), (b, *_) in zip(rows, rows[1:]):
             if a == b:
                 raise DataError(f"duplicate security_id {a!r} on {day.isoformat()}")
-        days[day] = DayCrossSection(
-            ret=np.array([r[1] for r in rows], dtype=float),
-            prc=np.array([r[2] for r in rows], dtype=float),
-            vol=np.array([r[3] for r in rows], dtype=float),
-            shrout=np.array([r[4] for r in rows], dtype=float),
-            share_ok=np.array([r[5] for r in rows], dtype=bool),
-            exch_ok=np.array([r[6] for r in rows], dtype=bool),
-        )
-    return DailyPanel(dates=dates, days=days), summary
+        packed += rows
+    starts = np.cumsum([0] + [len(by_date[day]) for day in dates])
+    return DailyPanel(
+        dates=dates,
+        starts=starts,
+        ret=np.array([r[1] for r in packed], dtype=float),
+        prc=np.array([r[2] for r in packed], dtype=float),
+        vol=np.array([r[3] for r in packed], dtype=float),
+        shrout=np.array([r[4] for r in packed], dtype=float),
+        share_ok=np.array([r[5] for r in packed], dtype=bool),
+        exch_ok=np.array([r[6] for r in packed], dtype=bool),
+    ), summary

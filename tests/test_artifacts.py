@@ -6,16 +6,12 @@ import pytest
 from mspi.artifacts import read_forecasts, write_csv, write_forecasts_csv, write_panel_csv
 from mspi.errors import DataError
 from mspi.labels import LabelSeries
-from mspi.panel import (
-    PANEL_COLUMNS,
-    DailyPanel,
-    DayCrossSection,
-    EligibilityFilter,
-    load_daily_panel,
-)
+from mspi.panel import PANEL_COLUMNS, DailyPanel, EligibilityFilter, load_daily_panel
 from mspi.simulate import security_ids
 
 from .test_econometrics import toy_forecasts
+
+FIELDS = ("ret", "prc", "vol", "shrout", "share_ok", "exch_ok")
 
 
 @pytest.fixture
@@ -80,27 +76,30 @@ class TestWritePanelCsv:
     @pytest.fixture
     def panel(self):
         rng = np.random.default_rng(5)
-        days = {}
+        days = []
         for k, n in enumerate([3, 7, 0, 7, 12]):
             vol = np.round(rng.lognormal(9.0, 1.0, n))
             vol[:k % 3] = np.nan
             ret = rng.normal(0.0, 0.02, n)
             ret[-1:] = -0.0
-            days[dt.date(2001, 1, 2 + k)] = DayCrossSection(
+            days.append(dict(
                 ret=ret, prc=rng.uniform(1.0, 90.0, n) * np.where(rng.random(n) < 0.3, -1, 1),
                 vol=vol, shrout=np.full(n, np.nan) if k == 2 else np.round(rng.lognormal(8, 1, n)),
                 share_ok=rng.random(n) < 0.8, exch_ok=rng.random(n) < 0.8,
-            )
-        return DailyPanel(dates=list(days), days=days)
+            ))
+        return DailyPanel(
+            dates=[dt.date(2001, 1, 2 + k) for k in range(len(days))],
+            starts=np.cumsum([0] + [len(day["ret"]) for day in days]),
+            **{name: np.concatenate([day[name] for day in days]) for name in FIELDS},
+        )
 
     def test_bytes_equal_row_by_row_csv_writer(self, panel, tmp_path):
         def rows():
-            for day in panel.dates:
-                cs = panel.days[day]
-                ids = security_ids(cs.n_stocks)
-                for i in range(cs.n_stocks):
-                    yield (day.isoformat(), ids[i], cs.ret[i], cs.prc[i], cs.vol[i],
-                           cs.shrout[i], int(cs.share_ok[i]), int(cs.exch_ok[i]))
+            for day, a, b in zip(panel.dates, panel.starts, panel.starts[1:]):
+                ids = security_ids(b - a)
+                for i in range(a, b):
+                    yield (day.isoformat(), ids[i - a], panel.ret[i], panel.prc[i], panel.vol[i],
+                           panel.shrout[i], int(panel.share_ok[i]), int(panel.exch_ok[i]))
 
         write_panel_csv(tmp_path / "fast.csv", panel, "h")
         write_csv(tmp_path / "rows.csv", PANEL_COLUMNS, rows(), "h")
@@ -111,9 +110,10 @@ class TestWritePanelCsv:
         filt = EligibilityFilter(min_abs_price=0.0, require_share_class=False,
                                  require_exchange=False)
         got, summary = load_daily_panel(str(tmp_path / "panel.csv"), filt)
-        assert got.dates == [d for d in panel.dates if panel.days[d].n_stocks]
+        assert got.dates == [d for i, d in enumerate(panel.dates)
+                             if panel.starts[i + 1] > panel.starts[i]]
+        assert got.starts.tolist() == sorted(set(panel.starts.tolist()))
         assert summary.rows_kept == 29
-        for day in got.dates:
-            for name in ("ret", "prc", "vol", "shrout", "share_ok", "exch_ok"):
-                a, b = getattr(got.days[day], name), getattr(panel.days[day], name)
-                assert a.tobytes() == b.tobytes(), (day, name)
+        for name in FIELDS:
+            a, b = getattr(got, name), getattr(panel, name)
+            assert a.tobytes() == b.tobytes(), name

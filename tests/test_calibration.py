@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mspi.learners.calibration as calibration
-from mspi.learners import CalibrationMap, calibrate, calibrate_many, fit_platt
+from mspi.learners import CalibrationMap, calibrate_many, fit_platt
 
 from .oracles import newton_logit
 
@@ -21,7 +21,7 @@ class TestFitPlatt:
         y = np.array([1.0] * 3 + [0.0] * 7)
         cmap = fit_platt(np.full(10, 0.42), y)
         # Laplace-smoothed event rate (3+1)/(10+2)
-        assert calibrate(cmap, 0.42) == pytest.approx(4 / 12, abs=1e-9)
+        assert calibrate_many(cmap, [0.42])[0] == pytest.approx(4 / 12, abs=1e-9)
 
     def test_positive_association_gives_positive_slope(self):
         rng = np.random.default_rng(18)
@@ -33,8 +33,8 @@ class TestFitPlatt:
     def test_single_class_segment_identity_fallback(self):
         cmap = fit_platt(np.linspace(0, 1, 8), np.zeros(8))
         assert cmap.identity and cmap.warning is not None
-        assert calibrate(cmap, 0.3) == pytest.approx(0.3)
-        assert calibrate(cmap, 1.5) == pytest.approx(1.0 - 1e-12)
+        assert calibrate_many(cmap, [0.3])[0] == pytest.approx(0.3)
+        assert calibrate_many(cmap, [1.5])[0] == pytest.approx(1.0 - 1e-12)
 
     def test_monotone_when_slope_positive(self):
         rng = np.random.default_rng(19)
@@ -81,5 +81,5 @@ class TestFitPlatt:
 
     def test_output_clamped(self):
         cmap = CalibrationMap(a=100.0, b=0.0)
-        assert calibrate(cmap, 10.0) == 1.0 - 1e-12
-        assert calibrate(cmap, -10.0) == 1e-12
+        assert calibrate_many(cmap, [10.0])[0] == 1.0 - 1e-12
+        assert calibrate_many(cmap, [-10.0])[0] == 1e-12

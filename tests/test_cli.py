@@ -4,9 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from mspi.artifacts import write_forecasts_csv, write_labels_csv
 from mspi.cli import main
+from mspi.labels import LabelSeries
 
 from .conftest import SMALL_SIM
+from .test_econometrics import toy_forecasts
 
 # The small simulated panel of conftest.py run through every stage, with a
 # backtest cut down so the whole run takes seconds.
@@ -68,4 +71,48 @@ def test_bad_config_exits_2(tmp_path, capsys, payload, field):
     assert main(["backtest", "--config", config]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and field in err
+    assert "Traceback" not in err
+
+
+def test_missing_upstream_artifact_exits_3(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["backtest", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == (f"data error: missing upstream artifact: {out / 'features.csv'} "
+                   "(run the producing stage first)\n")
+
+
+def test_malformed_panel_row_exits_3(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "panel.csv").write_text(
+        "date,security_id,ret,prc,vol,shrout,shrcd_ok,exchcd_ok\n"
+        "2001-01-02,A,0.01,5.00,100,1000,1,1\n"
+        "2001-01-02,B,zap,5.00,100,1000,1,1\n", encoding="utf-8")
+    (out / "market.csv").write_text("date,mkt_ret\n2001-01-02,0.0\n", encoding="utf-8")
+    assert main(["features", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "data error: line 3, column 'ret': cannot parse number from 'zap'\n"
+
+
+def test_bootstrap_on_one_stress_month_exits_4(tmp_path, capsys):
+    # With the only stress month first, a 12-month block covers it in about
+    # one resample in ten, so most resamples are single-class.
+    out = tmp_path / "out"
+    out.mkdir()
+    fs = toy_forecasts(n=48, seed=4)
+    fs.models = ("l1", "l2")
+    fs.raw["l2"], fs.prob["l2"] = fs.raw["l1"] - 0.5, fs.prob["l1"] / 2.0
+    fs.y_next = np.zeros(48)
+    fs.y_next[0] = 1.0
+    labels = LabelSeries(
+        months=fs.months, r_mkt=fs.r_mkt, sigma_mkt=fs.sigma_mkt, q_prev=np.full(48, 0.2),
+        s=np.zeros(48, dtype=np.int64), y_next=fs.y_next,
+    )
+    write_labels_csv(out / "labels.csv", labels, "h")
+    write_forecasts_csv(out / "forecasts.csv", fs, "h")
+    config = write_config(tmp_path, {"out_dir": str(out), "bootstrap_reps": 50})
+    assert main(["bootstrap", "--config", config]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: block bootstrap: metric 'auc' undefined in more than 25")
     assert "Traceback" not in err

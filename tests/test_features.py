@@ -1,5 +1,7 @@
 import datetime as dt
 import math
+from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,17 +12,17 @@ from mspi.features import (
     TailThreshold,
     aggregate_monthly,
     compute_daily_stats,
-    cross_section_stats,
 )
-from mspi.panel import DayCrossSection, MonthPartition
+from mspi.panel import DailyPanel, MarketSeries, partition_months
 
 TAU = TailThreshold()
+PANEL_FIELDS = ("ret", "prc", "vol", "shrout", "share_ok", "exch_ok")
 
 
-def make_day(ret, vol=None, shrout=None, prc=None):
+def make_day(ret, vol=None, shrout=None, prc=None) -> dict:
     ret = np.asarray(ret, dtype=float)
     n = ret.shape[0]
-    return DayCrossSection(
+    return dict(
         ret=ret,
         prc=np.asarray(prc, dtype=float) if prc is not None else np.full(n, 10.0),
         vol=np.asarray(vol, dtype=float) if vol is not None else np.full(n, 100.0),
@@ -30,49 +32,64 @@ def make_day(ret, vol=None, shrout=None, prc=None):
     )
 
 
+def make_panel(days, dates) -> DailyPanel:
+    """A columnar panel whose i-th day holds the fields of ``days[i]``."""
+    return DailyPanel(
+        dates=list(dates),
+        starts=np.cumsum([0] + [day["ret"].shape[0] for day in days]),
+        **{name: np.concatenate([day[name] for day in days]) for name in PANEL_FIELDS},
+    )
+
+
 DAY = dt.date(2001, 1, 2)
+
+
+def stats_of(day):
+    """One day's statistics as scalars."""
+    stats = compute_daily_stats(make_panel([day], [DAY]), TAU)
+    return SimpleNamespace(**{f.name: getattr(stats, f.name)[0].item() for f in fields(stats)})
 
 
 class TestCrossSectionStats:
     def test_two_point_symmetric(self):
-        s = cross_section_stats(make_day([0.01, -0.01]), DAY, TAU)
+        s = stats_of(make_day([0.01, -0.01]))
         assert s.xs_mean == 0.0
         assert s.xs_std == pytest.approx(0.01, abs=1e-15)
         assert s.xs_skew == pytest.approx(0.0, abs=1e-12)
         assert s.xs_kurt == pytest.approx(1.0, abs=1e-12)
 
     def test_threshold_counting_weak_inequalities(self):
-        s = cross_section_stats(make_day([-0.06, 0.0, 0.07]), DAY, TAU)
+        s = stats_of(make_day([-0.06, 0.0, 0.07]))
         assert s.frac_dn == pytest.approx(1 / 3)
         assert s.frac_up == pytest.approx(1 / 3)
         # boundary values count
-        s2 = cross_section_stats(make_day([-0.05, 0.05]), DAY, TAU)
+        s2 = stats_of(make_day([-0.05, 0.05]))
         assert s2.frac_dn == 0.5 and s2.frac_up == 0.5
 
     def test_normal_sample_moments(self):
         # Monte Carlo against known standard-normal moments
         rng = np.random.default_rng(42)
-        s = cross_section_stats(make_day(rng.standard_normal(100_000)), DAY, TAU)
+        s = stats_of(make_day(rng.standard_normal(100_000)))
         assert abs(s.xs_skew) < 0.05
         assert abs(s.xs_kurt - 3.0) < 0.1
 
     def test_degenerate_day_flagged(self):
-        s = cross_section_stats(make_day([0.01, 0.01, 0.01]), DAY, TAU)
+        s = stats_of(make_day([0.01, 0.01, 0.01]))
         assert s.degenerate and s.xs_skew == 0.0 and s.xs_kurt == 0.0
 
     def test_empty_day_error(self):
-        with pytest.raises(DataError, match="empty"):
-            cross_section_stats(make_day([]), DAY, TAU)
+        with pytest.raises(DataError, match="2001-01-02: empty"):
+            compute_daily_stats(make_panel([make_day([])], [DAY]), TAU)
 
     def test_intensity_means_skip_missing_volume(self):
         day = make_day([0.01, 0.02], vol=[100.0, math.nan], prc=[10.0, -20.0])
-        s = cross_section_stats(day, DAY, TAU)
+        s = stats_of(day)
         assert s.mean_log_vol == pytest.approx(math.log1p(100.0))
         assert s.mean_dollar_vol == pytest.approx(1000.0)
 
     def test_turnover_skips_zero_shrout(self):
         day = make_day([0.01, 0.02], vol=[100.0, 100.0], shrout=[1000.0, 0.0])
-        s = cross_section_stats(day, DAY, TAU)
+        s = stats_of(day)
         assert s.mean_turnover == pytest.approx(0.1)
 
 
@@ -85,10 +102,10 @@ class TestFeatureInvariances:
             n = int(rng.choice([32, 64, 128]))
             ret = rng.integers(-512, 513, size=n).astype(float) / 1024.0
             day = make_day(ret)
-            base = cross_section_stats(day, DAY, TAU)
+            base = stats_of(day)
 
             c = float(2.0 ** rng.integers(-3, 6))
-            scaled = cross_section_stats(make_day(ret * c), DAY, TAU)
+            scaled = stats_of(make_day(ret * c))
             assert scaled.xs_std == c * base.xs_std
             assert scaled.mean_abs_ret == c * base.mean_abs_ret
             if not base.degenerate:
@@ -96,7 +113,7 @@ class TestFeatureInvariances:
                 assert scaled.xs_kurt == base.xs_kurt
 
             shift = float(rng.integers(-256, 257)) / 1024.0
-            shifted = cross_section_stats(make_day(ret + shift), DAY, TAU)
+            shifted = stats_of(make_day(ret + shift))
             assert shifted.xs_std == base.xs_std
             assert shifted.xs_skew == base.xs_skew
             assert shifted.xs_kurt == base.xs_kurt
@@ -106,45 +123,38 @@ class TestFeatureInvariances:
             perm = rng.permutation(n)
             ids = np.array([f"S{i:04d}" for i in range(n)])
             recovered = ret[perm][np.argsort(ids[perm], kind="stable")]
-            permuted = cross_section_stats(make_day(recovered), DAY, TAU)
+            permuted = stats_of(make_day(recovered))
             assert permuted == base
 
     def test_frac_bounds(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             ret = rng.normal(0, 0.05, size=50)
-            s = cross_section_stats(make_day(ret), DAY, TAU)
+            s = stats_of(make_day(ret))
             assert 0.0 <= s.frac_dn <= 1.0 and 0.0 <= s.frac_up <= 1.0
             assert s.frac_dn + s.frac_up <= 1.0
 
 
 class TestAggregateMonthly:
-    def make_partition(self, dates):
-        months: dict[str, list] = {}
-        for d in dates:
-            months.setdefault(f"{d.year:04d}-{d.month:02d}", []).append(d)
-        return MonthPartition(months=sorted(months), days=months)
+    def monthly(self, days, dates):
+        panel = make_panel(days, dates)
+        market = MarketSeries(dates=list(dates), mkt_ret=np.zeros(len(dates)))
+        return aggregate_monthly(compute_daily_stats(panel, TAU), partition_months(panel, market))
 
     def test_monthly_mean(self):
         d1, d2 = dt.date(2001, 1, 2), dt.date(2001, 1, 3)
-        stats = [
-            cross_section_stats(make_day([0.01, -0.01]), d1, TAU),
-            cross_section_stats(make_day([0.03, -0.03]), d2, TAU),
-        ]
-        fm = aggregate_monthly(stats, self.make_partition([d1, d2]))
+        fm = self.monthly([make_day([0.01, -0.01]), make_day([0.03, -0.03])], [d1, d2])
         assert fm.column("xs_std")[0] == pytest.approx(0.02, abs=1e-15)
 
     def test_single_day_month_passthrough(self):
-        d = dt.date(2001, 1, 2)
-        s = cross_section_stats(make_day([0.01, -0.03, 0.06]), d, TAU)
-        fm = aggregate_monthly([s], self.make_partition([d]))
+        day = make_day([0.01, -0.03, 0.06])
+        s = stats_of(day)
+        fm = self.monthly([day], [DAY])
         row = fm.row("2001-01")
         assert row[FEATURE_NAMES.index("xs_std")] == s.xs_std
         assert row[FEATURE_NAMES.index("frac_up")] == s.frac_up
 
     def test_shape_on_simulated_year(self, small_sim):
-        from mspi.panel import partition_months
-
         part = partition_months(small_sim.panel, small_sim.market)
         stats = compute_daily_stats(small_sim.panel, TAU)
         fm = aggregate_monthly(stats, part)
@@ -153,13 +163,10 @@ class TestAggregateMonthly:
 
     def test_degenerate_days_excluded_from_skew_mean(self):
         d1, d2 = dt.date(2001, 1, 2), dt.date(2001, 1, 3)
-        degenerate = cross_section_stats(make_day([0.01, 0.01]), d1, TAU)
-        normal = cross_section_stats(make_day([0.05, -0.01, 0.02]), d2, TAU)
-        fm = aggregate_monthly([degenerate, normal], self.make_partition([d1, d2]))
-        assert fm.column("xs_skew")[0] == normal.xs_skew
+        normal = make_day([0.05, -0.01, 0.02])
+        fm = self.monthly([make_day([0.01, 0.01]), normal], [d1, d2])
+        assert fm.column("xs_skew")[0] == stats_of(normal).xs_skew
 
     def test_all_degenerate_month_errors(self):
-        d = dt.date(2001, 1, 2)
-        s = cross_section_stats(make_day([0.01, 0.01]), d, TAU)
         with pytest.raises(DataError, match="xs_skew.*2001-01"):
-            aggregate_monthly([s], self.make_partition([d]))
+            self.monthly([make_day([0.01, 0.01])], [DAY])

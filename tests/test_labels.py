@@ -20,50 +20,49 @@ from .oracles import interp_quantile
 
 
 def series(returns_by_month):
-    dates, rets, months = [], [], {}
-    day = 1
-    for month, (ym, rr) in enumerate(returns_by_month.items()):
+    dates, rets, starts = [], [], [0]
+    for ym, rr in returns_by_month.items():
         y, m = (int(p) for p in ym.split("-"))
-        month_dates = [dt.date(y, m, d + 1) for d in range(len(rr))]
-        dates += month_dates
+        dates += [dt.date(y, m, d + 1) for d in range(len(rr))]
         rets += list(rr)
-        months[ym] = month_dates
+        starts.append(len(dates))
     market = MarketSeries(dates=dates, mkt_ret=np.array(rets, dtype=float))
-    part = MonthPartition(months=sorted(months), days=months)
+    part = MonthPartition(months=list(returns_by_month), starts=np.array(starts),
+                          market_rows=np.arange(len(dates)))
     return market, part
 
 
 class TestMonthlyMarketReturn:
     def test_compounding(self):
         market, part = series({"2001-01": [0.01, 0.01]})
-        assert monthly_market_return(market, part)["2001-01"] == pytest.approx(0.0201)
+        assert monthly_market_return(market, part)[0] == pytest.approx(0.0201)
 
     def test_gain_then_loss(self):
         market, part = series({"2001-01": [0.10, -0.10]})
-        assert monthly_market_return(market, part)["2001-01"] == pytest.approx(-0.01)
+        assert monthly_market_return(market, part)[0] == pytest.approx(-0.01)
 
     def test_zeros(self):
         market, part = series({"2001-01": [0.0, 0.0, 0.0]})
-        assert monthly_market_return(market, part)["2001-01"] == 0.0
+        assert monthly_market_return(market, part)[0] == 0.0
 
 
 class TestRealizedMonthlyVol:
     def test_two_day_hand_value(self):
         market, part = series({"2001-01": [0.01, -0.01]})
-        vol = realized_monthly_vol(market, part)["2001-01"]
+        vol = realized_monthly_vol(market, part)[0]
         # sample std with ddof=1 is sqrt(2)/100, annualized by sqrt(252)
         assert vol == pytest.approx(math.sqrt(2) / 100 * math.sqrt(252), rel=1e-12)
         assert vol == pytest.approx(0.224499, abs=5e-7)
 
     def test_constant_returns(self):
         market, part = series({"2001-01": [0.01, 0.01, 0.01]})
-        assert realized_monthly_vol(market, part)["2001-01"] == 0.0
+        assert realized_monthly_vol(market, part)[0] == 0.0
 
     def test_homogeneous_scaling(self):
         m1, p1 = series({"2001-01": [0.01, -0.02, 0.03]})
         m2, p2 = series({"2001-01": [0.02, -0.04, 0.06]})
-        v1 = realized_monthly_vol(m1, p1)["2001-01"]
-        v2 = realized_monthly_vol(m2, p2)["2001-01"]
+        v1 = realized_monthly_vol(m1, p1)[0]
+        v2 = realized_monthly_vol(m2, p2)[0]
         assert v2 == pytest.approx(2 * v1, rel=1e-12)
 
     def test_single_day_month_error(self):

@@ -1,15 +1,17 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from mspi.backtest import ADAPTERS, WindowFit
 from mspi.errors import DataError, NumericError
 from mspi.learners import (
+    LogitModel,
+    StandardizationParams,
     fit_logit_l1,
     fit_logit_l2,
     l1_objective,
-    linear_score,
-    predict_proba,
     sigmoid,
     standardize_apply,
     standardize_fit,
@@ -253,20 +255,24 @@ class TestNewtonL2:
             fit_logit_l2(X, y, lam=0.01, max_iter=1)
 
 
+def scoring(model: LogitModel) -> WindowFit:
+    """The backtest's scoring path around ``model``, with unit standardization."""
+    p = model.coef.shape[0]
+    params = StandardizationParams(mean=np.zeros(p), std=np.ones(p), kept=np.arange(p),
+                                   dropped=np.arange(0), n_features=p)
+    return WindowFit(ADAPTERS["l1"], params, model, None, False)
+
+
 class TestPredict:
     def test_midpoint(self):
-        from mspi.learners.logit import LogitModel
-
         model = LogitModel(intercept=0.0, coef=np.zeros(2), penalty="l1", lam=0.0,
                            iterations=0, objective=0.0)
-        assert predict_proba(model, np.zeros(2)) == 0.5
+        assert scoring(model).prob_many(np.zeros((1, 2)))[0] == 0.5
 
     def test_saturation_clamped(self):
-        from mspi.learners.logit import LogitModel
-
         model = LogitModel(intercept=50.0, coef=np.zeros(1), penalty="l1", lam=0.0,
                            iterations=0, objective=0.0)
-        assert predict_proba(model, np.zeros(1)) == 1.0 - 1e-12
+        assert scoring(model).prob_many(np.zeros((1, 1)))[0] == 1.0 - 1e-12
 
     def test_symmetry(self):
         rng = np.random.default_rng(11)
@@ -274,19 +280,15 @@ class TestPredict:
         assert np.max(np.abs(sigmoid(z) + sigmoid(-z) - 1.0)) < 1e-14
 
     def test_dimension_mismatch(self):
-        from mspi.learners.logit import LogitModel
-
         model = LogitModel(intercept=0.0, coef=np.zeros(3), penalty="l1", lam=0.0,
                            iterations=0, objective=0.0)
         with pytest.raises(DataError):
-            linear_score(model, np.zeros(2))
+            scoring(model).raw_many(np.zeros((1, 2)))
 
     def test_round_trip_json(self):
-        from mspi.learners.logit import LogitModel
-
         rng = np.random.default_rng(12)
         X, y = logistic_sample(rng, 40, 3)
         model = fit_logit_l1(X, y, lam=0.02)
-        clone = LogitModel.from_dict(model.to_dict())
-        assert clone.intercept == model.intercept
-        assert np.array_equal(clone.coef, model.coef)
+        clone = json.loads(json.dumps(model.to_dict()))
+        assert clone["intercept"] == model.intercept
+        assert np.array_equal(np.array(clone["coef"]), model.coef)

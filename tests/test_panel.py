@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import mspi.panel
+from mspi.artifacts import write_panel_csv
 from mspi.errors import DataError
 from mspi.panel import (
     EligibilityFilter,
@@ -12,12 +13,12 @@ from mspi.panel import (
     load_market_series,
     month_key,
     partition_months,
-    refilter_panel,
 )
 
 from .oracles import load_daily_panel_rowwise
 
 PANEL_HEADER = "date,security_id,ret,prc,vol,shrout,shrcd_ok,exchcd_ok\n"
+FIELDS = ("ret", "prc", "vol", "shrout", "share_ok", "exch_ok")
 
 
 def write_panel(tmp_path, rows, name="panel.csv"):
@@ -39,7 +40,7 @@ class TestLoadDailyPanel:
             "2001-01-02,B,0.01,5.00,100,1000,1,1",
         ])
         panel, summary = load_daily_panel(path, EligibilityFilter(min_abs_price=1.0))
-        assert panel.n_on(dt.date(2001, 1, 2)) == 1
+        assert panel.dates == [dt.date(2001, 1, 2)] and panel.starts.tolist() == [0, 1]
         assert summary.dropped["price_below_min"] == 1
 
     def test_missing_ret_dropped(self, tmp_path):
@@ -58,7 +59,7 @@ class TestLoadDailyPanel:
             "2001-01-02,C,0.03,7.00,100,1000,1,1",
         ])
         panel, summary = load_daily_panel(path, EligibilityFilter())
-        assert panel.n_on(dt.date(2001, 1, 2)) == 3
+        assert panel.dates == [dt.date(2001, 1, 2)] and panel.starts.tolist() == [0, 3]
         assert summary.rows_kept == 3
 
     def test_negative_price_uses_absolute_value(self, tmp_path):
@@ -88,8 +89,7 @@ class TestLoadDailyPanel:
     def test_missing_volume_kept_as_nan(self, tmp_path):
         path = write_panel(tmp_path, ["2001-01-02,A,0.01,5.00,,,1,1"])
         panel, _ = load_daily_panel(path, EligibilityFilter())
-        day = panel.days[dt.date(2001, 1, 2)]
-        assert np.isnan(day.vol[0]) and np.isnan(day.shrout[0])
+        assert np.isnan(panel.vol[0]) and np.isnan(panel.shrout[0])
 
     def test_duplicate_security_on_date_rejected(self, tmp_path):
         path = write_panel(tmp_path, [
@@ -108,9 +108,10 @@ class TestLoadDailyPanel:
         ])
         filt = EligibilityFilter()
         panel, _ = load_daily_panel(path, filt)
-        refiltered, dropped = refilter_panel(panel, filt)
-        assert dropped == 0
-        assert refiltered.total_observations == panel.total_observations
+        write_panel_csv(tmp_path / "kept.csv", panel, "h")
+        reloaded, summary = load_daily_panel(str(tmp_path / "kept.csv"), filt)
+        assert summary.dropped == {}
+        assert reloaded.total_observations == panel.total_observations == 2
 
     def test_sum_of_counts_equals_total(self, tmp_path):
         rows = [
@@ -119,8 +120,8 @@ class TestLoadDailyPanel:
             for i, sec in enumerate("ABCD"[: d + 2])
         ]
         panel, summary = load_daily_panel(write_panel(tmp_path, rows), EligibilityFilter())
-        assert sum(panel.n_on(d) for d in panel.dates) == panel.total_observations
-        assert panel.total_observations == summary.rows_kept
+        assert np.diff(panel.starts).tolist() == [2, 3, 4]
+        assert panel.total_observations == summary.rows_kept == 9
 
 
 def messy_panel_lines(rng, n_stocks: int, n_days: int) -> list[str]:
@@ -190,11 +191,10 @@ def assert_same_load(path, filt):
     panel, summary = load_daily_panel(path, filt)
     ref_panel, ref_summary = load_daily_panel_rowwise(path, filt)
     assert panel.dates == ref_panel.dates
-    for day in ref_panel.dates:
-        got, ref = panel.days[day], ref_panel.days[day]
-        for name in ("ret", "prc", "vol", "shrout", "share_ok", "exch_ok"):
-            a, b = getattr(got, name), getattr(ref, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (day, name)
+    assert panel.starts.tolist() == ref_panel.starts.tolist()
+    for name in FIELDS:
+        a, b = getattr(panel, name), getattr(ref_panel, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     assert summary == ref_summary
     return summary
 
@@ -304,9 +304,8 @@ class TestChunkedLoad:
                 panel, summary = loader(str(path), EligibilityFilter())
             except (DataError, csv.Error) as exc:
                 return type(exc), str(exc)
-            arrays = [getattr(panel.days[d], name).tobytes() for d in panel.dates
-                      for name in ("ret", "prc", "vol", "shrout", "share_ok", "exch_ok")]
-            return panel.dates, arrays, summary
+            arrays = [getattr(panel, name).tobytes() for name in FIELDS]
+            return panel.dates, panel.starts.tolist(), arrays, summary
 
         expected = outcome(load_daily_panel_rowwise)
         for chunk in (mspi.panel._CHUNK_CHARS, 7):  # 7: every line is its own chunk
@@ -360,8 +359,8 @@ class TestPartitionMonths:
         ]))
         part = partition_months(panel, market)
         assert part.months == ["2001-01", "2001-02"]
-        assert part.day_count("2001-01") == 2
-        assert part.day_count("2001-02") == 1
+        assert np.diff(part.starts).tolist() == [2, 1]
+        assert part.market_rows.tolist() == [0, 1, 2]
 
     def test_single_date(self, tmp_path):
         panel, _ = load_daily_panel(
@@ -369,7 +368,7 @@ class TestPartitionMonths:
         )
         market = load_market_series(write_market(tmp_path, ["2001-01-02,0.0"]))
         part = partition_months(panel, market)
-        assert part.months == ["2001-01"] and part.day_count("2001-01") == 1
+        assert part.months == ["2001-01"] and part.starts.tolist() == [0, 1]
 
     def test_panel_date_missing_from_market(self, tmp_path):
         panel, _ = load_daily_panel(
@@ -381,7 +380,11 @@ class TestPartitionMonths:
 
     def test_partition_covers_every_date_once(self, small_sim):
         part = partition_months(small_sim.panel, small_sim.market)
-        all_days = [d for m in part.months for d in part.days[m]]
-        assert sorted(all_days) == small_sim.panel.dates
-        assert len(set(all_days)) == len(all_days)
-        assert all(month_key(d) == m for m in part.months for d in part.days[m])
+        dates = small_sim.panel.dates
+        assert part.starts[0] == 0 and part.starts[-1] == len(dates)
+        assert np.all(np.diff(part.starts) > 0)
+        assert [month_key(d) for d in dates] == [
+            m for m, n in zip(part.months, np.diff(part.starts)) for _ in range(n)
+        ]
+        assert len(set(part.months)) == len(part.months)
+        assert [small_sim.market.dates[i] for i in part.market_rows] == dates

@@ -17,11 +17,11 @@ class TestSimulate:
         a = simulate(small())
         b = simulate(small())
         assert a.panel.dates == b.panel.dates
+        assert np.array_equal(a.panel.starts, b.panel.starts)
         assert np.array_equal(a.market.mkt_ret, b.market.mkt_ret)
-        for day in a.panel.dates:
-            assert np.array_equal(a.panel.days[day].ret, b.panel.days[day].ret)
-            assert np.array_equal(a.panel.days[day].prc, b.panel.days[day].prc)
-            assert np.array_equal(a.panel.days[day].vol, b.panel.days[day].vol)
+        assert np.array_equal(a.panel.ret, b.panel.ret)
+        assert np.array_equal(a.panel.prc, b.panel.prc)
+        assert np.array_equal(a.panel.vol, b.panel.vol)
         assert a.true_regime == b.true_regime
 
     def test_different_seed_differs(self):
@@ -39,8 +39,8 @@ class TestSimulate:
         out = simulate(cfg)
         stats = compute_daily_stats(out.panel, TailThreshold())
         by_month: dict[str, list[float]] = {}
-        for s in stats:
-            by_month.setdefault(f"{s.date.year:04d}-{s.date.month:02d}", []).append(s.xs_std)
+        for date, xs_std in zip(out.panel.dates, stats.xs_std.tolist()):
+            by_month.setdefault(f"{date.year:04d}-{date.month:02d}", []).append(xs_std)
         stress_vals = [v for m, vs in by_month.items() if out.true_regime[m] for v in vs]
         calm_vals = [v for m, vs in by_month.items() if not out.true_regime[m] for v in vs]
         assert np.mean(stress_vals) > np.mean(calm_vals)
@@ -59,12 +59,12 @@ class TestSimulate:
 
     def test_outputs_finite_and_nonnegative(self):
         out = simulate(small(seed=9))
-        for day in out.panel.dates:
-            cs = out.panel.days[day]
-            assert np.all(np.isfinite(cs.ret))
-            assert np.all(cs.vol >= 0)
-            assert np.all(cs.shrout >= 0)
-            assert np.all(np.abs(cs.prc) >= 1.0)  # floored at the filter minimum
+        panel = out.panel
+        assert panel.starts.tolist() == list(range(0, 10 * len(panel.dates) + 1, 10))
+        assert np.all(np.isfinite(panel.ret))
+        assert np.all(panel.vol >= 0)
+        assert np.all(panel.shrout >= 0)
+        assert np.all(np.abs(panel.prc) >= 1.0)  # floored at the filter minimum
 
     def test_calendar_shared_with_market(self):
         out = simulate(small())

@@ -9,9 +9,7 @@ from mspi.learners import (
     RandomForestParams,
     fit_gradient_boosting,
     fit_random_forest,
-    gb_score,
     gb_score_many,
-    rf_score,
     rf_score_many,
 )
 from mspi.learners.trees import build_tree, tree_predict
@@ -62,7 +60,7 @@ class TestRandomForest:
         X = np.ones((20, 3))
         y = np.array([1.0] * 5 + [0.0] * 15)
         model = fit_random_forest(X, y, RandomForestParams(n_trees=10, bootstrap=False), seed=0)
-        assert rf_score(model, X[0]) == pytest.approx(0.25)
+        assert rf_score_many(model, X[:1])[0] == pytest.approx(0.25)
 
     def test_single_tree_no_bootstrap_separates(self):
         X = np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]])
@@ -101,7 +99,7 @@ class TestGradientBoosting:
         X = rng.standard_normal((40, 3))
         y = np.array([1.0] * 10 + [0.0] * 30)
         model = fit_gradient_boosting(X, y, GradientBoostingParams(n_stages=0))
-        assert gb_score(model, X[0]) == pytest.approx(math.log(0.25 / 0.75))
+        assert gb_score_many(model, X[:1])[0] == pytest.approx(math.log(0.25 / 0.75))
 
     def test_zero_shrinkage_matches_base_rate(self):
         rng = np.random.default_rng(4)
