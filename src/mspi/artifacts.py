@@ -48,11 +48,13 @@ def write_json(path: Path, payload: dict, config_hash: str):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def read_rows(path: Path, required: list[str]) -> list[dict]:
-    """All rows of a headered CSV as dicts, skipping comment lines."""
+def read_rows(path: Path, required: list[str]) -> tuple[list[int], list[dict]]:
+    """Line numbers and rows (as dicts) of a headered CSV, skipping comment
+    and blank lines; a row with more or fewer fields than the header
+    raises DataError."""
     if not path.exists():
         raise DataError(f"missing artifact: {path}")
-    out = []
+    lines, out = [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = None
@@ -67,14 +69,36 @@ def read_rows(path: Path, required: list[str]) -> list[dict]:
                 if missing:
                     raise DataError(f"{path}: header is missing columns {missing}")
                 continue
+            if len(row) != len(header):
+                raise DataError(f"{path}: line {reader.line_num}: {len(row)} fields, "
+                                f"the header has {len(header)}")
+            lines.append(reader.line_num)
             out.append(dict(zip(header, row)))
     if header is None:
         raise DataError(f"{path}: empty file")
-    return out
+    return lines, out
+
 
 
 def _parse_opt_float(token: str) -> float:
     return float(token) if token not in ("", None) else math.nan
+
+
+def _finite_cell(path: Path, line: int, column: str, token: str) -> float:
+    try:
+        value = float(token)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise DataError(f"{path}: line {line}, column {column!r}: "
+                        f"expected a finite number, got {token!r}")
+    return value
+
+
+def _indicator_cell(path: Path, line: int, column: str, token: str) -> int:
+    if token not in ("0", "1"):
+        raise DataError(f"{path}: line {line}, column {column!r}: expected 0 or 1, got {token!r}")
+    return int(token)
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +160,12 @@ def write_features_csv(path: Path, features: FeatureMatrix, config_hash: str):
 
 
 def read_features(path: Path) -> FeatureMatrix:
-    rows = read_rows(path, ["month", *FEATURE_NAMES])
+    """The feature matrix; a ragged row or a blank, unparsable or
+    non-finite feature cell raises DataError naming its line and column."""
+    lines, rows = read_rows(path, ["month", *FEATURE_NAMES])
     months = [r["month"] for r in rows]
-    values = np.array([[float(r[c]) for c in FEATURE_NAMES] for r in rows])
+    values = np.array([[_finite_cell(path, line, c, r[c]) for c in FEATURE_NAMES]
+                       for line, r in zip(lines, rows)])
     return FeatureMatrix(months=months, values=values)
 
 
@@ -152,14 +179,25 @@ def write_labels_csv(path: Path, labels: LabelSeries, config_hash: str):
 
 
 def read_labels(path: Path) -> LabelSeries:
-    rows = read_rows(path, ["month", "R_mkt", "sigma_mkt", "q_prev", "S", "Y_next"])
+    """The label series; a ragged row, a blank, unparsable or non-finite
+    R_mkt, sigma_mkt or q_prev cell, or an S or Y_next other than 0 or 1
+    raises DataError naming its line and column. Y_next may be blank."""
+    lines, rows = read_rows(path, ["month", "R_mkt", "sigma_mkt", "q_prev", "S", "Y_next"])
+
+    def finite(column):
+        return np.array([_finite_cell(path, line, column, r[column])
+                         for line, r in zip(lines, rows)])
+
     return LabelSeries(
         months=[r["month"] for r in rows],
-        r_mkt=np.array([float(r["R_mkt"]) for r in rows]),
-        sigma_mkt=np.array([float(r["sigma_mkt"]) for r in rows]),
-        q_prev=np.array([float(r["q_prev"]) for r in rows]),
-        s=np.array([int(r["S"]) for r in rows], dtype=np.int64),
-        y_next=np.array([_parse_opt_float(r["Y_next"]) for r in rows]),
+        r_mkt=finite("R_mkt"),
+        sigma_mkt=finite("sigma_mkt"),
+        q_prev=finite("q_prev"),
+        s=np.array([_indicator_cell(path, line, "S", r["S"]) for line, r in zip(lines, rows)],
+                   dtype=np.int64),
+        y_next=np.array([math.nan if r["Y_next"] == ""
+                         else _indicator_cell(path, line, "Y_next", r["Y_next"])
+                         for line, r in zip(lines, rows)], dtype=float),
     )
 
 
@@ -191,7 +229,7 @@ def read_forecasts(path: Path, labels: LabelSeries) -> ForecastSeries:
     Every (month, model) cell must appear exactly once with a finite raw
     score and probability; a duplicate or missing cell raises DataError.
     """
-    rows = read_rows(
+    _, rows = read_rows(
         path, ["month", "model", "raw_score", "probability", "y_next", "next_vol", "next_ret"]
     )
     cells: dict[tuple[str, str], dict] = {}

@@ -120,6 +120,8 @@ class _Adapter:
     uses_market_features = False
     needs_calibration = False
     supports_warm_start = False
+    # Every grid entry's fit is read off the fit of the largest (``restrict``).
+    nested_grid = False
 
     def grid(self, config: BacktestConfig) -> list:
         raise NotImplementedError
@@ -135,6 +137,10 @@ class _Adapter:
         raise NotImplementedError
 
     def raw_scores(self, model, Xz) -> np.ndarray:
+        raise NotImplementedError
+
+    def restrict(self, model, hyper):
+        """The fit for ``hyper`` from a fit for a larger entry of a nested grid."""
         raise NotImplementedError
 
     def default_probs(self, raw: np.ndarray) -> np.ndarray:
@@ -212,6 +218,7 @@ class _ForestAdapter(_Adapter):
 class _BoostAdapter(_Adapter):
     name = "gb"
     needs_calibration = True
+    nested_grid = True  # entries differ only in n_stages; a fit's prefixes are the smaller fits
 
     def grid(self, config):
         return [
@@ -233,6 +240,9 @@ class _BoostAdapter(_Adapter):
 
     def raw_scores(self, model, Xz):
         return gb_score_many(model, Xz)
+
+    def restrict(self, model, hyper: GradientBoostingParams):
+        return model.prefix(hyper.n_stages)
 
     def default_probs(self, raw):
         return np.clip(sigmoid(raw), PROB_CLAMP, 1.0 - PROB_CLAMP)
@@ -256,6 +266,8 @@ class WindowFit:
     model: object
     cmap: CalibrationMap | None
     fallback: bool
+    # (sub-model, standardized calibration rows, their targets) behind cmap
+    calibration: tuple | None = None
 
     def raw_many(self, X_raw: np.ndarray) -> np.ndarray:
         if self.fallback:
@@ -263,19 +275,34 @@ class WindowFit:
         Xz = standardize_apply(self.params, X_raw)
         return self.adapter.raw_scores(self.model, Xz)
 
-    def prob_many(self, X_raw: np.ndarray) -> np.ndarray:
-        raw = self.raw_many(X_raw)
+    def probs(self, raw: np.ndarray) -> np.ndarray:
+        """Probabilities for raw scores of this fit."""
         if self.fallback:
             return np.clip(sigmoid(raw), PROB_CLAMP, 1.0 - PROB_CLAMP)
-        if self.adapter.needs_calibration:
-            if self.cmap is None:
-                return self.adapter.default_probs(raw)
+        if self.cmap is not None:
             return calibrate_many(self.cmap, raw)
         return self.adapter.default_probs(raw)
 
+    def prob_many(self, X_raw: np.ndarray) -> np.ndarray:
+        return self.probs(self.raw_many(X_raw))
+
     def predict_one(self, x_raw: np.ndarray) -> tuple[float, float]:
-        X = np.asarray(x_raw, dtype=float)[None, :]
-        return float(self.raw_many(X)[0]), float(self.prob_many(X)[0])
+        raw = self.raw_many(np.asarray(x_raw, dtype=float)[None, :])
+        return float(raw[0]), float(self.probs(raw)[0])
+
+    def restricted(self, hyper) -> WindowFit:
+        """This window's fit for a smaller entry of a nested grid: the
+        adapter restricts the full model and the calibration sub-model,
+        and the Platt map is refitted on the restricted sub-model's scores.
+        """
+        cmap = calibration = None
+        if self.calibration is not None:
+            sub_model, cal_Xz, cal_y = self.calibration
+            sub_model = self.adapter.restrict(sub_model, hyper)
+            calibration = (sub_model, cal_Xz, cal_y)
+            cmap = fit_platt(self.adapter.raw_scores(sub_model, cal_Xz), cal_y)
+        model = self.adapter.restrict(self.model, hyper)
+        return WindowFit(self.adapter, self.params, model, cmap, False, calibration)
 
 
 def fit_window(
@@ -304,7 +331,7 @@ def fit_window(
     Xz = standardize_apply(params, X_raw)
     sub_seed, full_seed = seed_seq.spawn(2)
 
-    cmap = None
+    cmap = calibration = None
     if adapter.needs_calibration:
         n = y.shape[0]
         cal_len = max(cal_min_months, math.ceil(cal_fraction * n))
@@ -312,8 +339,9 @@ def fit_window(
         if k >= 2 and np.unique(y[:k]).shape[0] == 2:
             sub_params = standardize_fit(X_raw[:k])
             sub_model = adapter.fit(standardize_apply(sub_params, X_raw[:k]), y[:k], hyper, sub_seed)
-            cal_scores = adapter.raw_scores(sub_model, standardize_apply(sub_params, X_raw[k:]))
-            cmap = fit_platt(cal_scores, y[k:])
+            cal_Xz = standardize_apply(sub_params, X_raw[k:])
+            calibration = (sub_model, cal_Xz, y[k:])
+            cmap = fit_platt(adapter.raw_scores(sub_model, cal_Xz), y[k:])
         # else: window too short/quiet to calibrate; raw scores fall back to
         # the adapter's default probability map.
 
@@ -321,7 +349,7 @@ def fit_window(
     if init is not None and np.array_equal(init[2], params.kept):
         start = (init[0], init[1])
     model = adapter.fit(Xz, y, hyper, full_seed, init=start)
-    return WindowFit(adapter, params, model, cmap, False)
+    return WindowFit(adapter, params, model, cmap, False, calibration)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +379,13 @@ def forward_chain_cv(
     mean validation log loss; exact ties go to the entry that sorts earlier
     under the adapter's preference key (stronger regularization / smaller
     model).
+
+    Each entry is fitted once per fold, except on a nested grid (gb's stage
+    counts): there the largest entry is fitted once per fold and every
+    other entry is read off it as a prefix (``WindowFit.restricted``),
+    which gives the same models, calibration maps and losses bit for bit.
+    A non-finite boosting stage raises ``NumericError`` from that one fit,
+    as it would from the largest entry's own fit.
     """
     if not grid:
         raise ConfigError(f"{adapter.name}: empty hyperparameter grid")
@@ -385,14 +420,24 @@ def forward_chain_cv(
     for col, (k, train_end, val_end) in enumerate(usable):
         init = None
         prev: int | None = None
+        top = None
+        if adapter.nested_grid:
+            largest = grid[order[-1]]
+            top = fit_window(
+                adapter, X_raw[:train_end], y[:train_end], largest, fold_seeds[k],
+                cal_fraction, cal_min_months,
+            )
         for gi in order:
             if prev is not None and grid[gi] == grid[prev]:
                 loss_matrix[gi, col] = loss_matrix[prev, col]
                 continue
-            fitted = fit_window(
-                adapter, X_raw[:train_end], y[:train_end], grid[gi], fold_seeds[k],
-                cal_fraction, cal_min_months, init=init,
-            )
+            if top is None:
+                fitted = fit_window(
+                    adapter, X_raw[:train_end], y[:train_end], grid[gi], fold_seeds[k],
+                    cal_fraction, cal_min_months, init=init,
+                )
+            else:
+                fitted = top if grid[gi] == largest else top.restricted(grid[gi])
             if adapter.supports_warm_start and not fitted.fallback:
                 init = (fitted.model.intercept, fitted.model.coef, fitted.params.kept)
             probs = fitted.prob_many(X_raw[train_end:val_end])
@@ -436,6 +481,7 @@ class ForecastSeries:
     selected: dict[str, dict]
     seed: int
     warnings: list[str] = field(default_factory=list)
+    cv: dict[str, dict] = field(default_factory=dict)  # per model: selected, folds_used, mean_losses
 
     @property
     def n_observed(self) -> int:
@@ -548,4 +594,5 @@ def run_expanding_backtest(
         selected={name: ADAPTERS[name].hyper_dict(selected[name]) for name in config.models},
         seed=config.seed,
         warnings=warnings,
+        cv=cv_info,
     )

@@ -133,6 +133,7 @@ def cmd_backtest(cfg: PipelineConfig, args) -> int:
         "last_month": forecasts.months[-1],
         "models": list(forecasts.models),
         "warnings": forecasts.warnings,
+        "cv": forecasts.cv,
     }, h)
     logger.info("wrote %d forecast months for models %s", len(forecasts.months),
                 ",".join(forecasts.models))
@@ -287,7 +288,7 @@ def _read_bins_rows(cfg: PipelineConfig) -> list[dict]:
     return read_rows(
         _artifact(cfg, "bins.csv"),
         ["model", "bin_lo", "bin_hi", "n", "mean_prob", "stress_rate", "next_vol", "next_ret"],
-    )
+    )[1]
 
 
 def _render_report(cfg, metrics, bins_rows, bootstrap, regression) -> str:

@@ -6,18 +6,24 @@ gradient (y - p), re-estimates the terminal values with the one-step Newton
 update sum(y - p) / sum(p(1-p)), and adds the tree with shrinkage nu. The
 raw score for a row is F_M(x); probabilities come from a separately fitted
 calibration map.
+
+X is sorted once per fit (``presort``) and every stage's tree grows from
+that order. Each stage is a function of the stages before it only, so the
+first m stages of a fit are the fit with m stages, bit for bit:
+``BoostModel.prefix`` reads the smaller fits of a nested stage grid off
+the largest one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..errors import DataError, NumericError
 from .logit import mean_nll, sigmoid
-from .trees import Tree, build_tree, tree_leaf_index, tree_predict
+from .trees import Tree, build_tree, leaf_values, presort
 
 
 @dataclass(frozen=True)
@@ -39,6 +45,17 @@ class BoostModel:
     params: GradientBoostingParams
     train_loss: list[float]
 
+    def prefix(self, n_stages: int) -> BoostModel:
+        """The model of the first ``n_stages`` stages: equal to a fit with
+        ``n_stages`` stages and the same other parameters."""
+        if not 0 <= n_stages <= len(self.trees):
+            raise ValueError(f"prefix of {n_stages} stages from a {len(self.trees)}-stage model")
+        return BoostModel(
+            f0=self.f0, trees=self.trees[:n_stages],
+            params=replace(self.params, n_stages=n_stages),
+            train_loss=self.train_loss[:n_stages + 1],
+        )
+
 
 def fit_gradient_boosting(X: np.ndarray, y: np.ndarray, params: GradientBoostingParams) -> BoostModel:
     """Fit the boosted ensemble; requires both classes present."""
@@ -50,23 +67,25 @@ def fit_gradient_boosting(X: np.ndarray, y: np.ndarray, params: GradientBoosting
     rate = float(np.mean(y))
     f0 = math.log(rate / (1.0 - rate))
     f = np.full(y.shape[0], f0)
+    presorted = presort(X)
+    leaf_of = np.empty(y.shape[0], dtype=np.int64)
     trees: list[Tree] = []
     losses = [mean_nll(f, y)]
     for stage in range(params.n_stages):
         p = sigmoid(f)
         resid = y - p
+        leaves: list = []
         tree = build_tree(
             X, resid, rng=None, max_depth=params.max_depth, min_leaf=params.min_leaf,
-            n_candidate_features=None, criterion="sse",
+            n_candidate_features=None, criterion="sse", presorted=presorted, leaves=leaves,
         )
         # one-step Newton terminal values on the Bernoulli loss
-        leaf = tree_leaf_index(tree, X)
         weight = p * (1.0 - p)
-        for node in np.unique(leaf):
-            members = leaf == node
-            denom = float(np.sum(weight[members]))
-            tree.value[node] = float(np.sum(resid[members])) / max(denom, 1e-12)
-        f = f + params.shrinkage * tree.value[leaf]
+        for node, rows in leaves:
+            denom = float(np.add.reduce(weight.take(rows)))
+            tree.value[node] = float(np.add.reduce(resid.take(rows))) / max(denom, 1e-12)
+            leaf_of[rows] = node
+        f = f + params.shrinkage * tree.value.take(leaf_of)
         loss = mean_nll(f, y)
         if not math.isfinite(loss):
             raise NumericError(f"gradient boosting loss became non-finite at stage {stage}")
@@ -78,7 +97,6 @@ def fit_gradient_boosting(X: np.ndarray, y: np.ndarray, params: GradientBoosting
 def gb_score_many(model: BoostModel, X: np.ndarray) -> np.ndarray:
     """Raw boosted log-odds score for each row of X."""
     X = np.asarray(X, dtype=float)
-    f = np.full(X.shape[0], model.f0)
-    for tree in model.trees:
-        f += model.params.shrinkage * tree_predict(tree, X)
-    return f
+    steps = model.params.shrinkage * leaf_values(model.trees, X)
+    # F_0 plus the stages in order, as a loop of f += step would add them
+    return np.add.accumulate(np.vstack([np.full(X.shape[0], model.f0), steps]), axis=0)[-1]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DataError
-from .trees import Tree, build_tree, tree_predict
+from .trees import Tree, build_tree, leaf_values
 
 
 @dataclass(frozen=True)
@@ -23,13 +23,10 @@ class RandomForestParams:
     n_trees: int = 500
     max_depth: int = 8
     min_leaf: int = 5
-    bootstrap: bool = True  # test hook; real fits always resample
-    n_candidate_features: int | None = None  # None -> ceil(sqrt(p))
 
     def resolve_mtry(self, p: int) -> int:
-        if self.n_candidate_features is not None:
-            return min(self.n_candidate_features, p)
-        return min(math.ceil(math.sqrt(p)), p)
+        """Candidate features drawn per node."""
+        return math.ceil(math.sqrt(p))
 
 
 @dataclass
@@ -52,7 +49,7 @@ def fit_random_forest(
     trees = []
     for child in root.spawn(params.n_trees):
         rng = np.random.Generator(np.random.PCG64(child))
-        idx = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
+        idx = rng.integers(0, n, size=n)
         trees.append(
             build_tree(
                 X[idx], y[idx], rng,
@@ -66,7 +63,5 @@ def fit_random_forest(
 def rf_score_many(model: ForestModel, X: np.ndarray) -> np.ndarray:
     """Ensemble-average leaf frequency for each row of X."""
     X = np.asarray(X, dtype=float)
-    acc = np.zeros(X.shape[0])
-    for tree in model.trees:
-        acc += tree_predict(tree, X)
-    return acc / len(model.trees)
+    # running sum over the trees in order, as a loop of acc += leaf values would add
+    return np.add.accumulate(leaf_values(model.trees, X), axis=0)[-1] / len(model.trees)

@@ -3,8 +3,9 @@
 These deliberately use different algorithms from the library code: full
 Newton-Raphson for logistic MLEs, direct order-statistic interpolation for
 quantiles, explicit pair enumeration for ranking metrics, the trapezoid rule
-for ROC areas, a literal White covariance formula, and a row-by-row panel
-CSV loader.
+for ROC areas, a literal White covariance formula, a row-by-row panel
+CSV loader, and a tree grower that sorts every node's rows afresh with a
+one-tree-at-a-time descent.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 import numpy as np
 
 from mspi.errors import DataError
+from mspi.learners.trees import Tree
 from mspi.panel import DailyPanel, EligibilityFilter, IngestSummary
 
 
@@ -221,3 +223,105 @@ def load_daily_panel_rowwise(
         share_ok=np.array([r[5] for r in packed], dtype=bool),
         exch_ok=np.array([r[6] for r in packed], dtype=bool),
     ), summary
+
+
+def _per_node_best_split(V: np.ndarray, y: np.ndarray, min_leaf: int, criterion: str):
+    """Best (column, threshold) over the columns of V, sorting V's rows here.
+
+    Every boundary between consecutive distinct sorted values is scored in
+    all columns at once; ties go to the earliest boundary, then the
+    earliest column.
+    """
+    n, k = V.shape
+    order = np.argsort(V, axis=0, kind="stable")
+    xs = np.take_along_axis(V, order, axis=0)
+    ys = y[order]
+    left_n = np.arange(1, n, dtype=float)[:, None]
+    right_n = n - left_n
+    valid = xs[1:] != xs[:-1]
+    if min_leaf > 1:
+        valid &= (left_n >= min_leaf) & (right_n >= min_leaf)
+    if not valid.any():
+        return None
+
+    s1 = np.cumsum(ys, axis=0)
+    tot1 = s1[-1]
+    s1 = s1[:-1]
+    if criterion == "gini":
+        lp = s1 / left_n
+        rp = (tot1 - s1) / right_n
+        score = left_n * 2.0 * lp * (1.0 - lp) + right_n * 2.0 * rp * (1.0 - rp)
+    else:  # sse
+        s2 = np.cumsum(ys * ys, axis=0)
+        tot2 = s2[-1]
+        s2 = s2[:-1]
+        score = (s2 - s1 * s1 / left_n) + ((tot2 - s2) - (tot1 - s1) ** 2 / right_n)
+
+    score = np.where(valid, score, np.inf)
+    flat = int(np.argmin(score))
+    row, col = divmod(flat, k)
+    lo, hi = xs[row, col], xs[row + 1, col]
+    thr = (lo + hi) / 2.0
+    if thr >= hi:
+        thr = lo
+    return col, float(thr)
+
+
+def per_node_sort_tree(X, y, rng, max_depth, min_leaf, n_candidate_features, criterion) -> Tree:
+    """Depth-first tree growth with a fresh stable argsort of every node's rows.
+
+    Candidate features are drawn per node with ``rng.choice`` when
+    ``n_candidate_features`` is below the column count; leaf values are
+    target means.
+    """
+    n, p = X.shape
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def grow(idx: np.ndarray, depth: int) -> int:
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(float(np.mean(y[idx])))
+        if depth >= max_depth or idx.shape[0] < 2 * min_leaf:
+            return node
+        yn = y[idx]
+        if np.all(yn == yn[0]):
+            return node
+        if n_candidate_features is not None and n_candidate_features < p:
+            cand = np.sort(rng.choice(p, size=n_candidate_features, replace=False))
+        else:
+            cand = np.arange(p)
+        found = _per_node_best_split(X[np.ix_(idx, cand)], yn, min_leaf, criterion)
+        if found is None:
+            return node
+        f = int(cand[found[0]])
+        go_left = X[idx, f] <= found[1]
+        feature[node] = f
+        threshold[node] = found[1]
+        left[node] = grow(idx[go_left], depth + 1)
+        right[node] = grow(idx[~go_left], depth + 1)
+        return node
+
+    grow(np.arange(n), 0)
+    return Tree(
+        feature=np.array(feature, dtype=np.int64),
+        threshold=np.array(threshold),
+        left=np.array(left, dtype=np.int64),
+        right=np.array(right, dtype=np.int64),
+        value=np.array(value),
+    )
+
+
+def descend_one_tree(tree: Tree, X: np.ndarray) -> np.ndarray:
+    """Terminal node index for each row of X, descending one tree level by level."""
+    pos = np.zeros(X.shape[0], dtype=np.int64)
+    while True:
+        f = tree.feature[pos]
+        active = f >= 0
+        if not active.any():
+            return pos
+        rows = np.flatnonzero(active)
+        go_left = X[rows, f[rows]] <= tree.threshold[pos[rows]]
+        pos[rows] = np.where(go_left, tree.left[pos[rows]], tree.right[pos[rows]])

@@ -5,6 +5,7 @@ from mspi.backtest import (
     ADAPTERS,
     BacktestConfig,
     ForecastSeries,
+    _log_loss,
     fit_window,
     forward_chain_cv,
     month_ordinal,
@@ -13,6 +14,7 @@ from mspi.backtest import (
 from mspi.errors import ConfigError, DataError
 from mspi.features import FEATURE_NAMES, FeatureMatrix
 from mspi.labels import LabelSeries
+from mspi.learners import GradientBoostingParams
 
 
 def synthetic_labels(n, rng, event_rate=0.2):
@@ -84,6 +86,26 @@ class TestForwardChainCV:
         assert hyper == 1e6
         assert info["mean_losses"][0] == info["mean_losses"][1]
 
+    def test_staged_gb_losses_equal_per_entry_fits(self):
+        adapter = ADAPTERS["gb"]
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(96, 4))
+        y = (rng.random(96) < 1 / (1 + np.exp(-1.5 * X[:, 0] + 1.0))).astype(float)
+        grid = [GradientBoostingParams(n_stages=m) for m in (8, 15, 3, 15)]
+        folds, seg = 4, 96 // 8
+        hyper, info = forward_chain_cv(adapter, X, y, grid, folds,
+                                       np.random.SeedSequence(4), 0.2, 12)
+        assert info["folds_used"] == folds
+        fold_seeds = np.random.SeedSequence(4).spawn(folds)
+        losses = np.full((len(grid), folds), np.nan)
+        for k in range(folds):
+            end = 96 - (folds - k) * seg
+            for gi, entry in enumerate(grid):
+                fitted = fit_window(adapter, X[:end], y[:end], entry, fold_seeds[k], 0.2, 12)
+                losses[gi, k] = _log_loss(fitted.prob_many(X[end:end + seg]), y[end:end + seg])
+        assert info["mean_losses"] == [float(v) for v in losses.mean(axis=1)]
+        assert hyper == grid[int(np.argmin(losses.mean(axis=1)))]
+
     def test_window_too_short_for_folds(self):
         adapter = ADAPTERS["l1"]
         X = self.rng.normal(size=(30, 3))
@@ -115,8 +137,6 @@ class TestFitWindow:
         rng = np.random.default_rng(1)
         X = rng.normal(size=(80, 4))
         y = (rng.random(80) < 1 / (1 + np.exp(-2 * X[:, 0]))).astype(float)
-        from mspi.learners import GradientBoostingParams
-
         fitted = fit_window(adapter, X, y, GradientBoostingParams(n_stages=30),
                             np.random.SeedSequence(3), 0.2, 12)
         assert fitted.cmap is not None

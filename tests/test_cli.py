@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from mspi.artifacts import write_forecasts_csv, write_labels_csv
+from mspi.artifacts import write_features_csv, write_forecasts_csv, write_labels_csv
 from mspi.cli import main
+from mspi.features import FeatureMatrix
 from mspi.labels import LabelSeries
 
 from .conftest import SMALL_SIM
@@ -93,6 +94,41 @@ def test_malformed_panel_row_exits_3(tmp_path, capsys):
     assert main(["features", "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err == "data error: line 3, column 'ret': cannot parse number from 'zap'\n"
+
+
+@pytest.mark.parametrize("name, field, token, message", [
+    ("features.csv", 2, "", "line 5, column 'xs_std': expected a finite number, got ''"),
+    ("features.csv", 4, "nan", "line 5, column 'xs_kurt': expected a finite number, got 'nan'"),
+    ("features.csv", 10, None, "line 5: 10 fields, the header has 11"),
+    ("labels.csv", 2, " ", "line 5, column 'sigma_mkt': expected a finite number, got ' '"),
+    ("labels.csv", 3, "inf", "line 5, column 'q_prev': expected a finite number, got 'inf'"),
+    ("labels.csv", 1, "x", "line 5, column 'R_mkt': expected a finite number, got 'x'"),
+    ("labels.csv", 4, "2", "line 5, column 'S': expected 0 or 1, got '2'"),
+], ids=["blank_feature", "nan_feature", "ragged_features", "blank_sigma", "inf_q_prev",
+        "bad_r_mkt", "s_out_of_range"])
+def test_malformed_backtest_inputs_exit_3(tmp_path, capsys, name, field, token, message):
+    out = tmp_path / "out"
+    out.mkdir()
+    rng = np.random.default_rng(0)
+    months = [f"2001-{m:02d}" for m in range(1, 13)]
+    write_features_csv(out / "features.csv",
+                       FeatureMatrix(months=months, values=rng.normal(size=(12, 10))), "h")
+    s = (rng.random(12) < 0.3).astype(np.int64)
+    write_labels_csv(out / "labels.csv", LabelSeries(
+        months=months, r_mkt=rng.normal(0, 0.04, 12), sigma_mkt=np.full(12, 0.1),
+        q_prev=np.full(12, 0.2), s=s, y_next=np.append(s[1:], np.nan).astype(float),
+    ), "h")
+    lines = (out / name).read_text(encoding="utf-8").split("\n")
+    fields = lines[4].split(",")  # the third data row: line 5 after the hash and header
+    if token is None:
+        del fields[field]
+    else:
+        fields[field] = token
+    lines[4] = ",".join(fields)
+    (out / name).write_text("\n".join(lines), encoding="utf-8")
+    assert main(["backtest", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"data error: {out / name}: {message}\n"
 
 
 def test_bootstrap_on_one_stress_month_exits_4(tmp_path, capsys):

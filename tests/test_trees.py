@@ -12,7 +12,19 @@ from mspi.learners import (
     gb_score_many,
     rf_score_many,
 )
-from mspi.learners.trees import build_tree, tree_predict
+from mspi.learners.trees import Tree, build_tree, leaf_values, presort
+
+from .oracles import descend_one_tree, per_node_sort_tree
+
+TREE_FIELDS = ("feature", "threshold", "left", "right", "value")
+
+
+def same_tree(a, b) -> bool:
+    return all(getattr(a, f).tobytes() == getattr(b, f).tobytes() for f in TREE_FIELDS)
+
+
+def tree_predict(tree, X):
+    return leaf_values([tree], X)[0]
 
 
 class TestTree:
@@ -55,20 +67,92 @@ class TestTree:
         assert pred.tolist() == [3.0, 3.0, 12.0, 12.0]
 
 
+class TestPresortedGrowth:
+    """Presorted growth builds the trees of a fresh stable argsort per node."""
+
+    @staticmethod
+    def design(rng, kind, n, p):
+        if kind == "continuous":
+            return rng.standard_normal((n, p))
+        if kind == "ties":
+            return rng.integers(0, 4, (n, p)).astype(float)
+        if kind == "resampled":  # bootstrap duplicates of a smaller design
+            base = rng.standard_normal((max(2, n // 3), p))
+            return base[rng.integers(0, base.shape[0], n)]
+        X = rng.standard_normal((n, p)).round(1)
+        X[:, rng.integers(p)] = 1.5  # a constant column
+        return X
+
+    @pytest.mark.parametrize("criterion", ["gini", "sse"])
+    @pytest.mark.parametrize("kind", ["continuous", "ties", "resampled", "constant_column"])
+    def test_equal_to_per_node_sort(self, criterion, kind):
+        rng = np.random.default_rng([7, len(kind), len(criterion)])
+        for trial in range(60):
+            n, p = int(rng.integers(2, 90)), int(rng.integers(1, 8))
+            X = self.design(rng, kind, n, p)
+            if criterion == "gini":
+                y = (rng.random(n) < 0.4).astype(float)
+            else:
+                y = rng.standard_normal(n).round(int(rng.integers(0, 3)))
+            min_leaf = trial // 2 % 8
+            max_depth = int(rng.integers(1, 9))
+            mtry = int(rng.integers(1, p + 1)) if trial % 2 else None
+            seed = int(rng.integers(1 << 30))
+            expected = per_node_sort_tree(X, y, np.random.default_rng(seed), max_depth,
+                                          min_leaf, mtry, criterion)
+            got = build_tree(X, y, np.random.default_rng(seed), max_depth, min_leaf, mtry,
+                             criterion)
+            assert same_tree(got, expected), (trial, n, p, min_leaf, max_depth, mtry)
+
+    def test_shared_presort_and_leaf_rows(self):
+        rng = np.random.default_rng(3)
+        X = rng.integers(0, 5, (70, 4)).astype(float)
+        order = presort(X)
+        for stage in range(5):
+            y = rng.standard_normal(70)
+            leaves = []
+            tree = build_tree(X, y, None, 3, 4, None, "sse", presorted=order, leaves=leaves)
+            assert same_tree(tree, per_node_sort_tree(X, y, None, 3, 4, None, "sse"))
+            leaf_of = np.full(70, -1)
+            for node, rows in leaves:
+                assert np.all(np.diff(rows) > 0)
+                leaf_of[rows] = node
+            assert np.array_equal(leaf_of, descend_one_tree(tree, X))
+
+
+class TestLeafValues:
+    def test_stacked_descent_equals_one_tree_at_a_time(self):
+        rng = np.random.default_rng(4)
+        X = rng.integers(0, 5, (60, 3)).astype(float)
+        y = (rng.random(60) < 0.4).astype(float)
+        trees = [build_tree(X, y, np.random.default_rng(s), int(s % 5), 2, 2, "gini")
+                 for s in range(12)]
+        Z = np.vstack([X, rng.integers(-1, 6, (20, 3)).astype(float)])
+        expected = np.array([t.value[descend_one_tree(t, Z)] for t in trees])
+        assert leaf_values(trees, Z).tobytes() == expected.tobytes()
+        # node ids as leaf values give the leaf index of every row
+        ids = [Tree(t.feature, t.threshold, t.left, t.right, np.arange(t.feature.size * 1.0))
+               for t in trees]
+        assert np.array_equal(leaf_values(ids, Z), [descend_one_tree(t, Z) for t in trees])
+        assert leaf_values([], Z).shape == (0, 80)
+
+
 class TestRandomForest:
+    # The forest's tree on its resample: candidate features drawn per node.
     def test_constant_features_single_leaf(self):
         X = np.ones((20, 3))
         y = np.array([1.0] * 5 + [0.0] * 15)
-        model = fit_random_forest(X, y, RandomForestParams(n_trees=10, bootstrap=False), seed=0)
-        assert rf_score_many(model, X[:1])[0] == pytest.approx(0.25)
+        tree = build_tree(X, y, np.random.default_rng(0), max_depth=8, min_leaf=5,
+                          n_candidate_features=2, criterion="gini")
+        assert len(tree.feature) == 1
+        assert tree_predict(tree, X[:1])[0] == pytest.approx(0.25)
 
     def test_single_tree_no_bootstrap_separates(self):
         X = np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]])
         y = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
-        params = RandomForestParams(n_trees=1, bootstrap=False, max_depth=8, min_leaf=1)
-        model = fit_random_forest(X, y, params, seed=0)
-        scores = rf_score_many(model, X)
-        assert scores.tolist() == y.tolist()
+        tree = build_tree(X, y, np.random.default_rng(0), max_depth=8, min_leaf=1,
+                          n_candidate_features=1, criterion="gini")
+        assert tree_predict(tree, X).tolist() == y.tolist()
 
     def test_same_seed_identical(self):
         rng = np.random.default_rng(1)
@@ -136,3 +220,20 @@ class TestGradientBoosting:
         X = np.random.default_rng(0).standard_normal((10, 2))
         with pytest.raises(DataError):
             fit_gradient_boosting(X, np.zeros(10), GradientBoostingParams(n_stages=5))
+
+    def test_prefix_equals_shorter_fit(self):
+        rng = np.random.default_rng(8)
+        X = rng.integers(0, 6, (90, 4)).astype(float)
+        y = (rng.random(90) < 1 / (1 + np.exp(-X[:, 0] + 2.5))).astype(float)
+        full = fit_gradient_boosting(X, y, GradientBoostingParams(n_stages=40))
+        grid = rng.standard_normal((25, 4))
+        for m in (0, 1, 17, 40):
+            short = fit_gradient_boosting(X, y, GradientBoostingParams(n_stages=m))
+            prefix = full.prefix(m)
+            assert prefix.params == short.params and prefix.f0 == short.f0
+            assert prefix.train_loss == short.train_loss
+            assert len(prefix.trees) == m
+            assert all(same_tree(a, b) for a, b in zip(prefix.trees, short.trees))
+            assert gb_score_many(prefix, grid).tobytes() == gb_score_many(short, grid).tobytes()
+        with pytest.raises(ValueError):
+            full.prefix(41)
