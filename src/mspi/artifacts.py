@@ -10,6 +10,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import datetime as dt
 import json
 import math
 from pathlib import Path
@@ -150,7 +151,31 @@ def write_true_regime_csv(path: Path, sim: SimOutput, config_hash: str):
 
 
 # ---------------------------------------------------------------------------
-# Features / labels.
+# Calendar, features, labels.
+
+def write_calendar_csv(path: Path, dates: list[dt.date], config_hash: str):
+    write_csv(path, ["date"], ((d.isoformat(),) for d in dates), config_hash)
+
+
+def read_calendar(path: Path) -> list[dt.date]:
+    """The trading calendar; an unparsable date, or one that does not come
+    after the date before it, raises DataError naming its line."""
+    lines, rows = read_rows(path, ["date"])
+    dates: list[dt.date] = []
+    for line, r in zip(lines, rows):
+        try:
+            day = dt.date.fromisoformat(r["date"])
+        except ValueError:
+            raise DataError(f"{path}: line {line}, column 'date': "
+                            f"expected an ISO date, got {r['date']!r}") from None
+        if dates and day <= dates[-1]:
+            raise DataError(f"{path}: line {line}: {day.isoformat()} does not come after "
+                            f"{dates[-1].isoformat()}")
+        dates.append(day)
+    if not dates:
+        raise DataError(f"{path}: no trading days")
+    return dates
+
 
 def write_features_csv(path: Path, features: FeatureMatrix, config_hash: str):
     rows = (

@@ -150,12 +150,6 @@ class _Adapter:
 
 class _LogitAdapter(_Adapter):
     supports_warm_start = True
-    # Forecast-grade lasso precision: parameter updates below 1e-8 move
-    # probabilities by far less than forecast noise, and the tight default
-    # is 4-5x more iterations on the collinear fragility features. The
-    # ridge fit is an exact Newton solve and needs neither this nor the
-    # continuation ladder below.
-    step_tol = 1e-8
 
     def __init__(self, name: str, penalty: str):
         self.name = name
@@ -172,19 +166,8 @@ class _LogitAdapter(_Adapter):
         return {"lambda": float(hyper)}
 
     def fit(self, Xz, y, hyper, seed_seq, init=None):
-        lam = float(hyper)
-        if self.penalty == "l2":
-            return fit_logit_l2(Xz, y, lam=lam, init=init)
-        if init is None and lam < 0.25:
-            # Deterministic continuation: walk a geometric ladder down to the
-            # target penalty. Weakly penalized fits on collinear windows are
-            # expensive from a cold start; each rung is cheap when warm.
-            rung = 0.25
-            while rung > lam * 4.0:
-                model = fit_logit_l1(Xz, y, lam=rung, init=init, step_tol=self.step_tol)
-                init = (model.intercept, model.coef)
-                rung /= 4.0
-        return fit_logit_l1(Xz, y, lam=lam, init=init, step_tol=self.step_tol)
+        solve = fit_logit_l1 if self.penalty == "l1" else fit_logit_l2
+        return solve(Xz, y, lam=float(hyper), init=init)
 
     def raw_scores(self, model, Xz):
         return model.intercept + Xz @ model.coef

@@ -3,8 +3,11 @@
 Subcommands cover the full run: simulate, features, label, backtest,
 evaluate, bootstrap, bins, regress, lp, report. All stages share one flat
 JSON config (--config); --out and --seed override the config's out_dir and
-seed. Exit codes: 0 success, 2 config error,
-3 data error, 4 numeric failure.
+seed. ``features`` is the only stage that reads the daily panel: besides
+``features.csv`` it writes ``calendar.csv``, the panel's trading days after
+the eligibility filters (a day whose rows were all dropped is not on it),
+from which ``label`` buckets the market series into months. Exit codes: 0
+success, 2 config error, 3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -20,9 +23,11 @@ import numpy as np
 from . import econometrics as econ
 from . import evaluation as ev
 from .artifacts import (
+    read_calendar,
     read_features,
     read_forecasts,
     read_labels,
+    write_calendar_csv,
     write_csv,
     write_features_csv,
     write_forecasts_csv,
@@ -68,14 +73,6 @@ def _artifact(cfg: PipelineConfig, name: str) -> Path:
     return path
 
 
-def _load_panel_inputs(cfg: PipelineConfig):
-    panel_path = _input_path(cfg, cfg.panel_csv, "panel.csv")
-    market_path = _input_path(cfg, cfg.market_csv, "market.csv")
-    panel, summary = load_daily_panel(str(panel_path), cfg.eligibility_filter())
-    market = load_market_series(str(market_path))
-    return panel, market, summary
-
-
 # ---------------------------------------------------------------------------
 # Stage implementations.
 
@@ -94,11 +91,15 @@ def cmd_simulate(cfg: PipelineConfig, args) -> int:
 def cmd_features(cfg: PipelineConfig, args) -> int:
     out = _out_dir(cfg)
     h = cfg.config_hash()
-    panel, market, summary = _load_panel_inputs(cfg)
-    partition = partition_months(panel, market)
+    panel_path = _input_path(cfg, cfg.panel_csv, "panel.csv")
+    market_path = _input_path(cfg, cfg.market_csv, "market.csv")
+    panel, summary = load_daily_panel(str(panel_path), cfg.eligibility_filter())
+    market = load_market_series(str(market_path))
+    partition = partition_months(panel.dates, market)
     stats = compute_daily_stats(panel, cfg.tail())
     features = aggregate_monthly(stats, partition)
     write_features_csv(out / "features.csv", features, h)
+    write_calendar_csv(out / "calendar.csv", panel.dates, h)
     if getattr(args, "ingest_summary", False):
         write_json(out / "ingest_summary.json", summary.to_dict(), h)
     logger.info("wrote %d monthly feature rows", len(features.months))
@@ -108,8 +109,9 @@ def cmd_features(cfg: PipelineConfig, args) -> int:
 def cmd_label(cfg: PipelineConfig, args) -> int:
     out = _out_dir(cfg)
     h = cfg.config_hash()
-    panel, market, _ = _load_panel_inputs(cfg)
-    partition = partition_months(panel, market)
+    dates = read_calendar(_artifact(cfg, "calendar.csv"))
+    market = load_market_series(str(_input_path(cfg, cfg.market_csv, "market.csv")))
+    partition = partition_months(dates, market)
     monthly = build_market_monthly(market, partition)
     labels = label_stress(monthly, cfg.stress_config())
     write_labels_csv(out / "labels.csv", labels, h)

@@ -1,26 +1,26 @@
-"""Penalized logistic regression: ridge by damped Newton, lasso by FISTA.
+"""Penalized logistic regression: every logit by Newton.
 
 The loss is the mean negative Bernoulli log-likelihood (mean, not sum, so a
 penalty weight is comparable across training windows of different length;
 for a sum-scale weight use lambda_sum = n * lambda_mean). The intercept is
 never penalized.
 
-The ridge objective is smooth and, where the pipeline uses it (Platt maps,
-the lagged-return/volatility benchmark, the crash logit), has two to four
-parameters, so ``fit_logit_l2`` takes Newton steps on the (p+1)x(p+1)
-Hessian with Armijo step halving and stops once a step falls below 1e-12
-relative to the parameters (or the gradient is down to its rounding
-error). It converges quadratically, in a handful of iterations, to the
-exact optimum.
+Where the pipeline uses them, the models have two to eleven parameters (the
+Platt maps, the lagged-return/volatility benchmark and the crash logit
+under the ridge; the lasso index on the ten fragility signals), so both
+solvers work on the full (p+1)x(p+1) Hessian and reach the exact optimum in
+a handful of iterations:
 
-The lasso is solved by accelerated proximal gradient (FISTA): the L1
-penalty is handled by a soft-thresholding step on the coefficients, step
-sizes come from a backtracking line search on the smooth part, and
-iteration stops once the objective decrease falls below ``tol`` and the
-parameter update stabilizes below ``step_tol`` (both are required: the
-objective flattens well before the coefficients settle).
+* ``fit_logit_l2`` takes damped Newton steps.
+* ``fit_logit_l1`` takes damped proximal Newton steps (newGLMNET; Yuan, Ho
+  and Lin 2012): each step minimizes the quadratic model of the likelihood
+  plus the exact L1 penalty, a small lasso QP that feature-sign search
+  (Lee, Battle, Raina and Ng 2007) solves exactly by active sets.
 
-Either solver raises ``NumericError`` rather than return an unconverged or
+Each step is halved until the Armijo condition holds on the true objective.
+A solve stops once a step falls below 1e-12 relative to the parameters, or
+once the optimality conditions hold to within their rounding error. Either
+solver raises ``NumericError`` rather than return an unconverged or
 non-finite fit.
 """
 
@@ -34,12 +34,12 @@ import numpy as np
 from ..errors import DataError, NumericError
 
 PROB_CLAMP = 1e-12
-MAX_ITER_DEFAULT = 10_000
 NEWTON_MAX_ITER = 100
 _NEWTON_STEP_TOL = 1e-12
 _ARMIJO = 1e-4
 _ROUNDING = 1e-14  # relative objective change below which a step is rounding noise
 _MIN_DAMPING = 1e-10
+_QP_ROUNDING = 1e3 * np.finfo(float).eps  # relative slack of the QP's optimality tests
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,6 @@ def mean_nll(z: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(np.logaddexp(0.0, z) - y * z))
 
 
-def _soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-
-
 def laplace_base_rate(y: np.ndarray, n_features: int, penalty: str, lam: float) -> LogitModel:
     """Base-rate model for single-class targets: p = (k+1)/(n+2)."""
     n = y.shape[0]
@@ -120,92 +116,21 @@ def fit_logit_l1(
     X: np.ndarray,
     y: np.ndarray,
     lam: float,
-    tol: float = 1e-8,
-    step_tol: float = 1e-10,
-    max_iter: int = MAX_ITER_DEFAULT,
+    max_iter: int = NEWTON_MAX_ITER,
     init: tuple[float, np.ndarray] | None = None,
 ) -> LogitModel:
     """Lasso-logit: mean NLL + lam * ||coef||_1, intercept unpenalized.
 
-    Accelerated proximal gradient (FISTA with function-value restarts).
-    Parameters are (intercept, coef) stacked as w = [b0, beta]; the proximal
-    step soft-thresholds beta only. Momentum restarts whenever the
-    accelerated candidate would raise the objective, so the objective
-    decreases monotonically and the stopping rule (objective decrease below
-    ``tol`` and parameter update below ``step_tol``) is sound. Fragility
-    features are nearly collinear, which makes the unaccelerated iteration
-    impractically slow on long windows. Raises ``NumericError`` if the rule
-    is not met within ``max_iter`` iterations.
+    Damped proximal Newton (see the module docstring); ``iterations``
+    counts Newton steps. Stops once max|d| <= 1e-12 * max(1, max|w|), or
+    once the intercept's gradient, each nonzero coefficient's gradient plus
+    lam * sign and each zero coefficient's gradient beyond lam are within
+    their rounding bounds. Raises ``NumericError`` on a non-finite step, a
+    failed line search, a QP that does not terminate or ``max_iter``
+    iterations without convergence; a failed solve from ``init`` is retried
+    from the cold start, as in ``fit_logit_l2``.
     """
-    if lam < 0:
-        raise DataError(f"penalty weight must be >= 0, got {lam}")
-    X, y, single_class = _check_targets(X, y)
-    n, p = X.shape
-    if single_class:
-        return laplace_base_rate(y, p, "l1", lam)
-
-    aug = np.column_stack([np.ones(n), X])
-    w = _start(p, init)
-
-    def smooth(w_):
-        return mean_nll(aug @ w_, y)
-
-    def smooth_grad(w_):
-        return aug.T @ (sigmoid(aug @ w_) - y) / n
-
-    def nonsmooth(w_):
-        return lam * float(np.sum(np.abs(w_[1:])))
-
-    def prox(v, t):
-        out = v.copy()
-        out[1:] = _soft_threshold(v[1:], t * lam)
-        return out
-
-    # Inverse Lipschitz bound on the smooth gradient (logistic curvature
-    # <= 1/4); backtracking only ever shrinks the step.
-    lips = float(np.linalg.eigvalsh(aug.T @ aug).max()) / (4.0 * n)
-    step = 1.0 / max(lips, 1e-12)
-
-    f_w = smooth(w) + nonsmooth(w)
-    z = w.copy()
-    t_mom = 1.0
-    for iters in range(1, max_iter + 1):
-        def prox_step(point):
-            nonlocal step
-            f_point = smooth(point)
-            g = smooth_grad(point)
-            while True:
-                cand = prox(point - step * g, step)
-                d = cand - point
-                quad = f_point + float(g @ d) + float(d @ d) / (2.0 * step)
-                f_cand_smooth = smooth(cand)
-                if f_cand_smooth <= quad + 1e-15:
-                    return cand, f_cand_smooth + nonsmooth(cand)
-                step *= 0.5
-                if step < 1e-20:
-                    raise DataError("line search failed: step size underflow")
-
-        w_new, f_new = prox_step(z)
-        if f_new > f_w:
-            # momentum overshoot: restart from the last accepted point
-            z = w
-            t_mom = 1.0
-            w_new, f_new = prox_step(z)
-
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
-        z = w_new + ((t_mom - 1.0) / t_next) * (w_new - w)
-        delta_obj = f_w - f_new
-        max_update = float(np.max(np.abs(w_new - w)))
-        w, f_w, t_mom = w_new, f_new, t_next
-        if delta_obj < tol and max_update < step_tol:
-            break
-    else:
-        raise NumericError(f"lasso-logit (lambda={lam:g}) did not converge in {max_iter} iterations")
-
-    return LogitModel(
-        intercept=float(w[0]), coef=w[1:], penalty="l1", lam=lam,
-        iterations=iters, objective=f_w,
-    )
+    return _fit(X, y, lam, "l1", max_iter, init)
 
 
 def fit_logit_l2(
@@ -231,27 +156,36 @@ def fit_logit_l2(
     where the cold start converges; the error is raised only if that fails
     too.
     """
+    return _fit(X, y, lam, "l2", max_iter, init)
+
+
+def _fit(X, y, lam: float, penalty: str, max_iter: int,
+         init: tuple[float, np.ndarray] | None) -> LogitModel:
+    """Checks, the single-class fallback and the warm start with its cold retry."""
     if lam < 0:
         raise DataError(f"penalty weight must be >= 0, got {lam}")
     X, y, single_class = _check_targets(X, y)
     n, p = X.shape
     if single_class:
-        return laplace_base_rate(y, p, "l2", lam)
+        return laplace_base_rate(y, p, penalty, lam)
     if init is not None:
         try:
-            return _newton_l2(X, y, lam, max_iter, _start(p, init))
+            return _newton(X, y, lam, penalty, max_iter, _start(p, init))
         except NumericError:
             pass
-    return _newton_l2(X, y, lam, max_iter, _start(p, None))
+    return _newton(X, y, lam, penalty, max_iter, _start(p, None))
 
 
-def _newton_l2(X: np.ndarray, y: np.ndarray, lam: float, max_iter: int,
-               w: np.ndarray) -> LogitModel:
-    """The damped Newton solve of ``fit_logit_l2`` from the start ``w``."""
+def _newton(X: np.ndarray, y: np.ndarray, lam: float, penalty: str, max_iter: int,
+            w: np.ndarray) -> LogitModel:
+    """The damped (proximal) Newton solve of ``fit_logit_l1``/``fit_logit_l2``
+    from the start ``w``."""
     n, p = X.shape
+    l1 = penalty == "l1"
+    name = "lasso-logit" if l1 else "ridge-logit"
     aug = np.column_stack([np.ones(n), X])
     abs_aug = np.abs(aug)
-    ridge = np.full(p + 1, 2.0 * lam)
+    ridge = np.full(p + 1, 0.0 if l1 else 2.0 * lam)
     ridge[0] = 0.0
     # Work with q = sigmoid(sign * z), the probability of the class not
     # observed: p - y = sign * q, p(1 - p) = q(1 - q) and the row's NLL is
@@ -261,25 +195,49 @@ def _newton_l2(X: np.ndarray, y: np.ndarray, lam: float, max_iter: int,
     sign = 1.0 - 2.0 * y
     grad_noise = n * np.finfo(float).eps
 
+    def penalty_value(w_):
+        if l1:
+            return lam * float(np.sum(np.abs(w_[1:])))
+        return lam * float(w_[1:] @ w_[1:])
+
     def objective(w_):
-        return float(np.mean(np.logaddexp(0.0, sign * (aug @ w_)))) + lam * float(w_[1:] @ w_[1:])
+        return float(np.mean(np.logaddexp(0.0, sign * (aug @ w_)))) + penalty_value(w_)
 
     f_w = objective(w)
     for iters in range(1, max_iter + 1):
         q = sigmoid(sign * (aug @ w))
         grad = aug.T @ (sign * q) / n + ridge * w
-        if np.all(np.abs(grad) <= grad_noise * (abs_aug.T @ q / n + ridge * np.abs(w))):
-            break  # the gradient is zero to within its rounding error
+        if not np.all(np.isfinite(grad)):
+            raise NumericError(f"{name} (lambda={lam:g}): non-finite gradient")
+        noise = grad_noise * (abs_aug.T @ q / n + ridge * np.abs(w))
+        if l1:
+            # distance of -grad from the subdifferential of the penalty
+            theta = np.sign(w)
+            theta[0] = 0.0
+            resid = np.abs(grad + lam * theta)
+            zero = theta == 0.0
+            zero[0] = False
+            resid[zero] = np.maximum(resid[zero] - lam, 0.0)
+            noise[1:] += grad_noise * lam
+        else:
+            resid = np.abs(grad)
+        if np.all(resid <= noise):
+            break  # optimal to within the gradient's rounding error
         hess = (aug * (q * (1.0 - q))[:, None]).T @ aug / n + np.diag(ridge)
-        try:
-            d = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            raise NumericError(f"ridge-logit (lambda={lam:g}): singular Hessian") from None
+        if l1:
+            d = _lasso_qp(hess, grad - hess @ w, lam, w, name) - w
+        else:
+            try:
+                d = np.linalg.solve(hess, -grad)
+            except np.linalg.LinAlgError:
+                raise NumericError(f"{name} (lambda={lam:g}): singular Hessian") from None
         if not np.all(np.isfinite(d)):
-            raise NumericError(f"ridge-logit (lambda={lam:g}): non-finite Newton step")
+            raise NumericError(f"{name} (lambda={lam:g}): non-finite Newton step")
         if float(np.max(np.abs(d))) <= _NEWTON_STEP_TOL * max(1.0, float(np.max(np.abs(w)))):
             break
         slope = float(grad @ d)
+        if l1:
+            slope += penalty_value(w + d) - penalty_value(w)
         slack = _ROUNDING * abs(f_w)
         t = 1.0
         while True:
@@ -289,17 +247,87 @@ def _newton_l2(X: np.ndarray, y: np.ndarray, lam: float, max_iter: int,
                 break
             t *= 0.5
             if t < _MIN_DAMPING:
-                raise NumericError(f"ridge-logit (lambda={lam:g}): line search failed")
+                raise NumericError(f"{name} (lambda={lam:g}): line search failed")
         w, f_w = w_new, f_new
     else:
-        raise NumericError(
-            f"ridge-logit (lambda={lam:g}) did not converge in {max_iter} Newton iterations"
-        )
+        steps = "iterations" if l1 else "Newton iterations"
+        raise NumericError(f"{name} (lambda={lam:g}) did not converge in {max_iter} {steps}")
 
     return LogitModel(
-        intercept=float(w[0]), coef=w[1:], penalty="l2", lam=lam,
+        intercept=float(w[0]), coef=w[1:], penalty=penalty, lam=lam,
         iterations=iters, objective=f_w,
     )
+
+
+def _lasso_qp(hess: np.ndarray, c: np.ndarray, lam: float, x: np.ndarray,
+              name: str) -> np.ndarray:
+    """Exact minimizer of 0.5 x'Hx + c'x + lam * ||x[1:]||_1 (H positive
+    semidefinite) by feature-sign search, starting from ``x``.
+
+    x[0] is unpenalized and always active. Each step minimizes the quadratic
+    over the active coordinates with their signs held fixed (least squares,
+    so a singular active block, as exactly duplicated columns give, has a
+    solution), then moves there or to the best point on the way at which a
+    coordinate reaches zero; a coordinate at zero leaves the active set.
+    Once a step reaches its target with no sign change, the active
+    coordinates are stationary, and the zero coordinate whose gradient
+    exceeds lam by most joins, with the sign that lowers the objective; once
+    none does, ``x`` is optimal. The objective falls with every step, so the
+    search ends; ``NumericError`` is raised if it has not after 20 steps per
+    coordinate.
+    """
+    x = x.copy()
+    theta = np.sign(x)
+    theta[0] = 0.0
+    active = theta != 0.0
+    active[0] = True
+    abs_hess = np.abs(hess)
+    stationary = False
+    for _ in range(20 * x.shape[0]):
+        if stationary:
+            g = hess @ x + c
+            excess = np.abs(g) - lam - _QP_ROUNDING * (abs_hess @ np.abs(x) + np.abs(c) + lam)
+            excess[active] = 0.0
+            j = int(np.argmax(excess))
+            if excess[j] <= 0.0:
+                return x
+            active[j] = True
+            theta[j] = -np.sign(g[j])
+        idx = np.flatnonzero(active)
+        h = hess[np.ix_(idx, idx)]
+        b = c[idx] + lam * theta[idx]
+        target = np.linalg.lstsq(h, -b, rcond=None)[0]
+        residual = h @ target + b
+        xa = x[idx]
+        consistent = np.all(np.abs(residual) <= _QP_ROUNDING * (np.abs(h) @ np.abs(target)
+                                                                + np.abs(b)))
+        d = target - xa if consistent else -residual
+        crossing = theta[idx] * d < 0.0
+        hits = np.full(idx.shape[0], np.inf)
+        hits[crossing] = -xa[crossing] / d[crossing]
+        stationary = consistent and not np.any(hits < 1.0)
+        if consistent:
+            steps = {*hits[hits < 1.0].tolist(), 1.0}
+        elif crossing.any():
+            # No point of this orthant is stationary: h is singular and the
+            # objective falls linearly along -residual, a null direction of
+            # h, up to the first zero crossing.
+            steps = {float(np.min(hits))}
+        else:
+            raise NumericError(f"{name} (lambda={lam:g}): unbounded lasso subproblem")
+        best, best_f = xa, math.inf
+        for t in sorted(steps):
+            v = xa + t * d
+            v[hits == t] = 0.0
+            f = 0.5 * float(v @ h @ v) + float(c[idx] @ v) + lam * float(np.sum(np.abs(v[1:])))
+            if f < best_f:
+                best, best_f = v, f
+        x[idx] = best
+        theta = np.sign(x)
+        theta[0] = 0.0
+        active = theta != 0.0
+        active[0] = True
+    raise NumericError(f"{name} (lambda={lam:g}): active-set QP did not terminate")
 
 
 def l1_objective(model: LogitModel, X: np.ndarray, y: np.ndarray) -> float:

@@ -439,21 +439,22 @@ def load_market_series(path: str) -> MarketSeries:
     return MarketSeries(dates=[r[0] for r in rows], mkt_ret=np.array([r[1] for r in rows]))
 
 
-def partition_months(panel: DailyPanel, market: MarketSeries) -> MonthPartition:
-    """Bucket the panel's trading days into calendar months.
+def partition_months(dates: list[dt.date], market: MarketSeries) -> MonthPartition:
+    """Bucket the panel's trading days (``DailyPanel.dates``, or the
+    calendar ``features`` writes) into calendar months.
 
     The market calendar may be a superset of the panel calendar, but every
     panel date must appear in it.
     """
     market_row = {d: i for i, d in enumerate(market.dates)}
-    missing = [d for d in panel.dates if d not in market_row]
+    missing = [d for d in dates if d not in market_row]
     if missing:
         shown = ", ".join(d.isoformat() for d in missing[:5])
         raise DataError(f"{len(missing)} panel date(s) absent from market calendar: {shown}")
-    keys = [month_key(d) for d in panel.dates]
+    keys = [month_key(d) for d in dates]
     starts = [i for i, k in enumerate(keys) if i == 0 or k != keys[i - 1]]
     return MonthPartition(
         months=[keys[i] for i in starts],
         starts=np.array(starts + [len(keys)]),
-        market_rows=np.array([market_row[d] for d in panel.dates]),
+        market_rows=np.array([market_row[d] for d in dates]),
     )

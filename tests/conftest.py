@@ -20,7 +20,7 @@ def small_sim():
 @pytest.fixture(scope="session")
 def small_chain(small_sim):
     """(partition, features, labels) for the small simulated panel."""
-    partition = partition_months(small_sim.panel, small_sim.market)
+    partition = partition_months(small_sim.panel.dates, small_sim.market)
     features = aggregate_monthly(compute_daily_stats(small_sim.panel, TailThreshold()), partition)
     labels = label_stress(build_market_monthly(small_sim.market, partition), StressConfig())
     return partition, features, labels

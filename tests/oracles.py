@@ -1,7 +1,8 @@
 """Independent reference implementations used to check the package.
 
 These deliberately use different algorithms from the library code: full
-Newton-Raphson for logistic MLEs, direct order-statistic interpolation for
+Newton-Raphson for logistic MLEs, accelerated proximal gradient (FISTA)
+for the lasso-logit, direct order-statistic interpolation for
 quantiles, explicit pair enumeration for ranking metrics, the trapezoid rule
 for ROC areas, a literal White covariance formula, a row-by-row panel
 CSV loader, and a tree grower that sorts every node's rows afresh with a
@@ -42,6 +43,62 @@ def newton_logit(X: np.ndarray, y: np.ndarray, l2: float = 0.0,
         if np.max(np.abs(step)) < tol:
             return w
     return w
+
+
+def fista_logit_l1(X: np.ndarray, y: np.ndarray, lam: float, tol: float = 1e-16,
+                   step_tol: float = 1e-14, max_iter: int = 200_000) -> np.ndarray:
+    """Lasso-logit by FISTA with function-value restarts; returns [intercept, coefs].
+
+    Minimizes mean NLL + lam * ||beta||_1 (intercept unpenalized) by
+    soft-thresholded gradient steps with a backtracking step size, and stops
+    once the objective decrease is below ``tol`` and the largest parameter
+    update below ``step_tol``.
+    """
+    n, p = X.shape
+    A = np.column_stack([np.ones(n), X])
+
+    def smooth(w):
+        z = A @ w
+        return float(np.mean(np.logaddexp(0.0, z) - y * z))
+
+    def smooth_grad(w):
+        return A.T @ (0.5 * (1.0 + np.tanh(0.5 * (A @ w))) - y) / n
+
+    def total(w):
+        return smooth(w) + lam * float(np.sum(np.abs(w[1:])))
+
+    def prox(v, t):
+        out = v.copy()
+        out[1:] = np.sign(v[1:]) * np.maximum(np.abs(v[1:]) - t * lam, 0.0)
+        return out
+
+    step = 4.0 * n / float(np.linalg.eigvalsh(A.T @ A).max())
+
+    def prox_step(point):
+        nonlocal step
+        f_point, g = smooth(point), smooth_grad(point)
+        while True:
+            cand = prox(point - step * g, step)
+            d = cand - point
+            if smooth(cand) <= f_point + float(g @ d) + float(d @ d) / (2.0 * step) + 1e-15:
+                return cand, total(cand)
+            step *= 0.5
+
+    w = np.zeros(p + 1)
+    f_w = total(w)
+    z, t_mom = w.copy(), 1.0
+    for _ in range(max_iter):
+        w_new, f_new = prox_step(z)
+        if f_new > f_w:  # momentum overshoot: restart from the last accepted point
+            z, t_mom = w, 1.0
+            w_new, f_new = prox_step(z)
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
+        z = w_new + ((t_mom - 1.0) / t_next) * (w_new - w)
+        done = f_w - f_new < tol and float(np.max(np.abs(w_new - w))) < step_tol
+        w, f_w, t_mom = w_new, f_new, t_next
+        if done:
+            return w
+    raise AssertionError(f"FISTA oracle did not converge in {max_iter} iterations")
 
 
 def interp_quantile(values, alpha: float) -> float:

@@ -3,8 +3,20 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from mspi.artifacts import read_forecasts, write_csv, write_forecasts_csv, write_panel_csv
+from mspi.artifacts import (
+    read_calendar,
+    read_features,
+    read_forecasts,
+    read_labels,
+    write_calendar_csv,
+    write_csv,
+    write_features_csv,
+    write_forecasts_csv,
+    write_labels_csv,
+    write_panel_csv,
+)
 from mspi.errors import DataError
+from mspi.features import FEATURE_NAMES, FeatureMatrix
 from mspi.labels import LabelSeries
 from mspi.panel import PANEL_COLUMNS, DailyPanel, EligibilityFilter, load_daily_panel
 from mspi.simulate import security_ids
@@ -117,3 +129,43 @@ class TestWritePanelCsv:
         for name in FIELDS:
             a, b = getattr(got, name), getattr(panel, name)
             assert a.tobytes() == b.tobytes(), name
+
+
+class TestRoundTrips:
+    """features.csv, labels.csv and calendar.csv read back exactly what was written."""
+
+    def test_features(self, tmp_path):
+        rng = np.random.default_rng(21)
+        values = rng.standard_normal((30, len(FEATURE_NAMES))) * np.logspace(-12, 12, 30)[:, None]
+        months = [f"{2000 + i // 12}-{i % 12 + 1:02d}" for i in range(30)]
+        write_features_csv(tmp_path / "features.csv", FeatureMatrix(months, values), "h")
+        got = read_features(tmp_path / "features.csv")
+        assert got.months == months
+        assert got.values.dtype == values.dtype and got.values.tobytes() == values.tobytes()
+
+    def test_labels(self, tmp_path):
+        rng = np.random.default_rng(22)
+        s = (rng.random(24) < 0.3).astype(np.int64)
+        labels = LabelSeries(
+            months=[f"{2001 + i // 12}-{i % 12 + 1:02d}" for i in range(24)],
+            r_mkt=rng.normal(0.0, 0.05, 24), sigma_mkt=rng.lognormal(-2.0, 0.5, 24),
+            q_prev=rng.lognormal(-2.0, 0.5, 24), s=s, y_next=np.append(s[1:], np.nan).astype(float),
+        )
+        write_labels_csv(tmp_path / "labels.csv", labels, "h")
+        got = read_labels(tmp_path / "labels.csv")
+        assert got.months == labels.months
+        assert np.isnan(got.y_next[-1])
+        for field in ("r_mkt", "sigma_mkt", "q_prev", "s", "y_next"):
+            want, have = getattr(labels, field), getattr(got, field)
+            assert have.dtype == want.dtype and have.tobytes() == want.tobytes(), field
+
+    def test_calendar(self, tmp_path):
+        dates = [dt.date(1999, 12, 30), dt.date(1999, 12, 31), dt.date(2000, 1, 3),
+                 dt.date(2000, 2, 29)]
+        write_calendar_csv(tmp_path / "calendar.csv", dates, "h")
+        assert read_calendar(tmp_path / "calendar.csv") == dates
+
+    def test_empty_calendar_rejected(self, tmp_path):
+        write_calendar_csv(tmp_path / "calendar.csv", [], "h")
+        with pytest.raises(DataError, match="no trading days"):
+            read_calendar(tmp_path / "calendar.csv")

@@ -1,13 +1,23 @@
+import datetime as dt
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 
-from mspi.artifacts import write_features_csv, write_forecasts_csv, write_labels_csv
+from mspi.artifacts import (
+    read_calendar,
+    write_calendar_csv,
+    write_features_csv,
+    write_forecasts_csv,
+    write_labels_csv,
+)
 from mspi.cli import main
+from mspi.config import PipelineConfig
 from mspi.features import FeatureMatrix
-from mspi.labels import LabelSeries
+from mspi.labels import LabelSeries, build_market_monthly, label_stress
+from mspi.panel import load_daily_panel, load_market_series, partition_months
 
 from .conftest import SMALL_SIM
 from .test_econometrics import toy_forecasts
@@ -33,7 +43,7 @@ GOLDEN_BODIES = {
     "panel.csv": "386b9cc3b7820ed4c1b4bda38bd930db804792f05e43dfcf02dc08065bb8f0b8",
     "features.csv": "a4028b4f33345ef67f1f9ac1a4d1be4e3563bf24fafec62a065db89db8ecdd97",
     "labels.csv": "1d2495c7af86f4582530c579fe8a25aa3425d31b9c8a52eef764b4513017b0bf",
-    "forecasts.csv": "8e43e656bf06e7d7f325729770822f9b1680951c5979e117dbe5e21ef4a22827",
+    "forecasts.csv": "4290182aaafdfe2c8a89456e0f81f7c3917b34e88eed732dba92db9d404c9805",
 }
 
 
@@ -152,3 +162,83 @@ def test_bootstrap_on_one_stress_month_exits_4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numeric error: block bootstrap: metric 'auc' undefined in more than 25")
     assert "Traceback" not in err
+
+
+# Four years of eight stocks: the shortest panel the default stress warm-up labels.
+TINY_CONFIG = {"sim_n_stocks": 8, "sim_n_years": 4, "seed": 3}
+
+
+def run_stages(config, *stages):
+    for stage in stages:
+        assert main(["--log-level", "WARNING", stage, "--config", config]) == 0, stage
+
+
+def test_label_reads_calendar_not_panel(tmp_path):
+    out = tmp_path / "out"
+    config = write_config(tmp_path, {**TINY_CONFIG, "out_dir": str(out)})
+    run_stages(config, "simulate", "features", "label")
+    expected = (out / "labels.csv").read_bytes()
+    (out / "labels.csv").unlink()
+    (out / "panel.csv").unlink()
+    run_stages(config, "label")
+    assert (out / "labels.csv").read_bytes() == expected
+
+
+def test_fully_filtered_day_stays_off_the_calendar(tmp_path):
+    out = tmp_path / "out"
+    config = write_config(tmp_path, {**TINY_CONFIG, "out_dir": str(out)})
+    run_stages(config, "simulate")
+    # Every row of a day in a labeled month gets a price below min_abs_price.
+    lines = (out / "panel.csv").read_text(encoding="utf-8").split("\n")
+    days = sorted({line.split(",", 1)[0] for line in lines[2:] if line})
+    dropped = days[-60]
+    for i, line in enumerate(lines):
+        if line.startswith(dropped + ","):
+            fields = line.split(",")
+            fields[3] = "0.5"
+            lines[i] = ",".join(fields)
+    (out / "panel.csv").write_text("\n".join(lines), encoding="utf-8")
+    run_stages(config, "features", "label")
+
+    cfg = PipelineConfig.from_file(config)
+    panel, _ = load_daily_panel(str(out / "panel.csv"), cfg.eligibility_filter())
+    market = load_market_series(str(out / "market.csv"))
+    assert dt.date.fromisoformat(dropped) not in panel.dates
+    assert read_calendar(out / "calendar.csv") == panel.dates
+
+    def labels_body(dates):
+        monthly = build_market_monthly(market, partition_months(dates, market))
+        write_labels_csv(tmp_path / "ref.csv", label_stress(monthly, cfg.stress_config()), "h")
+        return body_sha256(tmp_path / "ref.csv")
+
+    assert body_sha256(out / "labels.csv") == labels_body(panel.dates)
+    # the date column alone would put the dropped day's index return in its month
+    every_day = [dt.date.fromisoformat(d) for d in days]
+    assert labels_body(every_day) != labels_body(panel.dates)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:3] + lines[4:5] + lines[3:4] + lines[5:], "line 5: .* does not come after"),
+    (lambda lines: lines[:4] + lines[3:], "line 5: .* does not come after"),
+    (lambda lines: lines[:3] + ["2001-13-01"] + lines[4:], "line 4, column 'date'"),
+], ids=["unordered", "repeated", "bad_date"])
+def test_bad_calendar_exits_3(tmp_path, capsys, edit, message):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "market.csv").write_text("date,mkt_ret\n", encoding="utf-8")
+    write_calendar_csv(out / "calendar.csv",
+                       [dt.date(2001, 1, 2) + dt.timedelta(days=i) for i in range(5)], "h")
+    lines = (out / "calendar.csv").read_text(encoding="utf-8").split("\n")
+    (out / "calendar.csv").write_text("\n".join(edit(lines)), encoding="utf-8")
+    assert main(["label", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert re.match(f"data error: {re.escape(str(out / 'calendar.csv'))}: {message}", err), err
+
+
+def test_missing_calendar_exits_3(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["label", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: missing upstream artifact: {out / 'calendar.csv'} "
+        "(run the producing stage first)\n")

@@ -139,7 +139,8 @@ class TestAggregateMonthly:
     def monthly(self, days, dates):
         panel = make_panel(days, dates)
         market = MarketSeries(dates=list(dates), mkt_ret=np.zeros(len(dates)))
-        return aggregate_monthly(compute_daily_stats(panel, TAU), partition_months(panel, market))
+        return aggregate_monthly(compute_daily_stats(panel, TAU),
+                                 partition_months(panel.dates, market))
 
     def test_monthly_mean(self):
         d1, d2 = dt.date(2001, 1, 2), dt.date(2001, 1, 3)
@@ -155,7 +156,7 @@ class TestAggregateMonthly:
         assert row[FEATURE_NAMES.index("frac_up")] == s.frac_up
 
     def test_shape_on_simulated_year(self, small_sim):
-        part = partition_months(small_sim.panel, small_sim.market)
+        part = partition_months(small_sim.panel.dates, small_sim.market)
         stats = compute_daily_stats(small_sim.panel, TAU)
         fm = aggregate_monthly(stats, part)
         assert fm.values.shape == (len(part.months), 10)

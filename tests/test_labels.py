@@ -189,7 +189,7 @@ class TestBuildMarketMonthly:
     def test_round_trip_from_simulation(self, small_sim):
         from mspi.panel import partition_months
 
-        part = partition_months(small_sim.panel, small_sim.market)
+        part = partition_months(small_sim.panel.dates, small_sim.market)
         mm = build_market_monthly(small_sim.market, part)
         assert mm.months == part.months
         assert np.all(mm.sigma_mkt >= 0)

@@ -12,13 +12,14 @@ from mspi.learners import (
     fit_logit_l1,
     fit_logit_l2,
     l1_objective,
+    mean_nll,
     sigmoid,
     standardize_apply,
     standardize_fit,
 )
-from mspi.learners.logit import NEWTON_MAX_ITER, _newton_l2
+from mspi.learners.logit import NEWTON_MAX_ITER, _newton
 
-from .oracles import newton_logit
+from .oracles import fista_logit_l1, newton_logit
 
 
 def logistic_sample(rng, n, p, beta=None, intercept=-1.0):
@@ -117,6 +118,116 @@ class TestLogitL1:
         X, y = logistic_sample(rng, 60, 4)
         with pytest.raises(NumericError, match="did not converge in 3 iterations"):
             fit_logit_l1(X, y, lam=0.01, max_iter=3)
+
+
+def lasso_gradient(model, X, y):
+    """Gradient of the mean NLL at the model's parameters, intercept first."""
+    aug = np.column_stack([np.ones(X.shape[0]), X])
+    p = sigmoid(aug @ np.concatenate([[model.intercept], model.coef]))
+    return aug.T @ (p - y) / X.shape[0]
+
+
+class TestProximalNewtonL1:
+    """The lasso solve is exact: it agrees with a tightly converged FISTA run."""
+
+    @pytest.mark.parametrize("lam", [1e-4, 1e-3, 1e-2, 0.1, 1.0])
+    def test_matches_fista_oracle(self, lam):
+        for seed in range(4):
+            rng = np.random.default_rng(500 + seed)
+            X, y = logistic_sample(rng, 80, 6)
+            model = fit_logit_l1(X, y, lam=lam)
+            assert_matches_oracle(model, fista_logit_l1(X, y, lam), tol=1e-9)
+            assert model.iterations < 20
+
+    def test_kkt_conditions_hold(self):
+        rng = np.random.default_rng(19)
+        X, y = logistic_sample(rng, 120, 8)
+        X[:, 1] = X[:, 0] + 0.05 * X[:, 1]  # collinear pair
+        for lam in (1e-4, 3e-3, 0.03, 0.3):
+            model = fit_logit_l1(X, y, lam=lam)
+            g = lasso_gradient(model, X, y)
+            nonzero = model.coef != 0.0
+            assert abs(g[0]) <= 1e-12
+            assert np.all(np.abs(g[1:][nonzero] + lam * np.sign(model.coef[nonzero])) <= 1e-12)
+            assert np.all(np.abs(g[1:][~nonzero]) <= lam + 1e-12)
+
+    def test_large_penalty_leaves_intercept_exact(self):
+        # The penalty weight must not loosen the intercept's stationarity test.
+        for seed in range(10):
+            rng = np.random.default_rng(600 + seed)
+            X, _ = logistic_sample(rng, 40, 4)
+            y = (rng.random(40) < 0.25).astype(float)
+            for lam in (10.0, 1e3, 1e6):
+                model = fit_logit_l1(X, y, lam=lam)
+                assert np.all(model.coef == 0.0)
+                assert abs(lasso_gradient(model, X, y)[0]) <= 1e-12
+
+    def test_warm_and_cold_start_same_optimum(self):
+        rng = np.random.default_rng(20)
+        X, y = logistic_sample(rng, 90, 5)
+        cold = fit_logit_l1(X, y, lam=0.01)
+        w = np.concatenate([[cold.intercept], cold.coef])
+        other = fit_logit_l1(X, y, lam=0.2)
+        for init in [(1.5, np.array([-1.0, 2.0, 0.5, 0.0, 3.0])), (other.intercept, other.coef)]:
+            assert_matches_oracle(fit_logit_l1(X, y, lam=0.01, init=init), w)
+        again = fit_logit_l1(X, y, lam=0.01, init=(cold.intercept, cold.coef))
+        assert again.iterations <= 2
+        assert_matches_oracle(again, w)
+
+    def test_small_chain_first_cv_fold(self, small_chain):
+        # The first forward-chaining CV fold of the l1 model in the small
+        # backtest, warm-started down the penalty grid as the CV does. A
+        # projected Newton step without the exact subproblem cycles between
+        # active sets on this fold.
+        _, features, labels = small_chain
+        rows = [features.months.index(m) for m in labels.months]
+        X = features.values[rows][:60]
+        y = labels.s[1:61].astype(float)
+        assert int(y.sum()) == 6
+        Xz = standardize_apply(standardize_fit(X), X)
+        init = None
+        for lam in np.logspace(-3, 0, 6)[::-1]:
+            model = fit_logit_l1(Xz, y, lam=float(lam), init=init)
+            init = (model.intercept, model.coef)
+            assert model.iterations < 20
+        assert model.lam == 1e-3
+        assert_matches_oracle(model, fista_logit_l1(Xz, y, 1e-3), tol=1e-9)
+
+    def test_duplicated_column_reaches_optimum(self):
+        rng = np.random.default_rng(23)
+        X, y = logistic_sample(rng, 100, 4, beta=np.array([1.5, -1.0, 0.5, 0.0]))
+        Xd = np.column_stack([X, X[:, 0]])  # an exact copy: singular active block
+        w = fista_logit_l1(X, y, 0.01)
+        best = mean_nll(w[0] + X @ w[1:], y) + 0.01 * float(np.sum(np.abs(w[1:])))
+        # from a start with opposite signs on the copies, no point of the
+        # start's orthant is stationary
+        for init in [None, (0.0, np.array([2.0, 0.0, 0.0, 0.0, -1.0]))]:
+            model = fit_logit_l1(Xd, y, lam=0.01, init=init)
+            assert abs(l1_objective(model, Xd, y) - best) <= 1e-12
+            merged = np.concatenate([[model.intercept], model.coef[:4]])
+            merged[1] += model.coef[4]
+            assert np.max(np.abs(merged - w)) <= 1e-8
+
+    @pytest.mark.parametrize("design", ["duplicated", "zero_column"])
+    def test_unpenalized_rank_deficient_optimum_or_numeric_error(self, design):
+        rng = np.random.default_rng(25)
+        X, y = logistic_sample(rng, 60, 3)
+        extra = X[:, 0] if design == "duplicated" else np.zeros(60)
+        try:
+            model = fit_logit_l1(np.column_stack([X, extra]), y, lam=0.0)
+        except NumericError:
+            return
+        w = newton_logit(X, y)
+        got = np.concatenate([[model.intercept], model.coef[:3]])
+        got[1] += model.coef[3] if design == "duplicated" else 0.0
+        assert np.max(np.abs(got - w)) <= 1e-8
+
+    def test_non_finite_input_raises(self):
+        rng = np.random.default_rng(26)
+        X, y = logistic_sample(rng, 30, 2)
+        X[3, 0] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+            fit_logit_l1(X, y, lam=0.1)
 
 
 class TestLogitL2:
@@ -221,7 +332,7 @@ class TestNewtonL2:
         y = (rng.normal(0.005, 0.04 + 0.05 * prob) <= -0.05).astype(float)
         start = np.array([3.0, -20.0, 50.0, 100.0])
         with pytest.raises(NumericError, match="line search failed"):
-            _newton_l2(X, y, 0.0, NEWTON_MAX_ITER, start.copy())
+            _newton(X, y, 0.0, "l2", NEWTON_MAX_ITER, start.copy())
         cold = fit_logit_l2(X, y, lam=0.0)
         warm = fit_logit_l2(X, y, lam=0.0, init=(start[0], start[1:]))
         assert_matches_oracle(warm, np.concatenate([[cold.intercept], cold.coef]))

@@ -357,7 +357,7 @@ class TestPartitionMonths:
         market = load_market_series(write_market(tmp_path, [
             "2001-01-02,0.0", "2001-01-03,0.0", "2001-02-01,0.0", "2001-02-02,0.0",
         ]))
-        part = partition_months(panel, market)
+        part = partition_months(panel.dates, market)
         assert part.months == ["2001-01", "2001-02"]
         assert np.diff(part.starts).tolist() == [2, 1]
         assert part.market_rows.tolist() == [0, 1, 2]
@@ -367,7 +367,7 @@ class TestPartitionMonths:
             write_panel(tmp_path, ["2001-01-02,A,0.01,5.0,100,1000,1,1"]), EligibilityFilter()
         )
         market = load_market_series(write_market(tmp_path, ["2001-01-02,0.0"]))
-        part = partition_months(panel, market)
+        part = partition_months(panel.dates, market)
         assert part.months == ["2001-01"] and part.starts.tolist() == [0, 1]
 
     def test_panel_date_missing_from_market(self, tmp_path):
@@ -376,10 +376,10 @@ class TestPartitionMonths:
         )
         market = load_market_series(write_market(tmp_path, ["2001-01-03,0.0"]))
         with pytest.raises(DataError, match="2001-01-02"):
-            partition_months(panel, market)
+            partition_months(panel.dates, market)
 
     def test_partition_covers_every_date_once(self, small_sim):
-        part = partition_months(small_sim.panel, small_sim.market)
+        part = partition_months(small_sim.panel.dates, small_sim.market)
         dates = small_sim.panel.dates
         assert part.starts[0] == 0 and part.starts[-1] == len(dates)
         assert np.all(np.diff(part.starts) > 0)
