@@ -117,10 +117,25 @@ def write_panel_csv(path: Path, panel: DailyPanel, config_hash: str):
     """Write the panel one day at a time, formatting each column of the
     day's slice in one pass.
 
-    The bytes equal those ``write_csv`` writes for the per-row tuples.
+    ``DailyPanel`` keeps no security ids, so each row's id is its position
+    within its day; that names the same stock on every day only if every
+    day holds the same stocks. A panel whose days (empty days aside) hold
+    different numbers of rows raises DataError rather than relabel its
+    stocks. The bytes equal those ``write_csv`` writes for the per-row
+    tuples.
     """
+    sizes = np.diff(panel.starts)
+    held = np.flatnonzero(sizes)
+    odd = held[sizes[held] != sizes[held[:1]]]
+    if odd.size:
+        d, first = odd[0], held[0]
+        raise DataError(
+            f"cannot write panel: {panel.dates[d].isoformat()} holds {sizes[d]} rows, "
+            f"{panel.dates[first].isoformat()} holds {sizes[first]}; security ids are "
+            "row positions, so every day must hold the same stocks"
+        )
     flag_tokens = ("0", "1")
-    ids_cache: dict[int, list[str]] = {}
+    ids = security_ids(int(sizes[held[0]])) if held.size else []
     bounds = panel.starts.tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config_hash={config_hash}\n{','.join(PANEL_COLUMNS)}\n")
@@ -128,10 +143,8 @@ def write_panel_csv(path: Path, panel: DailyPanel, config_hash: str):
             n = b - a
             if not n:
                 continue
-            if n not in ids_cache:
-                ids_cache[n] = security_ids(n)
             columns = (
-                [day.isoformat()] * n, ids_cache[n],
+                [day.isoformat()] * n, ids,
                 _float_tokens(panel.ret[a:b]), _float_tokens(panel.prc[a:b]),
                 _float_tokens(panel.vol[a:b]), _float_tokens(panel.shrout[a:b]),
                 [flag_tokens[v] for v in panel.share_ok[a:b].tolist()],

@@ -197,7 +197,7 @@ def cmd_bootstrap(cfg: PipelineConfig, args) -> int:
     forecasts, _ = _load_forecasts(cfg)
     rows = ev.bootstrap_table(
         forecasts, benchmark=cfg.benchmark, block_len=cfg.bootstrap_block,
-        reps=cfg.bootstrap_reps, seed=cfg.seed,
+        reps=cfg.bootstrap_reps, seed=cfg.seed, ece_bins=cfg.ece_bins,
     )
     write_json(out / "bootstrap.json", {
         "benchmark": cfg.benchmark,

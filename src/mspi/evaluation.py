@@ -9,7 +9,7 @@ so serial dependence is preserved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,66 +30,120 @@ def _check_binary(y: np.ndarray) -> np.ndarray:
     return y
 
 
+# ---------------------------------------------------------------------------
+# Row kernels: each metric of every row of a (m, n) matrix of values against
+# the same row of outcomes. The one-row case defines the scalar metrics, so
+# ``evaluate`` and ``bootstrap`` share one definition. Rank sums and counts
+# are sums of integers and halves, exact in any order; every other sum runs
+# in the order the per-row loop it replaced used.
+
+def _ranked(values: np.ndarray, y: np.ndarray, descending: bool = False):
+    """Each row stably sorted, its outcomes in that order, and for every
+    position the first and last position of its tie group."""
+    order = np.argsort(-values if descending else values, axis=1, kind="stable")
+    ranked = np.take_along_axis(values, order, axis=1)
+    ys = np.take_along_axis(y, order, axis=1)
+    n = values.shape[1]
+    pos = np.broadcast_to(np.arange(n), values.shape)
+    new = np.ones(values.shape, dtype=bool)
+    new[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    first = np.maximum.accumulate(np.where(new, pos, 0), axis=1)
+    end = np.ones(values.shape, dtype=bool)
+    end[:, :-1] = new[:, 1:]
+    last = np.minimum.accumulate(np.where(end, pos, n - 1)[:, ::-1], axis=1)[:, ::-1]
+    return ys, first, last
+
+
+def _auc_rows(scores: np.ndarray, y: np.ndarray) -> np.ndarray:
+    ys, first, last = _ranked(scores, y)
+    midranks = 0.5 * (first + last) + 1.0  # 1-based
+    n_pos = ys.sum(axis=1)
+    n_neg = y.shape[1] - n_pos
+    u = np.sum(midranks * ys, axis=1) - n_pos * (n_pos + 1) / 2.0
+    return u / (n_pos * n_neg)
+
+
+def _pr_auc_rows(scores: np.ndarray, y: np.ndarray) -> np.ndarray:
+    ys, first, last = _ranked(scores, y, descending=True)
+    cum_pos = np.cumsum(ys, axis=1)
+    before = np.where(first > 0, np.take_along_axis(cum_pos, np.maximum(first - 1, 0), axis=1),
+                      0.0)
+    pos = np.arange(1, y.shape[1] + 1)
+    # one term per tie group, added in rank order as the group loop did
+    terms = np.where(last == pos - 1, cum_pos / pos * (cum_pos - before), 0.0)
+    return np.cumsum(terms, axis=1)[:, -1] / cum_pos[:, -1]
+
+
+def _brier_rows(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.mean((probs - y) ** 2, axis=1)
+
+
+def _log_loss_rows(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    return np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)), axis=1)
+
+
+def _ece_rows(probs: np.ndarray, y: np.ndarray, n_bins: int):
+    """ECE of each row, with each bin's mean probability and event rate."""
+    order = np.argsort(probs, axis=1, kind="stable")
+    ps = np.take_along_axis(probs, order, axis=1)
+    ys = np.take_along_axis(y, order, axis=1)
+    n = probs.shape[1]
+    base, extra = divmod(n, n_bins)
+    mean_prob = np.empty((probs.shape[0], n_bins))
+    event_rate = np.empty_like(mean_prob)
+    total = np.zeros(probs.shape[0])
+    start = 0
+    for b in range(n_bins):
+        size = base + (1 if b < extra else 0)
+        mean_prob[:, b] = np.mean(ps[:, start:start + size], axis=1)
+        event_rate[:, b] = np.mean(ys[:, start:start + size], axis=1)
+        total += size / n * np.abs(mean_prob[:, b] - event_rate[:, b])
+        start += size
+    return total, mean_prob, event_rate
+
+
+def _defined_rows(metric: str, y: np.ndarray) -> np.ndarray:
+    """Rows of outcomes on which the metric is defined: AUC needs both
+    classes, PR-AUC a positive."""
+    n_pos = y.sum(axis=1)
+    if metric == "auc":
+        return (n_pos > 0) & (n_pos < y.shape[1])
+    if metric == "pr_auc":
+        return n_pos > 0
+    return np.ones(y.shape[0], dtype=bool)
+
+
 def auc(scores: np.ndarray, y: np.ndarray) -> float:
     """Probability a random positive outranks a random negative (midrank ties)."""
     scores = np.asarray(scores, dtype=float)
     y = _check_binary(y)
-    n_pos = int(np.sum(y))
-    n_neg = y.shape[0] - n_pos
-    if n_pos == 0 or n_neg == 0:
+    if not _defined_rows("auc", y[None])[0]:
         raise DataError("AUC undefined: need both classes")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(y.shape[0])
-    sorted_scores = scores[order]
-    i = 0
-    while i < sorted_scores.shape[0]:
-        j = i
-        while j + 1 < sorted_scores.shape[0] and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # midrank, 1-based
-        i = j + 1
-    u = float(np.sum(ranks[y == 1.0])) - n_pos * (n_pos + 1) / 2.0
-    return u / (n_pos * n_neg)
+    return float(_auc_rows(scores[None], y[None])[0])
 
 
 def pr_auc(scores: np.ndarray, y: np.ndarray) -> float:
     """Average precision with pooled-precision tie groups."""
     scores = np.asarray(scores, dtype=float)
     y = _check_binary(y)
-    n_pos = int(np.sum(y))
-    if n_pos == 0:
+    if not _defined_rows("pr_auc", y[None])[0]:
         raise DataError("PR-AUC undefined: no positives")
-    order = np.argsort(-scores, kind="stable")
-    ys = y[order]
-    ss = scores[order]
-    total = 0.0
-    cum_pos = 0
-    i = 0
-    n = ys.shape[0]
-    while i < n:
-        j = i
-        while j + 1 < n and ss[j + 1] == ss[i]:
-            j += 1
-        group_pos = float(np.sum(ys[i : j + 1]))
-        cum_pos += group_pos
-        precision = cum_pos / (j + 1)
-        total += precision * group_pos
-        i = j + 1
-    return total / n_pos
+    return float(_pr_auc_rows(scores[None], y[None])[0])
 
 
 def brier(probs: np.ndarray, y: np.ndarray) -> float:
     """Mean squared probability error."""
     probs = np.asarray(probs, dtype=float)
     y = _check_binary(y)
-    return float(np.mean((probs - y) ** 2))
+    return float(_brier_rows(probs[None], y[None])[0])
 
 
 def log_loss(probs: np.ndarray, y: np.ndarray) -> float:
     """Mean negative Bernoulli log-likelihood, probabilities clamped."""
-    p = np.clip(np.asarray(probs, dtype=float), PROB_CLAMP, 1.0 - PROB_CLAMP)
+    probs = np.asarray(probs, dtype=float)
     y = _check_binary(y)
-    return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
+    return float(_log_loss_rows(probs[None], y[None])[0])
 
 
 @dataclass(frozen=True)
@@ -112,22 +166,20 @@ def ece(probs: np.ndarray, y: np.ndarray, n_bins: int = 10) -> tuple[float, Cali
     n = probs.shape[0]
     if n < n_bins:
         raise DataError(f"ECE needs at least {n_bins} observations, got {n}")
-    order = np.argsort(probs, kind="stable")
+    total, mean_prob, event_rate = _ece_rows(probs[None], y[None], n_bins)
     base, extra = divmod(n, n_bins)
-    mean_prob = np.empty(n_bins)
-    event_rate = np.empty(n_bins)
-    count = np.empty(n_bins, dtype=np.int64)
-    start = 0
-    total = 0.0
-    for b in range(n_bins):
-        size = base + (1 if b < extra else 0)
-        idx = order[start : start + size]
-        start += size
-        mean_prob[b] = float(np.mean(probs[idx]))
-        event_rate[b] = float(np.mean(y[idx]))
-        count[b] = size
-        total += size / n * abs(mean_prob[b] - event_rate[b])
-    return total, CalibrationCurve(mean_prob=mean_prob, event_rate=event_rate, count=count)
+    count = np.full(n_bins, base, dtype=np.int64)
+    count[:extra] += 1
+    return float(total[0]), CalibrationCurve(mean_prob=mean_prob[0], event_rate=event_rate[0],
+                                             count=count)
+
+
+def _group_ends(scores: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positives ranked at or above the end of each tie group, scores in
+    descending order, and the number of rows ranked there."""
+    ys, _, last = _ranked(scores[None], y[None], descending=True)
+    rows = np.flatnonzero(last[0] == np.arange(y.shape[0])) + 1
+    return np.cumsum(ys[0])[rows - 1], rows
 
 
 def roc_points(scores: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,24 +193,10 @@ def roc_points(scores: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
     n_neg = y.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError("ROC undefined: need both classes")
-    order = np.argsort(-scores, kind="stable")
-    ys = y[order]
-    ss = scores[order]
-    fpr = [0.0]
-    tpr = [0.0]
-    tp = fp = 0.0
-    i = 0
-    n = ys.shape[0]
-    while i < n:
-        j = i
-        while j + 1 < n and ss[j + 1] == ss[i]:
-            j += 1
-        tp += float(np.sum(ys[i : j + 1]))
-        fp += (j - i + 1) - float(np.sum(ys[i : j + 1]))
-        fpr.append(fp / n_neg)
-        tpr.append(tp / n_pos)
-        i = j + 1
-    return np.array(fpr), np.array(tpr)
+    tp, rows = _group_ends(scores, y)
+    fpr = np.concatenate(([0.0], (rows - tp) / n_neg))
+    tpr = np.concatenate(([0.0], tp / n_pos))
+    return fpr, tpr
 
 
 def pr_points(scores: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,23 +206,10 @@ def pr_points(scores: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     n_pos = int(np.sum(y))
     if n_pos == 0:
         raise DataError("PR curve undefined: no positives")
-    order = np.argsort(-scores, kind="stable")
-    ys = y[order]
-    ss = scores[order]
-    recall = [0.0]
-    precision = [1.0]
-    cum_pos = 0.0
-    i = 0
-    n = ys.shape[0]
-    while i < n:
-        j = i
-        while j + 1 < n and ss[j + 1] == ss[i]:
-            j += 1
-        cum_pos += float(np.sum(ys[i : j + 1]))
-        recall.append(cum_pos / n_pos)
-        precision.append(cum_pos / (j + 1))
-        i = j + 1
-    return np.array(recall), np.array(precision)
+    cum_pos, rows = _group_ends(scores, y)
+    recall = np.concatenate(([0.0], cum_pos / n_pos))
+    precision = np.concatenate(([1.0], cum_pos / rows))
+    return recall, precision
 
 
 @dataclass(frozen=True)
@@ -320,12 +345,11 @@ def binned_outcomes(
 # ---------------------------------------------------------------------------
 # Moving-block bootstrap for metric differences.
 
-_METRIC_FNS = {
-    "auc": auc,
-    "pr_auc": pr_auc,
-    "brier": brier,
-    "log_loss": log_loss,
-    "ece": lambda v, y: ece(v, y)[0],
+_ROW_METRICS = {
+    "auc": _auc_rows,
+    "pr_auc": _pr_auc_rows,
+    "brier": _brier_rows,
+    "log_loss": _log_loss_rows,
 }
 
 
@@ -360,6 +384,7 @@ def block_bootstrap_diff(
     block_len: int = 12,
     reps: int = 2000,
     seed: int = 0,
+    ece_bins: int = 10,
 ) -> BootstrapResult:
     """Moving-block bootstrap of metric(values_a) - metric(values_b).
 
@@ -369,6 +394,13 @@ def block_bootstrap_diff(
     the metric is undefined (e.g. a single-class resample) are redrawn; more
     than reps/2 redraws aborts, since the outcome is then too rare for this
     block design.
+
+    Each round draws the block starts of all replications still needed as
+    one (need, n_blocks) matrix, which takes the same random stream as one
+    draw per replication, and evaluates the metric on every defined row at
+    once; replication r is the r-th defined row. The row kernels add in the
+    order the one-resample metric does, so every delta is bit-identical to
+    evaluating the resamples one at a time.
     """
     values_a = np.asarray(values_a, dtype=float)
     values_b = np.asarray(values_b, dtype=float)
@@ -378,30 +410,40 @@ def block_bootstrap_diff(
         raise DataError("series and outcomes must be aligned")
     if n < block_len:
         raise DataError(f"need at least block_len={block_len} months, got {n}")
-    if metric not in _METRIC_FNS:
-        raise DataError(f"unknown metric {metric!r}; expected one of {sorted(_METRIC_FNS)}")
-    fn = _METRIC_FNS[metric]
+    if reps < 1:
+        raise DataError(f"need at least one replication, got reps={reps}")
+    if metric not in METRIC_NAMES:
+        raise DataError(f"unknown metric {metric!r}; expected one of {sorted(METRIC_NAMES)}")
+    if metric == "ece":
+        if n < ece_bins:
+            raise DataError(f"ECE needs at least {ece_bins} observations, got {n}")
+        fn = lambda v, ys: _ece_rows(v, ys, ece_bins)[0]  # noqa: E731
+    else:
+        fn = _ROW_METRICS[metric]
 
     rng = np.random.Generator(np.random.PCG64(seed))
     n_blocks = math.ceil(n / block_len)
-    deltas = np.empty(reps)
+    offsets = np.arange(block_len)
+    rounds = []
+    done = 0
     redraws = 0
     max_redraws = reps // 2
-    r = 0
-    while r < reps:
-        starts = rng.integers(0, n - block_len + 1, size=n_blocks)
-        idx = np.concatenate([np.arange(s, s + block_len) for s in starts])[:n]
-        try:
-            deltas[r] = fn(values_a[idx], y[idx]) - fn(values_b[idx], y[idx])
-        except DataError:
-            redraws += 1
-            if redraws > max_redraws:
-                raise NumericError(
-                    f"block bootstrap: metric {metric!r} undefined in more than "
-                    f"{max_redraws} resamples; outcome too rare for this block design"
-                )
-            continue
-        r += 1
+    while done < reps:
+        need = reps - done
+        starts = rng.integers(0, n - block_len + 1, size=(need, n_blocks))
+        idx = (starts[:, :, None] + offsets).reshape(need, -1)[:, :n]
+        ys = y[idx]
+        ok = _defined_rows(metric, ys)
+        redraws += need - int(ok.sum())
+        if redraws > max_redraws:
+            raise NumericError(
+                f"block bootstrap: metric {metric!r} undefined in more than "
+                f"{max_redraws} resamples; outcome too rare for this block design"
+            )
+        idx, ys = idx[ok], ys[ok]
+        rounds.append(fn(values_a[idx], ys) - fn(values_b[idx], ys))
+        done += idx.shape[0]
+    deltas = np.concatenate(rounds)
 
     frac_le = float(np.mean(deltas <= 0.0))
     frac_ge = float(np.mean(deltas >= 0.0))
@@ -421,6 +463,7 @@ def bootstrap_table(
     block_len: int = 12,
     reps: int = 2000,
     seed: int = 0,
+    ece_bins: int = 10,
 ) -> list[BootstrapResult]:
     """Bootstrap deltas of every non-benchmark model against the benchmark."""
     if benchmark not in forecasts.models:
@@ -435,7 +478,8 @@ def bootstrap_table(
             if name == benchmark:
                 continue
             vals = (forecasts.raw if use_raw else forecasts.prob)[name][mask]
-            res = block_bootstrap_diff(vals, bench_vals, y, metric, block_len, reps, seed)
+            res = block_bootstrap_diff(vals, bench_vals, y, metric, block_len, reps, seed,
+                                       ece_bins)
             rows.append(
                 BootstrapResult(
                     metric=metric, model=name, benchmark=benchmark, delta=res.delta,

@@ -5,8 +5,9 @@ Newton-Raphson for logistic MLEs, accelerated proximal gradient (FISTA)
 for the lasso-logit, direct order-statistic interpolation for
 quantiles, explicit pair enumeration for ranking metrics, the trapezoid rule
 for ROC areas, a literal White covariance formula, a row-by-row panel
-CSV loader, and a tree grower that sorts every node's rows afresh with a
-one-tree-at-a-time descent.
+CSV loader, a tree grower that sorts every node's rows afresh with a
+one-tree-at-a-time descent, and the per-day, per-month, per-tie-group and
+per-replicate loops the batched statistics and metrics replaced.
 """
 
 from __future__ import annotations
@@ -382,3 +383,182 @@ def descend_one_tree(tree: Tree, X: np.ndarray) -> np.ndarray:
         rows = np.flatnonzero(active)
         go_left = X[rows, f[rows]] <= tree.threshold[pos[rows]]
         pos[rows] = np.where(go_left, tree.left[pos[rows]], tree.right[pos[rows]])
+
+
+# ---------------------------------------------------------------------------
+# Per-item loops: one NumPy call sequence per trading day, per month, per tie
+# group and per bootstrap replicate. They define the values the package's
+# batched kernels must reproduce bit for bit.
+
+def _day_stats(r, prc, vol, shrout, tau: float) -> tuple:
+    """One day's statistics, in the field order of DailyStats."""
+    n = r.shape[0]
+    mean = float(np.mean(r))
+    dev = r - mean
+    var = float(np.mean(dev * dev))
+    std = math.sqrt(var)
+    degenerate = std == 0.0
+    if degenerate:
+        skew = 0.0
+        kurt = 0.0
+    else:
+        dev2 = dev * dev
+        skew = float(np.mean(dev2 * dev)) / (var * std)
+        kurt = float(np.mean(dev2 * dev2)) / (var * var)
+
+    vol_ok = np.isfinite(vol)
+    mean_log_vol = float(np.mean(np.log1p(vol[vol_ok]))) if vol_ok.any() else math.nan
+    mean_dollar_vol = (
+        float(np.mean(np.abs(prc[vol_ok]) * vol[vol_ok])) if vol_ok.any() else math.nan
+    )
+    turn_ok = vol_ok & np.isfinite(shrout) & (shrout > 0)
+    mean_turnover = float(np.mean(vol[turn_ok] / shrout[turn_ok])) if turn_ok.any() else math.nan
+    return (
+        n, mean, std, skew, kurt, float(np.mean(np.abs(r))),
+        float(np.mean(r <= -tau)), float(np.mean(r >= tau)),
+        mean_log_vol, mean_dollar_vol, mean_turnover, degenerate,
+    )
+
+
+def daily_stats_per_day(panel: DailyPanel, tau: float) -> list[np.ndarray]:
+    """Every day's statistics by one ``_day_stats`` call per day slice, one
+    array per DailyStats field."""
+    bounds = panel.starts.tolist()
+    rows = [
+        _day_stats(panel.ret[a:b], panel.prc[a:b], panel.vol[a:b], panel.shrout[a:b], tau)
+        for a, b in zip(bounds, bounds[1:])
+    ]
+    return [np.array(column) for column in zip(*rows)]
+
+
+def monthly_means_per_month(daily_stats, partition, feature_names) -> np.ndarray:
+    """Monthly feature matrix by one ``np.mean`` per (month, feature)."""
+    rows = np.empty((len(partition.months), len(feature_names)))
+    bounds = partition.starts.tolist()
+    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        for j, name in enumerate(feature_names):
+            values = getattr(daily_stats, name)[a:b]
+            if name in ("xs_skew", "xs_kurt"):
+                values = values[~daily_stats.degenerate[a:b]]
+            rows[i, j] = float(np.mean(values[~np.isnan(values)]))
+    return rows
+
+
+def auc_loop(scores: np.ndarray, y: np.ndarray) -> float:
+    """Midrank AUC with one Python pass per tie group."""
+    n_pos = int(np.sum(y))
+    n_neg = y.shape[0] - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise DataError("AUC undefined: need both classes")
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(y.shape[0])
+    sorted_scores = scores[order]
+    i = 0
+    while i < sorted_scores.shape[0]:
+        j = i
+        while j + 1 < sorted_scores.shape[0] and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    u = float(np.sum(ranks[y == 1.0])) - n_pos * (n_pos + 1) / 2.0
+    return u / (n_pos * n_neg)
+
+
+def _desc_tie_groups(scores: np.ndarray, y: np.ndarray):
+    """(last position, positives in the group) of each tie group, scores
+    in descending order."""
+    order = np.argsort(-scores, kind="stable")
+    ys = y[order]
+    ss = scores[order]
+    i = 0
+    n = ys.shape[0]
+    while i < n:
+        j = i
+        while j + 1 < n and ss[j + 1] == ss[i]:
+            j += 1
+        yield j, float(np.sum(ys[i : j + 1]))
+        i = j + 1
+
+
+def pr_auc_loop(scores: np.ndarray, y: np.ndarray) -> float:
+    """Average precision, pooled per tie group, summed group by group."""
+    n_pos = int(np.sum(y))
+    if n_pos == 0:
+        raise DataError("PR-AUC undefined: no positives")
+    total = 0.0
+    cum_pos = 0
+    for j, group_pos in _desc_tie_groups(scores, y):
+        cum_pos += group_pos
+        total += cum_pos / (j + 1) * group_pos
+    return total / n_pos
+
+
+def roc_points_loop(scores: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    n_pos = int(np.sum(y))
+    n_neg = y.shape[0] - n_pos
+    fpr, tpr = [0.0], [0.0]
+    tp = fp = 0.0
+    i = 0
+    for j, group_pos in _desc_tie_groups(scores, y):
+        tp += group_pos
+        fp += (j - i + 1) - group_pos
+        fpr.append(fp / n_neg)
+        tpr.append(tp / n_pos)
+        i = j + 1
+    return np.array(fpr), np.array(tpr)
+
+
+def pr_points_loop(scores: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    n_pos = int(np.sum(y))
+    recall, precision = [0.0], [1.0]
+    cum_pos = 0.0
+    for j, group_pos in _desc_tie_groups(scores, y):
+        cum_pos += group_pos
+        recall.append(cum_pos / n_pos)
+        precision.append(cum_pos / (j + 1))
+    return np.array(recall), np.array(precision)
+
+
+def ece_loop(probs: np.ndarray, y: np.ndarray, n_bins: int = 10):
+    """(ECE, mean probability per bin, event rate per bin), bin by bin."""
+    n = probs.shape[0]
+    if n < n_bins:
+        raise DataError(f"ECE needs at least {n_bins} observations, got {n}")
+    order = np.argsort(probs, kind="stable")
+    base, extra = divmod(n, n_bins)
+    mean_prob = np.empty(n_bins)
+    event_rate = np.empty(n_bins)
+    start = 0
+    total = 0.0
+    for b in range(n_bins):
+        size = base + (1 if b < extra else 0)
+        idx = order[start : start + size]
+        start += size
+        mean_prob[b] = float(np.mean(probs[idx]))
+        event_rate[b] = float(np.mean(y[idx]))
+        total += size / n * abs(mean_prob[b] - event_rate[b])
+    return total, mean_prob, event_rate
+
+
+def bootstrap_deltas_loop(values_a, values_b, y, metric_fn, block_len: int, reps: int,
+                          seed: int) -> tuple[np.ndarray, int]:
+    """(deltas, redraws) of the moving-block bootstrap, one resample at a
+    time; ``metric_fn`` raising DataError marks an undefined resample."""
+    n = y.shape[0]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n_blocks = math.ceil(n / block_len)
+    deltas = np.empty(reps)
+    redraws = 0
+    r = 0
+    while r < reps:
+        starts = rng.integers(0, n - block_len + 1, size=n_blocks)
+        idx = np.concatenate([np.arange(s, s + block_len) for s in starts])[:n]
+        try:
+            deltas[r] = metric_fn(values_a[idx], y[idx]) - metric_fn(values_b[idx], y[idx])
+        except DataError:
+            redraws += 1
+            if redraws > reps // 2:
+                raise
+            continue
+        r += 1
+    return deltas, redraws

@@ -89,14 +89,14 @@ class TestWritePanelCsv:
     def panel(self):
         rng = np.random.default_rng(5)
         days = []
-        for k, n in enumerate([3, 7, 0, 7, 12]):
+        for k, n in enumerate([7, 7, 0, 7, 7]):
             vol = np.round(rng.lognormal(9.0, 1.0, n))
             vol[:k % 3] = np.nan
             ret = rng.normal(0.0, 0.02, n)
             ret[-1:] = -0.0
             days.append(dict(
                 ret=ret, prc=rng.uniform(1.0, 90.0, n) * np.where(rng.random(n) < 0.3, -1, 1),
-                vol=vol, shrout=np.full(n, np.nan) if k == 2 else np.round(rng.lognormal(8, 1, n)),
+                vol=vol, shrout=np.full(n, np.nan) if k == 3 else np.round(rng.lognormal(8, 1, n)),
                 share_ok=rng.random(n) < 0.8, exch_ok=rng.random(n) < 0.8,
             ))
         return DailyPanel(
@@ -125,10 +125,24 @@ class TestWritePanelCsv:
         assert got.dates == [d for i, d in enumerate(panel.dates)
                              if panel.starts[i + 1] > panel.starts[i]]
         assert got.starts.tolist() == sorted(set(panel.starts.tolist()))
-        assert summary.rows_kept == 29
+        assert summary.rows_kept == 28
         for name in FIELDS:
             a, b = getattr(got, name), getattr(panel, name)
             assert a.tobytes() == b.tobytes(), name
+
+    def test_days_of_different_sizes_rejected(self, tmp_path):
+        # B alone on the second day would be written as S0000 there and
+        # S0001 on the first day
+        src = tmp_path / "src.csv"
+        src.write_text(
+            "date,security_id,ret,prc,vol,shrout,shrcd_ok,exchcd_ok\n"
+            "2001-01-02,A,0.01,5.00,100,1000,1,1\n"
+            "2001-01-02,B,0.02,6.00,100,1000,1,1\n"
+            "2001-01-03,B,0.03,6.50,100,1000,1,1\n", encoding="utf-8")
+        panel, _ = load_daily_panel(str(src), EligibilityFilter())
+        with pytest.raises(DataError, match="2001-01-03 holds 1 rows, 2001-01-02 holds 2"):
+            write_panel_csv(tmp_path / "panel.csv", panel, "h")
+        assert not (tmp_path / "panel.csv").exists()
 
 
 class TestRoundTrips:

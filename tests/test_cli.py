@@ -38,12 +38,16 @@ SMALL_CONFIG = {
 }
 STAGES = ("simulate", "features", "label", "backtest", "evaluate",
           "bootstrap", "regress", "lp", "report")
-# sha256 of each artifact without its first (config hash) line
+# sha256 of each artifact without its config hash (see body_sha256)
 GOLDEN_BODIES = {
     "panel.csv": "386b9cc3b7820ed4c1b4bda38bd930db804792f05e43dfcf02dc08065bb8f0b8",
     "features.csv": "a4028b4f33345ef67f1f9ac1a4d1be4e3563bf24fafec62a065db89db8ecdd97",
     "labels.csv": "1d2495c7af86f4582530c579fe8a25aa3425d31b9c8a52eef764b4513017b0bf",
     "forecasts.csv": "4290182aaafdfe2c8a89456e0f81f7c3917b34e88eed732dba92db9d404c9805",
+    "metrics.json": "b1773fcbb55fd3281dd588654adfafaa6e5e7baf874dd60f3551ec3b78d3f0ce",
+    "curves.csv": "42e092e88b0c0be88ca93bfd3a01be1cacf577d0c9890d9f1d29cf8d70d1b621",
+    "bins.csv": "2e93a6cf63572a6bffbeeac25d5d8ba386b5de94a9b898bc2e92fad07093a8d6",
+    "bootstrap.json": "dacc759b390a2f11957415a68c372610d294e77124630f3010b47a75f52b0f60",
 }
 
 
@@ -54,7 +58,14 @@ def write_config(tmp_path, payload) -> str:
 
 
 def body_sha256(path) -> str:
-    body = path.read_bytes().split(b"\n", 1)[1]
+    """sha256 of an artifact without its config hash: a CSV file without its
+    first line, a JSON file re-serialized without its "config_hash" key."""
+    if path.suffix == ".json":
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        del payload["config_hash"]
+        body = json.dumps(payload, indent=2, sort_keys=True).encode("utf-8")
+    else:
+        body = path.read_bytes().split(b"\n", 1)[1]
     return hashlib.sha256(body).hexdigest()
 
 
@@ -162,6 +173,23 @@ def test_bootstrap_on_one_stress_month_exits_4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numeric error: block bootstrap: metric 'auc' undefined in more than 25")
     assert "Traceback" not in err
+
+
+def test_bootstrap_with_more_ece_bins_than_months_exits_3(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    fs = toy_forecasts(n=48, seed=4)
+    fs.models = ("l1", "l2")
+    fs.raw["l2"], fs.prob["l2"] = fs.raw["l1"] - 0.5, fs.prob["l1"] / 2.0
+    labels = LabelSeries(
+        months=fs.months, r_mkt=fs.r_mkt, sigma_mkt=fs.sigma_mkt, q_prev=np.full(48, 0.2),
+        s=np.zeros(48, dtype=np.int64), y_next=fs.y_next,
+    )
+    write_labels_csv(out / "labels.csv", labels, "h")
+    write_forecasts_csv(out / "forecasts.csv", fs, "h")
+    config = write_config(tmp_path, {"out_dir": str(out), "bootstrap_reps": 20, "ece_bins": 60})
+    assert main(["bootstrap", "--config", config]) == 3
+    assert capsys.readouterr().err == "data error: ECE needs at least 60 observations, got 48\n"
 
 
 # Four years of eight stocks: the shortest panel the default stress warm-up labels.

@@ -18,7 +18,16 @@ from mspi.evaluation import (
     roc_points,
 )
 
-from .oracles import pairwise_auc, trapezoid_auc
+from .oracles import (
+    auc_loop,
+    bootstrap_deltas_loop,
+    ece_loop,
+    pairwise_auc,
+    pr_auc_loop,
+    pr_points_loop,
+    roc_points_loop,
+    trapezoid_auc,
+)
 
 
 class TestAuc:
@@ -261,3 +270,131 @@ class TestComputeMetrics:
             assert 0.0 <= m.pr_auc <= 1.0
             assert m.log_loss >= 0.0
             assert 0.0 <= m.ece <= 1.0
+
+
+def tied_case(rng, n):
+    """Scores on a grid of a few values (heavy ties), probabilities with
+    repeats, and outcomes with both classes."""
+    levels = int(rng.integers(1, 6))
+    scores = np.round(rng.random(n) * levels) / levels - 0.5
+    probs = np.round(rng.random(n), int(rng.integers(1, 3)))
+    y = (rng.random(n) < rng.uniform(0.1, 0.6)).astype(float)
+    y[:2] = (0.0, 1.0)
+    return scores, probs, y
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+class TestMetricsMatchLoops:
+    """The row kernels against the per-tie-group and per-bin loops."""
+
+    def test_heavy_ties(self):
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            n = int(rng.integers(10, 300))
+            scores, probs, y = tied_case(rng, n)
+            assert same_bits(auc(scores, y), auc_loop(scores, y))
+            assert same_bits(pr_auc(scores, y), pr_auc_loop(scores, y))
+            for got, want in zip(roc_points(scores, y), roc_points_loop(scores, y)):
+                assert same_bits(got, want)
+            for got, want in zip(pr_points(scores, y), pr_points_loop(scores, y)):
+                assert same_bits(got, want)
+            n_bins = int(rng.integers(1, 11))
+            value, curve = ece(probs, y, n_bins)
+            want_value, want_mean, want_rate = ece_loop(probs, y, n_bins)
+            assert same_bits(value, want_value)
+            assert same_bits(curve.mean_prob, want_mean)
+            assert same_bits(curve.event_rate, want_rate)
+            assert same_bits(brier(probs, y), np.mean((probs - y) ** 2))
+
+    def test_all_tied_scores(self):
+        y = np.array([1.0, 0.0, 0.0, 1.0, 0.0])
+        scores = np.full(5, 0.25)
+        assert auc(scores, y) == auc_loop(scores, y) == 0.5
+        assert pr_auc(scores, y) == pr_auc_loop(scores, y) == 0.4
+
+
+class TestBootstrapMatchesLoop:
+    """block_bootstrap_diff against one resample at a time."""
+
+    LOOP_METRICS = {
+        "auc": auc_loop,
+        "pr_auc": pr_auc_loop,
+        "brier": lambda p, y: float(np.mean((p - y) ** 2)),
+        "log_loss": log_loss,
+    }
+
+    def expected(self, a, b, y, metric, block_len, reps, seed, ece_bins=10):
+        fn = (self.LOOP_METRICS[metric] if metric != "ece"
+              else lambda p, yy: ece_loop(p, yy, ece_bins)[0])
+        deltas, redraws = bootstrap_deltas_loop(a, b, y, fn, block_len, reps, seed)
+        frac_le = float(np.mean(deltas <= 0.0))
+        frac_ge = float(np.mean(deltas >= 0.0))
+        lo, hi = np.quantile(deltas, [0.025, 0.975], method="linear")
+        return (float(np.mean(deltas)), float(lo), float(hi),
+                min(2.0 * min(frac_le, frac_ge), 1.0), redraws)
+
+    @staticmethod
+    def summary(res):
+        return (res.delta, res.ci_lo, res.ci_hi, res.p_value, res.redraws)
+
+    def test_every_metric_with_ties(self):
+        rng = np.random.default_rng(31)
+        n = 150
+        y = (rng.random(n) < 0.3).astype(float)
+        a = np.round(np.clip(0.3 + 0.4 * y - 0.3 * rng.random(n), 0.01, 0.99), 2)
+        b = np.round(rng.random(n), 1)
+        for metric in ("auc", "pr_auc", "brier", "log_loss", "ece"):
+            res = block_bootstrap_diff(a, b, y, metric, block_len=12, reps=300, seed=3)
+            want = self.expected(a, b, y, metric, 12, 300, 3)
+            assert same_bits(self.summary(res), want), metric
+
+    def test_redraws_match(self):
+        # three positives in 120 months: many 12-month-block resamples miss them
+        rng = np.random.default_rng(41)
+        y = np.zeros(120)
+        y[[10, 55, 100]] = 1.0
+        a, b = rng.random(120), np.round(rng.random(120), 1)
+        for metric in ("auc", "pr_auc"):
+            res = block_bootstrap_diff(a, b, y, metric, block_len=12, reps=200, seed=7)
+            want = self.expected(a, b, y, metric, 12, 200, 7)
+            assert res.redraws > 0
+            assert same_bits(self.summary(res), want), metric
+
+    def test_abort_matches(self):
+        rng = np.random.default_rng(8)
+        y = np.zeros(120)
+        y[0] = 1.0
+        a, b = rng.random(120), rng.random(120)
+        with pytest.raises(DataError):
+            bootstrap_deltas_loop(a, b, y, auc_loop, 12, 100, 3)
+        with pytest.raises(NumericError, match="more than 50 resamples"):
+            block_bootstrap_diff(a, b, y, "auc", block_len=12, reps=100, seed=3)
+
+    def test_ece_bins_threaded(self):
+        rng = np.random.default_rng(51)
+        y = (rng.random(90) < 0.3).astype(float)
+        a, b = rng.random(90), rng.random(90)
+        res = block_bootstrap_diff(a, b, y, "ece", block_len=6, reps=100, seed=2, ece_bins=4)
+        assert same_bits(self.summary(res), self.expected(a, b, y, "ece", 6, 100, 2, 4))
+        default = block_bootstrap_diff(a, b, y, "ece", block_len=6, reps=100, seed=2)
+        assert res.delta != default.delta
+
+    def test_too_few_months_for_ece_bins(self):
+        rng = np.random.default_rng(52)
+        y = (rng.random(30) < 0.5).astype(float)
+        with pytest.raises(DataError, match="ECE needs at least 40 observations, got 30"):
+            block_bootstrap_diff(rng.random(30), rng.random(30), y, "ece", block_len=6,
+                                 reps=10, ece_bins=40)
+
+    def test_table_uses_ece_bins(self, small_forecasts):
+        rows = bootstrap_table(small_forecasts, metrics=("ece",), reps=40, seed=4, ece_bins=5)
+        mask = small_forecasts.observed_mask()
+        y = small_forecasts.y_next[mask]
+        for r in rows:
+            res = block_bootstrap_diff(small_forecasts.prob[r.model][mask],
+                                       small_forecasts.prob["l2"][mask], y, "ece",
+                                       reps=40, seed=4, ece_bins=5)
+            assert r.delta == res.delta

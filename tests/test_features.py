@@ -8,12 +8,16 @@ import pytest
 
 from mspi.errors import DataError
 from mspi.features import (
+    _BLOCK_ROWS,
     FEATURE_NAMES,
     TailThreshold,
+    _segment_means,
     aggregate_monthly,
     compute_daily_stats,
 )
 from mspi.panel import DailyPanel, MarketSeries, partition_months
+
+from .oracles import daily_stats_per_day, monthly_means_per_month
 
 TAU = TailThreshold()
 PANEL_FIELDS = ("ret", "prc", "vol", "shrout", "share_ok", "exch_ok")
@@ -171,3 +175,103 @@ class TestAggregateMonthly:
     def test_all_degenerate_month_errors(self):
         with pytest.raises(DataError, match="xs_skew.*2001-01"):
             self.monthly([make_day([0.01, 0.01])], [DAY])
+
+
+def ragged_panel(seed: int, lengths: list[int], dates=None) -> DailyPanel:
+    """Days of the given sizes with fat-tailed returns, blank volumes, zero
+    and blank shares outstanding and negative prices; day 1 has no volume at
+    all and day 2 no dispersion. Days are consecutive calendar days unless
+    ``dates`` is given."""
+    rng = np.random.default_rng(seed)
+    days = []
+    for i, n in enumerate(lengths):
+        ret = rng.standard_t(4, n) * 0.02
+        vol = np.exp(rng.normal(10.0, 1.0, n))
+        vol[rng.random(n) < 0.05] = math.nan
+        shrout = np.round(np.exp(rng.normal(9.0, 1.0, n)))
+        shrout[rng.random(n) < 0.03] = 0.0
+        shrout[rng.random(n) < 0.03] = math.nan
+        prc = rng.normal(30.0, 10.0, n)
+        if i == 1:
+            vol[:] = math.nan
+        if i == 2:
+            ret[:] = 0.0125
+        days.append(make_day(ret, vol=vol, shrout=shrout, prc=prc))
+    if dates is None:
+        dates = [dt.date(2001, 1, 1) + dt.timedelta(days=i) for i in range(len(lengths))]
+    return make_panel(days, dates)
+
+
+class TestBatchedDailyStats:
+    """The batched kernels against one np.mean per day and per month."""
+
+    def assert_matches_per_day(self, panel):
+        stats = compute_daily_stats(panel, TAU)
+        expected = daily_stats_per_day(panel, TAU.tau)
+        for f, want in zip(fields(stats), expected):
+            got = getattr(stats, f.name)
+            assert got.dtype == want.dtype, f.name
+            assert got.tobytes() == want.tobytes(), f.name
+        return stats
+
+    def test_ragged_days_bit_identical(self):
+        # lengths around NumPy's pairwise-sum block of 128, repeated both
+        # adjacently (reshape views) and apart (gathers)
+        lengths = [5, 3, 4, 1, 2, 7, 8, 9, 127, 128, 129, 130, 300, 300, 128, 700, 9,
+                   300, 1, 1, 129, 257, 511, 512, 513, 700, 700, 64, 5]
+        rng = np.random.default_rng(11)
+        lengths += rng.integers(1, 701, size=60).tolist()
+        stats = self.assert_matches_per_day(ragged_panel(1, lengths))
+        assert np.isnan(stats.mean_log_vol[1]) and np.isnan(stats.mean_turnover[1])
+        assert stats.degenerate[2] and not stats.degenerate[[0, 1]].any()
+
+    def test_day_longer_than_a_block(self):
+        self.assert_matches_per_day(ragged_panel(2, [40, _BLOCK_ROWS + 77, 3, 41, 129]))
+
+    def test_uniform_days_in_many_blocks(self):
+        self.assert_matches_per_day(ragged_panel(3, [500] * 40))
+
+    def test_monthly_means_bit_identical(self):
+        rng = np.random.default_rng(5)
+        # 2-6 trading days a month, every seventh month a single day
+        dates = []
+        for m in range(40):
+            k = 1 if m % 7 == 3 else int(rng.integers(2, 7))
+            dates += [dt.date(2001 + m // 12, 1 + m % 12, d + 1) for d in range(k)]
+        panel = ragged_panel(4, rng.integers(2, 400, size=len(dates)).tolist(), dates)
+        stats = compute_daily_stats(panel, TAU)
+        market = MarketSeries(dates=panel.dates, mkt_ret=np.zeros(len(panel.dates)))
+        partition = partition_months(panel.dates, market)
+        fm = aggregate_monthly(stats, partition)
+        want = monthly_means_per_month(stats, partition, FEATURE_NAMES)
+        assert fm.values.tobytes() == want.tobytes()
+
+    def test_segment_means_on_random_segments(self):
+        rng = np.random.default_rng(9)
+        lengths = rng.integers(0, 701, size=2000)
+        starts = np.concatenate(([0], np.cumsum(lengths)))
+        values = rng.standard_normal(int(starts[-1])) * 1e3 + 0.1
+        got = _segment_means(values, starts)
+        want = np.array([np.mean(values[a:b]) if b > a else math.nan
+                         for a, b in zip(starts[:-1], starts[1:])])
+        assert got.tobytes() == want.tobytes()
+        flags = values > 0.0
+        got = _segment_means(flags, starts)
+        want = np.array([np.mean(flags[a:b]) if b > a else math.nan
+                         for a, b in zip(starts[:-1], starts[1:])])
+        assert got.tobytes() == want.tobytes()
+
+    def test_first_empty_day_named(self):
+        panel = ragged_panel(6, [3, 0, 4, 0])
+        with pytest.raises(DataError, match="2001-01-02: empty cross section"):
+            compute_daily_stats(panel, TAU)
+
+    def test_month_without_usable_days_named(self):
+        d1, d2, d3 = dt.date(2001, 1, 2), dt.date(2001, 2, 1), dt.date(2001, 2, 2)
+        days = [make_day([0.01, -0.02]), make_day([0.01, 0.03], vol=[math.nan, math.nan]),
+                make_day([0.02, -0.01], vol=[math.nan, math.nan])]
+        panel = make_panel(days, [d1, d2, d3])
+        market = MarketSeries(dates=panel.dates, mkt_ret=np.zeros(3))
+        with pytest.raises(DataError, match="'mean_log_vol' has no usable days in month 2001-02"):
+            aggregate_monthly(compute_daily_stats(panel, TAU),
+                              partition_months(panel.dates, market))
