@@ -9,6 +9,16 @@ fixed. Random streams are keyed on (master seed, model, absolute month), so
 forecasts for a given month are bit-identical whether or not later data
 exist in the input.
 
+Forward-chaining CV and the l1/l2 forecast chains run serially in the
+calling process: each l1/l2 month warm-starts from the month before. The rf
+and gb months depend on no other month, so they are split across forked
+processes, one per CPU this process may run on (at most one per month).
+Worker w of W takes the forecast months j with j mod W = w; the caller is
+worker 0 and runs its share after the chains. A month's fit is the same
+computation on the same data with the same random stream in whichever
+process runs it, and the results are put back by (month, model), so the
+forecasts and the order of the fallback warnings do not depend on W.
+
 Model lineup:
 
     l1  lasso-logit on the 10 fragility signals (the index itself)
@@ -21,11 +31,15 @@ from __future__ import annotations
 
 import logging
 import math
+import os
+import pickle
+import signal
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, MspiError, NumericError
 from .features import FeatureMatrix
 from .labels import LabelSeries
 from .learners import (
@@ -480,6 +494,80 @@ def _model_matrix(name: str, features_rows: np.ndarray, labels: LabelSeries) -> 
     return features_rows
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _serve_share(k: int, run_share, read_fd: int, write_fd: int):
+    """A forked worker: run share k, send its result (or the exception it
+    raised) to the parent through the pipe, and exit without returning."""
+    status = 1
+    try:
+        os.close(read_fd)
+        try:
+            result = ("ok", run_share(k))
+        except Exception as exc:
+            result = ("error", exc)
+        with open(write_fd, "wb") as pipe:
+            pickle.dump(result, pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_shares(workers: int, run_share, parent_work) -> tuple[object, list]:
+    """``parent_work()`` and ``run_share(k)`` for k = 0..workers-1.
+
+    Shares 1..workers-1 run in forked children, started before the parent
+    does ``parent_work`` and share 0. Returns (parent_work's result, the
+    shares' results in share order). A share's exception is raised again
+    here; a child that exits without a result raises ``MspiError``. Whatever
+    fails, no child outlives the call: unreaped children are killed and
+    reaped before the error propagates.
+    """
+    children = []  # (k, pid, read end of its pipe), unreaped
+    try:
+        for k in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError as exc:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise MspiError(f"cannot start forecast worker {k}: {exc}") from None
+            if pid == 0:
+                _serve_share(k, run_share, read_fd, write_fd)
+            os.close(write_fd)
+            children.append((k, pid, open(read_fd, "rb")))
+        first = parent_work()
+        shares = [run_share(0)]
+        while children:
+            k, pid, pipe = children[0]
+            payload = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            pipe.close()
+            if status != 0:
+                code = os.waitstatus_to_exitcode(status)
+                how = f"exit status {code}" if code >= 0 else f"signal {-code}"
+                raise MspiError(f"forecast worker {k} (pid {pid}) ended with {how} "
+                                "without sending its forecasts")
+            kind, value = pickle.loads(payload)
+            if kind == "error":
+                raise value
+            shares.append(value)
+        return first, shares
+    finally:
+        for _, pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def run_expanding_backtest(
     features: FeatureMatrix,
     labels: LabelSeries,
@@ -519,45 +607,77 @@ def run_expanding_backtest(
         cv_info[name] = info
         logger.info("%s: selected %s", name, info["selected"])
 
-    # Forecast months run in order; penalized solvers warm-start from the
-    # previous month's solution (one extra training row rarely moves the
-    # optimum far). The chain always begins at the first forecast month, so
-    # truncated inputs reproduce the full run's prefix bit for bit.
+    n_forecasts = n_months - w
     forecast_idx = list(range(w, n_months))
-    warnings: list[str] = []
-    raw = {name: np.empty(len(forecast_idx)) for name in config.models}
-    prob = {name: np.empty(len(forecast_idx)) for name in config.models}
-    chain: dict[str, tuple | None] = {name: None for name in config.models}
-    for j, i in enumerate(forecast_idx):
-        for name in config.models:
-            adapter = ADAPTERS[name]
-            seed = np.random.SeedSequence(
-                [config.seed, _MODEL_CODES[name], month_ordinal(months[i])]
-            )
-            X = x_by_model[name]
-            try:
-                fitted = fit_window(
-                    adapter, X[:i], y_pairs[:i], selected[name], seed,
-                    config.calibration_fraction, config.calibration_min_months,
-                    init=chain[name] if adapter.supports_warm_start else None,
-                )
-            except NumericError as exc:
-                fitted = WindowFit(
-                    adapter, None, laplace_base_rate(y_pairs[:i], 0, "none", 0.0), None, True
-                )
-                msg = f"{months[i]} {name}: {exc}; base-rate fallback used"
-                warnings.append(msg)
-                logger.warning("%s", msg)
-            if adapter.supports_warm_start:
-                chain[name] = (
-                    None if fitted.fallback
-                    else (fitted.model.intercept, fitted.model.coef, fitted.params.kept)
-                )
-            raw[name][j], prob[name][j] = fitted.predict_one(X[i])
 
-    y_next = np.full(len(forecast_idx), np.nan)
-    next_vol = np.full(len(forecast_idx), np.nan)
-    next_ret = np.full(len(forecast_idx), np.nan)
+    def forecast(name: str, j: int, init=None) -> tuple[WindowFit, tuple]:
+        """Fit and score forecast month j of one model: (fit, cell), where a
+        cell is (j, model, raw score, probability, fallback message or None)."""
+        i = w + j
+        adapter = ADAPTERS[name]
+        seed = np.random.SeedSequence([config.seed, _MODEL_CODES[name], month_ordinal(months[i])])
+        X = x_by_model[name]
+        msg = None
+        try:
+            fitted = fit_window(
+                adapter, X[:i], y_pairs[:i], selected[name], seed,
+                config.calibration_fraction, config.calibration_min_months, init=init,
+            )
+        except NumericError as exc:
+            fitted = WindowFit(
+                adapter, None, laplace_base_rate(y_pairs[:i], 0, "none", 0.0), None, True
+            )
+            msg = f"{months[i]} {name}: {exc}; base-rate fallback used"
+        return fitted, (j, name, *fitted.predict_one(X[i]), msg)
+
+    # Penalized solvers warm-start from the previous month's solution (one
+    # extra training row rarely moves the optimum far). A chain always begins
+    # at the first forecast month, so truncated inputs reproduce the full
+    # run's prefix bit for bit.
+    def run_chains() -> list[tuple]:
+        cells = []
+        for name in config.models:
+            if not ADAPTERS[name].supports_warm_start:
+                continue
+            init = None
+            for j in range(n_forecasts):
+                fitted, cell = forecast(name, j, init)
+                init = (None if fitted.fallback
+                        else (fitted.model.intercept, fitted.model.coef, fitted.params.kept))
+                cells.append(cell)
+        return cells
+
+    free = [name for name in config.models if not ADAPTERS[name].supports_warm_start]
+    workers = min(_cpu_count(), n_forecasts) if free and hasattr(os, "fork") else 1
+
+    def run_share(k: int) -> tuple[list[tuple], float]:
+        start = time.perf_counter()
+        cells = [forecast(name, j)[1] for j in range(k, n_forecasts, workers) for name in free]
+        return cells, time.perf_counter() - start
+
+    cells, shares = _run_shares(workers, run_share, run_chains)
+    if free:
+        logger.info("forecast loop: %d months of %s on %d process(es)",
+                    n_forecasts, ", ".join(free), workers)
+        for k, (_, wall) in enumerate(shares):
+            logger.debug("forecast share %d: %d months of %s in %.2f s",
+                         k, len(range(k, n_forecasts, workers)), ", ".join(free), wall)
+    cells += [cell for share_cells, _ in shares for cell in share_cells]
+
+    position = {name: m for m, name in enumerate(config.models)}
+    cells.sort(key=lambda cell: (cell[0], position[cell[1]]))
+    warnings: list[str] = []
+    raw = {name: np.empty(n_forecasts) for name in config.models}
+    prob = {name: np.empty(n_forecasts) for name in config.models}
+    for j, name, raw_j, prob_j, msg in cells:
+        raw[name][j], prob[name][j] = raw_j, prob_j
+        if msg is not None:
+            warnings.append(msg)
+            logger.warning("%s", msg)
+
+    y_next = np.full(n_forecasts, np.nan)
+    next_vol = np.full(n_forecasts, np.nan)
+    next_ret = np.full(n_forecasts, np.nan)
     for j, i in enumerate(forecast_idx):
         if i + 1 < n_months:
             y_next[j] = s[i + 1]

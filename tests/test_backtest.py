@@ -1,8 +1,14 @@
+import logging
+import os
+import re
+
 import numpy as np
 import pytest
 
+from mspi import backtest
 from mspi.backtest import (
     ADAPTERS,
+    MODEL_NAMES,
     BacktestConfig,
     ForecastSeries,
     _log_loss,
@@ -15,6 +21,16 @@ from mspi.errors import ConfigError, DataError
 from mspi.features import FEATURE_NAMES, FeatureMatrix
 from mspi.labels import LabelSeries
 from mspi.learners import GradientBoostingParams
+
+
+def set_cpus(monkeypatch, n):
+    """Make the backtest see ``n`` CPUs, so it forks min(n, months) - 1 workers."""
+    monkeypatch.setattr(backtest, "_cpu_count", lambda: n)
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def synthetic_labels(n, rng, event_rate=0.2):
@@ -178,25 +194,27 @@ class TestRunExpandingBacktest:
         assert np.array_equal(fs.y_next[:-1], labels.s[121:].astype(float))
         assert np.array_equal(fs.next_vol[:-1], labels.sigma_mkt[121:])
 
-    def test_no_lookahead_prefix_equality(self):
+    def test_no_lookahead_prefix_equality(self, monkeypatch):
         features, labels = self.make_inputs(n_months=160, seed=4)
         config = self.config(models=("l1", "l2", "rf", "gb"), rf_trees=15,
                              gb_stage_grid=(10, 20))
-        full = run_expanding_backtest(features, labels, config)
-        for cut in (125, 140, 152):
-            f2 = FeatureMatrix(months=features.months[:cut], values=features.values[:cut])
-            l2 = LabelSeries(
-                months=labels.months[:cut], r_mkt=labels.r_mkt[:cut],
-                sigma_mkt=labels.sigma_mkt[:cut], q_prev=labels.q_prev[:cut],
-                s=labels.s[:cut],
-                y_next=np.concatenate([labels.s[1:cut].astype(float), [np.nan]]),
-            )
-            part = run_expanding_backtest(f2, l2, config)
-            k = len(part.months)
-            assert part.months == full.months[:k]
-            for name in config.models:
-                assert np.array_equal(part.raw[name], full.raw[name][:k])
-                assert np.array_equal(part.prob[name], full.prob[name][:k])
+        for cpus in (1, 2):  # in process, and with the rf/gb months forked
+            set_cpus(monkeypatch, cpus)
+            full = run_expanding_backtest(features, labels, config)
+            for cut in (125, 140, 152):
+                f2 = FeatureMatrix(months=features.months[:cut], values=features.values[:cut])
+                l2 = LabelSeries(
+                    months=labels.months[:cut], r_mkt=labels.r_mkt[:cut],
+                    sigma_mkt=labels.sigma_mkt[:cut], q_prev=labels.q_prev[:cut],
+                    s=labels.s[:cut],
+                    y_next=np.concatenate([labels.s[1:cut].astype(float), [np.nan]]),
+                )
+                part = run_expanding_backtest(f2, l2, config)
+                k = len(part.months)
+                assert part.months == full.months[:k]
+                for name in config.models:
+                    assert np.array_equal(part.raw[name], full.raw[name][:k])
+                    assert np.array_equal(part.prob[name], full.prob[name][:k])
 
     def test_determinism_same_config(self):
         features, labels = self.make_inputs(n_months=140, seed=2)
@@ -233,3 +251,50 @@ class TestRunExpandingBacktest:
     def test_month_ordinal(self):
         assert month_ordinal("2001-01") == 2001 * 12
         assert month_ordinal("2001-12") - month_ordinal("2001-01") == 11
+
+
+class TestForecastWorkers:
+    """The rf and gb forecast months split across forked processes."""
+
+    def test_every_worker_count_gives_the_same_run(self, monkeypatch, caplog):
+        rng = np.random.default_rng(6)
+        labels = synthetic_labels(124, rng)
+        features = synthetic_features(labels, rng, signal=2.0)
+        config = BacktestConfig(models=MODEL_NAMES, l1_grid=(0.01, 0.1), l2_grid=(0.01, 0.1),
+                                rf_trees=8, gb_stage_grid=(5, 10), seed=3)
+        with monkeypatch.context() as m:
+            m.delattr(os, "fork")  # a platform without fork runs every share here
+            set_cpus(m, 16)
+            ref = run_expanding_backtest(features, labels, config)
+        # 4 forecast months: 16 CPUs still give 4 processes, one month each
+        for cpus, workers in ((1, 1), (2, 2), (3, 3), (16, 4)):
+            set_cpus(monkeypatch, cpus)
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="mspi.backtest"):
+                fs = run_expanding_backtest(features, labels, config)
+            assert_no_children()
+            for name in MODEL_NAMES:
+                assert fs.raw[name].tobytes() == ref.raw[name].tobytes()
+                assert fs.prob[name].tobytes() == ref.prob[name].tobytes()
+            assert (fs.selected, fs.cv, fs.warnings) == (ref.selected, ref.cv, ref.warnings)
+            messages = [r.getMessage() for r in caplog.records]
+            assert f"forecast loop: 4 months of rf, gb on {workers} process(es)" in messages
+            share = re.compile(r"forecast share (\d+): (\d+) months of rf, gb in [\d.]+ s")
+            shares = [(int(m[1]), int(m[2])) for m in map(share.fullmatch, messages) if m]
+            assert shares == [(k, len(range(k, 4, workers))) for k in range(workers)]
+
+    def test_chains_alone_fork_nothing(self, monkeypatch, caplog):
+        rng = np.random.default_rng(6)
+        labels = synthetic_labels(124, rng)
+        features = synthetic_features(labels, rng)
+
+        def no_fork():
+            raise AssertionError("l1 and l2 months must run in the calling process")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        set_cpus(monkeypatch, 4)
+        with caplog.at_level(logging.DEBUG, logger="mspi.backtest"):
+            fs = run_expanding_backtest(features, labels, BacktestConfig(
+                models=("l1", "l2"), l1_grid=(0.1,), l2_grid=(0.1,)))
+        assert len(fs.months) == 4
+        assert not [r for r in caplog.records if r.getMessage().startswith("forecast ")]

@@ -1,11 +1,15 @@
 import datetime as dt
 import hashlib
 import json
+import logging
+import os
 import re
+import time
 
 import numpy as np
 import pytest
 
+from mspi import backtest
 from mspi.artifacts import (
     read_calendar,
     write_calendar_csv,
@@ -15,11 +19,13 @@ from mspi.artifacts import (
 )
 from mspi.cli import main
 from mspi.config import PipelineConfig
+from mspi.errors import DataError, NumericError
 from mspi.features import FeatureMatrix
 from mspi.labels import LabelSeries, build_market_monthly, label_stress
 from mspi.panel import load_daily_panel, load_market_series, partition_months
 
 from .conftest import SMALL_SIM
+from .test_backtest import assert_no_children, set_cpus, synthetic_features, synthetic_labels
 from .test_econometrics import toy_forecasts
 
 # The small simulated panel of conftest.py run through every stage, with a
@@ -270,3 +276,135 @@ def test_missing_calendar_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"data error: missing upstream artifact: {out / 'calendar.csv'} "
         "(run the producing stage first)\n")
+
+
+# A backtest of all four models, small enough for a test: the default
+# 120-month initial window, then one forecast month per labeled month after it.
+SMALL_BACKTEST = {"l1_grid": [0.01, 0.1], "l2_grid": [0.01, 0.1], "rf_trees": 5,
+                  "gb_stage_grid": [5, 10]}
+
+
+def write_backtest_inputs(tmp_path, n_months, **config):
+    """features.csv and labels.csv of ``n_months`` synthetic months; the config path."""
+    out = tmp_path / "out"
+    out.mkdir()
+    rng = np.random.default_rng(8)
+    labels = synthetic_labels(n_months, rng)
+    write_features_csv(out / "features.csv", synthetic_features(labels, rng, signal=2.0), "h")
+    write_labels_csv(out / "labels.csv", labels, "h")
+    return write_config(tmp_path, {**SMALL_BACKTEST, **config, "out_dir": str(out)})
+
+
+def in_worker(parent_pid, action, otherwise):
+    """A stand-in for ``mspi.backtest.calibrate_many`` that runs ``action`` in
+    a forked worker and the real function in the parent; the forecast loop
+    calls it outside the fit, so what ``action`` raises is not a fallback."""
+    def calibrate_many(cmap, raw):
+        if os.getpid() != parent_pid:
+            action()
+        return otherwise(cmap, raw)
+    return calibrate_many
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (DataError("month 2010-02 has no rows"), 3, "data error"),
+    (NumericError("scores overflowed"), 4, "numeric error"),
+], ids=["data_error", "numeric_error"])
+def test_worker_error_exits_with_its_code(tmp_path, capsys, monkeypatch, error, code, prefix):
+    config = write_backtest_inputs(tmp_path, 124)
+
+    def fail():
+        raise error
+
+    monkeypatch.setattr(backtest, "calibrate_many",
+                        in_worker(os.getpid(), fail, backtest.calibrate_many))
+    set_cpus(monkeypatch, 2)
+    assert main(["backtest", "--config", config]) == code
+    assert capsys.readouterr().err == f"{prefix}: {error}\n"
+    assert_no_children()
+
+
+def test_worker_that_exits_without_result_exits_1(tmp_path, capsys, monkeypatch):
+    config = write_backtest_inputs(tmp_path, 124)
+    monkeypatch.setattr(backtest, "calibrate_many",
+                        in_worker(os.getpid(), lambda: os._exit(9), backtest.calibrate_many))
+    set_cpus(monkeypatch, 3)
+    assert main(["backtest", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: forecast worker 1 \(pid \d+\) ended with exit status 9 "
+                        r"without sending its forecasts\n", err), err
+    assert_no_children()
+
+
+def test_failed_fork_exits_1(tmp_path, capsys, monkeypatch):
+    config = write_backtest_inputs(tmp_path, 124)
+    real_fork = os.fork
+    forks = []
+
+    def fork():
+        if forks:  # the second worker cannot be started
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        forks.append(real_fork())
+        return forks[-1]
+
+    monkeypatch.setattr(os, "fork", fork)
+    set_cpus(monkeypatch, 3)
+    assert main(["backtest", "--config", config]) == 1
+    assert capsys.readouterr().err == (
+        "error: cannot start forecast worker 2: [Errno 11] Resource temporarily unavailable\n")
+    assert_no_children()
+
+
+def test_parent_share_error_kills_workers(tmp_path, capsys, monkeypatch):
+    # Without gb no CV calls calibrate_many: its first call is in the parent's share.
+    config = write_backtest_inputs(tmp_path, 124, models=["l1", "l2", "rf"])
+    started = tmp_path / "worker-started"
+
+    def hang():
+        started.touch()
+        time.sleep(60)
+
+    def fail(cmap, raw):
+        deadline = time.monotonic() + 20
+        while not started.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        raise DataError("parent share failed")
+
+    monkeypatch.setattr(backtest, "calibrate_many", in_worker(os.getpid(), hang, fail))
+    set_cpus(monkeypatch, 2)
+    start = time.monotonic()
+    assert main(["backtest", "--config", config]) == 3
+    assert time.monotonic() - start < 30
+    assert started.exists()
+    assert capsys.readouterr().err == "data error: parent share failed\n"
+    assert_no_children()
+
+
+def test_fallback_warnings_keep_month_model_order(tmp_path, monkeypatch, caplog):
+    config = write_backtest_inputs(tmp_path, 128)
+    out = tmp_path / "out"
+    real_fit_platt = backtest.fit_platt
+
+    def fit_platt(scores, y):
+        # 25 calibration months: forecast months 1-5, shared by both processes at W = 2
+        if len(scores) == 25:
+            raise NumericError("Platt solve failed")
+        return real_fit_platt(scores, y)
+
+    monkeypatch.setattr(backtest, "fit_platt", fit_platt)
+    runs = []
+    for cpus in (1, 2):
+        set_cpus(monkeypatch, cpus)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="mspi.backtest"):
+            assert main(["--log-level", "WARNING", "backtest", "--config", config]) == 0
+        assert_no_children()
+        runs.append(([r.getMessage() for r in caplog.records],
+                     (out / "provenance.json").read_bytes(),
+                     (out / "forecasts.csv").read_bytes()))
+    assert runs[0] == runs[1]
+    logged, provenance, _ = runs[0]
+    assert json.loads(provenance)["warnings"] == logged
+    months = [f"{2000 + i // 12:04d}-{i % 12 + 1:02d}" for i in range(121, 126)]
+    assert logged == [f"{month} {name}: Platt solve failed; base-rate fallback used"
+                      for month in months for name in ("rf", "gb")]
