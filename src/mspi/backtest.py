@@ -19,12 +19,18 @@ computation on the same data with the same random stream in whichever
 process runs it, and the results are put back by (month, model), so the
 forecasts and the order of the fallback warnings do not depend on W.
 
-Model lineup:
+Model lineup, one ``Learner`` record each in ``LEARNERS``:
 
     l1  lasso-logit on the 10 fragility signals (the index itself)
     l2  ridge-logit on lagged market return and realized volatility
     rf  random forest on the fragility signals, Platt-calibrated
     gb  gradient-boosted trees on the fragility signals, Platt-calibrated
+
+A record holds how its model is fitted, scored and tuned, and the facts
+the protocol branches on: calibrated, warm-started, reads the market
+features, raw scores are log-odds. Without a Platt map a score becomes a
+probability through the clipped sigmoid, or is only clipped when it is
+already a frequency (rf).
 """
 
 from __future__ import annotations
@@ -35,7 +41,8 @@ import os
 import pickle
 import signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -127,129 +134,85 @@ def month_ordinal(month: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Model adapters: one uniform fit/score surface per model name.
+# The learner table: how the protocol fits, scores and tunes each model.
 
-class _Adapter:
+@dataclass(frozen=True)
+class Learner:
+    """One model as the protocol sees it.
+
+    ``fit(Xz, y, hyper, seed_seq, init)`` returns a fitted model, where
+    ``init`` is an (intercept, coef) warm start or None; ``score(model,
+    Xz)`` gives its raw scores. ``grid(config)`` lists the CV candidates,
+    ``key(hyper)`` orders them (earlier entries win exact ties: stronger
+    regularization or a smaller model) and ``describe(hyper)`` records one
+    in the provenance. ``restrict(model, hyper)``, set only for a nested
+    grid, reads a smaller entry's fit off a larger entry's fit.
+
+    The learner functions are named inside lambdas, so they are looked up
+    in this module when called, not when the table is built: a patched
+    module attribute (a tracer's wrapper, a test's stub) takes effect.
+    """
+
     name: str
-    uses_market_features = False
-    needs_calibration = False
-    supports_warm_start = False
-    # Every grid entry's fit is read off the fit of the largest (``restrict``).
-    nested_grid = False
-
-    def grid(self, config: BacktestConfig) -> list:
-        raise NotImplementedError
-
-    def preference_key(self, hyper):
-        """Sort key; earlier entries win ties (stronger regularization first)."""
-        raise NotImplementedError
-
-    def hyper_dict(self, hyper) -> dict:
-        raise NotImplementedError
-
-    def fit(self, Xz, y, hyper, seed_seq, init=None):
-        raise NotImplementedError
-
-    def raw_scores(self, model, Xz) -> np.ndarray:
-        raise NotImplementedError
-
-    def restrict(self, model, hyper):
-        """The fit for ``hyper`` from a fit for a larger entry of a nested grid."""
-        raise NotImplementedError
-
-    def default_probs(self, raw: np.ndarray) -> np.ndarray:
-        """Score-to-probability map used when no calibration segment exists."""
-        return np.clip(raw, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    fit: Callable
+    score: Callable
+    grid: Callable
+    key: Callable
+    describe: Callable
+    calibrated: bool = False       # Platt-map the scores on a held-out segment
+    warm_started: bool = False     # each forecast month starts from the last
+    market_features: bool = False  # lagged market return and volatility
+    log_odds: bool = True          # raw scores are log-odds, not frequencies
+    restrict: Callable | None = None
 
 
-class _LogitAdapter(_Adapter):
-    supports_warm_start = True
-
-    def __init__(self, name: str, penalty: str):
-        self.name = name
-        self.penalty = penalty
-        self.uses_market_features = penalty == "l2"
-
-    def grid(self, config):
-        return list(config.l1_grid if self.penalty == "l1" else config.l2_grid)
-
-    def preference_key(self, hyper):
-        return -float(hyper)
-
-    def hyper_dict(self, hyper):
-        return {"lambda": float(hyper)}
-
-    def fit(self, Xz, y, hyper, seed_seq, init=None):
-        solve = fit_logit_l1 if self.penalty == "l1" else fit_logit_l2
-        return solve(Xz, y, lam=float(hyper), init=init)
-
-    def raw_scores(self, model, Xz):
-        return model.intercept + Xz @ model.coef
-
-    def default_probs(self, raw):
-        return np.clip(sigmoid(raw), PROB_CLAMP, 1.0 - PROB_CLAMP)
+def _logit(name: str, fit: Callable, market_features: bool) -> Learner:
+    return Learner(
+        name=name,
+        fit=fit,
+        score=lambda model, Xz: model.intercept + Xz @ model.coef,
+        grid=lambda config: list(getattr(config, f"{name}_grid")),
+        key=lambda lam: -float(lam),
+        describe=lambda lam: {"lambda": float(lam)},
+        warm_started=True,
+        market_features=market_features,
+    )
 
 
-class _ForestAdapter(_Adapter):
-    name = "rf"
-    needs_calibration = True
-
-    def grid(self, config):
-        return [RandomForestParams(
+LEARNERS: dict[str, Learner] = {
+    "l1": _logit("l1", lambda Xz, y, lam, seed_seq, init:
+                 fit_logit_l1(Xz, y, lam=float(lam), init=init), market_features=False),
+    "l2": _logit("l2", lambda Xz, y, lam, seed_seq, init:
+                 fit_logit_l2(Xz, y, lam=float(lam), init=init), market_features=True),
+    "rf": Learner(
+        name="rf",
+        fit=lambda Xz, y, hyper, seed_seq, init: fit_random_forest(Xz, y, hyper, seed_seq),
+        score=lambda model, Xz: rf_score_many(model, Xz),
+        grid=lambda config: [RandomForestParams(
             n_trees=config.rf_trees, max_depth=config.rf_max_depth, min_leaf=config.rf_min_leaf,
-        )]
-
-    def preference_key(self, hyper: RandomForestParams):
-        return (hyper.max_depth, hyper.n_trees, -hyper.min_leaf)
-
-    def hyper_dict(self, hyper: RandomForestParams):
-        return {"n_trees": hyper.n_trees, "max_depth": hyper.max_depth, "min_leaf": hyper.min_leaf}
-
-    def fit(self, Xz, y, hyper, seed_seq, init=None):
-        return fit_random_forest(Xz, y, hyper, seed_seq)
-
-    def raw_scores(self, model, Xz):
-        return rf_score_many(model, Xz)
-
-
-class _BoostAdapter(_Adapter):
-    name = "gb"
-    needs_calibration = True
-    nested_grid = True  # entries differ only in n_stages; a fit's prefixes are the smaller fits
-
-    def grid(self, config):
-        return [
+        )],
+        key=lambda hyper: 0,  # the grid has one entry, so no two are compared
+        describe=asdict,
+        calibrated=True,
+        log_odds=False,  # the score is already a mean leaf frequency
+    ),
+    "gb": Learner(
+        name="gb",
+        fit=lambda Xz, y, hyper, seed_seq, init: fit_gradient_boosting(Xz, y, hyper),
+        score=lambda model, Xz: gb_score_many(model, Xz),
+        grid=lambda config: [
             GradientBoostingParams(
                 n_stages=m, max_depth=config.gb_max_depth, shrinkage=config.gb_shrinkage,
             )
             for m in config.gb_stage_grid
-        ]
-
-    def preference_key(self, hyper: GradientBoostingParams):
-        return (hyper.n_stages, hyper.max_depth)
-
-    def hyper_dict(self, hyper: GradientBoostingParams):
-        return {"n_stages": hyper.n_stages, "max_depth": hyper.max_depth,
-                "shrinkage": hyper.shrinkage}
-
-    def fit(self, Xz, y, hyper, seed_seq, init=None):
-        return fit_gradient_boosting(Xz, y, hyper)
-
-    def raw_scores(self, model, Xz):
-        return gb_score_many(model, Xz)
-
-    def restrict(self, model, hyper: GradientBoostingParams):
-        return model.prefix(hyper.n_stages)
-
-    def default_probs(self, raw):
-        return np.clip(sigmoid(raw), PROB_CLAMP, 1.0 - PROB_CLAMP)
-
-
-ADAPTERS: dict[str, _Adapter] = {
-    "l1": _LogitAdapter("l1", "l1"),
-    "l2": _LogitAdapter("l2", "l2"),
-    "rf": _ForestAdapter(),
-    "gb": _BoostAdapter(),
+        ],
+        key=lambda hyper: hyper.n_stages,
+        describe=lambda hyper: {"n_stages": hyper.n_stages, "max_depth": hyper.max_depth,
+                                "shrinkage": hyper.shrinkage},
+        calibrated=True,
+        # entries differ only in n_stages: a fit's prefixes are the smaller fits
+        restrict=lambda model, hyper: model.prefix(hyper.n_stages),
+    ),
 }
 
 
@@ -258,7 +221,7 @@ ADAPTERS: dict[str, _Adapter] = {
 
 @dataclass
 class WindowFit:
-    adapter: _Adapter
+    learner: Learner
     params: object | None
     model: object
     cmap: CalibrationMap | None
@@ -266,19 +229,26 @@ class WindowFit:
     # (sub-model, standardized calibration rows, their targets) behind cmap
     calibration: tuple | None = None
 
+    @classmethod
+    def base_rate(cls, learner: Learner, y: np.ndarray) -> WindowFit:
+        """The flagged Laplace base-rate pipeline for a window that cannot be fitted."""
+        return cls(learner, None, laplace_base_rate(y, 0, "none", 0.0), None, True)
+
     def raw_many(self, X_raw: np.ndarray) -> np.ndarray:
         if self.fallback:
             return np.full(X_raw.shape[0], self.model.intercept)
         Xz = standardize_apply(self.params, X_raw)
-        return self.adapter.raw_scores(self.model, Xz)
+        return self.learner.score(self.model, Xz)
 
     def probs(self, raw: np.ndarray) -> np.ndarray:
-        """Probabilities for raw scores of this fit."""
-        if self.fallback:
-            return np.clip(sigmoid(raw), PROB_CLAMP, 1.0 - PROB_CLAMP)
+        """Probabilities for raw scores of this fit: the Platt map if there is
+        one, else the clipped scores, through the sigmoid if they are log-odds
+        (a fallback's intercept always is)."""
         if self.cmap is not None:
             return calibrate_many(self.cmap, raw)
-        return self.adapter.default_probs(raw)
+        if self.fallback or self.learner.log_odds:
+            raw = sigmoid(raw)
+        return np.clip(raw, PROB_CLAMP, 1.0 - PROB_CLAMP)
 
     def prob_many(self, X_raw: np.ndarray) -> np.ndarray:
         return self.probs(self.raw_many(X_raw))
@@ -289,64 +259,65 @@ class WindowFit:
 
     def restricted(self, hyper) -> WindowFit:
         """This window's fit for a smaller entry of a nested grid: the
-        adapter restricts the full model and the calibration sub-model,
+        learner restricts the full model and the calibration sub-model,
         and the Platt map is refitted on the restricted sub-model's scores.
         """
         cmap = calibration = None
         if self.calibration is not None:
             sub_model, cal_Xz, cal_y = self.calibration
-            sub_model = self.adapter.restrict(sub_model, hyper)
+            sub_model = self.learner.restrict(sub_model, hyper)
             calibration = (sub_model, cal_Xz, cal_y)
-            cmap = fit_platt(self.adapter.raw_scores(sub_model, cal_Xz), cal_y)
-        model = self.adapter.restrict(self.model, hyper)
-        return WindowFit(self.adapter, self.params, model, cmap, False, calibration)
+            cmap = fit_platt(self.learner.score(sub_model, cal_Xz), cal_y)
+        model = self.learner.restrict(self.model, hyper)
+        return WindowFit(self.learner, self.params, model, cmap, False, calibration)
 
 
 def fit_window(
-    adapter: _Adapter,
+    learner: Learner,
     X_raw: np.ndarray,
     y: np.ndarray,
     hyper,
     seed_seq: np.random.SeedSequence,
     cal_fraction: float,
     cal_min_months: int,
-    init=None,
+    init: WindowFit | None = None,
 ) -> WindowFit:
     """Fit one training window: standardize, fit, and calibrate if needed.
 
     Single-class targets return a flagged Laplace base-rate pipeline instead
     of failing, so early quiet windows keep the forecast series contiguous.
-    ``init`` is an optional (intercept, coef, kept_columns) triple that
-    warm-starts solvers supporting it; it is ignored when the retained
-    feature set differs from the one it was produced on.
+    A warm-started learner starts from the solution of ``init``, an earlier
+    fit, unless that fit is a fallback or retained other feature columns.
     """
     y = np.asarray(y, dtype=float)
     if np.unique(y).shape[0] < 2:
-        return WindowFit(adapter, None, laplace_base_rate(y, 0, "none", 0.0), None, True)
+        return WindowFit.base_rate(learner, y)
 
     params = standardize_fit(X_raw)
     Xz = standardize_apply(params, X_raw)
     sub_seed, full_seed = seed_seq.spawn(2)
 
     cmap = calibration = None
-    if adapter.needs_calibration:
+    if learner.calibrated:
         n = y.shape[0]
         cal_len = max(cal_min_months, math.ceil(cal_fraction * n))
         k = n - cal_len
         if k >= 2 and np.unique(y[:k]).shape[0] == 2:
             sub_params = standardize_fit(X_raw[:k])
-            sub_model = adapter.fit(standardize_apply(sub_params, X_raw[:k]), y[:k], hyper, sub_seed)
+            sub_model = learner.fit(standardize_apply(sub_params, X_raw[:k]), y[:k], hyper,
+                                    sub_seed, None)
             cal_Xz = standardize_apply(sub_params, X_raw[k:])
             calibration = (sub_model, cal_Xz, y[k:])
-            cmap = fit_platt(adapter.raw_scores(sub_model, cal_Xz), y[k:])
+            cmap = fit_platt(learner.score(sub_model, cal_Xz), y[k:])
         # else: window too short/quiet to calibrate; raw scores fall back to
-        # the adapter's default probability map.
+        # the uncalibrated probability map.
 
     start = None
-    if init is not None and np.array_equal(init[2], params.kept):
-        start = (init[0], init[1])
-    model = adapter.fit(Xz, y, hyper, full_seed, init=start)
-    return WindowFit(adapter, params, model, cmap, False, calibration)
+    if (learner.warm_started and init is not None and not init.fallback
+            and np.array_equal(init.params.kept, params.kept)):
+        start = (init.model.intercept, init.model.coef)
+    model = learner.fit(Xz, y, hyper, full_seed, start)
+    return WindowFit(learner, params, model, cmap, False, calibration)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +329,7 @@ def _log_loss(probs: np.ndarray, y: np.ndarray) -> float:
 
 
 def forward_chain_cv(
-    adapter: _Adapter,
+    learner: Learner,
     X_raw: np.ndarray,
     y: np.ndarray,
     grid: list,
@@ -374,8 +345,7 @@ def forward_chain_cv(
     validation segments, each preceded by the growing training prefix (so
     even the first fold trains on half the window). Selection minimizes
     mean validation log loss; exact ties go to the entry that sorts earlier
-    under the adapter's preference key (stronger regularization / smaller
-    model).
+    under the learner's ``key`` (stronger regularization / smaller model).
 
     Each entry is fitted once per fold, except on a nested grid (gb's stage
     counts): there the largest entry is fitted once per fold and every
@@ -385,11 +355,11 @@ def forward_chain_cv(
     as it would from the largest entry's own fit.
     """
     if not grid:
-        raise ConfigError(f"{adapter.name}: empty hyperparameter grid")
-    order = sorted(range(len(grid)), key=lambda i: adapter.preference_key(grid[i]))
+        raise ConfigError(f"{learner.name}: empty hyperparameter grid")
     if len(grid) == 1:
-        return grid[0], {"selected": adapter.hyper_dict(grid[0]), "folds_used": 0,
+        return grid[0], {"selected": learner.describe(grid[0]), "folds_used": 0,
                          "mean_losses": [None]}
+    order = sorted(range(len(grid)), key=lambda i: learner.key(grid[i]))
 
     n = y.shape[0]
     seg = n // (2 * folds)
@@ -404,24 +374,22 @@ def forward_chain_cv(
     for k in range(folds):
         train_end = prefix0 + k * seg
         if np.unique(y[:train_end]).shape[0] < 2:
-            logger.warning("%s CV fold %d skipped: single-class training prefix", adapter.name, k)
+            logger.warning("%s CV fold %d skipped: single-class training prefix", learner.name, k)
             continue
         usable.append((k, train_end, train_end + seg))
     if not usable:
-        raise DataError(f"{adapter.name}: every CV fold had a single-class training prefix")
+        raise DataError(f"{learner.name}: every CV fold had a single-class training prefix")
 
     # Folds outer, grid inner in preference order: penalized solvers are
     # warm-started along the regularization path, which keeps weakly
     # penalized fits on quasi-separable prefixes cheap.
+    largest = grid[order[-1]]
     loss_matrix = np.full((len(grid), len(usable)), np.nan)
     for col, (k, train_end, val_end) in enumerate(usable):
-        init = None
-        prev: int | None = None
-        top = None
-        if adapter.nested_grid:
-            largest = grid[order[-1]]
+        fitted = top = prev = None
+        if learner.restrict is not None:
             top = fit_window(
-                adapter, X_raw[:train_end], y[:train_end], largest, fold_seeds[k],
+                learner, X_raw[:train_end], y[:train_end], largest, fold_seeds[k],
                 cal_fraction, cal_min_months,
             )
         for gi in order:
@@ -430,13 +398,11 @@ def forward_chain_cv(
                 continue
             if top is None:
                 fitted = fit_window(
-                    adapter, X_raw[:train_end], y[:train_end], grid[gi], fold_seeds[k],
-                    cal_fraction, cal_min_months, init=init,
+                    learner, X_raw[:train_end], y[:train_end], grid[gi], fold_seeds[k],
+                    cal_fraction, cal_min_months, init=fitted,
                 )
             else:
                 fitted = top if grid[gi] == largest else top.restricted(grid[gi])
-            if adapter.supports_warm_start and not fitted.fallback:
-                init = (fitted.model.intercept, fitted.model.coef, fitted.params.kept)
             probs = fitted.prob_many(X_raw[train_end:val_end])
             loss_matrix[gi, col] = _log_loss(probs, y[train_end:val_end])
             prev = gi
@@ -444,7 +410,7 @@ def forward_chain_cv(
 
     best_i = select_by_preference(mean_losses, order)
     return grid[best_i], {
-        "selected": adapter.hyper_dict(grid[best_i]),
+        "selected": learner.describe(grid[best_i]),
         "folds_used": len(usable),
         "mean_losses": mean_losses,
     }
@@ -486,12 +452,6 @@ class ForecastSeries:
 
     def observed_mask(self) -> np.ndarray:
         return np.isfinite(self.y_next)
-
-
-def _model_matrix(name: str, features_rows: np.ndarray, labels: LabelSeries) -> np.ndarray:
-    if ADAPTERS[name].uses_market_features:
-        return np.column_stack([labels.r_mkt, labels.sigma_mkt])
-    return features_rows
 
 
 def _cpu_count() -> int:
@@ -590,16 +550,18 @@ def run_expanding_backtest(
             f"need at least {w + 1} labeled months for a {w}-month initial window, got {n_months}"
         )
 
-    x_by_model = {name: _model_matrix(name, features_rows, labels) for name in config.models}
+    market_rows = np.column_stack([labels.r_mkt, labels.sigma_mkt])
+    x_by_model = {name: market_rows if LEARNERS[name].market_features else features_rows
+                  for name in config.models}
     y_pairs = s[1:]  # y_pairs[j] = S_{j+1}, the target paired with month j
 
     selected: dict[str, dict] = {}
     cv_info: dict[str, dict] = {}
     for name in config.models:
-        adapter = ADAPTERS[name]
+        learner = LEARNERS[name]
         cv_seed = np.random.SeedSequence([config.seed, _MODEL_CODES[name], _CV_TAG])
         hyper, info = forward_chain_cv(
-            adapter, x_by_model[name][:w], y_pairs[:w], adapter.grid(config),
+            learner, x_by_model[name][:w], y_pairs[:w], learner.grid(config),
             config.cv_folds, cv_seed, config.calibration_fraction,
             config.calibration_min_months, config.min_validation_months,
         )
@@ -610,23 +572,21 @@ def run_expanding_backtest(
     n_forecasts = n_months - w
     forecast_idx = list(range(w, n_months))
 
-    def forecast(name: str, j: int, init=None) -> tuple[WindowFit, tuple]:
+    def forecast(name: str, j: int, init: WindowFit | None = None) -> tuple[WindowFit, tuple]:
         """Fit and score forecast month j of one model: (fit, cell), where a
         cell is (j, model, raw score, probability, fallback message or None)."""
         i = w + j
-        adapter = ADAPTERS[name]
+        learner = LEARNERS[name]
         seed = np.random.SeedSequence([config.seed, _MODEL_CODES[name], month_ordinal(months[i])])
         X = x_by_model[name]
         msg = None
         try:
             fitted = fit_window(
-                adapter, X[:i], y_pairs[:i], selected[name], seed,
+                learner, X[:i], y_pairs[:i], selected[name], seed,
                 config.calibration_fraction, config.calibration_min_months, init=init,
             )
         except NumericError as exc:
-            fitted = WindowFit(
-                adapter, None, laplace_base_rate(y_pairs[:i], 0, "none", 0.0), None, True
-            )
+            fitted = WindowFit.base_rate(learner, y_pairs[:i])
             msg = f"{months[i]} {name}: {exc}; base-rate fallback used"
         return fitted, (j, name, *fitted.predict_one(X[i]), msg)
 
@@ -637,17 +597,15 @@ def run_expanding_backtest(
     def run_chains() -> list[tuple]:
         cells = []
         for name in config.models:
-            if not ADAPTERS[name].supports_warm_start:
+            if not LEARNERS[name].warm_started:
                 continue
-            init = None
+            fitted = None
             for j in range(n_forecasts):
-                fitted, cell = forecast(name, j, init)
-                init = (None if fitted.fallback
-                        else (fitted.model.intercept, fitted.model.coef, fitted.params.kept))
+                fitted, cell = forecast(name, j, fitted)
                 cells.append(cell)
         return cells
 
-    free = [name for name in config.models if not ADAPTERS[name].supports_warm_start]
+    free = [name for name in config.models if not LEARNERS[name].warm_started]
     workers = min(_cpu_count(), n_forecasts) if free and hasattr(os, "fork") else 1
 
     def run_share(k: int) -> tuple[list[tuple], float]:
@@ -694,7 +652,7 @@ def run_expanding_backtest(
         next_ret=next_ret,
         r_mkt=labels.r_mkt[w:].copy(),
         sigma_mkt=labels.sigma_mkt[w:].copy(),
-        selected={name: ADAPTERS[name].hyper_dict(selected[name]) for name in config.models},
+        selected={name: LEARNERS[name].describe(selected[name]) for name in config.models},
         seed=config.seed,
         warnings=warnings,
         cv=cv_info,

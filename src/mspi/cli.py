@@ -1,13 +1,14 @@
 """Command-line pipeline orchestration.
 
 Subcommands cover the full run: simulate, features, label, backtest,
-evaluate, bootstrap, bins, regress, lp, report. All stages share one flat
-JSON config (--config); --out and --seed override the config's out_dir and
-seed. ``features`` is the only stage that reads the daily panel: besides
-``features.csv`` it writes ``calendar.csv``, the panel's trading days after
-the eligibility filters (a day whose rows were all dropped is not on it),
-from which ``label`` buckets the market series into months. Exit codes: 0
-success, 2 config error, 3 data error, 4 numeric failure.
+evaluate (metrics, curves and the probability bins), bootstrap, regress,
+lp, report. All stages share one flat JSON config (--config); --out and
+--seed override the config's out_dir and seed. ``features`` is the only
+stage that reads the daily panel: besides ``features.csv`` it writes
+``calendar.csv``, the panel's trading days after the eligibility filters (a
+day whose rows were all dropped is not on it), from which ``label`` buckets
+the market series into months. Exit codes: 0 success, 2 config error, 3
+data error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -40,17 +41,12 @@ from .artifacts import (
 from .backtest import run_expanding_backtest
 from .config import PipelineConfig
 from .errors import ConfigError, DataError, MspiError, NumericError
-from .features import aggregate_monthly, compute_daily_stats
+from .features import FEATURE_NAMES, aggregate_monthly, compute_daily_stats
 from .labels import build_market_monthly, label_stress
 from .panel import load_daily_panel, load_market_series, partition_months
 from .simulate import simulate
 
 logger = logging.getLogger(__name__)
-
-SUBCOMMANDS = (
-    "simulate", "features", "label", "backtest", "evaluate",
-    "bootstrap", "bins", "regress", "lp", "report",
-)
 
 
 def _out_dir(cfg: PipelineConfig) -> Path:
@@ -185,13 +181,6 @@ def _write_bins(cfg: PipelineConfig, forecasts, out: Path, h: str):
     )
 
 
-def cmd_bins(cfg: PipelineConfig, args) -> int:
-    out = _out_dir(cfg)
-    forecasts, _ = _load_forecasts(cfg)
-    _write_bins(cfg, forecasts, out, cfg.config_hash())
-    return 0
-
-
 def cmd_bootstrap(cfg: PipelineConfig, args) -> int:
     out = _out_dir(cfg)
     forecasts, _ = _load_forecasts(cfg)
@@ -234,8 +223,8 @@ def cmd_lp(cfg: PipelineConfig, args) -> int:
     out = _out_dir(cfg)
     forecasts, _ = _load_forecasts(cfg)
     features = None
-    if (Path(cfg.out_dir) / "features.csv").exists():
-        features = read_features(Path(cfg.out_dir) / "features.csv")
+    if cfg.lp_outcome in FEATURE_NAMES:
+        features = read_features(_artifact(cfg, "features.csv"))
     innov = econ.mspi_innovations(forecasts, model=cfg.regress_model, hac_lag=cfg.hac_lag)
     outcome = econ.lp_outcome_series(forecasts, cfg.lp_outcome, cfg.crash_cutoff, features)
     # innovations start at the second forecast month; controls are lagged one more
@@ -364,7 +353,6 @@ _HANDLERS = {
     "backtest": cmd_backtest,
     "evaluate": cmd_evaluate,
     "bootstrap": cmd_bootstrap,
-    "bins": cmd_bins,
     "regress": cmd_regress,
     "lp": cmd_lp,
     "report": cmd_report,
@@ -379,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--log-level", default="INFO",
                         choices=["DEBUG", "INFO", "WARNING", "ERROR"])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMANDS:
+    for name in _HANDLERS:
         p = sub.add_parser(name, help=f"run the {name} stage")
         p.add_argument("--config", help="path to the flat JSON config file")
         p.add_argument("--out", help="output directory (overrides config out_dir)")

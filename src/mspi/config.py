@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .backtest import BacktestConfig
+from .econometrics import LP_OUTCOMES
 from .errors import ConfigError
 from .features import TailThreshold
 from .labels import StressConfig
@@ -163,6 +164,10 @@ class PipelineConfig:
             raise ConfigError(f"lp_horizon must be >= 0, got {self.lp_horizon}")
         if self.hac_lag < 0:
             raise ConfigError(f"hac_lag must be >= 0, got {self.hac_lag}")
+        if self.lp_outcome not in LP_OUTCOMES:
+            raise ConfigError(
+                f"lp_outcome must be one of {', '.join(LP_OUTCOMES)}, got {self.lp_outcome!r}"
+            )
         if self.regress_model not in self.models:
             raise ConfigError(
                 f"regress_model '{self.regress_model}' is not among models {self.models}"

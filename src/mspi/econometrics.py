@@ -18,10 +18,13 @@ import numpy as np
 
 from .backtest import ForecastSeries
 from .errors import DataError, NumericError
-from .features import FeatureMatrix
+from .features import FEATURE_NAMES, FeatureMatrix
 from .learners import LogitModel, fit_logit_l2
 
 logger = logging.getLogger(__name__)
+
+# Outcomes a local projection can trace (see lp_outcome_series).
+LP_OUTCOMES = ("sigma_mkt", "r_mkt", "crash", *FEATURE_NAMES)
 
 
 @dataclass(frozen=True)
@@ -146,7 +149,6 @@ class PredictiveVolResult:
 def predictive_vol_regression(
     forecasts: ForecastSeries,
     model: str = "l1",
-    include_controls: bool = True,
     hac_lag: int = 6,
 ) -> PredictiveVolResult:
     """Regress next-month realized volatility on the stress probability.
@@ -157,20 +159,12 @@ def predictive_vol_regression(
     mask = forecasts.observed_mask()
     prob = forecasts.prob[model][mask]
     vol_next = forecasts.next_vol[mask]
-    n = prob.shape[0]
-    ones = np.ones(n)
-    if include_controls:
-        z = _aligned_controls(forecasts)[mask]
-        X = np.column_stack([ones, prob, z])
-        names = ("intercept", "mspi", "r_mkt", "sigma_mkt")
-        controls_only = ols_hac(vol_next, np.column_stack([ones, z]), hac_lag,
-                                ("intercept", "r_mkt", "sigma_mkt"))
-        r2_controls = controls_only.r2
-    else:
-        X = np.column_stack([ones, prob])
-        names = ("intercept", "mspi")
-        r2_controls = 0.0
-    reg = ols_hac(vol_next, X, hac_lag, names)
+    ones = np.ones(prob.shape[0])
+    z = _aligned_controls(forecasts)[mask]
+    r2_controls = ols_hac(vol_next, np.column_stack([ones, z]), hac_lag,
+                          ("intercept", "r_mkt", "sigma_mkt")).r2
+    reg = ols_hac(vol_next, np.column_stack([ones, prob, z]), hac_lag,
+                  ("intercept", "mspi", "r_mkt", "sigma_mkt"))
     return PredictiveVolResult(
         regression=reg, gamma=reg.coefficient("mspi"),
         r2_controls_only=r2_controls, delta_r2=reg.r2 - r2_controls,
@@ -199,7 +193,6 @@ def crash_regression(
     forecasts: ForecastSeries,
     cutoff: float = -0.05,
     model: str = "l1",
-    include_controls: bool = True,
     hac_lag: int = 6,
 ) -> CrashRegressionResult:
     """Downside-indicator regressions: Crash_{t+1} = 1{R_{t+1} <= cutoff}.
@@ -211,16 +204,8 @@ def crash_regression(
     mask = forecasts.observed_mask()
     prob = forecasts.prob[model][mask]
     crash = (forecasts.next_ret[mask] <= cutoff).astype(float)
-    n = prob.shape[0]
-    ones = np.ones(n)
-    if include_controls:
-        z = _aligned_controls(forecasts)[mask]
-        X = np.column_stack([ones, prob, z])
-        names = ("intercept", "mspi", "r_mkt", "sigma_mkt")
-    else:
-        X = np.column_stack([ones, prob])
-        names = ("intercept", "mspi")
-    linear = ols_hac(crash, X, hac_lag, names)
+    X = np.column_stack([np.ones(prob.shape[0]), prob, _aligned_controls(forecasts)[mask]])
+    linear = ols_hac(crash, X, hac_lag, ("intercept", "mspi", "r_mkt", "sigma_mkt"))
 
     logistic = None
     warning = None
@@ -253,7 +238,6 @@ class InnovationSeries:
 def mspi_innovations(
     forecasts: ForecastSeries,
     model: str = "l1",
-    include_controls: bool = True,
     hac_lag: int = 6,
 ) -> InnovationSeries:
     """Project the index on its lag and lagged market controls; keep residuals.
@@ -266,13 +250,8 @@ def mspi_innovations(
         raise DataError("need at least 3 forecast months to form innovations")
     z = _aligned_controls(forecasts)
     y = prob[1:]
-    ones = np.ones(y.shape[0])
-    if include_controls:
-        X = np.column_stack([ones, prob[:-1], z[:-1]])
-        names = ["intercept", "mspi_lag", "r_mkt_lag", "sigma_mkt_lag"]
-    else:
-        X = np.column_stack([ones, prob[:-1]])
-        names = ["intercept", "mspi_lag"]
+    X = np.column_stack([np.ones(y.shape[0]), prob[:-1], z[:-1]])
+    names = ["intercept", "mspi_lag", "r_mkt_lag", "sigma_mkt_lag"]
     keep = [0] + [j for j in range(1, X.shape[1]) if np.ptp(X[:, j]) > 0.0]
     reg = ols_hac(y, X[:, keep], hac_lag, tuple(names[j] for j in keep))
     return InnovationSeries(
@@ -306,16 +285,14 @@ def local_projections(
     y: np.ndarray,
     controls: np.ndarray | None,
     max_horizon: int,
-    hac_lag_offset: int = 1,
     outcome_name: str = "y",
 ) -> LocalProjectionResult:
     """Horizon-by-horizon regressions y_{t+h} = a_h + b_h u_t + G_h' W_{t-1}.
 
     ``u``, ``y`` and the rows of ``controls`` are aligned on t, with
     ``controls`` already lagged by the caller. HAC lag at horizon h is
-    h + hac_lag_offset, covering the moving-average order induced by
-    overlapping horizons. Horizons that exhaust the sample are omitted with
-    a warning.
+    h + 1, covering the moving-average order induced by overlapping
+    horizons. Horizons that exhaust the sample are omitted with a warning.
     """
     u = np.asarray(u, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -343,7 +320,7 @@ def local_projections(
             cols.append(controls[:m])
             names.extend(f"w{j}" for j in range(k_controls))
         X = np.column_stack(cols)
-        reg = ols_hac(yy, X, hac_lag=h + hac_lag_offset, names=tuple(names))
+        reg = ols_hac(yy, X, hac_lag=h + 1, names=tuple(names))
         horizons.append(h)
         bs.append(reg.coefficient("u"))
         ses.append(reg.std_error("u"))
@@ -373,6 +350,10 @@ def lp_outcome_series(
     if outcome == "crash":
         return (forecasts.r_mkt <= crash_cutoff).astype(float)
     if features is not None and outcome in features.feature_names:
-        idx = [features.months.index(m) for m in forecasts.months]
-        return features.column(outcome)[idx].copy()
+        row = {m: i for i, m in enumerate(features.months)}
+        missing = [m for m in forecasts.months if m not in row]
+        if missing:
+            raise DataError(f"feature matrix has no row for forecast month {missing[0]} "
+                            f"(local-projection outcome {outcome!r})")
+        return features.column(outcome)[[row[m] for m in forecasts.months]].copy()
     raise DataError(f"unknown local-projection outcome {outcome!r}")

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .panel import MarketSeries, MonthPartition
 
-ANNUALIZATION_DEFAULT = math.sqrt(252.0)
+ANNUALIZATION = math.sqrt(252.0)
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,6 @@ class StressConfig:
     return_cutoff: float = -0.05
     vol_quantile: float = 0.90
     min_history_months: int = 36
-    annualization_factor: float = ANNUALIZATION_DEFAULT
 
     def __post_init__(self):
         if not self.return_cutoff < 0:
@@ -46,9 +45,6 @@ class MarketMonthly:
     months: list[str]
     r_mkt: np.ndarray
     sigma_mkt: np.ndarray
-
-    def index_of(self, month: str) -> int:
-        return self.months.index(month)
 
 
 @dataclass(frozen=True)
@@ -82,29 +78,21 @@ def monthly_market_return(market: MarketSeries, partition: MonthPartition) -> np
     ])
 
 
-def realized_monthly_vol(
-    market: MarketSeries,
-    partition: MonthPartition,
-    annualization: float = ANNUALIZATION_DEFAULT,
-) -> np.ndarray:
+def realized_monthly_vol(market: MarketSeries, partition: MonthPartition) -> np.ndarray:
     """Within-month sample std (ddof=1) of daily returns, annualized."""
     out = []
     for month, rets in _month_returns(market, partition):
         if rets.shape[0] < 2:
             raise DataError(f"month {month} has a single trading day; volatility undefined")
-        out.append(float(np.std(rets, ddof=1) * annualization))
+        out.append(float(np.std(rets, ddof=1) * ANNUALIZATION))
     return np.array(out)
 
 
-def build_market_monthly(
-    market: MarketSeries,
-    partition: MonthPartition,
-    annualization: float = ANNUALIZATION_DEFAULT,
-) -> MarketMonthly:
+def build_market_monthly(market: MarketSeries, partition: MonthPartition) -> MarketMonthly:
     return MarketMonthly(
         months=list(partition.months),
         r_mkt=monthly_market_return(market, partition),
-        sigma_mkt=realized_monthly_vol(market, partition, annualization),
+        sigma_mkt=realized_monthly_vol(market, partition),
     )
 
 

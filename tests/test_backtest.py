@@ -7,7 +7,7 @@ import pytest
 
 from mspi import backtest
 from mspi.backtest import (
-    ADAPTERS,
+    LEARNERS,
     MODEL_NAMES,
     BacktestConfig,
     ForecastSeries,
@@ -61,22 +61,22 @@ class TestForwardChainCV:
         self.rng = np.random.default_rng(0)
 
     def test_singleton_grid_short_circuits(self):
-        adapter = ADAPTERS["l1"]
+        learner = LEARNERS["l1"]
         X = self.rng.normal(size=(60, 4))
         y = (self.rng.random(60) < 0.3).astype(float)
-        hyper, info = forward_chain_cv(adapter, X, y, [0.5], 5,
+        hyper, info = forward_chain_cv(learner, X, y, [0.5], 5,
                                        np.random.SeedSequence(0), 0.2, 12)
         assert hyper == 0.5 and info["folds_used"] == 0
 
     def test_noise_features_select_max_penalty(self):
-        adapter = ADAPTERS["l1"]
+        learner = LEARNERS["l1"]
         grid = [1e-3, 1e-2, 1.0]
         wins = 0
         for seed in range(50):
             rng = np.random.default_rng(1000 + seed)
             X = rng.normal(size=(120, 16))
             y = (rng.random(120) < 0.25).astype(float)
-            hyper, _ = forward_chain_cv(adapter, X, y, grid, 5,
+            hyper, _ = forward_chain_cv(learner, X, y, grid, 5,
                                         np.random.SeedSequence(seed), 0.2, 12)
             wins += hyper == 1.0
         assert wins >= 40  # >= 80% of replications
@@ -84,32 +84,32 @@ class TestForwardChainCV:
     def test_tie_break_prefers_larger_penalty(self):
         from mspi.backtest import select_by_preference
 
-        adapter = ADAPTERS["l1"]
+        learner = LEARNERS["l1"]
         grid = [1e5, 1e6]
-        order = sorted(range(2), key=lambda i: adapter.preference_key(grid[i]))
+        order = sorted(range(2), key=lambda i: learner.key(grid[i]))
         # identical fold losses: the entry earlier in preference order wins
         assert grid[select_by_preference([0.61, 0.61], order)] == 1e6
         # strictly better loss still wins regardless of preference
         assert grid[select_by_preference([0.60, 0.61], order)] == 1e5
 
     def test_duplicate_grid_values_select_cleanly(self):
-        adapter = ADAPTERS["l1"]
+        learner = LEARNERS["l1"]
         rng = np.random.default_rng(5)
         X = rng.normal(size=(80, 4))
         y = (rng.random(80) < 0.3).astype(float)
-        hyper, info = forward_chain_cv(adapter, X, y, [1e6, 1e6], 5,
+        hyper, info = forward_chain_cv(learner, X, y, [1e6, 1e6], 5,
                                        np.random.SeedSequence(0), 0.2, 12)
         assert hyper == 1e6
         assert info["mean_losses"][0] == info["mean_losses"][1]
 
     def test_staged_gb_losses_equal_per_entry_fits(self):
-        adapter = ADAPTERS["gb"]
+        learner = LEARNERS["gb"]
         rng = np.random.default_rng(9)
         X = rng.normal(size=(96, 4))
         y = (rng.random(96) < 1 / (1 + np.exp(-1.5 * X[:, 0] + 1.0))).astype(float)
         grid = [GradientBoostingParams(n_stages=m) for m in (8, 15, 3, 15)]
         folds, seg = 4, 96 // 8
-        hyper, info = forward_chain_cv(adapter, X, y, grid, folds,
+        hyper, info = forward_chain_cv(learner, X, y, grid, folds,
                                        np.random.SeedSequence(4), 0.2, 12)
         assert info["folds_used"] == folds
         fold_seeds = np.random.SeedSequence(4).spawn(folds)
@@ -117,43 +117,43 @@ class TestForwardChainCV:
         for k in range(folds):
             end = 96 - (folds - k) * seg
             for gi, entry in enumerate(grid):
-                fitted = fit_window(adapter, X[:end], y[:end], entry, fold_seeds[k], 0.2, 12)
+                fitted = fit_window(learner, X[:end], y[:end], entry, fold_seeds[k], 0.2, 12)
                 losses[gi, k] = _log_loss(fitted.prob_many(X[end:end + seg]), y[end:end + seg])
         assert info["mean_losses"] == [float(v) for v in losses.mean(axis=1)]
         assert hyper == grid[int(np.argmin(losses.mean(axis=1)))]
 
     def test_window_too_short_for_folds(self):
-        adapter = ADAPTERS["l1"]
+        learner = LEARNERS["l1"]
         X = self.rng.normal(size=(30, 3))
         y = (self.rng.random(30) < 0.5).astype(float)
         with pytest.raises(DataError, match="validation"):
-            forward_chain_cv(adapter, X, y, [0.1, 1.0], 5,
+            forward_chain_cv(learner, X, y, [0.1, 1.0], 5,
                              np.random.SeedSequence(0), 0.2, 12, min_validation_months=6)
 
     def test_single_class_window_errors(self):
-        adapter = ADAPTERS["l1"]
+        learner = LEARNERS["l1"]
         X = self.rng.normal(size=(120, 3))
         with pytest.raises(DataError, match="single-class"):
-            forward_chain_cv(adapter, X, np.zeros(120), [0.1, 1.0], 5,
+            forward_chain_cv(learner, X, np.zeros(120), [0.1, 1.0], 5,
                              np.random.SeedSequence(0), 0.2, 12)
 
 
 class TestFitWindow:
     def test_single_class_fallback_probability(self):
-        adapter = ADAPTERS["l1"]
+        learner = LEARNERS["l1"]
         X = np.random.default_rng(0).normal(size=(30, 4))
-        fitted = fit_window(adapter, X, np.zeros(30), 0.1,
+        fitted = fit_window(learner, X, np.zeros(30), 0.1,
                             np.random.SeedSequence(0), 0.2, 12)
         assert fitted.fallback
         raw, prob = fitted.predict_one(X[0])
         assert prob == pytest.approx(1 / 32)
 
     def test_calibrated_adapter_produces_probabilities(self):
-        adapter = ADAPTERS["gb"]
+        learner = LEARNERS["gb"]
         rng = np.random.default_rng(1)
         X = rng.normal(size=(80, 4))
         y = (rng.random(80) < 1 / (1 + np.exp(-2 * X[:, 0]))).astype(float)
-        fitted = fit_window(adapter, X, y, GradientBoostingParams(n_stages=30),
+        fitted = fit_window(learner, X, y, GradientBoostingParams(n_stages=30),
                             np.random.SeedSequence(3), 0.2, 12)
         assert fitted.cmap is not None
         raw, prob = fitted.predict_one(X[0])

@@ -20,7 +20,7 @@ from mspi.artifacts import (
 from mspi.cli import main
 from mspi.config import PipelineConfig
 from mspi.errors import DataError, NumericError
-from mspi.features import FeatureMatrix
+from mspi.features import FEATURE_NAMES, FeatureMatrix
 from mspi.labels import LabelSeries, build_market_monthly, label_stress
 from mspi.panel import load_daily_panel, load_market_series, partition_months
 
@@ -54,6 +54,7 @@ GOLDEN_BODIES = {
     "curves.csv": "42e092e88b0c0be88ca93bfd3a01be1cacf577d0c9890d9f1d29cf8d70d1b621",
     "bins.csv": "2e93a6cf63572a6bffbeeac25d5d8ba386b5de94a9b898bc2e92fad07093a8d6",
     "bootstrap.json": "dacc759b390a2f11957415a68c372610d294e77124630f3010b47a75f52b0f60",
+    "provenance.json": "b80bbd7f342c1f8965c5a11dbfb6876fdea0c50e302ae9e9424e7785474df14b",
 }
 
 
@@ -92,8 +93,9 @@ def test_all_stages_reproduce_golden_artifacts(tmp_path):
     ({"require_exchange": 1}, "require_exchange"),
     ({"l1_grid": [0.1, "big"]}, "l1_grid"),
     ({"gb_stage_grid": [0, 10]}, "gb_stage_grid"),
+    ({"lp_outcome": "zap"}, "lp_outcome"),
 ], ids=["seed_string", "rf_trees", "cv_folds", "gb_shrinkage", "calibration_fraction",
-        "flag_int", "grid_entry", "stage_grid"])
+        "flag_int", "grid_entry", "stage_grid", "lp_outcome"])
 def test_bad_config_exits_2(tmp_path, capsys, payload, field):
     config = write_config(tmp_path, {**payload, "out_dir": str(tmp_path / "out")})
     assert main(["backtest", "--config", config]) == 2
@@ -196,6 +198,31 @@ def test_bootstrap_with_more_ece_bins_than_months_exits_3(tmp_path, capsys):
     config = write_config(tmp_path, {"out_dir": str(out), "bootstrap_reps": 20, "ece_bins": 60})
     assert main(["bootstrap", "--config", config]) == 3
     assert capsys.readouterr().err == "data error: ECE needs at least 60 observations, got 48\n"
+
+
+@pytest.mark.parametrize("feature_months, message", [
+    (slice(0, -1), "feature matrix has no row for forecast month 2003-12 "
+                   "(local-projection outcome 'xs_std')"),
+    (None, "missing upstream artifact: {out}/features.csv (run the producing stage first)"),
+], ids=["stale", "missing"])
+def test_lp_on_a_feature_outcome_without_its_rows_exits_3(tmp_path, capsys, feature_months,
+                                                          message):
+    out = tmp_path / "out"
+    out.mkdir()
+    fs = toy_forecasts(n=48, seed=4)
+    labels = LabelSeries(
+        months=fs.months, r_mkt=fs.r_mkt, sigma_mkt=fs.sigma_mkt, q_prev=np.full(48, 0.2),
+        s=np.zeros(48, dtype=np.int64), y_next=fs.y_next,
+    )
+    write_labels_csv(out / "labels.csv", labels, "h")
+    write_forecasts_csv(out / "forecasts.csv", fs, "h")
+    if feature_months is not None:
+        months = fs.months[feature_months]
+        values = np.random.default_rng(0).normal(size=(len(months), len(FEATURE_NAMES)))
+        write_features_csv(out / "features.csv", FeatureMatrix(months=months, values=values), "h")
+    config = write_config(tmp_path, {"out_dir": str(out), "lp_outcome": "xs_std"})
+    assert main(["lp", "--config", config]) == 3
+    assert capsys.readouterr().err == f"data error: {message.format(out=out)}\n"
 
 
 # Four years of eight stocks: the shortest panel the default stress warm-up labels.

@@ -101,7 +101,7 @@ class TestPredictiveVolRegression:
     def test_identity_regressor(self):
         fs = toy_forecasts(seed=5)
         fs.next_vol[:] = fs.prob["l1"]  # index equals next-month volatility
-        res = predictive_vol_regression(fs, include_controls=False)
+        res = predictive_vol_regression(fs)
         assert res.gamma == pytest.approx(1.0, abs=1e-10)
         assert res.regression.r2 == pytest.approx(1.0)
 
@@ -109,7 +109,7 @@ class TestPredictiveVolRegression:
         hits = 0
         for seed in range(100):
             fs = toy_forecasts(n=150, seed=seed, link=0.0)
-            res = predictive_vol_regression(fs, include_controls=True)
+            res = predictive_vol_regression(fs)
             hits += abs(res.regression.t_stat("mspi")) < 2.0
         assert hits >= 90
 
@@ -133,13 +133,16 @@ class TestCrashRegression:
         fs.next_ret[:] = np.where(
             (np.arange(200) % 2 == 0) & (np.arange(200) < 100), -0.06, 0.01
         )
-        res = crash_regression(fs, cutoff=-0.05, include_controls=False)
-        # saturated regression: fitted values equal the group crash rates
+        res = crash_regression(fs, cutoff=-0.05)
+        # the intercept and a two-level index span the group indicators, so the
+        # residuals sum to zero within each group, controls or not: the mean
+        # fitted value of a group is its crash rate
         crash = (fs.next_ret <= -0.05).astype(float)
+        fitted = crash - res.linear.residuals
         for level in (0.2, 0.6):
-            fitted = res.linear.coef[0] + res.linear.coef[1] * level
-            group_rate = float(np.mean(crash[fs.prob["l1"] == level]))
-            assert fitted == pytest.approx(group_rate, abs=1e-10)
+            group = fs.prob["l1"] == level
+            assert float(np.mean(fitted[group])) == pytest.approx(
+                float(np.mean(crash[group])), abs=1e-10)
 
     @staticmethod
     def separable_forecasts():
@@ -176,12 +179,12 @@ class TestInnovations:
     def test_constant_index_zero_innovations(self):
         fs = toy_forecasts(seed=9)
         fs.prob["l1"][:] = 0.25
-        innov = mspi_innovations(fs, include_controls=True)
+        innov = mspi_innovations(fs)
         assert np.max(np.abs(innov.innovations)) < 1e-12
 
     def test_white_noise_index_keeps_variance(self):
         fs = toy_forecasts(n=500, seed=10)
-        innov = mspi_innovations(fs, include_controls=True)
+        innov = mspi_innovations(fs)
         ratio = np.std(innov.innovations) / np.std(fs.prob["l1"])
         assert abs(ratio - 1.0) < 0.10
 
@@ -248,7 +251,7 @@ class TestLocalProjections:
         rng = np.random.default_rng(17)
         u = rng.standard_normal(80)
         y = 0.4 * u + rng.standard_normal(80)
-        res = local_projections(u, y, None, max_horizon=0, hac_lag_offset=1)
+        res = local_projections(u, y, None, max_horizon=0)
         direct = ols_hac(y, np.column_stack([np.ones(80), u]), hac_lag=1)
         assert res.b[0] == direct.coef[1]
         assert res.se[0] == direct.se[1]

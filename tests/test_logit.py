@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mspi.backtest import ADAPTERS, WindowFit
+from mspi.backtest import LEARNERS, WindowFit
 from mspi.errors import DataError, NumericError
 from mspi.learners import (
     LogitModel,
@@ -371,7 +371,7 @@ def scoring(model: LogitModel) -> WindowFit:
     p = model.coef.shape[0]
     params = StandardizationParams(mean=np.zeros(p), std=np.ones(p), kept=np.arange(p),
                                    dropped=np.arange(0), n_features=p)
-    return WindowFit(ADAPTERS["l1"], params, model, None, False)
+    return WindowFit(LEARNERS["l1"], params, model, None, False)
 
 
 class TestPredict:
