@@ -1,10 +1,12 @@
 """CSV/JSON artifact writers and readers.
 
 Every artifact embeds the config hash: CSV files carry a leading
-``# config_hash=<sha256>`` comment line (skipped by the readers here and in
-panel ingestion), JSON files carry a ``config_hash`` field. Floats are
-written with ``repr`` so values round-trip exactly and identical inputs
-produce byte-identical files.
+``# config_hash=<sha256>`` comment line (skipped by ``panel.read_rows``,
+which every reader here goes through, and by panel ingestion), JSON files
+carry a ``config_hash`` field. Floats are written with ``repr`` so values
+round-trip exactly and identical inputs produce byte-identical files. Each
+CSV's columns are named once, in the constants below or the modules that
+own them.
 """
 
 from __future__ import annotations
@@ -21,8 +23,14 @@ from .backtest import ForecastSeries
 from .errors import DataError
 from .features import FEATURE_NAMES, FeatureMatrix
 from .labels import LabelSeries
-from .panel import PANEL_COLUMNS, DailyPanel, MarketSeries
-from .simulate import SimOutput, security_ids
+from .panel import MARKET_COLUMNS, PANEL_COLUMNS, DailyPanel, MarketSeries, read_rows
+from .simulate import security_ids
+
+LABEL_COLUMNS = ["month", "R_mkt", "sigma_mkt", "q_prev", "S", "Y_next"]
+FORECAST_COLUMNS = ["month", "model", "raw_score", "probability", "y_next", "next_vol",
+                    "next_ret"]
+BIN_COLUMNS = ["model", "bin_lo", "bin_hi", "n", "mean_prob", "stress_rate", "next_vol",
+               "next_ret"]
 
 
 def _fmt(v) -> str:
@@ -47,38 +55,6 @@ def write_json(path: Path, payload: dict, config_hash: str):
     payload = dict(payload)
     payload["config_hash"] = config_hash
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def read_rows(path: Path, required: list[str]) -> tuple[list[int], list[dict]]:
-    """Line numbers and rows (as dicts) of a headered CSV, skipping comment
-    and blank lines; a row with more or fewer fields than the header
-    raises DataError."""
-    if not path.exists():
-        raise DataError(f"missing artifact: {path}")
-    lines, out = [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = None
-        for row in reader:
-            if not row:
-                continue
-            if row[0].startswith("#"):
-                continue
-            if header is None:
-                header = row
-                missing = [c for c in required if c not in header]
-                if missing:
-                    raise DataError(f"{path}: header is missing columns {missing}")
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}: line {reader.line_num}: {len(row)} fields, "
-                                f"the header has {len(header)}")
-            lines.append(reader.line_num)
-            out.append(dict(zip(header, row)))
-    if header is None:
-        raise DataError(f"{path}: empty file")
-    return lines, out
-
 
 
 def _parse_opt_float(token: str) -> float:
@@ -155,12 +131,7 @@ def write_panel_csv(path: Path, panel: DailyPanel, config_hash: str):
 
 def write_market_csv(path: Path, market: MarketSeries, config_hash: str):
     rows = ((d.isoformat(), r) for d, r in zip(market.dates, market.mkt_ret))
-    write_csv(path, ["date", "mkt_ret"], rows, config_hash)
-
-
-def write_true_regime_csv(path: Path, sim: SimOutput, config_hash: str):
-    rows = ((m, int(v)) for m, v in sim.true_regime.items())
-    write_csv(path, ["month", "stress"], rows, config_hash)
+    write_csv(path, MARKET_COLUMNS, rows, config_hash)
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +184,14 @@ def write_labels_csv(path: Path, labels: LabelSeries, config_hash: str):
          int(labels.s[i]), "" if math.isnan(labels.y_next[i]) else int(labels.y_next[i]))
         for i, m in enumerate(labels.months)
     )
-    write_csv(path, ["month", "R_mkt", "sigma_mkt", "q_prev", "S", "Y_next"], rows, config_hash)
+    write_csv(path, LABEL_COLUMNS, rows, config_hash)
 
 
 def read_labels(path: Path) -> LabelSeries:
     """The label series; a ragged row, a blank, unparsable or non-finite
     R_mkt, sigma_mkt or q_prev cell, or an S or Y_next other than 0 or 1
     raises DataError naming its line and column. Y_next may be blank."""
-    lines, rows = read_rows(path, ["month", "R_mkt", "sigma_mkt", "q_prev", "S", "Y_next"])
+    lines, rows = read_rows(path, LABEL_COLUMNS)
 
     def finite(column):
         return np.array([_finite_cell(path, line, column, r[column])
@@ -252,12 +223,7 @@ def write_forecasts_csv(path: Path, forecasts: ForecastSeries, config_hash: str)
                     forecasts.next_vol[j], forecasts.next_ret[j],
                 )
 
-    write_csv(
-        path,
-        ["month", "model", "raw_score", "probability", "y_next", "next_vol", "next_ret"],
-        rows(),
-        config_hash,
-    )
+    write_csv(path, FORECAST_COLUMNS, rows(), config_hash)
 
 
 def read_forecasts(path: Path, labels: LabelSeries) -> ForecastSeries:
@@ -267,15 +233,12 @@ def read_forecasts(path: Path, labels: LabelSeries) -> ForecastSeries:
     Every (month, model) cell must appear exactly once with a finite raw
     score and probability; a duplicate or missing cell raises DataError.
     """
-    _, rows = read_rows(
-        path, ["month", "model", "raw_score", "probability", "y_next", "next_vol", "next_ret"]
-    )
-    cells: dict[tuple[str, str], dict] = {}
-    for r in rows:
+    cells: dict[tuple[str, str], tuple[int, dict]] = {}
+    for line, r in zip(*read_rows(path, FORECAST_COLUMNS)):
         key = (r["month"], r["model"])
         if key in cells:
             raise DataError(f"{path}: duplicate row for month {key[0]} model {key[1]}")
-        cells[key] = r
+        cells[key] = line, r
     months = list(dict.fromkeys(m for m, _ in cells))
     models = list(dict.fromkeys(k for _, k in cells))
     absent = [(m, k) for m in months for k in models if (m, k) not in cells]
@@ -286,18 +249,12 @@ def read_forecasts(path: Path, labels: LabelSeries) -> ForecastSeries:
         )
 
     def score(m: str, k: str, column: str) -> float:
-        token = cells[m, k][column]
-        try:
-            value = float(token)
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise DataError(f"{path}: month {m} model {k} has {column} {token!r}")
-        return value
+        line, r = cells[m, k]
+        return _finite_cell(path, line, column, r[column])
 
     raw = {k: np.array([score(m, k, "raw_score") for m in months]) for k in models}
     prob = {k: np.array([score(m, k, "probability") for m in months]) for k in models}
-    first = [cells[m, models[0]] for m in months]
+    first = [cells[m, models[0]][1] for m in months]
     y_next = np.array([_parse_opt_float(r["y_next"]) for r in first])
     next_vol = np.array([_parse_opt_float(r["next_vol"]) for r in first])
     next_ret = np.array([_parse_opt_float(r["next_ret"]) for r in first])

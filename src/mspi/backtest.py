@@ -126,6 +126,8 @@ class BacktestConfig:
             raise ConfigError(f"models: unknown model name(s) {unknown}")
         if not self.models:
             raise ConfigError("models: need at least one model")
+        if len(set(self.models)) < len(self.models):
+            raise ConfigError(f"models: each model may be listed once, got {list(self.models)}")
 
 
 def month_ordinal(month: str) -> int:

@@ -17,6 +17,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ import numpy as np
 from . import econometrics as econ
 from . import evaluation as ev
 from .artifacts import (
+    BIN_COLUMNS,
     read_calendar,
     read_features,
     read_forecasts,
@@ -36,14 +38,13 @@ from .artifacts import (
     write_labels_csv,
     write_market_csv,
     write_panel_csv,
-    write_true_regime_csv,
 )
 from .backtest import run_expanding_backtest
 from .config import PipelineConfig
 from .errors import ConfigError, DataError, MspiError, NumericError
 from .features import FEATURE_NAMES, aggregate_monthly, compute_daily_stats
 from .labels import build_market_monthly, label_stress
-from .panel import load_daily_panel, load_market_series, partition_months
+from .panel import load_daily_panel, load_market_series, partition_months, read_rows
 from .simulate import simulate
 
 logger = logging.getLogger(__name__)
@@ -78,7 +79,6 @@ def cmd_simulate(cfg: PipelineConfig, args) -> int:
     sim = simulate(cfg.sim_config())
     write_panel_csv(out / "panel.csv", sim.panel, h)
     write_market_csv(out / "market.csv", sim.market, h)
-    write_true_regime_csv(out / "true_regime.csv", sim, h)
     logger.info("simulated %d trading days across %d months -> %s",
                 len(sim.panel.dates), len(sim.true_regime), out)
     return 0
@@ -92,7 +92,7 @@ def cmd_features(cfg: PipelineConfig, args) -> int:
     panel, summary = load_daily_panel(str(panel_path), cfg.eligibility_filter())
     market = load_market_series(str(market_path))
     partition = partition_months(panel.dates, market)
-    stats = compute_daily_stats(panel, cfg.tail())
+    stats = compute_daily_stats(panel, cfg.tail_threshold)
     features = aggregate_monthly(stats, partition)
     write_features_csv(out / "features.csv", features, h)
     write_calendar_csv(out / "calendar.csv", panel.dates, h)
@@ -148,7 +148,7 @@ def cmd_evaluate(cfg: PipelineConfig, args) -> int:
     h = cfg.config_hash()
     forecasts, _ = _load_forecasts(cfg)
     report = ev.compute_metrics(forecasts, cfg.ece_bins)
-    write_json(out / "metrics.json", report.to_dict(), h)
+    write_json(out / "metrics.json", asdict(report), h)
 
     def curve_rows():
         for cs in ev.compute_curves(forecasts, cfg.ece_bins):
@@ -174,11 +174,7 @@ def _write_bins(cfg: PipelineConfig, forecasts, out: Path, h: str):
                 yield (model, bo.edges[b], bo.edges[b + 1], int(bo.n[b]), bo.mean_prob[b],
                        bo.stress_rate[b], bo.next_vol[b], bo.next_ret[b])
 
-    write_csv(
-        out / "bins.csv",
-        ["model", "bin_lo", "bin_hi", "n", "mean_prob", "stress_rate", "next_vol", "next_ret"],
-        bin_rows(), h,
-    )
+    write_csv(out / "bins.csv", BIN_COLUMNS, bin_rows(), h)
 
 
 def cmd_bootstrap(cfg: PipelineConfig, args) -> int:
@@ -192,7 +188,7 @@ def cmd_bootstrap(cfg: PipelineConfig, args) -> int:
         "benchmark": cfg.benchmark,
         "block_len": cfg.bootstrap_block,
         "replications": cfg.bootstrap_reps,
-        "rows": [r.to_dict() for r in rows],
+        "rows": [asdict(r) for r in rows],
     }, cfg.config_hash())
     logger.info("bootstrap table with %d rows", len(rows))
     return 0
@@ -253,7 +249,7 @@ def cmd_report(cfg: PipelineConfig, args) -> int:
     reg_path = Path(cfg.out_dir) / "regression.json"
     if reg_path.exists():
         regression = json.loads(reg_path.read_text(encoding="utf-8"))
-    bins_rows = _read_bins_rows(cfg)
+    bins_rows = read_rows(_artifact(cfg, "bins.csv"), BIN_COLUMNS)[1]
 
     payload = {
         "metrics": metrics,
@@ -271,15 +267,6 @@ def cmd_report(cfg: PipelineConfig, args) -> int:
     (out / "report.txt").write_text(_render_report(cfg, metrics, bins_rows, bootstrap,
                                                    regression), encoding="utf-8")
     return 0
-
-
-def _read_bins_rows(cfg: PipelineConfig) -> list[dict]:
-    from .artifacts import read_rows
-
-    return read_rows(
-        _artifact(cfg, "bins.csv"),
-        ["model", "bin_lo", "bin_hi", "n", "mean_prob", "stress_rate", "next_vol", "next_ret"],
-    )[1]
 
 
 def _render_report(cfg, metrics, bins_rows, bootstrap, regression) -> str:

@@ -2,6 +2,14 @@
 
 Every stage reads the same config object; the SHA-256 hash of the canonical
 JSON encoding is embedded in every artifact for provenance verification.
+
+A setting that a stage dataclass owns takes its default from that
+dataclass. Each builder reads every field of its dataclass from the config
+field of the same name: ``eligibility_filter()``, ``stress_config()`` and
+``backtest_config()`` as they are, ``sim_config()`` with the prefix
+``sim_`` (``sim_calm_`` and ``sim_stress_`` for the two regimes) and the
+shared ``seed``. Each range check sits in one place and raises ConfigError:
+in the stage dataclass for its own fields, in ``validate`` for the rest.
 """
 
 from __future__ import annotations
@@ -13,8 +21,8 @@ from pathlib import Path
 
 from .backtest import BacktestConfig
 from .econometrics import LP_OUTCOMES
-from .errors import ConfigError
-from .features import TailThreshold
+from .errors import ConfigError, DataError
+from .evaluation import DEFAULT_BIN_EDGES, check_bin_edges
 from .labels import StressConfig
 from .panel import EligibilityFilter
 from .simulate import RegimeParams, SimConfig
@@ -54,7 +62,7 @@ class PipelineConfig:
     require_exchange: bool = _FILTER.require_exchange
 
     # features
-    tail_threshold: float = TailThreshold().tau
+    tail_threshold: float = 0.05  # |daily return| of an extreme mover
 
     # stress labeling
     return_cutoff: float = _STRESS.return_cutoff
@@ -80,7 +88,7 @@ class PipelineConfig:
 
     # evaluation
     ece_bins: int = 10
-    bin_edges: list = field(default_factory=lambda: [0.0, 0.05, 0.10, 0.20, 0.40, 1.0])
+    bin_edges: list = field(default_factory=lambda: list(DEFAULT_BIN_EDGES))
     bootstrap_block: int = 12
     bootstrap_reps: int = 2000
     benchmark: str = "l2"
@@ -152,6 +160,8 @@ class PipelineConfig:
     def validate(self):
         if not 0 < self.tail_threshold:
             raise ConfigError(f"tail_threshold must be > 0, got {self.tail_threshold}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.ece_bins < 1:
             raise ConfigError(f"ece_bins must be >= 1, got {self.ece_bins}")
         if self.bootstrap_block < 1 or self.bootstrap_reps < 1:
@@ -172,6 +182,10 @@ class PipelineConfig:
             raise ConfigError(
                 f"regress_model '{self.regress_model}' is not among models {self.models}"
             )
+        try:
+            check_bin_edges(self.bin_edges)
+        except DataError as exc:
+            raise ConfigError(f"bin_edges: {exc}") from None
         # delegate the rest to the owning dataclasses
         self.eligibility_filter()
         self.stress_config()
@@ -187,63 +201,25 @@ class PipelineConfig:
 
     # ---- stage config builders -------------------------------------------
 
-    def eligibility_filter(self) -> EligibilityFilter:
-        return EligibilityFilter(
-            min_abs_price=self.min_abs_price,
-            require_share_class=self.require_share_class,
-            require_exchange=self.require_exchange,
-        )
+    def _stage(self, cls: type, prefix: str = "", **given):
+        """``cls`` with each field not ``given`` read from the field
+        ``prefix + name`` of this config, lists as tuples."""
+        for f in fields(cls):
+            if f.name not in given:
+                value = getattr(self, prefix + f.name)
+                given[f.name] = tuple(value) if isinstance(value, list) else value
+        return cls(**given)
 
-    def tail(self) -> TailThreshold:
-        return TailThreshold(tau=self.tail_threshold)
+    def eligibility_filter(self) -> EligibilityFilter:
+        return self._stage(EligibilityFilter)
 
     def stress_config(self) -> StressConfig:
-        return StressConfig(
-            return_cutoff=self.return_cutoff,
-            vol_quantile=self.vol_quantile,
-            min_history_months=self.min_history_months,
-        )
+        return self._stage(StressConfig)
 
     def sim_config(self) -> SimConfig:
-        return SimConfig(
-            n_stocks=self.sim_n_stocks,
-            n_years=self.sim_n_years,
-            trading_days_per_year=self.sim_trading_days_per_year,
-            start_year=self.sim_start_year,
-            calm=RegimeParams(
-                mkt_drift=self.sim_calm_mkt_drift,
-                mkt_vol=self.sim_calm_mkt_vol,
-                dispersion=self.sim_calm_dispersion,
-                tail_prob=self.sim_calm_tail_prob,
-                volume_scale=self.sim_calm_volume_scale,
-            ),
-            stress=RegimeParams(
-                mkt_drift=self.sim_stress_mkt_drift,
-                mkt_vol=self.sim_stress_mkt_vol,
-                dispersion=self.sim_stress_dispersion,
-                tail_prob=self.sim_stress_tail_prob,
-                volume_scale=self.sim_stress_volume_scale,
-            ),
-            p_calm_to_stress=self.sim_p_calm_to_stress,
-            p_stress_to_calm=self.sim_p_stress_to_calm,
-            seed=self.seed,
-        )
+        return self._stage(SimConfig, "sim_", seed=self.seed,
+                           calm=self._stage(RegimeParams, "sim_calm_"),
+                           stress=self._stage(RegimeParams, "sim_stress_"))
 
     def backtest_config(self) -> BacktestConfig:
-        return BacktestConfig(
-            initial_window_months=self.initial_window_months,
-            cv_folds=self.cv_folds,
-            min_validation_months=self.min_validation_months,
-            l1_grid=tuple(float(v) for v in self.l1_grid),
-            l2_grid=tuple(float(v) for v in self.l2_grid),
-            rf_trees=self.rf_trees,
-            rf_max_depth=self.rf_max_depth,
-            rf_min_leaf=self.rf_min_leaf,
-            gb_stage_grid=tuple(int(v) for v in self.gb_stage_grid),
-            gb_max_depth=self.gb_max_depth,
-            gb_shrinkage=self.gb_shrinkage,
-            models=tuple(self.models),
-            seed=self.seed,
-            calibration_fraction=self.calibration_fraction,
-            calibration_min_months=self.calibration_min_months,
-        )
+        return self._stage(BacktestConfig)

@@ -270,15 +270,6 @@ class LocalProjectionResult:
     n_obs: np.ndarray
     outcome: str
 
-    def to_dict(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "horizons": self.horizons,
-            "b": self.b.tolist(),
-            "se": self.se.tolist(),
-            "n_obs": self.n_obs.tolist(),
-        }
-
 
 def local_projections(
     u: np.ndarray,

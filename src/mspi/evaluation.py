@@ -9,7 +9,7 @@ so serial dependence is preserved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -221,12 +221,6 @@ class ModelMetrics:
     ece: float
     mean_prob: float
 
-    def to_dict(self) -> dict:
-        return {
-            "auc": self.auc, "pr_auc": self.pr_auc, "brier": self.brier,
-            "log_loss": self.log_loss, "ece": self.ece, "mean_prob": self.mean_prob,
-        }
-
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -234,14 +228,6 @@ class MetricsReport:
     event_rate: float
     n: int
     ece_bins: int
-
-    def to_dict(self) -> dict:
-        return {
-            "models": {name: m.to_dict() for name, m in self.models.items()},
-            "event_rate": self.event_rate,
-            "n": self.n,
-            "ece_bins": self.ece_bins,
-        }
 
 
 def compute_metrics(forecasts: ForecastSeries, ece_bins: int = 10) -> MetricsReport:
@@ -304,15 +290,21 @@ class BinnedOutcomes:
     next_ret: np.ndarray
 
 
-def binned_outcomes(
-    forecasts: ForecastSeries, model: str, edges: tuple[float, ...] = DEFAULT_BIN_EDGES
-) -> BinnedOutcomes:
-    """Bin months by forecast probability; bins are [lo, hi), last bin closed."""
+def check_bin_edges(edges) -> tuple[float, ...]:
+    """The edges as floats; DataError unless they rise strictly from 0 to 1."""
     edges = tuple(float(e) for e in edges)
     if len(edges) < 2 or edges[0] != 0.0 or edges[-1] != 1.0:
         raise DataError(f"bin edges must cover [0, 1], got {edges}")
     if any(b <= a for a, b in zip(edges, edges[1:])):
         raise DataError(f"bin edges must be strictly increasing, got {edges}")
+    return edges
+
+
+def binned_outcomes(
+    forecasts: ForecastSeries, model: str, edges: tuple[float, ...] = DEFAULT_BIN_EDGES
+) -> BinnedOutcomes:
+    """Bin months by forecast probability; bins are [lo, hi), last bin closed."""
+    edges = check_bin_edges(edges)
     mask = forecasts.observed_mask()
     probs = forecasts.prob[model][mask]
     if np.any((probs < 0.0) | (probs > 1.0)):
@@ -366,14 +358,6 @@ class BootstrapResult:
     reps: int
     seed: int
     redraws: int
-
-    def to_dict(self) -> dict:
-        return {
-            "metric": self.metric, "model": self.model, "benchmark": self.benchmark,
-            "delta": self.delta, "ci_lo": self.ci_lo, "ci_hi": self.ci_hi,
-            "p_value": self.p_value, "block_len": self.block_len, "reps": self.reps,
-            "seed": self.seed, "redraws": self.redraws,
-        }
 
 
 def block_bootstrap_diff(
@@ -480,11 +464,5 @@ def bootstrap_table(
             vals = (forecasts.raw if use_raw else forecasts.prob)[name][mask]
             res = block_bootstrap_diff(vals, bench_vals, y, metric, block_len, reps, seed,
                                        ece_bins)
-            rows.append(
-                BootstrapResult(
-                    metric=metric, model=name, benchmark=benchmark, delta=res.delta,
-                    ci_lo=res.ci_lo, ci_hi=res.ci_hi, p_value=res.p_value,
-                    block_len=block_len, reps=reps, seed=seed, redraws=res.redraws,
-                )
-            )
+            rows.append(replace(res, model=name, benchmark=benchmark))
     return rows

@@ -1,9 +1,11 @@
 """Cross-sectional fragility signals.
 
 Daily statistics are computed across stocks within each trading day
-(population moments, weak-inequality tail fractions, trading-intensity
-averages) and then averaged within each calendar month to form the 10
-monthly predictors.
+(population moments, the fractions of stocks at or beyond the tail
+threshold in either direction, trading-intensity averages) and then
+averaged within each calendar month to form the 10 monthly predictors.
+The threshold is a plain float; ``PipelineConfig`` holds its default and
+checks that it is positive.
 """
 
 from __future__ import annotations
@@ -27,17 +29,6 @@ FEATURE_NAMES = [
     "mean_dollar_vol",
     "mean_turnover",
 ]
-
-
-@dataclass(frozen=True)
-class TailThreshold:
-    """Absolute daily return beyond which a stock counts as an extreme mover."""
-
-    tau: float = 0.05
-
-    def __post_init__(self):
-        if not self.tau > 0:
-            raise DataError(f"tail threshold tau must be > 0, got {self.tau}")
 
 
 @dataclass(frozen=True)
@@ -151,11 +142,12 @@ def _block_stats(ret, prc, vol, shrout, tau: float) -> dict:
     }
 
 
-def compute_daily_stats(panel: DailyPanel, tau: TailThreshold) -> DailyStats:
+def compute_daily_stats(panel: DailyPanel, tau: float) -> DailyStats:
     """Cross-sectional statistics of every panel day, in calendar order.
 
     Moments divide by the stock count (population convention); tail
-    fractions use weak inequalities (ret <= -tau, ret >= +tau). Intensity
+    fractions use weak inequalities (ret <= -tau, ret >= +tau), where
+    ``tau`` > 0 is the config's ``tail_threshold``. Intensity
     means are taken over rows whose volume fields are present, and turnover
     additionally requires shares outstanding > 0.
 
@@ -179,7 +171,7 @@ def compute_daily_stats(panel: DailyPanel, tau: TailThreshold) -> DailyStats:
         for i in range(0, days.shape[0], step):
             seg = days[i:i + step]
             block = _block_stats(*(_stack(getattr(panel, name), starts, seg, length)
-                                   for name in ("ret", "prc", "vol", "shrout")), tau.tau)
+                                   for name in ("ret", "prc", "vol", "shrout")), tau)
             for name, values in block.items():
                 columns[name][seg] = values
     return DailyStats(n_stocks=n_stocks, **columns, degenerate=columns["xs_std"] == 0.0)

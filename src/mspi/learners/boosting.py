@@ -33,10 +33,6 @@ class GradientBoostingParams:
     shrinkage: float = 0.1
     min_leaf: int = 5
 
-    def __post_init__(self):
-        if not 0.0 <= self.shrinkage <= 1.0:
-            raise DataError(f"shrinkage must be in [0,1], got {self.shrinkage}")
-
 
 @dataclass
 class BoostModel:

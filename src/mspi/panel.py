@@ -6,7 +6,9 @@ CSV contracts (UTF-8, comma-delimited, ISO-8601 dates, decimal returns):
     market: date,mkt_ret
 
 Lines starting with ``#`` are treated as comments (artifacts written by the
-CLI carry a ``# config_hash=...`` first line).
+CLI carry a ``# config_hash=...`` first line). ``read_rows`` reads the
+market series and every small headered artifact; the panel has its own
+chunked reader below.
 
 The panel is read in chunks of about a megabyte and parsed column by column:
 each float column in one ``float`` pass, dates and flags once per distinct
@@ -34,11 +36,12 @@ import csv
 import datetime as dt
 import io
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 PANEL_COLUMNS = ["date", "security_id", "ret", "prc", "vol", "shrout", "shrcd_ok", "exchcd_ok"]
 MARKET_COLUMNS = ["date", "mkt_ret"]
@@ -63,7 +66,7 @@ class EligibilityFilter:
 
     def __post_init__(self):
         if self.min_abs_price < 0:
-            raise DataError("min_abs_price must be >= 0")
+            raise ConfigError(f"min_abs_price must be >= 0, got {self.min_abs_price}")
 
 
 @dataclass(frozen=True)
@@ -167,8 +170,13 @@ def _read_header(reader, path: str, required: list[str]) -> tuple[dict[str, int]
     return index, len(header)
 
 
-def _open_rows(path: str, required: list[str]):
-    """Yield (line_number, row dict) for a headered CSV, skipping comments."""
+def read_rows(path, required: list[str]) -> tuple[list[int], list[dict[str, str]]]:
+    """Line numbers and rows (dicts of the required columns) of a headered
+    CSV, skipping comment and blank lines. A missing file or column, or a
+    row with more or fewer fields than the header, raises DataError."""
+    if not os.path.exists(path):
+        raise DataError(f"missing file: {path}")
+    lines, rows = [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         index, width = _read_header(reader, path, required)
@@ -176,10 +184,11 @@ def _open_rows(path: str, required: list[str]):
             if not row or row[0].startswith("#"):
                 continue
             if len(row) != width:
-                raise DataError(
-                    f"line {reader.line_num}: expected {width} fields, found {len(row)}"
-                )
-            yield reader.line_num, {c: row[index[c]] for c in required}
+                raise DataError(f"{path}: line {reader.line_num}: {len(row)} fields, "
+                                f"the header has {width}")
+            lines.append(reader.line_num)
+            rows.append({c: row[index[c]] for c in required})
+    return lines, rows
 
 
 def _parse_panel_row(line: int, row: dict[str, str]) -> tuple:
@@ -424,7 +433,7 @@ def load_market_series(path: str) -> MarketSeries:
     """Load the daily market index series; rejects duplicates and non-finite returns."""
     rows: list[tuple[dt.date, float]] = []
     seen: set[dt.date] = set()
-    for line, row in _open_rows(path, MARKET_COLUMNS):
+    for line, row in zip(*read_rows(path, MARKET_COLUMNS)):
         day = _parse_date(row["date"], line, "date")
         ret = _parse_float(row["mkt_ret"], line, "mkt_ret")
         if not math.isfinite(ret):

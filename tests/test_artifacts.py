@@ -80,7 +80,7 @@ class TestReadForecasts:
             return lines[:3] + [",".join(cells)] + lines[4:]
 
         edit_lines(path, blank)
-        with pytest.raises(DataError, match="month 2000-01 model l2 has probability ''"):
+        with pytest.raises(DataError, match="line 4, column 'probability': expected a finite number, got ''"):
             read_forecasts(path, labels)
 
 

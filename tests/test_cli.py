@@ -94,8 +94,13 @@ def test_all_stages_reproduce_golden_artifacts(tmp_path):
     ({"l1_grid": [0.1, "big"]}, "l1_grid"),
     ({"gb_stage_grid": [0, 10]}, "gb_stage_grid"),
     ({"lp_outcome": "zap"}, "lp_outcome"),
+    ({"seed": -1}, "seed"),
+    ({"models": ["l1", "l1", "l2"]}, "models"),
+    ({"bin_edges": [0.0, 0.5, 0.4, 1.0]}, "bin_edges"),
+    ({"min_abs_price": -1}, "min_abs_price"),
 ], ids=["seed_string", "rf_trees", "cv_folds", "gb_shrinkage", "calibration_fraction",
-        "flag_int", "grid_entry", "stage_grid", "lp_outcome"])
+        "flag_int", "grid_entry", "stage_grid", "lp_outcome", "negative_seed",
+        "duplicate_model", "bin_edges_order", "negative_min_price"])
 def test_bad_config_exits_2(tmp_path, capsys, payload, field):
     config = write_config(tmp_path, {**payload, "out_dir": str(tmp_path / "out")})
     assert main(["backtest", "--config", config]) == 2

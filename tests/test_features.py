@@ -6,11 +6,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from mspi.config import PipelineConfig
 from mspi.errors import DataError
 from mspi.features import (
     _BLOCK_ROWS,
     FEATURE_NAMES,
-    TailThreshold,
     _segment_means,
     aggregate_monthly,
     compute_daily_stats,
@@ -19,7 +19,7 @@ from mspi.panel import DailyPanel, MarketSeries, partition_months
 
 from .oracles import daily_stats_per_day, monthly_means_per_month
 
-TAU = TailThreshold()
+TAU = PipelineConfig().tail_threshold
 PANEL_FIELDS = ("ret", "prc", "vol", "shrout", "share_ok", "exch_ok")
 
 
@@ -207,7 +207,7 @@ class TestBatchedDailyStats:
 
     def assert_matches_per_day(self, panel):
         stats = compute_daily_stats(panel, TAU)
-        expected = daily_stats_per_day(panel, TAU.tau)
+        expected = daily_stats_per_day(panel, TAU)
         for f, want in zip(fields(stats), expected):
             got = getattr(stats, f.name)
             assert got.dtype == want.dtype, f.name

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from mspi.config import PipelineConfig
 from mspi.errors import ConfigError
-from mspi.features import TailThreshold, compute_daily_stats
+from mspi.features import compute_daily_stats
 from mspi.simulate import RegimeParams, SimConfig, simulate, stationary_stress_share
 
 
@@ -37,7 +38,7 @@ class TestSimulate:
     def test_stress_months_have_higher_dispersion(self):
         cfg = small(n_years=30, seed=3)
         out = simulate(cfg)
-        stats = compute_daily_stats(out.panel, TailThreshold())
+        stats = compute_daily_stats(out.panel, PipelineConfig().tail_threshold)
         by_month: dict[str, list[float]] = {}
         for date, xs_std in zip(out.panel.dates, stats.xs_std.tolist()):
             by_month.setdefault(f"{date.year:04d}-{date.month:02d}", []).append(xs_std)
