@@ -88,12 +88,13 @@ class BacktestConfig:
     min_validation_months: int = 6
     l1_grid: tuple[float, ...] = field(default_factory=_default_lambda_grid)
     l2_grid: tuple[float, ...] = field(default_factory=_default_lambda_grid)
-    rf_trees: int = 500
-    rf_max_depth: int = 8
-    rf_min_leaf: int = 5
+    # the rf and gb tree settings default to the learners' own parameters
+    rf_trees: int = RandomForestParams.n_trees
+    rf_max_depth: int = RandomForestParams.max_depth
+    rf_min_leaf: int = RandomForestParams.min_leaf
     gb_stage_grid: tuple[int, ...] = (50, 100, 200, 400)
-    gb_max_depth: int = 2
-    gb_shrinkage: float = 0.1
+    gb_max_depth: int = GradientBoostingParams.max_depth
+    gb_shrinkage: float = GradientBoostingParams.shrinkage
     models: tuple[str, ...] = MODEL_NAMES
     seed: int = 7
     calibration_fraction: float = 0.2
@@ -339,7 +340,7 @@ def forward_chain_cv(
     seed_seq: np.random.SeedSequence,
     cal_fraction: float,
     cal_min_months: int,
-    min_validation_months: int = 6,
+    min_validation_months: int,
 ) -> tuple[object, dict]:
     """Select a hyperparameter by forward-chaining CV on the initial window.
 
@@ -447,10 +448,6 @@ class ForecastSeries:
     seed: int
     warnings: list[str] = field(default_factory=list)
     cv: dict[str, dict] = field(default_factory=dict)  # per model: selected, folds_used, mean_losses
-
-    @property
-    def n_observed(self) -> int:
-        return int(np.sum(np.isfinite(self.y_next)))
 
     def observed_mask(self) -> np.ndarray:
         return np.isfinite(self.y_next)

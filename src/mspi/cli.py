@@ -229,8 +229,7 @@ def cmd_lp(cfg: PipelineConfig, args) -> int:
     controls = None
     if cfg.lp_controls:
         controls = np.column_stack([forecasts.r_mkt, forecasts.sigma_mkt])[1:-1]
-    result = econ.local_projections(u, y, controls, cfg.lp_horizon,
-                                    outcome_name=cfg.lp_outcome)
+    result = econ.local_projections(u, y, controls, cfg.lp_horizon)
     rows = (
         (h, result.b[i], result.se[i], int(result.n_obs[i]))
         for i, h in enumerate(result.horizons)

@@ -3,13 +3,14 @@
 Every stage reads the same config object; the SHA-256 hash of the canonical
 JSON encoding is embedded in every artifact for provenance verification.
 
-A setting that a stage dataclass owns takes its default from that
-dataclass. Each builder reads every field of its dataclass from the config
-field of the same name: ``eligibility_filter()``, ``stress_config()`` and
-``backtest_config()`` as they are, ``sim_config()`` with the prefix
-``sim_`` (``sim_calm_`` and ``sim_stress_`` for the two regimes) and the
-shared ``seed``. Each range check sits in one place and raises ConfigError:
-in the stage dataclass for its own fields, in ``validate`` for the rest.
+Each setting has one default. A setting that a stage dataclass owns takes
+its default from that dataclass; the functions the stages call take every
+other setting as an argument without a default. Each builder reads every
+field of its dataclass from the config field of the same name:
+``eligibility_filter()``, ``stress_config()`` and ``backtest_config()`` as
+they are, ``sim_config()`` with the prefix ``sim_`` and the shared ``seed``.
+Each range check sits in one place and raises ConfigError naming the config
+field: in the stage dataclass for its own fields, otherwise in ``validate``.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from pathlib import Path
 from .backtest import BacktestConfig
 from .econometrics import LP_OUTCOMES
 from .errors import ConfigError, DataError
-from .evaluation import DEFAULT_BIN_EDGES, check_bin_edges
+from .evaluation import check_bin_edges
 from .labels import StressConfig
 from .panel import EligibilityFilter
-from .simulate import RegimeParams, SimConfig
+from .simulate import SimConfig
 
 
 _KINDS = {"int": int, "float": float, "bool": bool, "str": str, "str | None": str, "list": list}
@@ -88,7 +89,7 @@ class PipelineConfig:
 
     # evaluation
     ece_bins: int = 10
-    bin_edges: list = field(default_factory=lambda: list(DEFAULT_BIN_EDGES))
+    bin_edges: list = field(default_factory=lambda: [0.0, 0.05, 0.10, 0.20, 0.40, 1.0])
     bootstrap_block: int = 12
     bootstrap_reps: int = 2000
     benchmark: str = "l2"
@@ -104,20 +105,8 @@ class PipelineConfig:
     # simulation
     sim_n_stocks: int = _SIM.n_stocks
     sim_n_years: int = _SIM.n_years
-    sim_trading_days_per_year: int = _SIM.trading_days_per_year
-    sim_start_year: int = _SIM.start_year
     sim_p_calm_to_stress: float = _SIM.p_calm_to_stress
     sim_p_stress_to_calm: float = _SIM.p_stress_to_calm
-    sim_calm_mkt_drift: float = _SIM.calm.mkt_drift
-    sim_calm_mkt_vol: float = _SIM.calm.mkt_vol
-    sim_calm_dispersion: float = _SIM.calm.dispersion
-    sim_calm_tail_prob: float = _SIM.calm.tail_prob
-    sim_calm_volume_scale: float = _SIM.calm.volume_scale
-    sim_stress_mkt_drift: float = _SIM.stress.mkt_drift
-    sim_stress_mkt_vol: float = _SIM.stress.mkt_vol
-    sim_stress_dispersion: float = _SIM.stress.dispersion
-    sim_stress_tail_prob: float = _SIM.stress.tail_prob
-    sim_stress_volume_scale: float = _SIM.stress.volume_scale
 
     @classmethod
     def from_file(cls, path: str) -> "PipelineConfig":
@@ -189,7 +178,7 @@ class PipelineConfig:
         # delegate the rest to the owning dataclasses
         self.eligibility_filter()
         self.stress_config()
-        self.sim_config().validate()
+        self.sim_config()
         self.backtest_config().validate()
 
     def to_dict(self) -> dict:
@@ -203,12 +192,16 @@ class PipelineConfig:
 
     def _stage(self, cls: type, prefix: str = "", **given):
         """``cls`` with each field not ``given`` read from the field
-        ``prefix + name`` of this config, lists as tuples."""
+        ``prefix + name`` of this config, lists as tuples; the prefix also
+        goes before the field name that starts a stage's range error."""
         for f in fields(cls):
             if f.name not in given:
                 value = getattr(self, prefix + f.name)
                 given[f.name] = tuple(value) if isinstance(value, list) else value
-        return cls(**given)
+        try:
+            return cls(**given)
+        except ConfigError as exc:
+            raise ConfigError(prefix + str(exc)) from None
 
     def eligibility_filter(self) -> EligibilityFilter:
         return self._stage(EligibilityFilter)
@@ -217,9 +210,7 @@ class PipelineConfig:
         return self._stage(StressConfig)
 
     def sim_config(self) -> SimConfig:
-        return self._stage(SimConfig, "sim_", seed=self.seed,
-                           calm=self._stage(RegimeParams, "sim_calm_"),
-                           stress=self._stage(RegimeParams, "sim_stress_"))
+        return self._stage(SimConfig, "sim_", seed=self.seed)
 
     def backtest_config(self) -> BacktestConfig:
         return self._stage(BacktestConfig)

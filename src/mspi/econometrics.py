@@ -148,8 +148,8 @@ class PredictiveVolResult:
 
 def predictive_vol_regression(
     forecasts: ForecastSeries,
-    model: str = "l1",
-    hac_lag: int = 6,
+    model: str,
+    hac_lag: int,
 ) -> PredictiveVolResult:
     """Regress next-month realized volatility on the stress probability.
 
@@ -191,9 +191,9 @@ class CrashRegressionResult:
 
 def crash_regression(
     forecasts: ForecastSeries,
-    cutoff: float = -0.05,
-    model: str = "l1",
-    hac_lag: int = 6,
+    cutoff: float,
+    model: str,
+    hac_lag: int,
 ) -> CrashRegressionResult:
     """Downside-indicator regressions: Crash_{t+1} = 1{R_{t+1} <= cutoff}.
 
@@ -237,8 +237,8 @@ class InnovationSeries:
 
 def mspi_innovations(
     forecasts: ForecastSeries,
-    model: str = "l1",
-    hac_lag: int = 6,
+    model: str,
+    hac_lag: int,
 ) -> InnovationSeries:
     """Project the index on its lag and lagged market controls; keep residuals.
 
@@ -268,7 +268,6 @@ class LocalProjectionResult:
     b: np.ndarray
     se: np.ndarray
     n_obs: np.ndarray
-    outcome: str
 
 
 def local_projections(
@@ -276,7 +275,6 @@ def local_projections(
     y: np.ndarray,
     controls: np.ndarray | None,
     max_horizon: int,
-    outcome_name: str = "y",
 ) -> LocalProjectionResult:
     """Horizon-by-horizon regressions y_{t+h} = a_h + b_h u_t + G_h' W_{t-1}.
 
@@ -318,14 +316,14 @@ def local_projections(
         ns.append(m)
     return LocalProjectionResult(
         horizons=horizons, b=np.array(bs), se=np.array(ses),
-        n_obs=np.array(ns, dtype=np.int64), outcome=outcome_name,
+        n_obs=np.array(ns, dtype=np.int64),
     )
 
 
 def lp_outcome_series(
     forecasts: ForecastSeries,
     outcome: str,
-    crash_cutoff: float = -0.05,
+    crash_cutoff: float,
     features: "FeatureMatrix | None" = None,
 ) -> np.ndarray:
     """Outcome series aligned to forecast months for local projections.

@@ -17,7 +17,6 @@ from .backtest import ForecastSeries
 from .errors import DataError, NumericError
 from .learners import PROB_CLAMP
 
-DEFAULT_BIN_EDGES = (0.0, 0.05, 0.10, 0.20, 0.40, 1.0)
 METRIC_NAMES = ("auc", "pr_auc", "brier", "log_loss", "ece")
 # Ranking metrics read raw scores; probability metrics read probabilities.
 SCORE_METRICS = {"auc", "pr_auc"}
@@ -155,7 +154,7 @@ class CalibrationCurve:
     count: np.ndarray
 
 
-def ece(probs: np.ndarray, y: np.ndarray, n_bins: int = 10) -> tuple[float, CalibrationCurve]:
+def ece(probs: np.ndarray, y: np.ndarray, n_bins: int) -> tuple[float, CalibrationCurve]:
     """Expected calibration error over equal-mass (quantile) bins.
 
     Observations are sorted by probability and split into ``n_bins`` bins;
@@ -230,7 +229,7 @@ class MetricsReport:
     ece_bins: int
 
 
-def compute_metrics(forecasts: ForecastSeries, ece_bins: int = 10) -> MetricsReport:
+def compute_metrics(forecasts: ForecastSeries, ece_bins: int) -> MetricsReport:
     """Table of per-model metrics over months with an observed outcome."""
     mask = forecasts.observed_mask()
     if not mask.any():
@@ -264,7 +263,7 @@ class CurveSet:
     calibration: CalibrationCurve
 
 
-def compute_curves(forecasts: ForecastSeries, ece_bins: int = 10) -> list[CurveSet]:
+def compute_curves(forecasts: ForecastSeries, ece_bins: int) -> list[CurveSet]:
     mask = forecasts.observed_mask()
     y = forecasts.y_next[mask]
     out = []
@@ -301,7 +300,7 @@ def check_bin_edges(edges) -> tuple[float, ...]:
 
 
 def binned_outcomes(
-    forecasts: ForecastSeries, model: str, edges: tuple[float, ...] = DEFAULT_BIN_EDGES
+    forecasts: ForecastSeries, model: str, edges: tuple[float, ...]
 ) -> BinnedOutcomes:
     """Bin months by forecast probability; bins are [lo, hi), last bin closed."""
     edges = check_bin_edges(edges)
@@ -365,10 +364,10 @@ def block_bootstrap_diff(
     values_b: np.ndarray,
     y: np.ndarray,
     metric: str,
-    block_len: int = 12,
-    reps: int = 2000,
-    seed: int = 0,
-    ece_bins: int = 10,
+    block_len: int,
+    reps: int,
+    seed: int,
+    ece_bins: int,
 ) -> BootstrapResult:
     """Moving-block bootstrap of metric(values_a) - metric(values_b).
 
@@ -442,12 +441,11 @@ def block_bootstrap_diff(
 
 def bootstrap_table(
     forecasts: ForecastSeries,
-    benchmark: str = "l2",
-    metrics: tuple[str, ...] = METRIC_NAMES,
-    block_len: int = 12,
-    reps: int = 2000,
-    seed: int = 0,
-    ece_bins: int = 10,
+    benchmark: str,
+    block_len: int,
+    reps: int,
+    seed: int,
+    ece_bins: int,
 ) -> list[BootstrapResult]:
     """Bootstrap deltas of every non-benchmark model against the benchmark."""
     if benchmark not in forecasts.models:
@@ -455,7 +453,7 @@ def bootstrap_table(
     mask = forecasts.observed_mask()
     y = forecasts.y_next[mask]
     rows = []
-    for metric in metrics:
+    for metric in METRIC_NAMES:
         use_raw = metric in SCORE_METRICS
         bench_vals = (forecasts.raw if use_raw else forecasts.prob)[benchmark][mask]
         for name in forecasts.models:

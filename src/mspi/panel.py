@@ -121,7 +121,7 @@ class IngestSummary:
     rows_kept: int = 0
     dropped: dict[str, int] = field(default_factory=dict)
 
-    def drop(self, reason: str, count: int = 1):
+    def drop(self, reason: str, count: int):
         if count:
             self.dropped[reason] = self.dropped.get(reason, 0) + count
 

@@ -7,6 +7,10 @@ proprietary data. The monthly regime follows a two-state Markov chain
 are a market factor plus idiosyncratic noise with regime-dependent
 dispersion, plus a regime-dependent chance of a -8% jump per stock-day.
 
+The calendar starts in January 1980 and each month trades on its first 21
+weekdays; the two regimes' dynamics are the constants ``CALM`` and
+``STRESS``. A ``SimConfig`` sets the size, transition probabilities and seed.
+
 All randomness comes from a single PCG64 generator seeded from the config,
 so identical configs produce bit-identical output on any platform.
 """
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 import calendar
 import datetime as dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +27,8 @@ from .errors import ConfigError
 from .panel import DailyPanel, MarketSeries, month_key
 
 JUMP_RETURN = -0.08
+START_YEAR = 1980
+TRADING_DAYS_PER_MONTH = 21
 
 
 @dataclass(frozen=True)
@@ -35,56 +41,36 @@ class RegimeParams:
     tail_prob: float
     volume_scale: float
 
-    def validate(self, prefix: str):
-        if not self.mkt_vol > 0:
-            raise ConfigError(f"{prefix}.mkt_vol must be > 0, got {self.mkt_vol}")
-        if not self.dispersion > 0:
-            raise ConfigError(f"{prefix}.dispersion must be > 0, got {self.dispersion}")
-        if not 0 <= self.tail_prob <= 1:
-            raise ConfigError(f"{prefix}.tail_prob must be in [0,1], got {self.tail_prob}")
-        if not self.volume_scale > 0:
-            raise ConfigError(f"{prefix}.volume_scale must be > 0, got {self.volume_scale}")
 
-
-CALM_DEFAULT = RegimeParams(
+CALM = RegimeParams(
     mkt_drift=0.0005, mkt_vol=0.0075, dispersion=0.015, tail_prob=0.003, volume_scale=1.0
 )
-STRESS_DEFAULT = RegimeParams(
+STRESS = RegimeParams(
     mkt_drift=-0.003, mkt_vol=0.022, dispersion=0.035, tail_prob=0.05, volume_scale=1.8
 )
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation size, regime dynamics, transition probabilities, and seed."""
+    """Simulation size, regime transition probabilities, and seed."""
 
     n_stocks: int = 500
     n_years: int = 40
-    trading_days_per_year: int = 252
-    calm: RegimeParams = field(default_factory=lambda: CALM_DEFAULT)
-    stress: RegimeParams = field(default_factory=lambda: STRESS_DEFAULT)
     p_calm_to_stress: float = 0.04
     p_stress_to_calm: float = 0.35
-    start_year: int = 1980
     seed: int = 7
 
-    def validate(self):
+    def __post_init__(self):
         if self.n_stocks < 2:
             raise ConfigError(f"n_stocks must be >= 2, got {self.n_stocks}")
         if self.n_years < 1:
             raise ConfigError(f"n_years must be >= 1, got {self.n_years}")
-        if self.trading_days_per_year < 12:
-            raise ConfigError(
-                f"trading_days_per_year must be >= 12, got {self.trading_days_per_year}"
-            )
         for name, p in (
             ("p_calm_to_stress", self.p_calm_to_stress),
             ("p_stress_to_calm", self.p_stress_to_calm),
         ):
             if not 0 <= p <= 1:
                 raise ConfigError(f"{name} must be in [0,1], got {p}")
-        self.calm.validate("calm")
-        self.stress.validate("stress")
 
 
 @dataclass(frozen=True)
@@ -96,22 +82,20 @@ class SimOutput:
     true_regime: dict[str, bool]
 
 
-def _trading_days(year: int, month: int, per_month: int) -> list[dt.date]:
-    """First `per_month` weekdays of the calendar month."""
+def _trading_days(year: int, month: int) -> list[dt.date]:
+    """First ``TRADING_DAYS_PER_MONTH`` weekdays of the calendar month."""
     days = [
         dt.date(year, month, d)
         for d in range(1, calendar.monthrange(year, month)[1] + 1)
         if dt.date(year, month, d).weekday() < 5
     ]
-    return days[:per_month]
+    return days[:TRADING_DAYS_PER_MONTH]
 
 
 def simulate(config: SimConfig) -> SimOutput:
     """Run the simulation described in the module docstring."""
-    config.validate()
     rng = np.random.Generator(np.random.PCG64(config.seed))
     n = config.n_stocks
-    per_month = config.trading_days_per_year // 12
 
     # Static per-stock attributes. Prices are floored at $1 later so the
     # default eligibility filter never drops a synthetic row.
@@ -120,7 +104,7 @@ def simulate(config: SimConfig) -> SimOutput:
     base_volume = np.exp(rng.normal(np.log(1e5), 0.7, size=n))
 
     calendar_days = [
-        _trading_days(config.start_year + m // 12, m % 12 + 1, per_month)
+        _trading_days(START_YEAR + m // 12, m % 12 + 1)
         for m in range(config.n_years * 12)
     ]
     dates = [day for days in calendar_days for day in days]
@@ -137,7 +121,7 @@ def simulate(config: SimConfig) -> SimOutput:
             u = rng.random()
             stress = (u < config.p_calm_to_stress) if not stress else (u >= config.p_stress_to_calm)
         true_regime[month_key(days[0])] = stress
-        params = config.stress if stress else config.calm
+        params = STRESS if stress else CALM
 
         for _ in days:
             mkt_ret = params.mkt_drift + params.mkt_vol * rng.standard_normal()

@@ -240,19 +240,19 @@ def load_daily_panel_rowwise(
             raise DataError(f"line {line}, column 'shrout': negative shares outstanding {shrout}")
 
         if not math.isfinite(ret):
-            summary.drop("missing_ret")
+            summary.drop("missing_ret", 1)
             continue
         if not math.isfinite(prc):
-            summary.drop("missing_prc")
+            summary.drop("missing_prc", 1)
             continue
         if abs(prc) < filt.min_abs_price:
-            summary.drop("price_below_min")
+            summary.drop("price_below_min", 1)
             continue
         if filt.require_share_class and not share_ok:
-            summary.drop("share_class")
+            summary.drop("share_class", 1)
             continue
         if filt.require_exchange and not exch_ok:
-            summary.drop("exchange")
+            summary.drop("exchange", 1)
             continue
 
         summary.rows_kept += 1

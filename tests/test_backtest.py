@@ -65,7 +65,7 @@ class TestForwardChainCV:
         X = self.rng.normal(size=(60, 4))
         y = (self.rng.random(60) < 0.3).astype(float)
         hyper, info = forward_chain_cv(learner, X, y, [0.5], 5,
-                                       np.random.SeedSequence(0), 0.2, 12)
+                                       np.random.SeedSequence(0), 0.2, 12, 6)
         assert hyper == 0.5 and info["folds_used"] == 0
 
     def test_noise_features_select_max_penalty(self):
@@ -77,7 +77,7 @@ class TestForwardChainCV:
             X = rng.normal(size=(120, 16))
             y = (rng.random(120) < 0.25).astype(float)
             hyper, _ = forward_chain_cv(learner, X, y, grid, 5,
-                                        np.random.SeedSequence(seed), 0.2, 12)
+                                        np.random.SeedSequence(seed), 0.2, 12, 6)
             wins += hyper == 1.0
         assert wins >= 40  # >= 80% of replications
 
@@ -98,7 +98,7 @@ class TestForwardChainCV:
         X = rng.normal(size=(80, 4))
         y = (rng.random(80) < 0.3).astype(float)
         hyper, info = forward_chain_cv(learner, X, y, [1e6, 1e6], 5,
-                                       np.random.SeedSequence(0), 0.2, 12)
+                                       np.random.SeedSequence(0), 0.2, 12, 6)
         assert hyper == 1e6
         assert info["mean_losses"][0] == info["mean_losses"][1]
 
@@ -110,7 +110,7 @@ class TestForwardChainCV:
         grid = [GradientBoostingParams(n_stages=m) for m in (8, 15, 3, 15)]
         folds, seg = 4, 96 // 8
         hyper, info = forward_chain_cv(learner, X, y, grid, folds,
-                                       np.random.SeedSequence(4), 0.2, 12)
+                                       np.random.SeedSequence(4), 0.2, 12, 6)
         assert info["folds_used"] == folds
         fold_seeds = np.random.SeedSequence(4).spawn(folds)
         losses = np.full((len(grid), folds), np.nan)
@@ -135,7 +135,7 @@ class TestForwardChainCV:
         X = self.rng.normal(size=(120, 3))
         with pytest.raises(DataError, match="single-class"):
             forward_chain_cv(learner, X, np.zeros(120), [0.1, 1.0], 5,
-                             np.random.SeedSequence(0), 0.2, 12)
+                             np.random.SeedSequence(0), 0.2, 12, 6)
 
 
 class TestFitWindow:

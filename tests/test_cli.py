@@ -98,9 +98,13 @@ def test_all_stages_reproduce_golden_artifacts(tmp_path):
     ({"models": ["l1", "l1", "l2"]}, "models"),
     ({"bin_edges": [0.0, 0.5, 0.4, 1.0]}, "bin_edges"),
     ({"min_abs_price": -1}, "min_abs_price"),
+    ({"sim_n_stocks": 1}, "sim_n_stocks must be >= 2, got 1"),
+    ({"sim_p_stress_to_calm": 1.5}, "sim_p_stress_to_calm must be in [0,1], got 1.5"),
+    ({"sim_calm_mkt_vol": 0}, "unknown config field 'sim_calm_mkt_vol'"),
 ], ids=["seed_string", "rf_trees", "cv_folds", "gb_shrinkage", "calibration_fraction",
         "flag_int", "grid_entry", "stage_grid", "lp_outcome", "negative_seed",
-        "duplicate_model", "bin_edges_order", "negative_min_price"])
+        "duplicate_model", "bin_edges_order", "negative_min_price", "sim_n_stocks",
+        "sim_p_stress_to_calm", "removed_regime_field"])
 def test_bad_config_exits_2(tmp_path, capsys, payload, field):
     config = write_config(tmp_path, {**payload, "out_dir": str(tmp_path / "out")})
     assert main(["backtest", "--config", config]) == 2

@@ -101,7 +101,7 @@ class TestPredictiveVolRegression:
     def test_identity_regressor(self):
         fs = toy_forecasts(seed=5)
         fs.next_vol[:] = fs.prob["l1"]  # index equals next-month volatility
-        res = predictive_vol_regression(fs)
+        res = predictive_vol_regression(fs, model="l1", hac_lag=6)
         assert res.gamma == pytest.approx(1.0, abs=1e-10)
         assert res.regression.r2 == pytest.approx(1.0)
 
@@ -109,13 +109,13 @@ class TestPredictiveVolRegression:
         hits = 0
         for seed in range(100):
             fs = toy_forecasts(n=150, seed=seed, link=0.0)
-            res = predictive_vol_regression(fs)
+            res = predictive_vol_regression(fs, model="l1", hac_lag=6)
             hits += abs(res.regression.t_stat("mspi")) < 2.0
         assert hits >= 90
 
     def test_linked_index_positive_gamma(self):
         fs = toy_forecasts(n=200, seed=6, link=0.3)
-        res = predictive_vol_regression(fs)
+        res = predictive_vol_regression(fs, model="l1", hac_lag=6)
         assert res.gamma > 0.0
         assert res.delta_r2 > 0.0
 
@@ -123,7 +123,7 @@ class TestPredictiveVolRegression:
 class TestCrashRegression:
     def test_all_zero_indicator_skips_logistic(self):
         fs = toy_forecasts(seed=7)
-        res = crash_regression(fs, cutoff=-10.0)
+        res = crash_regression(fs, cutoff=-10.0, model="l1", hac_lag=6)
         assert res.logistic is None and res.warning is not None
         assert res.crash_rate == 0.0
 
@@ -133,7 +133,7 @@ class TestCrashRegression:
         fs.next_ret[:] = np.where(
             (np.arange(200) % 2 == 0) & (np.arange(200) < 100), -0.06, 0.01
         )
-        res = crash_regression(fs, cutoff=-0.05)
+        res = crash_regression(fs, cutoff=-0.05, model="l1", hac_lag=6)
         # the intercept and a two-level index span the group indicators, so the
         # residuals sum to zero within each group, controls or not: the mean
         # fitted value of a group is its crash rate
@@ -152,7 +152,7 @@ class TestCrashRegression:
         return fs
 
     def test_separable_design_skips_logistic(self):
-        res = crash_regression(self.separable_forecasts(), cutoff=-0.05)
+        res = crash_regression(self.separable_forecasts(), cutoff=-0.05, model="l1", hac_lag=6)
         assert res.logistic is None and "logistic variant skipped" in res.warning
         assert res.crash_rate == pytest.approx(0.5)
         assert res.to_dict()["logistic"] is None
@@ -171,7 +171,7 @@ class TestCrashRegression:
         assert crash["logistic"] is None and "logistic variant skipped" in crash["warning"]
 
     def test_synthetic_backtest_positive_coefficient(self, small_forecasts):
-        res = crash_regression(small_forecasts, cutoff=-0.05)
+        res = crash_regression(small_forecasts, cutoff=-0.05, model="l1", hac_lag=6)
         assert res.linear.coefficient("mspi") > -1e-9 or res.crash_rate < 0.02
 
 
@@ -179,18 +179,18 @@ class TestInnovations:
     def test_constant_index_zero_innovations(self):
         fs = toy_forecasts(seed=9)
         fs.prob["l1"][:] = 0.25
-        innov = mspi_innovations(fs)
+        innov = mspi_innovations(fs, model="l1", hac_lag=6)
         assert np.max(np.abs(innov.innovations)) < 1e-12
 
     def test_white_noise_index_keeps_variance(self):
         fs = toy_forecasts(n=500, seed=10)
-        innov = mspi_innovations(fs)
+        innov = mspi_innovations(fs, model="l1", hac_lag=6)
         ratio = np.std(innov.innovations) / np.std(fs.prob["l1"])
         assert abs(ratio - 1.0) < 0.10
 
     def test_orthogonality_to_lagged_index(self):
         fs = toy_forecasts(n=300, seed=11)
-        innov = mspi_innovations(fs)
+        innov = mspi_innovations(fs, model="l1", hac_lag=6)
         lagged = fs.prob["l1"][:-1]
         corr = float(np.dot(innov.innovations - innov.innovations.mean(),
                             lagged - lagged.mean()))
@@ -198,16 +198,16 @@ class TestInnovations:
 
     def test_residuals_sum_to_zero(self):
         fs = toy_forecasts(n=200, seed=12)
-        innov = mspi_innovations(fs)
+        innov = mspi_innovations(fs, model="l1", hac_lag=6)
         assert abs(float(np.sum(innov.innovations))) < 1e-8
 
     def test_control_rescaling_invariance(self):
         fs = toy_forecasts(n=200, seed=13)
-        innov1 = mspi_innovations(fs)
+        innov1 = mspi_innovations(fs, model="l1", hac_lag=6)
         fs2 = toy_forecasts(n=200, seed=13)
         fs2.r_mkt[:] = 100.0 * fs2.r_mkt + 0.5
         fs2.sigma_mkt[:] = 3.0 * fs2.sigma_mkt - 0.2
-        innov2 = mspi_innovations(fs2)
+        innov2 = mspi_innovations(fs2, model="l1", hac_lag=6)
         assert np.max(np.abs(innov1.innovations - innov2.innovations)) < 1e-8
 
 
@@ -263,9 +263,9 @@ class TestLocalProjections:
         assert max(res.horizons) < 5
 
     def test_outcome_series_selector(self, small_forecasts):
-        vol = lp_outcome_series(small_forecasts, "sigma_mkt")
+        vol = lp_outcome_series(small_forecasts, "sigma_mkt", crash_cutoff=-0.05)
         assert np.array_equal(vol, small_forecasts.sigma_mkt)
         crash = lp_outcome_series(small_forecasts, "crash", crash_cutoff=-0.05)
         assert set(np.unique(crash)) <= {0.0, 1.0}
         with pytest.raises(DataError):
-            lp_outcome_series(small_forecasts, "zap")
+            lp_outcome_series(small_forecasts, "zap", crash_cutoff=-0.05)

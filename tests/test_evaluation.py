@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mspi.config import PipelineConfig
 from mspi.errors import DataError, NumericError
 from mspi.evaluation import (
     auc,
@@ -180,9 +181,9 @@ class TestCurves:
 
 class TestBinnedOutcomes:
     def test_boundary_conventions(self, small_forecasts):
-        bo = binned_outcomes(small_forecasts, "l1")
+        bo = binned_outcomes(small_forecasts, "l1", tuple(PipelineConfig().bin_edges))
         assert bo.edges == (0.0, 0.05, 0.10, 0.20, 0.40, 1.0)
-        assert bo.n.sum() == small_forecasts.n_observed
+        assert bo.n.sum() == small_forecasts.observed_mask().sum()
 
     def test_probability_bin_assignment(self):
         # hand-built forecast series exercising the edge conventions
@@ -202,7 +203,7 @@ class TestBinnedOutcomes:
             selected={},
             seed=0,
         )
-        bo = binned_outcomes(fs, "m")
+        bo = binned_outcomes(fs, "m", tuple(PipelineConfig().bin_edges))
         # 0.05 joins the second bin (left-closed), 0.4 and 1.0 the last (closed top)
         assert bo.n.tolist() == [1, 1, 1, 1, 2]
 
@@ -224,20 +225,21 @@ class TestBlockBootstrap:
     def test_identical_series_degenerate(self):
         a, _, y = self.make_series()
         for metric in ("auc", "brier", "log_loss", "ece", "pr_auc"):
-            res = block_bootstrap_diff(a, a, y, metric, block_len=12, reps=50, seed=1)
+            res = block_bootstrap_diff(a, a, y, metric, block_len=12, reps=50, seed=1,
+                                       ece_bins=10)
             assert res.delta == 0.0
             assert (res.ci_lo, res.ci_hi) == (0.0, 0.0)
             assert res.p_value == 1.0
 
     def test_deterministic_under_seed(self):
         a, b, y = self.make_series()
-        r1 = block_bootstrap_diff(a, b, y, "auc", reps=100, seed=5)
-        r2 = block_bootstrap_diff(a, b, y, "auc", reps=100, seed=5)
+        r1 = block_bootstrap_diff(a, b, y, "auc", block_len=12, reps=100, seed=5, ece_bins=10)
+        r2 = block_bootstrap_diff(a, b, y, "auc", block_len=12, reps=100, seed=5, ece_bins=10)
         assert r1 == r2
 
     def test_better_model_positive_delta(self):
         a, b, y = self.make_series(n=240)
-        res = block_bootstrap_diff(a, b, y, "auc", reps=200, seed=2)
+        res = block_bootstrap_diff(a, b, y, "auc", block_len=12, reps=200, seed=2, ece_bins=10)
         assert res.delta > 0.0
         assert res.ci_lo <= res.delta <= res.ci_hi
 
@@ -248,10 +250,11 @@ class TestBlockBootstrap:
         a = rng.random(120)
         b = rng.random(120)
         with pytest.raises(NumericError, match="too rare"):
-            block_bootstrap_diff(a, b, y, "auc", block_len=12, reps=100, seed=3)
+            block_bootstrap_diff(a, b, y, "auc", block_len=12, reps=100, seed=3, ece_bins=10)
 
     def test_table_runs_on_forecasts(self, small_forecasts):
-        rows = bootstrap_table(small_forecasts, benchmark="l2", reps=60, seed=4)
+        rows = bootstrap_table(small_forecasts, benchmark="l2", block_len=12, reps=60, seed=4,
+                               ece_bins=10)
         models = {r.model for r in rows}
         assert models == {"l1", "rf", "gb"}
         assert len(rows) == 15  # 5 metrics x 3 models
@@ -262,7 +265,7 @@ class TestBlockBootstrap:
 
 class TestComputeMetrics:
     def test_report_shape(self, small_forecasts):
-        report = compute_metrics(small_forecasts)
+        report = compute_metrics(small_forecasts, 10)
         assert set(report.models) == set(small_forecasts.models)
         assert 0.0 <= report.event_rate <= 1.0
         for m in report.models.values():
@@ -347,7 +350,8 @@ class TestBootstrapMatchesLoop:
         a = np.round(np.clip(0.3 + 0.4 * y - 0.3 * rng.random(n), 0.01, 0.99), 2)
         b = np.round(rng.random(n), 1)
         for metric in ("auc", "pr_auc", "brier", "log_loss", "ece"):
-            res = block_bootstrap_diff(a, b, y, metric, block_len=12, reps=300, seed=3)
+            res = block_bootstrap_diff(a, b, y, metric, block_len=12, reps=300, seed=3,
+                                       ece_bins=10)
             want = self.expected(a, b, y, metric, 12, 300, 3)
             assert same_bits(self.summary(res), want), metric
 
@@ -358,7 +362,8 @@ class TestBootstrapMatchesLoop:
         y[[10, 55, 100]] = 1.0
         a, b = rng.random(120), np.round(rng.random(120), 1)
         for metric in ("auc", "pr_auc"):
-            res = block_bootstrap_diff(a, b, y, metric, block_len=12, reps=200, seed=7)
+            res = block_bootstrap_diff(a, b, y, metric, block_len=12, reps=200, seed=7,
+                                       ece_bins=10)
             want = self.expected(a, b, y, metric, 12, 200, 7)
             assert res.redraws > 0
             assert same_bits(self.summary(res), want), metric
@@ -371,7 +376,7 @@ class TestBootstrapMatchesLoop:
         with pytest.raises(DataError):
             bootstrap_deltas_loop(a, b, y, auc_loop, 12, 100, 3)
         with pytest.raises(NumericError, match="more than 50 resamples"):
-            block_bootstrap_diff(a, b, y, "auc", block_len=12, reps=100, seed=3)
+            block_bootstrap_diff(a, b, y, "auc", block_len=12, reps=100, seed=3, ece_bins=10)
 
     def test_ece_bins_threaded(self):
         rng = np.random.default_rng(51)
@@ -379,22 +384,26 @@ class TestBootstrapMatchesLoop:
         a, b = rng.random(90), rng.random(90)
         res = block_bootstrap_diff(a, b, y, "ece", block_len=6, reps=100, seed=2, ece_bins=4)
         assert same_bits(self.summary(res), self.expected(a, b, y, "ece", 6, 100, 2, 4))
-        default = block_bootstrap_diff(a, b, y, "ece", block_len=6, reps=100, seed=2)
-        assert res.delta != default.delta
+        ten_bins = block_bootstrap_diff(a, b, y, "ece", block_len=6, reps=100, seed=2,
+                                        ece_bins=10)
+        assert res.delta != ten_bins.delta
 
     def test_too_few_months_for_ece_bins(self):
         rng = np.random.default_rng(52)
         y = (rng.random(30) < 0.5).astype(float)
         with pytest.raises(DataError, match="ECE needs at least 40 observations, got 30"):
             block_bootstrap_diff(rng.random(30), rng.random(30), y, "ece", block_len=6,
-                                 reps=10, ece_bins=40)
+                                 reps=10, seed=0, ece_bins=40)
 
     def test_table_uses_ece_bins(self, small_forecasts):
-        rows = bootstrap_table(small_forecasts, metrics=("ece",), reps=40, seed=4, ece_bins=5)
+        rows = bootstrap_table(small_forecasts, benchmark="l2", block_len=12, reps=40, seed=4,
+                               ece_bins=5)
+        ece_rows = [r for r in rows if r.metric == "ece"]
+        assert len(ece_rows) == 3
         mask = small_forecasts.observed_mask()
         y = small_forecasts.y_next[mask]
-        for r in rows:
+        for r in ece_rows:
             res = block_bootstrap_diff(small_forecasts.prob[r.model][mask],
                                        small_forecasts.prob["l2"][mask], y, "ece",
-                                       reps=40, seed=4, ece_bins=5)
+                                       block_len=12, reps=40, seed=4, ece_bins=5)
             assert r.delta == res.delta

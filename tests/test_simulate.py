@@ -4,7 +4,7 @@ import pytest
 from mspi.config import PipelineConfig
 from mspi.errors import ConfigError
 from mspi.features import compute_daily_stats
-from mspi.simulate import RegimeParams, SimConfig, simulate, stationary_stress_share
+from mspi.simulate import SimConfig, simulate, stationary_stress_share
 
 
 def small(**kw):
@@ -75,11 +75,6 @@ class TestSimulate:
 
     def test_invalid_config_names_field(self):
         with pytest.raises(ConfigError, match="n_stocks"):
-            SimConfig(n_stocks=1).validate()
+            SimConfig(n_stocks=1)
         with pytest.raises(ConfigError, match="p_calm_to_stress"):
-            SimConfig(p_calm_to_stress=1.5).validate()
-        with pytest.raises(ConfigError, match="stress.dispersion"):
-            SimConfig(
-                stress=RegimeParams(mkt_drift=0, mkt_vol=0.01, dispersion=-1,
-                                    tail_prob=0.1, volume_scale=1)
-            ).validate()
+            SimConfig(p_calm_to_stress=1.5)
