@@ -42,7 +42,7 @@ from .artifacts import (
 from .backtest import run_expanding_backtest
 from .config import PipelineConfig
 from .errors import ConfigError, DataError, MspiError, NumericError
-from .features import FEATURE_NAMES, aggregate_monthly, compute_daily_stats
+from .features import FEATURE_NAMES, DailyStats, aggregate_monthly, compute_daily_stats
 from .labels import build_market_monthly, label_stress
 from .panel import load_daily_panel, load_market_series, partition_months, read_rows
 from .simulate import simulate
@@ -89,13 +89,18 @@ def cmd_features(cfg: PipelineConfig, args) -> int:
     h = cfg.config_hash()
     panel_path = _input_path(cfg, cfg.panel_csv, "panel.csv")
     market_path = _input_path(cfg, cfg.market_csv, "market.csv")
-    panel, summary = load_daily_panel(str(panel_path), cfg.eligibility_filter())
+    # one calendar year of the panel in memory at a time: keep its days and statistics
+    years, summary = load_daily_panel(
+        str(panel_path), cfg.eligibility_filter(),
+        lambda year: (year.dates, compute_daily_stats(year, cfg.tail_threshold)),
+    )
+    dates = [day for year_dates, _ in years for day in year_dates]
+    stats = DailyStats.concatenate([year_stats for _, year_stats in years])
     market = load_market_series(str(market_path))
-    partition = partition_months(panel.dates, market)
-    stats = compute_daily_stats(panel, cfg.tail_threshold)
+    partition = partition_months(dates, market)
     features = aggregate_monthly(stats, partition)
     write_features_csv(out / "features.csv", features, h)
-    write_calendar_csv(out / "calendar.csv", panel.dates, h)
+    write_calendar_csv(out / "calendar.csv", dates, h)
     if getattr(args, "ingest_summary", False):
         write_json(out / "ingest_summary.json", summary.to_dict(), h)
     logger.info("wrote %d monthly feature rows", len(features.months))

@@ -43,11 +43,12 @@ def _is_kind(value, kind: type) -> bool:
     return isinstance(value, kind)
 
 
-# Each default below is read from the stage dataclass that owns it.
+# Each default below is read from the stage dataclass that owns it; the
+# simulator's seed has no default and takes the pipeline's ``seed``.
 _FILTER = EligibilityFilter()
 _STRESS = StressConfig()
 _BACKTEST = BacktestConfig()
-_SIM = SimConfig()
+_SIM = SimConfig(seed=_BACKTEST.seed)
 
 
 @dataclass

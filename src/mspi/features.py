@@ -53,6 +53,12 @@ class DailyStats:
     mean_turnover: np.ndarray
     degenerate: np.ndarray
 
+    @classmethod
+    def concatenate(cls, parts: list["DailyStats"]) -> "DailyStats":
+        """The statistics of consecutive runs of days, joined in order."""
+        return cls(**{f.name: np.concatenate([getattr(part, f.name) for part in parts])
+                      for f in fields(cls)})
+
 
 @dataclass(frozen=True)
 class FeatureMatrix:

@@ -10,7 +10,7 @@ CLI carry a ``# config_hash=...`` first line). ``read_rows`` reads the
 market series and every small headered artifact; the panel has its own
 chunked reader below.
 
-The panel is read in chunks of about a megabyte and parsed column by column:
+The panel is read in chunks of about 256 KB and parsed column by column:
 each float column in one ``float`` pass, dates and flags once per distinct
 token, the drop reasons as masks, and dates and security ids as integer
 codes, so no per-row Python object outlives its chunk. A chunk the column
@@ -19,6 +19,16 @@ line, or a token that fails to parse) is parsed again row by row by
 ``_parse_panel_row``, the one definition of what a row means: it raises the
 ``DataError`` naming the line and column, or returns the same values. The
 contract and the loaded panel do not depend on which path a chunk took.
+
+Each chunk's kept rows are appended, as 50-byte records, to one spill file
+per calendar year in a ``tempfile.TemporaryDirectory``, so a load needs
+about 50 bytes of temporary space per kept row under ``TMPDIR``; the
+directory is removed when the load returns or raises. After the last chunk
+the years are read back one at a time in calendar order, sorted, checked
+for duplicate ids and handed to the caller's reducer, so peak memory scales
+with one year plus one chunk whatever the file's row order. Every parse
+error is raised before any year is read, and a duplicate in an earlier year
+before one in a later year.
 
 The loaded panel is columnar: one array per field (``ret``, ``prc``,
 ``vol``, ``shrout``, ``share_ok``, ``exch_ok``) holding every retained
@@ -34,10 +44,13 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
 import io
 import math
 import os
+import tempfile
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -48,7 +61,12 @@ MARKET_COLUMNS = ["date", "mkt_ret"]
 
 _TRUE_TOKENS = {"1", "true", "t", "yes"}
 _FALSE_TOKENS = {"0", "false", "f", "no"}
-_CHUNK_CHARS = 1 << 20  # characters read per panel chunk, extended to the end of its last line
+_CHUNK_CHARS = 1 << 18  # characters read per panel chunk, extended to the end of its last line
+# One spilled row, 50 bytes: the date as a proleptic ordinal, the security
+# id as its code in order of first appearance, then the DailyPanel fields.
+_SPILL_ROW = np.dtype([("day", np.int64), ("sec", np.int64), ("ret", float), ("prc", float),
+                       ("vol", float), ("shrout", float), ("share_ok", bool), ("exch_ok", bool)])
+_VALUE_FIELDS = _SPILL_ROW.names[2:]
 
 
 def month_key(day: dt.date) -> str:
@@ -238,20 +256,20 @@ class _PanelColumns:
 
     Dates are kept as proleptic ordinals and security ids as codes in order
     of first appearance; the token caches map each distinct raw token to its
-    parsed value once.
+    parsed value once. The kept rows go to ``spill``.
     """
 
     def __init__(self, index: dict[str, int], width: int, filt: EligibilityFilter,
-                 summary: IngestSummary):
+                 summary: IngestSummary, spill: _YearSpill):
         self.index = index
         self.width = width
         self.filt = filt
         self.summary = summary
+        self.spill = spill
         self._sec_codes: dict[str, int] = {}
         self._sec_tokens: dict[str, int] = {}
         self._day_tokens: dict[str, int] = {}
         self._flag_tokens: dict[str, bool] = {}
-        self._parts: list[list[np.ndarray]] = []
 
     def parse_columnar(self, text: str) -> tuple[list[np.ndarray], int]:
         """(columns, line count) of a chunk of whole lines, column by column.
@@ -354,7 +372,7 @@ class _PanelColumns:
         return columns, reader.line_num
 
     def keep(self, columns: list[np.ndarray]):
-        """Count the chunk's rows and drop reasons; retain the rows that pass."""
+        """Count the chunk's rows and drop reasons; spill the rows that pass."""
         day, sec, ret, prc, vol, shrout, share_ok, exch_ok = columns
         filt = self.filt
         reasons = [
@@ -371,51 +389,123 @@ class _PanelColumns:
             bad &= kept  # each row counts under its first reason only
             self.summary.drop(reason, int(np.count_nonzero(bad)))
             kept &= ~bad
+        n_kept = int(np.count_nonzero(kept))
         self.summary.rows_read += ret.shape[0]
-        self.summary.rows_kept += int(np.count_nonzero(kept))
-        self._parts.append([c[kept] for c in columns])
+        self.summary.rows_kept += n_kept
+        rows = np.empty(n_kept, _SPILL_ROW)
+        for name, column in zip(_SPILL_ROW.names, columns):
+            rows[name] = column[kept]  # masking the records instead is twice as slow
+        self.spill.append(rows)
 
-    def panel(self, path: str) -> DailyPanel:
-        """Sort the retained rows by (date, security_id) and reject
-        duplicate ids within a date."""
+    def years(self, path: str) -> Iterator[DailyPanel]:
+        """Each calendar year's rows as a ``DailyPanel``, in calendar order.
+
+        Raises DataError for an empty panel, or for a security id repeated
+        within a date when its year is reached. The iterator holds no year
+        once it has handed it on.
+        """
         if not self.summary.rows_kept:
             raise DataError(f"{path}: empty panel after filtering")
-        day, sec, *values = (np.concatenate(c) for c in zip(*self._parts))
-        self._parts = []
         names = sorted(self._sec_codes)
         rank = np.empty(len(names), dtype=np.int64)
         rank[[self._sec_codes[name] for name in names]] = np.arange(len(names))
-        sec = rank[sec]
-        order = np.lexsort((sec, day))
-        day, sec = day[order], sec[order]
-        same = (day[1:] == day[:-1]) & (sec[1:] == sec[:-1])
-        if same.any():
-            i = int(np.argmax(same))
-            raise DataError(
-                f"duplicate security_id {names[sec[i]]!r} on "
-                f"{dt.date.fromordinal(int(day[i])).isoformat()}"
-            )
-        starts = np.flatnonzero(np.diff(day, prepend=-1, append=-1))
-        dates = [dt.date.fromordinal(o) for o in day[starts[:-1]].tolist()]
-        del sec, same
-        for k in range(len(values)):  # one column at a time, to bound peak memory
-            values[k] = values[k][order]
-        return DailyPanel(dates, starts, *values)
+        return map(functools.partial(_year_panel, rank=rank, names=names), self.spill.years())
 
 
-def load_daily_panel(path: str, filt: EligibilityFilter) -> tuple[DailyPanel, IngestSummary]:
+def _year_panel(rows: np.ndarray, rank: np.ndarray, names: list[str]) -> DailyPanel:
+    """Spilled rows sorted by (date, security_id), where ``rank`` maps a
+    security code to its id's place in ``names``; rejects duplicate ids
+    within a date."""
+    sec = rank[rows["sec"]]
+    order = np.lexsort((sec, rows["day"]))
+    rows, sec = rows[order], sec[order]
+    day = rows["day"]
+    same = (day[1:] == day[:-1]) & (sec[1:] == sec[:-1])
+    if same.any():
+        i = int(np.argmax(same))
+        raise DataError(
+            f"duplicate security_id {names[sec[i]]!r} on "
+            f"{dt.date.fromordinal(int(day[i])).isoformat()}"
+        )
+    starts = np.flatnonzero(np.diff(day, prepend=-1, append=-1))
+    dates = [dt.date.fromordinal(o) for o in day[starts[:-1]].tolist()]
+    return DailyPanel(dates, starts, *(np.ascontiguousarray(rows[name]) for name in _VALUE_FIELDS))
+
+
+def _concatenate(blocks: list[DailyPanel]) -> DailyPanel:
+    """The panel of consecutive blocks of days, joined in order."""
+    offsets = np.cumsum([0] + [block.total_observations for block in blocks])
+    starts = [block.starts[:-1] + offset for block, offset in zip(blocks, offsets.tolist())]
+    return DailyPanel(
+        [day for block in blocks for day in block.dates],
+        np.concatenate(starts + [offsets[-1:]]),
+        *(np.concatenate([getattr(block, name) for block in blocks]) for name in _VALUE_FIELDS),
+    )
+
+
+class _YearSpill:
+    """Spill rows appended to one file per calendar year in a temporary
+    directory and read back one year at a time; leaving the ``with`` block
+    removes the directory."""
+
+    def __init__(self):
+        self._dir = tempfile.TemporaryDirectory(prefix="mspi-panel-")
+        self._files: dict[int, io.BufferedWriter] = {}
+
+    def __enter__(self) -> _YearSpill:
+        return self
+
+    def __exit__(self, *exc):
+        for fh in self._files.values():
+            fh.close()
+        self._dir.cleanup()
+
+    def append(self, rows: np.ndarray):
+        """Append each row to the file of its calendar year."""
+        day = rows["day"]
+        if not day.shape[0]:
+            return
+        first, last = (dt.date.fromordinal(int(o)).year for o in (day.min(), day.max()))
+        bounds = [dt.date(y, 1, 1).toordinal() for y in range(first + 1, last + 1)]
+        year = first + np.searchsorted(bounds, day, side="right")
+        for y in range(first, last + 1):
+            part = rows[year == y] if first < last else rows
+            if part.shape[0]:
+                fh = self._files.get(y)
+                if fh is None:
+                    fh = self._files[y] = open(os.path.join(self._dir.name, str(y)), "wb")
+                fh.write(part)
+
+    def years(self) -> Iterator[np.ndarray]:
+        """Each year's rows in the order they were appended, in calendar order."""
+        for fh in self._files.values():
+            fh.close()
+        for y in sorted(self._files):
+            yield np.fromfile(self._files[y].name, _SPILL_ROW)
+
+
+def load_daily_panel(
+    path: str, filt: EligibilityFilter, reduce_year: Callable[[DailyPanel], object] | None = None
+) -> tuple[DailyPanel | list, IngestSummary]:
     """Load and filter the daily panel CSV.
 
     Rows are dropped (and counted per reason) when the return or price is
     missing/non-finite, |price| is below the filter floor, or a required
     eligibility flag is false. Missing volume/shares fields are kept as NaN.
     Malformed rows raise DataError naming the line and column.
+
+    The kept rows are spilled to one temporary file per calendar year (about
+    50 bytes a row under ``TMPDIR``), then each year is loaded, sorted and
+    checked for duplicate ids in calendar order. With ``reduce_year`` the
+    result is ``[reduce_year(year) for year in years]``, so peak memory
+    scales with one year's panel plus one chunk; without it, the years are
+    joined into the whole ``DailyPanel``.
     """
     summary = IngestSummary()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh, _YearSpill() as spill:
         reader = csv.reader(iter(fh.readline, ""))
         index, width = _read_header(reader, path, PANEL_COLUMNS)
-        columns = _PanelColumns(index, width, filt, summary)
+        columns = _PanelColumns(index, width, filt, summary, spill)
         line_base = reader.line_num
         while text := fh.read(_CHUNK_CHARS):
             if not text.endswith("\n"):
@@ -426,7 +516,9 @@ def load_daily_panel(path: str, filt: EligibilityFilter) -> tuple[DailyPanel, In
                 chunk, n_lines = columns.parse_rowwise(text, fh, line_base)
             line_base += n_lines
             columns.keep(chunk)
-    return columns.panel(path), summary
+        if reduce_year is not None:
+            return list(map(reduce_year, columns.years(path))), summary
+        return _concatenate(list(columns.years(path))), summary
 
 
 def load_market_series(path: str) -> MarketSeries:

@@ -9,7 +9,7 @@ dispersion, plus a regime-dependent chance of a -8% jump per stock-day.
 
 The calendar starts in January 1980 and each month trades on its first 21
 weekdays; the two regimes' dynamics are the constants ``CALM`` and
-``STRESS``. A ``SimConfig`` sets the size, transition probabilities and seed.
+``STRESS``. A ``SimConfig`` sets the seed, size and transition probabilities.
 
 All randomness comes from a single PCG64 generator seeded from the config,
 so identical configs produce bit-identical output on any platform.
@@ -52,13 +52,14 @@ STRESS = RegimeParams(
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation size, regime transition probabilities, and seed."""
+    """Simulation seed, size and regime transition probabilities. The seed
+    has no default here: the pipeline passes its one seed."""
 
+    seed: int
     n_stocks: int = 500
     n_years: int = 40
     p_calm_to_stress: float = 0.04
     p_stress_to_calm: float = 0.35
-    seed: int = 7
 
     def __post_init__(self):
         if self.n_stocks < 2:

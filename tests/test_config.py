@@ -49,7 +49,8 @@ def test_default_config_builds_each_stage_default():
     cfg = PipelineConfig()
     assert cfg.eligibility_filter() == EligibilityFilter()
     assert cfg.stress_config() == StressConfig()
-    assert cfg.sim_config() == SimConfig()
+    # the simulator's seed has no default of its own: it is the pipeline's
+    assert cfg.sim_config() == SimConfig(seed=BacktestConfig().seed)
     assert cfg.backtest_config() == BacktestConfig()
 
 

@@ -1,5 +1,8 @@
 import csv
 import datetime as dt
+import tempfile
+import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ import pytest
 import mspi.panel
 from mspi.artifacts import write_panel_csv
 from mspi.errors import DataError
+from mspi.features import DailyStats, compute_daily_stats
 from mspi.panel import (
     EligibilityFilter,
     load_daily_panel,
@@ -14,11 +18,13 @@ from mspi.panel import (
     month_key,
     partition_months,
 )
+from mspi.simulate import SimConfig, simulate
 
 from .oracles import load_daily_panel_rowwise
 
 PANEL_HEADER = "date,security_id,ret,prc,vol,shrout,shrcd_ok,exchcd_ok\n"
 FIELDS = ("ret", "prc", "vol", "shrout", "share_ok", "exch_ok")
+TAU = 0.05
 
 
 def write_panel(tmp_path, rows, name="panel.csv"):
@@ -199,6 +205,27 @@ def assert_same_load(path, filt):
     return summary
 
 
+def years_panel_text(order: str) -> str:
+    """A panel over four calendar years (1999-11 to 2002-08) whose days hold
+    different numbers of stocks, some rows dropped, written date-sorted,
+    security-major or shuffled."""
+    rng = np.random.default_rng(4)
+    lines = []
+    for k in range(100):
+        day = (dt.date(1999, 11, 1) + dt.timedelta(days=11 * k)).isoformat()
+        for s in range(6):
+            if (k + s) % 7 == 0:
+                continue
+            prc = "0.50" if (k * s) % 13 == 5 else f"{5 + s}.25"
+            vol = "" if (k + 2 * s) % 11 == 0 else str(100 * (s + 1))
+            lines.append(f"{day},S{s},{rng.normal(0.0, 0.03)!r},{prc},{vol},1000,1,1")
+    if order == "security_major":
+        lines.sort(key=lambda line: line.split(",")[1])  # stable: by date within a stock
+    elif order == "shuffled":
+        lines = [lines[i] for i in rng.permutation(len(lines))]
+    return PANEL_HEADER + "".join(line + "\n" for line in lines)
+
+
 def load_error(loader, path) -> str:
     with pytest.raises(DataError) as info:
         loader(path, EligibilityFilter())
@@ -293,24 +320,51 @@ class TestChunkedLoad:
         PANEL_HEADER.replace("\n", ",note\n") + "2001-01-02,A,0.01,5.0,100,1000,1,1,x\n",
         PANEL_HEADER,
         PANEL_HEADER + "2001-01-02," + "A" * 140_000 + ",0.01,5.0,100,1000,1,1\n",
+        years_panel_text("date_sorted"),
+        years_panel_text("security_major"),
+        years_panel_text("shuffled"),
+        # the parse error on the last line wins over the duplicate before it
+        PANEL_HEADER + "2001-01-02,A,0.01,5.0,100,1000,1,1\n2001-01-02,A,0.02,5.0,100,1000,1,1\n"
+        "2001-01-03,B,x,5.0,100,1000,1,1\n",
+        # the 2001 duplicate wins over the 2002 one written before it
+        PANEL_HEADER + "2002-03-04,B,0.01,5.0,100,1000,1,1\n2002-03-04,B,0.02,5.0,100,1000,1,1\n"
+        "2001-05-07,A,0.01,5.0,100,1000,1,1\n2001-05-07,A,0.02,5.0,100,1000,1,1\n",
     ], ids=["no_final_newline", "cr_endings", "mixed_endings", "cr_in_field", "extra_column",
-            "header_only", "field_over_csv_limit"])
+            "header_only", "field_over_csv_limit", "years_date_sorted", "years_security_major",
+            "years_shuffled", "parse_error_after_duplicate", "duplicates_in_two_years"])
     def test_small_files_match_oracle(self, tmp_path, monkeypatch, text):
         path = tmp_path / "panel.csv"
         path.write_bytes(text.encode("utf-8"))
+        spill = tmp_path / "tmp"
+        spill.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spill))
 
-        def outcome(loader):
+        def outcome(load):
             try:
-                panel, summary = loader(str(path), EligibilityFilter())
+                result, summary = load()
             except (DataError, csv.Error) as exc:
                 return type(exc), str(exc)
-            arrays = [getattr(panel, name).tobytes() for name in FIELDS]
-            return panel.dates, panel.starts.tolist(), arrays, summary
+            if isinstance(result, DailyStats):
+                return [getattr(result, f.name).tobytes() for f in fields(DailyStats)], summary
+            arrays = [getattr(result, name).tobytes() for name in FIELDS]
+            return result.dates, result.starts.tolist(), arrays, summary
 
-        expected = outcome(load_daily_panel_rowwise)
+        def whole_panel_stats():
+            panel, summary = load_daily_panel_rowwise(str(path), EligibilityFilter())
+            return compute_daily_stats(panel, TAU), summary
+
+        def year_stats():
+            years, summary = load_daily_panel(str(path), EligibilityFilter(),
+                                              lambda year: compute_daily_stats(year, TAU))
+            return DailyStats.concatenate(years), summary
+
+        expected = outcome(lambda: load_daily_panel_rowwise(str(path), EligibilityFilter()))
+        expected_stats = outcome(whole_panel_stats)
         for chunk in (mspi.panel._CHUNK_CHARS, 7):  # 7: every line is its own chunk
             monkeypatch.setattr(mspi.panel, "_CHUNK_CHARS", chunk)
-            assert outcome(load_daily_panel) == expected
+            assert outcome(lambda: load_daily_panel(str(path), EligibilityFilter())) == expected
+            assert outcome(year_stats) == expected_stats
+            assert not any(spill.iterdir())  # the spill directory is gone, after errors too
 
     def test_quoted_field_spanning_chunks(self, tmp_path, monkeypatch):
         lines = [f'2001-01-02,S{i:03d},"0.0{i % 10}\n",5.00,100,1000,1,1' for i in range(200)]
@@ -322,6 +376,29 @@ class TestChunkedLoad:
         assert load_error(load_daily_panel_rowwise, path) == expected
         write_lines(tmp_path, lines[:-1])
         assert_same_load(path, EligibilityFilter())
+
+    def test_reducing_load_memory_does_not_grow_with_years(self, tmp_path, monkeypatch):
+        # small chunks, so that the rows held, not the chunk, set the peak
+        monkeypatch.setattr(mspi.panel, "_CHUNK_CHARS", 1 << 14)
+        paths = {}
+        for years in (2, 8):
+            paths[years] = str(tmp_path / f"panel_{years}.csv")
+            panel = simulate(SimConfig(n_stocks=30, n_years=years, seed=3)).panel
+            write_panel_csv(paths[years], panel, "h")
+
+        def load(path):
+            load_daily_panel(path, EligibilityFilter(), lambda year: compute_daily_stats(year, TAU))
+
+        load(paths[2])  # one-time allocations outside the measured loads
+        peaks = []
+        for years in (2, 8):
+            tracemalloc.start()
+            try:
+                load(paths[years])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 class TestLoadMarketSeries:

@@ -74,7 +74,9 @@ class TestSimulate:
         assert months == set(out.true_regime)
 
     def test_invalid_config_names_field(self):
+        with pytest.raises(TypeError, match="seed"):
+            SimConfig(n_stocks=10)
         with pytest.raises(ConfigError, match="n_stocks"):
-            SimConfig(n_stocks=1)
+            small(n_stocks=1)
         with pytest.raises(ConfigError, match="p_calm_to_stress"):
-            SimConfig(p_calm_to_stress=1.5)
+            small(p_calm_to_stress=1.5)
