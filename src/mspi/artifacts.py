@@ -97,8 +97,9 @@ def write_panel_csv(path: Path, panel: DailyPanel, config_hash: str):
     within its day; that names the same stock on every day only if every
     day holds the same stocks. A panel whose days (empty days aside) hold
     different numbers of rows raises DataError rather than relabel its
-    stocks. The bytes equal those ``write_csv`` writes for the per-row
-    tuples.
+    stocks. Every row is written with both eligibility flags 1: the panel
+    holds only rows that passed the filter. The bytes equal those
+    ``write_csv`` writes for the per-row tuples.
     """
     sizes = np.diff(panel.starts)
     held = np.flatnonzero(sizes)
@@ -110,7 +111,6 @@ def write_panel_csv(path: Path, panel: DailyPanel, config_hash: str):
             f"{panel.dates[first].isoformat()} holds {sizes[first]}; security ids are "
             "row positions, so every day must hold the same stocks"
         )
-    flag_tokens = ("0", "1")
     ids = security_ids(int(sizes[held[0]])) if held.size else []
     bounds = panel.starts.tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -123,8 +123,7 @@ def write_panel_csv(path: Path, panel: DailyPanel, config_hash: str):
                 [day.isoformat()] * n, ids,
                 _float_tokens(panel.ret[a:b]), _float_tokens(panel.prc[a:b]),
                 _float_tokens(panel.vol[a:b]), _float_tokens(panel.shrout[a:b]),
-                [flag_tokens[v] for v in panel.share_ok[a:b].tolist()],
-                [flag_tokens[v] for v in panel.exch_ok[a:b].tolist()],
+                ["1,1"] * n,  # shrcd_ok, exchcd_ok
             )
             fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
@@ -268,5 +267,4 @@ def read_forecasts(path: Path, labels: LabelSeries) -> ForecastSeries:
         months=months, models=tuple(models), raw=raw, prob=prob,
         y_next=y_next, next_vol=next_vol, next_ret=next_ret,
         r_mkt=labels.r_mkt[idx], sigma_mkt=labels.sigma_mkt[idx],
-        selected={}, seed=0,
     )

@@ -444,10 +444,6 @@ class ForecastSeries:
     next_ret: np.ndarray
     r_mkt: np.ndarray
     sigma_mkt: np.ndarray
-    selected: dict[str, dict]
-    seed: int
-    warnings: list[str] = field(default_factory=list)
-    cv: dict[str, dict] = field(default_factory=dict)  # per model: selected, folds_used, mean_losses
 
     def observed_mask(self) -> np.ndarray:
         return np.isfinite(self.y_next)
@@ -531,8 +527,14 @@ def run_expanding_backtest(
     features: FeatureMatrix,
     labels: LabelSeries,
     config: BacktestConfig,
-) -> ForecastSeries:
-    """Execute the protocol described in the module docstring."""
+) -> tuple[ForecastSeries, dict]:
+    """Execute the protocol described in the module docstring.
+
+    Returns the forecasts and their provenance: the seed, the selected
+    hyperparameters, the forecast months, the models, the fallback warnings
+    in (month, model) order and each model's CV record (selected entry,
+    folds used, mean losses).
+    """
     config.validate()
     missing = [m for m in labels.months if m not in features.months]
     if missing:
@@ -641,7 +643,7 @@ def run_expanding_backtest(
             next_vol[j] = labels.sigma_mkt[i + 1]
             next_ret[j] = labels.r_mkt[i + 1]
 
-    return ForecastSeries(
+    forecasts = ForecastSeries(
         months=[months[i] for i in forecast_idx],
         models=tuple(config.models),
         raw=raw,
@@ -651,8 +653,15 @@ def run_expanding_backtest(
         next_ret=next_ret,
         r_mkt=labels.r_mkt[w:].copy(),
         sigma_mkt=labels.sigma_mkt[w:].copy(),
-        selected={name: LEARNERS[name].describe(selected[name]) for name in config.models},
-        seed=config.seed,
-        warnings=warnings,
-        cv=cv_info,
     )
+    return forecasts, {
+        "seed": config.seed,
+        "selected_hyperparameters": {name: LEARNERS[name].describe(selected[name])
+                                     for name in config.models},
+        "n_forecast_months": n_forecasts,
+        "first_month": forecasts.months[0],
+        "last_month": forecasts.months[-1],
+        "models": list(config.models),
+        "warnings": warnings,
+        "cv": cv_info,
+    }

@@ -126,18 +126,9 @@ def cmd_backtest(cfg: PipelineConfig, args) -> int:
     h = cfg.config_hash()
     features = read_features(_artifact(cfg, "features.csv"))
     labels = read_labels(_artifact(cfg, "labels.csv"))
-    forecasts = run_expanding_backtest(features, labels, cfg.backtest_config())
+    forecasts, provenance = run_expanding_backtest(features, labels, cfg.backtest_config())
     write_forecasts_csv(out / "forecasts.csv", forecasts, h)
-    write_json(out / "provenance.json", {
-        "seed": forecasts.seed,
-        "selected_hyperparameters": forecasts.selected,
-        "n_forecast_months": len(forecasts.months),
-        "first_month": forecasts.months[0],
-        "last_month": forecasts.months[-1],
-        "models": list(forecasts.models),
-        "warnings": forecasts.warnings,
-        "cv": forecasts.cv,
-    }, h)
+    write_json(out / "provenance.json", provenance, h)
     logger.info("wrote %d forecast months for models %s", len(forecasts.months),
                 ",".join(forecasts.models))
     return 0
@@ -214,7 +205,7 @@ def cmd_regress(cfg: PipelineConfig, args) -> int:
         "innovations": {
             "regression": innov.regression.to_dict(),
             "residual_std": float(np.std(innov.innovations)),
-            "n": len(innov.months),
+            "n": len(innov.innovations),
         },
     }, cfg.config_hash())
     return 0

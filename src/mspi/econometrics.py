@@ -229,9 +229,7 @@ def crash_regression(
 class InnovationSeries:
     """Residual 'news' from projecting the index on lagged information."""
 
-    months: list[str]
     innovations: np.ndarray
-    fitted: np.ndarray
     regression: RegressionResult
 
 
@@ -254,12 +252,7 @@ def mspi_innovations(
     names = ["intercept", "mspi_lag", "r_mkt_lag", "sigma_mkt_lag"]
     keep = [0] + [j for j in range(1, X.shape[1]) if np.ptp(X[:, j]) > 0.0]
     reg = ols_hac(y, X[:, keep], hac_lag, tuple(names[j] for j in keep))
-    return InnovationSeries(
-        months=forecasts.months[1:],
-        innovations=reg.residuals,
-        fitted=y - reg.residuals,
-        regression=reg,
-    )
+    return InnovationSeries(innovations=reg.residuals, regression=reg)
 
 
 @dataclass(frozen=True)

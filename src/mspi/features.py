@@ -41,7 +41,6 @@ class DailyStats:
     """
 
     n_stocks: np.ndarray
-    xs_mean: np.ndarray
     xs_std: np.ndarray
     xs_skew: np.ndarray
     xs_kurt: np.ndarray
@@ -137,7 +136,7 @@ def _block_stats(ret, prc, vol, shrout, tau: float) -> dict:
     days = np.arange(0, vol.size + 1, vol.shape[1])
     vol_days = _kept_offsets(vol_ok.ravel(), days)
     return {
-        "xs_mean": mean, "xs_std": std, "xs_skew": skew, "xs_kurt": kurt,
+        "xs_std": std, "xs_skew": skew, "xs_kurt": kurt,
         "mean_abs_ret": np.mean(np.abs(ret), axis=1),
         "frac_dn": np.mean(ret <= -tau, axis=1),
         "frac_up": np.mean(ret >= tau, axis=1),

@@ -32,7 +32,6 @@ class RandomForestParams:
 @dataclass
 class ForestModel:
     trees: list[Tree]
-    params: RandomForestParams
 
 
 def fit_random_forest(
@@ -57,7 +56,7 @@ def fit_random_forest(
                 n_candidate_features=mtry, criterion="gini",
             )
         )
-    return ForestModel(trees=trees, params=params)
+    return ForestModel(trees=trees)
 
 
 def rf_score_many(model: ForestModel, X: np.ndarray) -> np.ndarray:

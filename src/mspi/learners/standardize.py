@@ -1,8 +1,9 @@
 """Within-window feature standardization (z-scoring).
 
 Means and population (divide-by-n) standard deviations are estimated on the
-training window only. Zero-variance features are dropped and recorded so
-the same columns can be removed from any row the parameters are applied to.
+training window only. Zero-variance features are dropped: the parameters
+record the retained columns, so the same columns are kept in any matrix
+they are applied to.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ class StandardizationParams:
     mean: np.ndarray
     std: np.ndarray
     kept: np.ndarray
-    dropped: np.ndarray
     n_features: int
 
 
@@ -40,19 +40,13 @@ def standardize_fit(X: np.ndarray) -> StandardizationParams:
     kept = np.flatnonzero(~zero)
     if kept.size == 0:
         raise DataError("all features have zero variance in the training window")
-    return StandardizationParams(
-        mean=mean[kept], std=std[kept], kept=kept,
-        dropped=np.flatnonzero(zero), n_features=X.shape[1],
-    )
+    return StandardizationParams(mean=mean[kept], std=std[kept], kept=kept, n_features=X.shape[1])
 
 
 def standardize_apply(params: StandardizationParams, X: np.ndarray) -> np.ndarray:
-    """Z-score a row or matrix using fitted parameters; drops recorded columns."""
+    """Z-score the rows of a matrix using fitted parameters; drops the
+    columns the fit did not keep."""
     X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        if X.shape[0] != params.n_features:
-            raise DataError(f"row has {X.shape[0]} features, expected {params.n_features}")
-        return (X[params.kept] - params.mean) / params.std
     if X.shape[1] != params.n_features:
         raise DataError(f"matrix has {X.shape[1]} features, expected {params.n_features}")
     return (X[:, params.kept] - params.mean) / params.std

@@ -20,9 +20,9 @@ line, or a token that fails to parse) is parsed again row by row by
 ``DataError`` naming the line and column, or returns the same values. The
 contract and the loaded panel do not depend on which path a chunk took.
 
-Each chunk's kept rows are appended, as 50-byte records, to one spill file
+Each chunk's kept rows are appended, as 48-byte records, to one spill file
 per calendar year in a ``tempfile.TemporaryDirectory``, so a load needs
-about 50 bytes of temporary space per kept row under ``TMPDIR``; the
+about 48 bytes of temporary space per kept row under ``TMPDIR``; the
 directory is removed when the load returns or raises. After the last chunk
 the years are read back one at a time in calendar order, sorted, checked
 for duplicate ids and handed to the caller's reducer, so peak memory scales
@@ -31,8 +31,8 @@ error is raised before any year is read, and a duplicate in an earlier year
 before one in a later year.
 
 The loaded panel is columnar: one array per field (``ret``, ``prc``,
-``vol``, ``shrout``, ``share_ok``, ``exch_ok``) holding every retained
-observation in (date, security_id) order, plus the sorted ``dates`` and day
+``vol``, ``shrout``) holding every retained observation in (date,
+security_id) order, plus the sorted ``dates`` and day
 offsets ``starts``, so day i is rows ``starts[i]:starts[i+1]``. Sorting by
 security id within each date fixes the order of every downstream
 accumulation, so results are bit-reproducible regardless of input row
@@ -62,10 +62,10 @@ MARKET_COLUMNS = ["date", "mkt_ret"]
 _TRUE_TOKENS = {"1", "true", "t", "yes"}
 _FALSE_TOKENS = {"0", "false", "f", "no"}
 _CHUNK_CHARS = 1 << 18  # characters read per panel chunk, extended to the end of its last line
-# One spilled row, 50 bytes: the date as a proleptic ordinal, the security
+# One spilled row, 48 bytes: the date as a proleptic ordinal, the security
 # id as its code in order of first appearance, then the DailyPanel fields.
 _SPILL_ROW = np.dtype([("day", np.int64), ("sec", np.int64), ("ret", float), ("prc", float),
-                       ("vol", float), ("shrout", float), ("share_ok", bool), ("exch_ok", bool)])
+                       ("vol", float), ("shrout", float)])
 _VALUE_FIELDS = _SPILL_ROW.names[2:]
 
 
@@ -93,7 +93,8 @@ class DailyPanel:
     order; day i is rows ``starts[i]:starts[i+1]``.
 
     ``vol`` and ``shrout`` hold NaN where the source field was missing; such
-    rows still contribute to return-based statistics.
+    rows still contribute to return-based statistics. The eligibility flags
+    are read only by the filter, so the panel does not keep them.
     """
 
     dates: list[dt.date]
@@ -102,8 +103,6 @@ class DailyPanel:
     prc: np.ndarray
     vol: np.ndarray
     shrout: np.ndarray
-    share_ok: np.ndarray
-    exch_ok: np.ndarray
 
     @property
     def total_observations(self) -> int:
@@ -393,7 +392,7 @@ class _PanelColumns:
         self.summary.rows_read += ret.shape[0]
         self.summary.rows_kept += n_kept
         rows = np.empty(n_kept, _SPILL_ROW)
-        for name, column in zip(_SPILL_ROW.names, columns):
+        for name, column in zip(_SPILL_ROW.names, (day, sec, ret, prc, vol, shrout)):
             rows[name] = column[kept]  # masking the records instead is twice as slow
         self.spill.append(rows)
 
@@ -495,7 +494,7 @@ def load_daily_panel(
     Malformed rows raise DataError naming the line and column.
 
     The kept rows are spilled to one temporary file per calendar year (about
-    50 bytes a row under ``TMPDIR``), then each year is loaded, sorted and
+    48 bytes a row under ``TMPDIR``), then each year is loaded, sorted and
     checked for duplicate ids in calendar order. With ``reduce_year`` the
     result is ``[reduce_year(year) for year in years]``, so peak memory
     scales with one year's panel plus one chunk; without it, the years are

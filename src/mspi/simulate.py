@@ -141,7 +141,6 @@ def simulate(config: SimConfig) -> SimOutput:
         dates=dates, starts=np.arange(0, len(dates) * n + 1, n),
         ret=ret.ravel(), prc=prc.ravel(), vol=vol.ravel(),
         shrout=np.tile(shrout, len(dates)),
-        share_ok=np.ones(len(dates) * n, dtype=bool), exch_ok=np.ones(len(dates) * n, dtype=bool),
     )
     market = MarketSeries(dates=list(dates), mkt_ret=mkt)
     return SimOutput(panel=panel, market=market, true_regime=true_regime)

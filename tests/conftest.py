@@ -39,4 +39,4 @@ def small_forecasts(small_chain):
         gb_stage_grid=(25, 50),
         seed=5,
     )
-    return run_expanding_backtest(features, labels, config)
+    return run_expanding_backtest(features, labels, config)[0]

@@ -256,7 +256,7 @@ def load_daily_panel_rowwise(
             continue
 
         summary.rows_kept += 1
-        by_date.setdefault(day, []).append((sec, ret, prc, vol, shrout, share_ok, exch_ok))
+        by_date.setdefault(day, []).append((sec, ret, prc, vol, shrout))
 
     if not by_date:
         raise DataError(f"{path}: empty panel after filtering")
@@ -278,8 +278,6 @@ def load_daily_panel_rowwise(
         prc=np.array([r[2] for r in packed], dtype=float),
         vol=np.array([r[3] for r in packed], dtype=float),
         shrout=np.array([r[4] for r in packed], dtype=float),
-        share_ok=np.array([r[5] for r in packed], dtype=bool),
-        exch_ok=np.array([r[6] for r in packed], dtype=bool),
     ), summary
 
 
@@ -414,7 +412,7 @@ def _day_stats(r, prc, vol, shrout, tau: float) -> tuple:
     turn_ok = vol_ok & np.isfinite(shrout) & (shrout > 0)
     mean_turnover = float(np.mean(vol[turn_ok] / shrout[turn_ok])) if turn_ok.any() else math.nan
     return (
-        n, mean, std, skew, kurt, float(np.mean(np.abs(r))),
+        n, std, skew, kurt, float(np.mean(np.abs(r))),
         float(np.mean(r <= -tau)), float(np.mean(r >= tau)),
         mean_log_vol, mean_dollar_vol, mean_turnover, degenerate,
     )

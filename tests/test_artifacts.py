@@ -23,7 +23,7 @@ from mspi.simulate import security_ids
 
 from .test_econometrics import toy_forecasts
 
-FIELDS = ("ret", "prc", "vol", "shrout", "share_ok", "exch_ok")
+FIELDS = ("ret", "prc", "vol", "shrout")
 
 
 @pytest.fixture
@@ -97,7 +97,6 @@ class TestWritePanelCsv:
             days.append(dict(
                 ret=ret, prc=rng.uniform(1.0, 90.0, n) * np.where(rng.random(n) < 0.3, -1, 1),
                 vol=vol, shrout=np.full(n, np.nan) if k == 3 else np.round(rng.lognormal(8, 1, n)),
-                share_ok=rng.random(n) < 0.8, exch_ok=rng.random(n) < 0.8,
             ))
         return DailyPanel(
             dates=[dt.date(2001, 1, 2 + k) for k in range(len(days))],
@@ -111,7 +110,7 @@ class TestWritePanelCsv:
                 ids = security_ids(b - a)
                 for i in range(a, b):
                     yield (day.isoformat(), ids[i - a], panel.ret[i], panel.prc[i], panel.vol[i],
-                           panel.shrout[i], int(panel.share_ok[i]), int(panel.exch_ok[i]))
+                           panel.shrout[i], 1, 1)
 
         write_panel_csv(tmp_path / "fast.csv", panel, "h")
         write_csv(tmp_path / "rows.csv", PANEL_COLUMNS, rows(), "h")

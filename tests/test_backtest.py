@@ -180,14 +180,14 @@ class TestRunExpandingBacktest:
 
     def test_window_arithmetic_single_forecast(self):
         features, labels = self.make_inputs(n_months=121)
-        fs = run_expanding_backtest(features, labels, self.config())
+        fs, _ = run_expanding_backtest(features, labels, self.config())
         assert len(fs.months) == 1
         assert fs.months[0] == labels.months[120]
         assert np.isnan(fs.y_next[0])  # last labeled month has no observed target
 
     def test_forecast_count_and_alignment(self):
         features, labels = self.make_inputs(n_months=150)
-        fs = run_expanding_backtest(features, labels, self.config())
+        fs, _ = run_expanding_backtest(features, labels, self.config())
         assert len(fs.months) == 30
         observed = fs.observed_mask()
         assert observed.sum() == 29
@@ -200,7 +200,7 @@ class TestRunExpandingBacktest:
                              gb_stage_grid=(10, 20))
         for cpus in (1, 2):  # in process, and with the rf/gb months forked
             set_cpus(monkeypatch, cpus)
-            full = run_expanding_backtest(features, labels, config)
+            full, _ = run_expanding_backtest(features, labels, config)
             for cut in (125, 140, 152):
                 f2 = FeatureMatrix(months=features.months[:cut], values=features.values[:cut])
                 l2 = LabelSeries(
@@ -209,7 +209,7 @@ class TestRunExpandingBacktest:
                     s=labels.s[:cut],
                     y_next=np.concatenate([labels.s[1:cut].astype(float), [np.nan]]),
                 )
-                part = run_expanding_backtest(f2, l2, config)
+                part, _ = run_expanding_backtest(f2, l2, config)
                 k = len(part.months)
                 assert part.months == full.months[:k]
                 for name in config.models:
@@ -219,18 +219,19 @@ class TestRunExpandingBacktest:
     def test_determinism_same_config(self):
         features, labels = self.make_inputs(n_months=140, seed=2)
         config = self.config(models=("l1", "rf"), rf_trees=10)
-        a = run_expanding_backtest(features, labels, config)
-        b = run_expanding_backtest(features, labels, config)
+        a, a_provenance = run_expanding_backtest(features, labels, config)
+        b, b_provenance = run_expanding_backtest(features, labels, config)
         for name in config.models:
             assert np.array_equal(a.raw[name], b.raw[name])
             assert np.array_equal(a.prob[name], b.prob[name])
-        assert a.selected == b.selected
+        assert a_provenance == b_provenance
 
     def test_hyperparameters_frozen(self):
         features, labels = self.make_inputs(n_months=150)
-        fs = run_expanding_backtest(features, labels, self.config())
-        assert set(fs.selected) == {"l1", "l2"}
-        assert set(fs.selected["l1"]) == {"lambda"}
+        _, provenance = run_expanding_backtest(features, labels, self.config())
+        selected = provenance["selected_hyperparameters"]
+        assert set(selected) == {"l1", "l2"}
+        assert set(selected["l1"]) == {"lambda"}
 
     def test_too_few_months_raises(self):
         features, labels = self.make_inputs(n_months=120)
@@ -265,18 +266,18 @@ class TestForecastWorkers:
         with monkeypatch.context() as m:
             m.delattr(os, "fork")  # a platform without fork runs every share here
             set_cpus(m, 16)
-            ref = run_expanding_backtest(features, labels, config)
+            ref, ref_provenance = run_expanding_backtest(features, labels, config)
         # 4 forecast months: 16 CPUs still give 4 processes, one month each
         for cpus, workers in ((1, 1), (2, 2), (3, 3), (16, 4)):
             set_cpus(monkeypatch, cpus)
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="mspi.backtest"):
-                fs = run_expanding_backtest(features, labels, config)
+                fs, provenance = run_expanding_backtest(features, labels, config)
             assert_no_children()
             for name in MODEL_NAMES:
                 assert fs.raw[name].tobytes() == ref.raw[name].tobytes()
                 assert fs.prob[name].tobytes() == ref.prob[name].tobytes()
-            assert (fs.selected, fs.cv, fs.warnings) == (ref.selected, ref.cv, ref.warnings)
+            assert provenance == ref_provenance
             messages = [r.getMessage() for r in caplog.records]
             assert f"forecast loop: 4 months of rf, gb on {workers} process(es)" in messages
             share = re.compile(r"forecast share (\d+): (\d+) months of rf, gb in [\d.]+ s")
@@ -294,7 +295,7 @@ class TestForecastWorkers:
         monkeypatch.setattr(os, "fork", no_fork)
         set_cpus(monkeypatch, 4)
         with caplog.at_level(logging.DEBUG, logger="mspi.backtest"):
-            fs = run_expanding_backtest(features, labels, BacktestConfig(
+            fs, _ = run_expanding_backtest(features, labels, BacktestConfig(
                 models=("l1", "l2"), l1_grid=(0.1,), l2_grid=(0.1,)))
         assert len(fs.months) == 4
         assert not [r for r in caplog.records if r.getMessage().startswith("forecast ")]

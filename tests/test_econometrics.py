@@ -39,8 +39,6 @@ def toy_forecasts(n=120, seed=0, link=0.0):
         next_ret=next_ret,
         r_mkt=rng.normal(0.004, 0.04, n),
         sigma_mkt=sigma,
-        selected={},
-        seed=seed,
     )
 
 

@@ -200,8 +200,6 @@ class TestBinnedOutcomes:
             next_ret=np.full(6, 0.0),
             r_mkt=np.zeros(6),
             sigma_mkt=np.full(6, 0.1),
-            selected={},
-            seed=0,
         )
         bo = binned_outcomes(fs, "m", tuple(PipelineConfig().bin_edges))
         # 0.05 joins the second bin (left-closed), 0.4 and 1.0 the last (closed top)

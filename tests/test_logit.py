@@ -40,7 +40,6 @@ class TestStandardize:
     def test_constant_column_dropped(self):
         X = np.column_stack([np.ones(10), np.arange(10.0)])
         params = standardize_fit(X)
-        assert params.dropped.tolist() == [0]
         assert params.kept.tolist() == [1]
         z = standardize_apply(params, X)
         assert z.shape == (10, 1)
@@ -370,7 +369,7 @@ def scoring(model: LogitModel) -> WindowFit:
     """The backtest's scoring path around ``model``, with unit standardization."""
     p = model.coef.shape[0]
     params = StandardizationParams(mean=np.zeros(p), std=np.ones(p), kept=np.arange(p),
-                                   dropped=np.arange(0), n_features=p)
+                                   n_features=p)
     return WindowFit(LEARNERS["l1"], params, model, None, False)
 
 

@@ -23,7 +23,7 @@ from mspi.simulate import SimConfig, simulate
 from .oracles import load_daily_panel_rowwise
 
 PANEL_HEADER = "date,security_id,ret,prc,vol,shrout,shrcd_ok,exchcd_ok\n"
-FIELDS = ("ret", "prc", "vol", "shrout", "share_ok", "exch_ok")
+FIELDS = ("ret", "prc", "vol", "shrout")
 TAU = 0.05
 
 
