@@ -289,6 +289,10 @@ def fit_window(
 
     Single-class targets return a flagged Laplace base-rate pipeline instead
     of failing, so early quiet windows keep the forecast series contiguous.
+    A calibrated learner's Platt map is fitted on the window's last
+    max(``cal_min_months``, ceil(``cal_fraction`` * n)) months, scored by a
+    sub-model fitted on the months before them, when both parts hold both
+    classes; otherwise the fit has no map.
     A warm-started learner starts from the solution of ``init``, an earlier
     fit, unless that fit is a fallback or retained other feature columns.
     """
@@ -305,15 +309,15 @@ def fit_window(
         n = y.shape[0]
         cal_len = max(cal_min_months, math.ceil(cal_fraction * n))
         k = n - cal_len
-        if k >= 2 and np.unique(y[:k]).shape[0] == 2:
+        # A window too short, or with one class in either part, gets no
+        # Platt map: its scores take the uncalibrated rule in ``probs``.
+        if k >= 2 and np.unique(y[:k]).shape[0] == 2 and np.unique(y[k:]).shape[0] == 2:
             sub_params = standardize_fit(X_raw[:k])
             sub_model = learner.fit(standardize_apply(sub_params, X_raw[:k]), y[:k], hyper,
                                     sub_seed, None)
             cal_Xz = standardize_apply(sub_params, X_raw[k:])
             calibration = (sub_model, cal_Xz, y[k:])
             cmap = fit_platt(learner.score(sub_model, cal_Xz), y[k:])
-        # else: window too short/quiet to calibrate; raw scores fall back to
-        # the uncalibrated probability map.
 
     start = None
     if (learner.warm_started and init is not None and not init.fallback

@@ -4,9 +4,9 @@ The map p = sigmoid(a*s + b) is fitted by maximum likelihood on a held-out
 calibration segment (Platt 1999) with Newton's method on (a, b), as Lin,
 Lin and Weng (2007) recommend: ``fit_logit_l2``, with a tiny ridge term so
 separable segments stay finite, reaches the exact optimum in a handful of
-iterations. Degenerate segments fall back gracefully: a single-class
-segment yields an identity-on-probability map and a constant-score segment
-yields the Laplace-smoothed event rate.
+iterations. The segment must hold both classes; a segment that does not
+gets no map (the backtest then uses the learner's uncalibrated rule). A
+constant-score segment yields the Laplace-smoothed event rate.
 """
 
 from __future__ import annotations
@@ -23,22 +23,17 @@ _RIDGE = 1e-8
 
 @dataclass(frozen=True)
 class CalibrationMap:
-    """Logistic score-to-probability map; ``identity`` passes scores through."""
+    """Logistic score-to-probability map p = sigmoid(a*s + b)."""
 
     a: float
     b: float
-    identity: bool = False
-    warning: str | None = None
 
 
 def fit_platt(scores: np.ndarray, y: np.ndarray) -> CalibrationMap:
-    """Maximum-likelihood calibration map on a segment of (score, outcome) pairs."""
+    """Maximum-likelihood calibration map on a segment of (score, outcome)
+    pairs; ``y`` holds both classes."""
     scores = np.asarray(scores, dtype=float)
     y = np.asarray(y, dtype=float)
-    classes = np.unique(y)
-    if classes.shape[0] < 2:
-        return CalibrationMap(a=1.0, b=0.0, identity=True,
-                              warning="single-class calibration segment")
     if float(np.max(scores) - np.min(scores)) == 0.0:
         n = y.shape[0]
         rate = (float(np.sum(y)) + 1.0) / (n + 2.0)
@@ -48,9 +43,5 @@ def fit_platt(scores: np.ndarray, y: np.ndarray) -> CalibrationMap:
 
 
 def calibrate_many(cmap: CalibrationMap, scores: np.ndarray) -> np.ndarray:
-    scores = np.asarray(scores, dtype=float)
-    if cmap.identity:
-        p = scores
-    else:
-        p = sigmoid(cmap.a * scores + cmap.b)
+    p = sigmoid(cmap.a * np.asarray(scores, dtype=float) + cmap.b)
     return np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)

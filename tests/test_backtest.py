@@ -20,7 +20,7 @@ from mspi.backtest import (
 from mspi.errors import ConfigError, DataError
 from mspi.features import FEATURE_NAMES, FeatureMatrix
 from mspi.labels import LabelSeries
-from mspi.learners import GradientBoostingParams
+from mspi.learners import GradientBoostingParams, sigmoid
 
 
 def set_cpus(monkeypatch, n):
@@ -232,6 +232,19 @@ class TestRunExpandingBacktest:
         selected = provenance["selected_hyperparameters"]
         assert set(selected) == {"l1", "l2"}
         assert set(selected["l1"]) == {"lambda"}
+
+    def test_one_class_calibration_segment_takes_the_sigmoid(self):
+        # The one forecast window's calibration segment, its last 24 targets
+        # S_97..S_120, holds no stress month: gb gets no Platt map, and its
+        # log-odds score becomes a probability through the sigmoid.
+        features, labels = self.make_inputs(n_months=121, seed=5)
+        labels.s[97:] = 0
+        labels.y_next[:] = np.append(labels.s[1:], np.nan)
+        assert 0 < labels.s[1:97].sum()
+        fs, _ = run_expanding_backtest(features, labels, self.config(
+            models=("gb",), gb_stage_grid=(10,)))
+        raw = fs.raw["gb"][0]
+        assert raw < 0 and fs.prob["gb"][0] == sigmoid(raw)
 
     def test_too_few_months_raises(self):
         features, labels = self.make_inputs(n_months=120)

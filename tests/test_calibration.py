@@ -30,12 +30,6 @@ class TestFitPlatt:
         cmap = fit_platt(scores, y)
         assert cmap.a > 0.0
 
-    def test_single_class_segment_identity_fallback(self):
-        cmap = fit_platt(np.linspace(0, 1, 8), np.zeros(8))
-        assert cmap.identity and cmap.warning is not None
-        assert calibrate_many(cmap, [0.3])[0] == pytest.approx(0.3)
-        assert calibrate_many(cmap, [1.5])[0] == pytest.approx(1.0 - 1e-12)
-
     def test_monotone_when_slope_positive(self):
         rng = np.random.default_rng(19)
         scores = rng.normal(size=300)

@@ -49,12 +49,12 @@ GOLDEN_BODIES = {
     "panel.csv": "386b9cc3b7820ed4c1b4bda38bd930db804792f05e43dfcf02dc08065bb8f0b8",
     "features.csv": "a4028b4f33345ef67f1f9ac1a4d1be4e3563bf24fafec62a065db89db8ecdd97",
     "labels.csv": "1d2495c7af86f4582530c579fe8a25aa3425d31b9c8a52eef764b4513017b0bf",
-    "forecasts.csv": "4290182aaafdfe2c8a89456e0f81f7c3917b34e88eed732dba92db9d404c9805",
-    "metrics.json": "b1773fcbb55fd3281dd588654adfafaa6e5e7baf874dd60f3551ec3b78d3f0ce",
-    "curves.csv": "42e092e88b0c0be88ca93bfd3a01be1cacf577d0c9890d9f1d29cf8d70d1b621",
-    "bins.csv": "2e93a6cf63572a6bffbeeac25d5d8ba386b5de94a9b898bc2e92fad07093a8d6",
-    "bootstrap.json": "dacc759b390a2f11957415a68c372610d294e77124630f3010b47a75f52b0f60",
-    "provenance.json": "b80bbd7f342c1f8965c5a11dbfb6876fdea0c50e302ae9e9424e7785474df14b",
+    "forecasts.csv": "0c6fc800aa670fde67457745a2f4bfec0d2405917901c1a9cf6949056cdb50c9",
+    "metrics.json": "2907a543c2c1e548301a3c6cf507875e7506b989e22a10661df76787d8a489af",
+    "curves.csv": "e4cec48fc5f70e432fea251da86053590a100203eb1660a37fd630a4d983e1d5",
+    "bins.csv": "91f0e1b7be45dc7e04fc98517ce1d7a529b9b4ab8001c000059a30921923d235",
+    "bootstrap.json": "f591bd02a98e1b2790a345a8cd2bd30516c4719a60533a265303961e1391692e",
+    "provenance.json": "6961333be4cb8b9d93c79374808f603fe0a6528a2fb5e956e20ad8015c66e6ca",
 }
 
 
