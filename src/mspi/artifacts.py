@@ -78,6 +78,14 @@ def _indicator_cell(path: Path, line: int, column: str, token: str) -> int:
     return int(token)
 
 
+def _increasing(path: Path, lines: list[int], keys: list) -> list:
+    """``keys``; DataError names the first line whose key does not follow the one before."""
+    for line, prev, key in zip(lines[1:], keys, keys[1:]):
+        if key <= prev:
+            raise DataError(f"{path}: line {line}: {key} does not come after {prev}")
+    return keys
+
+
 # ---------------------------------------------------------------------------
 # Simulation outputs (panel/market in the ingestion contract).
 
@@ -147,17 +155,13 @@ def read_calendar(path: Path) -> list[dt.date]:
     dates: list[dt.date] = []
     for line, r in zip(lines, rows):
         try:
-            day = dt.date.fromisoformat(r["date"])
+            dates.append(dt.date.fromisoformat(r["date"]))
         except ValueError:
             raise DataError(f"{path}: line {line}, column 'date': "
                             f"expected an ISO date, got {r['date']!r}") from None
-        if dates and day <= dates[-1]:
-            raise DataError(f"{path}: line {line}: {day.isoformat()} does not come after "
-                            f"{dates[-1].isoformat()}")
-        dates.append(day)
     if not dates:
         raise DataError(f"{path}: no trading days")
-    return dates
+    return _increasing(path, lines, dates)
 
 
 def write_features_csv(path: Path, features: FeatureMatrix, config_hash: str):
@@ -168,10 +172,10 @@ def write_features_csv(path: Path, features: FeatureMatrix, config_hash: str):
 
 
 def read_features(path: Path) -> FeatureMatrix:
-    """The feature matrix; a ragged row or a blank, unparsable or
-    non-finite feature cell raises DataError naming its line and column."""
+    """The feature matrix; a ragged row, a blank, unparsable or non-finite
+    feature cell or an out-of-order month raises DataError naming its line."""
     lines, rows = read_rows(path, ["month", *FEATURE_NAMES])
-    months = [r["month"] for r in rows]
+    months = _increasing(path, lines, [r["month"] for r in rows])
     values = np.array([[_finite_cell(path, line, c, r[c]) for c in FEATURE_NAMES]
                        for line, r in zip(lines, rows)])
     return FeatureMatrix(months=months, values=values)
@@ -188,8 +192,8 @@ def write_labels_csv(path: Path, labels: LabelSeries, config_hash: str):
 
 def read_labels(path: Path) -> LabelSeries:
     """The label series; a ragged row, a blank, unparsable or non-finite
-    R_mkt, sigma_mkt or q_prev cell, or an S or Y_next other than 0 or 1
-    raises DataError naming its line and column. Y_next may be blank."""
+    R_mkt, sigma_mkt or q_prev cell, an S or Y_next other than 0 or 1, or an
+    out-of-order month raises DataError naming its line. Y_next may be blank."""
     lines, rows = read_rows(path, LABEL_COLUMNS)
 
     def finite(column):
@@ -197,7 +201,7 @@ def read_labels(path: Path) -> LabelSeries:
                          for line, r in zip(lines, rows)])
 
     return LabelSeries(
-        months=[r["month"] for r in rows],
+        months=_increasing(path, lines, [r["month"] for r in rows]),
         r_mkt=finite("R_mkt"),
         sigma_mkt=finite("sigma_mkt"),
         q_prev=finite("q_prev"),

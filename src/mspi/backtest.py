@@ -289,10 +289,9 @@ def fit_window(
 
     Single-class targets return a flagged Laplace base-rate pipeline instead
     of failing, so early quiet windows keep the forecast series contiguous.
-    A calibrated learner's Platt map is fitted on the window's last
-    max(``cal_min_months``, ceil(``cal_fraction`` * n)) months, scored by a
-    sub-model fitted on the months before them, when both parts hold both
-    classes; otherwise the fit has no map.
+    A calibrated learner gets a Platt map, fitted on the window's last months
+    as scored by a sub-model of the months before them, only when both parts
+    hold both classes; otherwise its scores take the uncalibrated rule.
     A warm-started learner starts from the solution of ``init``, an earlier
     fit, unless that fit is a fallback or retained other feature columns.
     """
@@ -309,8 +308,6 @@ def fit_window(
         n = y.shape[0]
         cal_len = max(cal_min_months, math.ceil(cal_fraction * n))
         k = n - cal_len
-        # A window too short, or with one class in either part, gets no
-        # Platt map: its scores take the uncalibrated rule in ``probs``.
         if k >= 2 and np.unique(y[:k]).shape[0] == 2 and np.unique(y[k:]).shape[0] == 2:
             sub_params = standardize_fit(X_raw[:k])
             sub_model = learner.fit(standardize_apply(sub_params, X_raw[:k]), y[:k], hyper,
@@ -532,13 +529,8 @@ def run_expanding_backtest(
     labels: LabelSeries,
     config: BacktestConfig,
 ) -> tuple[ForecastSeries, dict]:
-    """Execute the protocol described in the module docstring.
-
-    Returns the forecasts and their provenance: the seed, the selected
-    hyperparameters, the forecast months, the models, the fallback warnings
-    in (month, model) order and each model's CV record (selected entry,
-    folds used, mean losses).
-    """
+    """Execute the protocol described in the module docstring; returns the
+    forecasts and their provenance, the ``provenance.json`` payload."""
     config.validate()
     missing = [m for m in labels.months if m not in features.months]
     if missing:

@@ -7,8 +7,9 @@ lp, report. All stages share one flat JSON config (--config); --out and
 stage that reads the daily panel: besides ``features.csv`` it writes
 ``calendar.csv``, the panel's trading days after the eligibility filters (a
 day whose rows were all dropped is not on it), from which ``label`` buckets
-the market series into months. Exit codes: 0 success, 2 config error, 3
-data error, 4 numeric failure.
+the market series into months. Exit codes: 0 success, 1 a forecast worker
+that failed to start or to send its forecasts, 2 config error (the config
+file and out_dir included), 3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -52,7 +53,10 @@ logger = logging.getLogger(__name__)
 
 def _out_dir(cfg: PipelineConfig) -> Path:
     path = Path(cfg.out_dir)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file of that name, say
+        raise ConfigError(f"out_dir {path} cannot be created: {exc.strerror}") from None
     return path
 
 
@@ -203,9 +207,9 @@ def cmd_regress(cfg: PipelineConfig, args) -> int:
         "predictive_volatility": vol.to_dict(),
         "crash": crash.to_dict(),
         "innovations": {
-            "regression": innov.regression.to_dict(),
-            "residual_std": float(np.std(innov.innovations)),
-            "n": len(innov.innovations),
+            "regression": innov.to_dict(),
+            "residual_std": float(np.std(innov.residuals)),
+            "n": len(innov.residuals),
         },
     }, cfg.config_hash())
     return 0
@@ -220,7 +224,7 @@ def cmd_lp(cfg: PipelineConfig, args) -> int:
     innov = econ.mspi_innovations(forecasts, model=cfg.regress_model, hac_lag=cfg.hac_lag)
     outcome = econ.lp_outcome_series(forecasts, cfg.lp_outcome, cfg.crash_cutoff, features)
     # innovations start at the second forecast month; controls are lagged one more
-    u = innov.innovations[1:]
+    u = innov.residuals[1:]
     y = outcome[2:]
     controls = None
     if cfg.lp_controls:

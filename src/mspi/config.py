@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -115,6 +116,8 @@ class PipelineConfig:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
+        except (OSError, UnicodeDecodeError) as exc:  # a directory, say, or not UTF-8
+            raise ConfigError(f"config file {path} cannot be read: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
         return cls.from_dict(raw)
@@ -122,7 +125,7 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
         """Build a config from parsed JSON; raises ConfigError on an unknown
-        field, a value of the wrong type or a value out of range."""
+        field, a value of the wrong type, not finite or out of range."""
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
         known = {f.name: f for f in fields(cls)}
@@ -143,6 +146,9 @@ class PipelineConfig:
                     raise ConfigError(
                         f"{name} entries must be of type {item.__name__}, got {bad[0]!r}"
                     )
+            if any(isinstance(v, float) and not math.isfinite(v)
+                   for v in (value if kind is list else [value])):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         cfg = cls(**raw)
         cfg.validate()
         return cfg

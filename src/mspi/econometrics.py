@@ -11,7 +11,6 @@ projections of outcomes on those innovations.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +43,6 @@ class RegressionResult:
 
     def std_error(self, name: str) -> float:
         return float(self.se[self.names.index(name)])
-
-    def t_stat(self, name: str) -> float:
-        i = self.names.index(name)
-        return float(self.coef[i] / self.se[i]) if self.se[i] > 0 else math.inf
 
     def to_dict(self) -> dict:
         return {
@@ -225,20 +220,13 @@ def crash_regression(
     )
 
 
-@dataclass(frozen=True)
-class InnovationSeries:
-    """Residual 'news' from projecting the index on lagged information."""
-
-    innovations: np.ndarray
-    regression: RegressionResult
-
-
 def mspi_innovations(
     forecasts: ForecastSeries,
     model: str,
     hac_lag: int,
-) -> InnovationSeries:
-    """Project the index on its lag and lagged market controls; keep residuals.
+) -> RegressionResult:
+    """Project the index on its lag and lagged market controls; the
+    residuals are the index's innovations, its 'news'.
 
     Zero-variance regressors (a constant index or control) are dropped
     before the projection; a constant index then has all-zero innovations.
@@ -251,8 +239,7 @@ def mspi_innovations(
     X = np.column_stack([np.ones(y.shape[0]), prob[:-1], z[:-1]])
     names = ["intercept", "mspi_lag", "r_mkt_lag", "sigma_mkt_lag"]
     keep = [0] + [j for j in range(1, X.shape[1]) if np.ptp(X[:, j]) > 0.0]
-    reg = ols_hac(y, X[:, keep], hac_lag, tuple(names[j] for j in keep))
-    return InnovationSeries(innovations=reg.residuals, regression=reg)
+    return ols_hac(y, X[:, keep], hac_lag, tuple(names[j] for j in keep))
 
 
 @dataclass(frozen=True)
@@ -331,7 +318,7 @@ def lp_outcome_series(
         return forecasts.r_mkt.copy()
     if outcome == "crash":
         return (forecasts.r_mkt <= crash_cutoff).astype(float)
-    if features is not None and outcome in features.feature_names:
+    if features is not None and outcome in FEATURE_NAMES:
         row = {m: i for i, m in enumerate(features.months)}
         missing = [m for m in forecasts.months if m not in row]
         if missing:

@@ -17,27 +17,15 @@ import numpy as np
 from .errors import DataError
 from .panel import DailyPanel, MonthPartition
 
-FEATURE_NAMES = [
-    "n_stocks",
-    "xs_std",
-    "xs_skew",
-    "xs_kurt",
-    "mean_abs_ret",
-    "frac_dn",
-    "frac_up",
-    "mean_log_vol",
-    "mean_dollar_vol",
-    "mean_turnover",
-]
-
 
 @dataclass(frozen=True)
 class DailyStats:
-    """Cross-sectional statistics of every panel day, one array per statistic.
+    """Cross-sectional statistics of every panel day, one array per statistic;
+    each feature is the monthly mean of the statistic of the same name.
 
-    ``degenerate`` marks a zero-dispersion day: skew and kurtosis are
-    reported as 0 and excluded from monthly averages. Intensity fields are
-    NaN when no row carried the needed volume data that day.
+    A zero-dispersion day (``xs_std`` 0) reports skew and kurtosis as 0, and
+    they are excluded from monthly averages. Intensity fields are NaN when
+    no row carried the needed volume data that day.
     """
 
     n_stocks: np.ndarray
@@ -50,7 +38,6 @@ class DailyStats:
     mean_log_vol: np.ndarray
     mean_dollar_vol: np.ndarray
     mean_turnover: np.ndarray
-    degenerate: np.ndarray
 
     @classmethod
     def concatenate(cls, parts: list["DailyStats"]) -> "DailyStats":
@@ -59,19 +46,18 @@ class DailyStats:
                       for f in fields(cls)})
 
 
+FEATURE_NAMES = [f.name for f in fields(DailyStats)]
+
+
 @dataclass(frozen=True)
 class FeatureMatrix:
     """Monthly predictor matrix: one row per month, columns FEATURE_NAMES."""
 
     months: list[str]
     values: np.ndarray
-    feature_names: tuple[str, ...] = tuple(FEATURE_NAMES)
 
     def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.feature_names.index(name)]
-
-    def row(self, month: str) -> np.ndarray:
-        return self.values[self.months.index(month)]
+        return self.values[:, FEATURE_NAMES.index(name)]
 
 
 # Rows per block of equal-length days in compute_daily_stats: bounds the
@@ -168,8 +154,7 @@ def compute_daily_stats(panel: DailyPanel, tau: float) -> DailyStats:
     if not n_stocks.all():
         empty = panel.dates[int(np.argmin(n_stocks))]
         raise DataError(f"{empty.isoformat()}: empty cross section")
-    columns = {f.name: np.empty(n_stocks.shape[0]) for f in fields(DailyStats)
-               if f.name not in ("n_stocks", "degenerate")}
+    columns = {name: np.empty(n_stocks.shape[0]) for name in FEATURE_NAMES if name != "n_stocks"}
     for length in np.unique(n_stocks).tolist():
         days = np.flatnonzero(n_stocks == length)
         step = max(1, _BLOCK_ROWS // length)
@@ -179,13 +164,13 @@ def compute_daily_stats(panel: DailyPanel, tau: float) -> DailyStats:
                                    for name in ("ret", "prc", "vol", "shrout")), tau)
             for name, values in block.items():
                 columns[name][seg] = values
-    return DailyStats(n_stocks=n_stocks, **columns, degenerate=columns["xs_std"] == 0.0)
+    return DailyStats(n_stocks=n_stocks, **columns)
 
 
 def aggregate_monthly(daily_stats: DailyStats, partition: MonthPartition) -> FeatureMatrix:
     """Average daily statistics within each month of the partition.
 
-    Skew/kurtosis values from degenerate days, and NaN intensity values from
+    Skew/kurtosis values from zero-dispersion days, and NaN intensity values from
     days without volume data, are excluded from their feature's average. A
     month whose every day is excluded for some feature is an error.
 
@@ -204,7 +189,7 @@ def aggregate_monthly(daily_stats: DailyStats, partition: MonthPartition) -> Fea
         values = getattr(daily_stats, name)
         kept = ~np.isnan(values)
         if name in ("xs_skew", "xs_kurt"):
-            kept &= ~daily_stats.degenerate
+            kept &= daily_stats.xs_std != 0.0
         offsets = _kept_offsets(kept, partition.starts)
         empty[:, j] = offsets[1:] == offsets[:-1]
         rows[:, j] = _segment_means(values[kept], offsets)

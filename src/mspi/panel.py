@@ -42,6 +42,7 @@ day's row in the market series.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime as dt
 import functools
@@ -93,8 +94,7 @@ class DailyPanel:
     order; day i is rows ``starts[i]:starts[i+1]``.
 
     ``vol`` and ``shrout`` hold NaN where the source field was missing; such
-    rows still contribute to return-based statistics. The eligibility flags
-    are read only by the filter, so the panel does not keep them.
+    rows still contribute to return-based statistics.
     """
 
     dates: list[dt.date]
@@ -187,14 +187,29 @@ def _read_header(reader, path: str, required: list[str]) -> tuple[dict[str, int]
     return index, len(header)
 
 
+@contextlib.contextmanager
+def _open_csv(path) -> Iterator[io.TextIOWrapper]:
+    """``path`` opened as UTF-8 CSV text; a directory, bytes that are not
+    UTF-8 or a field over ``csv.field_size_limit()`` raise DataError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            yield fh
+    except IsADirectoryError:
+        raise DataError(f"{path}: is a directory") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def read_rows(path, required: list[str]) -> tuple[list[int], list[dict[str, str]]]:
     """Line numbers and rows (dicts of the required columns) of a headered
-    CSV, skipping comment and blank lines. A missing file or column, or a
-    row with more or fewer fields than the header, raises DataError."""
+    CSV, skipping comment and blank lines. A missing or unreadable file, a missing
+    column or a row with more or fewer fields than the header raises DataError."""
     if not os.path.exists(path):
         raise DataError(f"missing file: {path}")
     lines, rows = [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _open_csv(path) as fh:
         reader = csv.reader(fh)
         index, width = _read_header(reader, path, required)
         for row in reader:
@@ -491,7 +506,8 @@ def load_daily_panel(
     Rows are dropped (and counted per reason) when the return or price is
     missing/non-finite, |price| is below the filter floor, or a required
     eligibility flag is false. Missing volume/shares fields are kept as NaN.
-    Malformed rows raise DataError naming the line and column.
+    Malformed rows raise DataError naming the line and column (see
+    ``_open_csv`` for a file that cannot be read as CSV text).
 
     The kept rows are spilled to one temporary file per calendar year (about
     48 bytes a row under ``TMPDIR``), then each year is loaded, sorted and
@@ -501,7 +517,7 @@ def load_daily_panel(
     joined into the whole ``DailyPanel``.
     """
     summary = IngestSummary()
-    with open(path, "r", encoding="utf-8", newline="") as fh, _YearSpill() as spill:
+    with _open_csv(path) as fh, _YearSpill() as spill:
         reader = csv.reader(iter(fh.readline, ""))
         index, width = _read_header(reader, path, PANEL_COLUMNS)
         columns = _PanelColumns(index, width, filt, summary, spill)

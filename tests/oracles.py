@@ -214,6 +214,13 @@ def load_daily_panel_rowwise(
     path: str, filt: EligibilityFilter
 ) -> tuple[DailyPanel, IngestSummary]:
     """Load and filter the daily panel CSV one row at a time."""
+    try:
+        return _load_rowwise(path, filt)
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def _load_rowwise(path: str, filt: EligibilityFilter) -> tuple[DailyPanel, IngestSummary]:
     summary = IngestSummary()
     by_date: dict[dt.date, list[tuple]] = {}
     for line, row in _open_rows(path, PANEL_COLUMNS):
@@ -414,7 +421,7 @@ def _day_stats(r, prc, vol, shrout, tau: float) -> tuple:
     return (
         n, std, skew, kurt, float(np.mean(np.abs(r))),
         float(np.mean(r <= -tau)), float(np.mean(r >= tau)),
-        mean_log_vol, mean_dollar_vol, mean_turnover, degenerate,
+        mean_log_vol, mean_dollar_vol, mean_turnover,
     )
 
 
@@ -437,7 +444,7 @@ def monthly_means_per_month(daily_stats, partition, feature_names) -> np.ndarray
         for j, name in enumerate(feature_names):
             values = getattr(daily_stats, name)[a:b]
             if name in ("xs_skew", "xs_kurt"):
-                values = values[~daily_stats.degenerate[a:b]]
+                values = values[daily_stats.xs_std[a:b] != 0.0]
             rows[i, j] = float(np.mean(values[~np.isnan(values)]))
     return rows
 

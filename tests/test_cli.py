@@ -1,9 +1,12 @@
+import csv
 import datetime as dt
 import hashlib
 import json
 import logging
+import math
 import os
 import re
+import shutil
 import time
 
 import numpy as np
@@ -101,10 +104,18 @@ def test_all_stages_reproduce_golden_artifacts(tmp_path):
     ({"sim_n_stocks": 1}, "sim_n_stocks must be >= 2, got 1"),
     ({"sim_p_stress_to_calm": 1.5}, "sim_p_stress_to_calm must be in [0,1], got 1.5"),
     ({"sim_calm_mkt_vol": 0}, "unknown config field 'sim_calm_mkt_vol'"),
+    ({"min_abs_price": math.nan}, "min_abs_price must be finite"),
+    ({"bin_edges": [0, math.nan, 1]}, "bin_edges must be finite"),
+    ({"crash_cutoff": math.nan}, "crash_cutoff must be finite"),
+    ({"tail_threshold": math.inf}, "tail_threshold must be finite"),
+    ({"return_cutoff": -math.inf}, "return_cutoff must be finite"),
+    ({"l1_grid": [math.inf]}, "l1_grid must be finite"),
 ], ids=["seed_string", "rf_trees", "cv_folds", "gb_shrinkage", "calibration_fraction",
         "flag_int", "grid_entry", "stage_grid", "lp_outcome", "negative_seed",
         "duplicate_model", "bin_edges_order", "negative_min_price", "sim_n_stocks",
-        "sim_p_stress_to_calm", "removed_regime_field"])
+        "sim_p_stress_to_calm", "removed_regime_field", "nan_min_price", "nan_bin_edge",
+        "nan_crash_cutoff", "inf_tail_threshold", "minus_inf_return_cutoff",
+        "inf_grid_entry"])
 def test_bad_config_exits_2(tmp_path, capsys, payload, field):
     config = write_config(tmp_path, {**payload, "out_dir": str(tmp_path / "out")})
     assert main(["backtest", "--config", config]) == 2
@@ -134,17 +145,77 @@ def test_malformed_panel_row_exits_3(tmp_path, capsys):
     assert err == "data error: line 3, column 'ret': cannot parse number from 'zap'\n"
 
 
-@pytest.mark.parametrize("name, field, token, message", [
-    ("features.csv", 2, "", "line 5, column 'xs_std': expected a finite number, got ''"),
-    ("features.csv", 4, "nan", "line 5, column 'xs_kurt': expected a finite number, got 'nan'"),
-    ("features.csv", 10, None, "line 5: 10 fields, the header has 11"),
-    ("labels.csv", 2, " ", "line 5, column 'sigma_mkt': expected a finite number, got ' '"),
-    ("labels.csv", 3, "inf", "line 5, column 'q_prev': expected a finite number, got 'inf'"),
-    ("labels.csv", 1, "x", "line 5, column 'R_mkt': expected a finite number, got 'x'"),
-    ("labels.csv", 4, "2", "line 5, column 'S': expected 0 or 1, got '2'"),
+PANEL_HEAD = b"date,security_id,ret,prc,vol,shrout,shrcd_ok,exchcd_ok\n"
+LONG_FIELD = b"A" * (csv.field_size_limit() + 1)
+
+
+@pytest.mark.parametrize("stage, target, content, code", [
+    ("features", "out/panel.csv", PANEL_HEAD + b"2001-01-02,\xff,0.01,5.00,100,1000,1,1\n", 3),
+    ("label", "out/market.csv", b"date,mkt_ret\n2001-01-02,0.0\xff\n", 3),
+    ("label", "out/calendar.csv", b"date\n2001-01-02\xff\n", 3),
+    ("label", "config.json", b'{"seed": "\xff"}', 2),
+    ("features", "out/panel.csv", PANEL_HEAD + b"2001-01-02," + LONG_FIELD + b",0.01,5,1,1,1,1\n",
+     3),
+    ("features", "out/panel.csv",
+     PANEL_HEAD + b'2001-01-02,"' + LONG_FIELD + b'",0.01,5,1,1,1,1\n', 3),
+    ("features", "out/panel.csv", None, 3),
+    ("label", "config.json", None, 2),
+    ("label", "out", b"", 2),
+], ids=["panel_not_utf8", "market_not_utf8", "calendar_not_utf8", "config_not_utf8",
+        "panel_field_over_limit", "panel_quoted_field_over_limit", "panel_is_directory",
+        "config_is_directory", "out_is_a_file"])
+def test_unreadable_input_exits_with_named_error(tmp_path, capsys, stage, target, content, code):
+    # valid inputs for both stages; then ``target`` is replaced by ``content``,
+    # or by a directory where ``content`` is None
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "panel.csv").write_bytes(PANEL_HEAD + b"2001-01-02,A,0.01,5.00,100,1000,1,1\n")
+    (out / "market.csv").write_bytes(b"date,mkt_ret\n2001-01-02,0.0\n")
+    write_calendar_csv(out / "calendar.csv", [dt.date(2001, 1, 2)], "h")
+    config = write_config(tmp_path, {"out_dir": str(out)})
+    path = tmp_path / target
+    shutil.rmtree(path) if path.is_dir() else path.unlink()
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main(["--log-level", "WARNING", stage, "--config", config]) == code
+    err = capsys.readouterr().err
+    assert err.startswith({2: "config error: ", 3: "data error: "}[code]) and str(path) in err
+    assert "Traceback" not in err
+
+
+def set_cell(field, token):
+    """An edit of a CSV's lines that sets one field of line 5, the third
+    data row after the hash and header lines, or deletes it (token None)."""
+    def edit(lines):
+        fields = lines[4].split(",")
+        if token is None:
+            del fields[field]
+        else:
+            fields[field] = token
+        return lines[:4] + [",".join(fields)] + lines[5:]
+    return edit
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("features.csv", set_cell(2, ""), "line 5, column 'xs_std': expected a finite number, got ''"),
+    ("features.csv", set_cell(4, "nan"),
+     "line 5, column 'xs_kurt': expected a finite number, got 'nan'"),
+    ("features.csv", set_cell(10, None), "line 5: 10 fields, the header has 11"),
+    ("labels.csv", set_cell(2, " "),
+     "line 5, column 'sigma_mkt': expected a finite number, got ' '"),
+    ("labels.csv", set_cell(3, "inf"),
+     "line 5, column 'q_prev': expected a finite number, got 'inf'"),
+    ("labels.csv", set_cell(1, "x"), "line 5, column 'R_mkt': expected a finite number, got 'x'"),
+    ("labels.csv", set_cell(4, "2"), "line 5, column 'S': expected 0 or 1, got '2'"),
+    ("labels.csv", lambda lines: lines[:4] + [lines[5], lines[4]] + lines[6:],
+     "line 6: 2001-03 does not come after 2001-04"),
+    ("features.csv", lambda lines: lines[:5] + lines[4:],
+     "line 6: 2001-03 does not come after 2001-03"),
 ], ids=["blank_feature", "nan_feature", "ragged_features", "blank_sigma", "inf_q_prev",
-        "bad_r_mkt", "s_out_of_range"])
-def test_malformed_backtest_inputs_exit_3(tmp_path, capsys, name, field, token, message):
+        "bad_r_mkt", "s_out_of_range", "swapped_label_months", "repeated_feature_month"])
+def test_malformed_backtest_inputs_exit_3(tmp_path, capsys, name, edit, message):
     out = tmp_path / "out"
     out.mkdir()
     rng = np.random.default_rng(0)
@@ -157,13 +228,7 @@ def test_malformed_backtest_inputs_exit_3(tmp_path, capsys, name, field, token, 
         q_prev=np.full(12, 0.2), s=s, y_next=np.append(s[1:], np.nan).astype(float),
     ), "h")
     lines = (out / name).read_text(encoding="utf-8").split("\n")
-    fields = lines[4].split(",")  # the third data row: line 5 after the hash and header
-    if token is None:
-        del fields[field]
-    else:
-        fields[field] = token
-    lines[4] = ",".join(fields)
-    (out / name).write_text("\n".join(lines), encoding="utf-8")
+    (out / name).write_text("\n".join(edit(lines)), encoding="utf-8")
     assert main(["backtest", "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err == f"data error: {out / name}: {message}\n"

@@ -108,7 +108,8 @@ class TestPredictiveVolRegression:
         for seed in range(100):
             fs = toy_forecasts(n=150, seed=seed, link=0.0)
             res = predictive_vol_regression(fs, model="l1", hac_lag=6)
-            hits += abs(res.regression.t_stat("mspi")) < 2.0
+            reg = res.regression
+            hits += abs(reg.coefficient("mspi") / reg.std_error("mspi")) < 2.0
         assert hits >= 90
 
     def test_linked_index_positive_gamma(self):
@@ -178,26 +179,26 @@ class TestInnovations:
         fs = toy_forecasts(seed=9)
         fs.prob["l1"][:] = 0.25
         innov = mspi_innovations(fs, model="l1", hac_lag=6)
-        assert np.max(np.abs(innov.innovations)) < 1e-12
+        assert np.max(np.abs(innov.residuals)) < 1e-12
 
     def test_white_noise_index_keeps_variance(self):
         fs = toy_forecasts(n=500, seed=10)
         innov = mspi_innovations(fs, model="l1", hac_lag=6)
-        ratio = np.std(innov.innovations) / np.std(fs.prob["l1"])
+        ratio = np.std(innov.residuals) / np.std(fs.prob["l1"])
         assert abs(ratio - 1.0) < 0.10
 
     def test_orthogonality_to_lagged_index(self):
         fs = toy_forecasts(n=300, seed=11)
         innov = mspi_innovations(fs, model="l1", hac_lag=6)
         lagged = fs.prob["l1"][:-1]
-        corr = float(np.dot(innov.innovations - innov.innovations.mean(),
+        corr = float(np.dot(innov.residuals - innov.residuals.mean(),
                             lagged - lagged.mean()))
         assert abs(corr) / len(lagged) < 1e-8
 
     def test_residuals_sum_to_zero(self):
         fs = toy_forecasts(n=200, seed=12)
         innov = mspi_innovations(fs, model="l1", hac_lag=6)
-        assert abs(float(np.sum(innov.innovations))) < 1e-8
+        assert abs(float(np.sum(innov.residuals))) < 1e-8
 
     def test_control_rescaling_invariance(self):
         fs = toy_forecasts(n=200, seed=13)
@@ -206,7 +207,7 @@ class TestInnovations:
         fs2.r_mkt[:] = 100.0 * fs2.r_mkt + 0.5
         fs2.sigma_mkt[:] = 3.0 * fs2.sigma_mkt - 0.2
         innov2 = mspi_innovations(fs2, model="l1", hac_lag=6)
-        assert np.max(np.abs(innov1.innovations - innov2.innovations)) < 1e-8
+        assert np.max(np.abs(innov1.residuals - innov2.residuals)) < 1e-8
 
 
 class TestLocalProjections:

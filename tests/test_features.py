@@ -76,7 +76,7 @@ class TestCrossSectionStats:
 
     def test_degenerate_day_flagged(self):
         s = stats_of(make_day([0.01, 0.01, 0.01]))
-        assert s.degenerate and s.xs_skew == 0.0 and s.xs_kurt == 0.0
+        assert s.xs_std == 0.0 and s.xs_skew == 0.0 and s.xs_kurt == 0.0
 
     def test_empty_day_error(self):
         with pytest.raises(DataError, match="2001-01-02: empty"):
@@ -109,7 +109,7 @@ class TestFeatureInvariances:
             scaled = stats_of(make_day(ret * c))
             assert scaled.xs_std == c * base.xs_std
             assert scaled.mean_abs_ret == c * base.mean_abs_ret
-            if not base.degenerate:
+            if base.xs_std != 0.0:
                 assert scaled.xs_skew == base.xs_skew
                 assert scaled.xs_kurt == base.xs_kurt
 
@@ -152,7 +152,7 @@ class TestAggregateMonthly:
         day = make_day([0.01, -0.03, 0.06])
         s = stats_of(day)
         fm = self.monthly([day], [DAY])
-        row = fm.row("2001-01")
+        row = fm.values[fm.months.index("2001-01")]
         assert row[FEATURE_NAMES.index("xs_std")] == s.xs_std
         assert row[FEATURE_NAMES.index("frac_up")] == s.frac_up
 
@@ -220,7 +220,7 @@ class TestBatchedDailyStats:
         lengths += rng.integers(1, 701, size=60).tolist()
         stats = self.assert_matches_per_day(ragged_panel(1, lengths))
         assert np.isnan(stats.mean_log_vol[1]) and np.isnan(stats.mean_turnover[1])
-        assert stats.degenerate[2] and not stats.degenerate[[0, 1]].any()
+        assert stats.xs_std[2] == 0.0 and stats.xs_std[[0, 1]].all()
 
     def test_day_longer_than_a_block(self):
         self.assert_matches_per_day(ragged_panel(2, [40, _BLOCK_ROWS + 77, 3, 41, 129]))
