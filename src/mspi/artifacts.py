@@ -7,6 +7,10 @@ carry a ``config_hash`` field. Floats are written with ``repr`` so values
 round-trip exactly and identical inputs produce byte-identical files. Each
 CSV's columns are named once, in the constants below or the modules that
 own them.
+
+``forecasts.csv`` also carries each month's outcomes for its readers, but
+``read_forecasts`` reads back only the scores and pairs them with the labels
+again (``ForecastSeries.from_labels``).
 """
 
 from __future__ import annotations
@@ -55,10 +59,6 @@ def write_json(path: Path, payload: dict, config_hash: str):
     payload = dict(payload)
     payload["config_hash"] = config_hash
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _parse_opt_float(token: str) -> float:
-    return float(token) if token not in ("", None) else math.nan
 
 
 def _finite_cell(path: Path, line: int, column: str, token: str) -> float:
@@ -230,14 +230,17 @@ def write_forecasts_csv(path: Path, forecasts: ForecastSeries, config_hash: str)
 
 
 def read_forecasts(path: Path, labels: LabelSeries) -> ForecastSeries:
-    """Rebuild a ForecastSeries from forecasts.csv plus the label series
-    (which supplies the current-month market controls).
+    """Rebuild a ForecastSeries from the month, model, raw_score and
+    probability columns of forecasts.csv; the label series pairs each month
+    with its outcomes and controls (``ForecastSeries.from_labels``).
 
     Every (month, model) cell must appear exactly once with a finite raw
-    score and probability; a duplicate or missing cell raises DataError.
+    score and probability, and each month must be the labeled month after
+    the one before it; a duplicate or missing cell, a month the labels lack
+    or one out of order raises DataError naming it.
     """
     cells: dict[tuple[str, str], tuple[int, dict]] = {}
-    for line, r in zip(*read_rows(path, FORECAST_COLUMNS)):
+    for line, r in zip(*read_rows(path, FORECAST_COLUMNS[:4])):  # the labels give the rest
         key = (r["month"], r["model"])
         if key in cells:
             raise DataError(f"{path}: duplicate row for month {key[0]} model {key[1]}")
@@ -251,24 +254,22 @@ def read_forecasts(path: Path, labels: LabelSeries) -> ForecastSeries:
             f"first month {absent[0][0]} model {absent[0][1]}"
         )
 
-    def score(m: str, k: str, column: str) -> float:
-        line, r = cells[m, k]
-        return _finite_cell(path, line, column, r[column])
-
-    raw = {k: np.array([score(m, k, "raw_score") for m in months]) for k in models}
-    prob = {k: np.array([score(m, k, "probability") for m in months]) for k in models}
-    first = [cells[m, models[0]][1] for m in months]
-    y_next = np.array([_parse_opt_float(r["y_next"]) for r in first])
-    next_vol = np.array([_parse_opt_float(r["next_vol"]) for r in first])
-    next_ret = np.array([_parse_opt_float(r["next_ret"]) for r in first])
-
     label_pos = {m: i for i, m in enumerate(labels.months)}
     missing = [m for m in months if m not in label_pos]
     if missing:
-        raise DataError(f"forecast months missing from labels: {missing[:5]}")
-    idx = [label_pos[m] for m in months]
-    return ForecastSeries(
-        months=months, models=tuple(models), raw=raw, prob=prob,
-        y_next=y_next, next_vol=next_vol, next_ret=next_ret,
-        r_mkt=labels.r_mkt[idx], sigma_mkt=labels.sigma_mkt[idx],
-    )
+        raise DataError(f"{path}: forecast months missing from labels: {missing[:5]}")
+    positions = [label_pos[m] for m in months]
+    for month, prev, i, i_prev in zip(months[1:], months, positions[1:], positions):
+        if i != i_prev + 1:
+            raise DataError(f"{path}: line {cells[month, models[0]][0]}: {month} is not the "
+                            f"labeled month after {prev}")
+
+    def scores(column: str) -> dict[str, np.ndarray]:
+        def cell(m: str, k: str) -> float:
+            line, r = cells[m, k]
+            return _finite_cell(path, line, column, r[column])
+
+        return {k: np.array([cell(m, k) for m in months]) for k in models}
+
+    return ForecastSeries.from_labels(labels, positions, models, scores("raw_score"),
+                                      scores("probability"))

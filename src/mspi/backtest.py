@@ -48,20 +48,20 @@ import numpy as np
 
 from .errors import ConfigError, DataError, MspiError, NumericError
 from .features import FeatureMatrix
-from .labels import LabelSeries
+from .labels import LabelSeries, market_controls
 from .learners import (
     CalibrationMap,
     GradientBoostingParams,
     PROB_CLAMP,
     RandomForestParams,
     calibrate_many,
+    clamped_log_loss,
     fit_gradient_boosting,
     fit_logit_l1,
     fit_logit_l2,
     fit_platt,
     fit_random_forest,
     gb_score_many,
-    laplace_base_rate,
     rf_score_many,
     sigmoid,
     standardize_apply,
@@ -100,7 +100,7 @@ class BacktestConfig:
     calibration_fraction: float = 0.2
     calibration_min_months: int = 12
 
-    def validate(self):
+    def __post_init__(self):
         for name in ("cv_folds", "min_validation_months", "rf_trees", "rf_max_depth",
                      "rf_min_leaf", "gb_max_depth", "calibration_min_months"):
             if getattr(self, name) < 1:
@@ -226,7 +226,7 @@ LEARNERS: dict[str, Learner] = {
 class WindowFit:
     learner: Learner
     params: object | None
-    model: object
+    model: object  # a fallback's model is its intercept
     cmap: CalibrationMap | None
     fallback: bool
     # (sub-model, standardized calibration rows, their targets) behind cmap
@@ -234,12 +234,15 @@ class WindowFit:
 
     @classmethod
     def base_rate(cls, learner: Learner, y: np.ndarray) -> WindowFit:
-        """The flagged Laplace base-rate pipeline for a window that cannot be fitted."""
-        return cls(learner, None, laplace_base_rate(y, 0, "none", 0.0), None, True)
+        """The flagged fallback for a window that cannot be fitted: the
+        constant log-odds of the Laplace base rate p = (k+1)/(n+2) of the
+        window's k stress months in n."""
+        p = (float(np.sum(y)) + 1.0) / (y.shape[0] + 2.0)
+        return cls(learner, None, math.log(p / (1.0 - p)), None, True)
 
     def raw_many(self, X_raw: np.ndarray) -> np.ndarray:
         if self.fallback:
-            return np.full(X_raw.shape[0], self.model.intercept)
+            return np.full(X_raw.shape[0], self.model)
         Xz = standardize_apply(self.params, X_raw)
         return self.learner.score(self.model, Xz)
 
@@ -327,11 +330,6 @@ def fit_window(
 # ---------------------------------------------------------------------------
 # Forward-chaining cross-validation.
 
-def _log_loss(probs: np.ndarray, y: np.ndarray) -> float:
-    p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
-
-
 def forward_chain_cv(
     learner: Learner,
     X_raw: np.ndarray,
@@ -408,7 +406,7 @@ def forward_chain_cv(
             else:
                 fitted = top if grid[gi] == largest else top.restricted(grid[gi])
             probs = fitted.prob_many(X_raw[train_end:val_end])
-            loss_matrix[gi, col] = _log_loss(probs, y[train_end:val_end])
+            loss_matrix[gi, col] = clamped_log_loss(probs, y[train_end:val_end])
             prev = gi
     mean_losses = [float(v) for v in loss_matrix.mean(axis=1)]
 
@@ -445,6 +443,25 @@ class ForecastSeries:
     next_ret: np.ndarray
     r_mkt: np.ndarray
     sigma_mkt: np.ndarray
+
+    @classmethod
+    def from_labels(cls, labels: LabelSeries, positions, models, raw: dict[str, np.ndarray],
+                    prob: dict[str, np.ndarray]) -> ForecastSeries:
+        """The forecasts made at the label months ``positions``, each month t
+        paired with its outcomes: y_next = S_{t+1}, and next_vol and next_ret,
+        month t+1's realized volatility and return, all NaN at the last
+        labeled month; r_mkt and sigma_mkt are month t's."""
+        idx = np.asarray(positions, dtype=np.int64)
+
+        def ahead(values: np.ndarray) -> np.ndarray:
+            return np.append(values, np.nan)[idx + 1]
+
+        return cls(
+            months=[labels.months[i] for i in idx.tolist()], models=tuple(models),
+            raw=raw, prob=prob, y_next=ahead(labels.s), next_vol=ahead(labels.sigma_mkt),
+            next_ret=ahead(labels.r_mkt), r_mkt=labels.r_mkt[idx],
+            sigma_mkt=labels.sigma_mkt[idx],
+        )
 
     def observed_mask(self) -> np.ndarray:
         return np.isfinite(self.y_next)
@@ -531,7 +548,6 @@ def run_expanding_backtest(
 ) -> tuple[ForecastSeries, dict]:
     """Execute the protocol described in the module docstring; returns the
     forecasts and their provenance, the ``provenance.json`` payload."""
-    config.validate()
     missing = [m for m in labels.months if m not in features.months]
     if missing:
         raise DataError(f"labeled months missing from feature matrix: {missing[:5]}")
@@ -539,7 +555,6 @@ def run_expanding_backtest(
     feat_idx = [features.months.index(m) for m in labels.months]
     features_rows = features.values[feat_idx]
     months = labels.months
-    s = labels.s.astype(float)
     n_months = len(months)
     w = config.initial_window_months
     if n_months < w + 1:
@@ -547,10 +562,9 @@ def run_expanding_backtest(
             f"need at least {w + 1} labeled months for a {w}-month initial window, got {n_months}"
         )
 
-    market_rows = np.column_stack([labels.r_mkt, labels.sigma_mkt])
-    x_by_model = {name: market_rows if LEARNERS[name].market_features else features_rows
-                  for name in config.models}
-    y_pairs = s[1:]  # y_pairs[j] = S_{j+1}, the target paired with month j
+    x_by_model = {name: market_controls(labels) if LEARNERS[name].market_features
+                  else features_rows for name in config.models}
+    y_pairs = labels.s[1:].astype(float)  # y_pairs[j] = S_{j+1}, the target paired with month j
 
     selected: dict[str, dict] = {}
     cv_info: dict[str, dict] = {}
@@ -567,7 +581,6 @@ def run_expanding_backtest(
         logger.info("%s: selected %s", name, info["selected"])
 
     n_forecasts = n_months - w
-    forecast_idx = list(range(w, n_months))
 
     def forecast(name: str, j: int, init: WindowFit | None = None) -> tuple[WindowFit, tuple]:
         """Fit and score forecast month j of one model: (fit, cell), where a
@@ -630,26 +643,7 @@ def run_expanding_backtest(
             warnings.append(msg)
             logger.warning("%s", msg)
 
-    y_next = np.full(n_forecasts, np.nan)
-    next_vol = np.full(n_forecasts, np.nan)
-    next_ret = np.full(n_forecasts, np.nan)
-    for j, i in enumerate(forecast_idx):
-        if i + 1 < n_months:
-            y_next[j] = s[i + 1]
-            next_vol[j] = labels.sigma_mkt[i + 1]
-            next_ret[j] = labels.r_mkt[i + 1]
-
-    forecasts = ForecastSeries(
-        months=[months[i] for i in forecast_idx],
-        models=tuple(config.models),
-        raw=raw,
-        prob=prob,
-        y_next=y_next,
-        next_vol=next_vol,
-        next_ret=next_ret,
-        r_mkt=labels.r_mkt[w:].copy(),
-        sigma_mkt=labels.sigma_mkt[w:].copy(),
-    )
+    forecasts = ForecastSeries.from_labels(labels, range(w, n_months), config.models, raw, prob)
     return forecasts, {
         "seed": config.seed,
         "selected_hyperparameters": {name: LEARNERS[name].describe(selected[name])

@@ -44,7 +44,7 @@ from .backtest import run_expanding_backtest
 from .config import PipelineConfig
 from .errors import ConfigError, DataError, MspiError, NumericError
 from .features import FEATURE_NAMES, DailyStats, aggregate_monthly, compute_daily_stats
-from .labels import build_market_monthly, label_stress
+from .labels import build_market_monthly, label_stress, market_controls
 from .panel import load_daily_panel, load_market_series, partition_months, read_rows
 from .simulate import simulate
 
@@ -140,13 +140,13 @@ def cmd_backtest(cfg: PipelineConfig, args) -> int:
 
 def _load_forecasts(cfg: PipelineConfig):
     labels = read_labels(_artifact(cfg, "labels.csv"))
-    return read_forecasts(_artifact(cfg, "forecasts.csv"), labels), labels
+    return read_forecasts(_artifact(cfg, "forecasts.csv"), labels)
 
 
 def cmd_evaluate(cfg: PipelineConfig, args) -> int:
     out = _out_dir(cfg)
     h = cfg.config_hash()
-    forecasts, _ = _load_forecasts(cfg)
+    forecasts = _load_forecasts(cfg)
     report = ev.compute_metrics(forecasts, cfg.ece_bins)
     write_json(out / "metrics.json", asdict(report), h)
 
@@ -179,7 +179,7 @@ def _write_bins(cfg: PipelineConfig, forecasts, out: Path, h: str):
 
 def cmd_bootstrap(cfg: PipelineConfig, args) -> int:
     out = _out_dir(cfg)
-    forecasts, _ = _load_forecasts(cfg)
+    forecasts = _load_forecasts(cfg)
     rows = ev.bootstrap_table(
         forecasts, benchmark=cfg.benchmark, block_len=cfg.bootstrap_block,
         reps=cfg.bootstrap_reps, seed=cfg.seed, ece_bins=cfg.ece_bins,
@@ -196,7 +196,7 @@ def cmd_bootstrap(cfg: PipelineConfig, args) -> int:
 
 def cmd_regress(cfg: PipelineConfig, args) -> int:
     out = _out_dir(cfg)
-    forecasts, _ = _load_forecasts(cfg)
+    forecasts = _load_forecasts(cfg)
     vol = econ.predictive_vol_regression(forecasts, model=cfg.regress_model,
                                          hac_lag=cfg.hac_lag)
     crash = econ.crash_regression(forecasts, cutoff=cfg.crash_cutoff,
@@ -217,7 +217,7 @@ def cmd_regress(cfg: PipelineConfig, args) -> int:
 
 def cmd_lp(cfg: PipelineConfig, args) -> int:
     out = _out_dir(cfg)
-    forecasts, _ = _load_forecasts(cfg)
+    forecasts = _load_forecasts(cfg)
     features = None
     if cfg.lp_outcome in FEATURE_NAMES:
         features = read_features(_artifact(cfg, "features.csv"))
@@ -228,7 +228,7 @@ def cmd_lp(cfg: PipelineConfig, args) -> int:
     y = outcome[2:]
     controls = None
     if cfg.lp_controls:
-        controls = np.column_stack([forecasts.r_mkt, forecasts.sigma_mkt])[1:-1]
+        controls = market_controls(forecasts)[1:-1]
     result = econ.local_projections(u, y, controls, cfg.lp_horizon)
     rows = (
         (h, result.b[i], result.se[i], int(result.n_obs[i]))

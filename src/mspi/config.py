@@ -186,7 +186,7 @@ class PipelineConfig:
         self.eligibility_filter()
         self.stress_config()
         self.sim_config()
-        self.backtest_config().validate()
+        self.backtest_config()
 
     def to_dict(self) -> dict:
         return asdict(self)

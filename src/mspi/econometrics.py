@@ -18,6 +18,7 @@ import numpy as np
 from .backtest import ForecastSeries
 from .errors import DataError, NumericError
 from .features import FEATURE_NAMES, FeatureMatrix
+from .labels import market_controls
 from .learners import LogitModel, fit_logit_l2
 
 logger = logging.getLogger(__name__)
@@ -120,11 +121,6 @@ def ols_hac(
     )
 
 
-def _aligned_controls(forecasts: ForecastSeries) -> np.ndarray:
-    """Current-month market return and realized volatility at forecast months."""
-    return np.column_stack([forecasts.r_mkt, forecasts.sigma_mkt])
-
-
 @dataclass(frozen=True)
 class PredictiveVolResult:
     regression: RegressionResult
@@ -155,7 +151,7 @@ def predictive_vol_regression(
     prob = forecasts.prob[model][mask]
     vol_next = forecasts.next_vol[mask]
     ones = np.ones(prob.shape[0])
-    z = _aligned_controls(forecasts)[mask]
+    z = market_controls(forecasts)[mask]
     r2_controls = ols_hac(vol_next, np.column_stack([ones, z]), hac_lag,
                           ("intercept", "r_mkt", "sigma_mkt")).r2
     reg = ols_hac(vol_next, np.column_stack([ones, prob, z]), hac_lag,
@@ -199,7 +195,7 @@ def crash_regression(
     mask = forecasts.observed_mask()
     prob = forecasts.prob[model][mask]
     crash = (forecasts.next_ret[mask] <= cutoff).astype(float)
-    X = np.column_stack([np.ones(prob.shape[0]), prob, _aligned_controls(forecasts)[mask]])
+    X = np.column_stack([np.ones(prob.shape[0]), prob, market_controls(forecasts)[mask]])
     linear = ols_hac(crash, X, hac_lag, ("intercept", "mspi", "r_mkt", "sigma_mkt"))
 
     logistic = None
@@ -234,7 +230,7 @@ def mspi_innovations(
     prob = forecasts.prob[model]
     if prob.shape[0] < 3:
         raise DataError("need at least 3 forecast months to form innovations")
-    z = _aligned_controls(forecasts)
+    z = market_controls(forecasts)
     y = prob[1:]
     X = np.column_stack([np.ones(y.shape[0]), prob[:-1], z[:-1]])
     names = ["intercept", "mspi_lag", "r_mkt_lag", "sigma_mkt_lag"]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .backtest import ForecastSeries
 from .errors import DataError, NumericError
-from .learners import PROB_CLAMP
+from .learners import clamped_log_loss
 
 METRIC_NAMES = ("auc", "pr_auc", "brier", "log_loss", "ece")
 # Ranking metrics read raw scores; probability metrics read probabilities.
@@ -32,7 +32,8 @@ def _check_binary(y: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Row kernels: each metric of every row of a (m, n) matrix of values against
 # the same row of outcomes. The one-row case defines the scalar metrics, so
-# ``evaluate`` and ``bootstrap`` share one definition. Rank sums and counts
+# ``evaluate`` and ``bootstrap`` share one definition (the log loss is
+# ``learners.clamped_log_loss``, shared with the CV). Rank sums and counts
 # are sums of integers and halves, exact in any order; every other sum runs
 # in the order the per-row loop it replaced used.
 
@@ -75,11 +76,6 @@ def _pr_auc_rows(scores: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _brier_rows(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.mean((probs - y) ** 2, axis=1)
-
-
-def _log_loss_rows(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
-    p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)), axis=1)
 
 
 def _ece_rows(probs: np.ndarray, y: np.ndarray, n_bins: int):
@@ -142,7 +138,7 @@ def log_loss(probs: np.ndarray, y: np.ndarray) -> float:
     """Mean negative Bernoulli log-likelihood, probabilities clamped."""
     probs = np.asarray(probs, dtype=float)
     y = _check_binary(y)
-    return float(_log_loss_rows(probs[None], y[None])[0])
+    return float(clamped_log_loss(probs, y))
 
 
 @dataclass(frozen=True)
@@ -340,7 +336,7 @@ _ROW_METRICS = {
     "auc": _auc_rows,
     "pr_auc": _pr_auc_rows,
     "brier": _brier_rows,
-    "log_loss": _log_loss_rows,
+    "log_loss": clamped_log_loss,
 }
 
 

@@ -64,6 +64,12 @@ class LabelSeries:
     y_next: np.ndarray
 
 
+def market_controls(series) -> np.ndarray:
+    """Month t's market return and realized volatility, one row per month of a
+    ``LabelSeries`` or ``ForecastSeries``: l2's features, the regressions' controls."""
+    return np.column_stack([series.r_mkt, series.sigma_mkt])
+
+
 def _month_returns(market: MarketSeries, partition: MonthPartition):
     """(month, daily index returns) for each partition month."""
     bounds = partition.starts.tolist()

@@ -6,10 +6,10 @@ from .forest import ForestModel, RandomForestParams, fit_random_forest, rf_score
 from .logit import (
     PROB_CLAMP,
     LogitModel,
+    clamped_log_loss,
     fit_logit_l1,
     fit_logit_l2,
     l1_objective,
-    laplace_base_rate,
     mean_nll,
     sigmoid,
 )
@@ -25,6 +25,7 @@ __all__ = [
     "RandomForestParams",
     "StandardizationParams",
     "calibrate_many",
+    "clamped_log_loss",
     "fit_gradient_boosting",
     "fit_logit_l1",
     "fit_logit_l2",
@@ -32,7 +33,6 @@ __all__ = [
     "fit_random_forest",
     "gb_score_many",
     "l1_objective",
-    "laplace_base_rate",
     "mean_nll",
     "rf_score_many",
     "sigmoid",

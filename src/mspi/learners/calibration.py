@@ -4,9 +4,10 @@ The map p = sigmoid(a*s + b) is fitted by maximum likelihood on a held-out
 calibration segment (Platt 1999) with Newton's method on (a, b), as Lin,
 Lin and Weng (2007) recommend: ``fit_logit_l2``, with a tiny ridge term so
 separable segments stay finite, reaches the exact optimum in a handful of
-iterations. The segment must hold both classes; a segment that does not
-gets no map (the backtest then uses the learner's uncalibrated rule). A
-constant-score segment yields the Laplace-smoothed event rate.
+iterations. The segment must hold both classes, or the solver raises
+``DataError``; the backtest checks that before it fits a map, and a window
+whose segment does not gets none and takes the learner's uncalibrated rule.
+A constant-score segment yields the Laplace-smoothed event rate.
 """
 
 from __future__ import annotations

@@ -21,7 +21,9 @@ Each step is halved until the Armijo condition holds on the true objective.
 A solve stops once a step falls below 1e-12 relative to the parameters, or
 once the optimality conditions hold to within their rounding error. Either
 solver raises ``NumericError`` rather than return an unconverged or
-non-finite fit.
+non-finite fit, and ``DataError`` for a single-class target, as the tree
+learners do (a window the backtest cannot fit takes ``WindowFit.base_rate``).
+``clamped_log_loss`` is the log loss of the CV, the evaluation and the bootstrap.
 """
 
 from __future__ import annotations
@@ -48,11 +50,10 @@ class LogitModel:
 
     intercept: float
     coef: np.ndarray
-    penalty: str  # "l1" | "l2" | "none"
+    penalty: str  # "l1" | "l2"
     lam: float
     iterations: int
     objective: float
-    fallback: bool = False  # single-class target: Laplace base-rate model
 
     def to_dict(self) -> dict:
         return {
@@ -63,7 +64,6 @@ class LogitModel:
             "coef": self.coef.tolist(),
             "iterations": self.iterations,
             "objective": self.objective,
-            "fallback": self.fallback,
         }
 
 
@@ -83,19 +83,16 @@ def mean_nll(z: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(np.logaddexp(0.0, z) - y * z))
 
 
-def laplace_base_rate(y: np.ndarray, n_features: int, penalty: str, lam: float) -> LogitModel:
-    """Base-rate model for single-class targets: p = (k+1)/(n+2)."""
-    n = y.shape[0]
-    p = (float(np.sum(y)) + 1.0) / (n + 2.0)
-    b0 = math.log(p / (1.0 - p))
-    return LogitModel(
-        intercept=b0, coef=np.zeros(n_features), penalty=penalty, lam=lam,
-        iterations=0, objective=mean_nll(np.full(n, b0), y), fallback=True,
-    )
+def clamped_log_loss(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mean negative Bernoulli log-likelihood along the last axis, the
+    probabilities clamped to [PROB_CLAMP, 1 - PROB_CLAMP]: a float for one
+    series, one value per row of a matrix."""
+    p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    return np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)), axis=-1)
 
 
-def _check_targets(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Float copies of (X, y) and whether y holds a single class."""
+def _check_targets(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float copies of (X, y); DataError unless y holds both classes, 0 and 1."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if y.shape[0] != X.shape[0]:
@@ -103,7 +100,9 @@ def _check_targets(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     classes = np.unique(y)
     if not np.all(np.isin(classes, (0.0, 1.0))):
         raise DataError("targets must be binary 0/1")
-    return X, y, classes.shape[0] < 2
+    if classes.shape[0] < 2:
+        raise DataError("logistic regression needs both classes in the training targets")
+    return X, y
 
 
 def _start(p: int, init: tuple[float, np.ndarray] | None) -> np.ndarray:
@@ -161,13 +160,11 @@ def fit_logit_l2(
 
 def _fit(X, y, lam: float, penalty: str, max_iter: int,
          init: tuple[float, np.ndarray] | None) -> LogitModel:
-    """Checks, the single-class fallback and the warm start with its cold retry."""
+    """Checks and the warm start with its cold retry."""
     if lam < 0:
         raise DataError(f"penalty weight must be >= 0, got {lam}")
-    X, y, single_class = _check_targets(X, y)
-    n, p = X.shape
-    if single_class:
-        return laplace_base_rate(y, p, penalty, lam)
+    X, y = _check_targets(X, y)
+    p = X.shape[1]
     if init is not None:
         try:
             return _newton(X, y, lam, penalty, max_iter, _start(p, init))

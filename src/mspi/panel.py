@@ -8,7 +8,8 @@ CSV contracts (UTF-8, comma-delimited, ISO-8601 dates, decimal returns):
 Lines starting with ``#`` are treated as comments (artifacts written by the
 CLI carry a ``# config_hash=...`` first line). ``read_rows`` reads the
 market series and every small headered artifact; the panel has its own
-chunked reader below.
+chunked reader below. Every ``DataError`` the panel and market loaders
+raise starts with the file's path.
 
 The panel is read in chunks of about 256 KB and parsed column by column:
 each float column in one ``float`` pass, dates and flags once per distinct
@@ -150,50 +151,55 @@ class IngestSummary:
         }
 
 
-def _parse_bool(token: str, line: int, column: str) -> bool:
+# ``at`` places a token in its file for an error message: "line 7".
+
+def _parse_bool(token: str, at: str, column: str) -> bool:
     low = token.strip().lower()
     if low in _TRUE_TOKENS:
         return True
     if low in _FALSE_TOKENS:
         return False
-    raise DataError(f"line {line}, column '{column}': cannot parse boolean from {token!r}")
+    raise DataError(f"{at}, column '{column}': cannot parse boolean from {token!r}")
 
 
-def _parse_date(token: str, line: int, column: str) -> dt.date:
+def _parse_date(token: str, at: str, column: str) -> dt.date:
     try:
         return dt.date.fromisoformat(token.strip())
     except ValueError as exc:
-        raise DataError(f"line {line}, column '{column}': {exc}") from None
+        raise DataError(f"{at}, column '{column}': {exc}") from None
 
 
-def _parse_float(token: str, line: int, column: str) -> float:
+def _parse_float(token: str, at: str, column: str) -> float:
     try:
         return float(token)
     except ValueError:
-        raise DataError(f"line {line}, column '{column}': cannot parse number from {token!r}") from None
+        raise DataError(f"{at}, column '{column}': cannot parse number from {token!r}") from None
 
 
-def _read_header(reader, path: str, required: list[str]) -> tuple[dict[str, int], int]:
+def _read_header(reader, required: list[str]) -> tuple[dict[str, int], int]:
     """Column positions and width from the first non-comment row of a CSV reader."""
     for header in reader:
         if header and not header[0].startswith("#"):
             break
     else:
-        raise DataError(f"{path}: empty file")
+        raise DataError("empty file")
     index = {name.strip(): i for i, name in enumerate(header)}
     missing = [c for c in required if c not in index]
     if missing:
-        raise DataError(f"{path}: header is missing columns {missing}")
+        raise DataError(f"header is missing columns {missing}")
     return index, len(header)
 
 
 @contextlib.contextmanager
 def _open_csv(path) -> Iterator[io.TextIOWrapper]:
     """``path`` opened as UTF-8 CSV text; a directory, bytes that are not
-    UTF-8 or a field over ``csv.field_size_limit()`` raise DataError naming it."""
+    UTF-8 or a field over ``csv.field_size_limit()`` raise DataError naming
+    it, and so does every DataError raised while it is open."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             yield fh
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     except IsADirectoryError:
         raise DataError(f"{path}: is a directory") from None
     except UnicodeDecodeError as exc:
@@ -211,12 +217,12 @@ def read_rows(path, required: list[str]) -> tuple[list[int], list[dict[str, str]
     lines, rows = [], []
     with _open_csv(path) as fh:
         reader = csv.reader(fh)
-        index, width = _read_header(reader, path, required)
+        index, width = _read_header(reader, required)
         for row in reader:
             if not row or row[0].startswith("#"):
                 continue
             if len(row) != width:
-                raise DataError(f"{path}: line {reader.line_num}: {len(row)} fields, "
+                raise DataError(f"line {reader.line_num}: {len(row)} fields, "
                                 f"the header has {width}")
             lines.append(reader.line_num)
             rows.append({c: row[index[c]] for c in required})
@@ -230,26 +236,27 @@ def _parse_panel_row(line: int, row: dict[str, str]) -> tuple:
     naming the line and column for a malformed field, an empty identifier or
     a negative volume or share count.
     """
-    day = _parse_date(row["date"], line, "date")
+    at = f"line {line}"
+    day = _parse_date(row["date"], at, "date")
     sec = row["security_id"].strip()
     if not sec:
-        raise DataError(f"line {line}, column 'security_id': empty identifier")
-    share_ok = _parse_bool(row["shrcd_ok"], line, "shrcd_ok")
-    exch_ok = _parse_bool(row["exchcd_ok"], line, "exchcd_ok")
+        raise DataError(f"{at}, column 'security_id': empty identifier")
+    share_ok = _parse_bool(row["shrcd_ok"], at, "shrcd_ok")
+    exch_ok = _parse_bool(row["exchcd_ok"], at, "exchcd_ok")
 
     ret_tok = row["ret"].strip()
     prc_tok = row["prc"].strip()
-    ret = _parse_float(ret_tok, line, "ret") if ret_tok else math.nan
-    prc = _parse_float(prc_tok, line, "prc") if prc_tok else math.nan
+    ret = _parse_float(ret_tok, at, "ret") if ret_tok else math.nan
+    prc = _parse_float(prc_tok, at, "prc") if prc_tok else math.nan
 
     vol_tok = row["vol"].strip()
     shrout_tok = row["shrout"].strip()
-    vol = _parse_float(vol_tok, line, "vol") if vol_tok else math.nan
-    shrout = _parse_float(shrout_tok, line, "shrout") if shrout_tok else math.nan
+    vol = _parse_float(vol_tok, at, "vol") if vol_tok else math.nan
+    shrout = _parse_float(shrout_tok, at, "shrout") if shrout_tok else math.nan
     if not math.isnan(vol) and vol < 0:
-        raise DataError(f"line {line}, column 'vol': negative volume {vol}")
+        raise DataError(f"{at}, column 'vol': negative volume {vol}")
     if not math.isnan(shrout) and shrout < 0:
-        raise DataError(f"line {line}, column 'shrout': negative shares outstanding {shrout}")
+        raise DataError(f"{at}, column 'shrout': negative shares outstanding {shrout}")
     return day, sec, ret, prc, vol, shrout, share_ok, exch_ok
 
 
@@ -315,7 +322,7 @@ class _PanelColumns:
 
         day_tokens = column("date")
         for token in set(day_tokens).difference(self._day_tokens):
-            self._day_tokens[token] = _parse_date(token, 0, "date").toordinal()
+            self._day_tokens[token] = _parse_date(token, "", "date").toordinal()
         sec_tokens = column("security_id")
         for token in set(sec_tokens).difference(self._sec_tokens):
             sec = token.strip()
@@ -326,7 +333,7 @@ class _PanelColumns:
         def flags(name: str) -> np.ndarray:
             tokens = column(name)
             for token in set(tokens).difference(self._flag_tokens):
-                self._flag_tokens[token] = _parse_bool(token, 0, name)
+                self._flag_tokens[token] = _parse_bool(token, "", name)
             return np.fromiter(map(self._flag_tokens.__getitem__, tokens), bool, n)
 
         vol = _float_column(column("vol"))
@@ -411,7 +418,7 @@ class _PanelColumns:
             rows[name] = column[kept]  # masking the records instead is twice as slow
         self.spill.append(rows)
 
-    def years(self, path: str) -> Iterator[DailyPanel]:
+    def years(self) -> Iterator[DailyPanel]:
         """Each calendar year's rows as a ``DailyPanel``, in calendar order.
 
         Raises DataError for an empty panel, or for a security id repeated
@@ -419,7 +426,7 @@ class _PanelColumns:
         once it has handed it on.
         """
         if not self.summary.rows_kept:
-            raise DataError(f"{path}: empty panel after filtering")
+            raise DataError("empty panel after filtering")
         names = sorted(self._sec_codes)
         rank = np.empty(len(names), dtype=np.int64)
         rank[[self._sec_codes[name] for name in names]] = np.arange(len(names))
@@ -506,7 +513,7 @@ def load_daily_panel(
     Rows are dropped (and counted per reason) when the return or price is
     missing/non-finite, |price| is below the filter floor, or a required
     eligibility flag is false. Missing volume/shares fields are kept as NaN.
-    Malformed rows raise DataError naming the line and column (see
+    Malformed rows raise DataError naming the file, line and column (see
     ``_open_csv`` for a file that cannot be read as CSV text).
 
     The kept rows are spilled to one temporary file per calendar year (about
@@ -519,7 +526,7 @@ def load_daily_panel(
     summary = IngestSummary()
     with _open_csv(path) as fh, _YearSpill() as spill:
         reader = csv.reader(iter(fh.readline, ""))
-        index, width = _read_header(reader, path, PANEL_COLUMNS)
+        index, width = _read_header(reader, PANEL_COLUMNS)
         columns = _PanelColumns(index, width, filt, summary, spill)
         line_base = reader.line_num
         while text := fh.read(_CHUNK_CHARS):
@@ -532,8 +539,8 @@ def load_daily_panel(
             line_base += n_lines
             columns.keep(chunk)
         if reduce_year is not None:
-            return list(map(reduce_year, columns.years(path))), summary
-        return _concatenate(list(columns.years(path))), summary
+            return list(map(reduce_year, columns.years())), summary
+        return _concatenate(list(columns.years())), summary
 
 
 def load_market_series(path: str) -> MarketSeries:
@@ -541,12 +548,13 @@ def load_market_series(path: str) -> MarketSeries:
     rows: list[tuple[dt.date, float]] = []
     seen: set[dt.date] = set()
     for line, row in zip(*read_rows(path, MARKET_COLUMNS)):
-        day = _parse_date(row["date"], line, "date")
-        ret = _parse_float(row["mkt_ret"], line, "mkt_ret")
+        at = f"{path}: line {line}"
+        day = _parse_date(row["date"], at, "date")
+        ret = _parse_float(row["mkt_ret"], at, "mkt_ret")
         if not math.isfinite(ret):
-            raise DataError(f"line {line}, column 'mkt_ret': non-finite return {ret!r}")
+            raise DataError(f"{at}, column 'mkt_ret': non-finite return {ret!r}")
         if day in seen:
-            raise DataError(f"line {line}: duplicate date {day.isoformat()}")
+            raise DataError(f"{at}: duplicate date {day.isoformat()}")
         seen.add(day)
         rows.append((day, ret))
     if not rows:

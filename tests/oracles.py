@@ -153,34 +153,37 @@ def trapezoid_auc(fpr: np.ndarray, tpr: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Row-by-row panel loader: one csv.reader row and one Python tuple per line,
 # sorted per date by a Python key. It defines the values, drop counts and
-# error messages the package's chunked column-wise loader must reproduce.
+# error messages the package's chunked column-wise loader must reproduce;
+# every message starts with the file's path.
 
 PANEL_COLUMNS = ["date", "security_id", "ret", "prc", "vol", "shrout", "shrcd_ok", "exchcd_ok"]
 _TRUE_TOKENS = {"1", "true", "t", "yes"}
 _FALSE_TOKENS = {"0", "false", "f", "no"}
 
 
-def _parse_bool(token: str, line: int, column: str) -> bool:
+# ``at`` is a row's place in the file: "<path>: line <n>".
+
+def _parse_bool(token: str, at: str, column: str) -> bool:
     low = token.strip().lower()
     if low in _TRUE_TOKENS:
         return True
     if low in _FALSE_TOKENS:
         return False
-    raise DataError(f"line {line}, column '{column}': cannot parse boolean from {token!r}")
+    raise DataError(f"{at}, column '{column}': cannot parse boolean from {token!r}")
 
 
-def _parse_date(token: str, line: int, column: str) -> dt.date:
+def _parse_date(token: str, at: str, column: str) -> dt.date:
     try:
         return dt.date.fromisoformat(token.strip())
     except ValueError as exc:
-        raise DataError(f"line {line}, column '{column}': {exc}") from None
+        raise DataError(f"{at}, column '{column}': {exc}") from None
 
 
-def _parse_float(token: str, line: int, column: str) -> float:
+def _parse_float(token: str, at: str, column: str) -> float:
     try:
         return float(token)
     except ValueError:
-        raise DataError(f"line {line}, column '{column}': cannot parse number from {token!r}") from None
+        raise DataError(f"{at}, column '{column}': cannot parse number from {token!r}") from None
 
 
 def _open_rows(path: str, required: list[str]):
@@ -205,7 +208,7 @@ def _open_rows(path: str, required: list[str]):
                 continue
             if len(row) != width:
                 raise DataError(
-                    f"line {reader.line_num}: expected {width} fields, found {len(row)}"
+                    f"{path}: line {reader.line_num}: expected {width} fields, found {len(row)}"
                 )
             yield reader.line_num, {c: row[index[c]] for c in required}
 
@@ -225,26 +228,27 @@ def _load_rowwise(path: str, filt: EligibilityFilter) -> tuple[DailyPanel, Inges
     by_date: dict[dt.date, list[tuple]] = {}
     for line, row in _open_rows(path, PANEL_COLUMNS):
         summary.rows_read += 1
-        day = _parse_date(row["date"], line, "date")
+        at = f"{path}: line {line}"
+        day = _parse_date(row["date"], at, "date")
         sec = row["security_id"].strip()
         if not sec:
-            raise DataError(f"line {line}, column 'security_id': empty identifier")
-        share_ok = _parse_bool(row["shrcd_ok"], line, "shrcd_ok")
-        exch_ok = _parse_bool(row["exchcd_ok"], line, "exchcd_ok")
+            raise DataError(f"{at}, column 'security_id': empty identifier")
+        share_ok = _parse_bool(row["shrcd_ok"], at, "shrcd_ok")
+        exch_ok = _parse_bool(row["exchcd_ok"], at, "exchcd_ok")
 
         ret_tok = row["ret"].strip()
         prc_tok = row["prc"].strip()
-        ret = _parse_float(ret_tok, line, "ret") if ret_tok else math.nan
-        prc = _parse_float(prc_tok, line, "prc") if prc_tok else math.nan
+        ret = _parse_float(ret_tok, at, "ret") if ret_tok else math.nan
+        prc = _parse_float(prc_tok, at, "prc") if prc_tok else math.nan
 
         vol_tok = row["vol"].strip()
         shrout_tok = row["shrout"].strip()
-        vol = _parse_float(vol_tok, line, "vol") if vol_tok else math.nan
-        shrout = _parse_float(shrout_tok, line, "shrout") if shrout_tok else math.nan
+        vol = _parse_float(vol_tok, at, "vol") if vol_tok else math.nan
+        shrout = _parse_float(shrout_tok, at, "shrout") if shrout_tok else math.nan
         if not math.isnan(vol) and vol < 0:
-            raise DataError(f"line {line}, column 'vol': negative volume {vol}")
+            raise DataError(f"{at}, column 'vol': negative volume {vol}")
         if not math.isnan(shrout) and shrout < 0:
-            raise DataError(f"line {line}, column 'shrout': negative shares outstanding {shrout}")
+            raise DataError(f"{at}, column 'shrout': negative shares outstanding {shrout}")
 
         if not math.isfinite(ret):
             summary.drop("missing_ret", 1)
@@ -275,7 +279,7 @@ def _load_rowwise(path: str, filt: EligibilityFilter) -> tuple[DailyPanel, Inges
         rows.sort(key=lambda r: r[0])
         for (a, *_), (b, *_) in zip(rows, rows[1:]):
             if a == b:
-                raise DataError(f"duplicate security_id {a!r} on {day.isoformat()}")
+                raise DataError(f"{path}: duplicate security_id {a!r} on {day.isoformat()}")
         packed += rows
     starts = np.cumsum([0] + [len(by_date[day]) for day in dates])
     return DailyPanel(

@@ -15,29 +15,33 @@ from mspi.artifacts import (
     write_labels_csv,
     write_panel_csv,
 )
+from mspi.backtest import ForecastSeries
 from mspi.errors import DataError
 from mspi.features import FEATURE_NAMES, FeatureMatrix
 from mspi.labels import LabelSeries
+from mspi.learners import sigmoid
 from mspi.panel import PANEL_COLUMNS, DailyPanel, EligibilityFilter, load_daily_panel
 from mspi.simulate import security_ids
-
-from .test_econometrics import toy_forecasts
 
 FIELDS = ("ret", "prc", "vol", "shrout")
 
 
 @pytest.fixture
 def written(tmp_path):
-    """A two-model forecast series, its labels, and its forecasts.csv."""
-    fs = toy_forecasts(n=12, seed=3)
-    fs.models = ("l1", "l2")
-    fs.raw["l2"] = fs.raw["l1"] - 0.5
-    fs.prob["l2"] = fs.prob["l1"] / 2.0
-    fs.y_next[-1] = np.nan  # the final month has no realization
+    """Labels for 1999-12 to 2000-12, two models' forecasts for 2000-01 to
+    2000-12 paired with them (the final month has no realization), and the
+    forecasts.csv they make."""
+    rng = np.random.default_rng(3)
+    s = (rng.random(13) < 0.3).astype(np.int64)
     labels = LabelSeries(
-        months=fs.months, r_mkt=fs.r_mkt, sigma_mkt=fs.sigma_mkt,
-        q_prev=np.full(12, 0.2), s=np.zeros(12, dtype=np.int64), y_next=fs.y_next,
+        months=["1999-12"] + [f"2000-{m:02d}" for m in range(1, 13)],
+        r_mkt=rng.normal(0.004, 0.04, 13), sigma_mkt=rng.lognormal(-2.0, 0.3, 13),
+        q_prev=np.full(13, 0.2), s=s, y_next=np.append(s[1:], np.nan).astype(float),
     )
+    raw = rng.normal(-2.0, 1.0, 12)
+    fs = ForecastSeries.from_labels(labels, range(1, 13), ("l1", "l2"),
+                                    raw={"l1": raw, "l2": raw - 0.5},
+                                    prob={"l1": sigmoid(raw), "l2": sigmoid(raw) / 2.0})
     path = tmp_path / "forecasts.csv"
     write_forecasts_csv(path, fs, "test")
     return fs, labels, path
@@ -58,6 +62,12 @@ class TestReadForecasts:
             assert np.array_equal(got.prob[model], fs.prob[model])
         for field in ("y_next", "next_vol", "next_ret", "r_mkt", "sigma_mkt"):
             assert np.array_equal(getattr(got, field), getattr(fs, field), equal_nan=True)
+        # month t is paired with month t+1's outcomes, none after the last labeled month
+        assert got.y_next[:-1].tolist() == labels.s[2:].tolist()
+        assert got.next_vol[:-1].tolist() == labels.sigma_mkt[2:].tolist()
+        assert got.next_ret[:-1].tolist() == labels.r_mkt[2:].tolist()
+        assert np.isnan([got.y_next[-1], got.next_vol[-1], got.next_ret[-1]]).all()
+        assert got.r_mkt.tolist() == labels.r_mkt[1:].tolist()
 
     def test_duplicate_row_rejected(self, written):
         _, labels, path = written
@@ -70,6 +80,22 @@ class TestReadForecasts:
         edit_lines(path, lambda lines: lines[:4] + lines[5:])
         with pytest.raises(DataError, match="1 .month, model. cells have no row"):
             read_forecasts(path, labels)
+
+    @pytest.mark.parametrize("edit, message", [
+        # 2000-03's rows (lines 7-8) after 2000-04's (lines 9-10)
+        (lambda lines: lines[:6] + lines[8:10] + lines[6:8] + lines[10:],
+         "line 7: 2000-04 is not the labeled month after 2000-02"),
+        (lambda lines: lines[:6] + lines[8:],
+         "line 7: 2000-04 is not the labeled month after 2000-02"),
+        (lambda lines: lines[:2] + lines[4:6] + lines[2:4] + lines[6:],
+         "line 5: 2000-01 is not the labeled month after 2000-02"),
+    ], ids=["swapped", "skipped", "first_two_swapped"])
+    def test_month_out_of_order_rejected(self, written, edit, message):
+        _, labels, path = written
+        edit_lines(path, edit)
+        with pytest.raises(DataError) as info:
+            read_forecasts(path, labels)
+        assert str(info.value) == f"{path}: {message}"
 
     def test_blank_probability_rejected(self, written):
         _, labels, path = written

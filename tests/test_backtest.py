@@ -11,7 +11,6 @@ from mspi.backtest import (
     MODEL_NAMES,
     BacktestConfig,
     ForecastSeries,
-    _log_loss,
     fit_window,
     forward_chain_cv,
     month_ordinal,
@@ -20,7 +19,7 @@ from mspi.backtest import (
 from mspi.errors import ConfigError, DataError
 from mspi.features import FEATURE_NAMES, FeatureMatrix
 from mspi.labels import LabelSeries
-from mspi.learners import GradientBoostingParams, sigmoid
+from mspi.learners import GradientBoostingParams, clamped_log_loss, sigmoid
 
 
 def set_cpus(monkeypatch, n):
@@ -118,7 +117,8 @@ class TestForwardChainCV:
             end = 96 - (folds - k) * seg
             for gi, entry in enumerate(grid):
                 fitted = fit_window(learner, X[:end], y[:end], entry, fold_seeds[k], 0.2, 12)
-                losses[gi, k] = _log_loss(fitted.prob_many(X[end:end + seg]), y[end:end + seg])
+                losses[gi, k] = clamped_log_loss(fitted.prob_many(X[end:end + seg]),
+                                                 y[end:end + seg])
         assert info["mean_losses"] == [float(v) for v in losses.mean(axis=1)]
         assert hyper == grid[int(np.argmin(losses.mean(axis=1)))]
 
@@ -258,9 +258,9 @@ class TestRunExpandingBacktest:
 
     def test_config_validation(self):
         with pytest.raises(ConfigError, match="initial_window_months"):
-            BacktestConfig(initial_window_months=3, cv_folds=5).validate()
+            BacktestConfig(initial_window_months=3, cv_folds=5)
         with pytest.raises(ConfigError, match="models"):
-            BacktestConfig(models=("zap",)).validate()
+            BacktestConfig(models=("zap",))
 
     def test_month_ordinal(self):
         assert month_ordinal("2001-01") == 2001 * 12

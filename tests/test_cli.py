@@ -29,7 +29,7 @@ from mspi.panel import load_daily_panel, load_market_series, partition_months
 
 from .conftest import SMALL_SIM
 from .test_backtest import assert_no_children, set_cpus, synthetic_features, synthetic_labels
-from .test_econometrics import toy_forecasts
+from .test_econometrics import paired, toy_forecasts
 
 # The small simulated panel of conftest.py run through every stage, with a
 # backtest cut down so the whole run takes seconds.
@@ -58,6 +58,10 @@ GOLDEN_BODIES = {
     "bins.csv": "91f0e1b7be45dc7e04fc98517ce1d7a529b9b4ab8001c000059a30921923d235",
     "bootstrap.json": "f591bd02a98e1b2790a345a8cd2bd30516c4719a60533a265303961e1391692e",
     "provenance.json": "6961333be4cb8b9d93c79374808f603fe0a6528a2fb5e956e20ad8015c66e6ca",
+    "regression.json": "22b663f579746b366b8e250dd571339e7aeebae8b3162b34fa80549556c68e60",
+    "local_projections.csv": "b9442fafc8f456e7143846536a9a48e559f2754668d7516e60a1a2a67e526999",
+    "report.json": "13446504be6ec237237c3c37b6e534f15bd70ac348b26f391a4625b1d1404a09",
+    "report.txt": "7c36ae54d8fc16b1cf49f768196b23939812cc161f69e0f4a5f8baeca87cf1b5",
 }
 
 
@@ -69,13 +73,16 @@ def write_config(tmp_path, payload) -> str:
 
 def body_sha256(path) -> str:
     """sha256 of an artifact without its config hash: a CSV file without its
-    first line, a JSON file re-serialized without its "config_hash" key."""
+    first line, a JSON file re-serialized without its "config_hash" keys (a
+    report nests the hashes of the artifacts it copies), any other file whole."""
     if path.suffix == ".json":
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        del payload["config_hash"]
+        payload = json.loads(path.read_text(encoding="utf-8"), object_hook=lambda obj: {
+            key: value for key, value in obj.items() if key != "config_hash"})
         body = json.dumps(payload, indent=2, sort_keys=True).encode("utf-8")
-    else:
+    elif path.suffix == ".csv":
         body = path.read_bytes().split(b"\n", 1)[1]
+    else:
+        body = path.read_bytes()
     return hashlib.sha256(body).hexdigest()
 
 
@@ -142,7 +149,8 @@ def test_malformed_panel_row_exits_3(tmp_path, capsys):
     (out / "market.csv").write_text("date,mkt_ret\n2001-01-02,0.0\n", encoding="utf-8")
     assert main(["features", "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert err == "data error: line 3, column 'ret': cannot parse number from 'zap'\n"
+    assert err == (f"data error: {out / 'panel.csv'}: line 3, column 'ret': "
+                   "cannot parse number from 'zap'\n")
 
 
 PANEL_HEAD = b"date,security_id,ret,prc,vol,shrout,shrcd_ok,exchcd_ok\n"
@@ -244,10 +252,7 @@ def test_bootstrap_on_one_stress_month_exits_4(tmp_path, capsys):
     fs.raw["l2"], fs.prob["l2"] = fs.raw["l1"] - 0.5, fs.prob["l1"] / 2.0
     fs.y_next = np.zeros(48)
     fs.y_next[0] = 1.0
-    labels = LabelSeries(
-        months=fs.months, r_mkt=fs.r_mkt, sigma_mkt=fs.sigma_mkt, q_prev=np.full(48, 0.2),
-        s=np.zeros(48, dtype=np.int64), y_next=fs.y_next,
-    )
+    labels, fs = paired(fs)
     write_labels_csv(out / "labels.csv", labels, "h")
     write_forecasts_csv(out / "forecasts.csv", fs, "h")
     config = write_config(tmp_path, {"out_dir": str(out), "bootstrap_reps": 50})
@@ -263,10 +268,7 @@ def test_bootstrap_with_more_ece_bins_than_months_exits_3(tmp_path, capsys):
     fs = toy_forecasts(n=48, seed=4)
     fs.models = ("l1", "l2")
     fs.raw["l2"], fs.prob["l2"] = fs.raw["l1"] - 0.5, fs.prob["l1"] / 2.0
-    labels = LabelSeries(
-        months=fs.months, r_mkt=fs.r_mkt, sigma_mkt=fs.sigma_mkt, q_prev=np.full(48, 0.2),
-        s=np.zeros(48, dtype=np.int64), y_next=fs.y_next,
-    )
+    labels, fs = paired(fs)
     write_labels_csv(out / "labels.csv", labels, "h")
     write_forecasts_csv(out / "forecasts.csv", fs, "h")
     config = write_config(tmp_path, {"out_dir": str(out), "bootstrap_reps": 20, "ece_bins": 60})
@@ -283,11 +285,7 @@ def test_lp_on_a_feature_outcome_without_its_rows_exits_3(tmp_path, capsys, feat
                                                           message):
     out = tmp_path / "out"
     out.mkdir()
-    fs = toy_forecasts(n=48, seed=4)
-    labels = LabelSeries(
-        months=fs.months, r_mkt=fs.r_mkt, sigma_mkt=fs.sigma_mkt, q_prev=np.full(48, 0.2),
-        s=np.zeros(48, dtype=np.int64), y_next=fs.y_next,
-    )
+    labels, fs = paired(toy_forecasts(n=48, seed=4))
     write_labels_csv(out / "labels.csv", labels, "h")
     write_forecasts_csv(out / "forecasts.csv", fs, "h")
     if feature_months is not None:

@@ -42,6 +42,24 @@ def toy_forecasts(n=120, seed=0, link=0.0):
     )
 
 
+def paired(fs):
+    """(labels, forecasts) as the pipeline pairs them, for ``fs`` written to
+    files: the label series runs one month past ``fs``, and its month t+1
+    holds the stress state, volatility and return ``fs`` pairs with month t;
+    the forecasts are ``fs``'s scores on the first n of its months."""
+    n = len(fs.months)
+    year, month = map(int, fs.months[-1].split("-"))
+    labels = LabelSeries(
+        months=[*fs.months, f"{year + month // 12:04d}-{month % 12 + 1:02d}"],
+        r_mkt=np.append(fs.r_mkt[:1], fs.next_ret),
+        sigma_mkt=np.append(fs.sigma_mkt[:1], fs.next_vol),
+        q_prev=np.full(n + 1, 0.2),
+        s=np.append(0, fs.y_next).astype(np.int64),
+        y_next=np.append(fs.y_next, np.nan),
+    )
+    return labels, ForecastSeries.from_labels(labels, range(n), fs.models, fs.raw, fs.prob)
+
+
 class TestOlsHac:
     def test_exact_fit(self):
         x = np.arange(1.0, 21.0)
@@ -157,11 +175,7 @@ class TestCrashRegression:
         assert res.to_dict()["logistic"] is None
 
     def test_separable_design_regress_stage_exits_zero(self, tmp_path, capsys):
-        fs = self.separable_forecasts()
-        labels = LabelSeries(
-            months=fs.months, r_mkt=fs.r_mkt, sigma_mkt=fs.sigma_mkt,
-            q_prev=np.full(120, 0.2), s=fs.y_next.astype(np.int64), y_next=fs.y_next,
-        )
+        labels, fs = paired(self.separable_forecasts())
         write_labels_csv(tmp_path / "labels.csv", labels, "test")
         write_forecasts_csv(tmp_path / "forecasts.csv", fs, "test")
         assert main(["regress", "--out", str(tmp_path)]) == 0

@@ -102,11 +102,10 @@ class TestLogitL1:
             nnz = [int(np.sum(fit_logit_l1(X, y, lam).coef != 0.0)) for lam in lams]
             assert all(a >= b for a, b in zip(nnz, nnz[1:]))
 
-    def test_single_class_fallback(self):
+    def test_single_class_rejected(self):
         X = np.random.default_rng(0).standard_normal((10, 3))
-        model = fit_logit_l1(X, np.zeros(10), lam=0.1)
-        assert model.fallback
-        assert model.intercept == pytest.approx(math.log((0 + 1) / (10 + 2) / (1 - 1 / 12)))
+        with pytest.raises(DataError, match="needs both classes"):
+            fit_logit_l1(X, np.zeros(10), lam=0.1)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(DataError):
@@ -237,6 +236,11 @@ class TestLogitL2:
         model = fit_logit_l2(X, y, lam=1e8)
         assert np.max(np.abs(model.coef)) < 1e-4
         assert model.intercept == pytest.approx(0.0, abs=1e-6)
+
+    def test_single_class_rejected(self):
+        X = np.random.default_rng(0).standard_normal((10, 3))
+        with pytest.raises(DataError, match="needs both classes"):
+            fit_logit_l2(X, np.ones(10), lam=0.1)
 
     def test_unpenalized_matches_newton(self):
         for seed in range(5):

@@ -84,13 +84,15 @@ class TestLoadDailyPanel:
 
     def test_malformed_row_names_line_and_column(self, tmp_path):
         path = write_panel(tmp_path, ["2001-01-02,A,zap,5.00,100,1000,1,1"])
-        with pytest.raises(DataError, match=r"line 2.*'ret'"):
+        with pytest.raises(DataError) as info:
             load_daily_panel(path, EligibilityFilter())
+        assert str(info.value) == f"{path}: line 2, column 'ret': cannot parse number from 'zap'"
 
     def test_empty_after_filter_is_error(self, tmp_path):
         path = write_panel(tmp_path, ["2001-01-02,A,0.01,0.10,100,1000,1,1"])
-        with pytest.raises(DataError, match="empty panel"):
+        with pytest.raises(DataError) as info:
             load_daily_panel(path, EligibilityFilter())
+        assert str(info.value) == f"{path}: empty panel after filtering"
 
     def test_missing_volume_kept_as_nan(self, tmp_path):
         path = write_panel(tmp_path, ["2001-01-02,A,0.01,5.00,,,1,1"])
@@ -102,8 +104,9 @@ class TestLoadDailyPanel:
             "2001-01-02,A,0.01,5.00,100,1000,1,1",
             "2001-01-02,A,0.02,5.00,100,1000,1,1",
         ])
-        with pytest.raises(DataError, match="duplicate security_id"):
+        with pytest.raises(DataError) as info:
             load_daily_panel(path, EligibilityFilter())
+        assert str(info.value) == f"{path}: duplicate security_id 'A' on 2001-01-02"
 
     def test_filter_idempotent(self, tmp_path):
         path = write_panel(tmp_path, [
@@ -288,7 +291,8 @@ class TestChunkedLoad:
         assert len("".join(lines[:at])) > mspi.panel._CHUNK_CHARS  # past the first chunk
         lines.insert(at, row)
         path = write_lines(tmp_path, lines, ending)
-        expected = message.format(line=at + 3)  # comment and header lines come first
+        # comment and header lines come first
+        expected = f"{path}: " + message.format(line=at + 3)
         assert load_error(load_daily_panel, path) == expected
         assert load_error(load_daily_panel_rowwise, path) == expected
 
@@ -297,7 +301,7 @@ class TestChunkedLoad:
                  for d in range(20) for i in range(1600)]
         lines.insert(30_000, "2001-01-18, S0042 ,0.02,6.00,100,1000,yes,T")
         path = write_lines(tmp_path, lines)
-        expected = "duplicate security_id 'S0042' on 2001-01-18"
+        expected = f"{path}: duplicate security_id 'S0042' on 2001-01-18"
         assert load_error(load_daily_panel, path) == expected
         assert load_error(load_daily_panel_rowwise, path) == expected
 
@@ -371,7 +375,7 @@ class TestChunkedLoad:
         lines.append("2001-01-02,S999,0.01,5.00,100,1000,1,yes?")
         path = write_lines(tmp_path, lines)
         monkeypatch.setattr(mspi.panel, "_CHUNK_CHARS", 1000)
-        expected = "line 403, column 'exchcd_ok': cannot parse boolean from 'yes?'"
+        expected = f"{path}: line 403, column 'exchcd_ok': cannot parse boolean from 'yes?'"
         assert load_error(load_daily_panel, path) == expected
         assert load_error(load_daily_panel_rowwise, path) == expected
         write_lines(tmp_path, lines[:-1])
@@ -404,8 +408,9 @@ class TestChunkedLoad:
 class TestLoadMarketSeries:
     def test_duplicate_date_rejected(self, tmp_path):
         path = write_market(tmp_path, ["2001-01-02,0.01", "2001-01-02,0.02"])
-        with pytest.raises(DataError, match="duplicate date"):
+        with pytest.raises(DataError) as info:
             load_market_series(path)
+        assert str(info.value) == f"{path}: line 3: duplicate date 2001-01-02"
 
     def test_out_of_order_rows_sorted(self, tmp_path):
         path = write_market(tmp_path, ["2001-01-03,0.02", "2001-01-02,0.01"])
@@ -420,8 +425,9 @@ class TestLoadMarketSeries:
 
     def test_non_finite_return_is_error(self, tmp_path):
         path = write_market(tmp_path, ["2001-01-02,nan"])
-        with pytest.raises(DataError, match="non-finite"):
+        with pytest.raises(DataError) as info:
             load_market_series(path)
+        assert str(info.value) == f"{path}: line 2, column 'mkt_ret': non-finite return nan"
 
 
 class TestPartitionMonths:
