@@ -8,9 +8,10 @@ round-trip exactly and identical inputs produce byte-identical files. Each
 CSV's columns are named once, in the constants below or the modules that
 own them.
 
-``forecasts.csv`` also carries each month's outcomes for its readers, but
-``read_forecasts`` reads back only the scores and pairs them with the labels
-again (``ForecastSeries.from_labels``).
+``labels.csv``'s ``Y_next`` restates the next row's ``S`` (``read_labels``
+checks it), and ``forecasts.csv`` carries each month's outcomes for its
+readers, but ``read_forecasts`` reads back only the scores and pairs them
+with the labels again (``ForecastSeries.from_labels``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .backtest import ForecastSeries
 from .errors import DataError
 from .features import FEATURE_NAMES, FeatureMatrix
 from .labels import LabelSeries
-from .panel import MARKET_COLUMNS, PANEL_COLUMNS, DailyPanel, MarketSeries, read_rows
+from .panel import MARKET_COLUMNS, PANEL_COLUMNS, DailyPanel, MarketSeries, parse_month, read_rows
 from .simulate import security_ids
 
 LABEL_COLUMNS = ["month", "R_mkt", "sigma_mkt", "q_prev", "S", "Y_next"]
@@ -76,6 +77,13 @@ def _indicator_cell(path: Path, line: int, column: str, token: str) -> int:
     if token not in ("0", "1"):
         raise DataError(f"{path}: line {line}, column {column!r}: expected 0 or 1, got {token!r}")
     return int(token)
+
+
+def _months(path: Path, lines: list[int], rows: list[dict[str, str]]) -> list[str]:
+    """The month column; DataError names the first month out of format or order."""
+    for line, r in zip(lines, rows):
+        parse_month(r["month"], f"{path}: line {line}, column 'month'")
+    return _increasing(path, lines, [r["month"] for r in rows])
 
 
 def _increasing(path: Path, lines: list[int], keys: list) -> list:
@@ -173,44 +181,46 @@ def write_features_csv(path: Path, features: FeatureMatrix, config_hash: str):
 
 def read_features(path: Path) -> FeatureMatrix:
     """The feature matrix; a ragged row, a blank, unparsable or non-finite
-    feature cell or an out-of-order month raises DataError naming its line."""
+    feature cell or a malformed or out-of-order month raises DataError naming
+    its line."""
     lines, rows = read_rows(path, ["month", *FEATURE_NAMES])
-    months = _increasing(path, lines, [r["month"] for r in rows])
+    months = _months(path, lines, rows)
     values = np.array([[_finite_cell(path, line, c, r[c]) for c in FEATURE_NAMES]
                        for line, r in zip(lines, rows)])
     return FeatureMatrix(months=months, values=values)
 
 
+def _next_states(s: np.ndarray) -> list[str]:
+    """The Y_next cell of each labels.csv row: the next row's S, blank on the last."""
+    return [*map(str, s[1:].tolist()), ""]
+
+
 def write_labels_csv(path: Path, labels: LabelSeries, config_hash: str):
-    rows = (
-        (m, labels.r_mkt[i], labels.sigma_mkt[i], labels.q_prev[i],
-         int(labels.s[i]), "" if math.isnan(labels.y_next[i]) else int(labels.y_next[i]))
-        for i, m in enumerate(labels.months)
-    )
+    rows = zip(labels.months, labels.r_mkt, labels.sigma_mkt, labels.q_prev,
+               labels.s.tolist(), _next_states(labels.s))
     write_csv(path, LABEL_COLUMNS, rows, config_hash)
 
 
 def read_labels(path: Path) -> LabelSeries:
     """The label series; a ragged row, a blank, unparsable or non-finite
-    R_mkt, sigma_mkt or q_prev cell, an S or Y_next other than 0 or 1, or an
-    out-of-order month raises DataError naming its line. Y_next may be blank."""
+    R_mkt, sigma_mkt or q_prev cell, an S other than 0 or 1, a Y_next other
+    than the next row's S (blank on the last row), or a malformed or
+    out-of-order month raises DataError naming its line."""
     lines, rows = read_rows(path, LABEL_COLUMNS)
 
     def finite(column):
         return np.array([_finite_cell(path, line, column, r[column])
                          for line, r in zip(lines, rows)])
 
-    return LabelSeries(
-        months=_increasing(path, lines, [r["month"] for r in rows]),
-        r_mkt=finite("R_mkt"),
-        sigma_mkt=finite("sigma_mkt"),
-        q_prev=finite("q_prev"),
-        s=np.array([_indicator_cell(path, line, "S", r["S"]) for line, r in zip(lines, rows)],
-                   dtype=np.int64),
-        y_next=np.array([math.nan if r["Y_next"] == ""
-                         else _indicator_cell(path, line, "Y_next", r["Y_next"])
-                         for line, r in zip(lines, rows)], dtype=float),
-    )
+    months = _months(path, lines, rows)
+    r_mkt, sigma_mkt, q_prev = map(finite, ("R_mkt", "sigma_mkt", "q_prev"))
+    s = np.array([_indicator_cell(path, line, "S", r["S"]) for line, r in zip(lines, rows)],
+                 dtype=np.int64)
+    for line, r, want in zip(lines, rows, _next_states(s)):
+        if r["Y_next"] != want:
+            raise DataError(f"{path}: line {line}, column 'Y_next': expected {want!r} (the "
+                            f"next row's S, blank on the last row), got {r['Y_next']!r}")
+    return LabelSeries(months, r_mkt, sigma_mkt, q_prev, s)
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,7 @@ from .learners import (
     standardize_apply,
     standardize_fit,
 )
+from .panel import parse_month
 
 logger = logging.getLogger(__name__)
 
@@ -132,8 +133,8 @@ class BacktestConfig:
 
 
 def month_ordinal(month: str) -> int:
-    year, mm = month.split("-")
-    return int(year) * 12 + int(mm) - 1
+    year, mm = parse_month(month, "month_ordinal")
+    return year * 12 + mm - 1
 
 
 # ---------------------------------------------------------------------------

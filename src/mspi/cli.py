@@ -138,9 +138,15 @@ def cmd_backtest(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def _load_forecasts(cfg: PipelineConfig):
+def _load_forecasts(cfg: PipelineConfig, model: str | None = None):
+    """forecasts.csv paired with labels.csv; DataError if it lacks ``model``."""
     labels = read_labels(_artifact(cfg, "labels.csv"))
-    return read_forecasts(_artifact(cfg, "forecasts.csv"), labels)
+    path = _artifact(cfg, "forecasts.csv")
+    forecasts = read_forecasts(path, labels)
+    if model is not None and model not in forecasts.models:
+        raise DataError(f"{path}: no forecasts of model {model!r}; the file holds "
+                        f"{', '.join(forecasts.models)}")
+    return forecasts
 
 
 def cmd_evaluate(cfg: PipelineConfig, args) -> int:
@@ -196,7 +202,7 @@ def cmd_bootstrap(cfg: PipelineConfig, args) -> int:
 
 def cmd_regress(cfg: PipelineConfig, args) -> int:
     out = _out_dir(cfg)
-    forecasts = _load_forecasts(cfg)
+    forecasts = _load_forecasts(cfg, cfg.regress_model)
     vol = econ.predictive_vol_regression(forecasts, model=cfg.regress_model,
                                          hac_lag=cfg.hac_lag)
     crash = econ.crash_regression(forecasts, cutoff=cfg.crash_cutoff,
@@ -217,7 +223,7 @@ def cmd_regress(cfg: PipelineConfig, args) -> int:
 
 def cmd_lp(cfg: PipelineConfig, args) -> int:
     out = _out_dir(cfg)
-    forecasts = _load_forecasts(cfg)
+    forecasts = _load_forecasts(cfg, cfg.regress_model)
     features = None
     if cfg.lp_outcome in FEATURE_NAMES:
         features = read_features(_artifact(cfg, "features.csv"))
@@ -226,9 +232,7 @@ def cmd_lp(cfg: PipelineConfig, args) -> int:
     # innovations start at the second forecast month; controls are lagged one more
     u = innov.residuals[1:]
     y = outcome[2:]
-    controls = None
-    if cfg.lp_controls:
-        controls = market_controls(forecasts)[1:-1]
+    controls = market_controls(forecasts)[1:-1]
     result = econ.local_projections(u, y, controls, cfg.lp_horizon)
     rows = (
         (h, result.b[i], result.se[i], int(result.n_obs[i]))

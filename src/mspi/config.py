@@ -101,7 +101,6 @@ class PipelineConfig:
     crash_cutoff: float = -0.05
     lp_horizon: int = 12
     lp_outcome: str = "sigma_mkt"
-    lp_controls: bool = True
     regress_model: str = "l1"
 
     # simulation

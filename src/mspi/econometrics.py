@@ -81,7 +81,7 @@ def hac_covariance(X: np.ndarray, residuals: np.ndarray, lag: int) -> np.ndarray
 
 
 def ols_hac(
-    y: np.ndarray, X: np.ndarray, hac_lag: int, names: tuple[str, ...] | None = None
+    y: np.ndarray, X: np.ndarray, hac_lag: int, names: tuple[str, ...]
 ) -> RegressionResult:
     """OLS via least squares with HAC standard errors.
 
@@ -93,8 +93,6 @@ def ols_hac(
     if X.ndim != 2:
         raise DataError("design matrix must be 2-D")
     n, p = X.shape
-    if names is None:
-        names = tuple(f"x{j}" for j in range(p))
     if len(names) != p:
         raise DataError(f"{p} columns but {len(names)} names")
     if n <= p:
@@ -249,12 +247,12 @@ class LocalProjectionResult:
 def local_projections(
     u: np.ndarray,
     y: np.ndarray,
-    controls: np.ndarray | None,
+    controls: np.ndarray,
     max_horizon: int,
 ) -> LocalProjectionResult:
     """Horizon-by-horizon regressions y_{t+h} = a_h + b_h u_t + G_h' W_{t-1}.
 
-    ``u``, ``y`` and the rows of ``controls`` are aligned on t, with
+    ``u``, ``y`` and the rows of the (n, k) ``controls`` are aligned on t, with
     ``controls`` already lagged by the caller. HAC lag at horizon h is
     h + 1, covering the moving-average order induced by overlapping
     horizons. Horizons that exhaust the sample are omitted with a warning.
@@ -264,28 +262,22 @@ def local_projections(
     n = u.shape[0]
     if y.shape[0] != n:
         raise DataError("u and y must be aligned")
-    if controls is not None and controls.shape[0] != n:
+    if controls.shape[0] != n:
         raise DataError("controls must be aligned with u")
     if max_horizon < 0:
         raise DataError(f"max_horizon must be >= 0, got {max_horizon}")
 
     horizons = []
     bs, ses, ns = [], [], []
-    k_controls = 0 if controls is None else controls.shape[1]
+    k_controls = controls.shape[1]
+    names = ("intercept", "u", *(f"w{j}" for j in range(k_controls)))
     for h in range(max_horizon + 1):
         m = n - h
         if m <= 2 + k_controls:
             logger.warning("local projection horizon %d omitted: sample exhausted", h)
             continue
-        yy = y[h:]
-        uu = u[:m]
-        cols = [np.ones(m), uu]
-        names = ["intercept", "u"]
-        if controls is not None:
-            cols.append(controls[:m])
-            names.extend(f"w{j}" for j in range(k_controls))
-        X = np.column_stack(cols)
-        reg = ols_hac(yy, X, hac_lag=h + 1, names=tuple(names))
+        X = np.column_stack([np.ones(m), u[:m], controls[:m]])
+        reg = ols_hac(y[h:], X, hac_lag=h + 1, names=names)
         horizons.append(h)
         bs.append(reg.coefficient("u"))
         ses.append(reg.std_error("u"))

@@ -51,9 +51,9 @@ class MarketMonthly:
 class LabelSeries:
     """Stress indicators for the labeled (post-warmup) months.
 
-    Row t carries the stress state S_t, the quantile threshold q_prev used
-    to label it, and the forecast target y_next = S_{t+1} (NaN on the final
-    labeled month). r_mkt and sigma_mkt are repeated here for convenience.
+    Row t carries the stress state S_t and the quantile threshold q_prev used
+    to label it; r_mkt and sigma_mkt are repeated here for convenience. Month
+    t's forecast target is the next row's S (``labels.csv``'s ``Y_next``).
     """
 
     months: list[str]
@@ -61,7 +61,6 @@ class LabelSeries:
     sigma_mkt: np.ndarray
     q_prev: np.ndarray
     s: np.ndarray
-    y_next: np.ndarray
 
 
 def market_controls(series) -> np.ndarray:
@@ -118,7 +117,7 @@ def label_stress(monthly: MarketMonthly, config: StressConfig) -> LabelSeries:
     Month at index i is labeled once i >= min_history_months, using the
     quantile of sigma_mkt over indices [0, i) — all volatility through the
     previous month. S = 1 iff r_mkt <= return_cutoff or sigma_mkt >= that
-    quantile. y_next is S shifted back one month.
+    quantile.
     """
     warm = config.min_history_months
     n = len(monthly.months)
@@ -133,9 +132,6 @@ def label_stress(monthly: MarketMonthly, config: StressConfig) -> LabelSeries:
         [expanding_quantile(monthly.sigma_mkt[:i], config.vol_quantile) for i in range(warm, n)]
     )
     s = ((r <= config.return_cutoff) | (sigma >= q_prev)).astype(np.int64)
-    y_next = np.full(s.shape[0], np.nan)
-    y_next[:-1] = s[1:]
     return LabelSeries(
-        months=list(months), r_mkt=r.copy(), sigma_mkt=sigma.copy(),
-        q_prev=q_prev, s=s, y_next=y_next,
+        months=list(months), r_mkt=r.copy(), sigma_mkt=sigma.copy(), q_prev=q_prev, s=s,
     )

@@ -9,7 +9,6 @@ from .logit import (
     clamped_log_loss,
     fit_logit_l1,
     fit_logit_l2,
-    l1_objective,
     mean_nll,
     sigmoid,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "fit_platt",
     "fit_random_forest",
     "gb_score_many",
-    "l1_objective",
     "mean_nll",
     "rf_score_many",
     "sigmoid",

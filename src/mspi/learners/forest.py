@@ -35,18 +35,17 @@ class ForestModel:
 
 
 def fit_random_forest(
-    X: np.ndarray, y: np.ndarray, params: RandomForestParams, seed: int | np.random.SeedSequence
+    X: np.ndarray, y: np.ndarray, params: RandomForestParams, seed: np.random.SeedSequence
 ) -> ForestModel:
-    """Fit the ensemble; requires both classes present."""
+    """Fit one tree per child ``seed`` spawns; requires both classes present."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
     if np.unique(y).shape[0] < 2:
         raise DataError("random forest needs both classes in the training targets")
     mtry = params.resolve_mtry(p)
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     trees = []
-    for child in root.spawn(params.n_trees):
+    for child in seed.spawn(params.n_trees):
         rng = np.random.Generator(np.random.PCG64(child))
         idx = rng.integers(0, n, size=n)
         trees.append(

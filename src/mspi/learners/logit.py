@@ -325,9 +325,3 @@ def _lasso_qp(hess: np.ndarray, c: np.ndarray, lam: float, x: np.ndarray,
         active = theta != 0.0
         active[0] = True
     raise NumericError(f"{name} (lambda={lam:g}): active-set QP did not terminate")
-
-
-def l1_objective(model: LogitModel, X: np.ndarray, y: np.ndarray) -> float:
-    """Mean-loss lasso objective at the model's parameters."""
-    z = model.intercept + np.asarray(X, dtype=float) @ model.coef
-    return mean_nll(z, np.asarray(y, dtype=float)) + model.lam * float(np.sum(np.abs(model.coef)))

@@ -50,6 +50,7 @@ import functools
 import io
 import math
 import os
+import re
 import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -74,6 +75,13 @@ _VALUE_FIELDS = _SPILL_ROW.names[2:]
 def month_key(day: dt.date) -> str:
     """Calendar year-month bucket of a date, e.g. '2008-09'."""
     return f"{day.year:04d}-{day.month:02d}"
+
+
+def parse_month(key: str, at: str) -> tuple[int, int]:
+    """(year, month) of a 'YYYY-MM' bucket; DataError placed by ``at`` otherwise."""
+    if not re.fullmatch(r"[0-9]{4}-(0[1-9]|1[0-2])", key):
+        raise DataError(f"{at}: expected a month YYYY-MM, got {key!r}")
+    return int(key[:4]), int(key[5:])
 
 
 @dataclass(frozen=True)
@@ -520,8 +528,8 @@ def load_daily_panel(
     48 bytes a row under ``TMPDIR``), then each year is loaded, sorted and
     checked for duplicate ids in calendar order. With ``reduce_year`` the
     result is ``[reduce_year(year) for year in years]``, so peak memory
-    scales with one year's panel plus one chunk; without it, the years are
-    joined into the whole ``DailyPanel``.
+    scales with one year's panel plus one chunk; without it (no stage loads
+    that way), the years are joined into the whole ``DailyPanel``.
     """
     summary = IngestSummary()
     with _open_csv(path) as fh, _YearSpill() as spill:

@@ -146,14 +146,6 @@ def simulate(config: SimConfig) -> SimOutput:
     return SimOutput(panel=panel, market=market, true_regime=true_regime)
 
 
-def stationary_stress_share(config: SimConfig) -> float:
-    """Long-run stress frequency of the regime chain."""
-    denom = config.p_calm_to_stress + config.p_stress_to_calm
-    if denom == 0:
-        return 0.0
-    return config.p_calm_to_stress / denom
-
-
 def security_ids(n_stocks: int) -> list[str]:
     """Deterministic zero-padded ids whose lexicographic order matches index order."""
     width = max(4, len(str(n_stocks - 1)))

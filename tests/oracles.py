@@ -8,6 +8,9 @@ for ROC areas, a literal White covariance formula, a row-by-row panel
 CSV loader, a tree grower that sorts every node's rows afresh with a
 one-tree-at-a-time descent, and the per-day, per-month, per-tie-group and
 per-replicate loops the batched statistics and metrics replaced.
+
+``l1_objective``, the lasso objective at a fitted model, sits here too:
+only the tests read it.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import math
 import numpy as np
 
 from mspi.errors import DataError
+from mspi.learners import LogitModel, mean_nll
 from mspi.learners.trees import Tree
 from mspi.panel import DailyPanel, EligibilityFilter, IngestSummary
 
@@ -100,6 +104,12 @@ def fista_logit_l1(X: np.ndarray, y: np.ndarray, lam: float, tol: float = 1e-16,
         if done:
             return w
     raise AssertionError(f"FISTA oracle did not converge in {max_iter} iterations")
+
+
+def l1_objective(model: LogitModel, X: np.ndarray, y: np.ndarray) -> float:
+    """Mean-loss lasso objective at the model's parameters."""
+    z = model.intercept + np.asarray(X, dtype=float) @ model.coef
+    return mean_nll(z, np.asarray(y, dtype=float)) + model.lam * float(np.sum(np.abs(model.coef)))
 
 
 def interp_quantile(values, alpha: float) -> float:

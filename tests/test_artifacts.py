@@ -20,7 +20,13 @@ from mspi.errors import DataError
 from mspi.features import FEATURE_NAMES, FeatureMatrix
 from mspi.labels import LabelSeries
 from mspi.learners import sigmoid
-from mspi.panel import PANEL_COLUMNS, DailyPanel, EligibilityFilter, load_daily_panel
+from mspi.panel import (
+    PANEL_COLUMNS,
+    DailyPanel,
+    EligibilityFilter,
+    load_daily_panel,
+    read_rows,
+)
 from mspi.simulate import security_ids
 
 FIELDS = ("ret", "prc", "vol", "shrout")
@@ -36,7 +42,7 @@ def written(tmp_path):
     labels = LabelSeries(
         months=["1999-12"] + [f"2000-{m:02d}" for m in range(1, 13)],
         r_mkt=rng.normal(0.004, 0.04, 13), sigma_mkt=rng.lognormal(-2.0, 0.3, 13),
-        q_prev=np.full(13, 0.2), s=s, y_next=np.append(s[1:], np.nan).astype(float),
+        q_prev=np.full(13, 0.2), s=s,
     )
     raw = rng.normal(-2.0, 1.0, 12)
     fs = ForecastSeries.from_labels(labels, range(1, 13), ("l1", "l2"),
@@ -188,13 +194,15 @@ class TestRoundTrips:
         labels = LabelSeries(
             months=[f"{2001 + i // 12}-{i % 12 + 1:02d}" for i in range(24)],
             r_mkt=rng.normal(0.0, 0.05, 24), sigma_mkt=rng.lognormal(-2.0, 0.5, 24),
-            q_prev=rng.lognormal(-2.0, 0.5, 24), s=s, y_next=np.append(s[1:], np.nan).astype(float),
+            q_prev=rng.lognormal(-2.0, 0.5, 24), s=s,
         )
         write_labels_csv(tmp_path / "labels.csv", labels, "h")
+        # Y_next is written from S: the next row's S, blank on the last row
+        _, rows = read_rows(tmp_path / "labels.csv", ["Y_next"])
+        assert [r["Y_next"] for r in rows] == [*map(str, s[1:].tolist()), ""]
         got = read_labels(tmp_path / "labels.csv")
         assert got.months == labels.months
-        assert np.isnan(got.y_next[-1])
-        for field in ("r_mkt", "sigma_mkt", "q_prev", "s", "y_next"):
+        for field in ("r_mkt", "sigma_mkt", "q_prev", "s"):
             want, have = getattr(labels, field), getattr(got, field)
             assert have.dtype == want.dtype and have.tobytes() == want.tobytes(), field
 

@@ -35,14 +35,12 @@ def assert_no_children():
 def synthetic_labels(n, rng, event_rate=0.2):
     months = [f"{2000 + i // 12:04d}-{i % 12 + 1:02d}" for i in range(n)]
     s = (rng.random(n) < event_rate).astype(np.int64)
-    y_next = np.concatenate([s[1:].astype(float), [np.nan]])
     return LabelSeries(
         months=months,
         r_mkt=rng.normal(0.005, 0.04, n),
         sigma_mkt=rng.lognormal(-2.0, 0.3, n),
         q_prev=np.full(n, 0.2),
         s=s,
-        y_next=y_next,
     )
 
 
@@ -207,7 +205,6 @@ class TestRunExpandingBacktest:
                     months=labels.months[:cut], r_mkt=labels.r_mkt[:cut],
                     sigma_mkt=labels.sigma_mkt[:cut], q_prev=labels.q_prev[:cut],
                     s=labels.s[:cut],
-                    y_next=np.concatenate([labels.s[1:cut].astype(float), [np.nan]]),
                 )
                 part, _ = run_expanding_backtest(f2, l2, config)
                 k = len(part.months)
@@ -239,7 +236,6 @@ class TestRunExpandingBacktest:
         # log-odds score becomes a probability through the sigmoid.
         features, labels = self.make_inputs(n_months=121, seed=5)
         labels.s[97:] = 0
-        labels.y_next[:] = np.append(labels.s[1:], np.nan)
         assert 0 < labels.s[1:97].sum()
         fs, _ = run_expanding_backtest(features, labels, self.config(
             models=("gb",), gb_stage_grid=(10,)))
@@ -265,6 +261,8 @@ class TestRunExpandingBacktest:
     def test_month_ordinal(self):
         assert month_ordinal("2001-01") == 2001 * 12
         assert month_ordinal("2001-12") - month_ordinal("2001-01") == 11
+        with pytest.raises(DataError, match="expected a month YYYY-MM, got '2001-13'"):
+            month_ordinal("2001-13")
 
 
 class TestForecastWorkers:

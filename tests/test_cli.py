@@ -117,12 +117,13 @@ def test_all_stages_reproduce_golden_artifacts(tmp_path):
     ({"tail_threshold": math.inf}, "tail_threshold must be finite"),
     ({"return_cutoff": -math.inf}, "return_cutoff must be finite"),
     ({"l1_grid": [math.inf]}, "l1_grid must be finite"),
+    ({"lp_controls": True}, "unknown config field 'lp_controls'"),
 ], ids=["seed_string", "rf_trees", "cv_folds", "gb_shrinkage", "calibration_fraction",
         "flag_int", "grid_entry", "stage_grid", "lp_outcome", "negative_seed",
         "duplicate_model", "bin_edges_order", "negative_min_price", "sim_n_stocks",
         "sim_p_stress_to_calm", "removed_regime_field", "nan_min_price", "nan_bin_edge",
         "nan_crash_cutoff", "inf_tail_threshold", "minus_inf_return_cutoff",
-        "inf_grid_entry"])
+        "inf_grid_entry", "removed_lp_controls"])
 def test_bad_config_exits_2(tmp_path, capsys, payload, field):
     config = write_config(tmp_path, {**payload, "out_dir": str(tmp_path / "out")})
     assert main(["backtest", "--config", config]) == 2
@@ -221,8 +222,18 @@ def set_cell(field, token):
      "line 6: 2001-03 does not come after 2001-04"),
     ("features.csv", lambda lines: lines[:5] + lines[4:],
      "line 6: 2001-03 does not come after 2001-03"),
+    # S of 2001-01 to 2001-12 is 0 0 1 1 0 1 1 1 0 0 0 0, and Y_next is the next row's S
+    ("labels.csv", set_cell(5, "0"),
+     "line 5, column 'Y_next': expected '1' (the next row's S, blank on the last row), got '0'"),
+    ("labels.csv", lambda lines: lines[:-2] + [lines[-2] + "0", ""],
+     "line 14, column 'Y_next': expected '' (the next row's S, blank on the last row), got '0'"),
+    ("features.csv", set_cell(0, "2001-3"),
+     "line 5, column 'month': expected a month YYYY-MM, got '2001-3'"),
+    ("labels.csv", set_cell(0, "2001-00"),
+     "line 5, column 'month': expected a month YYYY-MM, got '2001-00'"),
 ], ids=["blank_feature", "nan_feature", "ragged_features", "blank_sigma", "inf_q_prev",
-        "bad_r_mkt", "s_out_of_range", "swapped_label_months", "repeated_feature_month"])
+        "bad_r_mkt", "s_out_of_range", "swapped_label_months", "repeated_feature_month",
+        "wrong_y_next", "y_next_on_last_row", "short_feature_month", "label_month_zero"])
 def test_malformed_backtest_inputs_exit_3(tmp_path, capsys, name, edit, message):
     out = tmp_path / "out"
     out.mkdir()
@@ -233,13 +244,49 @@ def test_malformed_backtest_inputs_exit_3(tmp_path, capsys, name, edit, message)
     s = (rng.random(12) < 0.3).astype(np.int64)
     write_labels_csv(out / "labels.csv", LabelSeries(
         months=months, r_mkt=rng.normal(0, 0.04, 12), sigma_mkt=np.full(12, 0.1),
-        q_prev=np.full(12, 0.2), s=s, y_next=np.append(s[1:], np.nan).astype(float),
+        q_prev=np.full(12, 0.2), s=s,
     ), "h")
     lines = (out / name).read_text(encoding="utf-8").split("\n")
     (out / name).write_text("\n".join(edit(lines)), encoding="utf-8")
     assert main(["backtest", "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err == f"data error: {out / name}: {message}\n"
+
+
+@pytest.mark.parametrize("month, token, line", [
+    ("2010-02", "2010-02x", 124), ("2010-01", "2010-00", 123),
+], ids=["trailing_letter", "month_zero"])
+def test_malformed_forecast_month_exits_3(tmp_path, capsys, month, token, line):
+    # 2010-01 and 2010-02, the first two of four forecast months, are on lines
+    # 123 and 124 after the hash and header lines; each is renamed in both
+    # files. Each token sorts between its neighbours, so only the month
+    # format rejects it.
+    config = write_backtest_inputs(tmp_path, 124, models=["l1", "l2"])
+    for name in ("features.csv", "labels.csv"):
+        path = tmp_path / "out" / name
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace(f"\n{month},", f"\n{token},"), encoding="utf-8")
+    assert main(["backtest", "--config", config]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {tmp_path / 'out' / 'features.csv'}: line {line}, column 'month': "
+        f"expected a month YYYY-MM, got {token!r}\n")
+
+
+@pytest.mark.parametrize("stage", ["regress", "lp"])
+def test_forecasts_without_the_regression_model_exit_3(tmp_path, capsys, stage):
+    out = tmp_path / "out"
+    out.mkdir()
+    fs = toy_forecasts(n=48, seed=4)
+    fs.models = ("l2",)
+    fs.raw = {"l2": fs.raw.pop("l1")}
+    fs.prob = {"l2": fs.prob.pop("l1")}
+    labels, fs = paired(fs)
+    write_labels_csv(out / "labels.csv", labels, "h")
+    write_forecasts_csv(out / "forecasts.csv", fs, "h")
+    config = write_config(tmp_path, {"out_dir": str(out)})  # regress_model is l1
+    assert main([stage, "--config", config]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {out / 'forecasts.csv'}: no forecasts of model 'l1'; the file holds l2\n")
 
 
 def test_bootstrap_on_one_stress_month_exits_4(tmp_path, capsys):

@@ -55,9 +55,13 @@ def paired(fs):
         sigma_mkt=np.append(fs.sigma_mkt[:1], fs.next_vol),
         q_prev=np.full(n + 1, 0.2),
         s=np.append(0, fs.y_next).astype(np.int64),
-        y_next=np.append(fs.y_next, np.nan),
     )
     return labels, ForecastSeries.from_labels(labels, range(n), fs.models, fs.raw, fs.prob)
+
+
+def column_names(X):
+    """x0, x1, ...: one name per column of ``X``."""
+    return tuple(f"x{j}" for j in range(X.shape[1]))
 
 
 class TestOlsHac:
@@ -74,7 +78,7 @@ class TestOlsHac:
         rng = np.random.default_rng(1)
         X = np.column_stack([np.ones(50), rng.standard_normal((50, 2))])
         y = X @ np.array([0.5, 1.0, -2.0]) + rng.standard_normal(50) * (1 + 0.5 * np.abs(X[:, 1]))
-        res = ols_hac(y, X, hac_lag=0)
+        res = ols_hac(y, X, hac_lag=0, names=column_names(X))
         expected = white_covariance(X, res.residuals)
         got = hac_covariance(X, res.residuals, 0)
         assert np.max(np.abs(got - expected)) < 1e-12
@@ -84,16 +88,16 @@ class TestOlsHac:
         rng = np.random.default_rng(2)
         X = np.column_stack([np.ones(60), rng.standard_normal((60, 3))])
         y = rng.standard_normal(60)
-        res = ols_hac(y, X, hac_lag=2)
+        res = ols_hac(y, X, hac_lag=2, names=column_names(X))
         perm = [0, 2, 3, 1]
-        res_p = ols_hac(y, X[:, perm], hac_lag=2)
+        res_p = ols_hac(y, X[:, perm], hac_lag=2, names=column_names(X))
         assert np.max(np.abs(res_p.coef - res.coef[perm])) < 1e-10
 
     def test_residual_orthogonality(self):
         rng = np.random.default_rng(3)
         X = np.column_stack([np.ones(80), rng.standard_normal((80, 4))])
         y = rng.standard_normal(80)
-        res = ols_hac(y, X, hac_lag=4)
+        res = ols_hac(y, X, hac_lag=4, names=column_names(X))
         assert np.max(np.abs(X.T @ res.residuals)) < 1e-8
 
     def test_rank_deficient_names_column(self):
@@ -224,11 +228,16 @@ class TestInnovations:
         assert np.max(np.abs(innov1.residuals - innov2.residuals)) < 1e-8
 
 
+def no_controls(u):
+    """A control matrix of no columns, aligned with ``u``."""
+    return np.empty((u.shape[0], 0))
+
+
 class TestLocalProjections:
     def test_identity_projection(self):
         rng = np.random.default_rng(14)
         u = rng.standard_normal(100)
-        res = local_projections(u, u.copy(), None, max_horizon=0)
+        res = local_projections(u, u.copy(), no_controls(u), max_horizon=0)
         assert res.b[0] == pytest.approx(1.0, abs=1e-10)
         assert res.se[0] == pytest.approx(0.0, abs=1e-10)
 
@@ -236,7 +245,7 @@ class TestLocalProjections:
         rng = np.random.default_rng(15)
         u = rng.standard_normal(500)
         y = np.concatenate([[0.0], u[:-1]])  # y_t = u_{t-1}
-        res = local_projections(u, y, None, max_horizon=3)
+        res = local_projections(u, y, no_controls(u), max_horizon=3)
         assert res.b[1] == pytest.approx(1.0, abs=1e-8)
         assert abs(res.b[0]) < 0.15 and abs(res.b[2]) < 0.15
 
@@ -247,7 +256,7 @@ class TestLocalProjections:
             rng = np.random.default_rng(300 + seed)
             u = rng.standard_normal(150)
             y = rng.standard_normal(150)
-            res = local_projections(u, y, None, max_horizon=4)
+            res = local_projections(u, y, no_controls(u), max_horizon=4)
             inside += int(np.sum(np.abs(res.b) < 2.0 * res.se))
             total += len(res.horizons)
         assert inside / total >= 0.90
@@ -256,7 +265,7 @@ class TestLocalProjections:
         rng = np.random.default_rng(16)
         u = rng.standard_normal(60)
         y = rng.standard_normal(60)
-        res = local_projections(u, y, None, max_horizon=5)
+        res = local_projections(u, y, no_controls(u), max_horizon=5)
         assert res.horizons == list(range(6))
         assert res.n_obs.tolist() == [60 - h for h in range(6)]
 
@@ -264,15 +273,15 @@ class TestLocalProjections:
         rng = np.random.default_rng(17)
         u = rng.standard_normal(80)
         y = 0.4 * u + rng.standard_normal(80)
-        res = local_projections(u, y, None, max_horizon=0)
-        direct = ols_hac(y, np.column_stack([np.ones(80), u]), hac_lag=1)
+        res = local_projections(u, y, no_controls(u), max_horizon=0)
+        direct = ols_hac(y, np.column_stack([np.ones(80), u]), hac_lag=1, names=("intercept", "u"))
         assert res.b[0] == direct.coef[1]
         assert res.se[0] == direct.se[1]
 
     def test_sample_exhausting_horizon_omitted(self):
         u = np.arange(6.0)
         y = np.arange(6.0)
-        res = local_projections(u, y, None, max_horizon=5)
+        res = local_projections(u, y, no_controls(u), max_horizon=5)
         assert max(res.horizons) < 5
 
     def test_outcome_series_selector(self, small_forecasts):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from mspi.artifacts import write_labels_csv
 from mspi.errors import ConfigError, DataError
 from mspi.labels import (
     MarketMonthly,
@@ -14,7 +15,7 @@ from mspi.labels import (
     monthly_market_return,
     realized_monthly_vol,
 )
-from mspi.panel import MarketSeries, MonthPartition
+from mspi.panel import MarketSeries, MonthPartition, read_rows
 
 from .oracles import interp_quantile
 
@@ -127,7 +128,7 @@ class TestLabelStress:
         mm = monthly(self.months(4), [0.0, 0.0, 0.0, 0.02], [0.10, 0.20, 0.25, 0.10])
         assert label_stress(mm, self.CONFIG).s.tolist() == [0]
 
-    def test_y_next_alignment(self):
+    def test_y_next_alignment(self, tmp_path):
         mm = monthly(
             self.months(6),
             [0.0, 0.0, 0.0, -0.06, 0.02, -0.08],
@@ -135,8 +136,10 @@ class TestLabelStress:
         )
         ls = label_stress(mm, self.CONFIG)
         assert ls.s.tolist() == [1, 0, 1]  # return, neither, return
-        assert ls.y_next[:-1].tolist() == [0.0, 1.0]
-        assert math.isnan(ls.y_next[-1])
+        # the target of month t is the next month's S: labels.csv's Y_next
+        write_labels_csv(tmp_path / "labels.csv", ls, "h")
+        _, rows = read_rows(tmp_path / "labels.csv", ["Y_next"])
+        assert [r["Y_next"] for r in rows] == ["0", "1", ""]
 
     def test_insufficient_history_error(self):
         mm = monthly(self.months(3), [0.0] * 3, [0.1] * 3)

@@ -11,7 +11,6 @@ from mspi.learners import (
     StandardizationParams,
     fit_logit_l1,
     fit_logit_l2,
-    l1_objective,
     mean_nll,
     sigmoid,
     standardize_apply,
@@ -19,7 +18,7 @@ from mspi.learners import (
 )
 from mspi.learners.logit import NEWTON_MAX_ITER, _newton
 
-from .oracles import fista_logit_l1, newton_logit
+from .oracles import fista_logit_l1, l1_objective, newton_logit
 
 
 def logistic_sample(rng, n, p, beta=None, intercept=-1.0):

@@ -4,7 +4,7 @@ import pytest
 from mspi.config import PipelineConfig
 from mspi.errors import ConfigError
 from mspi.features import compute_daily_stats
-from mspi.simulate import SimConfig, simulate, stationary_stress_share
+from mspi.simulate import SimConfig, simulate
 
 
 def small(**kw):
@@ -50,7 +50,7 @@ class TestSimulate:
         cfg = SimConfig(n_stocks=3, n_years=200, seed=21)
         out = simulate(cfg)
         freq = np.mean([v for v in out.true_regime.values()])
-        pi = stationary_stress_share(cfg)
+        pi = cfg.p_calm_to_stress / (cfg.p_calm_to_stress + cfg.p_stress_to_calm)
         # standard error for a two-state chain with autocorrelation
         # rho = 1 - p_cs - p_sc
         rho = 1.0 - cfg.p_calm_to_stress - cfg.p_stress_to_calm

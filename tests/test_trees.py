@@ -158,8 +158,8 @@ class TestRandomForest:
         rng = np.random.default_rng(1)
         X = rng.standard_normal((60, 5))
         y = (rng.random(60) < 0.3).astype(float)
-        m1 = fit_random_forest(X, y, RandomForestParams(n_trees=25), seed=11)
-        m2 = fit_random_forest(X, y, RandomForestParams(n_trees=25), seed=11)
+        m1 = fit_random_forest(X, y, RandomForestParams(n_trees=25), np.random.SeedSequence(11))
+        m2 = fit_random_forest(X, y, RandomForestParams(n_trees=25), np.random.SeedSequence(11))
         grid = rng.standard_normal((30, 5))
         assert np.array_equal(rf_score_many(m1, grid), rf_score_many(m2, grid))
 
@@ -167,14 +167,15 @@ class TestRandomForest:
         rng = np.random.default_rng(2)
         X = rng.standard_normal((80, 4))
         y = (rng.random(80) < 0.4).astype(float)
-        model = fit_random_forest(X, y, RandomForestParams(n_trees=30), seed=3)
+        model = fit_random_forest(X, y, RandomForestParams(n_trees=30), np.random.SeedSequence(3))
         s = rf_score_many(model, rng.standard_normal((50, 4)))
         assert np.all((s >= 0.0) & (s <= 1.0))
 
     def test_single_class_rejected(self):
         X = np.random.default_rng(0).standard_normal((10, 2))
         with pytest.raises(DataError):
-            fit_random_forest(X, np.ones(10), RandomForestParams(n_trees=2), seed=0)
+            fit_random_forest(X, np.ones(10), RandomForestParams(n_trees=2),
+                              np.random.SeedSequence(0))
 
 
 class TestGradientBoosting:
