@@ -80,38 +80,38 @@ def _default_lambda_grid() -> tuple[float, ...]:
     return tuple(float(v) for v in np.logspace(-4.0, 0.0, 20))
 
 
+# Constants of the forecast design, not settings. A calibrated learner's
+# Platt map is fitted on the last 20% of its training window, and on at
+# least 12 months: a shorter segment of a short window would rarely hold a
+# stress month, and a segment without one gets no map (``fit_window``). Each
+# CV validation segment spans at least 6 months, so no fold's log loss rests
+# on a few months.
+CALIBRATION_FRACTION = 0.2
+CALIBRATION_MIN_MONTHS = 12
+MIN_VALIDATION_MONTHS = 6
+
+
 @dataclass(frozen=True)
 class BacktestConfig:
-    """Protocol settings: window length, CV layout, grids, model list, seed."""
+    """Protocol settings: window length, CV layout, grids, model list, seed.
+
+    The rf tree shape and gb's depth and shrinkage are the learners' own
+    parameter defaults; only the forest size and gb's stage counts are set.
+    """
 
     initial_window_months: int = 120
     cv_folds: int = 5
-    min_validation_months: int = 6
     l1_grid: tuple[float, ...] = field(default_factory=_default_lambda_grid)
     l2_grid: tuple[float, ...] = field(default_factory=_default_lambda_grid)
-    # the rf and gb tree settings default to the learners' own parameters
     rf_trees: int = RandomForestParams.n_trees
-    rf_max_depth: int = RandomForestParams.max_depth
-    rf_min_leaf: int = RandomForestParams.min_leaf
     gb_stage_grid: tuple[int, ...] = (50, 100, 200, 400)
-    gb_max_depth: int = GradientBoostingParams.max_depth
-    gb_shrinkage: float = GradientBoostingParams.shrinkage
     models: tuple[str, ...] = MODEL_NAMES
     seed: int = 7
-    calibration_fraction: float = 0.2
-    calibration_min_months: int = 12
 
     def __post_init__(self):
-        for name in ("cv_folds", "min_validation_months", "rf_trees", "rf_max_depth",
-                     "rf_min_leaf", "gb_max_depth", "calibration_min_months"):
+        for name in ("cv_folds", "rf_trees"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0 < self.gb_shrinkage <= 1:
-            raise ConfigError(f"gb_shrinkage must be in (0,1], got {self.gb_shrinkage}")
-        if not 0 < self.calibration_fraction < 1:
-            raise ConfigError(
-                f"calibration_fraction must be in (0,1), got {self.calibration_fraction}"
-            )
         if self.initial_window_months < self.cv_folds + 1:
             raise ConfigError(
                 "initial_window_months must be >= cv_folds + 1, got "
@@ -130,6 +130,14 @@ class BacktestConfig:
             raise ConfigError("models: need at least one model")
         if len(set(self.models)) < len(self.models):
             raise ConfigError(f"models: each model may be listed once, got {list(self.models)}")
+        # forward_chain_cv's segment rule, checked here for the grids it will tune
+        if (self.initial_window_months // (2 * self.cv_folds) < MIN_VALIDATION_MONTHS
+                and any(len(LEARNERS[m].grid(self)) > 1 for m in self.models)):
+            raise ConfigError(
+                f"initial_window_months must be >= {2 * MIN_VALIDATION_MONTHS * self.cv_folds} "
+                f"to host cv_folds = {self.cv_folds} validation segments of >= "
+                f"{MIN_VALIDATION_MONTHS} months, got {self.initial_window_months}"
+            )
 
 
 def month_ordinal(month: str) -> int:
@@ -192,9 +200,7 @@ LEARNERS: dict[str, Learner] = {
         name="rf",
         fit=lambda Xz, y, hyper, seed_seq, init: fit_random_forest(Xz, y, hyper, seed_seq),
         score=lambda model, Xz: rf_score_many(model, Xz),
-        grid=lambda config: [RandomForestParams(
-            n_trees=config.rf_trees, max_depth=config.rf_max_depth, min_leaf=config.rf_min_leaf,
-        )],
+        grid=lambda config: [RandomForestParams(n_trees=config.rf_trees)],
         key=lambda hyper: 0,  # the grid has one entry, so no two are compared
         describe=asdict,
         calibrated=True,
@@ -204,12 +210,7 @@ LEARNERS: dict[str, Learner] = {
         name="gb",
         fit=lambda Xz, y, hyper, seed_seq, init: fit_gradient_boosting(Xz, y, hyper),
         score=lambda model, Xz: gb_score_many(model, Xz),
-        grid=lambda config: [
-            GradientBoostingParams(
-                n_stages=m, max_depth=config.gb_max_depth, shrinkage=config.gb_shrinkage,
-            )
-            for m in config.gb_stage_grid
-        ],
+        grid=lambda config: [GradientBoostingParams(n_stages=m) for m in config.gb_stage_grid],
         key=lambda hyper: hyper.n_stages,
         describe=lambda hyper: {"n_stages": hyper.n_stages, "max_depth": hyper.max_depth,
                                 "shrinkage": hyper.shrinkage},
@@ -285,8 +286,6 @@ def fit_window(
     y: np.ndarray,
     hyper,
     seed_seq: np.random.SeedSequence,
-    cal_fraction: float,
-    cal_min_months: int,
     init: WindowFit | None = None,
 ) -> WindowFit:
     """Fit one training window: standardize, fit, and calibrate if needed.
@@ -310,7 +309,7 @@ def fit_window(
     cmap = calibration = None
     if learner.calibrated:
         n = y.shape[0]
-        cal_len = max(cal_min_months, math.ceil(cal_fraction * n))
+        cal_len = max(CALIBRATION_MIN_MONTHS, math.ceil(CALIBRATION_FRACTION * n))
         k = n - cal_len
         if k >= 2 and np.unique(y[:k]).shape[0] == 2 and np.unique(y[k:]).shape[0] == 2:
             sub_params = standardize_fit(X_raw[:k])
@@ -338,9 +337,6 @@ def forward_chain_cv(
     grid: list,
     folds: int,
     seed_seq: np.random.SeedSequence,
-    cal_fraction: float,
-    cal_min_months: int,
-    min_validation_months: int,
 ) -> tuple[object, dict]:
     """Select a hyperparameter by forward-chaining CV on the initial window.
 
@@ -366,10 +362,10 @@ def forward_chain_cv(
 
     n = y.shape[0]
     seg = n // (2 * folds)
-    if seg < min_validation_months:
+    if seg < MIN_VALIDATION_MONTHS:
         raise DataError(
             f"initial window of {n} months cannot host {folds} validation "
-            f"segments of >= {min_validation_months} months"
+            f"segments of >= {MIN_VALIDATION_MONTHS} months"
         )
     prefix0 = n - folds * seg
     fold_seeds = seed_seq.spawn(folds)
@@ -391,19 +387,14 @@ def forward_chain_cv(
     for col, (k, train_end, val_end) in enumerate(usable):
         fitted = top = prev = None
         if learner.restrict is not None:
-            top = fit_window(
-                learner, X_raw[:train_end], y[:train_end], largest, fold_seeds[k],
-                cal_fraction, cal_min_months,
-            )
+            top = fit_window(learner, X_raw[:train_end], y[:train_end], largest, fold_seeds[k])
         for gi in order:
             if prev is not None and grid[gi] == grid[prev]:
                 loss_matrix[gi, col] = loss_matrix[prev, col]
                 continue
             if top is None:
-                fitted = fit_window(
-                    learner, X_raw[:train_end], y[:train_end], grid[gi], fold_seeds[k],
-                    cal_fraction, cal_min_months, init=fitted,
-                )
+                fitted = fit_window(learner, X_raw[:train_end], y[:train_end], grid[gi],
+                                    fold_seeds[k], init=fitted)
             else:
                 fitted = top if grid[gi] == largest else top.restricted(grid[gi])
             probs = fitted.prob_many(X_raw[train_end:val_end])
@@ -572,11 +563,8 @@ def run_expanding_backtest(
     for name in config.models:
         learner = LEARNERS[name]
         cv_seed = np.random.SeedSequence([config.seed, _MODEL_CODES[name], _CV_TAG])
-        hyper, info = forward_chain_cv(
-            learner, x_by_model[name][:w], y_pairs[:w], learner.grid(config),
-            config.cv_folds, cv_seed, config.calibration_fraction,
-            config.calibration_min_months, config.min_validation_months,
-        )
+        hyper, info = forward_chain_cv(learner, x_by_model[name][:w], y_pairs[:w],
+                                       learner.grid(config), config.cv_folds, cv_seed)
         selected[name] = hyper
         cv_info[name] = info
         logger.info("%s: selected %s", name, info["selected"])
@@ -592,10 +580,7 @@ def run_expanding_backtest(
         X = x_by_model[name]
         msg = None
         try:
-            fitted = fit_window(
-                learner, X[:i], y_pairs[:i], selected[name], seed,
-                config.calibration_fraction, config.calibration_min_months, init=init,
-            )
+            fitted = fit_window(learner, X[:i], y_pairs[:i], selected[name], seed, init=init)
         except NumericError as exc:
             fitted = WindowFit.base_rate(learner, y_pairs[:i])
             msg = f"{months[i]} {name}: {exc}; base-rate fallback used"

@@ -185,7 +185,7 @@ def _write_bins(cfg: PipelineConfig, forecasts, out: Path, h: str):
 
 def cmd_bootstrap(cfg: PipelineConfig, args) -> int:
     out = _out_dir(cfg)
-    forecasts = _load_forecasts(cfg)
+    forecasts = _load_forecasts(cfg, cfg.benchmark)
     rows = ev.bootstrap_table(
         forecasts, benchmark=cfg.benchmark, block_len=cfg.bootstrap_block,
         reps=cfg.bootstrap_reps, seed=cfg.seed, ece_bins=cfg.ece_bins,

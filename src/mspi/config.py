@@ -30,13 +30,11 @@ from .panel import EligibilityFilter
 from .simulate import SimConfig
 
 
-_KINDS = {"int": int, "float": float, "bool": bool, "str": str, "str | None": str, "list": list}
+_KINDS = {"int": int, "float": float, "str": str, "str | None": str, "list": list}
 
 
 def _is_kind(value, kind: type) -> bool:
     """JSON-level type check: bools are not numbers, ints are valid floats."""
-    if kind is bool:
-        return isinstance(value, bool)
     if isinstance(value, bool):
         return False
     if kind is float:
@@ -61,8 +59,6 @@ class PipelineConfig:
 
     # eligibility filter
     min_abs_price: float = _FILTER.min_abs_price
-    require_share_class: bool = _FILTER.require_share_class
-    require_exchange: bool = _FILTER.require_exchange
 
     # features
     tail_threshold: float = 0.05  # |daily return| of an extreme mover
@@ -75,19 +71,12 @@ class PipelineConfig:
     # backtest
     initial_window_months: int = _BACKTEST.initial_window_months
     cv_folds: int = _BACKTEST.cv_folds
-    min_validation_months: int = _BACKTEST.min_validation_months
     l1_grid: list = field(default_factory=lambda: list(_BACKTEST.l1_grid))
     l2_grid: list = field(default_factory=lambda: list(_BACKTEST.l2_grid))
     rf_trees: int = _BACKTEST.rf_trees
-    rf_max_depth: int = _BACKTEST.rf_max_depth
-    rf_min_leaf: int = _BACKTEST.rf_min_leaf
     gb_stage_grid: list = field(default_factory=lambda: list(_BACKTEST.gb_stage_grid))
-    gb_max_depth: int = _BACKTEST.gb_max_depth
-    gb_shrinkage: float = _BACKTEST.gb_shrinkage
     models: list = field(default_factory=lambda: list(_BACKTEST.models))
     seed: int = _BACKTEST.seed  # also the simulation seed
-    calibration_fraction: float = _BACKTEST.calibration_fraction
-    calibration_min_months: int = _BACKTEST.calibration_min_months
 
     # evaluation
     ece_bins: int = 10

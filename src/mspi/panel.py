@@ -5,6 +5,12 @@ CSV contracts (UTF-8, comma-delimited, ISO-8601 dates, decimal returns):
     panel:  date,security_id,ret,prc,vol,shrout,shrcd_ok,exchcd_ok
     market: date,mkt_ret
 
+A row is kept when ``ret`` and ``prc`` are present, ``|prc|`` is at least
+the filter's ``min_abs_price`` and both flags are true; each dropped row is
+counted under the first of these it fails. The flags say whether the row's
+share class and exchange are eligible: an export without that information
+writes ``1``.
+
 Lines starting with ``#`` are treated as comments (artifacts written by the
 CLI carry a ``# config_hash=...`` first line). ``read_rows`` reads the
 market series and every small headered artifact; the panel has its own
@@ -86,11 +92,10 @@ def parse_month(key: str, at: str) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class EligibilityFilter:
-    """Row filter applied at ingest: price floor plus share-class/exchange flags."""
+    """Row filter applied at ingest: the price floor. The share-class and
+    exchange flags always count; a row must carry both as true."""
 
     min_abs_price: float = 1.0
-    require_share_class: bool = True
-    require_exchange: bool = True
 
     def __post_init__(self):
         if self.min_abs_price < 0:
@@ -403,16 +408,13 @@ class _PanelColumns:
     def keep(self, columns: list[np.ndarray]):
         """Count the chunk's rows and drop reasons; spill the rows that pass."""
         day, sec, ret, prc, vol, shrout, share_ok, exch_ok = columns
-        filt = self.filt
         reasons = [
             ("missing_ret", ~np.isfinite(ret)),
             ("missing_prc", ~np.isfinite(prc)),
-            ("price_below_min", np.abs(prc) < filt.min_abs_price),
+            ("price_below_min", np.abs(prc) < self.filt.min_abs_price),
+            ("share_class", ~share_ok),
+            ("exchange", ~exch_ok),
         ]
-        if filt.require_share_class:
-            reasons.append(("share_class", ~share_ok))
-        if filt.require_exchange:
-            reasons.append(("exchange", ~exch_ok))
         kept = np.ones(ret.shape[0], dtype=bool)
         for reason, bad in reasons:
             bad &= kept  # each row counts under its first reason only

@@ -269,10 +269,10 @@ def _load_rowwise(path: str, filt: EligibilityFilter) -> tuple[DailyPanel, Inges
         if abs(prc) < filt.min_abs_price:
             summary.drop("price_below_min", 1)
             continue
-        if filt.require_share_class and not share_ok:
+        if not share_ok:
             summary.drop("share_class", 1)
             continue
-        if filt.require_exchange and not exch_ok:
+        if not exch_ok:
             summary.drop("exchange", 1)
             continue
 

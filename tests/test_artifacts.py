@@ -150,9 +150,8 @@ class TestWritePanelCsv:
 
     def test_round_trip_exact(self, panel, tmp_path):
         write_panel_csv(tmp_path / "panel.csv", panel, "h")
-        filt = EligibilityFilter(min_abs_price=0.0, require_share_class=False,
-                                 require_exchange=False)
-        got, summary = load_daily_panel(str(tmp_path / "panel.csv"), filt)
+        got, summary = load_daily_panel(str(tmp_path / "panel.csv"),
+                                        EligibilityFilter(min_abs_price=0.0))
         assert got.dates == [d for i, d in enumerate(panel.dates)
                              if panel.starts[i + 1] > panel.starts[i]]
         assert got.starts.tolist() == sorted(set(panel.starts.tolist()))

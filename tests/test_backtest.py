@@ -61,8 +61,7 @@ class TestForwardChainCV:
         learner = LEARNERS["l1"]
         X = self.rng.normal(size=(60, 4))
         y = (self.rng.random(60) < 0.3).astype(float)
-        hyper, info = forward_chain_cv(learner, X, y, [0.5], 5,
-                                       np.random.SeedSequence(0), 0.2, 12, 6)
+        hyper, info = forward_chain_cv(learner, X, y, [0.5], 5, np.random.SeedSequence(0))
         assert hyper == 0.5 and info["folds_used"] == 0
 
     def test_noise_features_select_max_penalty(self):
@@ -73,8 +72,7 @@ class TestForwardChainCV:
             rng = np.random.default_rng(1000 + seed)
             X = rng.normal(size=(120, 16))
             y = (rng.random(120) < 0.25).astype(float)
-            hyper, _ = forward_chain_cv(learner, X, y, grid, 5,
-                                        np.random.SeedSequence(seed), 0.2, 12, 6)
+            hyper, _ = forward_chain_cv(learner, X, y, grid, 5, np.random.SeedSequence(seed))
             wins += hyper == 1.0
         assert wins >= 40  # >= 80% of replications
 
@@ -94,8 +92,7 @@ class TestForwardChainCV:
         rng = np.random.default_rng(5)
         X = rng.normal(size=(80, 4))
         y = (rng.random(80) < 0.3).astype(float)
-        hyper, info = forward_chain_cv(learner, X, y, [1e6, 1e6], 5,
-                                       np.random.SeedSequence(0), 0.2, 12, 6)
+        hyper, info = forward_chain_cv(learner, X, y, [1e6, 1e6], 5, np.random.SeedSequence(0))
         assert hyper == 1e6
         assert info["mean_losses"][0] == info["mean_losses"][1]
 
@@ -106,15 +103,14 @@ class TestForwardChainCV:
         y = (rng.random(96) < 1 / (1 + np.exp(-1.5 * X[:, 0] + 1.0))).astype(float)
         grid = [GradientBoostingParams(n_stages=m) for m in (8, 15, 3, 15)]
         folds, seg = 4, 96 // 8
-        hyper, info = forward_chain_cv(learner, X, y, grid, folds,
-                                       np.random.SeedSequence(4), 0.2, 12, 6)
+        hyper, info = forward_chain_cv(learner, X, y, grid, folds, np.random.SeedSequence(4))
         assert info["folds_used"] == folds
         fold_seeds = np.random.SeedSequence(4).spawn(folds)
         losses = np.full((len(grid), folds), np.nan)
         for k in range(folds):
             end = 96 - (folds - k) * seg
             for gi, entry in enumerate(grid):
-                fitted = fit_window(learner, X[:end], y[:end], entry, fold_seeds[k], 0.2, 12)
+                fitted = fit_window(learner, X[:end], y[:end], entry, fold_seeds[k])
                 losses[gi, k] = clamped_log_loss(fitted.prob_many(X[end:end + seg]),
                                                  y[end:end + seg])
         assert info["mean_losses"] == [float(v) for v in losses.mean(axis=1)]
@@ -125,23 +121,20 @@ class TestForwardChainCV:
         X = self.rng.normal(size=(30, 3))
         y = (self.rng.random(30) < 0.5).astype(float)
         with pytest.raises(DataError, match="validation"):
-            forward_chain_cv(learner, X, y, [0.1, 1.0], 5,
-                             np.random.SeedSequence(0), 0.2, 12, min_validation_months=6)
+            forward_chain_cv(learner, X, y, [0.1, 1.0], 5, np.random.SeedSequence(0))
 
     def test_single_class_window_errors(self):
         learner = LEARNERS["l1"]
         X = self.rng.normal(size=(120, 3))
         with pytest.raises(DataError, match="single-class"):
-            forward_chain_cv(learner, X, np.zeros(120), [0.1, 1.0], 5,
-                             np.random.SeedSequence(0), 0.2, 12, 6)
+            forward_chain_cv(learner, X, np.zeros(120), [0.1, 1.0], 5, np.random.SeedSequence(0))
 
 
 class TestFitWindow:
     def test_single_class_fallback_probability(self):
         learner = LEARNERS["l1"]
         X = np.random.default_rng(0).normal(size=(30, 4))
-        fitted = fit_window(learner, X, np.zeros(30), 0.1,
-                            np.random.SeedSequence(0), 0.2, 12)
+        fitted = fit_window(learner, X, np.zeros(30), 0.1, np.random.SeedSequence(0))
         assert fitted.fallback
         raw, prob = fitted.predict_one(X[0])
         assert prob == pytest.approx(1 / 32)
@@ -152,7 +145,7 @@ class TestFitWindow:
         X = rng.normal(size=(80, 4))
         y = (rng.random(80) < 1 / (1 + np.exp(-2 * X[:, 0]))).astype(float)
         fitted = fit_window(learner, X, y, GradientBoostingParams(n_stages=30),
-                            np.random.SeedSequence(3), 0.2, 12)
+                            np.random.SeedSequence(3))
         assert fitted.cmap is not None
         raw, prob = fitted.predict_one(X[0])
         assert 0.0 < prob < 1.0
@@ -257,6 +250,18 @@ class TestRunExpandingBacktest:
             BacktestConfig(initial_window_months=3, cv_folds=5)
         with pytest.raises(ConfigError, match="models"):
             BacktestConfig(models=("zap",))
+
+    def test_short_window_needs_one_entry_grids(self):
+        # 40 // (2 * 5) = 4 months per validation segment: too short to tune
+        # a grid, but a window with nothing to tune skips the CV
+        with pytest.raises(ConfigError, match="initial_window_months must be >= 60 to host "
+                                              "cv_folds = 5 validation segments"):
+            BacktestConfig(initial_window_months=40, models=("l1", "l2"))
+        with pytest.raises(ConfigError, match="initial_window_months"):
+            BacktestConfig(initial_window_months=40, models=("rf", "gb"))
+        BacktestConfig(initial_window_months=40, models=("l1", "l2", "rf", "gb"),
+                       l1_grid=(0.1,), l2_grid=(0.1,), gb_stage_grid=(10,))
+        BacktestConfig(initial_window_months=60, models=("l1",))
 
     def test_month_ordinal(self):
         assert month_ordinal("2001-01") == 2001 * 12

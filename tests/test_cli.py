@@ -98,9 +98,9 @@ def test_all_stages_reproduce_golden_artifacts(tmp_path):
     ({"seed": "7"}, "seed"),
     ({"rf_trees": 0}, "rf_trees"),
     ({"cv_folds": 0}, "cv_folds"),
-    ({"gb_shrinkage": 2.0}, "gb_shrinkage"),
-    ({"calibration_fraction": 1.5}, "calibration_fraction"),
-    ({"require_exchange": 1}, "require_exchange"),
+    ({"gb_shrinkage": 0.05}, "unknown config field 'gb_shrinkage'"),
+    ({"calibration_fraction": 0.3}, "unknown config field 'calibration_fraction'"),
+    ({"rf_trees": True}, "rf_trees must be of type int, got True"),
     ({"l1_grid": [0.1, "big"]}, "l1_grid"),
     ({"gb_stage_grid": [0, 10]}, "gb_stage_grid"),
     ({"lp_outcome": "zap"}, "lp_outcome"),
@@ -118,12 +118,24 @@ def test_all_stages_reproduce_golden_artifacts(tmp_path):
     ({"return_cutoff": -math.inf}, "return_cutoff must be finite"),
     ({"l1_grid": [math.inf]}, "l1_grid must be finite"),
     ({"lp_controls": True}, "unknown config field 'lp_controls'"),
+    ({"rf_max_depth": 4}, "unknown config field 'rf_max_depth'"),
+    ({"rf_min_leaf": 3}, "unknown config field 'rf_min_leaf'"),
+    ({"gb_max_depth": 3}, "unknown config field 'gb_max_depth'"),
+    ({"calibration_min_months": 18}, "unknown config field 'calibration_min_months'"),
+    ({"min_validation_months": 5}, "unknown config field 'min_validation_months'"),
+    ({"require_share_class": False}, "unknown config field 'require_share_class'"),
+    ({"require_exchange": False}, "unknown config field 'require_exchange'"),
+    ({"initial_window_months": 40},
+     "initial_window_months must be >= 60 to host cv_folds = 5 validation segments"),
 ], ids=["seed_string", "rf_trees", "cv_folds", "gb_shrinkage", "calibration_fraction",
         "flag_int", "grid_entry", "stage_grid", "lp_outcome", "negative_seed",
         "duplicate_model", "bin_edges_order", "negative_min_price", "sim_n_stocks",
         "sim_p_stress_to_calm", "removed_regime_field", "nan_min_price", "nan_bin_edge",
         "nan_crash_cutoff", "inf_tail_threshold", "minus_inf_return_cutoff",
-        "inf_grid_entry", "removed_lp_controls"])
+        "inf_grid_entry", "removed_lp_controls", "removed_rf_max_depth",
+        "removed_rf_min_leaf", "removed_gb_max_depth", "removed_calibration_min_months",
+        "removed_min_validation_months", "removed_require_share_class",
+        "removed_require_exchange", "short_cv_window"])
 def test_bad_config_exits_2(tmp_path, capsys, payload, field):
     config = write_config(tmp_path, {**payload, "out_dir": str(tmp_path / "out")})
     assert main(["backtest", "--config", config]) == 2
@@ -272,21 +284,34 @@ def test_malformed_forecast_month_exits_3(tmp_path, capsys, month, token, line):
         f"expected a month YYYY-MM, got {token!r}\n")
 
 
-@pytest.mark.parametrize("stage", ["regress", "lp"])
-def test_forecasts_without_the_regression_model_exit_3(tmp_path, capsys, stage):
+def write_one_model_forecasts(tmp_path, model: str) -> str:
+    """labels.csv and a forecasts.csv of ``model`` alone under tmp_path/out;
+    returns a default config file writing there."""
     out = tmp_path / "out"
     out.mkdir()
     fs = toy_forecasts(n=48, seed=4)
-    fs.models = ("l2",)
-    fs.raw = {"l2": fs.raw.pop("l1")}
-    fs.prob = {"l2": fs.prob.pop("l1")}
+    fs.models = (model,)
+    fs.raw = {model: fs.raw.pop("l1")}
+    fs.prob = {model: fs.prob.pop("l1")}
     labels, fs = paired(fs)
     write_labels_csv(out / "labels.csv", labels, "h")
     write_forecasts_csv(out / "forecasts.csv", fs, "h")
-    config = write_config(tmp_path, {"out_dir": str(out)})  # regress_model is l1
+    return write_config(tmp_path, {"out_dir": str(out)})
+
+
+@pytest.mark.parametrize("stage", ["regress", "lp"])
+def test_forecasts_without_the_regression_model_exit_3(tmp_path, capsys, stage):
+    config = write_one_model_forecasts(tmp_path, "l2")  # regress_model is l1
     assert main([stage, "--config", config]) == 3
-    assert capsys.readouterr().err == (
-        f"data error: {out / 'forecasts.csv'}: no forecasts of model 'l1'; the file holds l2\n")
+    assert capsys.readouterr().err == (f"data error: {tmp_path / 'out' / 'forecasts.csv'}: "
+                                       "no forecasts of model 'l1'; the file holds l2\n")
+
+
+def test_forecasts_without_the_benchmark_model_exit_3(tmp_path, capsys):
+    config = write_one_model_forecasts(tmp_path, "l1")  # benchmark is l2
+    assert main(["bootstrap", "--config", config]) == 3
+    assert capsys.readouterr().err == (f"data error: {tmp_path / 'out' / 'forecasts.csv'}: "
+                                       "no forecasts of model 'l2'; the file holds l1\n")
 
 
 def test_bootstrap_on_one_stress_month_exits_4(tmp_path, capsys):

@@ -18,26 +18,17 @@ BUILDERS = {
 # A valid value other than the default for every field the builders read.
 NON_DEFAULT = {
     "min_abs_price": 2.5,
-    "require_share_class": False,
-    "require_exchange": False,
     "return_cutoff": -0.08,
     "vol_quantile": 0.8,
     "min_history_months": 24,
     "initial_window_months": 96,
     "cv_folds": 4,
-    "min_validation_months": 5,
     "l1_grid": [0.01, 0.1],
     "l2_grid": [0.02, 0.2, 2.0],
     "rf_trees": 50,
-    "rf_max_depth": 4,
-    "rf_min_leaf": 3,
     "gb_stage_grid": [10, 20],
-    "gb_max_depth": 3,
-    "gb_shrinkage": 0.05,
     "models": ["l2", "gb"],
     "seed": 11,
-    "calibration_fraction": 0.3,
-    "calibration_min_months": 18,
     "sim_n_stocks": 30,
     "sim_n_years": 12,
     "sim_p_calm_to_stress": 0.1,

@@ -247,7 +247,7 @@ class TestChunkedLoad:
         assert set(summary.dropped) == {
             "missing_ret", "missing_prc", "price_below_min", "share_class", "exchange",
         }
-        assert_same_load(path, EligibilityFilter(min_abs_price=0.0, require_share_class=False))
+        assert_same_load(path, EligibilityFilter(min_abs_price=0.0))
 
     def test_messy_panel_across_default_chunks(self, tmp_path):
         lines = messy_panel_lines(np.random.default_rng(2), 80, 500)
