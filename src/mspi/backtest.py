@@ -62,6 +62,7 @@ from .learners import (
     fit_platt,
     fit_random_forest,
     gb_score_many,
+    laplace_log_odds,
     rf_score_many,
     sigmoid,
     standardize_apply,
@@ -237,10 +238,8 @@ class WindowFit:
     @classmethod
     def base_rate(cls, learner: Learner, y: np.ndarray) -> WindowFit:
         """The flagged fallback for a window that cannot be fitted: the
-        constant log-odds of the Laplace base rate p = (k+1)/(n+2) of the
-        window's k stress months in n."""
-        p = (float(np.sum(y)) + 1.0) / (y.shape[0] + 2.0)
-        return cls(learner, None, math.log(p / (1.0 - p)), None, True)
+        constant Laplace log-odds (``laplace_log_odds``) of its stress months."""
+        return cls(learner, None, laplace_log_odds(y), None, True)
 
     def raw_many(self, X_raw: np.ndarray) -> np.ndarray:
         if self.fallback:

@@ -7,7 +7,9 @@ lp, report. All stages share one flat JSON config (--config); --out and
 stage that reads the daily panel: besides ``features.csv`` it writes
 ``calendar.csv``, the panel's trading days after the eligibility filters (a
 day whose rows were all dropped is not on it), from which ``label`` buckets
-the market series into months. Exit codes: 0 success, 1 a forecast worker
+the market series into months. ``lp`` reads only ``labels.csv`` and
+``forecasts.csv``: it projects the market volatility of the forecast months
+on the index's innovations. Exit codes: 0 success, 1 a forecast worker
 that failed to start or to send its forecasts, 2 config error (the config
 file and out_dir included), 3 data error, 4 numeric failure.
 """
@@ -43,7 +45,7 @@ from .artifacts import (
 from .backtest import run_expanding_backtest
 from .config import PipelineConfig
 from .errors import ConfigError, DataError, MspiError, NumericError
-from .features import FEATURE_NAMES, DailyStats, aggregate_monthly, compute_daily_stats
+from .features import DailyStats, aggregate_monthly, compute_daily_stats
 from .labels import build_market_monthly, label_stress, market_controls
 from .panel import load_daily_panel, load_market_series, partition_months, read_rows
 from .simulate import simulate
@@ -153,11 +155,11 @@ def cmd_evaluate(cfg: PipelineConfig, args) -> int:
     out = _out_dir(cfg)
     h = cfg.config_hash()
     forecasts = _load_forecasts(cfg)
-    report = ev.compute_metrics(forecasts, cfg.ece_bins)
+    report = ev.compute_metrics(forecasts, ev.ECE_BINS)
     write_json(out / "metrics.json", asdict(report), h)
 
     def curve_rows():
-        for cs in ev.compute_curves(forecasts, cfg.ece_bins):
+        for cs in ev.compute_curves(forecasts, ev.ECE_BINS):
             for x, y in zip(*cs.roc):
                 yield (cs.model, "roc", x, y, "")
             for x, y in zip(*cs.pr):
@@ -167,15 +169,15 @@ def cmd_evaluate(cfg: PipelineConfig, args) -> int:
                 yield (cs.model, "calibration", x, y, int(c))
 
     write_csv(out / "curves.csv", ["model", "curve", "x", "y", "count"], curve_rows(), h)
-    _write_bins(cfg, forecasts, out, h)
+    _write_bins(forecasts, out, h)
     logger.info("metrics over %d months (event rate %.3f)", report.n, report.event_rate)
     return 0
 
 
-def _write_bins(cfg: PipelineConfig, forecasts, out: Path, h: str):
+def _write_bins(forecasts, out: Path, h: str):
     def bin_rows():
         for model in forecasts.models:
-            bo = ev.binned_outcomes(forecasts, model, tuple(cfg.bin_edges))
+            bo = ev.binned_outcomes(forecasts, model, ev.BIN_EDGES)
             for b in range(len(bo.n)):
                 yield (model, bo.edges[b], bo.edges[b + 1], int(bo.n[b]), bo.mean_prob[b],
                        bo.stress_rate[b], bo.next_vol[b], bo.next_ret[b])
@@ -187,12 +189,12 @@ def cmd_bootstrap(cfg: PipelineConfig, args) -> int:
     out = _out_dir(cfg)
     forecasts = _load_forecasts(cfg, cfg.benchmark)
     rows = ev.bootstrap_table(
-        forecasts, benchmark=cfg.benchmark, block_len=cfg.bootstrap_block,
-        reps=cfg.bootstrap_reps, seed=cfg.seed, ece_bins=cfg.ece_bins,
+        forecasts, benchmark=cfg.benchmark, block_len=ev.BOOTSTRAP_BLOCK,
+        reps=cfg.bootstrap_reps, seed=cfg.seed, ece_bins=ev.ECE_BINS,
     )
     write_json(out / "bootstrap.json", {
         "benchmark": cfg.benchmark,
-        "block_len": cfg.bootstrap_block,
+        "block_len": ev.BOOTSTRAP_BLOCK,
         "replications": cfg.bootstrap_reps,
         "rows": [asdict(r) for r in rows],
     }, cfg.config_hash())
@@ -204,10 +206,10 @@ def cmd_regress(cfg: PipelineConfig, args) -> int:
     out = _out_dir(cfg)
     forecasts = _load_forecasts(cfg, cfg.regress_model)
     vol = econ.predictive_vol_regression(forecasts, model=cfg.regress_model,
-                                         hac_lag=cfg.hac_lag)
-    crash = econ.crash_regression(forecasts, cutoff=cfg.crash_cutoff,
-                                  model=cfg.regress_model, hac_lag=cfg.hac_lag)
-    innov = econ.mspi_innovations(forecasts, model=cfg.regress_model, hac_lag=cfg.hac_lag)
+                                         hac_lag=econ.HAC_LAG)
+    crash = econ.crash_regression(forecasts, cutoff=econ.CRASH_CUTOFF,
+                                  model=cfg.regress_model, hac_lag=econ.HAC_LAG)
+    innov = econ.mspi_innovations(forecasts, model=cfg.regress_model, hac_lag=econ.HAC_LAG)
     write_json(out / "regression.json", {
         "model": cfg.regress_model,
         "predictive_volatility": vol.to_dict(),
@@ -224,16 +226,12 @@ def cmd_regress(cfg: PipelineConfig, args) -> int:
 def cmd_lp(cfg: PipelineConfig, args) -> int:
     out = _out_dir(cfg)
     forecasts = _load_forecasts(cfg, cfg.regress_model)
-    features = None
-    if cfg.lp_outcome in FEATURE_NAMES:
-        features = read_features(_artifact(cfg, "features.csv"))
-    innov = econ.mspi_innovations(forecasts, model=cfg.regress_model, hac_lag=cfg.hac_lag)
-    outcome = econ.lp_outcome_series(forecasts, cfg.lp_outcome, cfg.crash_cutoff, features)
+    innov = econ.mspi_innovations(forecasts, model=cfg.regress_model, hac_lag=econ.HAC_LAG)
     # innovations start at the second forecast month; controls are lagged one more
     u = innov.residuals[1:]
-    y = outcome[2:]
+    y = forecasts.sigma_mkt[2:]
     controls = market_controls(forecasts)[1:-1]
-    result = econ.local_projections(u, y, controls, cfg.lp_horizon)
+    result = econ.local_projections(u, y, controls, econ.LP_HORIZON)
     rows = (
         (h, result.b[i], result.se[i], int(result.n_obs[i]))
         for i, h in enumerate(result.horizons)
@@ -254,34 +252,37 @@ def cmd_report(cfg: PipelineConfig, args) -> int:
         regression = json.loads(reg_path.read_text(encoding="utf-8"))
     bins_rows = read_rows(_artifact(cfg, "bins.csv"), BIN_COLUMNS)[1]
 
+    # the settings of the artifacts summarized, not of this run's config
     payload = {
         "metrics": metrics,
         "bins": bins_rows,
         "bootstrap": bootstrap,
         "regression": regression,
         "settings": {
-            "ece_bins": cfg.ece_bins,
-            "bootstrap_block_len": cfg.bootstrap_block,
-            "bootstrap_replications": cfg.bootstrap_reps,
-            "benchmark": cfg.benchmark,
+            "ece_bins": metrics["ece_bins"],
+            "bootstrap_block_len": bootstrap["block_len"],
+            "bootstrap_replications": bootstrap["replications"],
+            "benchmark": bootstrap["benchmark"],
         },
     }
     write_json(out / "report.json", payload, h)
-    (out / "report.txt").write_text(_render_report(cfg, metrics, bins_rows, bootstrap,
-                                                   regression), encoding="utf-8")
+    (out / "report.txt").write_text(_render_report(payload), encoding="utf-8")
     return 0
 
 
-def _render_report(cfg, metrics, bins_rows, bootstrap, regression) -> str:
+def _render_report(payload: dict) -> str:
+    metrics, bins_rows = payload["metrics"], payload["bins"]
+    bootstrap, regression = payload["bootstrap"], payload["regression"]
+    settings = payload["settings"]
     lines = []
     lines.append("Market stress probability index: out-of-sample report")
     lines.append("=" * 70)
     lines.append("")
     lines.append(f"Months evaluated: {metrics['n']}   "
                  f"event rate: {metrics['event_rate']:.3f}")
-    lines.append(f"ECE bins: {cfg.ece_bins} (equal-mass)   "
-                 f"bootstrap: {cfg.bootstrap_block}-month blocks, "
-                 f"{cfg.bootstrap_reps} replications")
+    lines.append(f"ECE bins: {settings['ece_bins']} (equal-mass)   "
+                 f"bootstrap: {settings['bootstrap_block_len']}-month blocks, "
+                 f"{settings['bootstrap_replications']} replications")
     lines.append("")
     lines.append("Discrimination and probability accuracy")
     lines.append("-" * 70)

@@ -11,6 +11,14 @@ field of its dataclass from the config field of the same name:
 they are, ``sim_config()`` with the prefix ``sim_`` and the shared ``seed``.
 Each range check sits in one place and raises ConfigError naming the config
 field: in the stage dataclass for its own fields, otherwise in ``validate``.
+
+The protocol of the stages after ``backtest`` is not configurable: the ECE
+bins, probability bins and bootstrap block length are constants of
+``evaluation`` (``ECE_BINS``, ``BIN_EDGES``, ``BOOTSTRAP_BLOCK``), the HAC
+lag, crash cutoff and local-projection horizon constants of
+``econometrics`` (``HAC_LAG``, ``CRASH_CUTOFF``, ``LP_HORIZON``). No run
+sets another value, so each has one owner and a config that names one is
+rejected as an unknown field.
 """
 
 from __future__ import annotations
@@ -22,9 +30,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .backtest import BacktestConfig
-from .econometrics import LP_OUTCOMES
-from .errors import ConfigError, DataError
-from .evaluation import check_bin_edges
+from .errors import ConfigError
 from .labels import StressConfig
 from .panel import EligibilityFilter
 from .simulate import SimConfig
@@ -79,17 +85,10 @@ class PipelineConfig:
     seed: int = _BACKTEST.seed  # also the simulation seed
 
     # evaluation
-    ece_bins: int = 10
-    bin_edges: list = field(default_factory=lambda: [0.0, 0.05, 0.10, 0.20, 0.40, 1.0])
-    bootstrap_block: int = 12
     bootstrap_reps: int = 2000
     benchmark: str = "l2"
 
     # econometrics
-    hac_lag: int = 6
-    crash_cutoff: float = -0.05
-    lp_horizon: int = 12
-    lp_outcome: str = "sigma_mkt"
     regress_model: str = "l1"
 
     # simulation
@@ -146,30 +145,16 @@ class PipelineConfig:
             raise ConfigError(f"tail_threshold must be > 0, got {self.tail_threshold}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.ece_bins < 1:
-            raise ConfigError(f"ece_bins must be >= 1, got {self.ece_bins}")
-        if self.bootstrap_block < 1 or self.bootstrap_reps < 1:
-            raise ConfigError("bootstrap_block and bootstrap_reps must be >= 1")
+        if self.bootstrap_reps < 1:
+            raise ConfigError(f"bootstrap_reps must be >= 1, got {self.bootstrap_reps}")
         if self.benchmark not in self.models:
             raise ConfigError(
                 f"benchmark '{self.benchmark}' is not among models {self.models}"
-            )
-        if self.lp_horizon < 0:
-            raise ConfigError(f"lp_horizon must be >= 0, got {self.lp_horizon}")
-        if self.hac_lag < 0:
-            raise ConfigError(f"hac_lag must be >= 0, got {self.hac_lag}")
-        if self.lp_outcome not in LP_OUTCOMES:
-            raise ConfigError(
-                f"lp_outcome must be one of {', '.join(LP_OUTCOMES)}, got {self.lp_outcome!r}"
             )
         if self.regress_model not in self.models:
             raise ConfigError(
                 f"regress_model '{self.regress_model}' is not among models {self.models}"
             )
-        try:
-            check_bin_edges(self.bin_edges)
-        except DataError as exc:
-            raise ConfigError(f"bin_edges: {exc}") from None
         # delegate the rest to the owning dataclasses
         self.eligibility_filter()
         self.stress_config()

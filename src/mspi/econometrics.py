@@ -5,7 +5,13 @@ designs: a predictive regression of next-month realized volatility on the
 stress probability, a downside-indicator regression (linear probability
 plus a logistic variant), an innovation extraction that projects the index
 on its own lag and lagged market controls, and horizon-by-horizon local
-projections of outcomes on those innovations.
+projections of market volatility on those innovations.
+
+The inference protocol is fixed: Newey-West lag ``HAC_LAG``, crash cutoff
+``CRASH_CUTOFF`` on the next month's market return, and local projections
+out to ``LP_HORIZON`` months. No run sets another value, so they are
+constants, not config settings; the functions below take them as
+arguments, so the tests can vary them.
 """
 
 from __future__ import annotations
@@ -17,14 +23,14 @@ import numpy as np
 
 from .backtest import ForecastSeries
 from .errors import DataError, NumericError
-from .features import FEATURE_NAMES, FeatureMatrix
 from .labels import market_controls
 from .learners import LogitModel, fit_logit_l2
 
 logger = logging.getLogger(__name__)
 
-# Outcomes a local projection can trace (see lp_outcome_series).
-LP_OUTCOMES = ("sigma_mkt", "r_mkt", "crash", *FEATURE_NAMES)
+HAC_LAG = 6
+CRASH_CUTOFF = -0.05
+LP_HORIZON = 12
 
 
 @dataclass(frozen=True)
@@ -286,31 +292,3 @@ def local_projections(
         horizons=horizons, b=np.array(bs), se=np.array(ses),
         n_obs=np.array(ns, dtype=np.int64),
     )
-
-
-def lp_outcome_series(
-    forecasts: ForecastSeries,
-    outcome: str,
-    crash_cutoff: float,
-    features: "FeatureMatrix | None" = None,
-) -> np.ndarray:
-    """Outcome series aligned to forecast months for local projections.
-
-    Supported outcomes: 'sigma_mkt' (that month's realized volatility),
-    'r_mkt', 'crash' (downside indicator), or any fragility feature name
-    when a feature matrix is supplied.
-    """
-    if outcome == "sigma_mkt":
-        return forecasts.sigma_mkt.copy()
-    if outcome == "r_mkt":
-        return forecasts.r_mkt.copy()
-    if outcome == "crash":
-        return (forecasts.r_mkt <= crash_cutoff).astype(float)
-    if features is not None and outcome in FEATURE_NAMES:
-        row = {m: i for i, m in enumerate(features.months)}
-        missing = [m for m in forecasts.months if m not in row]
-        if missing:
-            raise DataError(f"feature matrix has no row for forecast month {missing[0]} "
-                            f"(local-projection outcome {outcome!r})")
-        return features.column(outcome)[[row[m] for m in forecasts.months]].copy()
-    raise DataError(f"unknown local-projection outcome {outcome!r}")

@@ -4,6 +4,12 @@ Ranking metrics (AUC, PR-AUC) consume raw model scores; probability metrics
 (Brier, log loss, ECE) consume probability forecasts. Sampling uncertainty
 in metric differences is assessed with a moving-block bootstrap over months
 so serial dependence is preserved.
+
+The evaluation protocol is fixed: ``ECE_BINS`` equal-mass bins for the ECE
+and the calibration curve, the probability bins ``BIN_EDGES`` of
+``bins.csv`` and ``BOOTSTRAP_BLOCK``-month bootstrap blocks. No run sets
+another value, so they are constants, not config settings; the functions
+below take them as arguments, so the tests can vary them.
 """
 
 from __future__ import annotations
@@ -16,6 +22,10 @@ import numpy as np
 from .backtest import ForecastSeries
 from .errors import DataError, NumericError
 from .learners import clamped_log_loss
+
+ECE_BINS = 10
+BIN_EDGES = (0.0, 0.05, 0.10, 0.20, 0.40, 1.0)
+BOOTSTRAP_BLOCK = 12  # months
 
 METRIC_NAMES = ("auc", "pr_auc", "brier", "log_loss", "ece")
 # Ranking metrics read raw scores; probability metrics read probabilities.

@@ -56,9 +56,6 @@ class FeatureMatrix:
     months: list[str]
     values: np.ndarray
 
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, FEATURE_NAMES.index(name)]
-
 
 # Rows per block of equal-length days in compute_daily_stats: bounds the
 # temporaries, so the daily statistics add little to the stage's peak memory.

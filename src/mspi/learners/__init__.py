@@ -9,6 +9,7 @@ from .logit import (
     clamped_log_loss,
     fit_logit_l1,
     fit_logit_l2,
+    laplace_log_odds,
     mean_nll,
     sigmoid,
 )
@@ -31,6 +32,7 @@ __all__ = [
     "fit_platt",
     "fit_random_forest",
     "gb_score_many",
+    "laplace_log_odds",
     "mean_nll",
     "rf_score_many",
     "sigmoid",

@@ -12,12 +12,11 @@ A constant-score segment yields the Laplace-smoothed event rate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .logit import PROB_CLAMP, fit_logit_l2, sigmoid
+from .logit import PROB_CLAMP, fit_logit_l2, laplace_log_odds, sigmoid
 
 _RIDGE = 1e-8
 
@@ -36,9 +35,7 @@ def fit_platt(scores: np.ndarray, y: np.ndarray) -> CalibrationMap:
     scores = np.asarray(scores, dtype=float)
     y = np.asarray(y, dtype=float)
     if float(np.max(scores) - np.min(scores)) == 0.0:
-        n = y.shape[0]
-        rate = (float(np.sum(y)) + 1.0) / (n + 2.0)
-        return CalibrationMap(a=0.0, b=math.log(rate / (1.0 - rate)))
+        return CalibrationMap(a=0.0, b=laplace_log_odds(y))
     model = fit_logit_l2(scores[:, None], y, lam=_RIDGE)
     return CalibrationMap(a=float(model.coef[0]), b=model.intercept)
 

@@ -83,6 +83,13 @@ def mean_nll(z: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(np.logaddexp(0.0, z) - y * z))
 
 
+def laplace_log_odds(y: np.ndarray) -> float:
+    """Log-odds of the Laplace-smoothed event rate p = (k+1)/(n+2) of the k
+    events among the n 0/1 targets ``y``."""
+    p = (float(np.sum(y)) + 1.0) / (y.shape[0] + 2.0)
+    return math.log(p / (1.0 - p))
+
+
 def clamped_log_loss(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Mean negative Bernoulli log-likelihood along the last axis, the
     probabilities clamped to [PROB_CLAMP, 1 - PROB_CLAMP]: a float for one

@@ -205,14 +205,16 @@ def _read_header(reader, required: list[str]) -> tuple[dict[str, int], int]:
 
 @contextlib.contextmanager
 def _open_csv(path) -> Iterator[io.TextIOWrapper]:
-    """``path`` opened as UTF-8 CSV text; a directory, bytes that are not
-    UTF-8 or a field over ``csv.field_size_limit()`` raise DataError naming
-    it, and so does every DataError raised while it is open."""
+    """``path`` opened as UTF-8 CSV text; a missing file, a directory, bytes
+    that are not UTF-8 or a field over ``csv.field_size_limit()`` raise
+    DataError naming it, and so does every DataError raised while it is open."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             yield fh
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
+    except FileNotFoundError:
+        raise DataError(f"missing file: {path}") from None
     except IsADirectoryError:
         raise DataError(f"{path}: is a directory") from None
     except UnicodeDecodeError as exc:
@@ -225,8 +227,6 @@ def read_rows(path, required: list[str]) -> tuple[list[int], list[dict[str, str]
     """Line numbers and rows (dicts of the required columns) of a headered
     CSV, skipping comment and blank lines. A missing or unreadable file, a missing
     column or a row with more or fewer fields than the header raises DataError."""
-    if not os.path.exists(path):
-        raise DataError(f"missing file: {path}")
     lines, rows = [], []
     with _open_csv(path) as fh:
         reader = csv.reader(fh)

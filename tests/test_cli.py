@@ -23,7 +23,7 @@ from mspi.artifacts import (
 from mspi.cli import main
 from mspi.config import PipelineConfig
 from mspi.errors import DataError, NumericError
-from mspi.features import FEATURE_NAMES, FeatureMatrix
+from mspi.features import FeatureMatrix
 from mspi.labels import LabelSeries, build_market_monthly, label_stress
 from mspi.panel import load_daily_panel, load_market_series, partition_months
 
@@ -103,7 +103,7 @@ def test_all_stages_reproduce_golden_artifacts(tmp_path):
     ({"rf_trees": True}, "rf_trees must be of type int, got True"),
     ({"l1_grid": [0.1, "big"]}, "l1_grid"),
     ({"gb_stage_grid": [0, 10]}, "gb_stage_grid"),
-    ({"lp_outcome": "zap"}, "lp_outcome"),
+    ({"lp_outcome": "zap"}, "unknown config field 'lp_outcome'"),
     ({"seed": -1}, "seed"),
     ({"models": ["l1", "l1", "l2"]}, "models"),
     ({"bin_edges": [0.0, 0.5, 0.4, 1.0]}, "bin_edges"),
@@ -112,8 +112,8 @@ def test_all_stages_reproduce_golden_artifacts(tmp_path):
     ({"sim_p_stress_to_calm": 1.5}, "sim_p_stress_to_calm must be in [0,1], got 1.5"),
     ({"sim_calm_mkt_vol": 0}, "unknown config field 'sim_calm_mkt_vol'"),
     ({"min_abs_price": math.nan}, "min_abs_price must be finite"),
-    ({"bin_edges": [0, math.nan, 1]}, "bin_edges must be finite"),
-    ({"crash_cutoff": math.nan}, "crash_cutoff must be finite"),
+    ({"bin_edges": [0, math.nan, 1]}, "unknown config field 'bin_edges'"),
+    ({"crash_cutoff": math.nan}, "unknown config field 'crash_cutoff'"),
     ({"tail_threshold": math.inf}, "tail_threshold must be finite"),
     ({"return_cutoff": -math.inf}, "return_cutoff must be finite"),
     ({"l1_grid": [math.inf]}, "l1_grid must be finite"),
@@ -125,6 +125,10 @@ def test_all_stages_reproduce_golden_artifacts(tmp_path):
     ({"min_validation_months": 5}, "unknown config field 'min_validation_months'"),
     ({"require_share_class": False}, "unknown config field 'require_share_class'"),
     ({"require_exchange": False}, "unknown config field 'require_exchange'"),
+    ({"ece_bins": 10}, "unknown config field 'ece_bins'"),
+    ({"bootstrap_block": 12}, "unknown config field 'bootstrap_block'"),
+    ({"hac_lag": 6}, "unknown config field 'hac_lag'"),
+    ({"lp_horizon": 12}, "unknown config field 'lp_horizon'"),
     ({"initial_window_months": 40},
      "initial_window_months must be >= 60 to host cv_folds = 5 validation segments"),
 ], ids=["seed_string", "rf_trees", "cv_folds", "gb_shrinkage", "calibration_fraction",
@@ -135,7 +139,8 @@ def test_all_stages_reproduce_golden_artifacts(tmp_path):
         "inf_grid_entry", "removed_lp_controls", "removed_rf_max_depth",
         "removed_rf_min_leaf", "removed_gb_max_depth", "removed_calibration_min_months",
         "removed_min_validation_months", "removed_require_share_class",
-        "removed_require_exchange", "short_cv_window"])
+        "removed_require_exchange", "removed_ece_bins", "removed_bootstrap_block",
+        "removed_hac_lag", "removed_lp_horizon", "short_cv_window"])
 def test_bad_config_exits_2(tmp_path, capsys, payload, field):
     config = write_config(tmp_path, {**payload, "out_dir": str(tmp_path / "out")})
     assert main(["backtest", "--config", config]) == 2
@@ -334,7 +339,18 @@ def test_bootstrap_on_one_stress_month_exits_4(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_bootstrap_with_more_ece_bins_than_months_exits_3(tmp_path, capsys):
+def test_evaluate_on_fewer_months_than_ece_bins_exits_3(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    labels, fs = paired(toy_forecasts(n=8, seed=4))
+    write_labels_csv(out / "labels.csv", labels, "h")
+    write_forecasts_csv(out / "forecasts.csv", fs, "h")
+    config = write_config(tmp_path, {"out_dir": str(out)})
+    assert main(["evaluate", "--config", config]) == 3
+    assert capsys.readouterr().err == "data error: ECE needs at least 10 observations, got 8\n"
+
+
+def test_report_states_the_settings_of_the_artifacts_it_reads(tmp_path):
     out = tmp_path / "out"
     out.mkdir()
     fs = toy_forecasts(n=48, seed=4)
@@ -343,30 +359,15 @@ def test_bootstrap_with_more_ece_bins_than_months_exits_3(tmp_path, capsys):
     labels, fs = paired(fs)
     write_labels_csv(out / "labels.csv", labels, "h")
     write_forecasts_csv(out / "forecasts.csv", fs, "h")
-    config = write_config(tmp_path, {"out_dir": str(out), "bootstrap_reps": 20, "ece_bins": 60})
-    assert main(["bootstrap", "--config", config]) == 3
-    assert capsys.readouterr().err == "data error: ECE needs at least 60 observations, got 48\n"
-
-
-@pytest.mark.parametrize("feature_months, message", [
-    (slice(0, -1), "feature matrix has no row for forecast month 2003-12 "
-                   "(local-projection outcome 'xs_std')"),
-    (None, "missing upstream artifact: {out}/features.csv (run the producing stage first)"),
-], ids=["stale", "missing"])
-def test_lp_on_a_feature_outcome_without_its_rows_exits_3(tmp_path, capsys, feature_months,
-                                                          message):
-    out = tmp_path / "out"
-    out.mkdir()
-    labels, fs = paired(toy_forecasts(n=48, seed=4))
-    write_labels_csv(out / "labels.csv", labels, "h")
-    write_forecasts_csv(out / "forecasts.csv", fs, "h")
-    if feature_months is not None:
-        months = fs.months[feature_months]
-        values = np.random.default_rng(0).normal(size=(len(months), len(FEATURE_NAMES)))
-        write_features_csv(out / "features.csv", FeatureMatrix(months=months, values=values), "h")
-    config = write_config(tmp_path, {"out_dir": str(out), "lp_outcome": "xs_std"})
-    assert main(["lp", "--config", config]) == 3
-    assert capsys.readouterr().err == f"data error: {message.format(out=out)}\n"
+    run_stages(write_config(tmp_path, {"out_dir": str(out), "bootstrap_reps": 20}),
+               "evaluate", "bootstrap")
+    run_stages(write_config(tmp_path, {"out_dir": str(out), "bootstrap_reps": 50}), "report")
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["settings"] == {"ece_bins": 10, "bootstrap_block_len": 12,
+                                  "bootstrap_replications": 20, "benchmark": "l2"}
+    text = (out / "report.txt").read_text(encoding="utf-8")
+    assert "bootstrap: 12-month blocks, 20 replications" in text
+    assert "50 replications" not in text
 
 
 # Four years of eight stocks: the shortest panel the default stress warm-up labels.

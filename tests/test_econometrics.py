@@ -10,7 +10,6 @@ from mspi.econometrics import (
     crash_regression,
     hac_covariance,
     local_projections,
-    lp_outcome_series,
     mspi_innovations,
     ols_hac,
     predictive_vol_regression,
@@ -283,11 +282,3 @@ class TestLocalProjections:
         y = np.arange(6.0)
         res = local_projections(u, y, no_controls(u), max_horizon=5)
         assert max(res.horizons) < 5
-
-    def test_outcome_series_selector(self, small_forecasts):
-        vol = lp_outcome_series(small_forecasts, "sigma_mkt", crash_cutoff=-0.05)
-        assert np.array_equal(vol, small_forecasts.sigma_mkt)
-        crash = lp_outcome_series(small_forecasts, "crash", crash_cutoff=-0.05)
-        assert set(np.unique(crash)) <= {0.0, 1.0}
-        with pytest.raises(DataError):
-            lp_outcome_series(small_forecasts, "zap", crash_cutoff=-0.05)

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mspi.config import PipelineConfig
 from mspi.errors import DataError, NumericError
 from mspi.evaluation import (
+    BIN_EDGES,
     auc,
     binned_outcomes,
     block_bootstrap_diff,
@@ -181,7 +181,7 @@ class TestCurves:
 
 class TestBinnedOutcomes:
     def test_boundary_conventions(self, small_forecasts):
-        bo = binned_outcomes(small_forecasts, "l1", tuple(PipelineConfig().bin_edges))
+        bo = binned_outcomes(small_forecasts, "l1", BIN_EDGES)
         assert bo.edges == (0.0, 0.05, 0.10, 0.20, 0.40, 1.0)
         assert bo.n.sum() == small_forecasts.observed_mask().sum()
 
@@ -201,7 +201,7 @@ class TestBinnedOutcomes:
             r_mkt=np.zeros(6),
             sigma_mkt=np.full(6, 0.1),
         )
-        bo = binned_outcomes(fs, "m", tuple(PipelineConfig().bin_edges))
+        bo = binned_outcomes(fs, "m", BIN_EDGES)
         # 0.05 joins the second bin (left-closed), 0.4 and 1.0 the last (closed top)
         assert bo.n.tolist() == [1, 1, 1, 1, 2]
 

@@ -146,7 +146,7 @@ class TestAggregateMonthly:
     def test_monthly_mean(self):
         d1, d2 = dt.date(2001, 1, 2), dt.date(2001, 1, 3)
         fm = self.monthly([make_day([0.01, -0.01]), make_day([0.03, -0.03])], [d1, d2])
-        assert fm.column("xs_std")[0] == pytest.approx(0.02, abs=1e-15)
+        assert fm.values[0, FEATURE_NAMES.index("xs_std")] == pytest.approx(0.02, abs=1e-15)
 
     def test_single_day_month_passthrough(self):
         day = make_day([0.01, -0.03, 0.06])
@@ -167,7 +167,7 @@ class TestAggregateMonthly:
         d1, d2 = dt.date(2001, 1, 2), dt.date(2001, 1, 3)
         normal = make_day([0.05, -0.01, 0.02])
         fm = self.monthly([make_day([0.01, 0.01]), normal], [d1, d2])
-        assert fm.column("xs_skew")[0] == stats_of(normal).xs_skew
+        assert fm.values[0, FEATURE_NAMES.index("xs_skew")] == stats_of(normal).xs_skew
 
     def test_all_degenerate_month_errors(self):
         with pytest.raises(DataError, match="xs_skew.*2001-01"):

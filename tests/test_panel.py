@@ -94,6 +94,12 @@ class TestLoadDailyPanel:
             load_daily_panel(path, EligibilityFilter())
         assert str(info.value) == f"{path}: empty panel after filtering"
 
+    def test_missing_file_is_a_data_error(self, tmp_path):
+        path = tmp_path / "absent.csv"
+        with pytest.raises(DataError) as info:
+            load_daily_panel(str(path), EligibilityFilter())
+        assert str(info.value) == f"missing file: {path}"
+
     def test_missing_volume_kept_as_nan(self, tmp_path):
         path = write_panel(tmp_path, ["2001-01-02,A,0.01,5.00,,,1,1"])
         panel, _ = load_daily_panel(path, EligibilityFilter())
