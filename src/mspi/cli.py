@@ -62,11 +62,8 @@ def _out_dir(cfg: PipelineConfig) -> Path:
     return path
 
 
-def _input_path(cfg: PipelineConfig, explicit: str | None, default_name: str) -> Path:
-    path = Path(explicit) if explicit else Path(cfg.out_dir) / default_name
-    if not path.exists():
-        raise DataError(f"missing input file: {path}")
-    return path
+def _input_path(cfg: PipelineConfig, explicit: str | None, default_name: str) -> str:
+    return explicit or str(Path(cfg.out_dir) / default_name)
 
 
 def _artifact(cfg: PipelineConfig, name: str) -> Path:
@@ -93,16 +90,15 @@ def cmd_simulate(cfg: PipelineConfig, args) -> int:
 def cmd_features(cfg: PipelineConfig, args) -> int:
     out = _out_dir(cfg)
     h = cfg.config_hash()
-    panel_path = _input_path(cfg, cfg.panel_csv, "panel.csv")
-    market_path = _input_path(cfg, cfg.market_csv, "market.csv")
+    # the market series first: a bad market.csv fails before the panel is parsed
+    market = load_market_series(_input_path(cfg, cfg.market_csv, "market.csv"))
     # one calendar year of the panel in memory at a time: keep its days and statistics
     years, summary = load_daily_panel(
-        str(panel_path), cfg.eligibility_filter(),
+        _input_path(cfg, cfg.panel_csv, "panel.csv"), cfg.eligibility_filter(),
         lambda year: (year.dates, compute_daily_stats(year, cfg.tail_threshold)),
     )
     dates = [day for year_dates, _ in years for day in year_dates]
     stats = DailyStats.concatenate([year_stats for _, year_stats in years])
-    market = load_market_series(str(market_path))
     partition = partition_months(dates, market)
     features = aggregate_monthly(stats, partition)
     write_features_csv(out / "features.csv", features, h)
@@ -117,7 +113,7 @@ def cmd_label(cfg: PipelineConfig, args) -> int:
     out = _out_dir(cfg)
     h = cfg.config_hash()
     dates = read_calendar(_artifact(cfg, "calendar.csv"))
-    market = load_market_series(str(_input_path(cfg, cfg.market_csv, "market.csv")))
+    market = load_market_series(_input_path(cfg, cfg.market_csv, "market.csv"))
     partition = partition_months(dates, market)
     monthly = build_market_monthly(market, partition)
     labels = label_stress(monthly, cfg.stress_config())
@@ -155,11 +151,11 @@ def cmd_evaluate(cfg: PipelineConfig, args) -> int:
     out = _out_dir(cfg)
     h = cfg.config_hash()
     forecasts = _load_forecasts(cfg)
-    report = ev.compute_metrics(forecasts, ev.ECE_BINS)
+    report = ev.compute_metrics(forecasts)
     write_json(out / "metrics.json", asdict(report), h)
 
     def curve_rows():
-        for cs in ev.compute_curves(forecasts, ev.ECE_BINS):
+        for cs in ev.compute_curves(forecasts):
             for x, y in zip(*cs.roc):
                 yield (cs.model, "roc", x, y, "")
             for x, y in zip(*cs.pr):
@@ -177,7 +173,7 @@ def cmd_evaluate(cfg: PipelineConfig, args) -> int:
 def _write_bins(forecasts, out: Path, h: str):
     def bin_rows():
         for model in forecasts.models:
-            bo = ev.binned_outcomes(forecasts, model, ev.BIN_EDGES)
+            bo = ev.binned_outcomes(forecasts, model)
             for b in range(len(bo.n)):
                 yield (model, bo.edges[b], bo.edges[b + 1], int(bo.n[b]), bo.mean_prob[b],
                        bo.stress_rate[b], bo.next_vol[b], bo.next_ret[b])
@@ -188,10 +184,7 @@ def _write_bins(forecasts, out: Path, h: str):
 def cmd_bootstrap(cfg: PipelineConfig, args) -> int:
     out = _out_dir(cfg)
     forecasts = _load_forecasts(cfg, cfg.benchmark)
-    rows = ev.bootstrap_table(
-        forecasts, benchmark=cfg.benchmark, block_len=ev.BOOTSTRAP_BLOCK,
-        reps=cfg.bootstrap_reps, seed=cfg.seed, ece_bins=ev.ECE_BINS,
-    )
+    rows = ev.bootstrap_table(forecasts, cfg.benchmark, cfg.bootstrap_reps, cfg.seed)
     write_json(out / "bootstrap.json", {
         "benchmark": cfg.benchmark,
         "block_len": ev.BOOTSTRAP_BLOCK,
@@ -205,11 +198,9 @@ def cmd_bootstrap(cfg: PipelineConfig, args) -> int:
 def cmd_regress(cfg: PipelineConfig, args) -> int:
     out = _out_dir(cfg)
     forecasts = _load_forecasts(cfg, cfg.regress_model)
-    vol = econ.predictive_vol_regression(forecasts, model=cfg.regress_model,
-                                         hac_lag=econ.HAC_LAG)
-    crash = econ.crash_regression(forecasts, cutoff=econ.CRASH_CUTOFF,
-                                  model=cfg.regress_model, hac_lag=econ.HAC_LAG)
-    innov = econ.mspi_innovations(forecasts, model=cfg.regress_model, hac_lag=econ.HAC_LAG)
+    vol = econ.predictive_vol_regression(forecasts, cfg.regress_model)
+    crash = econ.crash_regression(forecasts, cfg.regress_model)
+    innov = econ.mspi_innovations(forecasts, cfg.regress_model)
     write_json(out / "regression.json", {
         "model": cfg.regress_model,
         "predictive_volatility": vol.to_dict(),
@@ -226,7 +217,7 @@ def cmd_regress(cfg: PipelineConfig, args) -> int:
 def cmd_lp(cfg: PipelineConfig, args) -> int:
     out = _out_dir(cfg)
     forecasts = _load_forecasts(cfg, cfg.regress_model)
-    innov = econ.mspi_innovations(forecasts, model=cfg.regress_model, hac_lag=econ.HAC_LAG)
+    innov = econ.mspi_innovations(forecasts, cfg.regress_model)
     # innovations start at the second forecast month; controls are lagged one more
     u = innov.residuals[1:]
     y = forecasts.sigma_mkt[2:]

@@ -17,8 +17,8 @@ bins, probability bins and bootstrap block length are constants of
 ``evaluation`` (``ECE_BINS``, ``BIN_EDGES``, ``BOOTSTRAP_BLOCK``), the HAC
 lag, crash cutoff and local-projection horizon constants of
 ``econometrics`` (``HAC_LAG``, ``CRASH_CUTOFF``, ``LP_HORIZON``). No run
-sets another value, so each has one owner and a config that names one is
-rejected as an unknown field.
+sets another value, so each has one owner: the stage functions read it
+there, and a config that names one is rejected as an unknown field.
 """
 
 from __future__ import annotations

@@ -10,8 +10,10 @@ projections of market volatility on those innovations.
 The inference protocol is fixed: Newey-West lag ``HAC_LAG``, crash cutoff
 ``CRASH_CUTOFF`` on the next month's market return, and local projections
 out to ``LP_HORIZON`` months. No run sets another value, so they are
-constants, not config settings; the functions below take them as
-arguments, so the tests can vary them.
+constants, not config settings. The regressions on the forecast series read
+them; only the kernels take them as arguments: ``ols_hac`` its lag, which
+``local_projections`` sets per horizon, and ``local_projections`` its
+horizon, which its tests shorten.
 """
 
 from __future__ import annotations
@@ -141,11 +143,7 @@ class PredictiveVolResult:
         }
 
 
-def predictive_vol_regression(
-    forecasts: ForecastSeries,
-    model: str,
-    hac_lag: int,
-) -> PredictiveVolResult:
+def predictive_vol_regression(forecasts: ForecastSeries, model: str) -> PredictiveVolResult:
     """Regress next-month realized volatility on the stress probability.
 
     Controls are the current month's market return and realized volatility;
@@ -156,9 +154,9 @@ def predictive_vol_regression(
     vol_next = forecasts.next_vol[mask]
     ones = np.ones(prob.shape[0])
     z = market_controls(forecasts)[mask]
-    r2_controls = ols_hac(vol_next, np.column_stack([ones, z]), hac_lag,
+    r2_controls = ols_hac(vol_next, np.column_stack([ones, z]), HAC_LAG,
                           ("intercept", "r_mkt", "sigma_mkt")).r2
-    reg = ols_hac(vol_next, np.column_stack([ones, prob, z]), hac_lag,
+    reg = ols_hac(vol_next, np.column_stack([ones, prob, z]), HAC_LAG,
                   ("intercept", "mspi", "r_mkt", "sigma_mkt"))
     return PredictiveVolResult(
         regression=reg, gamma=reg.coefficient("mspi"),
@@ -184,13 +182,8 @@ class CrashRegressionResult:
         }
 
 
-def crash_regression(
-    forecasts: ForecastSeries,
-    cutoff: float,
-    model: str,
-    hac_lag: int,
-) -> CrashRegressionResult:
-    """Downside-indicator regressions: Crash_{t+1} = 1{R_{t+1} <= cutoff}.
+def crash_regression(forecasts: ForecastSeries, model: str) -> CrashRegressionResult:
+    """Downside-indicator regressions: Crash_{t+1} = 1{R_{t+1} <= CRASH_CUTOFF}.
 
     Fits a linear probability model with HAC errors and, when both crash
     classes are present and the unpenalized logistic MLE exists (the design
@@ -198,9 +191,9 @@ def crash_regression(
     """
     mask = forecasts.observed_mask()
     prob = forecasts.prob[model][mask]
-    crash = (forecasts.next_ret[mask] <= cutoff).astype(float)
+    crash = (forecasts.next_ret[mask] <= CRASH_CUTOFF).astype(float)
     X = np.column_stack([np.ones(prob.shape[0]), prob, market_controls(forecasts)[mask]])
-    linear = ols_hac(crash, X, hac_lag, ("intercept", "mspi", "r_mkt", "sigma_mkt"))
+    linear = ols_hac(crash, X, HAC_LAG, ("intercept", "mspi", "r_mkt", "sigma_mkt"))
 
     logistic = None
     warning = None
@@ -215,16 +208,12 @@ def crash_regression(
             warning = f"logistic variant skipped: {exc}"
             logger.warning("%s", warning)
     return CrashRegressionResult(
-        linear=linear, logistic=logistic, cutoff=cutoff,
+        linear=linear, logistic=logistic, cutoff=CRASH_CUTOFF,
         crash_rate=float(np.mean(crash)), warning=warning,
     )
 
 
-def mspi_innovations(
-    forecasts: ForecastSeries,
-    model: str,
-    hac_lag: int,
-) -> RegressionResult:
+def mspi_innovations(forecasts: ForecastSeries, model: str) -> RegressionResult:
     """Project the index on its lag and lagged market controls; the
     residuals are the index's innovations, its 'news'.
 
@@ -239,7 +228,7 @@ def mspi_innovations(
     X = np.column_stack([np.ones(y.shape[0]), prob[:-1], z[:-1]])
     names = ["intercept", "mspi_lag", "r_mkt_lag", "sigma_mkt_lag"]
     keep = [0] + [j for j in range(1, X.shape[1]) if np.ptp(X[:, j]) > 0.0]
-    return ols_hac(y, X[:, keep], hac_lag, tuple(names[j] for j in keep))
+    return ols_hac(y, X[:, keep], HAC_LAG, tuple(names[j] for j in keep))
 
 
 @dataclass(frozen=True)

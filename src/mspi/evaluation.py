@@ -8,8 +8,9 @@ so serial dependence is preserved.
 The evaluation protocol is fixed: ``ECE_BINS`` equal-mass bins for the ECE
 and the calibration curve, the probability bins ``BIN_EDGES`` of
 ``bins.csv`` and ``BOOTSTRAP_BLOCK``-month bootstrap blocks. No run sets
-another value, so they are constants, not config settings; the functions
-below take them as arguments, so the tests can vary them.
+another value, so they are constants, not config settings. The stage entry
+points read them; only the kernels ``ece`` and ``block_bootstrap_diff`` take
+them as arguments, so their tests can check other bin counts and blocks.
 """
 
 from __future__ import annotations
@@ -235,7 +236,7 @@ class MetricsReport:
     ece_bins: int
 
 
-def compute_metrics(forecasts: ForecastSeries, ece_bins: int) -> MetricsReport:
+def compute_metrics(forecasts: ForecastSeries) -> MetricsReport:
     """Table of per-model metrics over months with an observed outcome."""
     mask = forecasts.observed_mask()
     if not mask.any():
@@ -245,7 +246,7 @@ def compute_metrics(forecasts: ForecastSeries, ece_bins: int) -> MetricsReport:
     for name in forecasts.models:
         raw = forecasts.raw[name][mask]
         prob = forecasts.prob[name][mask]
-        e, _ = ece(prob, y, ece_bins)
+        e, _ = ece(prob, y, ECE_BINS)
         models[name] = ModelMetrics(
             auc=auc(raw, y),
             pr_auc=pr_auc(raw, y),
@@ -255,7 +256,7 @@ def compute_metrics(forecasts: ForecastSeries, ece_bins: int) -> MetricsReport:
             mean_prob=float(np.mean(prob)),
         )
     return MetricsReport(
-        models=models, event_rate=float(np.mean(y)), n=int(mask.sum()), ece_bins=ece_bins
+        models=models, event_rate=float(np.mean(y)), n=int(mask.sum()), ece_bins=ECE_BINS
     )
 
 
@@ -269,14 +270,14 @@ class CurveSet:
     calibration: CalibrationCurve
 
 
-def compute_curves(forecasts: ForecastSeries, ece_bins: int) -> list[CurveSet]:
+def compute_curves(forecasts: ForecastSeries) -> list[CurveSet]:
     mask = forecasts.observed_mask()
     y = forecasts.y_next[mask]
     out = []
     for name in forecasts.models:
         raw = forecasts.raw[name][mask]
         prob = forecasts.prob[name][mask]
-        _, curve = ece(prob, y, ece_bins)
+        _, curve = ece(prob, y, ECE_BINS)
         out.append(CurveSet(model=name, roc=roc_points(raw, y), pr=pr_points(raw, y),
                             calibration=curve))
     return out
@@ -295,21 +296,9 @@ class BinnedOutcomes:
     next_ret: np.ndarray
 
 
-def check_bin_edges(edges) -> tuple[float, ...]:
-    """The edges as floats; DataError unless they rise strictly from 0 to 1."""
-    edges = tuple(float(e) for e in edges)
-    if len(edges) < 2 or edges[0] != 0.0 or edges[-1] != 1.0:
-        raise DataError(f"bin edges must cover [0, 1], got {edges}")
-    if any(b <= a for a, b in zip(edges, edges[1:])):
-        raise DataError(f"bin edges must be strictly increasing, got {edges}")
-    return edges
-
-
-def binned_outcomes(
-    forecasts: ForecastSeries, model: str, edges: tuple[float, ...]
-) -> BinnedOutcomes:
-    """Bin months by forecast probability; bins are [lo, hi), last bin closed."""
-    edges = check_bin_edges(edges)
+def binned_outcomes(forecasts: ForecastSeries, model: str) -> BinnedOutcomes:
+    """Bin months by forecast probability at ``BIN_EDGES``; bins are [lo, hi),
+    last bin closed."""
     mask = forecasts.observed_mask()
     probs = forecasts.prob[model][mask]
     if np.any((probs < 0.0) | (probs > 1.0)):
@@ -318,13 +307,13 @@ def binned_outcomes(
     vol = forecasts.next_vol[mask]
     ret = forecasts.next_ret[mask]
 
-    k = len(edges) - 1
+    k = len(BIN_EDGES) - 1
     n = np.zeros(k, dtype=np.int64)
     mean_prob = np.full(k, np.nan)
     stress_rate = np.full(k, np.nan)
     vol_mean = np.full(k, np.nan)
     ret_mean = np.full(k, np.nan)
-    which = np.minimum(np.searchsorted(edges, probs, side="right") - 1, k - 1)
+    which = np.minimum(np.searchsorted(BIN_EDGES, probs, side="right") - 1, k - 1)
     for b in range(k):
         sel = which == b
         n[b] = int(sel.sum())
@@ -334,7 +323,7 @@ def binned_outcomes(
             vol_mean[b] = float(np.mean(vol[sel]))
             ret_mean[b] = float(np.mean(ret[sel]))
     return BinnedOutcomes(
-        model=model, edges=edges, n=n, mean_prob=mean_prob,
+        model=model, edges=BIN_EDGES, n=n, mean_prob=mean_prob,
         stress_rate=stress_rate, next_vol=vol_mean, next_ret=ret_mean,
     )
 
@@ -446,12 +435,7 @@ def block_bootstrap_diff(
 
 
 def bootstrap_table(
-    forecasts: ForecastSeries,
-    benchmark: str,
-    block_len: int,
-    reps: int,
-    seed: int,
-    ece_bins: int,
+    forecasts: ForecastSeries, benchmark: str, reps: int, seed: int
 ) -> list[BootstrapResult]:
     """Bootstrap deltas of every non-benchmark model against the benchmark."""
     if benchmark not in forecasts.models:
@@ -466,7 +450,7 @@ def bootstrap_table(
             if name == benchmark:
                 continue
             vals = (forecasts.raw if use_raw else forecasts.prob)[name][mask]
-            res = block_bootstrap_diff(vals, bench_vals, y, metric, block_len, reps, seed,
-                                       ece_bins)
+            res = block_bootstrap_diff(vals, bench_vals, y, metric, BOOTSTRAP_BLOCK, reps, seed,
+                                       ECE_BINS)
             rows.append(replace(res, model=name, benchmark=benchmark))
     return rows

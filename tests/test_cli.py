@@ -351,6 +351,7 @@ def test_evaluate_on_fewer_months_than_ece_bins_exits_3(tmp_path, capsys):
 
 
 def test_report_states_the_settings_of_the_artifacts_it_reads(tmp_path):
+    # no regress run: the report has no regression section
     out = tmp_path / "out"
     out.mkdir()
     fs = toy_forecasts(n=48, seed=4)
@@ -368,6 +369,8 @@ def test_report_states_the_settings_of_the_artifacts_it_reads(tmp_path):
     text = (out / "report.txt").read_text(encoding="utf-8")
     assert "bootstrap: 12-month blocks, 20 replications" in text
     assert "50 replications" not in text
+    assert report["regression"] is None
+    assert "Predictive regressions" not in text
 
 
 # Four years of eight stocks: the shortest panel the default stress warm-up labels.
@@ -439,6 +442,15 @@ def test_bad_calendar_exits_3(tmp_path, capsys, edit, message):
     assert main(["label", "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert re.match(f"data error: {re.escape(str(out / 'calendar.csv'))}: {message}", err), err
+
+
+def test_features_without_market_csv_exits_3(tmp_path, capsys):
+    # the market series is read first, so the panel, not UTF-8 here, is never parsed
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "panel.csv").write_bytes(PANEL_HEAD + b"2001-01-02,A,0.01,5.00,100,1000,1,1\xff\n")
+    assert main(["features", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"data error: missing file: {out / 'market.csv'}\n"
 
 
 def test_missing_calendar_exits_3(tmp_path, capsys):

@@ -5,7 +5,8 @@ import pytest
 
 from mspi.errors import DataError, NumericError
 from mspi.evaluation import (
-    BIN_EDGES,
+    BOOTSTRAP_BLOCK,
+    ECE_BINS,
     auc,
     binned_outcomes,
     block_bootstrap_diff,
@@ -181,7 +182,7 @@ class TestCurves:
 
 class TestBinnedOutcomes:
     def test_boundary_conventions(self, small_forecasts):
-        bo = binned_outcomes(small_forecasts, "l1", BIN_EDGES)
+        bo = binned_outcomes(small_forecasts, "l1")
         assert bo.edges == (0.0, 0.05, 0.10, 0.20, 0.40, 1.0)
         assert bo.n.sum() == small_forecasts.observed_mask().sum()
 
@@ -201,15 +202,9 @@ class TestBinnedOutcomes:
             r_mkt=np.zeros(6),
             sigma_mkt=np.full(6, 0.1),
         )
-        bo = binned_outcomes(fs, "m", BIN_EDGES)
+        bo = binned_outcomes(fs, "m")
         # 0.05 joins the second bin (left-closed), 0.4 and 1.0 the last (closed top)
         assert bo.n.tolist() == [1, 1, 1, 1, 2]
-
-    def test_bad_edges_rejected(self, small_forecasts):
-        with pytest.raises(DataError):
-            binned_outcomes(small_forecasts, "l1", (0.0, 0.5, 0.4, 1.0))
-        with pytest.raises(DataError):
-            binned_outcomes(small_forecasts, "l1", (0.1, 0.5, 1.0))
 
 
 class TestBlockBootstrap:
@@ -251,19 +246,28 @@ class TestBlockBootstrap:
             block_bootstrap_diff(a, b, y, "auc", block_len=12, reps=100, seed=3, ece_bins=10)
 
     def test_table_runs_on_forecasts(self, small_forecasts):
-        rows = bootstrap_table(small_forecasts, benchmark="l2", block_len=12, reps=60, seed=4,
-                               ece_bins=10)
+        rows = bootstrap_table(small_forecasts, benchmark="l2", reps=60, seed=4)
         models = {r.model for r in rows}
         assert models == {"l1", "rf", "gb"}
         assert len(rows) == 15  # 5 metrics x 3 models
         for r in rows:
             assert 0.0 <= r.p_value <= 1.0
             assert r.ci_lo <= r.ci_hi
+            assert r.block_len == BOOTSTRAP_BLOCK
+        # each ECE row is the kernel at the protocol's block length and bin count
+        mask = small_forecasts.observed_mask()
+        y = small_forecasts.y_next[mask]
+        for r in (r for r in rows if r.metric == "ece"):
+            res = block_bootstrap_diff(small_forecasts.prob[r.model][mask],
+                                       small_forecasts.prob["l2"][mask], y, "ece",
+                                       block_len=BOOTSTRAP_BLOCK, reps=60, seed=4,
+                                       ece_bins=ECE_BINS)
+            assert r.delta == res.delta
 
 
 class TestComputeMetrics:
     def test_report_shape(self, small_forecasts):
-        report = compute_metrics(small_forecasts, 10)
+        report = compute_metrics(small_forecasts)
         assert set(report.models) == set(small_forecasts.models)
         assert 0.0 <= report.event_rate <= 1.0
         for m in report.models.values():
@@ -392,16 +396,3 @@ class TestBootstrapMatchesLoop:
         with pytest.raises(DataError, match="ECE needs at least 40 observations, got 30"):
             block_bootstrap_diff(rng.random(30), rng.random(30), y, "ece", block_len=6,
                                  reps=10, seed=0, ece_bins=40)
-
-    def test_table_uses_ece_bins(self, small_forecasts):
-        rows = bootstrap_table(small_forecasts, benchmark="l2", block_len=12, reps=40, seed=4,
-                               ece_bins=5)
-        ece_rows = [r for r in rows if r.metric == "ece"]
-        assert len(ece_rows) == 3
-        mask = small_forecasts.observed_mask()
-        y = small_forecasts.y_next[mask]
-        for r in ece_rows:
-            res = block_bootstrap_diff(small_forecasts.prob[r.model][mask],
-                                       small_forecasts.prob["l2"][mask], y, "ece",
-                                       block_len=12, reps=40, seed=4, ece_bins=5)
-            assert r.delta == res.delta
