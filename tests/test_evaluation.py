@@ -254,15 +254,6 @@ class TestBlockBootstrap:
             assert 0.0 <= r.p_value <= 1.0
             assert r.ci_lo <= r.ci_hi
             assert r.block_len == BOOTSTRAP_BLOCK
-        # each ECE row is the kernel at the protocol's block length and bin count
-        mask = small_forecasts.observed_mask()
-        y = small_forecasts.y_next[mask]
-        for r in (r for r in rows if r.metric == "ece"):
-            res = block_bootstrap_diff(small_forecasts.prob[r.model][mask],
-                                       small_forecasts.prob["l2"][mask], y, "ece",
-                                       block_len=BOOTSTRAP_BLOCK, reps=60, seed=4,
-                                       ece_bins=ECE_BINS)
-            assert r.delta == res.delta
 
 
 class TestComputeMetrics:
@@ -396,3 +387,20 @@ class TestBootstrapMatchesLoop:
         with pytest.raises(DataError, match="ECE needs at least 40 observations, got 30"):
             block_bootstrap_diff(rng.random(30), rng.random(30), y, "ece", block_len=6,
                                  reps=10, seed=0, ece_bins=40)
+
+    def test_table_uses_ece_bins(self, small_forecasts):
+        # each ECE row is the kernel at the protocol's block length and bin count
+        rows = bootstrap_table(small_forecasts, benchmark="l2", reps=40, seed=4)
+        ece_rows = [r for r in rows if r.metric == "ece"]
+        assert len(ece_rows) == 3
+        mask = small_forecasts.observed_mask()
+        y = small_forecasts.y_next[mask]
+        for r in ece_rows:
+            a = small_forecasts.prob[r.model][mask]
+            b = small_forecasts.prob["l2"][mask]
+            res = block_bootstrap_diff(a, b, y, "ece", block_len=BOOTSTRAP_BLOCK, reps=40,
+                                       seed=4, ece_bins=ECE_BINS)
+            assert r.delta == res.delta
+            other = block_bootstrap_diff(a, b, y, "ece", block_len=BOOTSTRAP_BLOCK, reps=40,
+                                         seed=4, ece_bins=5)
+            assert r.delta != other.delta
