@@ -62,6 +62,21 @@ def write_json(path: Path, payload: dict, config_hash: str):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def read_json(path: Path, keys: tuple[str, ...]) -> dict:
+    """A JSON artifact's object; DataError names the file when its bytes are
+    not UTF-8 JSON or hold no object, and the first of ``keys`` it lacks."""
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path}: not a UTF-8 JSON file: {exc}") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: expected a JSON object, got {type(payload).__name__}")
+    missing = [key for key in keys if key not in payload]
+    if missing:
+        raise DataError(f"{path}: no key {missing[0]!r}")
+    return payload
+
+
 def _finite_cell(path: Path, line: int, column: str, token: str) -> float:
     try:
         value = float(token)
@@ -245,9 +260,9 @@ def read_forecasts(path: Path, labels: LabelSeries) -> ForecastSeries:
     with its outcomes and controls (``ForecastSeries.from_labels``).
 
     Every (month, model) cell must appear exactly once with a finite raw
-    score and probability, and each month must be the labeled month after
-    the one before it; a duplicate or missing cell, a month the labels lack
-    or one out of order raises DataError naming it.
+    score and a probability in [0, 1], and each month must be the labeled
+    month after the one before it; a duplicate or missing cell, a month the
+    labels lack or one out of order raises DataError naming it.
     """
     cells: dict[tuple[str, str], tuple[int, dict]] = {}
     for line, r in zip(*read_rows(path, FORECAST_COLUMNS[:4])):  # the labels give the rest
@@ -277,7 +292,11 @@ def read_forecasts(path: Path, labels: LabelSeries) -> ForecastSeries:
     def scores(column: str) -> dict[str, np.ndarray]:
         def cell(m: str, k: str) -> float:
             line, r = cells[m, k]
-            return _finite_cell(path, line, column, r[column])
+            value = _finite_cell(path, line, column, r[column])
+            if column == "probability" and not 0.0 <= value <= 1.0:
+                raise DataError(f"{path}: line {line}, column {column!r}: "
+                                f"expected a probability in [0, 1], got {r[column]!r}")
+            return value
 
         return {k: np.array([cell(m, k) for m in months]) for k in models}
 

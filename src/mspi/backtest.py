@@ -81,27 +81,30 @@ def _default_lambda_grid() -> tuple[float, ...]:
     return tuple(float(v) for v in np.logspace(-4.0, 0.0, 20))
 
 
-# Constants of the forecast design, not settings. A calibrated learner's
-# Platt map is fitted on the last 20% of its training window, and on at
-# least 12 months: a shorter segment of a short window would rarely hold a
-# stress month, and a segment without one gets no map (``fit_window``). Each
-# CV validation segment spans at least 6 months, so no fold's log loss rests
-# on a few months.
+# Constants of the forecast design, not settings. The first forecast follows
+# a 120-month initial window, in which CV tunes each grid on 5 folds of
+# 120 // (2 * 5) = 12 months, above the 6 that keep a fold's log loss from
+# resting on a few months. A Platt map is fitted on the last 20% of a
+# training window, and on at least 12 months: a shorter segment would rarely
+# hold a stress month, and one without gets no map (``fit_window``). l1 is
+# the index the regressions read, l2 the benchmark of the bootstrap.
+INITIAL_WINDOW_MONTHS = 120
+CV_FOLDS = 5
+MIN_VALIDATION_MONTHS = 6
 CALIBRATION_FRACTION = 0.2
 CALIBRATION_MIN_MONTHS = 12
-MIN_VALIDATION_MONTHS = 6
+INDEX_MODEL = "l1"
+BENCHMARK_MODEL = "l2"
 
 
 @dataclass(frozen=True)
 class BacktestConfig:
-    """Protocol settings: window length, CV layout, grids, model list, seed.
+    """Protocol settings: grids, model list, seed.
 
     The rf tree shape and gb's depth and shrinkage are the learners' own
     parameter defaults; only the forest size and gb's stage counts are set.
     """
 
-    initial_window_months: int = 120
-    cv_folds: int = 5
     l1_grid: tuple[float, ...] = field(default_factory=_default_lambda_grid)
     l2_grid: tuple[float, ...] = field(default_factory=_default_lambda_grid)
     rf_trees: int = RandomForestParams.n_trees
@@ -110,14 +113,8 @@ class BacktestConfig:
     seed: int = 7
 
     def __post_init__(self):
-        for name in ("cv_folds", "rf_trees"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.initial_window_months < self.cv_folds + 1:
-            raise ConfigError(
-                "initial_window_months must be >= cv_folds + 1, got "
-                f"{self.initial_window_months} with {self.cv_folds} folds"
-            )
+        if self.rf_trees < 1:
+            raise ConfigError(f"rf_trees must be >= 1, got {self.rf_trees}")
         if not self.l1_grid or not self.l2_grid or not self.gb_stage_grid:
             raise ConfigError("hyperparameter grids must be non-empty")
         if not all(lam >= 0 for lam in self.l1_grid + self.l2_grid):
@@ -131,14 +128,6 @@ class BacktestConfig:
             raise ConfigError("models: need at least one model")
         if len(set(self.models)) < len(self.models):
             raise ConfigError(f"models: each model may be listed once, got {list(self.models)}")
-        # forward_chain_cv's segment rule, checked here for the grids it will tune
-        if (self.initial_window_months // (2 * self.cv_folds) < MIN_VALIDATION_MONTHS
-                and any(len(LEARNERS[m].grid(self)) > 1 for m in self.models)):
-            raise ConfigError(
-                f"initial_window_months must be >= {2 * MIN_VALIDATION_MONTHS * self.cv_folds} "
-                f"to host cv_folds = {self.cv_folds} validation segments of >= "
-                f"{MIN_VALIDATION_MONTHS} months, got {self.initial_window_months}"
-            )
 
 
 def month_ordinal(month: str) -> int:
@@ -547,7 +536,7 @@ def run_expanding_backtest(
     features_rows = features.values[feat_idx]
     months = labels.months
     n_months = len(months)
-    w = config.initial_window_months
+    w = INITIAL_WINDOW_MONTHS
     if n_months < w + 1:
         raise DataError(
             f"need at least {w + 1} labeled months for a {w}-month initial window, got {n_months}"
@@ -563,7 +552,7 @@ def run_expanding_backtest(
         learner = LEARNERS[name]
         cv_seed = np.random.SeedSequence([config.seed, _MODEL_CODES[name], _CV_TAG])
         hyper, info = forward_chain_cv(learner, x_by_model[name][:w], y_pairs[:w],
-                                       learner.grid(config), config.cv_folds, cv_seed)
+                                       learner.grid(config), CV_FOLDS, cv_seed)
         selected[name] = hyper
         cv_info[name] = info
         logger.info("%s: selected %s", name, info["selected"])

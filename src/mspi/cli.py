@@ -17,7 +17,6 @@ file and out_dir included), 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from dataclasses import asdict
@@ -32,6 +31,7 @@ from .artifacts import (
     read_calendar,
     read_features,
     read_forecasts,
+    read_json,
     read_labels,
     write_calendar_csv,
     write_csv,
@@ -42,12 +42,13 @@ from .artifacts import (
     write_market_csv,
     write_panel_csv,
 )
-from .backtest import run_expanding_backtest
+from .backtest import BENCHMARK_MODEL, INDEX_MODEL, run_expanding_backtest
 from .config import PipelineConfig
 from .errors import ConfigError, DataError, MspiError, NumericError
 from .features import DailyStats, aggregate_monthly, compute_daily_stats
-from .labels import build_market_monthly, label_stress, market_controls
-from .panel import load_daily_panel, load_market_series, partition_months, read_rows
+from .labels import StressConfig, build_market_monthly, label_stress, market_controls
+from .panel import (EligibilityFilter, load_daily_panel, load_market_series, partition_months,
+                    read_rows)
 from .simulate import simulate
 
 logger = logging.getLogger(__name__)
@@ -94,8 +95,8 @@ def cmd_features(cfg: PipelineConfig, args) -> int:
     market = load_market_series(_input_path(cfg, cfg.market_csv, "market.csv"))
     # one calendar year of the panel in memory at a time: keep its days and statistics
     years, summary = load_daily_panel(
-        _input_path(cfg, cfg.panel_csv, "panel.csv"), cfg.eligibility_filter(),
-        lambda year: (year.dates, compute_daily_stats(year, cfg.tail_threshold)),
+        _input_path(cfg, cfg.panel_csv, "panel.csv"), EligibilityFilter(),
+        lambda year: (year.dates, compute_daily_stats(year)),
     )
     dates = [day for year_dates, _ in years for day in year_dates]
     stats = DailyStats.concatenate([year_stats for _, year_stats in years])
@@ -116,7 +117,7 @@ def cmd_label(cfg: PipelineConfig, args) -> int:
     market = load_market_series(_input_path(cfg, cfg.market_csv, "market.csv"))
     partition = partition_months(dates, market)
     monthly = build_market_monthly(market, partition)
-    labels = label_stress(monthly, cfg.stress_config())
+    labels = label_stress(monthly, StressConfig())
     write_labels_csv(out / "labels.csv", labels, h)
     logger.info("labeled %d months, stress rate %.3f", len(labels.months),
                 float(np.mean(labels.s)))
@@ -183,10 +184,10 @@ def _write_bins(forecasts, out: Path, h: str):
 
 def cmd_bootstrap(cfg: PipelineConfig, args) -> int:
     out = _out_dir(cfg)
-    forecasts = _load_forecasts(cfg, cfg.benchmark)
-    rows = ev.bootstrap_table(forecasts, cfg.benchmark, cfg.bootstrap_reps, cfg.seed)
+    forecasts = _load_forecasts(cfg, BENCHMARK_MODEL)
+    rows = ev.bootstrap_table(forecasts, cfg.bootstrap_reps, cfg.seed)
     write_json(out / "bootstrap.json", {
-        "benchmark": cfg.benchmark,
+        "benchmark": BENCHMARK_MODEL,
         "block_len": ev.BOOTSTRAP_BLOCK,
         "replications": cfg.bootstrap_reps,
         "rows": [asdict(r) for r in rows],
@@ -197,12 +198,12 @@ def cmd_bootstrap(cfg: PipelineConfig, args) -> int:
 
 def cmd_regress(cfg: PipelineConfig, args) -> int:
     out = _out_dir(cfg)
-    forecasts = _load_forecasts(cfg, cfg.regress_model)
-    vol = econ.predictive_vol_regression(forecasts, cfg.regress_model)
-    crash = econ.crash_regression(forecasts, cfg.regress_model)
-    innov = econ.mspi_innovations(forecasts, cfg.regress_model)
+    forecasts = _load_forecasts(cfg, INDEX_MODEL)
+    vol = econ.predictive_vol_regression(forecasts)
+    crash = econ.crash_regression(forecasts)
+    innov = econ.mspi_innovations(forecasts)
     write_json(out / "regression.json", {
-        "model": cfg.regress_model,
+        "model": INDEX_MODEL,
         "predictive_volatility": vol.to_dict(),
         "crash": crash.to_dict(),
         "innovations": {
@@ -216,8 +217,8 @@ def cmd_regress(cfg: PipelineConfig, args) -> int:
 
 def cmd_lp(cfg: PipelineConfig, args) -> int:
     out = _out_dir(cfg)
-    forecasts = _load_forecasts(cfg, cfg.regress_model)
-    innov = econ.mspi_innovations(forecasts, cfg.regress_model)
+    forecasts = _load_forecasts(cfg, INDEX_MODEL)
+    innov = econ.mspi_innovations(forecasts)
     # innovations start at the second forecast month; controls are lagged one more
     u = innov.residuals[1:]
     y = forecasts.sigma_mkt[2:]
@@ -235,12 +236,13 @@ def cmd_lp(cfg: PipelineConfig, args) -> int:
 def cmd_report(cfg: PipelineConfig, args) -> int:
     out = _out_dir(cfg)
     h = cfg.config_hash()
-    metrics = json.loads(_artifact(cfg, "metrics.json").read_text(encoding="utf-8"))
-    bootstrap = json.loads(_artifact(cfg, "bootstrap.json").read_text(encoding="utf-8"))
-    regression = None
+    # each top-level key that the report reads
+    metrics = read_json(_artifact(cfg, "metrics.json"), ("n", "event_rate", "ece_bins", "models"))
+    bootstrap = read_json(_artifact(cfg, "bootstrap.json"),
+                          ("benchmark", "block_len", "replications", "rows"))
     reg_path = Path(cfg.out_dir) / "regression.json"
-    if reg_path.exists():
-        regression = json.loads(reg_path.read_text(encoding="utf-8"))
+    regression = (read_json(reg_path, ("predictive_volatility", "crash"))
+                  if reg_path.exists() else None)
     bins_rows = read_rows(_artifact(cfg, "bins.csv"), BIN_COLUMNS)[1]
 
     # the settings of the artifacts summarized, not of this run's config

@@ -3,22 +3,19 @@
 Every stage reads the same config object; the SHA-256 hash of the canonical
 JSON encoding is embedded in every artifact for provenance verification.
 
-Each setting has one default. A setting that a stage dataclass owns takes
-its default from that dataclass; the functions the stages call take every
-other setting as an argument without a default. Each builder reads every
-field of its dataclass from the config field of the same name:
-``eligibility_filter()``, ``stress_config()`` and ``backtest_config()`` as
-they are, ``sim_config()`` with the prefix ``sim_`` and the shared ``seed``.
-Each range check sits in one place and raises ConfigError naming the config
-field: in the stage dataclass for its own fields, otherwise in ``validate``.
+The config holds only the settings that a workload sets, plus the paths.
+Every other default belongs to the module that uses it, and a config that
+names one is rejected as an unknown field: the initial window, CV folds and
+model roles are constants of ``backtest``, the tail threshold of
+``features``, the stress rule and price floor the defaults of
+``StressConfig`` and ``EligibilityFilter``, and the evaluation and inference
+protocol constants of ``evaluation`` and ``econometrics``.
 
-The protocol of the stages after ``backtest`` is not configurable: the ECE
-bins, probability bins and bootstrap block length are constants of
-``evaluation`` (``ECE_BINS``, ``BIN_EDGES``, ``BOOTSTRAP_BLOCK``), the HAC
-lag, crash cutoff and local-projection horizon constants of
-``econometrics`` (``HAC_LAG``, ``CRASH_CUTOFF``, ``LP_HORIZON``). No run
-sets another value, so each has one owner: the stage functions read it
-there, and a config that names one is rejected as an unknown field.
+``backtest_config()`` reads every field of ``BacktestConfig`` from the
+config field of the same name, ``sim_config()`` every field of ``SimConfig``
+from the field with the prefix ``sim_`` and the shared ``seed``. Each range
+check sits in one place and raises ConfigError naming the config field: in
+the stage dataclass for its own fields, otherwise in ``validate``.
 """
 
 from __future__ import annotations
@@ -29,10 +26,8 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .backtest import BacktestConfig
+from .backtest import BENCHMARK_MODEL, INDEX_MODEL, BacktestConfig
 from .errors import ConfigError
-from .labels import StressConfig
-from .panel import EligibilityFilter
 from .simulate import SimConfig
 
 
@@ -50,8 +45,6 @@ def _is_kind(value, kind: type) -> bool:
 
 # Each default below is read from the stage dataclass that owns it; the
 # simulator's seed has no default and takes the pipeline's ``seed``.
-_FILTER = EligibilityFilter()
-_STRESS = StressConfig()
 _BACKTEST = BacktestConfig()
 _SIM = SimConfig(seed=_BACKTEST.seed)
 
@@ -63,20 +56,7 @@ class PipelineConfig:
     market_csv: str | None = None
     out_dir: str = "out"
 
-    # eligibility filter
-    min_abs_price: float = _FILTER.min_abs_price
-
-    # features
-    tail_threshold: float = 0.05  # |daily return| of an extreme mover
-
-    # stress labeling
-    return_cutoff: float = _STRESS.return_cutoff
-    vol_quantile: float = _STRESS.vol_quantile
-    min_history_months: int = _STRESS.min_history_months
-
     # backtest
-    initial_window_months: int = _BACKTEST.initial_window_months
-    cv_folds: int = _BACKTEST.cv_folds
     l1_grid: list = field(default_factory=lambda: list(_BACKTEST.l1_grid))
     l2_grid: list = field(default_factory=lambda: list(_BACKTEST.l2_grid))
     rf_trees: int = _BACKTEST.rf_trees
@@ -86,10 +66,6 @@ class PipelineConfig:
 
     # evaluation
     bootstrap_reps: int = 2000
-    benchmark: str = "l2"
-
-    # econometrics
-    regress_model: str = "l1"
 
     # simulation
     sim_n_stocks: int = _SIM.n_stocks
@@ -141,23 +117,15 @@ class PipelineConfig:
         return cfg
 
     def validate(self):
-        if not 0 < self.tail_threshold:
-            raise ConfigError(f"tail_threshold must be > 0, got {self.tail_threshold}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.bootstrap_reps < 1:
             raise ConfigError(f"bootstrap_reps must be >= 1, got {self.bootstrap_reps}")
-        if self.benchmark not in self.models:
-            raise ConfigError(
-                f"benchmark '{self.benchmark}' is not among models {self.models}"
-            )
-        if self.regress_model not in self.models:
-            raise ConfigError(
-                f"regress_model '{self.regress_model}' is not among models {self.models}"
-            )
+        for role, name in (("index", INDEX_MODEL), ("benchmark", BENCHMARK_MODEL)):
+            if name not in self.models:
+                raise ConfigError(f"models must include the {role} model '{name}', "
+                                  f"got {self.models}")
         # delegate the rest to the owning dataclasses
-        self.eligibility_filter()
-        self.stress_config()
         self.sim_config()
         self.backtest_config()
 
@@ -182,12 +150,6 @@ class PipelineConfig:
             return cls(**given)
         except ConfigError as exc:
             raise ConfigError(prefix + str(exc)) from None
-
-    def eligibility_filter(self) -> EligibilityFilter:
-        return self._stage(EligibilityFilter)
-
-    def stress_config(self) -> StressConfig:
-        return self._stage(StressConfig)
 
     def sim_config(self) -> SimConfig:
         return self._stage(SimConfig, "sim_", seed=self.seed)

@@ -9,9 +9,9 @@ projections of market volatility on those innovations.
 
 The inference protocol is fixed: Newey-West lag ``HAC_LAG``, crash cutoff
 ``CRASH_CUTOFF`` on the next month's market return, and local projections
-out to ``LP_HORIZON`` months. No run sets another value, so they are
-constants, not config settings. The regressions on the forecast series read
-them; only the kernels take them as arguments: ``ols_hac`` its lag, which
+out to ``LP_HORIZON`` months, all on the probabilities of the index,
+``backtest.INDEX_MODEL``. No run sets another value, so they are constants,
+not config settings. The regressions on the forecast series read them; only the kernels take them as arguments: ``ols_hac`` its lag, which
 ``local_projections`` sets per horizon, and ``local_projections`` its
 horizon, which its tests shorten.
 """
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backtest import ForecastSeries
+from .backtest import INDEX_MODEL, ForecastSeries
 from .errors import DataError, NumericError
 from .labels import market_controls
 from .learners import LogitModel, fit_logit_l2
@@ -143,14 +143,14 @@ class PredictiveVolResult:
         }
 
 
-def predictive_vol_regression(forecasts: ForecastSeries, model: str) -> PredictiveVolResult:
+def predictive_vol_regression(forecasts: ForecastSeries) -> PredictiveVolResult:
     """Regress next-month realized volatility on the stress probability.
 
     Controls are the current month's market return and realized volatility;
     delta_r2 reports the fit gain over the controls-only regression.
     """
     mask = forecasts.observed_mask()
-    prob = forecasts.prob[model][mask]
+    prob = forecasts.prob[INDEX_MODEL][mask]
     vol_next = forecasts.next_vol[mask]
     ones = np.ones(prob.shape[0])
     z = market_controls(forecasts)[mask]
@@ -182,7 +182,7 @@ class CrashRegressionResult:
         }
 
 
-def crash_regression(forecasts: ForecastSeries, model: str) -> CrashRegressionResult:
+def crash_regression(forecasts: ForecastSeries) -> CrashRegressionResult:
     """Downside-indicator regressions: Crash_{t+1} = 1{R_{t+1} <= CRASH_CUTOFF}.
 
     Fits a linear probability model with HAC errors and, when both crash
@@ -190,7 +190,7 @@ def crash_regression(forecasts: ForecastSeries, model: str) -> CrashRegressionRe
     does not separate them), a logistic variant on the same design.
     """
     mask = forecasts.observed_mask()
-    prob = forecasts.prob[model][mask]
+    prob = forecasts.prob[INDEX_MODEL][mask]
     crash = (forecasts.next_ret[mask] <= CRASH_CUTOFF).astype(float)
     X = np.column_stack([np.ones(prob.shape[0]), prob, market_controls(forecasts)[mask]])
     linear = ols_hac(crash, X, HAC_LAG, ("intercept", "mspi", "r_mkt", "sigma_mkt"))
@@ -213,14 +213,14 @@ def crash_regression(forecasts: ForecastSeries, model: str) -> CrashRegressionRe
     )
 
 
-def mspi_innovations(forecasts: ForecastSeries, model: str) -> RegressionResult:
+def mspi_innovations(forecasts: ForecastSeries) -> RegressionResult:
     """Project the index on its lag and lagged market controls; the
     residuals are the index's innovations, its 'news'.
 
     Zero-variance regressors (a constant index or control) are dropped
     before the projection; a constant index then has all-zero innovations.
     """
-    prob = forecasts.prob[model]
+    prob = forecasts.prob[INDEX_MODEL]
     if prob.shape[0] < 3:
         raise DataError("need at least 3 forecast months to form innovations")
     z = market_controls(forecasts)

@@ -7,8 +7,8 @@ so serial dependence is preserved.
 
 The evaluation protocol is fixed: ``ECE_BINS`` equal-mass bins for the ECE
 and the calibration curve, the probability bins ``BIN_EDGES`` of
-``bins.csv`` and ``BOOTSTRAP_BLOCK``-month bootstrap blocks. No run sets
-another value, so they are constants, not config settings. The stage entry
+``bins.csv`` and ``BOOTSTRAP_BLOCK``-month bootstrap blocks that compare
+each model with ``backtest.BENCHMARK_MODEL``. No run sets another value, so they are constants, not config settings. The stage entry
 points read them; only the kernels ``ece`` and ``block_bootstrap_diff`` take
 them as arguments, so their tests can check other bin counts and blocks.
 """
@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .backtest import ForecastSeries
+from .backtest import BENCHMARK_MODEL, ForecastSeries
 from .errors import DataError, NumericError
 from .learners import clamped_log_loss
 
@@ -301,8 +301,6 @@ def binned_outcomes(forecasts: ForecastSeries, model: str) -> BinnedOutcomes:
     last bin closed."""
     mask = forecasts.observed_mask()
     probs = forecasts.prob[model][mask]
-    if np.any((probs < 0.0) | (probs > 1.0)):
-        raise DataError("probabilities outside [0, 1]")
     y = forecasts.y_next[mask]
     vol = forecasts.next_vol[mask]
     ret = forecasts.next_ret[mask]
@@ -434,23 +432,17 @@ def block_bootstrap_diff(
     )
 
 
-def bootstrap_table(
-    forecasts: ForecastSeries, benchmark: str, reps: int, seed: int
-) -> list[BootstrapResult]:
-    """Bootstrap deltas of every non-benchmark model against the benchmark."""
-    if benchmark not in forecasts.models:
-        raise DataError(f"benchmark model {benchmark!r} not in forecasts")
+def bootstrap_table(forecasts: ForecastSeries, reps: int, seed: int) -> list[BootstrapResult]:
+    """Bootstrap deltas of every other model against ``BENCHMARK_MODEL``."""
     mask = forecasts.observed_mask()
     y = forecasts.y_next[mask]
     rows = []
     for metric in METRIC_NAMES:
-        use_raw = metric in SCORE_METRICS
-        bench_vals = (forecasts.raw if use_raw else forecasts.prob)[benchmark][mask]
+        scores = forecasts.raw if metric in SCORE_METRICS else forecasts.prob
         for name in forecasts.models:
-            if name == benchmark:
+            if name == BENCHMARK_MODEL:
                 continue
-            vals = (forecasts.raw if use_raw else forecasts.prob)[name][mask]
-            res = block_bootstrap_diff(vals, bench_vals, y, metric, BOOTSTRAP_BLOCK, reps, seed,
-                                       ECE_BINS)
-            rows.append(replace(res, model=name, benchmark=benchmark))
+            res = block_bootstrap_diff(scores[name][mask], scores[BENCHMARK_MODEL][mask], y,
+                                       metric, BOOTSTRAP_BLOCK, reps, seed, ECE_BINS)
+            rows.append(replace(res, model=name, benchmark=BENCHMARK_MODEL))
     return rows

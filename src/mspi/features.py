@@ -4,8 +4,7 @@ Daily statistics are computed across stocks within each trading day
 (population moments, the fractions of stocks at or beyond the tail
 threshold in either direction, trading-intensity averages) and then
 averaged within each calendar month to form the 10 monthly predictors.
-The threshold is a plain float; ``PipelineConfig`` holds its default and
-checks that it is positive.
+The tail threshold is the constant ``TAIL_THRESHOLD``, not a setting.
 """
 
 from __future__ import annotations
@@ -57,6 +56,9 @@ class FeatureMatrix:
     values: np.ndarray
 
 
+# |daily return| at or beyond which a stock is an extreme mover
+TAIL_THRESHOLD = 0.05
+
 # Rows per block of equal-length days in compute_daily_stats: bounds the
 # temporaries, so the daily statistics add little to the stage's peak memory.
 _BLOCK_ROWS = 8192
@@ -95,7 +97,7 @@ def _segment_means(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_stats(ret, prc, vol, shrout, tau: float) -> dict:
+def _block_stats(ret, prc, vol, shrout) -> dict:
     """Float statistics of a block of equal-length days, one day per row of
     the (days, stocks) column blocks, keyed by DailyStats field."""
     mean = np.mean(ret, axis=1)
@@ -121,8 +123,8 @@ def _block_stats(ret, prc, vol, shrout, tau: float) -> dict:
     return {
         "xs_std": std, "xs_skew": skew, "xs_kurt": kurt,
         "mean_abs_ret": np.mean(np.abs(ret), axis=1),
-        "frac_dn": np.mean(ret <= -tau, axis=1),
-        "frac_up": np.mean(ret >= tau, axis=1),
+        "frac_dn": np.mean(ret <= -TAIL_THRESHOLD, axis=1),
+        "frac_up": np.mean(ret >= TAIL_THRESHOLD, axis=1),
         "mean_log_vol": _segment_means(np.log1p(vol[vol_ok]), vol_days),
         "mean_dollar_vol": _segment_means(np.abs(prc[vol_ok]) * vol[vol_ok], vol_days),
         "mean_turnover": _segment_means(vol[turn_ok] / shrout[turn_ok],
@@ -130,14 +132,14 @@ def _block_stats(ret, prc, vol, shrout, tau: float) -> dict:
     }
 
 
-def compute_daily_stats(panel: DailyPanel, tau: float) -> DailyStats:
+def compute_daily_stats(panel: DailyPanel) -> DailyStats:
     """Cross-sectional statistics of every panel day, in calendar order.
 
     Moments divide by the stock count (population convention); tail
-    fractions use weak inequalities (ret <= -tau, ret >= +tau), where
-    ``tau`` > 0 is the config's ``tail_threshold``. Intensity
-    means are taken over rows whose volume fields are present, and turnover
-    additionally requires shares outstanding > 0.
+    fractions use weak inequalities (ret <= -tau, ret >= +tau) at
+    tau = ``TAIL_THRESHOLD``. Intensity means are taken over rows whose volume
+    fields are present, and turnover additionally requires shares
+    outstanding > 0.
 
     Days of one length are stacked in blocks of at most ``_BLOCK_ROWS`` rows
     (a longer day is a block of its own), one day per row, and each
@@ -158,7 +160,7 @@ def compute_daily_stats(panel: DailyPanel, tau: float) -> DailyStats:
         for i in range(0, days.shape[0], step):
             seg = days[i:i + step]
             block = _block_stats(*(_stack(getattr(panel, name), starts, seg, length)
-                                   for name in ("ret", "prc", "vol", "shrout")), tau)
+                                   for name in ("ret", "prc", "vol", "shrout")))
             for name, values in block.items():
                 columns[name][seg] = values
     return DailyStats(n_stocks=n_stocks, **columns)

@@ -23,7 +23,8 @@ ANNUALIZATION = math.sqrt(252.0)
 
 @dataclass(frozen=True)
 class StressConfig:
-    """Stress-rule parameters: return cutoff, volatility quantile, warmup length."""
+    """The stress rule: return cutoff, volatility quantile, warmup length;
+    ``label`` applies the defaults."""
 
     return_cutoff: float = -0.05
     vol_quantile: float = 0.90

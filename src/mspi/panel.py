@@ -92,8 +92,8 @@ def parse_month(key: str, at: str) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class EligibilityFilter:
-    """Row filter applied at ingest: the price floor. The share-class and
-    exchange flags always count; a row must carry both as true."""
+    """Row filter applied at ingest: the price floor (``features`` applies
+    the default). Both flags always count; a row must carry both as true."""
 
     min_abs_price: float = 1.0
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mspi.backtest import BacktestConfig, run_expanding_backtest
-from mspi.config import PipelineConfig
 from mspi.features import aggregate_monthly, compute_daily_stats
 from mspi.labels import StressConfig, build_market_monthly, label_stress
 from mspi.panel import partition_months
@@ -22,7 +21,7 @@ def small_sim():
 def small_chain(small_sim):
     """(partition, features, labels) for the small simulated panel."""
     partition = partition_months(small_sim.panel.dates, small_sim.market)
-    features = aggregate_monthly(compute_daily_stats(small_sim.panel, PipelineConfig().tail_threshold), partition)
+    features = aggregate_monthly(compute_daily_stats(small_sim.panel), partition)
     labels = label_stress(build_market_monthly(small_sim.market, partition), StressConfig())
     return partition, features, labels
 

@@ -104,16 +104,22 @@ class TestReadForecasts:
         assert str(info.value) == f"{path}: {message}"
 
     def test_blank_probability_rejected(self, written):
+        # a blank cell, and probabilities outside [0, 1]
         _, labels, path = written
+        text = path.read_text()
+        for token, expected in [("", "a finite number"), ("1.5", "a probability in [0, 1]"),
+                                ("-0.1", "a probability in [0, 1]")]:
+            def replace(lines):
+                cells = lines[3].split(",")
+                cells[3] = token
+                return lines[:3] + [",".join(cells)] + lines[4:]
 
-        def blank(lines):
-            cells = lines[3].split(",")
-            cells[3] = ""
-            return lines[:3] + [",".join(cells)] + lines[4:]
-
-        edit_lines(path, blank)
-        with pytest.raises(DataError, match="line 4, column 'probability': expected a finite number, got ''"):
-            read_forecasts(path, labels)
+            path.write_text(text)
+            edit_lines(path, replace)
+            with pytest.raises(DataError) as info:
+                read_forecasts(path, labels)
+            assert str(info.value) == (f"{path}: line 4, column 'probability': "
+                                       f"expected {expected}, got {token!r}")
 
 
 class TestWritePanelCsv:

@@ -163,7 +163,6 @@ class TestRunExpandingBacktest:
             models=("l1", "l2"),
             l1_grid=(0.01, 0.1, 1.0),
             l2_grid=(0.01, 0.1, 1.0),
-            initial_window_months=120,
             seed=3,
         )
         base.update(kw)
@@ -246,22 +245,8 @@ class TestRunExpandingBacktest:
             assert np.all((p > 0.0) & (p < 1.0))
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError, match="initial_window_months"):
-            BacktestConfig(initial_window_months=3, cv_folds=5)
         with pytest.raises(ConfigError, match="models"):
             BacktestConfig(models=("zap",))
-
-    def test_short_window_needs_one_entry_grids(self):
-        # 40 // (2 * 5) = 4 months per validation segment: too short to tune
-        # a grid, but a window with nothing to tune skips the CV
-        with pytest.raises(ConfigError, match="initial_window_months must be >= 60 to host "
-                                              "cv_folds = 5 validation segments"):
-            BacktestConfig(initial_window_months=40, models=("l1", "l2"))
-        with pytest.raises(ConfigError, match="initial_window_months"):
-            BacktestConfig(initial_window_months=40, models=("rf", "gb"))
-        BacktestConfig(initial_window_months=40, models=("l1", "l2", "rf", "gb"),
-                       l1_grid=(0.1,), l2_grid=(0.1,), gb_stage_grid=(10,))
-        BacktestConfig(initial_window_months=60, models=("l1",))
 
     def test_month_ordinal(self):
         assert month_ordinal("2001-01") == 2001 * 12

@@ -21,11 +21,10 @@ from mspi.artifacts import (
     write_labels_csv,
 )
 from mspi.cli import main
-from mspi.config import PipelineConfig
 from mspi.errors import DataError, NumericError
 from mspi.features import FeatureMatrix
-from mspi.labels import LabelSeries, build_market_monthly, label_stress
-from mspi.panel import load_daily_panel, load_market_series, partition_months
+from mspi.labels import LabelSeries, StressConfig, build_market_monthly, label_stress
+from mspi.panel import EligibilityFilter, load_daily_panel, load_market_series, partition_months
 
 from .conftest import SMALL_SIM
 from .test_backtest import assert_no_children, set_cpus, synthetic_features, synthetic_labels
@@ -97,7 +96,7 @@ def test_all_stages_reproduce_golden_artifacts(tmp_path):
 @pytest.mark.parametrize("payload, field", [
     ({"seed": "7"}, "seed"),
     ({"rf_trees": 0}, "rf_trees"),
-    ({"cv_folds": 0}, "cv_folds"),
+    ({"cv_folds": 0}, "unknown config field 'cv_folds'"),
     ({"gb_shrinkage": 0.05}, "unknown config field 'gb_shrinkage'"),
     ({"calibration_fraction": 0.3}, "unknown config field 'calibration_fraction'"),
     ({"rf_trees": True}, "rf_trees must be of type int, got True"),
@@ -107,15 +106,15 @@ def test_all_stages_reproduce_golden_artifacts(tmp_path):
     ({"seed": -1}, "seed"),
     ({"models": ["l1", "l1", "l2"]}, "models"),
     ({"bin_edges": [0.0, 0.5, 0.4, 1.0]}, "bin_edges"),
-    ({"min_abs_price": -1}, "min_abs_price"),
+    ({"min_abs_price": -1}, "unknown config field 'min_abs_price'"),
     ({"sim_n_stocks": 1}, "sim_n_stocks must be >= 2, got 1"),
     ({"sim_p_stress_to_calm": 1.5}, "sim_p_stress_to_calm must be in [0,1], got 1.5"),
     ({"sim_calm_mkt_vol": 0}, "unknown config field 'sim_calm_mkt_vol'"),
-    ({"min_abs_price": math.nan}, "min_abs_price must be finite"),
+    ({"min_abs_price": math.nan}, "unknown config field 'min_abs_price'"),
     ({"bin_edges": [0, math.nan, 1]}, "unknown config field 'bin_edges'"),
     ({"crash_cutoff": math.nan}, "unknown config field 'crash_cutoff'"),
-    ({"tail_threshold": math.inf}, "tail_threshold must be finite"),
-    ({"return_cutoff": -math.inf}, "return_cutoff must be finite"),
+    ({"tail_threshold": math.inf}, "unknown config field 'tail_threshold'"),
+    ({"return_cutoff": -math.inf}, "unknown config field 'return_cutoff'"),
     ({"l1_grid": [math.inf]}, "l1_grid must be finite"),
     ({"lp_controls": True}, "unknown config field 'lp_controls'"),
     ({"rf_max_depth": 4}, "unknown config field 'rf_max_depth'"),
@@ -129,8 +128,13 @@ def test_all_stages_reproduce_golden_artifacts(tmp_path):
     ({"bootstrap_block": 12}, "unknown config field 'bootstrap_block'"),
     ({"hac_lag": 6}, "unknown config field 'hac_lag'"),
     ({"lp_horizon": 12}, "unknown config field 'lp_horizon'"),
-    ({"initial_window_months": 40},
-     "initial_window_months must be >= 60 to host cv_folds = 5 validation segments"),
+    ({"initial_window_months": 40}, "unknown config field 'initial_window_months'"),
+    ({"vol_quantile": 0.8}, "unknown config field 'vol_quantile'"),
+    ({"min_history_months": 24}, "unknown config field 'min_history_months'"),
+    ({"benchmark": "l2"}, "unknown config field 'benchmark'"),
+    ({"regress_model": "l1"}, "unknown config field 'regress_model'"),
+    ({"models": ["l1", "rf"]}, "models must include the benchmark model 'l2'"),
+    ({"models": ["l2", "gb"]}, "models must include the index model 'l1'"),
 ], ids=["seed_string", "rf_trees", "cv_folds", "gb_shrinkage", "calibration_fraction",
         "flag_int", "grid_entry", "stage_grid", "lp_outcome", "negative_seed",
         "duplicate_model", "bin_edges_order", "negative_min_price", "sim_n_stocks",
@@ -140,7 +144,9 @@ def test_all_stages_reproduce_golden_artifacts(tmp_path):
         "removed_rf_min_leaf", "removed_gb_max_depth", "removed_calibration_min_months",
         "removed_min_validation_months", "removed_require_share_class",
         "removed_require_exchange", "removed_ece_bins", "removed_bootstrap_block",
-        "removed_hac_lag", "removed_lp_horizon", "short_cv_window"])
+        "removed_hac_lag", "removed_lp_horizon", "short_cv_window", "removed_vol_quantile",
+        "removed_min_history_months", "removed_benchmark", "removed_regress_model",
+        "no_benchmark_model", "no_index_model"])
 def test_bad_config_exits_2(tmp_path, capsys, payload, field):
     config = write_config(tmp_path, {**payload, "out_dir": str(tmp_path / "out")})
     assert main(["backtest", "--config", config]) == 2
@@ -306,14 +312,14 @@ def write_one_model_forecasts(tmp_path, model: str) -> str:
 
 @pytest.mark.parametrize("stage", ["regress", "lp"])
 def test_forecasts_without_the_regression_model_exit_3(tmp_path, capsys, stage):
-    config = write_one_model_forecasts(tmp_path, "l2")  # regress_model is l1
+    config = write_one_model_forecasts(tmp_path, "l2")  # the index is l1
     assert main([stage, "--config", config]) == 3
     assert capsys.readouterr().err == (f"data error: {tmp_path / 'out' / 'forecasts.csv'}: "
                                        "no forecasts of model 'l1'; the file holds l2\n")
 
 
 def test_forecasts_without_the_benchmark_model_exit_3(tmp_path, capsys):
-    config = write_one_model_forecasts(tmp_path, "l1")  # benchmark is l2
+    config = write_one_model_forecasts(tmp_path, "l1")  # the benchmark is l2
     assert main(["bootstrap", "--config", config]) == 3
     assert capsys.readouterr().err == (f"data error: {tmp_path / 'out' / 'forecasts.csv'}: "
                                        "no forecasts of model 'l2'; the file holds l1\n")
@@ -350,9 +356,8 @@ def test_evaluate_on_fewer_months_than_ece_bins_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err == "data error: ECE needs at least 10 observations, got 8\n"
 
 
-def test_report_states_the_settings_of_the_artifacts_it_reads(tmp_path):
-    # no regress run: the report has no regression section
-    out = tmp_path / "out"
+def write_index_and_benchmark_forecasts(out):
+    """labels.csv and a forecasts.csv of l1 and l2 under ``out``."""
     out.mkdir()
     fs = toy_forecasts(n=48, seed=4)
     fs.models = ("l1", "l2")
@@ -360,6 +365,56 @@ def test_report_states_the_settings_of_the_artifacts_it_reads(tmp_path):
     labels, fs = paired(fs)
     write_labels_csv(out / "labels.csv", labels, "h")
     write_forecasts_csv(out / "forecasts.csv", fs, "h")
+
+
+@pytest.mark.parametrize("stage", ["evaluate", "bootstrap", "regress", "lp"])
+@pytest.mark.parametrize("token", ["1.5", "-0.1"])
+def test_probability_outside_unit_interval_exits_3(tmp_path, capsys, stage, token):
+    out = tmp_path / "out"
+    write_index_and_benchmark_forecasts(out)
+    path = out / "forecasts.csv"
+    lines = path.read_text(encoding="utf-8").split("\n")
+    fields = lines[4].split(",")  # line 5, the second month's l1 row
+    assert fields[1] == "l1"
+    fields[3] = token
+    lines[4] = ",".join(fields)
+    path.write_text("\n".join(lines), encoding="utf-8")
+    config = write_config(tmp_path, {"out_dir": str(out), "bootstrap_reps": 20})
+    assert main(["--log-level", "WARNING", stage, "--config", config]) == 3
+    assert capsys.readouterr().err == (f"data error: {path}: line 5, column 'probability': "
+                                       f"expected a probability in [0, 1], got {token!r}\n")
+    assert sorted(p.name for p in out.iterdir()) == ["forecasts.csv", "labels.csv"]
+
+
+@pytest.mark.parametrize("name, content, message", [
+    ("metrics.json", b'{"n": 47, "event_', "not a UTF-8 JSON file: "),
+    ("metrics.json", b"{}", "no key 'n'"),
+    ("metrics.json", b'{"n": 47, "event_rate": 0.2, "models": {}}', "no key 'ece_bins'"),
+    ("metrics.json", b"[1, 2]", "expected a JSON object, got list"),
+    ("bootstrap.json", b'{"benchmark": "\xff"}', "not a UTF-8 JSON file: "),
+    ("bootstrap.json", b'{"benchmark": "l2", "block_len": 12, "replications": 20}',
+     "no key 'rows'"),
+    ("regression.json", b"", "not a UTF-8 JSON file: "),
+    ("regression.json", b'{"predictive_volatility": {}}', "no key 'crash'"),
+], ids=["truncated_metrics", "empty_metrics", "metrics_without_ece_bins", "metrics_list",
+        "bootstrap_not_utf8", "bootstrap_without_rows", "empty_regression",
+        "regression_without_crash"])
+def test_report_on_a_bad_json_artifact_exits_3(tmp_path, capsys, name, content, message):
+    out = tmp_path / "out"
+    write_index_and_benchmark_forecasts(out)
+    config = write_config(tmp_path, {"out_dir": str(out), "bootstrap_reps": 20})
+    run_stages(config, "evaluate", "bootstrap", "regress")
+    (out / name).write_bytes(content)
+    assert main(["report", "--config", config]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {out / name}: {message}")
+    assert "Traceback" not in err and not (out / "report.json").exists()
+
+
+def test_report_states_the_settings_of_the_artifacts_it_reads(tmp_path):
+    # no regress run: the report has no regression section
+    out = tmp_path / "out"
+    write_index_and_benchmark_forecasts(out)
     run_stages(write_config(tmp_path, {"out_dir": str(out), "bootstrap_reps": 20}),
                "evaluate", "bootstrap")
     run_stages(write_config(tmp_path, {"out_dir": str(out), "bootstrap_reps": 50}), "report")
@@ -409,15 +464,14 @@ def test_fully_filtered_day_stays_off_the_calendar(tmp_path):
     (out / "panel.csv").write_text("\n".join(lines), encoding="utf-8")
     run_stages(config, "features", "label")
 
-    cfg = PipelineConfig.from_file(config)
-    panel, _ = load_daily_panel(str(out / "panel.csv"), cfg.eligibility_filter())
+    panel, _ = load_daily_panel(str(out / "panel.csv"), EligibilityFilter())
     market = load_market_series(str(out / "market.csv"))
     assert dt.date.fromisoformat(dropped) not in panel.dates
     assert read_calendar(out / "calendar.csv") == panel.dates
 
     def labels_body(dates):
         monthly = build_market_monthly(market, partition_months(dates, market))
-        write_labels_csv(tmp_path / "ref.csv", label_stress(monthly, cfg.stress_config()), "h")
+        write_labels_csv(tmp_path / "ref.csv", label_stress(monthly, StressConfig()), "h")
         return body_sha256(tmp_path / "ref.csv")
 
     assert body_sha256(out / "labels.csv") == labels_body(panel.dates)

@@ -2,32 +2,22 @@ from dataclasses import asdict, fields
 
 from mspi.backtest import BacktestConfig
 from mspi.config import PipelineConfig
-from mspi.labels import StressConfig
-from mspi.panel import EligibilityFilter
 from mspi.simulate import SimConfig
 
 # Each builder, the stage dataclass it returns and the prefix of the config
 # fields it reads; "seed" is shared and has no prefix.
 BUILDERS = {
-    "eligibility_filter": (EligibilityFilter, ""),
-    "stress_config": (StressConfig, ""),
     "backtest_config": (BacktestConfig, ""),
     "sim_config": (SimConfig, "sim_"),
 }
 
 # A valid value other than the default for every field the builders read.
 NON_DEFAULT = {
-    "min_abs_price": 2.5,
-    "return_cutoff": -0.08,
-    "vol_quantile": 0.8,
-    "min_history_months": 24,
-    "initial_window_months": 96,
-    "cv_folds": 4,
     "l1_grid": [0.01, 0.1],
     "l2_grid": [0.02, 0.2, 2.0],
     "rf_trees": 50,
     "gb_stage_grid": [10, 20],
-    "models": ["l2", "gb"],
+    "models": ["l2", "l1", "gb"],
     "seed": 11,
     "sim_n_stocks": 30,
     "sim_n_years": 12,
@@ -36,10 +26,13 @@ NON_DEFAULT = {
 }
 
 
+def test_config_holds_the_paths_and_the_settings_a_workload_sets():
+    names = {"panel_csv", "market_csv", "out_dir", "bootstrap_reps", *NON_DEFAULT}
+    assert {f.name for f in fields(PipelineConfig)} == names
+
+
 def test_default_config_builds_each_stage_default():
     cfg = PipelineConfig()
-    assert cfg.eligibility_filter() == EligibilityFilter()
-    assert cfg.stress_config() == StressConfig()
     # the simulator's seed has no default of its own: it is the pipeline's
     assert cfg.sim_config() == SimConfig(seed=BacktestConfig().seed)
     assert cfg.backtest_config() == BacktestConfig()
@@ -48,8 +41,7 @@ def test_default_config_builds_each_stage_default():
 def test_every_stage_field_arrives_from_its_config_field():
     default = PipelineConfig()
     assert all(getattr(default, name) != value for name, value in NON_DEFAULT.items())
-    # the default benchmark and regression model are not among the models above
-    cfg = PipelineConfig.from_dict({**NON_DEFAULT, "benchmark": "l2", "regress_model": "l2"})
+    cfg = PipelineConfig.from_dict(NON_DEFAULT)
     read = set()
     for builder, (cls, prefix) in BUILDERS.items():
         want = {}

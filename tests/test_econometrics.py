@@ -121,7 +121,7 @@ class TestPredictiveVolRegression:
     def test_identity_regressor(self):
         fs = toy_forecasts(seed=5)
         fs.next_vol[:] = fs.prob["l1"]  # index equals next-month volatility
-        res = predictive_vol_regression(fs, model="l1")
+        res = predictive_vol_regression(fs)
         assert res.gamma == pytest.approx(1.0, abs=1e-10)
         assert res.regression.r2 == pytest.approx(1.0)
 
@@ -129,14 +129,14 @@ class TestPredictiveVolRegression:
         hits = 0
         for seed in range(100):
             fs = toy_forecasts(n=150, seed=seed, link=0.0)
-            res = predictive_vol_regression(fs, model="l1")
+            res = predictive_vol_regression(fs)
             reg = res.regression
             hits += abs(reg.coefficient("mspi") / reg.std_error("mspi")) < 2.0
         assert hits >= 90
 
     def test_linked_index_positive_gamma(self):
         fs = toy_forecasts(n=200, seed=6, link=0.3)
-        res = predictive_vol_regression(fs, model="l1")
+        res = predictive_vol_regression(fs)
         assert res.gamma > 0.0
         assert res.delta_r2 > 0.0
 
@@ -145,7 +145,7 @@ class TestCrashRegression:
     def test_all_zero_indicator_skips_logistic(self):
         fs = toy_forecasts(seed=7)
         fs.next_ret[:] = np.maximum(fs.next_ret, CRASH_CUTOFF + 0.01)  # no crash month
-        res = crash_regression(fs, model="l1")
+        res = crash_regression(fs)
         assert res.logistic is None and res.warning is not None
         assert res.crash_rate == 0.0
 
@@ -155,7 +155,7 @@ class TestCrashRegression:
         fs.next_ret[:] = np.where(
             (np.arange(200) % 2 == 0) & (np.arange(200) < 100), -0.06, 0.01
         )
-        res = crash_regression(fs, model="l1")
+        res = crash_regression(fs)
         # the intercept and a two-level index span the group indicators, so the
         # residuals sum to zero within each group, controls or not: the mean
         # fitted value of a group is its crash rate
@@ -174,7 +174,7 @@ class TestCrashRegression:
         return fs
 
     def test_separable_design_skips_logistic(self):
-        res = crash_regression(self.separable_forecasts(), model="l1")
+        res = crash_regression(self.separable_forecasts())
         assert res.logistic is None and "logistic variant skipped" in res.warning
         assert res.crash_rate == pytest.approx(0.5)
         assert res.to_dict()["logistic"] is None
@@ -189,7 +189,7 @@ class TestCrashRegression:
         assert crash["logistic"] is None and "logistic variant skipped" in crash["warning"]
 
     def test_synthetic_backtest_positive_coefficient(self, small_forecasts):
-        res = crash_regression(small_forecasts, model="l1")
+        res = crash_regression(small_forecasts)
         assert res.linear.coefficient("mspi") > -1e-9 or res.crash_rate < 0.02
 
 
@@ -197,18 +197,18 @@ class TestInnovations:
     def test_constant_index_zero_innovations(self):
         fs = toy_forecasts(seed=9)
         fs.prob["l1"][:] = 0.25
-        innov = mspi_innovations(fs, model="l1")
+        innov = mspi_innovations(fs)
         assert np.max(np.abs(innov.residuals)) < 1e-12
 
     def test_white_noise_index_keeps_variance(self):
         fs = toy_forecasts(n=500, seed=10)
-        innov = mspi_innovations(fs, model="l1")
+        innov = mspi_innovations(fs)
         ratio = np.std(innov.residuals) / np.std(fs.prob["l1"])
         assert abs(ratio - 1.0) < 0.10
 
     def test_orthogonality_to_lagged_index(self):
         fs = toy_forecasts(n=300, seed=11)
-        innov = mspi_innovations(fs, model="l1")
+        innov = mspi_innovations(fs)
         lagged = fs.prob["l1"][:-1]
         corr = float(np.dot(innov.residuals - innov.residuals.mean(),
                             lagged - lagged.mean()))
@@ -216,16 +216,16 @@ class TestInnovations:
 
     def test_residuals_sum_to_zero(self):
         fs = toy_forecasts(n=200, seed=12)
-        innov = mspi_innovations(fs, model="l1")
+        innov = mspi_innovations(fs)
         assert abs(float(np.sum(innov.residuals))) < 1e-8
 
     def test_control_rescaling_invariance(self):
         fs = toy_forecasts(n=200, seed=13)
-        innov1 = mspi_innovations(fs, model="l1")
+        innov1 = mspi_innovations(fs)
         fs2 = toy_forecasts(n=200, seed=13)
         fs2.r_mkt[:] = 100.0 * fs2.r_mkt + 0.5
         fs2.sigma_mkt[:] = 3.0 * fs2.sigma_mkt - 0.2
-        innov2 = mspi_innovations(fs2, model="l1")
+        innov2 = mspi_innovations(fs2)
         assert np.max(np.abs(innov1.residuals - innov2.residuals)) < 1e-8
 
 

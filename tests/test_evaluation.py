@@ -246,7 +246,7 @@ class TestBlockBootstrap:
             block_bootstrap_diff(a, b, y, "auc", block_len=12, reps=100, seed=3, ece_bins=10)
 
     def test_table_runs_on_forecasts(self, small_forecasts):
-        rows = bootstrap_table(small_forecasts, benchmark="l2", reps=60, seed=4)
+        rows = bootstrap_table(small_forecasts, reps=60, seed=4)
         models = {r.model for r in rows}
         assert models == {"l1", "rf", "gb"}
         assert len(rows) == 15  # 5 metrics x 3 models
@@ -390,7 +390,7 @@ class TestBootstrapMatchesLoop:
 
     def test_table_uses_ece_bins(self, small_forecasts):
         # each ECE row is the kernel at the protocol's block length and bin count
-        rows = bootstrap_table(small_forecasts, benchmark="l2", reps=40, seed=4)
+        rows = bootstrap_table(small_forecasts, reps=40, seed=4)
         ece_rows = [r for r in rows if r.metric == "ece"]
         assert len(ece_rows) == 3
         mask = small_forecasts.observed_mask()

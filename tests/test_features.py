@@ -6,11 +6,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mspi.config import PipelineConfig
 from mspi.errors import DataError
 from mspi.features import (
     _BLOCK_ROWS,
     FEATURE_NAMES,
+    TAIL_THRESHOLD,
     _segment_means,
     aggregate_monthly,
     compute_daily_stats,
@@ -19,7 +19,6 @@ from mspi.panel import DailyPanel, MarketSeries, partition_months
 
 from .oracles import daily_stats_per_day, monthly_means_per_month
 
-TAU = PipelineConfig().tail_threshold
 PANEL_FIELDS = ("ret", "prc", "vol", "shrout")
 
 
@@ -48,7 +47,7 @@ DAY = dt.date(2001, 1, 2)
 
 def stats_of(day):
     """One day's statistics as scalars."""
-    stats = compute_daily_stats(make_panel([day], [DAY]), TAU)
+    stats = compute_daily_stats(make_panel([day], [DAY]))
     return SimpleNamespace(**{f.name: getattr(stats, f.name)[0].item() for f in fields(stats)})
 
 
@@ -80,7 +79,7 @@ class TestCrossSectionStats:
 
     def test_empty_day_error(self):
         with pytest.raises(DataError, match="2001-01-02: empty"):
-            compute_daily_stats(make_panel([make_day([])], [DAY]), TAU)
+            compute_daily_stats(make_panel([make_day([])], [DAY]))
 
     def test_intensity_means_skip_missing_volume(self):
         day = make_day([0.01, 0.02], vol=[100.0, math.nan], prc=[10.0, -20.0])
@@ -140,7 +139,7 @@ class TestAggregateMonthly:
     def monthly(self, days, dates):
         panel = make_panel(days, dates)
         market = MarketSeries(dates=list(dates), mkt_ret=np.zeros(len(dates)))
-        return aggregate_monthly(compute_daily_stats(panel, TAU),
+        return aggregate_monthly(compute_daily_stats(panel),
                                  partition_months(panel.dates, market))
 
     def test_monthly_mean(self):
@@ -158,7 +157,7 @@ class TestAggregateMonthly:
 
     def test_shape_on_simulated_year(self, small_sim):
         part = partition_months(small_sim.panel.dates, small_sim.market)
-        stats = compute_daily_stats(small_sim.panel, TAU)
+        stats = compute_daily_stats(small_sim.panel)
         fm = aggregate_monthly(stats, part)
         assert fm.values.shape == (len(part.months), 10)
         assert np.all(np.isfinite(fm.values))
@@ -203,8 +202,8 @@ class TestBatchedDailyStats:
     """The batched kernels against one np.mean per day and per month."""
 
     def assert_matches_per_day(self, panel):
-        stats = compute_daily_stats(panel, TAU)
-        expected = daily_stats_per_day(panel, TAU)
+        stats = compute_daily_stats(panel)
+        expected = daily_stats_per_day(panel, TAIL_THRESHOLD)
         for f, want in zip(fields(stats), expected):
             got = getattr(stats, f.name)
             assert got.dtype == want.dtype, f.name
@@ -236,7 +235,7 @@ class TestBatchedDailyStats:
             k = 1 if m % 7 == 3 else int(rng.integers(2, 7))
             dates += [dt.date(2001 + m // 12, 1 + m % 12, d + 1) for d in range(k)]
         panel = ragged_panel(4, rng.integers(2, 400, size=len(dates)).tolist(), dates)
-        stats = compute_daily_stats(panel, TAU)
+        stats = compute_daily_stats(panel)
         market = MarketSeries(dates=panel.dates, mkt_ret=np.zeros(len(panel.dates)))
         partition = partition_months(panel.dates, market)
         fm = aggregate_monthly(stats, partition)
@@ -261,7 +260,7 @@ class TestBatchedDailyStats:
     def test_first_empty_day_named(self):
         panel = ragged_panel(6, [3, 0, 4, 0])
         with pytest.raises(DataError, match="2001-01-02: empty cross section"):
-            compute_daily_stats(panel, TAU)
+            compute_daily_stats(panel)
 
     def test_month_without_usable_days_named(self):
         d1, d2, d3 = dt.date(2001, 1, 2), dt.date(2001, 2, 1), dt.date(2001, 2, 2)
@@ -270,5 +269,5 @@ class TestBatchedDailyStats:
         panel = make_panel(days, [d1, d2, d3])
         market = MarketSeries(dates=panel.dates, mkt_ret=np.zeros(3))
         with pytest.raises(DataError, match="'mean_log_vol' has no usable days in month 2001-02"):
-            aggregate_monthly(compute_daily_stats(panel, TAU),
+            aggregate_monthly(compute_daily_stats(panel),
                               partition_months(panel.dates, market))

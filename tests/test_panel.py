@@ -24,7 +24,6 @@ from .oracles import load_daily_panel_rowwise
 
 PANEL_HEADER = "date,security_id,ret,prc,vol,shrout,shrcd_ok,exchcd_ok\n"
 FIELDS = ("ret", "prc", "vol", "shrout")
-TAU = 0.05
 
 
 def write_panel(tmp_path, rows, name="panel.csv"):
@@ -361,11 +360,10 @@ class TestChunkedLoad:
 
         def whole_panel_stats():
             panel, summary = load_daily_panel_rowwise(str(path), EligibilityFilter())
-            return compute_daily_stats(panel, TAU), summary
+            return compute_daily_stats(panel), summary
 
         def year_stats():
-            years, summary = load_daily_panel(str(path), EligibilityFilter(),
-                                              lambda year: compute_daily_stats(year, TAU))
+            years, summary = load_daily_panel(str(path), EligibilityFilter(), compute_daily_stats)
             return DailyStats.concatenate(years), summary
 
         expected = outcome(lambda: load_daily_panel_rowwise(str(path), EligibilityFilter()))
@@ -397,7 +395,7 @@ class TestChunkedLoad:
             write_panel_csv(paths[years], panel, "h")
 
         def load(path):
-            load_daily_panel(path, EligibilityFilter(), lambda year: compute_daily_stats(year, TAU))
+            load_daily_panel(path, EligibilityFilter(), compute_daily_stats)
 
         load(paths[2])  # one-time allocations outside the measured loads
         peaks = []
