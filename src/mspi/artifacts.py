@@ -62,19 +62,44 @@ def write_json(path: Path, payload: dict, config_hash: str):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def read_json(path: Path, keys: tuple[str, ...]) -> dict:
+def read_json(path: Path, spec: dict) -> dict:
     """A JSON artifact's object; DataError names the file when its bytes are
-    not UTF-8 JSON or hold no object, and the first of ``keys`` it lacks."""
+    not UTF-8 JSON, and the first key at which they do not fit ``spec``."""
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: not a UTF-8 JSON file: {exc}") from None
-    if not isinstance(payload, dict):
-        raise DataError(f"{path}: expected a JSON object, got {type(payload).__name__}")
-    missing = [key for key in keys if key not in payload]
-    if missing:
-        raise DataError(f"{path}: no key {missing[0]!r}")
+    _check_json(path, payload, spec)
     return payload
+
+
+_JSON_KINDS = {dict: "object", list: "array", float: "number", str: "string"}
+
+
+def _check_json(path: Path, value, spec, key: str = ""):
+    """Check ``value``, found at ``key``, against ``spec``: a dict of the keys
+    an object holds (``"*"``: each of its keys) and their specs, a one-item
+    list of the spec of each item of an array, ``float`` for a number, ``str``
+    for a string, or None for any value. An object's keys are all checked
+    for presence before any value."""
+    if spec is None:
+        return
+    kind = type(spec) if isinstance(spec, (dict, list)) else spec
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        at = f"key {key!r}: " if key else ""
+        raise DataError(f"{path}: {at}expected a JSON {_JSON_KINDS[kind]}, "
+                        f"got {type(value).__name__}")
+    if kind is list:
+        spec, value = {"*": spec[0]}, dict(enumerate(value))
+    elif kind is not dict:
+        return
+    prefix = f"{key}." if key else ""
+    missing = [name for name in spec if name != "*" and name not in value]
+    if missing:
+        raise DataError(f"{path}: no key {prefix + missing[0]!r}")
+    for name, sub in spec.items():
+        for k in value if name == "*" else [name]:
+            _check_json(path, value[k], sub, f"{prefix}{k}")
 
 
 def _finite_cell(path: Path, line: int, column: str, token: str) -> float:
@@ -236,6 +261,17 @@ def read_labels(path: Path) -> LabelSeries:
             raise DataError(f"{path}: line {line}, column 'Y_next': expected {want!r} (the "
                             f"next row's S, blank on the last row), got {r['Y_next']!r}")
     return LabelSeries(months, r_mkt, sigma_mkt, q_prev, s)
+
+
+def read_bins(path: Path) -> list[dict[str, str]]:
+    """bins.csv's rows as written; a bin edge that is not a finite number, or
+    another number cell neither blank nor finite, raises DataError naming its
+    line and column."""
+    lines, rows = read_rows(path, BIN_COLUMNS)
+    for line, r in zip(lines, rows):
+        for column in BIN_COLUMNS[1:3] + [c for c in BIN_COLUMNS[4:] if r[c]]:
+            _finite_cell(path, line, column, r[column])
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,18 @@
 Subcommands cover the full run: simulate, features, label, backtest,
 evaluate (metrics, curves and the probability bins), bootstrap, regress,
 lp, report. All stages share one flat JSON config (--config); --out and
---seed override the config's out_dir and seed. ``features`` is the only
-stage that reads the daily panel: besides ``features.csv`` it writes
-``calendar.csv``, the panel's trading days after the eligibility filters (a
-day whose rows were all dropped is not on it), from which ``label`` buckets
-the market series into months. ``lp`` reads only ``labels.csv`` and
-``forecasts.csv``: it projects the market volatility of the forecast months
-on the index's innovations. Exit codes: 0 success, 1 a forecast worker
-that failed to start or to send its forecasts, 2 config error (the config
-file and out_dir included), 3 data error, 4 numeric failure.
+--seed override the config's out_dir and seed. ``main`` builds the config
+once, overrides included, and never changes it; it makes out_dir and hashes
+the settings (every field but out_dir) once, and hands each stage the
+config, out_dir and that hash. ``features`` is the only stage that reads
+the daily panel: besides ``features.csv`` it writes ``calendar.csv``, the
+panel's trading days after the eligibility filters (a day whose rows were
+all dropped is not on it), from which ``label`` buckets the market series
+into months. ``lp`` reads only ``labels.csv`` and ``forecasts.csv``: it
+projects the market volatility of the forecast months on the index's
+innovations. Exit codes: 0 success, 1 a forecast worker that failed to
+start or to send its forecasts, 2 config error (the config file and out_dir
+included), 3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from . import econometrics as econ
 from . import evaluation as ev
 from .artifacts import (
     BIN_COLUMNS,
+    read_bins,
     read_calendar,
     read_features,
     read_forecasts,
@@ -46,29 +50,15 @@ from .backtest import BENCHMARK_MODEL, INDEX_MODEL, run_expanding_backtest
 from .config import PipelineConfig
 from .errors import ConfigError, DataError, MspiError, NumericError
 from .features import DailyStats, aggregate_monthly, compute_daily_stats
-from .labels import StressConfig, build_market_monthly, label_stress, market_controls
-from .panel import (EligibilityFilter, load_daily_panel, load_market_series, partition_months,
-                    read_rows)
+from .labels import StressConfig, build_market_monthly, label_stress
+from .panel import EligibilityFilter, load_daily_panel, load_market_series, partition_months
 from .simulate import simulate
 
 logger = logging.getLogger(__name__)
 
 
-def _out_dir(cfg: PipelineConfig) -> Path:
-    path = Path(cfg.out_dir)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a file of that name, say
-        raise ConfigError(f"out_dir {path} cannot be created: {exc.strerror}") from None
-    return path
-
-
-def _input_path(cfg: PipelineConfig, explicit: str | None, default_name: str) -> str:
-    return explicit or str(Path(cfg.out_dir) / default_name)
-
-
-def _artifact(cfg: PipelineConfig, name: str) -> Path:
-    path = Path(cfg.out_dir) / name
+def _artifact(out: Path, name: str) -> Path:
+    path = out / name
     if not path.exists():
         raise DataError(f"missing upstream artifact: {path} (run the producing stage first)")
     return path
@@ -77,9 +67,7 @@ def _artifact(cfg: PipelineConfig, name: str) -> Path:
 # ---------------------------------------------------------------------------
 # Stage implementations.
 
-def cmd_simulate(cfg: PipelineConfig, args) -> int:
-    out = _out_dir(cfg)
-    h = cfg.config_hash()
+def cmd_simulate(cfg: PipelineConfig, out: Path, h: str, args) -> int:
     sim = simulate(cfg.sim_config())
     write_panel_csv(out / "panel.csv", sim.panel, h)
     write_market_csv(out / "market.csv", sim.market, h)
@@ -88,14 +76,12 @@ def cmd_simulate(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def cmd_features(cfg: PipelineConfig, args) -> int:
-    out = _out_dir(cfg)
-    h = cfg.config_hash()
+def cmd_features(cfg: PipelineConfig, out: Path, h: str, args) -> int:
     # the market series first: a bad market.csv fails before the panel is parsed
-    market = load_market_series(_input_path(cfg, cfg.market_csv, "market.csv"))
+    market = load_market_series(cfg.market_csv or out / "market.csv")
     # one calendar year of the panel in memory at a time: keep its days and statistics
     years, summary = load_daily_panel(
-        _input_path(cfg, cfg.panel_csv, "panel.csv"), EligibilityFilter(),
+        cfg.panel_csv or out / "panel.csv", EligibilityFilter(),
         lambda year: (year.dates, compute_daily_stats(year)),
     )
     dates = [day for year_dates, _ in years for day in year_dates]
@@ -110,11 +96,9 @@ def cmd_features(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def cmd_label(cfg: PipelineConfig, args) -> int:
-    out = _out_dir(cfg)
-    h = cfg.config_hash()
-    dates = read_calendar(_artifact(cfg, "calendar.csv"))
-    market = load_market_series(_input_path(cfg, cfg.market_csv, "market.csv"))
+def cmd_label(cfg: PipelineConfig, out: Path, h: str, args) -> int:
+    dates = read_calendar(_artifact(out, "calendar.csv"))
+    market = load_market_series(cfg.market_csv or out / "market.csv")
     partition = partition_months(dates, market)
     monthly = build_market_monthly(market, partition)
     labels = label_stress(monthly, StressConfig())
@@ -124,11 +108,9 @@ def cmd_label(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def cmd_backtest(cfg: PipelineConfig, args) -> int:
-    out = _out_dir(cfg)
-    h = cfg.config_hash()
-    features = read_features(_artifact(cfg, "features.csv"))
-    labels = read_labels(_artifact(cfg, "labels.csv"))
+def cmd_backtest(cfg: PipelineConfig, out: Path, h: str, args) -> int:
+    features = read_features(_artifact(out, "features.csv"))
+    labels = read_labels(_artifact(out, "labels.csv"))
     forecasts, provenance = run_expanding_backtest(features, labels, cfg.backtest_config())
     write_forecasts_csv(out / "forecasts.csv", forecasts, h)
     write_json(out / "provenance.json", provenance, h)
@@ -137,10 +119,10 @@ def cmd_backtest(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def _load_forecasts(cfg: PipelineConfig, model: str | None = None):
+def _load_forecasts(out: Path, model: str | None = None):
     """forecasts.csv paired with labels.csv; DataError if it lacks ``model``."""
-    labels = read_labels(_artifact(cfg, "labels.csv"))
-    path = _artifact(cfg, "forecasts.csv")
+    labels = read_labels(_artifact(out, "labels.csv"))
+    path = _artifact(out, "forecasts.csv")
     forecasts = read_forecasts(path, labels)
     if model is not None and model not in forecasts.models:
         raise DataError(f"{path}: no forecasts of model {model!r}; the file holds "
@@ -148,10 +130,8 @@ def _load_forecasts(cfg: PipelineConfig, model: str | None = None):
     return forecasts
 
 
-def cmd_evaluate(cfg: PipelineConfig, args) -> int:
-    out = _out_dir(cfg)
-    h = cfg.config_hash()
-    forecasts = _load_forecasts(cfg)
+def cmd_evaluate(cfg: PipelineConfig, out: Path, h: str, args) -> int:
+    forecasts = _load_forecasts(out)
     report = ev.compute_metrics(forecasts)
     write_json(out / "metrics.json", asdict(report), h)
 
@@ -165,13 +145,6 @@ def cmd_evaluate(cfg: PipelineConfig, args) -> int:
             for x, y, c in zip(cal.mean_prob, cal.event_rate, cal.count):
                 yield (cs.model, "calibration", x, y, int(c))
 
-    write_csv(out / "curves.csv", ["model", "curve", "x", "y", "count"], curve_rows(), h)
-    _write_bins(forecasts, out, h)
-    logger.info("metrics over %d months (event rate %.3f)", report.n, report.event_rate)
-    return 0
-
-
-def _write_bins(forecasts, out: Path, h: str):
     def bin_rows():
         for model in forecasts.models:
             bo = ev.binned_outcomes(forecasts, model)
@@ -179,26 +152,27 @@ def _write_bins(forecasts, out: Path, h: str):
                 yield (model, bo.edges[b], bo.edges[b + 1], int(bo.n[b]), bo.mean_prob[b],
                        bo.stress_rate[b], bo.next_vol[b], bo.next_ret[b])
 
+    write_csv(out / "curves.csv", ["model", "curve", "x", "y", "count"], curve_rows(), h)
     write_csv(out / "bins.csv", BIN_COLUMNS, bin_rows(), h)
+    logger.info("metrics over %d months (event rate %.3f)", report.n, report.event_rate)
+    return 0
 
 
-def cmd_bootstrap(cfg: PipelineConfig, args) -> int:
-    out = _out_dir(cfg)
-    forecasts = _load_forecasts(cfg, BENCHMARK_MODEL)
+def cmd_bootstrap(cfg: PipelineConfig, out: Path, h: str, args) -> int:
+    forecasts = _load_forecasts(out, BENCHMARK_MODEL)
     rows = ev.bootstrap_table(forecasts, cfg.bootstrap_reps, cfg.seed)
     write_json(out / "bootstrap.json", {
         "benchmark": BENCHMARK_MODEL,
         "block_len": ev.BOOTSTRAP_BLOCK,
         "replications": cfg.bootstrap_reps,
         "rows": [asdict(r) for r in rows],
-    }, cfg.config_hash())
+    }, h)
     logger.info("bootstrap table with %d rows", len(rows))
     return 0
 
 
-def cmd_regress(cfg: PipelineConfig, args) -> int:
-    out = _out_dir(cfg)
-    forecasts = _load_forecasts(cfg, INDEX_MODEL)
+def cmd_regress(cfg: PipelineConfig, out: Path, h: str, args) -> int:
+    forecasts = _load_forecasts(out, INDEX_MODEL)
     vol = econ.predictive_vol_regression(forecasts)
     crash = econ.crash_regression(forecasts)
     innov = econ.mspi_innovations(forecasts)
@@ -211,44 +185,47 @@ def cmd_regress(cfg: PipelineConfig, args) -> int:
             "residual_std": float(np.std(innov.residuals)),
             "n": len(innov.residuals),
         },
-    }, cfg.config_hash())
+    }, h)
     return 0
 
 
-def cmd_lp(cfg: PipelineConfig, args) -> int:
-    out = _out_dir(cfg)
-    forecasts = _load_forecasts(cfg, INDEX_MODEL)
-    innov = econ.mspi_innovations(forecasts)
-    # innovations start at the second forecast month; controls are lagged one more
-    u = innov.residuals[1:]
-    y = forecasts.sigma_mkt[2:]
-    controls = market_controls(forecasts)[1:-1]
-    result = econ.local_projections(u, y, controls, econ.LP_HORIZON)
-    rows = (
-        (h, result.b[i], result.se[i], int(result.n_obs[i]))
-        for i, h in enumerate(result.horizons)
-    )
-    write_csv(out / "local_projections.csv", ["h", "b_h", "se_h", "n_h"], rows,
-              cfg.config_hash())
+def cmd_lp(cfg: PipelineConfig, out: Path, h: str, args) -> int:
+    result = econ.innovation_projections(_load_forecasts(out, INDEX_MODEL))
+    rows = zip(result.horizons, result.b, result.se, result.n_obs.tolist())
+    write_csv(out / "local_projections.csv", ["h", "b_h", "se_h", "n_h"], rows, h)
     return 0
 
 
-def cmd_report(cfg: PipelineConfig, args) -> int:
-    out = _out_dir(cfg)
-    h = cfg.config_hash()
-    # each top-level key that the report reads
-    metrics = read_json(_artifact(cfg, "metrics.json"), ("n", "event_rate", "ece_bins", "models"))
-    bootstrap = read_json(_artifact(cfg, "bootstrap.json"),
-                          ("benchmark", "block_len", "replications", "rows"))
-    reg_path = Path(cfg.out_dir) / "regression.json"
-    regression = (read_json(reg_path, ("predictive_volatility", "crash"))
+# What the report reads of each JSON artifact (see ``artifacts.read_json``):
+# float for a value it prints as a number, None for one it prints as it is.
+_REPORT_JSON = {
+    "metrics.json": {
+        "n": None, "event_rate": float, "ece_bins": None,
+        "models": {"*": dict.fromkeys(
+            ("auc", "pr_auc", "brier", "log_loss", "ece", "mean_prob"), float)},
+    },
+    "bootstrap.json": {
+        "benchmark": None, "block_len": None, "replications": None,
+        "rows": [{"metric": str, "model": str,
+                  **dict.fromkeys(("delta", "ci_lo", "ci_hi", "p_value"), float)}],
+    },
+    "regression.json": {
+        "predictive_volatility": {"gamma": float, "delta_r2": float},
+        "crash": {"cutoff": None, "crash_rate": float},
+    },
+}
+
+
+def cmd_report(cfg: PipelineConfig, out: Path, h: str, args) -> int:
+    metrics, bootstrap = (read_json(_artifact(out, name), _REPORT_JSON[name])
+                          for name in ("metrics.json", "bootstrap.json"))
+    reg_path = out / "regression.json"
+    regression = (read_json(reg_path, _REPORT_JSON["regression.json"])
                   if reg_path.exists() else None)
-    bins_rows = read_rows(_artifact(cfg, "bins.csv"), BIN_COLUMNS)[1]
-
     # the settings of the artifacts summarized, not of this run's config
     payload = {
         "metrics": metrics,
-        "bins": bins_rows,
+        "bins": read_bins(_artifact(out, "bins.csv")),
         "bootstrap": bootstrap,
         "regression": regression,
         "settings": {
@@ -258,73 +235,45 @@ def cmd_report(cfg: PipelineConfig, args) -> int:
             "benchmark": bootstrap["benchmark"],
         },
     }
+    text = _render_report(payload)
     write_json(out / "report.json", payload, h)
-    (out / "report.txt").write_text(_render_report(payload), encoding="utf-8")
+    (out / "report.txt").write_text(text, encoding="utf-8")
     return 0
 
 
 def _render_report(payload: dict) -> str:
-    metrics, bins_rows = payload["metrics"], payload["bins"]
-    bootstrap, regression = payload["bootstrap"], payload["regression"]
-    settings = payload["settings"]
-    lines = []
-    lines.append("Market stress probability index: out-of-sample report")
-    lines.append("=" * 70)
-    lines.append("")
-    lines.append(f"Months evaluated: {metrics['n']}   "
-                 f"event rate: {metrics['event_rate']:.3f}")
-    lines.append(f"ECE bins: {settings['ece_bins']} (equal-mass)   "
-                 f"bootstrap: {settings['bootstrap_block_len']}-month blocks, "
-                 f"{settings['bootstrap_replications']} replications")
-    lines.append("")
-    lines.append("Discrimination and probability accuracy")
-    lines.append("-" * 70)
-    lines.append(f"{'model':<8}{'AUC':>8}{'PR-AUC':>8}{'Brier':>8}{'LogLoss':>9}"
-                 f"{'ECE':>8}{'MeanP':>8}")
-    for name, m in metrics["models"].items():
-        lines.append(
-            f"{name:<8}{m['auc']:>8.3f}{m['pr_auc']:>8.3f}{m['brier']:>8.3f}"
-            f"{m['log_loss']:>9.3f}{m['ece']:>8.3f}{m['mean_prob']:>8.3f}"
-        )
-    lines.append("")
-    lines.append("Realized outcomes by probability bin")
-    lines.append("-" * 70)
-    lines.append(f"{'model':<8}{'bin':<16}{'N':>5}{'meanP':>8}{'stress':>8}"
-                 f"{'vol+1':>8}{'ret+1':>8}")
-    for r in bins_rows:
+    metrics, bootstrap, settings = payload["metrics"], payload["bootstrap"], payload["settings"]
+    lines = [
+        "Market stress probability index: out-of-sample report", "=" * 70, "",
+        f"Months evaluated: {metrics['n']}   event rate: {metrics['event_rate']:.3f}",
+        f"ECE bins: {settings['ece_bins']} (equal-mass)   "
+        f"bootstrap: {settings['bootstrap_block_len']}-month blocks, "
+        f"{settings['bootstrap_replications']} replications",
+        "", "Discrimination and probability accuracy", "-" * 70,
+        f"{'model':<8}{'AUC':>8}{'PR-AUC':>8}{'Brier':>8}{'LogLoss':>9}{'ECE':>8}{'MeanP':>8}",
+    ]
+    lines += (f"{name:<8}{m['auc']:>8.3f}{m['pr_auc']:>8.3f}{m['brier']:>8.3f}"
+              f"{m['log_loss']:>9.3f}{m['ece']:>8.3f}{m['mean_prob']:>8.3f}"
+              for name, m in metrics["models"].items())
+    lines += ["", "Realized outcomes by probability bin", "-" * 70,
+              f"{'model':<8}{'bin':<16}{'N':>5}{'meanP':>8}{'stress':>8}{'vol+1':>8}{'ret+1':>8}"]
+    for r in payload["bins"]:
         label = f"[{float(r['bin_lo']):.2f},{float(r['bin_hi']):.2f})"
-        sr = r["stress_rate"]
-        lines.append(
-            f"{r['model']:<8}{label:<16}{r['n']:>5}"
-            + "".join(
-                f"{(float(v) if v not in ('', None) else float('nan')):>8.3f}"
-                for v in (r["mean_prob"], sr, r["next_vol"], r["next_ret"])
-            )
-        )
-    lines.append("")
-    lines.append(f"Block-bootstrap deltas vs benchmark "
-                 f"({bootstrap['benchmark']}; {bootstrap['block_len']}-month blocks, "
-                 f"{bootstrap['replications']} replications)")
-    lines.append("-" * 70)
-    lines.append(f"{'metric':<10}{'model':<8}{'delta':>10}{'ci lo':>10}{'ci hi':>10}"
-                 f"{'p':>8}")
-    for r in bootstrap["rows"]:
-        lines.append(
-            f"{r['metric']:<10}{r['model']:<8}{r['delta']:>10.4f}{r['ci_lo']:>10.4f}"
-            f"{r['ci_hi']:>10.4f}{r['p_value']:>8.3f}"
-        )
-    if regression is not None:
-        lines.append("")
-        lines.append("Predictive regressions")
-        lines.append("-" * 70)
-        pv = regression["predictive_volatility"]
-        lines.append(f"next-month volatility on index level: gamma={pv['gamma']:.4f} "
-                     f"(delta R2 {pv['delta_r2']:.4f})")
-        cr = regression["crash"]
-        lines.append(f"crash indicator (cutoff {cr['cutoff']}): "
-                     f"crash rate {cr['crash_rate']:.3f}")
-    lines.append("")
-    return "\n".join(lines)
+        lines.append(f"{r['model']:<8}{label:<16}{r['n']:>5}" + "".join(
+            f"{float(r[c] or 'nan'):>8.3f}" for c in BIN_COLUMNS[4:]))
+    lines += ["", f"Block-bootstrap deltas vs benchmark ({bootstrap['benchmark']}; "
+              f"{bootstrap['block_len']}-month blocks, {bootstrap['replications']} replications)",
+              "-" * 70,
+              f"{'metric':<10}{'model':<8}{'delta':>10}{'ci lo':>10}{'ci hi':>10}{'p':>8}"]
+    lines += (f"{r['metric']:<10}{r['model']:<8}{r['delta']:>10.4f}{r['ci_lo']:>10.4f}"
+              f"{r['ci_hi']:>10.4f}{r['p_value']:>8.3f}" for r in bootstrap["rows"])
+    if payload["regression"] is not None:
+        pv, cr = payload["regression"]["predictive_volatility"], payload["regression"]["crash"]
+        lines += ["", "Predictive regressions", "-" * 70,
+                  f"next-month volatility on index level: gamma={pv['gamma']:.4f} "
+                  f"(delta R2 {pv['delta_r2']:.4f})",
+                  f"crash indicator (cutoff {cr['cutoff']}): crash rate {cr['crash_rate']:.3f}"]
+    return "\n".join(lines + [""])
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +316,13 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, args.log_level),
                         format="%(levelname)s %(name)s: %(message)s")
     try:
-        cfg = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
-        if args.out:
-            cfg.out_dir = args.out
-        if args.seed is not None:
-            cfg.seed = args.seed
-        cfg.validate()
-        return _HANDLERS[args.command](cfg, args)
+        cfg = PipelineConfig.from_file(args.config, out_dir=args.out or None, seed=args.seed)
+        out = Path(cfg.out_dir)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file of that name, say
+            raise ConfigError(f"out_dir {out} cannot be created: {exc.strerror}") from None
+        return _HANDLERS[args.command](cfg, out, cfg.config_hash(), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,10 @@
 """Pipeline configuration: one flat JSON file, defaults pre-filled.
 
-Every stage reads the same config object; the SHA-256 hash of the canonical
-JSON encoding is embedded in every artifact for provenance verification.
+A run builds its config once, from the file and the command-line overrides,
+and never changes it: ``PipelineConfig`` is frozen and checks itself on
+construction. The SHA-256 hash of the canonical JSON encoding of every
+setting but ``out_dir`` is embedded in every artifact for provenance
+verification, so the same settings write the same bytes in any directory.
 
 The config holds only the settings that a workload sets, plus the paths.
 Every other default belongs to the module that uses it, and a config that
@@ -15,7 +18,7 @@ protocol constants of ``evaluation`` and ``econometrics``.
 config field of the same name, ``sim_config()`` every field of ``SimConfig``
 from the field with the prefix ``sim_`` and the shared ``seed``. Each range
 check sits in one place and raises ConfigError naming the config field: in
-the stage dataclass for its own fields, otherwise in ``validate``.
+the stage dataclass for its own fields, otherwise in ``__post_init__``.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ _BACKTEST = BacktestConfig()
 _SIM = SimConfig(seed=_BACKTEST.seed)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     # inputs/outputs (None means "<out_dir>/<name>.csv" from an earlier stage)
     panel_csv: str | None = None
@@ -74,23 +77,27 @@ class PipelineConfig:
     sim_p_stress_to_calm: float = _SIM.p_stress_to_calm
 
     @classmethod
-    def from_file(cls, path: str) -> "PipelineConfig":
+    def from_file(cls, path: str | None, **overrides) -> "PipelineConfig":
+        """The config of the JSON file at ``path`` (every default if None),
+        each override that is not None in place of the file's value."""
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+            raw = {} if path is None else json.loads(Path(path).read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
         except (OSError, UnicodeDecodeError) as exc:  # a directory, say, or not UTF-8
             raise ConfigError(f"config file {path} cannot be read: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-        return cls.from_dict(raw)
+        return cls.from_dict(raw, **overrides)
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "PipelineConfig":
-        """Build a config from parsed JSON; raises ConfigError on an unknown
-        field, a value of the wrong type, not finite or out of range."""
+    def from_dict(cls, raw: dict, **overrides) -> "PipelineConfig":
+        """Build a config from parsed JSON and the overrides that are not None;
+        raises ConfigError on an unknown field, a value of the wrong type, not
+        finite or out of range."""
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+        raw = {**raw, **{name: v for name, v in overrides.items() if v is not None}}
         known = {f.name: f for f in fields(cls)}
         unknown = sorted(set(raw) - set(known))
         if unknown:
@@ -112,11 +119,9 @@ class PipelineConfig:
             if any(isinstance(v, float) and not math.isfinite(v)
                    for v in (value if kind is list else [value])):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
-        cfg = cls(**raw)
-        cfg.validate()
-        return cfg
+        return cls(**raw)
 
-    def validate(self):
+    def __post_init__(self):
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.bootstrap_reps < 1:
@@ -129,11 +134,10 @@ class PipelineConfig:
         self.sim_config()
         self.backtest_config()
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def config_hash(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        """sha256 of the settings: every field but ``out_dir``."""
+        settings = {k: v for k, v in asdict(self).items() if k != "out_dir"}
+        canonical = json.dumps(settings, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     # ---- stage config builders -------------------------------------------

@@ -281,3 +281,12 @@ def local_projections(
         horizons=horizons, b=np.array(bs), se=np.array(ses),
         n_obs=np.array(ns, dtype=np.int64),
     )
+
+
+def innovation_projections(forecasts: ForecastSeries) -> LocalProjectionResult:
+    """Local projections of market volatility on the index's innovations,
+    out to ``LP_HORIZON`` months: the innovations start at the second forecast
+    month, the controls are lagged one month more."""
+    u = mspi_innovations(forecasts).residuals[1:]
+    controls = market_controls(forecasts)[1:-1]
+    return local_projections(u, forecasts.sigma_mkt[2:], controls, LP_HORIZON)

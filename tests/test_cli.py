@@ -1,13 +1,17 @@
 import csv
 import datetime as dt
+import functools
 import hashlib
+import importlib
 import json
 import logging
 import math
 import os
 import re
+import runpy
 import shutil
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,12 +89,37 @@ def body_sha256(path) -> str:
     return hashlib.sha256(body).hexdigest()
 
 
-def test_all_stages_reproduce_golden_artifacts(tmp_path):
+# The benchmark's stage tracer; its WRAPS names each function it wraps by the
+# module that calls it.
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def counted(fn, calls: dict, key):
+    """``fn``, counting its calls in ``calls[key]``."""
+    calls[key] = 0
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def test_all_stages_reproduce_golden_artifacts(tmp_path, monkeypatch):
+    # each function the tracer wraps is still called where it wraps it (the
+    # parent process keeps a forecast month of every model)
+    calls = {}
+    for module_name, attr, _ in runpy.run_path(str(TRACING))["WRAPS"]:
+        module = importlib.import_module(module_name)
+        monkeypatch.setattr(module, attr, counted(getattr(module, attr), calls,
+                                                  f"{module_name}.{attr}"))
     out = tmp_path / "out"
     config = write_config(tmp_path, {**SMALL_CONFIG, "out_dir": str(out)})
     for stage in STAGES:
         assert main(["--log-level", "WARNING", stage, "--config", config]) == 0, stage
     assert {name: body_sha256(out / name) for name in GOLDEN_BODIES} == GOLDEN_BODIES
+    assert [key for key, n in calls.items() if n == 0] == []
 
 
 @pytest.mark.parametrize("payload, field", [
@@ -153,6 +182,41 @@ def test_bad_config_exits_2(tmp_path, capsys, payload, field):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and field in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("payload", [None, {"seed": 3}], ids=["no_config", "config"])
+def test_negative_seed_override_exits_2(tmp_path, capsys, payload):
+    out = tmp_path / "out"
+    argv = ["label", "--out", str(out), "--seed", "-1"]
+    if payload is not None:
+        argv += ["--config", write_config(tmp_path, payload)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+def test_out_naming_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    assert main(["label", "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: out_dir {taken} cannot be created: ")
+
+
+def test_main_checks_the_config_once(tmp_path, monkeypatch):
+    # each check of a config builds its backtest stage config; evaluate builds none itself
+    built = []
+
+    class Counted(backtest.BacktestConfig):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr("mspi.config.BacktestConfig", Counted)
+    argv = ["evaluate", "--config", write_config(tmp_path, {"seed": 3}),
+            "--out", str(tmp_path / "out"), "--seed", "4"]
+    assert main(argv) == 3  # no forecasts.csv
+    assert len(built) == 1
 
 
 def test_missing_upstream_artifact_exits_3(tmp_path, capsys):
@@ -386,6 +450,10 @@ def test_probability_outside_unit_interval_exits_3(tmp_path, capsys, stage, toke
     assert sorted(p.name for p in out.iterdir()) == ["forecasts.csv", "labels.csv"]
 
 
+METRICS_HEAD = b'{"n": 47, "event_rate": 0.2, "ece_bins": 10, '
+BOOTSTRAP_HEAD = b'{"benchmark": "l2", "block_len": 12, "replications": 20, '
+
+
 @pytest.mark.parametrize("name, content, message", [
     ("metrics.json", b'{"n": 47, "event_', "not a UTF-8 JSON file: "),
     ("metrics.json", b"{}", "no key 'n'"),
@@ -396,9 +464,28 @@ def test_probability_outside_unit_interval_exits_3(tmp_path, capsys, stage, toke
      "no key 'rows'"),
     ("regression.json", b"", "not a UTF-8 JSON file: "),
     ("regression.json", b'{"predictive_volatility": {}}', "no key 'crash'"),
+    # the nested values the report prints
+    ("metrics.json", METRICS_HEAD + b'"models": {"l1": {"pr_auc": 0.5}}}',
+     "no key 'models.l1.auc'"),
+    ("metrics.json", METRICS_HEAD + b'"models": {"l2": []}}',
+     "key 'models.l2': expected a JSON object, got list"),
+    ("metrics.json", b'{"n": 47, "event_rate": null, "ece_bins": 10, "models": {}}',
+     "key 'event_rate': expected a JSON number, got NoneType"),
+    ("bootstrap.json", BOOTSTRAP_HEAD + b'"rows": [{"metric": "auc", "model": "l1", '
+     b'"delta": "0.1", "ci_lo": 0, "ci_hi": 0, "p_value": 1}]}',
+     "key 'rows.0.delta': expected a JSON number, got str"),
+    ("bootstrap.json", BOOTSTRAP_HEAD + b'"rows": [{"metric": "auc"}]}', "no key 'rows.0.model'"),
+    ("bootstrap.json", BOOTSTRAP_HEAD + b'"rows": {}}',
+     "key 'rows': expected a JSON array, got dict"),
+    ("regression.json", b'{"predictive_volatility": {"gamma": 0.1, "delta_r2": 0}, '
+     b'"crash": {"cutoff": -0.05}}', "no key 'crash.crash_rate'"),
+    ("regression.json", b'{"predictive_volatility": {"gamma": true, "delta_r2": 0}, '
+     b'"crash": {}}', "key 'predictive_volatility.gamma': expected a JSON number, got bool"),
 ], ids=["truncated_metrics", "empty_metrics", "metrics_without_ece_bins", "metrics_list",
         "bootstrap_not_utf8", "bootstrap_without_rows", "empty_regression",
-        "regression_without_crash"])
+        "regression_without_crash", "metric_missing", "model_not_object", "event_rate_null",
+        "delta_string", "row_without_model", "rows_object", "crash_rate_missing",
+        "gamma_bool"])
 def test_report_on_a_bad_json_artifact_exits_3(tmp_path, capsys, name, content, message):
     out = tmp_path / "out"
     write_index_and_benchmark_forecasts(out)
@@ -409,6 +496,40 @@ def test_report_on_a_bad_json_artifact_exits_3(tmp_path, capsys, name, content, 
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {out / name}: {message}")
     assert "Traceback" not in err and not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("column, token", [("bin_lo", "zap"), ("bin_hi", ""),
+                                           ("next_vol", "inf")])
+def test_report_on_a_bad_bins_cell_exits_3(tmp_path, capsys, column, token):
+    out = tmp_path / "out"
+    write_index_and_benchmark_forecasts(out)
+    config = write_config(tmp_path, {"out_dir": str(out), "bootstrap_reps": 20})
+    run_stages(config, "evaluate", "bootstrap")
+    path = out / "bins.csv"
+    lines = path.read_text(encoding="utf-8").split("\n")
+    header, fields = lines[1].split(","), lines[2].split(",")
+    fields[header.index(column)] = token
+    lines[2] = ",".join(fields)
+    path.write_text("\n".join(lines), encoding="utf-8")
+    assert main(["report", "--config", config]) == 3
+    assert capsys.readouterr().err == (f"data error: {path}: line 3, column {column!r}: "
+                                       f"expected a finite number, got {token!r}\n")
+    assert not (out / "report.json").exists() and not (out / "report.txt").exists()
+
+
+def test_stages_write_the_same_bytes_in_any_out_dir(tmp_path):
+    first, second = tmp_path / "a", tmp_path / "b"
+    write_index_and_benchmark_forecasts(first)
+    shutil.copytree(first, second)
+    config = write_config(tmp_path, {"bootstrap_reps": 20})
+    for out in (first, second):
+        for stage in ("evaluate", "bootstrap", "regress", "lp", "report"):
+            assert main(["--log-level", "WARNING", stage, "--config", config,
+                         "--out", str(out)]) == 0, stage
+    names = sorted(path.name for path in first.iterdir())
+    assert len(names) == 10 and names == sorted(path.name for path in second.iterdir())
+    assert [name for name in names
+            if (first / name).read_bytes() != (second / name).read_bytes()] == []
 
 
 def test_report_states_the_settings_of_the_artifacts_it_reads(tmp_path):

@@ -1,7 +1,10 @@
-from dataclasses import asdict, fields
+from dataclasses import FrozenInstanceError, asdict, fields
+
+import pytest
 
 from mspi.backtest import BacktestConfig
 from mspi.config import PipelineConfig
+from mspi.errors import ConfigError
 from mspi.simulate import SimConfig
 
 # Each builder, the stage dataclass it returns and the prefix of the config
@@ -54,3 +57,27 @@ def test_every_stage_field_arrives_from_its_config_field():
         assert asdict(getattr(cfg, builder)()) == want, builder
     assert read == set(NON_DEFAULT)
     assert cfg.sim_config().seed == cfg.backtest_config().seed == 11
+
+
+def test_config_is_checked_on_construction_and_frozen():
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        PipelineConfig(seed=-1)
+    cfg = PipelineConfig()
+    with pytest.raises(FrozenInstanceError):
+        cfg.seed = 3
+
+
+def test_overrides_replace_the_raw_values():
+    cfg = PipelineConfig.from_dict({"seed": 4, "out_dir": "a"}, seed=9, out_dir=None)
+    assert (cfg.seed, cfg.out_dir) == (9, "a")
+
+
+def test_config_hash_covers_every_setting_but_out_dir():
+    default = PipelineConfig()
+    # the default hash that ROADMAP.md quotes
+    assert default.config_hash() == (
+        "a38d3975841e0311d7d5d186e47f57c9148417d869d2c42df60dc9539774242c")
+    assert PipelineConfig(out_dir="elsewhere").config_hash() == default.config_hash()
+    for name, value in NON_DEFAULT.items():
+        assert PipelineConfig.from_dict({name: value}).config_hash() != default.config_hash()
+    assert PipelineConfig(panel_csv="p.csv").config_hash() != default.config_hash()

@@ -8,15 +8,17 @@ from mspi.backtest import ForecastSeries
 from mspi.cli import main
 from mspi.econometrics import (
     CRASH_CUTOFF,
+    LP_HORIZON,
     crash_regression,
     hac_covariance,
+    innovation_projections,
     local_projections,
     mspi_innovations,
     ols_hac,
     predictive_vol_regression,
 )
 from mspi.errors import DataError
-from mspi.labels import LabelSeries
+from mspi.labels import LabelSeries, market_controls
 
 from .oracles import white_covariance
 
@@ -284,3 +286,21 @@ class TestLocalProjections:
         y = np.arange(6.0)
         res = local_projections(u, y, no_controls(u), max_horizon=5)
         assert max(res.horizons) < 5
+
+    def test_innovation_projections_date_each_month(self):
+        # month t's volatility h months on, on month t's innovation (its first
+        # is the second forecast month's) and month t-1's market controls
+        fs = toy_forecasts(n=60, seed=18)
+        months = fs.months
+        innovation = dict(zip(months[1:], mspi_innovations(fs).residuals))
+        sigma = dict(zip(months, fs.sigma_mkt))
+        controls = dict(zip(months, market_controls(fs)))
+        t = months[2:]
+        want = local_projections(np.array([innovation[m] for m in t]),
+                                 np.array([sigma[m] for m in t]),
+                                 np.array([controls[prev] for prev in months[1:-1]]), LP_HORIZON)
+        res = innovation_projections(fs)
+        assert res.horizons == want.horizons == list(range(LP_HORIZON + 1))
+        assert res.n_obs[0] == len(months) - 2
+        np.testing.assert_array_equal(res.b, want.b)
+        np.testing.assert_array_equal(res.se, want.se)
