@@ -28,8 +28,9 @@ from .backtest import ForecastSeries
 from .errors import DataError
 from .features import FEATURE_NAMES, FeatureMatrix
 from .labels import LabelSeries
-from .panel import MARKET_COLUMNS, PANEL_COLUMNS, DailyPanel, MarketSeries, parse_month, read_rows
-from .simulate import security_ids
+from .panel import (MARKET_COLUMNS, PANEL_COLUMNS, MarketSeries, open_text, parse_month,
+                    read_rows)
+from .simulate import SimOutput, security_ids
 
 LABEL_COLUMNS = ["month", "R_mkt", "sigma_mkt", "q_prev", "S", "Y_next"]
 FORECAST_COLUMNS = ["month", "model", "raw_score", "probability", "y_next", "next_vol",
@@ -63,12 +64,14 @@ def write_json(path: Path, payload: dict, config_hash: str):
 
 
 def read_json(path: Path, spec: dict) -> dict:
-    """A JSON artifact's object; DataError names the file when its bytes are
-    not UTF-8 JSON, and the first key at which they do not fit ``spec``."""
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: not a UTF-8 JSON file: {exc}") from None
+    """A JSON artifact's object; DataError names the file when it cannot be
+    opened as text (``panel.open_text``) or parsed as JSON, and the first key
+    at which it does not fit ``spec``."""
+    with open_text(path) as fh:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"not a UTF-8 JSON file: {exc}") from None
     _check_json(path, payload, spec)
     return payload
 
@@ -145,42 +148,21 @@ def _float_tokens(values: np.ndarray) -> list[str]:
     return tokens
 
 
-def write_panel_csv(path: Path, panel: DailyPanel, config_hash: str):
-    """Write the panel one day at a time, formatting each column of the
-    day's slice in one pass.
+def write_panel_csv(path: Path, sim: SimOutput, config_hash: str):
+    """Write the simulated (day × stock) block one day at a time, formatting
+    each column of the day's row in one pass.
 
-    ``DailyPanel`` keeps no security ids, so each row's id is its position
-    within its day; that names the same stock on every day only if every
-    day holds the same stocks. A panel whose days (empty days aside) hold
-    different numbers of rows raises DataError rather than relabel its
-    stocks. Every row is written with both eligibility flags 1: the panel
-    holds only rows that passed the filter. The bytes equal those
-    ``write_csv`` writes for the per-row tuples.
+    Every stock is on every day under its ``security_ids`` id, its share
+    count is formatted once, and every row carries both eligibility flags 1.
+    The bytes equal those ``write_csv`` writes for the per-row tuples.
     """
-    sizes = np.diff(panel.starts)
-    held = np.flatnonzero(sizes)
-    odd = held[sizes[held] != sizes[held[:1]]]
-    if odd.size:
-        d, first = odd[0], held[0]
-        raise DataError(
-            f"cannot write panel: {panel.dates[d].isoformat()} holds {sizes[d]} rows, "
-            f"{panel.dates[first].isoformat()} holds {sizes[first]}; security ids are "
-            "row positions, so every day must hold the same stocks"
-        )
-    ids = security_ids(int(sizes[held[0]])) if held.size else []
-    bounds = panel.starts.tolist()
+    ids = security_ids(sim.ret.shape[1])
+    tails = [f"{s},1,1" for s in _float_tokens(sim.shrout)]  # shrout, shrcd_ok, exchcd_ok
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config_hash={config_hash}\n{','.join(PANEL_COLUMNS)}\n")
-        for day, a, b in zip(panel.dates, bounds, bounds[1:]):
-            n = b - a
-            if not n:
-                continue
-            columns = (
-                [day.isoformat()] * n, ids,
-                _float_tokens(panel.ret[a:b]), _float_tokens(panel.prc[a:b]),
-                _float_tokens(panel.vol[a:b]), _float_tokens(panel.shrout[a:b]),
-                ["1,1"] * n,  # shrcd_ok, exchcd_ok
-            )
+        for day, ret, prc, vol in zip(sim.dates, sim.ret, sim.prc, sim.vol):
+            columns = ([day.isoformat()] * len(ids), ids, _float_tokens(ret),
+                       _float_tokens(prc), _float_tokens(vol), tails)
             fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 

@@ -69,10 +69,10 @@ def _artifact(out: Path, name: str) -> Path:
 
 def cmd_simulate(cfg: PipelineConfig, out: Path, h: str, args) -> int:
     sim = simulate(cfg.sim_config())
-    write_panel_csv(out / "panel.csv", sim.panel, h)
+    write_panel_csv(out / "panel.csv", sim, h)
     write_market_csv(out / "market.csv", sim.market, h)
     logger.info("simulated %d trading days across %d months -> %s",
-                len(sim.panel.dates), len(sim.true_regime), out)
+                len(sim.dates), len(sim.true_regime), out)
     return 0
 
 

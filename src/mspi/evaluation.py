@@ -364,6 +364,10 @@ def block_bootstrap_diff(
 ) -> BootstrapResult:
     """Moving-block bootstrap of metric(values_a) - metric(values_b).
 
+    ``delta`` is that difference on the full sample, from the same row
+    kernels as ``compute_metrics``, so it equals the difference of the two
+    models' metrics; the replicates give the interval and the p-value.
+
     Each replication concatenates ceil(N / block_len) blocks of consecutive
     months with uniformly random starts (with replacement), truncated to N;
     both inputs are evaluated on the identical resample. Replications where
@@ -375,8 +379,8 @@ def block_bootstrap_diff(
     one (need, n_blocks) matrix, which takes the same random stream as one
     draw per replication, and evaluates the metric on every defined row at
     once; replication r is the r-th defined row. The row kernels add in the
-    order the one-resample metric does, so every delta is bit-identical to
-    evaluating the resamples one at a time.
+    order the one-resample metric does, so every replicate is bit-identical
+    to evaluating the resamples one at a time.
     """
     values_a = np.asarray(values_a, dtype=float)
     values_b = np.asarray(values_b, dtype=float)
@@ -420,13 +424,14 @@ def block_bootstrap_diff(
         rounds.append(fn(values_a[idx], ys) - fn(values_b[idx], ys))
         done += idx.shape[0]
     deltas = np.concatenate(rounds)
+    delta = fn(values_a[None], y[None])[0] - fn(values_b[None], y[None])[0]
 
     frac_le = float(np.mean(deltas <= 0.0))
     frac_ge = float(np.mean(deltas >= 0.0))
     p = min(2.0 * min(frac_le, frac_ge), 1.0)
     lo, hi = np.quantile(deltas, [0.025, 0.975], method="linear")
     return BootstrapResult(
-        metric=metric, model="a", benchmark="b", delta=float(np.mean(deltas)),
+        metric=metric, model="a", benchmark="b", delta=float(delta),
         ci_lo=float(lo), ci_hi=float(hi), p_value=p, block_len=block_len,
         reps=reps, seed=seed, redraws=redraws,
     )

@@ -204,10 +204,11 @@ def _read_header(reader, required: list[str]) -> tuple[dict[str, int], int]:
 
 
 @contextlib.contextmanager
-def _open_csv(path) -> Iterator[io.TextIOWrapper]:
-    """``path`` opened as UTF-8 CSV text; a missing file, a directory, bytes
-    that are not UTF-8 or a field over ``csv.field_size_limit()`` raise
-    DataError naming it, and so does every DataError raised while it is open."""
+def open_text(path) -> Iterator[io.TextIOWrapper]:
+    """``path`` opened as UTF-8 text, CSV or JSON; a missing file, a
+    directory, bytes that are not UTF-8 or a CSV field over
+    ``csv.field_size_limit()`` raise DataError naming it, and so does every
+    DataError raised while it is open."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             yield fh
@@ -228,7 +229,7 @@ def read_rows(path, required: list[str]) -> tuple[list[int], list[dict[str, str]
     CSV, skipping comment and blank lines. A missing or unreadable file, a missing
     column or a row with more or fewer fields than the header raises DataError."""
     lines, rows = [], []
-    with _open_csv(path) as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         index, width = _read_header(reader, required)
         for row in reader:
@@ -524,7 +525,7 @@ def load_daily_panel(
     missing/non-finite, |price| is below the filter floor, or a required
     eligibility flag is false. Missing volume/shares fields are kept as NaN.
     Malformed rows raise DataError naming the file, line and column (see
-    ``_open_csv`` for a file that cannot be read as CSV text).
+    ``open_text`` for a file that cannot be read as CSV text).
 
     The kept rows are spilled to one temporary file per calendar year (about
     48 bytes a row under ``TMPDIR``), then each year is loaded, sorted and
@@ -534,7 +535,7 @@ def load_daily_panel(
     that way), the years are joined into the whole ``DailyPanel``.
     """
     summary = IngestSummary()
-    with _open_csv(path) as fh, _YearSpill() as spill:
+    with open_text(path) as fh, _YearSpill() as spill:
         reader = csv.reader(iter(fh.readline, ""))
         index, width = _read_header(reader, PANEL_COLUMNS)
         columns = _PanelColumns(index, width, filt, summary, spill)

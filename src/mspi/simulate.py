@@ -11,6 +11,10 @@ The calendar starts in January 1980 and each month trades on its first 21
 weekdays; the two regimes' dynamics are the constants ``CALM`` and
 ``STRESS``. A ``SimConfig`` sets the seed, size and transition probabilities.
 
+Every stock trades on every day, so the panel is a block: (day × stock)
+arrays of returns, prices and volumes and one share count per stock, which
+``artifacts.write_panel_csv`` writes as they are.
+
 All randomness comes from a single PCG64 generator seeded from the config,
 so identical configs produce bit-identical output on any platform.
 """
@@ -76,11 +80,22 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimOutput:
-    """Simulated panel, market series, and per-month ground-truth regime."""
+    """Simulated panel block, market series, and per-month ground-truth regime."""
 
-    panel: DailyPanel
+    dates: list[dt.date]
+    ret: np.ndarray  # (day, stock)
+    prc: np.ndarray  # (day, stock)
+    vol: np.ndarray  # (day, stock)
+    shrout: np.ndarray  # one per stock, constant over time
     market: MarketSeries
     true_regime: dict[str, bool]
+
+    @property
+    def panel(self) -> DailyPanel:
+        """The block as the ``DailyPanel`` its CSV loads to."""
+        n_days, n = self.ret.shape
+        return DailyPanel(self.dates, np.arange(0, n_days * n + 1, n), self.ret.ravel(),
+                          self.prc.ravel(), self.vol.ravel(), np.tile(self.shrout, n_days))
 
 
 def _trading_days(year: int, month: int) -> list[dt.date]:
@@ -137,13 +152,7 @@ def simulate(config: SimConfig) -> SimOutput:
             )
             d += 1
 
-    panel = DailyPanel(
-        dates=dates, starts=np.arange(0, len(dates) * n + 1, n),
-        ret=ret.ravel(), prc=prc.ravel(), vol=vol.ravel(),
-        shrout=np.tile(shrout, len(dates)),
-    )
-    market = MarketSeries(dates=list(dates), mkt_ret=mkt)
-    return SimOutput(panel=panel, market=market, true_regime=true_regime)
+    return SimOutput(dates, ret, prc, vol, shrout, MarketSeries(list(dates), mkt), true_regime)
 
 
 def security_ids(n_stocks: int) -> list[str]:

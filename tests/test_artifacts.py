@@ -22,12 +22,12 @@ from mspi.labels import LabelSeries
 from mspi.learners import sigmoid
 from mspi.panel import (
     PANEL_COLUMNS,
-    DailyPanel,
     EligibilityFilter,
+    MarketSeries,
     load_daily_panel,
     read_rows,
 )
-from mspi.simulate import security_ids
+from mspi.simulate import SimOutput, security_ids
 
 FIELDS = ("ret", "prc", "vol", "shrout")
 
@@ -124,61 +124,41 @@ class TestReadForecasts:
 
 class TestWritePanelCsv:
     @pytest.fixture
-    def panel(self):
+    def sim(self):
         rng = np.random.default_rng(5)
-        days = []
-        for k, n in enumerate([7, 7, 0, 7, 7]):
-            vol = np.round(rng.lognormal(9.0, 1.0, n))
-            vol[:k % 3] = np.nan
-            ret = rng.normal(0.0, 0.02, n)
-            ret[-1:] = -0.0
-            days.append(dict(
-                ret=ret, prc=rng.uniform(1.0, 90.0, n) * np.where(rng.random(n) < 0.3, -1, 1),
-                vol=vol, shrout=np.full(n, np.nan) if k == 3 else np.round(rng.lognormal(8, 1, n)),
-            ))
-        return DailyPanel(
-            dates=[dt.date(2001, 1, 2 + k) for k in range(len(days))],
-            starts=np.cumsum([0] + [len(day["ret"]) for day in days]),
-            **{name: np.concatenate([day[name] for day in days]) for name in FIELDS},
-        )
+        shape = (4, 7)  # (day, stock)
+        vol = np.round(rng.lognormal(9.0, 1.0, shape))
+        vol[1, :2] = np.nan
+        ret = rng.normal(0.0, 0.02, shape)
+        ret[:, -1] = -0.0
+        prc = rng.uniform(1.0, 90.0, shape) * np.where(rng.random(shape) < 0.3, -1, 1)
+        shrout = np.round(rng.lognormal(8, 1, shape[1]))
+        shrout[3] = np.nan
+        dates = [dt.date(2001, 1, 2 + k) for k in range(shape[0])]
+        return SimOutput(dates=dates, ret=ret, prc=prc, vol=vol, shrout=shrout,
+                         market=MarketSeries(dates=dates, mkt_ret=np.zeros(shape[0])),
+                         true_regime={})
 
-    def test_bytes_equal_row_by_row_csv_writer(self, panel, tmp_path):
-        def rows():
-            for day, a, b in zip(panel.dates, panel.starts, panel.starts[1:]):
-                ids = security_ids(b - a)
-                for i in range(a, b):
-                    yield (day.isoformat(), ids[i - a], panel.ret[i], panel.prc[i], panel.vol[i],
-                           panel.shrout[i], 1, 1)
-
-        write_panel_csv(tmp_path / "fast.csv", panel, "h")
-        write_csv(tmp_path / "rows.csv", PANEL_COLUMNS, rows(), "h")
+    def test_bytes_equal_row_by_row_csv_writer(self, sim, tmp_path):
+        ids = security_ids(sim.ret.shape[1])
+        rows = ((day.isoformat(), ids[i], sim.ret[d, i], sim.prc[d, i], sim.vol[d, i],
+                 sim.shrout[i], 1, 1)
+                for d, day in enumerate(sim.dates) for i in range(len(ids)))
+        write_panel_csv(tmp_path / "fast.csv", sim, "h")
+        write_csv(tmp_path / "rows.csv", PANEL_COLUMNS, rows, "h")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
-    def test_round_trip_exact(self, panel, tmp_path):
-        write_panel_csv(tmp_path / "panel.csv", panel, "h")
+    def test_round_trip_exact(self, sim, tmp_path):
+        write_panel_csv(tmp_path / "panel.csv", sim, "h")
         got, summary = load_daily_panel(str(tmp_path / "panel.csv"),
                                         EligibilityFilter(min_abs_price=0.0))
-        assert got.dates == [d for i, d in enumerate(panel.dates)
-                             if panel.starts[i + 1] > panel.starts[i]]
-        assert got.starts.tolist() == sorted(set(panel.starts.tolist()))
+        panel = sim.panel
+        assert got.dates == sim.dates
+        assert got.starts.tolist() == panel.starts.tolist()
         assert summary.rows_kept == 28
         for name in FIELDS:
             a, b = getattr(got, name), getattr(panel, name)
             assert a.tobytes() == b.tobytes(), name
-
-    def test_days_of_different_sizes_rejected(self, tmp_path):
-        # B alone on the second day would be written as S0000 there and
-        # S0001 on the first day
-        src = tmp_path / "src.csv"
-        src.write_text(
-            "date,security_id,ret,prc,vol,shrout,shrcd_ok,exchcd_ok\n"
-            "2001-01-02,A,0.01,5.00,100,1000,1,1\n"
-            "2001-01-02,B,0.02,6.00,100,1000,1,1\n"
-            "2001-01-03,B,0.03,6.50,100,1000,1,1\n", encoding="utf-8")
-        panel, _ = load_daily_panel(str(src), EligibilityFilter())
-        with pytest.raises(DataError, match="2001-01-03 holds 1 rows, 2001-01-02 holds 2"):
-            write_panel_csv(tmp_path / "panel.csv", panel, "h")
-        assert not (tmp_path / "panel.csv").exists()
 
 
 class TestRoundTrips:

@@ -59,12 +59,12 @@ GOLDEN_BODIES = {
     "metrics.json": "2907a543c2c1e548301a3c6cf507875e7506b989e22a10661df76787d8a489af",
     "curves.csv": "e4cec48fc5f70e432fea251da86053590a100203eb1660a37fd630a4d983e1d5",
     "bins.csv": "91f0e1b7be45dc7e04fc98517ce1d7a529b9b4ab8001c000059a30921923d235",
-    "bootstrap.json": "f591bd02a98e1b2790a345a8cd2bd30516c4719a60533a265303961e1391692e",
+    "bootstrap.json": "40746552420d9449cd9f20a9cd15de4ade55ef6991648aae278f4cfb70763f3d",
     "provenance.json": "6961333be4cb8b9d93c79374808f603fe0a6528a2fb5e956e20ad8015c66e6ca",
     "regression.json": "22b663f579746b366b8e250dd571339e7aeebae8b3162b34fa80549556c68e60",
     "local_projections.csv": "b9442fafc8f456e7143846536a9a48e559f2754668d7516e60a1a2a67e526999",
-    "report.json": "13446504be6ec237237c3c37b6e534f15bd70ac348b26f391a4625b1d1404a09",
-    "report.txt": "7c36ae54d8fc16b1cf49f768196b23939812cc161f69e0f4a5f8baeca87cf1b5",
+    "report.json": "f8cccb3097d4b13618e94cc310f239133a65c785574036c8b48e00d5dda22bdd",
+    "report.txt": "cd76b43b8ae55f461247a195fd6e1c8995599a25ae0f19152d945ae33da5e0c5",
 }
 
 
@@ -120,6 +120,11 @@ def test_all_stages_reproduce_golden_artifacts(tmp_path, monkeypatch):
         assert main(["--log-level", "WARNING", stage, "--config", config]) == 0, stage
     assert {name: body_sha256(out / name) for name in GOLDEN_BODIES} == GOLDEN_BODIES
     assert [key for key, n in calls.items() if n == 0] == []
+    # each bootstrap delta is the full-sample difference of the metrics.json values
+    models = json.loads((out / "metrics.json").read_text(encoding="utf-8"))["models"]
+    rows = json.loads((out / "bootstrap.json").read_text(encoding="utf-8"))["rows"]
+    assert len(rows) == 15 and [row["delta"] for row in rows] == [
+        models[row["model"]][row["metric"]] - models["l2"][row["metric"]] for row in rows]
 
 
 @pytest.mark.parametrize("payload, field", [
@@ -459,7 +464,8 @@ BOOTSTRAP_HEAD = b'{"benchmark": "l2", "block_len": 12, "replications": 20, '
     ("metrics.json", b"{}", "no key 'n'"),
     ("metrics.json", b'{"n": 47, "event_rate": 0.2, "models": {}}', "no key 'ece_bins'"),
     ("metrics.json", b"[1, 2]", "expected a JSON object, got list"),
-    ("bootstrap.json", b'{"benchmark": "\xff"}', "not a UTF-8 JSON file: "),
+    ("bootstrap.json", b'{"benchmark": "\xff"}', "not UTF-8 text (invalid start byte)"),
+    ("metrics.json", None, "is a directory"),
     ("bootstrap.json", b'{"benchmark": "l2", "block_len": 12, "replications": 20}',
      "no key 'rows'"),
     ("regression.json", b"", "not a UTF-8 JSON file: "),
@@ -482,7 +488,7 @@ BOOTSTRAP_HEAD = b'{"benchmark": "l2", "block_len": 12, "replications": 20, '
     ("regression.json", b'{"predictive_volatility": {"gamma": true, "delta_r2": 0}, '
      b'"crash": {}}', "key 'predictive_volatility.gamma': expected a JSON number, got bool"),
 ], ids=["truncated_metrics", "empty_metrics", "metrics_without_ece_bins", "metrics_list",
-        "bootstrap_not_utf8", "bootstrap_without_rows", "empty_regression",
+        "bootstrap_not_utf8", "metrics_directory", "bootstrap_without_rows", "empty_regression",
         "regression_without_crash", "metric_missing", "model_not_object", "event_rate_null",
         "delta_string", "row_without_model", "rows_object", "crash_rate_missing",
         "gamma_bool"])
@@ -491,7 +497,11 @@ def test_report_on_a_bad_json_artifact_exits_3(tmp_path, capsys, name, content, 
     write_index_and_benchmark_forecasts(out)
     config = write_config(tmp_path, {"out_dir": str(out), "bootstrap_reps": 20})
     run_stages(config, "evaluate", "bootstrap", "regress")
-    (out / name).write_bytes(content)
+    if content is None:  # a directory where the file should be
+        (out / name).unlink()
+        (out / name).mkdir()
+    else:
+        (out / name).write_bytes(content)
     assert main(["report", "--config", config]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {out / name}: {message}")

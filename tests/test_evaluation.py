@@ -329,7 +329,7 @@ class TestBootstrapMatchesLoop:
         frac_le = float(np.mean(deltas <= 0.0))
         frac_ge = float(np.mean(deltas >= 0.0))
         lo, hi = np.quantile(deltas, [0.025, 0.975], method="linear")
-        return (float(np.mean(deltas)), float(lo), float(hi),
+        return (float(fn(a, y) - fn(b, y)), float(lo), float(hi),
                 min(2.0 * min(frac_le, frac_ge), 1.0), redraws)
 
     @staticmethod

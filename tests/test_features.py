@@ -156,7 +156,7 @@ class TestAggregateMonthly:
         assert row[FEATURE_NAMES.index("frac_up")] == s.frac_up
 
     def test_shape_on_simulated_year(self, small_sim):
-        part = partition_months(small_sim.panel.dates, small_sim.market)
+        part = partition_months(small_sim.dates, small_sim.market)
         stats = compute_daily_stats(small_sim.panel)
         fm = aggregate_monthly(stats, part)
         assert fm.values.shape == (len(part.months), 10)

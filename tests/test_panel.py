@@ -122,10 +122,17 @@ class TestLoadDailyPanel:
         ])
         filt = EligibilityFilter()
         panel, _ = load_daily_panel(path, filt)
-        write_panel_csv(tmp_path / "kept.csv", panel, "h")
-        reloaded, summary = load_daily_panel(str(tmp_path / "kept.csv"), filt)
+        # the kept rows, A on the first day and D on the second, written back
+        values = zip(*(getattr(panel, name).tolist() for name in FIELDS))
+        kept = write_panel(tmp_path, [
+            f"{day.isoformat()},{sid},{','.join(map(repr, row))},1,1"
+            for day, sid, row in zip(panel.dates, "AD", values)
+        ], name="kept.csv")
+        reloaded, summary = load_daily_panel(kept, filt)
         assert summary.dropped == {}
         assert reloaded.total_observations == panel.total_observations == 2
+        for name in FIELDS:
+            assert getattr(reloaded, name).tobytes() == getattr(panel, name).tobytes(), name
 
     def test_sum_of_counts_equals_total(self, tmp_path):
         rows = [
@@ -391,8 +398,8 @@ class TestChunkedLoad:
         paths = {}
         for years in (2, 8):
             paths[years] = str(tmp_path / f"panel_{years}.csv")
-            panel = simulate(SimConfig(n_stocks=30, n_years=years, seed=3)).panel
-            write_panel_csv(paths[years], panel, "h")
+            sim = simulate(SimConfig(n_stocks=30, n_years=years, seed=3))
+            write_panel_csv(paths[years], sim, "h")
 
         def load(path):
             load_daily_panel(path, EligibilityFilter(), compute_daily_stats)
@@ -466,8 +473,8 @@ class TestPartitionMonths:
             partition_months(panel.dates, market)
 
     def test_partition_covers_every_date_once(self, small_sim):
-        part = partition_months(small_sim.panel.dates, small_sim.market)
-        dates = small_sim.panel.dates
+        part = partition_months(small_sim.dates, small_sim.market)
+        dates = small_sim.dates
         assert part.starts[0] == 0 and part.starts[-1] == len(dates)
         assert np.all(np.diff(part.starts) > 0)
         assert [month_key(d) for d in dates] == [

@@ -16,12 +16,10 @@ class TestSimulate:
     def test_identical_seed_identical_output(self):
         a = simulate(small())
         b = simulate(small())
-        assert a.panel.dates == b.panel.dates
-        assert np.array_equal(a.panel.starts, b.panel.starts)
+        assert a.dates == b.dates
         assert np.array_equal(a.market.mkt_ret, b.market.mkt_ret)
-        assert np.array_equal(a.panel.ret, b.panel.ret)
-        assert np.array_equal(a.panel.prc, b.panel.prc)
-        assert np.array_equal(a.panel.vol, b.panel.vol)
+        for name in ("ret", "prc", "vol", "shrout"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert a.true_regime == b.true_regime
 
     def test_different_seed_differs(self):
@@ -39,7 +37,7 @@ class TestSimulate:
         out = simulate(cfg)
         stats = compute_daily_stats(out.panel)
         by_month: dict[str, list[float]] = {}
-        for date, xs_std in zip(out.panel.dates, stats.xs_std.tolist()):
+        for date, xs_std in zip(out.dates, stats.xs_std.tolist()):
             by_month.setdefault(f"{date.year:04d}-{date.month:02d}", []).append(xs_std)
         stress_vals = [v for m, vs in by_month.items() if out.true_regime[m] for v in vs]
         calm_vals = [v for m, vs in by_month.items() if not out.true_regime[m] for v in vs]
@@ -59,17 +57,17 @@ class TestSimulate:
 
     def test_outputs_finite_and_nonnegative(self):
         out = simulate(small(seed=9))
-        panel = out.panel
-        assert panel.starts.tolist() == list(range(0, 10 * len(panel.dates) + 1, 10))
-        assert np.all(np.isfinite(panel.ret))
-        assert np.all(panel.vol >= 0)
-        assert np.all(panel.shrout >= 0)
-        assert np.all(np.abs(panel.prc) >= 1.0)  # floored at the filter minimum
+        assert out.ret.shape == out.prc.shape == out.vol.shape == (len(out.dates), 10)
+        assert out.shrout.shape == (10,)
+        assert np.all(np.isfinite(out.ret))
+        assert np.all(out.vol >= 0)
+        assert np.all(out.shrout >= 0)
+        assert np.all(np.abs(out.prc) >= 1.0)  # floored at the filter minimum
 
     def test_calendar_shared_with_market(self):
         out = simulate(small())
-        assert out.panel.dates == out.market.dates
-        months = {f"{d.year:04d}-{d.month:02d}" for d in out.panel.dates}
+        assert out.dates == out.market.dates
+        months = {f"{d.year:04d}-{d.month:02d}" for d in out.dates}
         assert months == set(out.true_regime)
 
     def test_invalid_config_names_field(self):
