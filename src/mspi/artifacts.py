@@ -20,12 +20,13 @@ import csv
 import datetime as dt
 import json
 import math
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .backtest import ForecastSeries
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .features import FEATURE_NAMES, FeatureMatrix
 from .labels import LabelSeries
 from .panel import (MARKET_COLUMNS, PANEL_COLUMNS, MarketSeries, open_text, parse_month,
@@ -48,8 +49,20 @@ def _fmt(v) -> str:
     return str(v)
 
 
+@contextmanager
+def open_output(path: Path):
+    """``path`` opened for writing as UTF-8 text; an OSError while opening,
+    writing or closing it (a directory in its place, say) raises ConfigError
+    naming it, an out_dir problem like one that cannot be created."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def write_csv(path: Path, header: list[str], rows, config_hash: str):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_output(path) as fh:
         fh.write(f"# config_hash={config_hash}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -60,7 +73,8 @@ def write_csv(path: Path, header: list[str], rows, config_hash: str):
 def write_json(path: Path, payload: dict, config_hash: str):
     payload = dict(payload)
     payload["config_hash"] = config_hash
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with open_output(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def read_json(path: Path, spec: dict) -> dict:
@@ -158,7 +172,7 @@ def write_panel_csv(path: Path, sim: SimOutput, config_hash: str):
     """
     ids = security_ids(sim.ret.shape[1])
     tails = [f"{s},1,1" for s in _float_tokens(sim.shrout)]  # shrout, shrcd_ok, exchcd_ok
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_output(path) as fh:
         fh.write(f"# config_hash={config_hash}\n{','.join(PANEL_COLUMNS)}\n")
         for day, ret, prc, vol in zip(sim.dates, sim.ret, sim.prc, sim.vol):
             columns = ([day.isoformat()] * len(ids), ids, _float_tokens(ret),

@@ -41,12 +41,12 @@ import os
 import pickle
 import signal
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DataError, MspiError, NumericError
+from .errors import DataError, MspiError, NumericError
 from .features import FeatureMatrix
 from .labels import LabelSeries, market_controls
 from .learners import (
@@ -77,10 +77,6 @@ _MODEL_CODES = {"l1": 1, "l2": 2, "rf": 3, "gb": 4}
 _CV_TAG = 1_000_003  # distinguishes CV streams from forecast streams
 
 
-def _default_lambda_grid() -> tuple[float, ...]:
-    return tuple(float(v) for v in np.logspace(-4.0, 0.0, 20))
-
-
 # Constants of the forecast design, not settings. The first forecast follows
 # a 120-month initial window, in which CV tunes each grid on 5 folds of
 # 120 // (2 * 5) = 12 months, above the 6 that keep a fold's log loss from
@@ -95,39 +91,6 @@ CALIBRATION_FRACTION = 0.2
 CALIBRATION_MIN_MONTHS = 12
 INDEX_MODEL = "l1"
 BENCHMARK_MODEL = "l2"
-
-
-@dataclass(frozen=True)
-class BacktestConfig:
-    """Protocol settings: grids, model list, seed.
-
-    The rf tree shape and gb's depth and shrinkage are the learners' own
-    parameter defaults; only the forest size and gb's stage counts are set.
-    """
-
-    l1_grid: tuple[float, ...] = field(default_factory=_default_lambda_grid)
-    l2_grid: tuple[float, ...] = field(default_factory=_default_lambda_grid)
-    rf_trees: int = RandomForestParams.n_trees
-    gb_stage_grid: tuple[int, ...] = (50, 100, 200, 400)
-    models: tuple[str, ...] = MODEL_NAMES
-    seed: int = 7
-
-    def __post_init__(self):
-        if self.rf_trees < 1:
-            raise ConfigError(f"rf_trees must be >= 1, got {self.rf_trees}")
-        if not self.l1_grid or not self.l2_grid or not self.gb_stage_grid:
-            raise ConfigError("hyperparameter grids must be non-empty")
-        if not all(lam >= 0 for lam in self.l1_grid + self.l2_grid):
-            raise ConfigError("l1_grid and l2_grid entries must be >= 0")
-        if min(self.gb_stage_grid) < 1:
-            raise ConfigError(f"gb_stage_grid entries must be >= 1, got {min(self.gb_stage_grid)}")
-        unknown = [m for m in self.models if m not in MODEL_NAMES]
-        if unknown:
-            raise ConfigError(f"models: unknown model name(s) {unknown}")
-        if not self.models:
-            raise ConfigError("models: need at least one model")
-        if len(set(self.models)) < len(self.models):
-            raise ConfigError(f"models: each model may be listed once, got {list(self.models)}")
 
 
 def month_ordinal(month: str) -> int:
@@ -341,8 +304,6 @@ def forward_chain_cv(
     A non-finite boosting stage raises ``NumericError`` from that one fit,
     as it would from the largest entry's own fit.
     """
-    if not grid:
-        raise ConfigError(f"{learner.name}: empty hyperparameter grid")
     if len(grid) == 1:
         return grid[0], {"selected": learner.describe(grid[0]), "folds_used": 0,
                          "mean_losses": [None]}
@@ -524,10 +485,11 @@ def _run_shares(workers: int, run_share, parent_work) -> tuple[object, list]:
 def run_expanding_backtest(
     features: FeatureMatrix,
     labels: LabelSeries,
-    config: BacktestConfig,
+    config,
 ) -> tuple[ForecastSeries, dict]:
     """Execute the protocol described in the module docstring; returns the
-    forecasts and their provenance, the ``provenance.json`` payload."""
+    forecasts and their provenance, the ``provenance.json`` payload.
+    ``config`` is a ``config.PipelineConfig``, which imports this module."""
     missing = [m for m in labels.months if m not in features.months]
     if missing:
         raise DataError(f"labeled months missing from feature matrix: {missing[:5]}")

@@ -13,8 +13,8 @@ all dropped is not on it), from which ``label`` buckets the market series
 into months. ``lp`` reads only ``labels.csv`` and ``forecasts.csv``: it
 projects the market volatility of the forecast months on the index's
 innovations. Exit codes: 0 success, 1 a forecast worker that failed to
-start or to send its forecasts, 2 config error (the config file and out_dir
-included), 3 data error, 4 numeric failure.
+start or to send its forecasts, 2 config error (the config file, out_dir
+and an unwritable output included), 3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from . import econometrics as econ
 from . import evaluation as ev
 from .artifacts import (
     BIN_COLUMNS,
+    open_output,
     read_bins,
     read_calendar,
     read_features,
@@ -57,18 +58,11 @@ from .simulate import simulate
 logger = logging.getLogger(__name__)
 
 
-def _artifact(out: Path, name: str) -> Path:
-    path = out / name
-    if not path.exists():
-        raise DataError(f"missing upstream artifact: {path} (run the producing stage first)")
-    return path
-
-
 # ---------------------------------------------------------------------------
 # Stage implementations.
 
 def cmd_simulate(cfg: PipelineConfig, out: Path, h: str, args) -> int:
-    sim = simulate(cfg.sim_config())
+    sim = simulate(cfg)
     write_panel_csv(out / "panel.csv", sim, h)
     write_market_csv(out / "market.csv", sim.market, h)
     logger.info("simulated %d trading days across %d months -> %s",
@@ -97,7 +91,7 @@ def cmd_features(cfg: PipelineConfig, out: Path, h: str, args) -> int:
 
 
 def cmd_label(cfg: PipelineConfig, out: Path, h: str, args) -> int:
-    dates = read_calendar(_artifact(out, "calendar.csv"))
+    dates = read_calendar(out / "calendar.csv")
     market = load_market_series(cfg.market_csv or out / "market.csv")
     partition = partition_months(dates, market)
     monthly = build_market_monthly(market, partition)
@@ -109,9 +103,9 @@ def cmd_label(cfg: PipelineConfig, out: Path, h: str, args) -> int:
 
 
 def cmd_backtest(cfg: PipelineConfig, out: Path, h: str, args) -> int:
-    features = read_features(_artifact(out, "features.csv"))
-    labels = read_labels(_artifact(out, "labels.csv"))
-    forecasts, provenance = run_expanding_backtest(features, labels, cfg.backtest_config())
+    features = read_features(out / "features.csv")
+    labels = read_labels(out / "labels.csv")
+    forecasts, provenance = run_expanding_backtest(features, labels, cfg)
     write_forecasts_csv(out / "forecasts.csv", forecasts, h)
     write_json(out / "provenance.json", provenance, h)
     logger.info("wrote %d forecast months for models %s", len(forecasts.months),
@@ -121,8 +115,8 @@ def cmd_backtest(cfg: PipelineConfig, out: Path, h: str, args) -> int:
 
 def _load_forecasts(out: Path, model: str | None = None):
     """forecasts.csv paired with labels.csv; DataError if it lacks ``model``."""
-    labels = read_labels(_artifact(out, "labels.csv"))
-    path = _artifact(out, "forecasts.csv")
+    labels = read_labels(out / "labels.csv")
+    path = out / "forecasts.csv"
     forecasts = read_forecasts(path, labels)
     if model is not None and model not in forecasts.models:
         raise DataError(f"{path}: no forecasts of model {model!r}; the file holds "
@@ -217,7 +211,7 @@ _REPORT_JSON = {
 
 
 def cmd_report(cfg: PipelineConfig, out: Path, h: str, args) -> int:
-    metrics, bootstrap = (read_json(_artifact(out, name), _REPORT_JSON[name])
+    metrics, bootstrap = (read_json(out / name, _REPORT_JSON[name])
                           for name in ("metrics.json", "bootstrap.json"))
     reg_path = out / "regression.json"
     regression = (read_json(reg_path, _REPORT_JSON["regression.json"])
@@ -225,7 +219,7 @@ def cmd_report(cfg: PipelineConfig, out: Path, h: str, args) -> int:
     # the settings of the artifacts summarized, not of this run's config
     payload = {
         "metrics": metrics,
-        "bins": read_bins(_artifact(out, "bins.csv")),
+        "bins": read_bins(out / "bins.csv"),
         "bootstrap": bootstrap,
         "regression": regression,
         "settings": {
@@ -237,7 +231,8 @@ def cmd_report(cfg: PipelineConfig, out: Path, h: str, args) -> int:
     }
     text = _render_report(payload)
     write_json(out / "report.json", payload, h)
-    (out / "report.txt").write_text(text, encoding="utf-8")
+    with open_output(out / "report.txt") as fh:
+        fh.write(text)
     return 0
 
 

@@ -14,11 +14,11 @@ model roles are constants of ``backtest``, the tail threshold of
 ``StressConfig`` and ``EligibilityFilter``, and the evaluation and inference
 protocol constants of ``evaluation`` and ``econometrics``.
 
-``backtest_config()`` reads every field of ``BacktestConfig`` from the
-config field of the same name, ``sim_config()`` every field of ``SimConfig``
-from the field with the prefix ``sim_`` and the shared ``seed``. Each range
-check sits in one place and raises ConfigError naming the config field: in
-the stage dataclass for its own fields, otherwise in ``__post_init__``.
+``PipelineConfig`` is the one settings type: each setting is declared,
+defaulted and range-checked here, and the stages read it by name.
+``simulate.simulate`` reads ``seed`` and the ``sim_`` fields,
+``backtest.run_expanding_backtest`` the grids, ``rf_trees``, ``models`` and
+``seed``, and the bootstrap ``bootstrap_reps`` and ``seed``.
 """
 
 from __future__ import annotations
@@ -29,9 +29,11 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .backtest import BENCHMARK_MODEL, INDEX_MODEL, BacktestConfig
+import numpy as np
+
+from .backtest import BENCHMARK_MODEL, INDEX_MODEL, MODEL_NAMES
 from .errors import ConfigError
-from .simulate import SimConfig
+from .learners import RandomForestParams
 
 
 _KINDS = {"int": int, "float": float, "str": str, "str | None": str, "list": list}
@@ -46,10 +48,8 @@ def _is_kind(value, kind: type) -> bool:
     return isinstance(value, kind)
 
 
-# Each default below is read from the stage dataclass that owns it; the
-# simulator's seed has no default and takes the pipeline's ``seed``.
-_BACKTEST = BacktestConfig()
-_SIM = SimConfig(seed=_BACKTEST.seed)
+def _lambda_grid() -> list[float]:
+    return [float(v) for v in np.logspace(-4.0, 0.0, 20)]
 
 
 @dataclass(frozen=True)
@@ -60,21 +60,21 @@ class PipelineConfig:
     out_dir: str = "out"
 
     # backtest
-    l1_grid: list = field(default_factory=lambda: list(_BACKTEST.l1_grid))
-    l2_grid: list = field(default_factory=lambda: list(_BACKTEST.l2_grid))
-    rf_trees: int = _BACKTEST.rf_trees
-    gb_stage_grid: list = field(default_factory=lambda: list(_BACKTEST.gb_stage_grid))
-    models: list = field(default_factory=lambda: list(_BACKTEST.models))
-    seed: int = _BACKTEST.seed  # also the simulation seed
+    l1_grid: list = field(default_factory=_lambda_grid)
+    l2_grid: list = field(default_factory=_lambda_grid)
+    rf_trees: int = RandomForestParams.n_trees
+    gb_stage_grid: list = field(default_factory=lambda: [50, 100, 200, 400])
+    models: list = field(default_factory=lambda: list(MODEL_NAMES))
+    seed: int = 7  # also the simulation seed
 
     # evaluation
     bootstrap_reps: int = 2000
 
     # simulation
-    sim_n_stocks: int = _SIM.n_stocks
-    sim_n_years: int = _SIM.n_years
-    sim_p_calm_to_stress: float = _SIM.p_calm_to_stress
-    sim_p_stress_to_calm: float = _SIM.p_stress_to_calm
+    sim_n_stocks: int = 500
+    sim_n_years: int = 40
+    sim_p_calm_to_stress: float = 0.04
+    sim_p_stress_to_calm: float = 0.35
 
     @classmethod
     def from_file(cls, path: str | None, **overrides) -> "PipelineConfig":
@@ -130,33 +130,29 @@ class PipelineConfig:
             if name not in self.models:
                 raise ConfigError(f"models must include the {role} model '{name}', "
                                   f"got {self.models}")
-        # delegate the rest to the owning dataclasses
-        self.sim_config()
-        self.backtest_config()
+        if self.sim_n_stocks < 2:
+            raise ConfigError(f"sim_n_stocks must be >= 2, got {self.sim_n_stocks}")
+        if self.sim_n_years < 1:
+            raise ConfigError(f"sim_n_years must be >= 1, got {self.sim_n_years}")
+        for name in ("sim_p_calm_to_stress", "sim_p_stress_to_calm"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ConfigError(f"{name} must be in [0,1], got {getattr(self, name)}")
+        if self.rf_trees < 1:
+            raise ConfigError(f"rf_trees must be >= 1, got {self.rf_trees}")
+        if not self.l1_grid or not self.l2_grid or not self.gb_stage_grid:
+            raise ConfigError("hyperparameter grids must be non-empty")
+        if not all(lam >= 0 for lam in [*self.l1_grid, *self.l2_grid]):
+            raise ConfigError("l1_grid and l2_grid entries must be >= 0")
+        if min(self.gb_stage_grid) < 1:
+            raise ConfigError(f"gb_stage_grid entries must be >= 1, got {min(self.gb_stage_grid)}")
+        unknown = [m for m in self.models if m not in MODEL_NAMES]
+        if unknown:
+            raise ConfigError(f"models: unknown model name(s) {unknown}")
+        if len(set(self.models)) < len(self.models):
+            raise ConfigError(f"models: each model may be listed once, got {self.models}")
 
     def config_hash(self) -> str:
         """sha256 of the settings: every field but ``out_dir``."""
         settings = {k: v for k, v in asdict(self).items() if k != "out_dir"}
         canonical = json.dumps(settings, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-    # ---- stage config builders -------------------------------------------
-
-    def _stage(self, cls: type, prefix: str = "", **given):
-        """``cls`` with each field not ``given`` read from the field
-        ``prefix + name`` of this config, lists as tuples; the prefix also
-        goes before the field name that starts a stage's range error."""
-        for f in fields(cls):
-            if f.name not in given:
-                value = getattr(self, prefix + f.name)
-                given[f.name] = tuple(value) if isinstance(value, list) else value
-        try:
-            return cls(**given)
-        except ConfigError as exc:
-            raise ConfigError(prefix + str(exc)) from None
-
-    def sim_config(self) -> SimConfig:
-        return self._stage(SimConfig, "sim_", seed=self.seed)
-
-    def backtest_config(self) -> BacktestConfig:
-        return self._stage(BacktestConfig)

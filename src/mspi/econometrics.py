@@ -11,7 +11,8 @@ The inference protocol is fixed: Newey-West lag ``HAC_LAG``, crash cutoff
 ``CRASH_CUTOFF`` on the next month's market return, and local projections
 out to ``LP_HORIZON`` months, all on the probabilities of the index,
 ``backtest.INDEX_MODEL``. No run sets another value, so they are constants,
-not config settings. The regressions on the forecast series read them; only the kernels take them as arguments: ``ols_hac`` its lag, which
+not config settings. The regressions on the forecast series read them; only
+the kernels take them as arguments: ``ols_hac`` its lag, which
 ``local_projections`` sets per horizon, and ``local_projections`` its
 horizon, which its tests shorten.
 """

@@ -8,9 +8,10 @@ so serial dependence is preserved.
 The evaluation protocol is fixed: ``ECE_BINS`` equal-mass bins for the ECE
 and the calibration curve, the probability bins ``BIN_EDGES`` of
 ``bins.csv`` and ``BOOTSTRAP_BLOCK``-month bootstrap blocks that compare
-each model with ``backtest.BENCHMARK_MODEL``. No run sets another value, so they are constants, not config settings. The stage entry
-points read them; only the kernels ``ece`` and ``block_bootstrap_diff`` take
-them as arguments, so their tests can check other bin counts and blocks.
+each model with ``backtest.BENCHMARK_MODEL``. No run sets another value,
+so they are constants, not config settings. The stage entry points read
+them; only the kernels ``ece`` and ``block_bootstrap_diff`` take them as
+arguments, so their tests can check other bin counts and blocks.
 """
 
 from __future__ import annotations

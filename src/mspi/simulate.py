@@ -9,7 +9,8 @@ dispersion, plus a regime-dependent chance of a -8% jump per stock-day.
 
 The calendar starts in January 1980 and each month trades on its first 21
 weekdays; the two regimes' dynamics are the constants ``CALM`` and
-``STRESS``. A ``SimConfig`` sets the seed, size and transition probabilities.
+``STRESS``. ``config.PipelineConfig`` sets the seed and the ``sim_`` fields:
+the size and the transition probabilities.
 
 Every stock trades on every day, so the panel is a block: (day × stock)
 arrays of returns, prices and volumes and one share count per stock, which
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
 from .panel import DailyPanel, MarketSeries, month_key
 
 JUMP_RETURN = -0.08
@@ -52,30 +52,6 @@ CALM = RegimeParams(
 STRESS = RegimeParams(
     mkt_drift=-0.003, mkt_vol=0.022, dispersion=0.035, tail_prob=0.05, volume_scale=1.8
 )
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Simulation seed, size and regime transition probabilities. The seed
-    has no default here: the pipeline passes its one seed."""
-
-    seed: int
-    n_stocks: int = 500
-    n_years: int = 40
-    p_calm_to_stress: float = 0.04
-    p_stress_to_calm: float = 0.35
-
-    def __post_init__(self):
-        if self.n_stocks < 2:
-            raise ConfigError(f"n_stocks must be >= 2, got {self.n_stocks}")
-        if self.n_years < 1:
-            raise ConfigError(f"n_years must be >= 1, got {self.n_years}")
-        for name, p in (
-            ("p_calm_to_stress", self.p_calm_to_stress),
-            ("p_stress_to_calm", self.p_stress_to_calm),
-        ):
-            if not 0 <= p <= 1:
-                raise ConfigError(f"{name} must be in [0,1], got {p}")
 
 
 @dataclass(frozen=True)
@@ -108,10 +84,11 @@ def _trading_days(year: int, month: int) -> list[dt.date]:
     return days[:TRADING_DAYS_PER_MONTH]
 
 
-def simulate(config: SimConfig) -> SimOutput:
-    """Run the simulation described in the module docstring."""
+def simulate(config) -> SimOutput:
+    """Run the simulation described in the module docstring. ``config`` is a
+    ``config.PipelineConfig``, which imports this module."""
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    n = config.n_stocks
+    n = config.sim_n_stocks
 
     # Static per-stock attributes. Prices are floored at $1 later so the
     # default eligibility filter never drops a synthetic row.
@@ -121,7 +98,7 @@ def simulate(config: SimConfig) -> SimOutput:
 
     calendar_days = [
         _trading_days(START_YEAR + m // 12, m % 12 + 1)
-        for m in range(config.n_years * 12)
+        for m in range(config.sim_n_years * 12)
     ]
     dates = [day for days in calendar_days for day in days]
     ret = np.empty((len(dates), n))
@@ -135,7 +112,8 @@ def simulate(config: SimConfig) -> SimOutput:
     for m, days in enumerate(calendar_days):
         if m > 0:
             u = rng.random()
-            stress = (u < config.p_calm_to_stress) if not stress else (u >= config.p_stress_to_calm)
+            stress = (u >= config.sim_p_stress_to_calm if stress
+                      else u < config.sim_p_calm_to_stress)
         true_regime[month_key(days[0])] = stress
         params = STRESS if stress else CALM
 

@@ -9,13 +9,13 @@ from mspi import backtest
 from mspi.backtest import (
     LEARNERS,
     MODEL_NAMES,
-    BacktestConfig,
     ForecastSeries,
     fit_window,
     forward_chain_cv,
     month_ordinal,
     run_expanding_backtest,
 )
+from mspi.config import PipelineConfig
 from mspi.errors import ConfigError, DataError
 from mspi.features import FEATURE_NAMES, FeatureMatrix
 from mspi.labels import LabelSeries
@@ -160,13 +160,13 @@ class TestRunExpandingBacktest:
 
     def config(self, **kw):
         base = dict(
-            models=("l1", "l2"),
-            l1_grid=(0.01, 0.1, 1.0),
-            l2_grid=(0.01, 0.1, 1.0),
+            models=["l1", "l2"],
+            l1_grid=[0.01, 0.1, 1.0],
+            l2_grid=[0.01, 0.1, 1.0],
             seed=3,
         )
         base.update(kw)
-        return BacktestConfig(**base)
+        return PipelineConfig(**base)
 
     def test_window_arithmetic_single_forecast(self):
         features, labels = self.make_inputs(n_months=121)
@@ -186,8 +186,8 @@ class TestRunExpandingBacktest:
 
     def test_no_lookahead_prefix_equality(self, monkeypatch):
         features, labels = self.make_inputs(n_months=160, seed=4)
-        config = self.config(models=("l1", "l2", "rf", "gb"), rf_trees=15,
-                             gb_stage_grid=(10, 20))
+        config = self.config(models=["l1", "l2", "rf", "gb"], rf_trees=15,
+                             gb_stage_grid=[10, 20])
         for cpus in (1, 2):  # in process, and with the rf/gb months forked
             set_cpus(monkeypatch, cpus)
             full, _ = run_expanding_backtest(features, labels, config)
@@ -207,7 +207,7 @@ class TestRunExpandingBacktest:
 
     def test_determinism_same_config(self):
         features, labels = self.make_inputs(n_months=140, seed=2)
-        config = self.config(models=("l1", "rf"), rf_trees=10)
+        config = self.config(models=["l1", "l2", "rf"], rf_trees=10)
         a, a_provenance = run_expanding_backtest(features, labels, config)
         b, b_provenance = run_expanding_backtest(features, labels, config)
         for name in config.models:
@@ -230,7 +230,7 @@ class TestRunExpandingBacktest:
         labels.s[97:] = 0
         assert 0 < labels.s[1:97].sum()
         fs, _ = run_expanding_backtest(features, labels, self.config(
-            models=("gb",), gb_stage_grid=(10,)))
+            models=["l1", "l2", "gb"], gb_stage_grid=[10]))
         raw = fs.raw["gb"][0]
         assert raw < 0 and fs.prob["gb"][0] == sigmoid(raw)
 
@@ -245,8 +245,8 @@ class TestRunExpandingBacktest:
             assert np.all((p > 0.0) & (p < 1.0))
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError, match="models"):
-            BacktestConfig(models=("zap",))
+        with pytest.raises(ConfigError, match=r"models: unknown model name\(s\) \['zap'\]"):
+            PipelineConfig(models=["l1", "l2", "zap"])
 
     def test_month_ordinal(self):
         assert month_ordinal("2001-01") == 2001 * 12
@@ -262,8 +262,8 @@ class TestForecastWorkers:
         rng = np.random.default_rng(6)
         labels = synthetic_labels(124, rng)
         features = synthetic_features(labels, rng, signal=2.0)
-        config = BacktestConfig(models=MODEL_NAMES, l1_grid=(0.01, 0.1), l2_grid=(0.01, 0.1),
-                                rf_trees=8, gb_stage_grid=(5, 10), seed=3)
+        config = PipelineConfig(models=list(MODEL_NAMES), l1_grid=[0.01, 0.1],
+                                l2_grid=[0.01, 0.1], rf_trees=8, gb_stage_grid=[5, 10], seed=3)
         with monkeypatch.context() as m:
             m.delattr(os, "fork")  # a platform without fork runs every share here
             set_cpus(m, 16)
@@ -296,7 +296,7 @@ class TestForecastWorkers:
         monkeypatch.setattr(os, "fork", no_fork)
         set_cpus(monkeypatch, 4)
         with caplog.at_level(logging.DEBUG, logger="mspi.backtest"):
-            fs, _ = run_expanding_backtest(features, labels, BacktestConfig(
-                models=("l1", "l2"), l1_grid=(0.1,), l2_grid=(0.1,)))
+            fs, _ = run_expanding_backtest(features, labels, PipelineConfig(
+                models=["l1", "l2"], l1_grid=[0.1], l2_grid=[0.1]))
         assert len(fs.months) == 4
         assert not [r for r in caplog.records if r.getMessage().startswith("forecast ")]

@@ -1,5 +1,6 @@
 import csv
 import datetime as dt
+import errno
 import functools
 import hashlib
 import importlib
@@ -25,6 +26,7 @@ from mspi.artifacts import (
     write_labels_csv,
 )
 from mspi.cli import main
+from mspi.config import PipelineConfig
 from mspi.errors import DataError, NumericError
 from mspi.features import FeatureMatrix
 from mspi.labels import LabelSeries, StressConfig, build_market_monthly, label_stress
@@ -37,10 +39,10 @@ from .test_econometrics import paired, toy_forecasts
 # The small simulated panel of conftest.py run through every stage, with a
 # backtest cut down so the whole run takes seconds.
 SMALL_CONFIG = {
-    "sim_n_stocks": SMALL_SIM.n_stocks,
-    "sim_n_years": SMALL_SIM.n_years,
-    "sim_p_calm_to_stress": SMALL_SIM.p_calm_to_stress,
-    "sim_p_stress_to_calm": SMALL_SIM.p_stress_to_calm,
+    "sim_n_stocks": SMALL_SIM.sim_n_stocks,
+    "sim_n_years": SMALL_SIM.sim_n_years,
+    "sim_p_calm_to_stress": SMALL_SIM.sim_p_calm_to_stress,
+    "sim_p_stress_to_calm": SMALL_SIM.sim_p_stress_to_calm,
     "seed": SMALL_SIM.seed,
     "l1_grid": [float(v) for v in np.logspace(-3, 0, 6)],
     "l2_grid": [float(v) for v in np.logspace(-3, 0, 6)],
@@ -209,27 +211,20 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys):
 
 
 def test_main_checks_the_config_once(tmp_path, monkeypatch):
-    # each check of a config builds its backtest stage config; evaluate builds none itself
-    built = []
-
-    class Counted(backtest.BacktestConfig):
-        def __post_init__(self):
-            built.append(self)
-            super().__post_init__()
-
-    monkeypatch.setattr("mspi.config.BacktestConfig", Counted)
+    calls = {}
+    monkeypatch.setattr(PipelineConfig, "__post_init__",
+                        counted(PipelineConfig.__post_init__, calls, "checks"))
     argv = ["evaluate", "--config", write_config(tmp_path, {"seed": 3}),
             "--out", str(tmp_path / "out"), "--seed", "4"]
     assert main(argv) == 3  # no forecasts.csv
-    assert len(built) == 1
+    assert calls == {"checks": 1}
 
 
 def test_missing_upstream_artifact_exits_3(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["backtest", "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert err == (f"data error: missing upstream artifact: {out / 'features.csv'} "
-                   "(run the producing stage first)\n")
+    assert err == f"data error: missing file: {out / 'features.csv'}\n"
 
 
 def test_malformed_panel_row_exits_3(tmp_path, capsys):
@@ -559,6 +554,25 @@ def test_report_states_the_settings_of_the_artifacts_it_reads(tmp_path):
     assert "Predictive regressions" not in text
 
 
+@pytest.mark.parametrize("stage, name", [
+    ("simulate", "panel.csv"), ("simulate", "market.csv"), ("evaluate", "metrics.json"),
+    ("report", "report.txt"),
+], ids=["panel_csv", "csv", "json", "report_txt"])
+def test_unwritable_output_exits_2(tmp_path, capsys, stage, name):
+    out = tmp_path / "out"
+    config = write_config(tmp_path, {**TINY_CONFIG, "out_dir": str(out), "bootstrap_reps": 20})
+    if stage == "simulate":
+        out.mkdir()
+    else:
+        write_index_and_benchmark_forecasts(out)
+    if stage == "report":
+        run_stages(config, "evaluate", "bootstrap")
+    (out / name).mkdir()  # a directory where the stage writes a file
+    assert main(["--log-level", "WARNING", stage, "--config", config]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot write {out / name}: {os.strerror(errno.EISDIR)}\n")
+
+
 # Four years of eight stocks: the shortest panel the default stress warm-up labels.
 TINY_CONFIG = {"sim_n_stocks": 8, "sim_n_years": 4, "seed": 3}
 
@@ -642,9 +656,7 @@ def test_missing_calendar_exits_3(tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()
     assert main(["label", "--out", str(out)]) == 3
-    assert capsys.readouterr().err == (
-        f"data error: missing upstream artifact: {out / 'calendar.csv'} "
-        "(run the producing stage first)\n")
+    assert capsys.readouterr().err == f"data error: missing file: {out / 'calendar.csv'}\n"
 
 
 # A backtest of all four models, small enough for a test: the default

@@ -1,20 +1,16 @@
-from dataclasses import FrozenInstanceError, asdict, fields
+from dataclasses import FrozenInstanceError, fields
 
+import numpy as np
 import pytest
 
-from mspi.backtest import BacktestConfig
+from mspi.backtest import run_expanding_backtest
 from mspi.config import PipelineConfig
 from mspi.errors import ConfigError
-from mspi.simulate import SimConfig
+from mspi.simulate import simulate
 
-# Each builder, the stage dataclass it returns and the prefix of the config
-# fields it reads; "seed" is shared and has no prefix.
-BUILDERS = {
-    "backtest_config": (BacktestConfig, ""),
-    "sim_config": (SimConfig, "sim_"),
-}
+from .test_backtest import synthetic_features, synthetic_labels
 
-# A valid value other than the default for every field the builders read.
+# A valid value other than the default for every setting the stages read.
 NON_DEFAULT = {
     "l1_grid": [0.01, 0.1],
     "l2_grid": [0.02, 0.2, 2.0],
@@ -34,29 +30,42 @@ def test_config_holds_the_paths_and_the_settings_a_workload_sets():
     assert {f.name for f in fields(PipelineConfig)} == names
 
 
-def test_default_config_builds_each_stage_default():
-    cfg = PipelineConfig()
-    # the simulator's seed has no default of its own: it is the pipeline's
-    assert cfg.sim_config() == SimConfig(seed=BacktestConfig().seed)
-    assert cfg.backtest_config() == BacktestConfig()
+class Recording:
+    """A config that records the name of every field read from it."""
+
+    def __init__(self, config):
+        self._config = config
+        self.read = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._config, name)
 
 
-def test_every_stage_field_arrives_from_its_config_field():
-    default = PipelineConfig()
-    assert all(getattr(default, name) != value for name, value in NON_DEFAULT.items())
-    cfg = PipelineConfig.from_dict(NON_DEFAULT)
-    read = set()
-    for builder, (cls, prefix) in BUILDERS.items():
-        want = {}
-        for f in fields(cls):
-            name = "seed" if f.name == "seed" else prefix + f.name
-            value = NON_DEFAULT[name]
-            want[f.name] = tuple(value) if isinstance(value, list) else value
-            read.add(name)
-        # tuples compare unequal to lists, so each list must arrive as a tuple
-        assert asdict(getattr(cfg, builder)()) == want, builder
-    assert read == set(NON_DEFAULT)
-    assert cfg.sim_config().seed == cfg.backtest_config().seed == 11
+# The fields each stage reads; the bootstrap reads bootstrap_reps and seed.
+SIMULATE_READS = {"seed", "sim_n_stocks", "sim_n_years", "sim_p_calm_to_stress",
+                  "sim_p_stress_to_calm"}
+BACKTEST_READS = {"l1_grid", "l2_grid", "rf_trees", "gb_stage_grid", "models", "seed"}
+
+
+def test_each_stage_reads_the_settings_it_owns():
+    # a chain that switches every month, so both transition probabilities are read
+    config = Recording(PipelineConfig(sim_n_stocks=2, sim_n_years=1, sim_p_calm_to_stress=1.0,
+                                      sim_p_stress_to_calm=1.0))
+    simulate(config)
+    assert config.read == SIMULATE_READS
+
+    rng = np.random.default_rng(6)
+    labels = synthetic_labels(124, rng)
+    config = Recording(PipelineConfig(l1_grid=[0.1], l2_grid=[0.1], rf_trees=4,
+                                      gb_stage_grid=[5]))
+    run_expanding_backtest(synthetic_features(labels, rng), labels, config)
+    assert config.read == BACKTEST_READS
+
+    # every setting has a stage that reads it; the rest are the paths
+    owned = SIMULATE_READS | BACKTEST_READS | {"bootstrap_reps"}
+    paths = {"panel_csv", "market_csv", "out_dir"}
+    assert owned | paths == {f.name for f in fields(PipelineConfig)}
 
 
 def test_config_is_checked_on_construction_and_frozen():

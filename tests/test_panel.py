@@ -9,6 +9,7 @@ import pytest
 
 import mspi.panel
 from mspi.artifacts import write_panel_csv
+from mspi.config import PipelineConfig
 from mspi.errors import DataError
 from mspi.features import DailyStats, compute_daily_stats
 from mspi.panel import (
@@ -18,7 +19,7 @@ from mspi.panel import (
     month_key,
     partition_months,
 )
-from mspi.simulate import SimConfig, simulate
+from mspi.simulate import simulate
 
 from .oracles import load_daily_panel_rowwise
 
@@ -398,7 +399,7 @@ class TestChunkedLoad:
         paths = {}
         for years in (2, 8):
             paths[years] = str(tmp_path / f"panel_{years}.csv")
-            sim = simulate(SimConfig(n_stocks=30, n_years=years, seed=3))
+            sim = simulate(PipelineConfig(sim_n_stocks=30, sim_n_years=years, seed=3))
             write_panel_csv(paths[years], sim, "h")
 
         def load(path):

@@ -3,13 +3,14 @@ import pytest
 
 from mspi.errors import ConfigError
 from mspi.features import compute_daily_stats
-from mspi.simulate import SimConfig, simulate
+from mspi.config import PipelineConfig
+from mspi.simulate import simulate
 
 
 def small(**kw):
-    base = dict(n_stocks=10, n_years=4, seed=7)
+    base = dict(sim_n_stocks=10, sim_n_years=4, seed=7)
     base.update(kw)
-    return SimConfig(**base)
+    return PipelineConfig(**base)
 
 
 class TestSimulate:
@@ -28,12 +29,12 @@ class TestSimulate:
         assert not np.array_equal(a.market.mkt_ret, b.market.mkt_ret)
 
     def test_degenerate_chain_stays_calm(self):
-        cfg = small(p_calm_to_stress=0.0, p_stress_to_calm=0.0)
+        cfg = small(sim_p_calm_to_stress=0.0, sim_p_stress_to_calm=0.0)
         out = simulate(cfg)
         assert not any(out.true_regime.values())
 
     def test_stress_months_have_higher_dispersion(self):
-        cfg = small(n_years=30, seed=3)
+        cfg = small(sim_n_years=30, seed=3)
         out = simulate(cfg)
         stats = compute_daily_stats(out.panel)
         by_month: dict[str, list[float]] = {}
@@ -44,13 +45,13 @@ class TestSimulate:
         assert np.mean(stress_vals) > np.mean(calm_vals)
 
     def test_long_run_regime_frequency(self):
-        cfg = SimConfig(n_stocks=3, n_years=200, seed=21)
+        cfg = PipelineConfig(sim_n_stocks=3, sim_n_years=200, seed=21)
         out = simulate(cfg)
         freq = np.mean([v for v in out.true_regime.values()])
-        pi = cfg.p_calm_to_stress / (cfg.p_calm_to_stress + cfg.p_stress_to_calm)
+        pi = cfg.sim_p_calm_to_stress / (cfg.sim_p_calm_to_stress + cfg.sim_p_stress_to_calm)
         # standard error for a two-state chain with autocorrelation
         # rho = 1 - p_cs - p_sc
-        rho = 1.0 - cfg.p_calm_to_stress - cfg.p_stress_to_calm
+        rho = 1.0 - cfg.sim_p_calm_to_stress - cfg.sim_p_stress_to_calm
         n = len(out.true_regime)
         se = np.sqrt(pi * (1 - pi) / n * (1 + rho) / (1 - rho))
         assert abs(freq - pi) < 3 * se
@@ -71,9 +72,7 @@ class TestSimulate:
         assert months == set(out.true_regime)
 
     def test_invalid_config_names_field(self):
-        with pytest.raises(TypeError, match="seed"):
-            SimConfig(n_stocks=10)
-        with pytest.raises(ConfigError, match="n_stocks"):
-            small(n_stocks=1)
-        with pytest.raises(ConfigError, match="p_calm_to_stress"):
-            small(p_calm_to_stress=1.5)
+        with pytest.raises(ConfigError, match="sim_n_stocks"):
+            small(sim_n_stocks=1)
+        with pytest.raises(ConfigError, match="sim_p_calm_to_stress"):
+            small(sim_p_calm_to_stress=1.5)
