@@ -20,6 +20,7 @@ import csv
 import datetime as dt
 import json
 import math
+import os
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -51,14 +52,21 @@ def _fmt(v) -> str:
 
 @contextmanager
 def open_output(path: Path):
-    """``path`` opened for writing as UTF-8 text; an OSError while opening,
-    writing or closing it (a directory in its place, say) raises ConfigError
-    naming it, an out_dir problem like one that cannot be created."""
+    """A UTF-8 text file, written as ``<path>.partial`` and renamed onto
+    ``path`` once every write succeeded: a failed write leaves the previous
+    ``path`` as it was and no partial file. An OSError while writing or
+    renaming it (a directory in the place of ``path``, say) raises
+    ConfigError naming ``path``, an out_dir problem like one that cannot be
+    created."""
+    partial = Path(f"{path}.partial")
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open(partial, "w", encoding="utf-8", newline="") as fh:
             yield fh
+        os.replace(partial, path)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def write_csv(path: Path, header: list[str], rows, config_hash: str):

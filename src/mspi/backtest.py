@@ -41,7 +41,7 @@ import os
 import pickle
 import signal
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -51,9 +51,8 @@ from .features import FeatureMatrix
 from .labels import LabelSeries, market_controls
 from .learners import (
     CalibrationMap,
-    GradientBoostingParams,
     PROB_CLAMP,
-    RandomForestParams,
+    boosting,
     calibrate_many,
     clamped_log_loss,
     fit_gradient_boosting,
@@ -61,6 +60,7 @@ from .learners import (
     fit_logit_l2,
     fit_platt,
     fit_random_forest,
+    forest,
     gb_score_many,
     laplace_log_odds,
     rf_score_many,
@@ -151,25 +151,26 @@ LEARNERS: dict[str, Learner] = {
                  fit_logit_l2(Xz, y, lam=float(lam), init=init), market_features=True),
     "rf": Learner(
         name="rf",
-        fit=lambda Xz, y, hyper, seed_seq, init: fit_random_forest(Xz, y, hyper, seed_seq),
+        fit=lambda Xz, y, n_trees, seed_seq, init: fit_random_forest(Xz, y, n_trees, seed_seq),
         score=lambda model, Xz: rf_score_many(model, Xz),
-        grid=lambda config: [RandomForestParams(n_trees=config.rf_trees)],
-        key=lambda hyper: 0,  # the grid has one entry, so no two are compared
-        describe=asdict,
+        grid=lambda config: [config.rf_trees],
+        key=lambda n_trees: 0,  # the grid has one entry, so no two are compared
+        describe=lambda n_trees: {"n_trees": n_trees, "max_depth": forest.MAX_DEPTH,
+                                  "min_leaf": forest.MIN_LEAF},
         calibrated=True,
         log_odds=False,  # the score is already a mean leaf frequency
     ),
     "gb": Learner(
         name="gb",
-        fit=lambda Xz, y, hyper, seed_seq, init: fit_gradient_boosting(Xz, y, hyper),
+        fit=lambda Xz, y, n_stages, seed_seq, init: fit_gradient_boosting(Xz, y, n_stages),
         score=lambda model, Xz: gb_score_many(model, Xz),
-        grid=lambda config: [GradientBoostingParams(n_stages=m) for m in config.gb_stage_grid],
-        key=lambda hyper: hyper.n_stages,
-        describe=lambda hyper: {"n_stages": hyper.n_stages, "max_depth": hyper.max_depth,
-                                "shrinkage": hyper.shrinkage},
+        grid=lambda config: list(config.gb_stage_grid),
+        key=lambda n_stages: n_stages,
+        describe=lambda n_stages: {"n_stages": n_stages, "max_depth": boosting.MAX_DEPTH,
+                                   "shrinkage": boosting.SHRINKAGE},
         calibrated=True,
-        # entries differ only in n_stages: a fit's prefixes are the smaller fits
-        restrict=lambda model, hyper: model.prefix(hyper.n_stages),
+        # a fit's first stages are the fit with fewer stages
+        restrict=lambda model, n_stages: model.prefix(n_stages),
     ),
 }
 

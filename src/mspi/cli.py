@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +50,7 @@ from .backtest import BENCHMARK_MODEL, INDEX_MODEL, run_expanding_backtest
 from .config import PipelineConfig
 from .errors import ConfigError, DataError, MspiError, NumericError
 from .features import DailyStats, aggregate_monthly, compute_daily_stats
-from .labels import StressConfig, build_market_monthly, label_stress
+from .labels import build_market_monthly, label_stress
 from .panel import EligibilityFilter, load_daily_panel, load_market_series, partition_months
 from .simulate import simulate
 
@@ -95,7 +94,7 @@ def cmd_label(cfg: PipelineConfig, out: Path, h: str, args) -> int:
     market = load_market_series(cfg.market_csv or out / "market.csv")
     partition = partition_months(dates, market)
     monthly = build_market_monthly(market, partition)
-    labels = label_stress(monthly, StressConfig())
+    labels = label_stress(monthly)
     write_labels_csv(out / "labels.csv", labels, h)
     logger.info("labeled %d months, stress rate %.3f", len(labels.months),
                 float(np.mean(labels.s)))
@@ -126,42 +125,21 @@ def _load_forecasts(out: Path, model: str | None = None):
 
 def cmd_evaluate(cfg: PipelineConfig, out: Path, h: str, args) -> int:
     forecasts = _load_forecasts(out)
-    report = ev.compute_metrics(forecasts)
-    write_json(out / "metrics.json", asdict(report), h)
-
-    def curve_rows():
-        for cs in ev.compute_curves(forecasts):
-            for x, y in zip(*cs.roc):
-                yield (cs.model, "roc", x, y, "")
-            for x, y in zip(*cs.pr):
-                yield (cs.model, "pr", x, y, "")
-            cal = cs.calibration
-            for x, y, c in zip(cal.mean_prob, cal.event_rate, cal.count):
-                yield (cs.model, "calibration", x, y, int(c))
-
-    def bin_rows():
-        for model in forecasts.models:
-            bo = ev.binned_outcomes(forecasts, model)
-            for b in range(len(bo.n)):
-                yield (model, bo.edges[b], bo.edges[b + 1], int(bo.n[b]), bo.mean_prob[b],
-                       bo.stress_rate[b], bo.next_vol[b], bo.next_ret[b])
-
-    write_csv(out / "curves.csv", ["model", "curve", "x", "y", "count"], curve_rows(), h)
-    write_csv(out / "bins.csv", BIN_COLUMNS, bin_rows(), h)
-    logger.info("metrics over %d months (event rate %.3f)", report.n, report.event_rate)
+    metrics = ev.compute_metrics(forecasts)
+    write_json(out / "metrics.json", metrics, h)
+    write_csv(out / "curves.csv", ["model", "curve", "x", "y", "count"],
+              ev.compute_curves(forecasts), h)
+    bins = [row for model in forecasts.models for row in ev.binned_outcomes(forecasts, model)]
+    write_csv(out / "bins.csv", BIN_COLUMNS, bins, h)
+    logger.info("metrics over %d months (event rate %.3f)", metrics["n"], metrics["event_rate"])
     return 0
 
 
 def cmd_bootstrap(cfg: PipelineConfig, out: Path, h: str, args) -> int:
     forecasts = _load_forecasts(out, BENCHMARK_MODEL)
-    rows = ev.bootstrap_table(forecasts, cfg.bootstrap_reps, cfg.seed)
-    write_json(out / "bootstrap.json", {
-        "benchmark": BENCHMARK_MODEL,
-        "block_len": ev.BOOTSTRAP_BLOCK,
-        "replications": cfg.bootstrap_reps,
-        "rows": [asdict(r) for r in rows],
-    }, h)
-    logger.info("bootstrap table with %d rows", len(rows))
+    payload = ev.bootstrap_table(forecasts, cfg.bootstrap_reps, cfg.seed)
+    write_json(out / "bootstrap.json", payload, h)
+    logger.info("bootstrap table with %d rows", len(payload["rows"]))
     return 0
 
 

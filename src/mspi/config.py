@@ -9,9 +9,10 @@ verification, so the same settings write the same bytes in any directory.
 The config holds only the settings that a workload sets, plus the paths.
 Every other default belongs to the module that uses it, and a config that
 names one is rejected as an unknown field: the initial window, CV folds and
-model roles are constants of ``backtest``, the tail threshold of
-``features``, the stress rule and price floor the defaults of
-``StressConfig`` and ``EligibilityFilter``, and the evaluation and inference
+model roles are constants of ``backtest``, the tree depths, leaf sizes and
+shrinkage of ``learners.forest`` and ``learners.boosting``, the tail
+threshold of ``features``, the stress rule of ``labels``, the price floor
+the default of ``EligibilityFilter``, and the evaluation and inference
 protocol constants of ``evaluation`` and ``econometrics``.
 
 ``PipelineConfig`` is the one settings type: each setting is declared,
@@ -33,7 +34,6 @@ import numpy as np
 
 from .backtest import BENCHMARK_MODEL, INDEX_MODEL, MODEL_NAMES
 from .errors import ConfigError
-from .learners import RandomForestParams
 
 
 _KINDS = {"int": int, "float": float, "str": str, "str | None": str, "list": list}
@@ -62,7 +62,7 @@ class PipelineConfig:
     # backtest
     l1_grid: list = field(default_factory=_lambda_grid)
     l2_grid: list = field(default_factory=_lambda_grid)
-    rf_trees: int = RandomForestParams.n_trees
+    rf_trees: int = 500
     gb_stage_grid: list = field(default_factory=lambda: [50, 100, 200, 400])
     models: list = field(default_factory=lambda: list(MODEL_NAMES))
     seed: int = 7  # also the simulation seed

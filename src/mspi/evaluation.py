@@ -12,12 +12,15 @@ each model with ``backtest.BENCHMARK_MODEL``. No run sets another value,
 so they are constants, not config settings. The stage entry points read
 them; only the kernels ``ece`` and ``block_bootstrap_diff`` take them as
 arguments, so their tests can check other bin counts and blocks.
+
+Each stage entry point returns the rows or payload of its artifact, which
+``cli`` writes as they are.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -219,26 +222,9 @@ def pr_points(scores: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return recall, precision
 
 
-@dataclass(frozen=True)
-class ModelMetrics:
-    auc: float
-    pr_auc: float
-    brier: float
-    log_loss: float
-    ece: float
-    mean_prob: float
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    models: dict[str, ModelMetrics]
-    event_rate: float
-    n: int
-    ece_bins: int
-
-
-def compute_metrics(forecasts: ForecastSeries) -> MetricsReport:
-    """Table of per-model metrics over months with an observed outcome."""
+def compute_metrics(forecasts: ForecastSeries) -> dict:
+    """The ``metrics.json`` payload: each model's metrics over the months
+    with an observed outcome, their event rate and count, and the ECE bins."""
     mask = forecasts.observed_mask()
     if not mask.any():
         raise DataError("no months with observed outcomes to evaluate")
@@ -247,84 +233,53 @@ def compute_metrics(forecasts: ForecastSeries) -> MetricsReport:
     for name in forecasts.models:
         raw = forecasts.raw[name][mask]
         prob = forecasts.prob[name][mask]
-        e, _ = ece(prob, y, ECE_BINS)
-        models[name] = ModelMetrics(
-            auc=auc(raw, y),
-            pr_auc=pr_auc(raw, y),
-            brier=brier(prob, y),
-            log_loss=log_loss(prob, y),
-            ece=e,
-            mean_prob=float(np.mean(prob)),
-        )
-    return MetricsReport(
-        models=models, event_rate=float(np.mean(y)), n=int(mask.sum()), ece_bins=ECE_BINS
-    )
+        models[name] = {
+            "auc": auc(raw, y),
+            "pr_auc": pr_auc(raw, y),
+            "brier": brier(prob, y),
+            "log_loss": log_loss(prob, y),
+            "ece": ece(prob, y, ECE_BINS)[0],
+            "mean_prob": float(np.mean(prob)),
+        }
+    return {"models": models, "event_rate": float(np.mean(y)), "n": int(mask.sum()),
+            "ece_bins": ECE_BINS}
 
 
-@dataclass(frozen=True)
-class CurveSet:
-    """Curve point sets for one model, in plottable long form."""
-
-    model: str
-    roc: tuple[np.ndarray, np.ndarray]
-    pr: tuple[np.ndarray, np.ndarray]
-    calibration: CalibrationCurve
-
-
-def compute_curves(forecasts: ForecastSeries) -> list[CurveSet]:
+def compute_curves(forecasts: ForecastSeries) -> list[tuple]:
+    """The ``curves.csv`` rows (model, curve, x, y, count): each model's ROC
+    and PR points, then its calibration bins with their counts."""
     mask = forecasts.observed_mask()
     y = forecasts.y_next[mask]
-    out = []
+    rows = []
     for name in forecasts.models:
         raw = forecasts.raw[name][mask]
         prob = forecasts.prob[name][mask]
-        _, curve = ece(prob, y, ECE_BINS)
-        out.append(CurveSet(model=name, roc=roc_points(raw, y), pr=pr_points(raw, y),
-                            calibration=curve))
-    return out
+        for curve, points in (("roc", roc_points(raw, y)), ("pr", pr_points(raw, y))):
+            rows += [(name, curve, *point, "") for point in zip(*points)]
+        cal = ece(prob, y, ECE_BINS)[1]
+        rows += [(name, "calibration", p, rate, int(c))
+                 for p, rate, c in zip(cal.mean_prob, cal.event_rate, cal.count)]
+    return rows
 
 
-@dataclass(frozen=True)
-class BinnedOutcomes:
-    """Realized outcomes grouped by forecast-probability bin."""
-
-    model: str
-    edges: tuple[float, ...]
-    n: np.ndarray
-    mean_prob: np.ndarray
-    stress_rate: np.ndarray
-    next_vol: np.ndarray
-    next_ret: np.ndarray
-
-
-def binned_outcomes(forecasts: ForecastSeries, model: str) -> BinnedOutcomes:
-    """Bin months by forecast probability at ``BIN_EDGES``; bins are [lo, hi),
-    last bin closed."""
+def binned_outcomes(forecasts: ForecastSeries, model: str) -> list[tuple]:
+    """The ``bins.csv`` rows of ``model`` (``artifacts.BIN_COLUMNS``): months
+    binned by forecast probability at ``BIN_EDGES``, bins [lo, hi) with the
+    last closed, and each bin's count and mean probability, stress rate,
+    next-month volatility and return (NaN for an empty bin)."""
     mask = forecasts.observed_mask()
     probs = forecasts.prob[model][mask]
-    y = forecasts.y_next[mask]
-    vol = forecasts.next_vol[mask]
-    ret = forecasts.next_ret[mask]
-
+    columns = (probs, forecasts.y_next[mask], forecasts.next_vol[mask],
+               forecasts.next_ret[mask])
     k = len(BIN_EDGES) - 1
-    n = np.zeros(k, dtype=np.int64)
-    mean_prob = np.full(k, np.nan)
-    stress_rate = np.full(k, np.nan)
-    vol_mean = np.full(k, np.nan)
-    ret_mean = np.full(k, np.nan)
     which = np.minimum(np.searchsorted(BIN_EDGES, probs, side="right") - 1, k - 1)
+    rows = []
     for b in range(k):
         sel = which == b
-        n[b] = int(sel.sum())
-        if n[b]:
-            mean_prob[b] = float(np.mean(probs[sel]))
-            stress_rate[b] = float(np.mean(y[sel]))
-            vol_mean[b] = float(np.mean(vol[sel]))
-            ret_mean[b] = float(np.mean(ret[sel]))
-    return BinnedOutcomes(
-        model=model, edges=BIN_EDGES, n=n, mean_prob=mean_prob,
-        stress_rate=stress_rate, next_vol=vol_mean, next_ret=ret_mean,
-    )
+        n = int(sel.sum())
+        means = [float(np.mean(c[sel])) if n else math.nan for c in columns]
+        rows.append((model, BIN_EDGES[b], BIN_EDGES[b + 1], n, *means))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +296,6 @@ _ROW_METRICS = {
 @dataclass(frozen=True)
 class BootstrapResult:
     metric: str
-    model: str
-    benchmark: str
     delta: float
     ci_lo: float
     ci_hi: float
@@ -431,15 +384,13 @@ def block_bootstrap_diff(
     frac_ge = float(np.mean(deltas >= 0.0))
     p = min(2.0 * min(frac_le, frac_ge), 1.0)
     lo, hi = np.quantile(deltas, [0.025, 0.975], method="linear")
-    return BootstrapResult(
-        metric=metric, model="a", benchmark="b", delta=float(delta),
-        ci_lo=float(lo), ci_hi=float(hi), p_value=p, block_len=block_len,
-        reps=reps, seed=seed, redraws=redraws,
-    )
+    return BootstrapResult(metric=metric, delta=float(delta), ci_lo=float(lo), ci_hi=float(hi),
+                           p_value=p, block_len=block_len, reps=reps, seed=seed, redraws=redraws)
 
 
-def bootstrap_table(forecasts: ForecastSeries, reps: int, seed: int) -> list[BootstrapResult]:
-    """Bootstrap deltas of every other model against ``BENCHMARK_MODEL``."""
+def bootstrap_table(forecasts: ForecastSeries, reps: int, seed: int) -> dict:
+    """The ``bootstrap.json`` payload: bootstrap deltas of every other model
+    against ``BENCHMARK_MODEL``, one row per metric and model."""
     mask = forecasts.observed_mask()
     y = forecasts.y_next[mask]
     rows = []
@@ -450,5 +401,6 @@ def bootstrap_table(forecasts: ForecastSeries, reps: int, seed: int) -> list[Boo
                 continue
             res = block_bootstrap_diff(scores[name][mask], scores[BENCHMARK_MODEL][mask], y,
                                        metric, BOOTSTRAP_BLOCK, reps, seed, ECE_BINS)
-            rows.append(replace(res, model=name, benchmark=BENCHMARK_MODEL))
-    return rows
+            rows.append({"model": name, "benchmark": BENCHMARK_MODEL, **asdict(res)})
+    return {"benchmark": BENCHMARK_MODEL, "block_len": BOOTSTRAP_BLOCK, "replications": reps,
+            "rows": rows}

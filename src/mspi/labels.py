@@ -5,7 +5,10 @@ volatility is the within-month sample standard deviation annualized by
 sqrt(252). A month is a stress month when the return breaches a fixed
 downside cutoff or realized volatility reaches the expanding quantile of
 all volatility observed through the previous month. Months without enough
-quantile history are excluded from the modeling sample.
+quantile history are excluded from the modeling sample. The cutoff, the
+quantile and the history length are the constants ``RETURN_CUTOFF``,
+``VOL_QUANTILE`` and ``MIN_HISTORY_MONTHS``; the stage applies them, and
+only tests pass ``label_stress`` other values.
 """
 
 from __future__ import annotations
@@ -15,28 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .panel import MarketSeries, MonthPartition
 
 ANNUALIZATION = math.sqrt(252.0)
-
-
-@dataclass(frozen=True)
-class StressConfig:
-    """The stress rule: return cutoff, volatility quantile, warmup length;
-    ``label`` applies the defaults."""
-
-    return_cutoff: float = -0.05
-    vol_quantile: float = 0.90
-    min_history_months: int = 36
-
-    def __post_init__(self):
-        if not self.return_cutoff < 0:
-            raise ConfigError(f"return_cutoff must be < 0, got {self.return_cutoff}")
-        if not 0 < self.vol_quantile < 1:
-            raise ConfigError(f"vol_quantile must be in (0,1), got {self.vol_quantile}")
-        if self.min_history_months < 2:
-            raise ConfigError(f"min_history_months must be >= 2, got {self.min_history_months}")
+RETURN_CUTOFF = -0.05
+VOL_QUANTILE = 0.90
+MIN_HISTORY_MONTHS = 36
 
 
 @dataclass(frozen=True)
@@ -112,15 +100,17 @@ def expanding_quantile(history: np.ndarray, alpha: float) -> float:
     return float(np.quantile(history, alpha, method="linear"))
 
 
-def label_stress(monthly: MarketMonthly, config: StressConfig) -> LabelSeries:
+def label_stress(monthly: MarketMonthly, return_cutoff: float = RETURN_CUTOFF,
+                 vol_quantile: float = VOL_QUANTILE,
+                 min_history_months: int = MIN_HISTORY_MONTHS) -> LabelSeries:
     """Label stress months in real time.
 
     Month at index i is labeled once i >= min_history_months, using the
-    quantile of sigma_mkt over indices [0, i) — all volatility through the
-    previous month. S = 1 iff r_mkt <= return_cutoff or sigma_mkt >= that
-    quantile.
+    ``vol_quantile`` quantile of sigma_mkt over indices [0, i) — all
+    volatility through the previous month. S = 1 iff r_mkt <= return_cutoff
+    or sigma_mkt >= that quantile.
     """
-    warm = config.min_history_months
+    warm = min_history_months
     n = len(monthly.months)
     if n <= warm:
         raise DataError(
@@ -130,9 +120,9 @@ def label_stress(monthly: MarketMonthly, config: StressConfig) -> LabelSeries:
     r = monthly.r_mkt[warm:]
     sigma = monthly.sigma_mkt[warm:]
     q_prev = np.array(
-        [expanding_quantile(monthly.sigma_mkt[:i], config.vol_quantile) for i in range(warm, n)]
+        [expanding_quantile(monthly.sigma_mkt[:i], vol_quantile) for i in range(warm, n)]
     )
-    s = ((r <= config.return_cutoff) | (sigma >= q_prev)).astype(np.int64)
+    s = ((r <= return_cutoff) | (sigma >= q_prev)).astype(np.int64)
     return LabelSeries(
         months=list(months), r_mkt=r.copy(), sigma_mkt=sigma.copy(), q_prev=q_prev, s=s,
     )

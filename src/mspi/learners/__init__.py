@@ -1,8 +1,8 @@
 """Probability learners: penalized logits, tree ensembles, Platt calibration."""
 
-from .boosting import BoostModel, GradientBoostingParams, fit_gradient_boosting, gb_score_many
+from .boosting import BoostModel, fit_gradient_boosting, gb_score_many
 from .calibration import CalibrationMap, calibrate_many, fit_platt
-from .forest import ForestModel, RandomForestParams, fit_random_forest, rf_score_many
+from .forest import ForestModel, fit_random_forest, rf_score_many
 from .logit import (
     PROB_CLAMP,
     LogitModel,
@@ -19,10 +19,8 @@ __all__ = [
     "BoostModel",
     "CalibrationMap",
     "ForestModel",
-    "GradientBoostingParams",
     "LogitModel",
     "PROB_CLAMP",
-    "RandomForestParams",
     "StandardizationParams",
     "calibrate_many",
     "clamped_log_loss",

@@ -2,9 +2,11 @@
 
 Each tree grows on its own bootstrap resample, considering ceil(sqrt(p))
 uniformly drawn candidate features per node; leaves store the stress
-frequency of their training rows. The forest score is the average leaf
-frequency across trees, in [0, 1]. Per-tree random streams are spawned
-from the fit seed, so output is bit-deterministic.
+frequency of their training rows. Trees grow to depth ``MAX_DEPTH`` with
+leaves of at least ``MIN_LEAF`` rows; only the tree count is a setting
+(``rf_trees``). The forest score is the average leaf frequency across
+trees, in [0, 1]. Per-tree random streams are spawned from the fit seed,
+so output is bit-deterministic.
 """
 
 from __future__ import annotations
@@ -17,16 +19,8 @@ import numpy as np
 from ..errors import DataError
 from .trees import Tree, build_tree, leaf_values
 
-
-@dataclass(frozen=True)
-class RandomForestParams:
-    n_trees: int = 500
-    max_depth: int = 8
-    min_leaf: int = 5
-
-    def resolve_mtry(self, p: int) -> int:
-        """Candidate features drawn per node."""
-        return math.ceil(math.sqrt(p))
+MAX_DEPTH = 8
+MIN_LEAF = 5
 
 
 @dataclass
@@ -35,23 +29,24 @@ class ForestModel:
 
 
 def fit_random_forest(
-    X: np.ndarray, y: np.ndarray, params: RandomForestParams, seed: np.random.SeedSequence
+    X: np.ndarray, y: np.ndarray, n_trees: int, seed: np.random.SeedSequence
 ) -> ForestModel:
-    """Fit one tree per child ``seed`` spawns; requires both classes present."""
+    """Fit ``n_trees`` trees, one per child ``seed`` spawns; requires both
+    classes present."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
     if np.unique(y).shape[0] < 2:
         raise DataError("random forest needs both classes in the training targets")
-    mtry = params.resolve_mtry(p)
+    mtry = math.ceil(math.sqrt(p))
     trees = []
-    for child in seed.spawn(params.n_trees):
+    for child in seed.spawn(n_trees):
         rng = np.random.Generator(np.random.PCG64(child))
         idx = rng.integers(0, n, size=n)
         trees.append(
             build_tree(
                 X[idx], y[idx], rng,
-                max_depth=params.max_depth, min_leaf=params.min_leaf,
+                max_depth=MAX_DEPTH, min_leaf=MIN_LEAF,
                 n_candidate_features=mtry, criterion="gini",
             )
         )

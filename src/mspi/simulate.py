@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .panel import DailyPanel, MarketSeries, month_key
+from .panel import MarketSeries, month_key
 
 JUMP_RETURN = -0.08
 START_YEAR = 1980
@@ -65,13 +65,6 @@ class SimOutput:
     shrout: np.ndarray  # one per stock, constant over time
     market: MarketSeries
     true_regime: dict[str, bool]
-
-    @property
-    def panel(self) -> DailyPanel:
-        """The block as the ``DailyPanel`` its CSV loads to."""
-        n_days, n = self.ret.shape
-        return DailyPanel(self.dates, np.arange(0, n_days * n + 1, n), self.ret.ravel(),
-                          self.prc.ravel(), self.vol.ravel(), np.tile(self.shrout, n_days))
 
 
 def _trading_days(year: int, month: int) -> list[dt.date]:

@@ -4,9 +4,11 @@ import pytest
 from mspi.backtest import run_expanding_backtest
 from mspi.config import PipelineConfig
 from mspi.features import aggregate_monthly, compute_daily_stats
-from mspi.labels import StressConfig, build_market_monthly, label_stress
+from mspi.labels import build_market_monthly, label_stress
 from mspi.panel import partition_months
 from mspi.simulate import simulate
+
+from .oracles import sim_panel
 
 SMALL_SIM = PipelineConfig(
     sim_n_stocks=40, sim_n_years=22, seed=11, sim_p_calm_to_stress=0.07,
@@ -23,8 +25,8 @@ def small_sim():
 def small_chain(small_sim):
     """(partition, features, labels) for the small simulated panel."""
     partition = partition_months(small_sim.dates, small_sim.market)
-    features = aggregate_monthly(compute_daily_stats(small_sim.panel), partition)
-    labels = label_stress(build_market_monthly(small_sim.market, partition), StressConfig())
+    features = aggregate_monthly(compute_daily_stats(sim_panel(small_sim)), partition)
+    labels = label_stress(build_market_monthly(small_sim.market, partition))
     return partition, features, labels
 
 

@@ -9,8 +9,9 @@ CSV loader, a tree grower that sorts every node's rows afresh with a
 one-tree-at-a-time descent, and the per-day, per-month, per-tie-group and
 per-replicate loops the batched statistics and metrics replaced.
 
-``l1_objective``, the lasso objective at a fitted model, sits here too:
-only the tests read it.
+``l1_objective``, the lasso objective at a fitted model, and ``sim_panel``,
+a simulation's block as the ``DailyPanel`` its CSV loads to, sit here too:
+only the tests read them.
 """
 
 from __future__ import annotations
@@ -110,6 +111,14 @@ def l1_objective(model: LogitModel, X: np.ndarray, y: np.ndarray) -> float:
     """Mean-loss lasso objective at the model's parameters."""
     z = model.intercept + np.asarray(X, dtype=float) @ model.coef
     return mean_nll(z, np.asarray(y, dtype=float)) + model.lam * float(np.sum(np.abs(model.coef)))
+
+
+def sim_panel(sim) -> DailyPanel:
+    """The (day x stock) block of a ``simulate.SimOutput`` as the ``DailyPanel``
+    its ``panel.csv`` loads to."""
+    n_days, n = sim.ret.shape
+    return DailyPanel(sim.dates, np.arange(0, n_days * n + 1, n), sim.ret.ravel(),
+                      sim.prc.ravel(), sim.vol.ravel(), np.tile(sim.shrout, n_days))
 
 
 def interp_quantile(values, alpha: float) -> float:

@@ -29,6 +29,8 @@ from mspi.panel import (
 )
 from mspi.simulate import SimOutput, security_ids
 
+from .oracles import sim_panel
+
 FIELDS = ("ret", "prc", "vol", "shrout")
 
 
@@ -152,7 +154,7 @@ class TestWritePanelCsv:
         write_panel_csv(tmp_path / "panel.csv", sim, "h")
         got, summary = load_daily_panel(str(tmp_path / "panel.csv"),
                                         EligibilityFilter(min_abs_price=0.0))
-        panel = sim.panel
+        panel = sim_panel(sim)
         assert got.dates == sim.dates
         assert got.starts.tolist() == panel.starts.tolist()
         assert summary.rows_kept == 28
@@ -201,3 +203,19 @@ class TestRoundTrips:
         write_calendar_csv(tmp_path / "calendar.csv", [], "h")
         with pytest.raises(DataError, match="no trading days"):
             read_calendar(tmp_path / "calendar.csv")
+
+
+class TestOpenOutput:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "features.csv"
+        write_csv(path, ["month", "x"], [("2000-01", 1.5), ("2000-02", 2.5)], "old")
+        before = path.read_bytes()
+
+        def rows():
+            yield ("2000-01", 9.0)
+            raise DataError("input ended early")
+
+        with pytest.raises(DataError, match="ended early"):
+            write_csv(path, ["month", "x"], rows(), "new")
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["features.csv"]

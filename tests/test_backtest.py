@@ -19,7 +19,7 @@ from mspi.config import PipelineConfig
 from mspi.errors import ConfigError, DataError
 from mspi.features import FEATURE_NAMES, FeatureMatrix
 from mspi.labels import LabelSeries
-from mspi.learners import GradientBoostingParams, clamped_log_loss, sigmoid
+from mspi.learners import clamped_log_loss, sigmoid
 
 
 def set_cpus(monkeypatch, n):
@@ -101,7 +101,7 @@ class TestForwardChainCV:
         rng = np.random.default_rng(9)
         X = rng.normal(size=(96, 4))
         y = (rng.random(96) < 1 / (1 + np.exp(-1.5 * X[:, 0] + 1.0))).astype(float)
-        grid = [GradientBoostingParams(n_stages=m) for m in (8, 15, 3, 15)]
+        grid = [8, 15, 3, 15]
         folds, seg = 4, 96 // 8
         hyper, info = forward_chain_cv(learner, X, y, grid, folds, np.random.SeedSequence(4))
         assert info["folds_used"] == folds
@@ -144,8 +144,7 @@ class TestFitWindow:
         rng = np.random.default_rng(1)
         X = rng.normal(size=(80, 4))
         y = (rng.random(80) < 1 / (1 + np.exp(-2 * X[:, 0]))).astype(float)
-        fitted = fit_window(learner, X, y, GradientBoostingParams(n_stages=30),
-                            np.random.SeedSequence(3))
+        fitted = fit_window(learner, X, y, 30, np.random.SeedSequence(3))
         assert fitted.cmap is not None
         raw, prob = fitted.predict_one(X[0])
         assert 0.0 < prob < 1.0

@@ -29,7 +29,7 @@ from mspi.cli import main
 from mspi.config import PipelineConfig
 from mspi.errors import DataError, NumericError
 from mspi.features import FeatureMatrix
-from mspi.labels import LabelSeries, StressConfig, build_market_monthly, label_stress
+from mspi.labels import LabelSeries, build_market_monthly, label_stress
 from mspi.panel import EligibilityFilter, load_daily_panel, load_market_series, partition_months
 
 from .conftest import SMALL_SIM
@@ -571,6 +571,7 @@ def test_unwritable_output_exits_2(tmp_path, capsys, stage, name):
     assert main(["--log-level", "WARNING", stage, "--config", config]) == 2
     assert capsys.readouterr().err == (
         f"config error: cannot write {out / name}: {os.strerror(errno.EISDIR)}\n")
+    assert not list(out.glob("*.partial"))
 
 
 # Four years of eight stocks: the shortest panel the default stress warm-up labels.
@@ -616,7 +617,7 @@ def test_fully_filtered_day_stays_off_the_calendar(tmp_path):
 
     def labels_body(dates):
         monthly = build_market_monthly(market, partition_months(dates, market))
-        write_labels_csv(tmp_path / "ref.csv", label_stress(monthly, StressConfig()), "h")
+        write_labels_csv(tmp_path / "ref.csv", label_stress(monthly), "h")
         return body_sha256(tmp_path / "ref.csv")
 
     assert body_sha256(out / "labels.csv") == labels_body(panel.dates)

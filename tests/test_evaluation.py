@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from mspi.artifacts import BIN_COLUMNS, write_csv
+from mspi.backtest import ForecastSeries
 from mspi.errors import DataError, NumericError
 from mspi.evaluation import (
     BOOTSTRAP_BLOCK,
@@ -19,6 +21,7 @@ from mspi.evaluation import (
     pr_points,
     roc_points,
 )
+from mspi.panel import read_rows
 
 from .oracles import (
     auc_loop,
@@ -182,29 +185,46 @@ class TestCurves:
 
 class TestBinnedOutcomes:
     def test_boundary_conventions(self, small_forecasts):
-        bo = binned_outcomes(small_forecasts, "l1")
-        assert bo.edges == (0.0, 0.05, 0.10, 0.20, 0.40, 1.0)
-        assert bo.n.sum() == small_forecasts.observed_mask().sum()
+        rows = [dict(zip(BIN_COLUMNS, r)) for r in binned_outcomes(small_forecasts, "l1")]
+        assert [(r["bin_lo"], r["bin_hi"]) for r in rows] == [
+            (0.0, 0.05), (0.05, 0.10), (0.10, 0.20), (0.20, 0.40), (0.40, 1.0)]
+        assert {r["model"] for r in rows} == {"l1"}
+        assert sum(r["n"] for r in rows) == small_forecasts.observed_mask().sum()
 
-    def test_probability_bin_assignment(self):
-        # hand-built forecast series exercising the edge conventions
-        from mspi.backtest import ForecastSeries
-
-        probs = np.array([0.049999, 0.05, 0.1, 0.399, 0.4, 1.0 - 1e-12])
-        fs = ForecastSeries(
-            months=[f"2010-{m:02d}" for m in range(1, 7)],
+    @staticmethod
+    def series(probs) -> ForecastSeries:
+        """One model "m" forecasting ``probs``, with alternating outcomes."""
+        n = len(probs)
+        probs = np.array(probs)
+        return ForecastSeries(
+            months=[f"2010-{m:02d}" for m in range(1, n + 1)],
             models=("m",),
             raw={"m": probs.copy()},
             prob={"m": probs.copy()},
-            y_next=np.array([0, 1, 0, 1, 0, 1.0]),
-            next_vol=np.full(6, 0.1),
-            next_ret=np.full(6, 0.0),
-            r_mkt=np.zeros(6),
-            sigma_mkt=np.full(6, 0.1),
+            y_next=np.arange(n) % 2.0,
+            next_vol=np.full(n, 0.1),
+            next_ret=np.full(n, 0.0),
+            r_mkt=np.zeros(n),
+            sigma_mkt=np.full(n, 0.1),
         )
-        bo = binned_outcomes(fs, "m")
+
+    def test_probability_bin_assignment(self, tmp_path):
+        # hand-built forecast series exercising the edge conventions
+        fs = self.series([0.049999, 0.05, 0.1, 0.399, 0.4, 1.0 - 1e-12])
         # 0.05 joins the second bin (left-closed), 0.4 and 1.0 the last (closed top)
-        assert bo.n.tolist() == [1, 1, 1, 1, 2]
+        assert [r[3] for r in binned_outcomes(fs, "m")] == [1, 1, 1, 1, 2]
+
+        # no forecast in [0.10, 0.20): that bin counts 0 and its means are NaN
+        rows = binned_outcomes(self.series([0.01, 0.07, 0.3, 0.5]), "m")
+        empty = dict(zip(BIN_COLUMNS, rows[2]))
+        assert (empty["bin_lo"], empty["bin_hi"], empty["n"]) == (0.10, 0.20, 0)
+        assert all(math.isnan(empty[c]) for c in BIN_COLUMNS[4:])
+        # ... which bins.csv writes as blank cells
+        write_csv(tmp_path / "bins.csv", BIN_COLUMNS, rows, "h")
+        _, written = read_rows(tmp_path / "bins.csv", BIN_COLUMNS)
+        assert written[2] == {"model": "m", "bin_lo": "0.1", "bin_hi": "0.2", "n": "0",
+                              **dict.fromkeys(BIN_COLUMNS[4:], "")}
+        assert all(written[1][c] for c in BIN_COLUMNS[4:])
 
 
 class TestBlockBootstrap:
@@ -246,26 +266,31 @@ class TestBlockBootstrap:
             block_bootstrap_diff(a, b, y, "auc", block_len=12, reps=100, seed=3, ece_bins=10)
 
     def test_table_runs_on_forecasts(self, small_forecasts):
-        rows = bootstrap_table(small_forecasts, reps=60, seed=4)
-        models = {r.model for r in rows}
+        table = bootstrap_table(small_forecasts, reps=60, seed=4)
+        assert (table["benchmark"], table["block_len"], table["replications"]) == (
+            "l2", BOOTSTRAP_BLOCK, 60)
+        rows = table["rows"]
+        models = {r["model"] for r in rows}
         assert models == {"l1", "rf", "gb"}
         assert len(rows) == 15  # 5 metrics x 3 models
         for r in rows:
-            assert 0.0 <= r.p_value <= 1.0
-            assert r.ci_lo <= r.ci_hi
-            assert r.block_len == BOOTSTRAP_BLOCK
+            assert r["benchmark"] == "l2"
+            assert 0.0 <= r["p_value"] <= 1.0
+            assert r["ci_lo"] <= r["ci_hi"]
+            assert r["block_len"] == BOOTSTRAP_BLOCK
 
 
 class TestComputeMetrics:
     def test_report_shape(self, small_forecasts):
         report = compute_metrics(small_forecasts)
-        assert set(report.models) == set(small_forecasts.models)
-        assert 0.0 <= report.event_rate <= 1.0
-        for m in report.models.values():
-            assert 0.0 <= m.auc <= 1.0
-            assert 0.0 <= m.pr_auc <= 1.0
-            assert m.log_loss >= 0.0
-            assert 0.0 <= m.ece <= 1.0
+        assert set(report["models"]) == set(small_forecasts.models)
+        assert 0.0 <= report["event_rate"] <= 1.0
+        assert report["ece_bins"] == ECE_BINS
+        for m in report["models"].values():
+            assert 0.0 <= m["auc"] <= 1.0
+            assert 0.0 <= m["pr_auc"] <= 1.0
+            assert m["log_loss"] >= 0.0
+            assert 0.0 <= m["ece"] <= 1.0
 
 
 def tied_case(rng, n):
@@ -390,17 +415,17 @@ class TestBootstrapMatchesLoop:
 
     def test_table_uses_ece_bins(self, small_forecasts):
         # each ECE row is the kernel at the protocol's block length and bin count
-        rows = bootstrap_table(small_forecasts, reps=40, seed=4)
-        ece_rows = [r for r in rows if r.metric == "ece"]
+        rows = bootstrap_table(small_forecasts, reps=40, seed=4)["rows"]
+        ece_rows = [r for r in rows if r["metric"] == "ece"]
         assert len(ece_rows) == 3
         mask = small_forecasts.observed_mask()
         y = small_forecasts.y_next[mask]
         for r in ece_rows:
-            a = small_forecasts.prob[r.model][mask]
+            a = small_forecasts.prob[r["model"]][mask]
             b = small_forecasts.prob["l2"][mask]
             res = block_bootstrap_diff(a, b, y, "ece", block_len=BOOTSTRAP_BLOCK, reps=40,
                                        seed=4, ece_bins=ECE_BINS)
-            assert r.delta == res.delta
+            assert r["delta"] == res.delta
             other = block_bootstrap_diff(a, b, y, "ece", block_len=BOOTSTRAP_BLOCK, reps=40,
                                          seed=4, ece_bins=5)
-            assert r.delta != other.delta
+            assert r["delta"] != other.delta

@@ -17,7 +17,7 @@ from mspi.features import (
 )
 from mspi.panel import DailyPanel, MarketSeries, partition_months
 
-from .oracles import daily_stats_per_day, monthly_means_per_month
+from .oracles import daily_stats_per_day, monthly_means_per_month, sim_panel
 
 PANEL_FIELDS = ("ret", "prc", "vol", "shrout")
 
@@ -157,7 +157,7 @@ class TestAggregateMonthly:
 
     def test_shape_on_simulated_year(self, small_sim):
         part = partition_months(small_sim.dates, small_sim.market)
-        stats = compute_daily_stats(small_sim.panel)
+        stats = compute_daily_stats(sim_panel(small_sim))
         fm = aggregate_monthly(stats, part)
         assert fm.values.shape == (len(part.months), 10)
         assert np.all(np.isfinite(fm.values))

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from mspi.artifacts import write_labels_csv
-from mspi.errors import ConfigError, DataError
+from mspi.errors import DataError
 from mspi.labels import (
     MarketMonthly,
-    StressConfig,
     build_market_monthly,
     expanding_quantile,
     label_stress,
@@ -107,26 +106,26 @@ def monthly(months, r, sigma):
 
 
 class TestLabelStress:
-    CONFIG = StressConfig(min_history_months=3)
+    WARM = 3  # months of history before the first label
 
     def months(self, n):
         return [f"{2000 + i // 12:04d}-{i % 12 + 1:02d}" for i in range(n)]
 
     def test_return_branch(self):
         mm = monthly(self.months(4), [0.0, 0.0, 0.0, -0.06], [0.1, 0.2, 0.3, 0.0])
-        ls = label_stress(mm, self.CONFIG)
+        ls = label_stress(mm, min_history_months=self.WARM)
         assert ls.months == ["2000-04"] and ls.s.tolist() == [1]
 
     def test_volatility_branch(self):
         mm = monthly(self.months(4), [0.0, 0.0, 0.0, 0.02], [0.10, 0.20, 0.25, 0.30])
-        ls = label_stress(mm, self.CONFIG)
+        ls = label_stress(mm, min_history_months=self.WARM)
         # q over {0.10, 0.20, 0.25} at 0.9 is 0.24; 0.30 >= 0.24
         assert ls.s.tolist() == [1]
         assert ls.q_prev[0] == pytest.approx(interp_quantile([0.10, 0.20, 0.25], 0.9))
 
     def test_neither_branch(self):
         mm = monthly(self.months(4), [0.0, 0.0, 0.0, 0.02], [0.10, 0.20, 0.25, 0.10])
-        assert label_stress(mm, self.CONFIG).s.tolist() == [0]
+        assert label_stress(mm, min_history_months=self.WARM).s.tolist() == [0]
 
     def test_y_next_alignment(self, tmp_path):
         mm = monthly(
@@ -134,7 +133,7 @@ class TestLabelStress:
             [0.0, 0.0, 0.0, -0.06, 0.02, -0.08],
             [0.10, 0.20, 0.30, 0.10, 0.05, 0.10],
         )
-        ls = label_stress(mm, self.CONFIG)
+        ls = label_stress(mm, min_history_months=self.WARM)
         assert ls.s.tolist() == [1, 0, 1]  # return, neither, return
         # the target of month t is the next month's S: labels.csv's Y_next
         write_labels_csv(tmp_path / "labels.csv", ls, "h")
@@ -144,18 +143,18 @@ class TestLabelStress:
     def test_insufficient_history_error(self):
         mm = monthly(self.months(3), [0.0] * 3, [0.1] * 3)
         with pytest.raises(DataError, match="history"):
-            label_stress(mm, self.CONFIG)
+            label_stress(mm, min_history_months=self.WARM)
 
     def test_no_lookahead_quantile_path(self):
         # labeling a truncated series reproduces the full run's prefix
         rng = np.random.default_rng(2)
         n = 200
         mm = monthly(self.months(n), rng.normal(0.005, 0.03, n), rng.lognormal(-2, 0.4, n))
-        config = StressConfig(min_history_months=12)
-        full = label_stress(mm, config)
+        full = label_stress(mm, min_history_months=12)
         for cut in (40, 97, 150):
             trunc = label_stress(
-                monthly(mm.months[:cut], mm.r_mkt[:cut], mm.sigma_mkt[:cut]), config
+                monthly(mm.months[:cut], mm.r_mkt[:cut], mm.sigma_mkt[:cut]),
+                min_history_months=12,
             )
             k = len(trunc.months)
             assert np.array_equal(trunc.q_prev, full.q_prev[:k])
@@ -165,8 +164,8 @@ class TestLabelStress:
         rng = np.random.default_rng(5)
         n = 120
         mm = monthly(self.months(n), rng.normal(0.005, 0.03, n), rng.lognormal(-2, 0.4, n))
-        strict = label_stress(mm, StressConfig(vol_quantile=0.9, min_history_months=12))
-        loose = label_stress(mm, StressConfig(vol_quantile=0.8, min_history_months=12))
+        strict = label_stress(mm, vol_quantile=0.9, min_history_months=12)
+        loose = label_stress(mm, vol_quantile=0.8, min_history_months=12)
         vol_fire_strict = strict.sigma_mkt >= strict.q_prev
         vol_fire_loose = loose.sigma_mkt >= loose.q_prev
         assert np.all(vol_fire_loose[vol_fire_strict])
@@ -175,17 +174,9 @@ class TestLabelStress:
         rng = np.random.default_rng(9)
         n = 1200
         mm = monthly(self.months(n), np.zeros(n), rng.lognormal(-2, 0.3, n))
-        ls = label_stress(mm, StressConfig(min_history_months=36))
+        ls = label_stress(mm, min_history_months=36)
         freq = float(np.mean(ls.sigma_mkt >= ls.q_prev))
         assert abs(freq - 0.10) < 0.03
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigError, match="return_cutoff"):
-            StressConfig(return_cutoff=0.05)
-        with pytest.raises(ConfigError, match="vol_quantile"):
-            StressConfig(vol_quantile=1.5)
-        with pytest.raises(ConfigError, match="min_history_months"):
-            StressConfig(min_history_months=1)
 
 
 class TestBuildMarketMonthly:

@@ -6,6 +6,8 @@ from mspi.features import compute_daily_stats
 from mspi.config import PipelineConfig
 from mspi.simulate import simulate
 
+from .oracles import sim_panel
+
 
 def small(**kw):
     base = dict(sim_n_stocks=10, sim_n_years=4, seed=7)
@@ -36,7 +38,7 @@ class TestSimulate:
     def test_stress_months_have_higher_dispersion(self):
         cfg = small(sim_n_years=30, seed=3)
         out = simulate(cfg)
-        stats = compute_daily_stats(out.panel)
+        stats = compute_daily_stats(sim_panel(out))
         by_month: dict[str, list[float]] = {}
         for date, xs_std in zip(out.dates, stats.xs_std.tolist()):
             by_month.setdefault(f"{date.year:04d}-{date.month:02d}", []).append(xs_std)

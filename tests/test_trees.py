@@ -5,8 +5,6 @@ import pytest
 
 from mspi.errors import DataError
 from mspi.learners import (
-    GradientBoostingParams,
-    RandomForestParams,
     fit_gradient_boosting,
     fit_random_forest,
     gb_score_many,
@@ -158,8 +156,8 @@ class TestRandomForest:
         rng = np.random.default_rng(1)
         X = rng.standard_normal((60, 5))
         y = (rng.random(60) < 0.3).astype(float)
-        m1 = fit_random_forest(X, y, RandomForestParams(n_trees=25), np.random.SeedSequence(11))
-        m2 = fit_random_forest(X, y, RandomForestParams(n_trees=25), np.random.SeedSequence(11))
+        m1 = fit_random_forest(X, y, 25, np.random.SeedSequence(11))
+        m2 = fit_random_forest(X, y, 25, np.random.SeedSequence(11))
         grid = rng.standard_normal((30, 5))
         assert np.array_equal(rf_score_many(m1, grid), rf_score_many(m2, grid))
 
@@ -167,15 +165,14 @@ class TestRandomForest:
         rng = np.random.default_rng(2)
         X = rng.standard_normal((80, 4))
         y = (rng.random(80) < 0.4).astype(float)
-        model = fit_random_forest(X, y, RandomForestParams(n_trees=30), np.random.SeedSequence(3))
+        model = fit_random_forest(X, y, 30, np.random.SeedSequence(3))
         s = rf_score_many(model, rng.standard_normal((50, 4)))
         assert np.all((s >= 0.0) & (s <= 1.0))
 
     def test_single_class_rejected(self):
         X = np.random.default_rng(0).standard_normal((10, 2))
         with pytest.raises(DataError):
-            fit_random_forest(X, np.ones(10), RandomForestParams(n_trees=2),
-                              np.random.SeedSequence(0))
+            fit_random_forest(X, np.ones(10), 2, np.random.SeedSequence(0))
 
 
 class TestGradientBoosting:
@@ -183,55 +180,53 @@ class TestGradientBoosting:
         rng = np.random.default_rng(3)
         X = rng.standard_normal((40, 3))
         y = np.array([1.0] * 10 + [0.0] * 30)
-        model = fit_gradient_boosting(X, y, GradientBoostingParams(n_stages=0))
+        model = fit_gradient_boosting(X, y, 0)
         assert gb_score_many(model, X[:1])[0] == pytest.approx(math.log(0.25 / 0.75))
 
     def test_zero_shrinkage_matches_base_rate(self):
         rng = np.random.default_rng(4)
         X = rng.standard_normal((40, 3))
         y = (rng.random(40) < 0.4).astype(float)
-        m0 = fit_gradient_boosting(X, y, GradientBoostingParams(n_stages=0))
-        mz = fit_gradient_boosting(X, y, GradientBoostingParams(n_stages=20, shrinkage=0.0))
+        m0 = fit_gradient_boosting(X, y, 0)
+        mz = fit_gradient_boosting(X, y, 20, shrinkage=0.0)
         grid = rng.standard_normal((20, 3))
         assert np.array_equal(gb_score_many(m0, grid), gb_score_many(mz, grid))
 
     def test_separable_data_drives_loss_down(self):
         x = np.concatenate([np.linspace(0, 1, 20), np.linspace(10, 11, 20)])[:, None]
         y = np.array([0.0] * 20 + [1.0] * 20)
-        model = fit_gradient_boosting(
-            x, y, GradientBoostingParams(n_stages=100, max_depth=1, shrinkage=0.1)
-        )
+        model = fit_gradient_boosting(x, y, 100, max_depth=1, shrinkage=0.1)
         assert model.train_loss[-1] < 0.05
 
     def test_training_loss_monotone(self):
         rng = np.random.default_rng(5)
         X = rng.standard_normal((100, 5))
         y = (rng.random(100) < 1 / (1 + np.exp(-X[:, 0]))).astype(float)
-        model = fit_gradient_boosting(X, y, GradientBoostingParams(n_stages=60))
+        model = fit_gradient_boosting(X, y, 60)
         assert all(b <= a + 1e-12 for a, b in zip(model.train_loss, model.train_loss[1:]))
 
     def test_scores_finite(self):
         rng = np.random.default_rng(6)
         X = rng.standard_normal((60, 4))
         y = (rng.random(60) < 0.3).astype(float)
-        model = fit_gradient_boosting(X, y, GradientBoostingParams(n_stages=40))
+        model = fit_gradient_boosting(X, y, 40)
         assert np.all(np.isfinite(gb_score_many(model, rng.standard_normal((30, 4)))))
 
     def test_single_class_rejected(self):
         X = np.random.default_rng(0).standard_normal((10, 2))
         with pytest.raises(DataError):
-            fit_gradient_boosting(X, np.zeros(10), GradientBoostingParams(n_stages=5))
+            fit_gradient_boosting(X, np.zeros(10), 5)
 
     def test_prefix_equals_shorter_fit(self):
         rng = np.random.default_rng(8)
         X = rng.integers(0, 6, (90, 4)).astype(float)
         y = (rng.random(90) < 1 / (1 + np.exp(-X[:, 0] + 2.5))).astype(float)
-        full = fit_gradient_boosting(X, y, GradientBoostingParams(n_stages=40))
+        full = fit_gradient_boosting(X, y, 40)
         grid = rng.standard_normal((25, 4))
         for m in (0, 1, 17, 40):
-            short = fit_gradient_boosting(X, y, GradientBoostingParams(n_stages=m))
+            short = fit_gradient_boosting(X, y, m)
             prefix = full.prefix(m)
-            assert prefix.params == short.params and prefix.f0 == short.f0
+            assert prefix.shrinkage == short.shrinkage and prefix.f0 == short.f0
             assert prefix.train_loss == short.train_loss
             assert len(prefix.trees) == m
             assert all(same_tree(a, b) for a, b in zip(prefix.trees, short.trees))
