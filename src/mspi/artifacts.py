@@ -171,21 +171,24 @@ def _float_tokens(values: np.ndarray) -> list[str]:
 
 
 def write_panel_csv(path: Path, sim: SimOutput, config_hash: str):
-    """Write the simulated (day × stock) block one day at a time, formatting
-    each column of the day's row in one pass.
+    """Write the simulated panel as ``sim.months`` draws it, one month's
+    (day × stock) block at a time, formatting each column of a day's rows in
+    one pass. This exhausts ``sim.months``, which completes ``sim.market``
+    and ``sim.true_regime``.
 
     Every stock is on every day under its ``security_ids`` id, its share
     count is formatted once, and every row carries both eligibility flags 1.
     The bytes equal those ``write_csv`` writes for the per-row tuples.
     """
-    ids = security_ids(sim.ret.shape[1])
+    ids = security_ids(sim.shrout.size)
     tails = [f"{s},1,1" for s in _float_tokens(sim.shrout)]  # shrout, shrcd_ok, exchcd_ok
     with open_output(path) as fh:
         fh.write(f"# config_hash={config_hash}\n{','.join(PANEL_COLUMNS)}\n")
-        for day, ret, prc, vol in zip(sim.dates, sim.ret, sim.prc, sim.vol):
-            columns = ([day.isoformat()] * len(ids), ids, _float_tokens(ret),
-                       _float_tokens(prc), _float_tokens(vol), tails)
-            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+        for days, *block in sim.months:
+            for day, ret, prc, vol in zip(days, *block):
+                columns = ([day.isoformat()] * len(ids), ids, _float_tokens(ret),
+                           _float_tokens(prc), _float_tokens(vol), tails)
+                fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 def write_market_csv(path: Path, market: MarketSeries, config_hash: str):

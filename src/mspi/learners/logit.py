@@ -271,14 +271,16 @@ def _lasso_qp(hess: np.ndarray, c: np.ndarray, lam: float, x: np.ndarray,
     x[0] is unpenalized and always active. Each step minimizes the quadratic
     over the active coordinates with their signs held fixed (least squares,
     so a singular active block, as exactly duplicated columns give, has a
-    solution), then moves there or to the best point on the way at which a
-    coordinate reaches zero; a coordinate at zero leaves the active set.
-    Once a step reaches its target with no sign change, the active
-    coordinates are stationary, and the zero coordinate whose gradient
-    exceeds lam by most joins, with the sign that lowers the objective; once
-    none does, ``x`` is optimal. The objective falls with every step, so the
-    search ends; ``NumericError`` is raised if it has not after 20 steps per
-    coordinate.
+    solution; ``lstsq``'s rank tells a singular block from a regular one),
+    then moves there or to the best point on the way at which a coordinate
+    reaches zero; a coordinate at zero leaves the active set. Once a step
+    reaches its target with no sign change, the active coordinates are
+    stationary, and the zero coordinate whose gradient exceeds lam by most
+    joins, with the sign that lowers the objective; once none does, ``x`` is
+    optimal. No step may raise the objective by more than its rounding
+    error, so no active set recurs and the search ends. ``NumericError`` is
+    raised when no candidate point of a step keeps to that, or when the
+    search has not ended after 20 steps per coordinate.
     """
     x = x.copy()
     theta = np.sign(x)
@@ -300,11 +302,11 @@ def _lasso_qp(hess: np.ndarray, c: np.ndarray, lam: float, x: np.ndarray,
         idx = np.flatnonzero(active)
         h = hess[np.ix_(idx, idx)]
         b = c[idx] + lam * theta[idx]
-        target = np.linalg.lstsq(h, -b, rcond=None)[0]
+        target, _, rank, _ = np.linalg.lstsq(h, -b, rcond=None)
         residual = h @ target + b
         xa = x[idx]
-        consistent = np.all(np.abs(residual) <= _QP_ROUNDING * (np.abs(h) @ np.abs(target)
-                                                                + np.abs(b)))
+        consistent = rank == idx.shape[0] or np.all(
+            np.abs(residual) <= _QP_ROUNDING * (np.abs(h) @ np.abs(target) + np.abs(b)))
         d = target - xa if consistent else -residual
         crossing = theta[idx] * d < 0.0
         hits = np.full(idx.shape[0], np.inf)
@@ -323,12 +325,23 @@ def _lasso_qp(hess: np.ndarray, c: np.ndarray, lam: float, x: np.ndarray,
         for t in sorted(steps):
             v = xa + t * d
             v[hits == t] = 0.0
-            f = 0.5 * float(v @ h @ v) + float(c[idx] @ v) + lam * float(np.sum(np.abs(v[1:])))
+            f = _qp_objective(h, c[idx], lam, v)
             if f < best_f:
                 best, best_f = v, f
+        # a step may not raise the objective by more than its rounding error;
+        # a step that does not move (as from x = 0) keeps it exactly
+        a = np.abs(xa)
+        slack = _QP_ROUNDING * float(a @ np.abs(h) @ a + np.abs(c[idx]) @ a + lam * np.sum(a[1:]))
+        if best_f > _qp_objective(h, c[idx], lam, xa) + slack:
+            raise NumericError(f"{name} (lambda={lam:g}): lasso QP step raised the objective")
         x[idx] = best
         theta = np.sign(x)
         theta[0] = 0.0
         active = theta != 0.0
         active[0] = True
     raise NumericError(f"{name} (lambda={lam:g}): active-set QP did not terminate")
+
+
+def _qp_objective(h: np.ndarray, c: np.ndarray, lam: float, v: np.ndarray) -> float:
+    """0.5 v'hv + c'v + lam * ||v[1:]||_1."""
+    return 0.5 * float(v @ h @ v) + float(c @ v) + lam * float(np.sum(np.abs(v[1:])))

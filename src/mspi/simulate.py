@@ -12,9 +12,13 @@ weekdays; the two regimes' dynamics are the constants ``CALM`` and
 ``STRESS``. ``config.PipelineConfig`` sets the seed and the ``sim_`` fields:
 the size and the transition probabilities.
 
-Every stock trades on every day, so the panel is a block: (day × stock)
-arrays of returns, prices and volumes and one share count per stock, which
-``artifacts.write_panel_csv`` writes as they are.
+Every stock trades on every day, so each month of the panel is a block:
+(day × stock) arrays of returns, prices and volumes, beside one share count
+per stock. ``simulate`` draws the per-stock attributes and returns; it
+draws each month only when its caller takes it from ``SimOutput.months``,
+and ``artifacts.write_panel_csv`` writes each month as it comes. So the
+stage holds one month of the panel, never the whole (day × stock) block,
+and the market series and regimes are complete once the months are drawn.
 
 All randomness comes from a single PCG64 generator seeded from the config,
 so identical configs produce bit-identical output on any platform.
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import calendar
 import datetime as dt
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,15 +61,22 @@ STRESS = RegimeParams(
 
 @dataclass(frozen=True)
 class SimOutput:
-    """Simulated panel block, market series, and per-month ground-truth regime."""
+    """The simulated calendar, share counts, market series and per-month
+    ground-truth regime, and ``months``, the panel as a one-shot stream.
+
+    ``months`` yields each calendar month's ``(dates, ret, prc, vol)``: its
+    trading days and its (day × stock) returns, prices and volumes. Drawing
+    a month fills its days of ``market.mkt_ret`` (NaN until then) and its
+    ``true_regime`` entry, so both are complete only once ``months`` is
+    exhausted; a ``market.csv`` written earlier has blank returns, which
+    ``panel.load_market_series`` rejects.
+    """
 
     dates: list[dt.date]
-    ret: np.ndarray  # (day, stock)
-    prc: np.ndarray  # (day, stock)
-    vol: np.ndarray  # (day, stock)
     shrout: np.ndarray  # one per stock, constant over time
     market: MarketSeries
     true_regime: dict[str, bool]
+    months: Iterator[tuple]
 
 
 def _trading_days(year: int, month: int) -> list[dt.date]:
@@ -79,7 +91,8 @@ def _trading_days(year: int, month: int) -> list[dt.date]:
 
 def simulate(config) -> SimOutput:
     """Run the simulation described in the module docstring. ``config`` is a
-    ``config.PipelineConfig``, which imports this module."""
+    ``config.PipelineConfig``, which imports this module; every setting is
+    read here, before the first month is drawn."""
     rng = np.random.Generator(np.random.PCG64(config.seed))
     n = config.sim_n_stocks
 
@@ -94,36 +107,40 @@ def simulate(config) -> SimOutput:
         for m in range(config.sim_n_years * 12)
     ]
     dates = [day for days in calendar_days for day in days]
-    ret = np.empty((len(dates), n))
-    prc = np.empty((len(dates), n))
-    vol = np.empty((len(dates), n))
-    mkt = np.empty(len(dates))
+    market = MarketSeries(list(dates), np.full(len(dates), np.nan))
     true_regime: dict[str, bool] = {}
+    p_calm_to_stress = config.sim_p_calm_to_stress
+    p_stress_to_calm = config.sim_p_stress_to_calm
 
-    stress = False
-    d = 0
-    for m, days in enumerate(calendar_days):
-        if m > 0:
-            u = rng.random()
-            stress = (u >= config.sim_p_stress_to_calm if stress
-                      else u < config.sim_p_calm_to_stress)
-        true_regime[month_key(days[0])] = stress
-        params = STRESS if stress else CALM
+    def draw_months():
+        # each month's regime, then its days' market return, idiosyncratic
+        # returns, jumps and volumes, in that order from rng
+        price = prices
+        stress = False
+        d = 0
+        for m, days in enumerate(calendar_days):
+            if m > 0:
+                u = rng.random()
+                stress = u >= p_stress_to_calm if stress else u < p_calm_to_stress
+            true_regime[month_key(days[0])] = stress
+            params = STRESS if stress else CALM
 
-        for _ in days:
-            mkt_ret = params.mkt_drift + params.mkt_vol * rng.standard_normal()
-            idio = params.dispersion * rng.standard_normal(n)
-            jumps = rng.random(n) < params.tail_prob
-            ret[d] = mkt_ret + idio + np.where(jumps, JUMP_RETURN, 0.0)
-            prices = np.maximum(1.0, prices * (1.0 + ret[d]))
-            prc[d] = prices
-            mkt[d] = mkt_ret
-            vol[d] = np.round(
-                base_volume * params.volume_scale * np.exp(0.5 * rng.standard_normal(n))
-            )
-            d += 1
+            ret, prc, vol = (np.empty((len(days), n)) for _ in range(3))
+            for i in range(len(days)):
+                mkt_ret = params.mkt_drift + params.mkt_vol * rng.standard_normal()
+                idio = params.dispersion * rng.standard_normal(n)
+                jumps = rng.random(n) < params.tail_prob
+                ret[i] = mkt_ret + idio + np.where(jumps, JUMP_RETURN, 0.0)
+                price = np.maximum(1.0, price * (1.0 + ret[i]))
+                prc[i] = price
+                market.mkt_ret[d] = mkt_ret
+                vol[i] = np.round(
+                    base_volume * params.volume_scale * np.exp(0.5 * rng.standard_normal(n))
+                )
+                d += 1
+            yield days, ret, prc, vol
 
-    return SimOutput(dates, ret, prc, vol, shrout, MarketSeries(list(dates), mkt), true_regime)
+    return SimOutput(dates, shrout, market, true_regime, draw_months())
 
 
 def security_ids(n_stocks: int) -> list[str]:

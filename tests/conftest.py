@@ -18,15 +18,19 @@ SMALL_SIM = PipelineConfig(
 
 @pytest.fixture(scope="session")
 def small_sim():
-    return simulate(SMALL_SIM)
+    """(simulation, panel) for the small config: drawing the panel's months
+    completes the simulation's market series and regimes."""
+    sim = simulate(SMALL_SIM)
+    return sim, sim_panel(sim)
 
 
 @pytest.fixture(scope="session")
 def small_chain(small_sim):
     """(partition, features, labels) for the small simulated panel."""
-    partition = partition_months(small_sim.dates, small_sim.market)
-    features = aggregate_monthly(compute_daily_stats(sim_panel(small_sim)), partition)
-    labels = label_stress(build_market_monthly(small_sim.market, partition))
+    sim, panel = small_sim
+    partition = partition_months(sim.dates, sim.market)
+    features = aggregate_monthly(compute_daily_stats(panel), partition)
+    labels = label_stress(build_market_monthly(sim.market, partition))
     return partition, features, labels
 
 

@@ -114,11 +114,14 @@ def l1_objective(model: LogitModel, X: np.ndarray, y: np.ndarray) -> float:
 
 
 def sim_panel(sim) -> DailyPanel:
-    """The (day x stock) block of a ``simulate.SimOutput`` as the ``DailyPanel``
-    its ``panel.csv`` loads to."""
-    n_days, n = sim.ret.shape
-    return DailyPanel(sim.dates, np.arange(0, n_days * n + 1, n), sim.ret.ravel(),
-                      sim.prc.ravel(), sim.vol.ravel(), np.tile(sim.shrout, n_days))
+    """The months a ``simulate.SimOutput`` draws, joined into the ``DailyPanel``
+    its ``panel.csv`` loads to. This exhausts ``sim.months``."""
+    months = list(sim.months)
+    dates = [day for days, *_ in months for day in days]
+    ret, prc, vol = (np.concatenate([m[k] for m in months]) for k in (1, 2, 3))
+    n_days, n = ret.shape
+    return DailyPanel(dates, np.arange(0, n_days * n + 1, n), ret.ravel(), prc.ravel(),
+                      vol.ravel(), np.tile(sim.shrout, n_days))
 
 
 def interp_quantile(values, alpha: float) -> float:

@@ -126,7 +126,8 @@ class TestReadForecasts:
 
 class TestWritePanelCsv:
     @pytest.fixture
-    def sim(self):
+    def block(self):
+        """(dates, ret, prc, vol, shrout): a (day × stock) block over two months."""
         rng = np.random.default_rng(5)
         shape = (4, 7)  # (day, stock)
         vol = np.round(rng.lognormal(9.0, 1.0, shape))
@@ -136,26 +137,34 @@ class TestWritePanelCsv:
         prc = rng.uniform(1.0, 90.0, shape) * np.where(rng.random(shape) < 0.3, -1, 1)
         shrout = np.round(rng.lognormal(8, 1, shape[1]))
         shrout[3] = np.nan
-        dates = [dt.date(2001, 1, 2 + k) for k in range(shape[0])]
-        return SimOutput(dates=dates, ret=ret, prc=prc, vol=vol, shrout=shrout,
-                         market=MarketSeries(dates=dates, mkt_ret=np.zeros(shape[0])),
-                         true_regime={})
+        dates = [dt.date(2001, 1, 30), dt.date(2001, 1, 31), dt.date(2001, 2, 1),
+                 dt.date(2001, 2, 2)]
+        return dates, ret, prc, vol, shrout
 
-    def test_bytes_equal_row_by_row_csv_writer(self, sim, tmp_path):
-        ids = security_ids(sim.ret.shape[1])
-        rows = ((day.isoformat(), ids[i], sim.ret[d, i], sim.prc[d, i], sim.vol[d, i],
-                 sim.shrout[i], 1, 1)
-                for d, day in enumerate(sim.dates) for i in range(len(ids)))
-        write_panel_csv(tmp_path / "fast.csv", sim, "h")
+    @staticmethod
+    def sim(block) -> SimOutput:
+        """A simulation whose months yield ``block`` a calendar month at a time."""
+        dates, ret, prc, vol, shrout = block
+        months = ((dates[a:b], ret[a:b], prc[a:b], vol[a:b]) for a, b in ((0, 2), (2, 4)))
+        return SimOutput(dates=dates, shrout=shrout,
+                         market=MarketSeries(dates=dates, mkt_ret=np.zeros(len(dates))),
+                         true_regime={}, months=months)
+
+    def test_bytes_equal_row_by_row_csv_writer(self, block, tmp_path):
+        dates, ret, prc, vol, shrout = block
+        ids = security_ids(ret.shape[1])
+        rows = ((day.isoformat(), ids[i], ret[d, i], prc[d, i], vol[d, i], shrout[i], 1, 1)
+                for d, day in enumerate(dates) for i in range(len(ids)))
+        write_panel_csv(tmp_path / "fast.csv", self.sim(block), "h")
         write_csv(tmp_path / "rows.csv", PANEL_COLUMNS, rows, "h")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
-    def test_round_trip_exact(self, sim, tmp_path):
-        write_panel_csv(tmp_path / "panel.csv", sim, "h")
+    def test_round_trip_exact(self, block, tmp_path):
+        write_panel_csv(tmp_path / "panel.csv", self.sim(block), "h")
         got, summary = load_daily_panel(str(tmp_path / "panel.csv"),
                                         EligibilityFilter(min_abs_price=0.0))
-        panel = sim_panel(sim)
-        assert got.dates == sim.dates
+        panel = sim_panel(self.sim(block))
+        assert got.dates == panel.dates == block[0]
         assert got.starts.tolist() == panel.starts.tolist()
         assert summary.rows_kept == 28
         for name in FIELDS:

@@ -183,7 +183,8 @@ class TestBuildMarketMonthly:
     def test_round_trip_from_simulation(self, small_sim):
         from mspi.panel import partition_months
 
-        part = partition_months(small_sim.dates, small_sim.market)
-        mm = build_market_monthly(small_sim.market, part)
+        sim, _ = small_sim
+        part = partition_months(sim.dates, sim.market)
+        mm = build_market_monthly(sim.market, part)
         assert mm.months == part.months
         assert np.all(mm.sigma_mkt >= 0)

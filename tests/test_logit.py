@@ -16,7 +16,7 @@ from mspi.learners import (
     standardize_apply,
     standardize_fit,
 )
-from mspi.learners.logit import NEWTON_MAX_ITER, _newton
+from mspi.learners.logit import _QP_ROUNDING, NEWTON_MAX_ITER, _lasso_qp, _newton
 
 from .oracles import fista_logit_l1, l1_objective, newton_logit
 
@@ -225,6 +225,144 @@ class TestProximalNewtonL1:
         X[3, 0] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
             fit_logit_l1(X, y, lam=0.1)
+
+
+# A proximal Newton QP of a lasso-logit fit (373 training months, 9 kept
+# columns, from an l1/l2 backtest of a simulator variant that draws its regime
+# path from its own stream) on which the active set once cycled with period 4
+# until the step cap: a full-rank block was judged singular by its residual,
+# and the singular-case step raised the objective.
+_CYCLING_QP_HESS = np.array([
+    [0.12172931445848768, 0.018737365273864607, -0.00216311242481561, -0.006518679024901158,
+     0.01831399829029595, 0.01784691295712906, 0.01845608954237928, 0.018756891459211333,
+     0.0002503637215194942, 0.018732559184287168],
+    [0.018737365273864603, 0.2049400937368786, -0.024095318585589304, -0.07183235352999136,
+     0.2017237910753353, 0.19956479814135392, 0.19932489385647809, 0.20460481385945656,
+     0.0006147349236715942, 0.20417417290828083],
+    [-0.00216311242481561, -0.024095318585589304, 0.12074827840209915, -0.09102035224213255,
+     -0.020004679848730982, -0.022717968203052927, -0.012729961809651042,
+     -0.019869270611130214, 0.011917884270203136, -0.01903556572141206],
+    [-0.006518679024901161, -0.07183235352999137, -0.09102035224213255, 0.12966575263609437,
+     -0.07325932831453104, -0.07160511410598382, -0.07390188116344663, -0.07492966344328511,
+     -0.009086174618770954, -0.07520206547589472],
+    [0.018313998290295945, 0.20172379107533525, -0.020004679848730975, -0.07325932831453104,
+     0.20140527673377207, 0.1981006913668263, 0.19979578612785873, 0.2015631149192063,
+     0.0017927238767466414, 0.2014260268715501],
+    [0.01784691295712906, 0.1995647981413539, -0.022717968203052927, -0.07160511410598382,
+     0.1981006913668263, 0.19789427467272078, 0.19302105727742652, 0.199256132299221,
+     0.005554616992659261, 0.19895019799417507],
+    [0.01845608954237928, 0.19932489385647809, -0.012729961809651042, -0.07390188116344663,
+     0.19979578612785875, 0.19302105727742647, 0.20827645027238378, 0.19990077192234787,
+     -0.0012189842267792252, 0.20049799633865995],
+    [0.018756891459211337, 0.20460481385945656, -0.019869270611130217, -0.07492966344328511,
+     0.2015631149192063, 0.199256132299221, 0.19990077192234787, 0.20517726437991374,
+     0.001208333343879812, 0.2046967936731639],
+    [0.00025036372151949457, 0.0006147349236715975, 0.011917884270203136,
+     -0.009086174618770952, 0.0017927238767466414, 0.005554616992659261,
+     -0.0012189842267792252, 0.0012083333438798088, 0.12192208486346325, 0.002606394026993979],
+    [0.018732559184287168, 0.20417417290828083, -0.019035565721412056, -0.07520206547589472,
+     0.2014260268715501, 0.19895019799417507, 0.20049799633865995, 0.2046967936731639,
+     0.0026063940269939806, 0.20485853227640793],
+])
+_CYCLING_QP_C = np.array([
+    0.20062069086151332, -0.10733085852297666, -0.015085242884356954, 0.06240361816556232,
+    -0.11007615657502316, -0.11202534371450903, -0.10908302854014104, -0.10955567556316856,
+    -0.0371160034790461, -0.11149390100698275
+])
+_CYCLING_QP_LAM = 0.03359818286283781
+_CYCLING_QP_X = np.array([
+    -1.7295299430863615, 0.0, 0.0, -0.0017453768288108185, 0.0, 0.46851153532563705,
+    0.02406056510315274, 0.0, 0.009794051174075762, 0.05903347872491387
+])
+
+
+def qp_objective(hess, c, lam, x) -> float:
+    return 0.5 * float(x @ hess @ x) + float(c @ x) + lam * float(np.sum(np.abs(x[1:])))
+
+
+def assert_qp_optimal(hess, c, lam, x):
+    """The QP's optimality conditions at x, each within its rounding bound:
+    a zero gradient for the intercept, gradient + lam * sign for a nonzero
+    coefficient, a gradient of at most lam for a zero one."""
+    g = hess @ x + c
+    theta = np.sign(x)
+    theta[0] = 0.0
+    resid = np.abs(g + lam * theta)
+    zero = theta == 0.0
+    zero[0] = False
+    resid[zero] = np.maximum(resid[zero] - lam, 0.0)
+    bound = _QP_ROUNDING * (np.abs(hess) @ np.abs(x) + np.abs(c) + lam)
+    assert np.all(resid <= bound), resid / bound
+
+
+def conditioned_qp(rng, cond):
+    """A lasso-logit Newton QP (H, c, lam, x) as ``_newton`` builds it, at the
+    iterate x, on a standardized 200 x 9 design whose singular values span
+    sqrt(cond)."""
+    n, p = 200, 9
+    u = np.linalg.qr(rng.standard_normal((n, p)))[0]
+    v = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    X = (u * np.logspace(0.0, -0.5 * math.log10(cond), p)) @ v
+    X = (X - X.mean(axis=0)) / X.std(axis=0)
+    y = (rng.random(n) < sigmoid(X @ rng.normal(0.0, 0.5, p) - 1.5)).astype(float)
+    aug = np.column_stack([np.ones(n), X])
+    x = np.concatenate([[rng.normal(-1.5, 0.3)], rng.normal(0.0, 0.3, p) * (rng.random(p) < 0.5)])
+    q = sigmoid(aug @ x)
+    hess = (aug * (q * (1.0 - q))[:, None]).T @ aug / n
+    lam = math.exp(rng.uniform(math.log(1e-3), math.log(0.1)))
+    return hess, aug.T @ (q - y) / n - hess @ x, lam, x
+
+
+class TestLassoQP:
+    def test_formerly_cycling_qp_reaches_its_optimum(self):
+        args = (_CYCLING_QP_HESS, _CYCLING_QP_C, _CYCLING_QP_LAM)
+        x = _lasso_qp(*args, _CYCLING_QP_X, "q")
+        assert_qp_optimal(*args, x)
+        assert qp_objective(*args, x) < qp_objective(*args, _CYCLING_QP_X)
+
+    def test_a_step_that_raises_the_objective_ends_the_search(self, monkeypatch):
+        # Judged by its residual alone, the full-rank block is singular and
+        # its step raises the objective: the search stops there at once.
+        lstsq = np.linalg.lstsq
+
+        def rank_deficient(a, b, rcond=None):
+            target, res, rank, sv = lstsq(a, b, rcond=rcond)
+            return target, res, rank - 1, sv
+
+        monkeypatch.setattr(np.linalg, "lstsq", rank_deficient)
+        with pytest.raises(NumericError, match="lasso QP step raised the objective"):
+            _lasso_qp(_CYCLING_QP_HESS, _CYCLING_QP_C, _CYCLING_QP_LAM, _CYCLING_QP_X, "q")
+
+    def test_cold_start_on_balanced_labels(self):
+        # From w = 0 with half the labels 1 the intercept's gradient is
+        # exactly 0, so the first QP step does not move; it must be accepted
+        # and the search go on to the coefficients. The expected model is the
+        # one the search gave before steps were checked against the objective.
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((60, 4))
+        y = np.array([0.0, 1.0] * 30)
+        lam = 0.5 * float(np.max(np.abs(X.T @ (y - 0.5)))) / y.size
+        model = fit_logit_l1(X, y, lam)
+        assert model.iterations == 4
+        assert model.intercept == pytest.approx(-0.0029468378183105824, rel=1e-9)
+        np.testing.assert_allclose(
+            model.coef, [-0.22235440592956887, -0.1035510642913489, 0.0, 0.0], rtol=1e-9)
+        assert np.all(model.coef[2:] == 0.0)
+
+    def test_ill_conditioned_designs_reach_their_optimum(self):
+        # A step that would raise the objective beyond rounding raises
+        # NumericError, so each return shows that no step did.
+        rng = np.random.default_rng(31)
+        conds = []
+        for _ in range(200):
+            hess, c, lam, x0 = conditioned_qp(rng, 10.0 ** rng.uniform(2.0, 5.0))
+            conds.append(np.linalg.cond(hess))
+            x = _lasso_qp(hess, c, lam, x0, "q")
+            assert_qp_optimal(hess, c, lam, x)
+            a = np.abs(x0)
+            slack = _QP_ROUNDING * (a @ np.abs(hess) @ a + np.abs(c) @ a + lam * np.sum(a[1:]))
+            assert qp_objective(hess, c, lam, x) <= qp_objective(hess, c, lam, x0) + slack
+        assert min(conds) < 1e3 and max(conds) > 1e4
 
 
 class TestLogitL2:

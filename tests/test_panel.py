@@ -474,12 +474,13 @@ class TestPartitionMonths:
             partition_months(panel.dates, market)
 
     def test_partition_covers_every_date_once(self, small_sim):
-        part = partition_months(small_sim.dates, small_sim.market)
-        dates = small_sim.dates
+        sim, _ = small_sim
+        part = partition_months(sim.dates, sim.market)
+        dates = sim.dates
         assert part.starts[0] == 0 and part.starts[-1] == len(dates)
         assert np.all(np.diff(part.starts) > 0)
         assert [month_key(d) for d in dates] == [
             m for m, n in zip(part.months, np.diff(part.starts)) for _ in range(n)
         ]
         assert len(set(part.months)) == len(part.months)
-        assert [small_sim.market.dates[i] for i in part.market_rows] == dates
+        assert [sim.market.dates[i] for i in part.market_rows] == dates
