@@ -145,25 +145,12 @@ def cmd_bootstrap(cfg: PipelineConfig, out: Path, h: str, args) -> int:
 
 def cmd_regress(cfg: PipelineConfig, out: Path, h: str, args) -> int:
     forecasts = _load_forecasts(out, INDEX_MODEL)
-    vol = econ.predictive_vol_regression(forecasts)
-    crash = econ.crash_regression(forecasts)
-    innov = econ.mspi_innovations(forecasts)
-    write_json(out / "regression.json", {
-        "model": INDEX_MODEL,
-        "predictive_volatility": vol.to_dict(),
-        "crash": crash.to_dict(),
-        "innovations": {
-            "regression": innov.to_dict(),
-            "residual_std": float(np.std(innov.residuals)),
-            "n": len(innov.residuals),
-        },
-    }, h)
+    write_json(out / "regression.json", econ.regression_table(forecasts), h)
     return 0
 
 
 def cmd_lp(cfg: PipelineConfig, out: Path, h: str, args) -> int:
-    result = econ.innovation_projections(_load_forecasts(out, INDEX_MODEL))
-    rows = zip(result.horizons, result.b, result.se, result.n_obs.tolist())
+    rows = econ.innovation_projections(_load_forecasts(out, INDEX_MODEL))
     write_csv(out / "local_projections.csv", ["h", "b_h", "se_h", "n_h"], rows, h)
     return 0
 

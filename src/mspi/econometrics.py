@@ -15,6 +15,10 @@ not config settings. The regressions on the forecast series read them; only
 the kernels take them as arguments: ``ols_hac`` its lag, which
 ``local_projections`` sets per horizon, and ``local_projections`` its
 horizon, which its tests shorten.
+
+Each stage entry point returns the payload or rows of its artifact, which
+``cli`` writes as they are: ``regression_table`` the ``regression.json``
+payload and ``innovation_projections`` the ``local_projections.csv`` rows.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 from .backtest import INDEX_MODEL, ForecastSeries
 from .errors import DataError, NumericError
 from .labels import market_controls
-from .learners import LogitModel, fit_logit_l2
+from .learners import fit_logit_l2
 
 logger = logging.getLogger(__name__)
 
@@ -128,23 +132,7 @@ def ols_hac(
     )
 
 
-@dataclass(frozen=True)
-class PredictiveVolResult:
-    regression: RegressionResult
-    gamma: float
-    r2_controls_only: float
-    delta_r2: float
-
-    def to_dict(self) -> dict:
-        return {
-            "regression": self.regression.to_dict(),
-            "gamma": self.gamma,
-            "r2_controls_only": self.r2_controls_only,
-            "delta_r2": self.delta_r2,
-        }
-
-
-def predictive_vol_regression(forecasts: ForecastSeries) -> PredictiveVolResult:
+def predictive_vol_regression(forecasts: ForecastSeries) -> dict:
     """Regress next-month realized volatility on the stress probability.
 
     Controls are the current month's market return and realized volatility;
@@ -159,31 +147,11 @@ def predictive_vol_regression(forecasts: ForecastSeries) -> PredictiveVolResult:
                           ("intercept", "r_mkt", "sigma_mkt")).r2
     reg = ols_hac(vol_next, np.column_stack([ones, prob, z]), HAC_LAG,
                   ("intercept", "mspi", "r_mkt", "sigma_mkt"))
-    return PredictiveVolResult(
-        regression=reg, gamma=reg.coefficient("mspi"),
-        r2_controls_only=r2_controls, delta_r2=reg.r2 - r2_controls,
-    )
+    return {"regression": reg.to_dict(), "gamma": reg.coefficient("mspi"),
+            "r2_controls_only": r2_controls, "delta_r2": reg.r2 - r2_controls}
 
 
-@dataclass(frozen=True)
-class CrashRegressionResult:
-    linear: RegressionResult
-    logistic: LogitModel | None
-    cutoff: float
-    crash_rate: float
-    warning: str | None
-
-    def to_dict(self) -> dict:
-        return {
-            "linear": self.linear.to_dict(),
-            "logistic": self.logistic.to_dict() if self.logistic is not None else None,
-            "cutoff": self.cutoff,
-            "crash_rate": self.crash_rate,
-            "warning": self.warning,
-        }
-
-
-def crash_regression(forecasts: ForecastSeries) -> CrashRegressionResult:
+def crash_regression(forecasts: ForecastSeries) -> dict:
     """Downside-indicator regressions: Crash_{t+1} = 1{R_{t+1} <= CRASH_CUTOFF}.
 
     Fits a linear probability model with HAC errors and, when both crash
@@ -203,15 +171,13 @@ def crash_regression(forecasts: ForecastSeries) -> CrashRegressionResult:
         logger.warning("%s", warning)
     else:
         try:
-            logistic = fit_logit_l2(X[:, 1:], crash, lam=0.0)
+            logistic = fit_logit_l2(X[:, 1:], crash, lam=0.0).to_dict()
         except NumericError as exc:
             # quasi-separable crash indicator: the unpenalized MLE is at infinity
             warning = f"logistic variant skipped: {exc}"
             logger.warning("%s", warning)
-    return CrashRegressionResult(
-        linear=linear, logistic=logistic, cutoff=CRASH_CUTOFF,
-        crash_rate=float(np.mean(crash)), warning=warning,
-    )
+    return {"linear": linear.to_dict(), "logistic": logistic, "cutoff": CRASH_CUTOFF,
+            "crash_rate": float(np.mean(crash)), "warning": warning}
 
 
 def mspi_innovations(forecasts: ForecastSeries) -> RegressionResult:
@@ -232,21 +198,15 @@ def mspi_innovations(forecasts: ForecastSeries) -> RegressionResult:
     return ols_hac(y, X[:, keep], HAC_LAG, tuple(names[j] for j in keep))
 
 
-@dataclass(frozen=True)
-class LocalProjectionResult:
-    horizons: list[int]
-    b: np.ndarray
-    se: np.ndarray
-    n_obs: np.ndarray
-
-
 def local_projections(
     u: np.ndarray,
     y: np.ndarray,
     controls: np.ndarray,
     max_horizon: int,
-) -> LocalProjectionResult:
-    """Horizon-by-horizon regressions y_{t+h} = a_h + b_h u_t + G_h' W_{t-1}.
+) -> list[tuple[int, float, float, int]]:
+    """Horizon-by-horizon regressions y_{t+h} = a_h + b_h u_t + G_h' W_{t-1},
+    one ``(h, b_h, se_h, n_h)`` row per horizon: the coefficient on u_t, its
+    HAC standard error and the number of observations.
 
     ``u``, ``y`` and the rows of the (n, k) ``controls`` are aligned on t, with
     ``controls`` already lagged by the caller. HAC lag at horizon h is
@@ -263,8 +223,7 @@ def local_projections(
     if max_horizon < 0:
         raise DataError(f"max_horizon must be >= 0, got {max_horizon}")
 
-    horizons = []
-    bs, ses, ns = [], [], []
+    rows = []
     k_controls = controls.shape[1]
     names = ("intercept", "u", *(f"w{j}" for j in range(k_controls)))
     for h in range(max_horizon + 1):
@@ -274,20 +233,33 @@ def local_projections(
             continue
         X = np.column_stack([np.ones(m), u[:m], controls[:m]])
         reg = ols_hac(y[h:], X, hac_lag=h + 1, names=names)
-        horizons.append(h)
-        bs.append(reg.coefficient("u"))
-        ses.append(reg.std_error("u"))
-        ns.append(m)
-    return LocalProjectionResult(
-        horizons=horizons, b=np.array(bs), se=np.array(ses),
-        n_obs=np.array(ns, dtype=np.int64),
-    )
+        rows.append((h, reg.coefficient("u"), reg.std_error("u"), m))
+    return rows
 
 
-def innovation_projections(forecasts: ForecastSeries) -> LocalProjectionResult:
-    """Local projections of market volatility on the index's innovations,
-    out to ``LP_HORIZON`` months: the innovations start at the second forecast
-    month, the controls are lagged one month more."""
+def innovation_projections(forecasts: ForecastSeries) -> list[tuple[int, float, float, int]]:
+    """The ``local_projections.csv`` rows: local projections of market
+    volatility on the index's innovations, out to ``LP_HORIZON`` months. The
+    innovations start at the second forecast month, the controls are lagged
+    one month more."""
     u = mspi_innovations(forecasts).residuals[1:]
     controls = market_controls(forecasts)[1:-1]
     return local_projections(u, forecasts.sigma_mkt[2:], controls, LP_HORIZON)
+
+
+def regression_table(forecasts: ForecastSeries) -> dict:
+    """The ``regression.json`` payload: the predictive-volatility and crash
+    regressions and the innovation projection, all on ``INDEX_MODEL``."""
+    vol = predictive_vol_regression(forecasts)
+    crash = crash_regression(forecasts)
+    innov = mspi_innovations(forecasts)
+    return {
+        "model": INDEX_MODEL,
+        "predictive_volatility": vol,
+        "crash": crash,
+        "innovations": {
+            "regression": innov.to_dict(),
+            "residual_std": float(np.std(innov.residuals)),
+            "n": len(innov.residuals),
+        },
+    }

@@ -274,16 +274,17 @@ def _parse_panel_row(line: int, row: dict[str, str]) -> tuple:
     return day, sec, ret, prc, vol, shrout, share_ok, exch_ok
 
 
-def _float_or_nan(token: str) -> float:
-    return float(token) if token.strip() else math.nan
-
-
 def _float_column(tokens: list[str]) -> np.ndarray:
-    """``float`` of every token, blank or whitespace-only tokens as NaN."""
+    """``float`` of every token, empty tokens as NaN.
+
+    Raises ValueError for any other token ``float`` rejects, a
+    whitespace-only one included: ``parse_rowwise`` then names it or reads it
+    as NaN.
+    """
     try:
         return np.fromiter(map(float, tokens), float, len(tokens))
-    except ValueError:  # a blank token, or one the row-by-row parse rejects as well
-        return np.fromiter(map(_float_or_nan, tokens), float, len(tokens))
+    except ValueError:  # an empty token
+        return np.fromiter(map(float, [t or "nan" for t in tokens]), float, len(tokens))
 
 
 class _PanelColumns:

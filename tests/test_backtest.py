@@ -139,7 +139,7 @@ class TestFitWindow:
         raw, prob = fitted.predict_one(X[0])
         assert prob == pytest.approx(1 / 32)
 
-    def test_calibrated_adapter_produces_probabilities(self):
+    def test_calibrated_learner_produces_probabilities(self):
         learner = LEARNERS["gb"]
         rng = np.random.default_rng(1)
         X = rng.normal(size=(80, 4))

@@ -19,6 +19,7 @@ from mspi.econometrics import (
 )
 from mspi.errors import DataError
 from mspi.labels import LabelSeries, market_controls
+from mspi.learners import fit_logit_l2
 
 from .oracles import white_covariance
 
@@ -64,6 +65,12 @@ def paired(fs):
 def column_names(X):
     """x0, x1, ...: one name per column of ``X``."""
     return tuple(f"x{j}" for j in range(X.shape[1]))
+
+
+def coefficient(reg, name):
+    """(coefficient, standard error) of column ``name`` in a regression payload."""
+    j = reg["names"].index(name)
+    return reg["coef"][j], reg["se"][j]
 
 
 class TestOlsHac:
@@ -124,23 +131,22 @@ class TestPredictiveVolRegression:
         fs = toy_forecasts(seed=5)
         fs.next_vol[:] = fs.prob["l1"]  # index equals next-month volatility
         res = predictive_vol_regression(fs)
-        assert res.gamma == pytest.approx(1.0, abs=1e-10)
-        assert res.regression.r2 == pytest.approx(1.0)
+        assert res["gamma"] == pytest.approx(1.0, abs=1e-10)
+        assert res["regression"]["r2"] == pytest.approx(1.0)
 
     def test_noise_index_insignificant(self):
         hits = 0
         for seed in range(100):
             fs = toy_forecasts(n=150, seed=seed, link=0.0)
-            res = predictive_vol_regression(fs)
-            reg = res.regression
-            hits += abs(reg.coefficient("mspi") / reg.std_error("mspi")) < 2.0
+            b, se = coefficient(predictive_vol_regression(fs)["regression"], "mspi")
+            hits += abs(b / se) < 2.0
         assert hits >= 90
 
     def test_linked_index_positive_gamma(self):
         fs = toy_forecasts(n=200, seed=6, link=0.3)
         res = predictive_vol_regression(fs)
-        assert res.gamma > 0.0
-        assert res.delta_r2 > 0.0
+        assert res["gamma"] > 0.0
+        assert res["delta_r2"] > 0.0
 
 
 class TestCrashRegression:
@@ -148,8 +154,8 @@ class TestCrashRegression:
         fs = toy_forecasts(seed=7)
         fs.next_ret[:] = np.maximum(fs.next_ret, CRASH_CUTOFF + 0.01)  # no crash month
         res = crash_regression(fs)
-        assert res.logistic is None and res.warning is not None
-        assert res.crash_rate == 0.0
+        assert res["logistic"] is None and res["warning"] is not None
+        assert res["crash_rate"] == 0.0
 
     def test_two_level_regressor_matches_group_rates(self):
         fs = toy_forecasts(n=200, seed=8)
@@ -162,7 +168,8 @@ class TestCrashRegression:
         # residuals sum to zero within each group, controls or not: the mean
         # fitted value of a group is its crash rate
         crash = (fs.next_ret <= CRASH_CUTOFF).astype(float)
-        fitted = crash - res.linear.residuals
+        X = np.column_stack([np.ones(200), fs.prob["l1"], market_controls(fs)])
+        fitted = X @ np.array(res["linear"]["coef"])
         for level in (0.2, 0.6):
             group = fs.prob["l1"] == level
             assert float(np.mean(fitted[group])) == pytest.approx(
@@ -177,9 +184,17 @@ class TestCrashRegression:
 
     def test_separable_design_skips_logistic(self):
         res = crash_regression(self.separable_forecasts())
-        assert res.logistic is None and "logistic variant skipped" in res.warning
-        assert res.crash_rate == pytest.approx(0.5)
-        assert res.to_dict()["logistic"] is None
+        assert res["logistic"] is None and "logistic variant skipped" in res["warning"]
+        assert res["crash_rate"] == pytest.approx(0.5)
+
+    def test_logistic_variant_fitted_on_the_linear_design(self):
+        fs = toy_forecasts(n=200, seed=19)
+        crash = (fs.next_ret <= CRASH_CUTOFF).astype(float)
+        assert 0 < np.sum(crash) < 200  # two classes, not separated by the design
+        X = np.column_stack([np.ones(200), fs.prob["l1"], market_controls(fs)])
+        res = crash_regression(fs)
+        assert res["warning"] is None
+        assert res["logistic"] == fit_logit_l2(X[:, 1:], crash, lam=0.0).to_dict()
 
     def test_separable_design_regress_stage_exits_zero(self, tmp_path, capsys):
         labels, fs = paired(self.separable_forecasts())
@@ -192,7 +207,7 @@ class TestCrashRegression:
 
     def test_synthetic_backtest_positive_coefficient(self, small_forecasts):
         res = crash_regression(small_forecasts)
-        assert res.linear.coefficient("mspi") > -1e-9 or res.crash_rate < 0.02
+        assert coefficient(res["linear"], "mspi")[0] > -1e-9 or res["crash_rate"] < 0.02
 
 
 class TestInnovations:
@@ -236,21 +251,26 @@ def no_controls(u):
     return np.empty((u.shape[0], 0))
 
 
+def lp_columns(rows):
+    """The h, b_h, se_h and n_h columns of local projection rows, as arrays."""
+    return tuple(np.array(column) for column in zip(*rows))
+
+
 class TestLocalProjections:
     def test_identity_projection(self):
         rng = np.random.default_rng(14)
         u = rng.standard_normal(100)
-        res = local_projections(u, u.copy(), no_controls(u), max_horizon=0)
-        assert res.b[0] == pytest.approx(1.0, abs=1e-10)
-        assert res.se[0] == pytest.approx(0.0, abs=1e-10)
+        [(_, b, se, _)] = local_projections(u, u.copy(), no_controls(u), max_horizon=0)
+        assert b == pytest.approx(1.0, abs=1e-10)
+        assert se == pytest.approx(0.0, abs=1e-10)
 
     def test_lagged_dependence_spike_at_one(self):
         rng = np.random.default_rng(15)
         u = rng.standard_normal(500)
         y = np.concatenate([[0.0], u[:-1]])  # y_t = u_{t-1}
-        res = local_projections(u, y, no_controls(u), max_horizon=3)
-        assert res.b[1] == pytest.approx(1.0, abs=1e-8)
-        assert abs(res.b[0]) < 0.15 and abs(res.b[2]) < 0.15
+        _, b, _, _ = lp_columns(local_projections(u, y, no_controls(u), max_horizon=3))
+        assert b[1] == pytest.approx(1.0, abs=1e-8)
+        assert abs(b[0]) < 0.15 and abs(b[2]) < 0.15
 
     def test_null_coverage(self):
         inside = 0
@@ -259,33 +279,33 @@ class TestLocalProjections:
             rng = np.random.default_rng(300 + seed)
             u = rng.standard_normal(150)
             y = rng.standard_normal(150)
-            res = local_projections(u, y, no_controls(u), max_horizon=4)
-            inside += int(np.sum(np.abs(res.b) < 2.0 * res.se))
-            total += len(res.horizons)
+            h, b, se, _ = lp_columns(local_projections(u, y, no_controls(u), max_horizon=4))
+            inside += int(np.sum(np.abs(b) < 2.0 * se))
+            total += len(h)
         assert inside / total >= 0.90
 
     def test_horizon_counts(self):
         rng = np.random.default_rng(16)
         u = rng.standard_normal(60)
         y = rng.standard_normal(60)
-        res = local_projections(u, y, no_controls(u), max_horizon=5)
-        assert res.horizons == list(range(6))
-        assert res.n_obs.tolist() == [60 - h for h in range(6)]
+        rows = local_projections(u, y, no_controls(u), max_horizon=5)
+        assert [row[0] for row in rows] == list(range(6))
+        assert [row[3] for row in rows] == [60 - h for h in range(6)]
 
     def test_h0_equals_direct_ols(self):
         rng = np.random.default_rng(17)
         u = rng.standard_normal(80)
         y = 0.4 * u + rng.standard_normal(80)
-        res = local_projections(u, y, no_controls(u), max_horizon=0)
+        [(_, b, se, _)] = local_projections(u, y, no_controls(u), max_horizon=0)
         direct = ols_hac(y, np.column_stack([np.ones(80), u]), hac_lag=1, names=("intercept", "u"))
-        assert res.b[0] == direct.coef[1]
-        assert res.se[0] == direct.se[1]
+        assert b == direct.coef[1]
+        assert se == direct.se[1]
 
     def test_sample_exhausting_horizon_omitted(self):
         u = np.arange(6.0)
         y = np.arange(6.0)
-        res = local_projections(u, y, no_controls(u), max_horizon=5)
-        assert max(res.horizons) < 5
+        rows = local_projections(u, y, no_controls(u), max_horizon=5)
+        assert max(row[0] for row in rows) < 5
 
     def test_innovation_projections_date_each_month(self):
         # month t's volatility h months on, on month t's innovation (its first
@@ -299,8 +319,7 @@ class TestLocalProjections:
         want = local_projections(np.array([innovation[m] for m in t]),
                                  np.array([sigma[m] for m in t]),
                                  np.array([controls[prev] for prev in months[1:-1]]), LP_HORIZON)
-        res = innovation_projections(fs)
-        assert res.horizons == want.horizons == list(range(LP_HORIZON + 1))
-        assert res.n_obs[0] == len(months) - 2
-        np.testing.assert_array_equal(res.b, want.b)
-        np.testing.assert_array_equal(res.se, want.se)
+        rows = innovation_projections(fs)
+        assert [row[0] for row in rows] == list(range(LP_HORIZON + 1))
+        assert rows[0][3] == len(months) - 2
+        assert rows == want

@@ -281,6 +281,13 @@ class TestChunkedLoad:
         panel, summary = load_daily_panel(path, EligibilityFilter())
         assert summary.rows_kept == 1000 and len(panel.dates) == 20
 
+        # empty return, volume and share cells are NaN on the column pass too
+        rows = [row if i % 3 else ",".join(fields[:2] + ["", fields[3], "", ""] + fields[6:])
+                for i, row in enumerate(rows) for fields in [row.split(",")]]
+        path = write_panel(tmp_path, rows, name="blanks.csv")
+        summary = assert_same_load(path, EligibilityFilter())
+        assert summary.rows_read == 1000 and summary.dropped == {"missing_ret": 334}
+
     @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
     @pytest.mark.parametrize("row, message", [
         ("2001-03-01,X0001,zap,5.00,100,1000,1,1",
