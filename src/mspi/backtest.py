@@ -152,7 +152,7 @@ LEARNERS: dict[str, Learner] = {
     "rf": Learner(
         name="rf",
         fit=lambda Xz, y, n_trees, seed_seq, init: fit_random_forest(Xz, y, n_trees, seed_seq),
-        score=lambda model, Xz: rf_score_many(model, Xz),
+        score=lambda trees, Xz: rf_score_many(trees, Xz),
         grid=lambda config: [config.rf_trees],
         key=lambda n_trees: 0,  # the grid has one entry, so no two are compared
         describe=lambda n_trees: {"n_trees": n_trees, "max_depth": forest.MAX_DEPTH,

@@ -93,8 +93,7 @@ def cmd_label(cfg: PipelineConfig, out: Path, h: str, args) -> int:
     dates = read_calendar(out / "calendar.csv")
     market = load_market_series(cfg.market_csv or out / "market.csv")
     partition = partition_months(dates, market)
-    monthly = build_market_monthly(market, partition)
-    labels = label_stress(monthly)
+    labels = label_stress(*build_market_monthly(market, partition))
     write_labels_csv(out / "labels.csv", labels, h)
     logger.info("labeled %d months, stress rate %.3f", len(labels.months),
                 float(np.mean(labels.s)))

@@ -156,17 +156,10 @@ def log_loss(probs: np.ndarray, y: np.ndarray) -> float:
     return float(clamped_log_loss(probs, y))
 
 
-@dataclass(frozen=True)
-class CalibrationCurve:
-    """Equal-mass calibration bins: mean probability, realized rate, count."""
-
-    mean_prob: np.ndarray
-    event_rate: np.ndarray
-    count: np.ndarray
-
-
-def ece(probs: np.ndarray, y: np.ndarray, n_bins: int) -> tuple[float, CalibrationCurve]:
-    """Expected calibration error over equal-mass (quantile) bins.
+def ece(probs: np.ndarray, y: np.ndarray,
+        n_bins: int) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Expected calibration error over equal-mass (quantile) bins, and the bins'
+    mean probability, event rate and count: ``(value, mean_prob, event_rate, count)``.
 
     Observations are sorted by probability and split into ``n_bins`` bins;
     any remainder is spread one extra element each over the lowest bins.
@@ -180,8 +173,7 @@ def ece(probs: np.ndarray, y: np.ndarray, n_bins: int) -> tuple[float, Calibrati
     base, extra = divmod(n, n_bins)
     count = np.full(n_bins, base, dtype=np.int64)
     count[:extra] += 1
-    return float(total[0]), CalibrationCurve(mean_prob=mean_prob[0], event_rate=event_rate[0],
-                                             count=count)
+    return float(total[0]), mean_prob[0], event_rate[0], count
 
 
 def _group_ends(scores: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -256,9 +248,8 @@ def compute_curves(forecasts: ForecastSeries) -> list[tuple]:
         prob = forecasts.prob[name][mask]
         for curve, points in (("roc", roc_points(raw, y)), ("pr", pr_points(raw, y))):
             rows += [(name, curve, *point, "") for point in zip(*points)]
-        cal = ece(prob, y, ECE_BINS)[1]
         rows += [(name, "calibration", p, rate, int(c))
-                 for p, rate, c in zip(cal.mean_prob, cal.event_rate, cal.count)]
+                 for p, rate, c in zip(*ece(prob, y, ECE_BINS)[1:])]
     return rows
 
 

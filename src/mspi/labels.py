@@ -28,15 +28,6 @@ MIN_HISTORY_MONTHS = 36
 
 
 @dataclass(frozen=True)
-class MarketMonthly:
-    """Per-month compounded market return and annualized realized volatility."""
-
-    months: list[str]
-    r_mkt: np.ndarray
-    sigma_mkt: np.ndarray
-
-
-@dataclass(frozen=True)
 class LabelSeries:
     """Stress indicators for the labeled (post-warmup) months.
 
@@ -82,12 +73,12 @@ def realized_monthly_vol(market: MarketSeries, partition: MonthPartition) -> np.
     return np.array(out)
 
 
-def build_market_monthly(market: MarketSeries, partition: MonthPartition) -> MarketMonthly:
-    return MarketMonthly(
-        months=list(partition.months),
-        r_mkt=monthly_market_return(market, partition),
-        sigma_mkt=realized_monthly_vol(market, partition),
-    )
+def build_market_monthly(market: MarketSeries, partition: MonthPartition
+                         ) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """``(months, r_mkt, sigma_mkt)``: each partition month's compounded
+    market return and annualized realized volatility."""
+    return (list(partition.months), monthly_market_return(market, partition),
+            realized_monthly_vol(market, partition))
 
 
 def expanding_quantile(history: np.ndarray, alpha: float) -> float:
@@ -100,8 +91,8 @@ def expanding_quantile(history: np.ndarray, alpha: float) -> float:
     return float(np.quantile(history, alpha, method="linear"))
 
 
-def label_stress(monthly: MarketMonthly, return_cutoff: float = RETURN_CUTOFF,
-                 vol_quantile: float = VOL_QUANTILE,
+def label_stress(months: list[str], r_mkt: np.ndarray, sigma_mkt: np.ndarray,
+                 return_cutoff: float = RETURN_CUTOFF, vol_quantile: float = VOL_QUANTILE,
                  min_history_months: int = MIN_HISTORY_MONTHS) -> LabelSeries:
     """Label stress months in real time.
 
@@ -111,18 +102,17 @@ def label_stress(monthly: MarketMonthly, return_cutoff: float = RETURN_CUTOFF,
     or sigma_mkt >= that quantile.
     """
     warm = min_history_months
-    n = len(monthly.months)
+    n = len(months)
     if n <= warm:
         raise DataError(
             f"need more than {warm} months of history to label stress, got {n}"
         )
-    months = monthly.months[warm:]
-    r = monthly.r_mkt[warm:]
-    sigma = monthly.sigma_mkt[warm:]
+    r = r_mkt[warm:]
+    sigma = sigma_mkt[warm:]
     q_prev = np.array(
-        [expanding_quantile(monthly.sigma_mkt[:i], vol_quantile) for i in range(warm, n)]
+        [expanding_quantile(sigma_mkt[:i], vol_quantile) for i in range(warm, n)]
     )
     s = ((r <= return_cutoff) | (sigma >= q_prev)).astype(np.int64)
     return LabelSeries(
-        months=list(months), r_mkt=r.copy(), sigma_mkt=sigma.copy(), q_prev=q_prev, s=s,
+        months=list(months[warm:]), r_mkt=r.copy(), sigma_mkt=sigma.copy(), q_prev=q_prev, s=s,
     )

@@ -12,7 +12,6 @@ so output is bit-deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,16 +22,11 @@ MAX_DEPTH = 8
 MIN_LEAF = 5
 
 
-@dataclass
-class ForestModel:
-    trees: list[Tree]
-
-
 def fit_random_forest(
     X: np.ndarray, y: np.ndarray, n_trees: int, seed: np.random.SeedSequence
-) -> ForestModel:
+) -> list[Tree]:
     """Fit ``n_trees`` trees, one per child ``seed`` spawns; requires both
-    classes present."""
+    classes present. The forest is its list of trees."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
@@ -50,11 +44,11 @@ def fit_random_forest(
                 n_candidate_features=mtry, criterion="gini",
             )
         )
-    return ForestModel(trees=trees)
+    return trees
 
 
-def rf_score_many(model: ForestModel, X: np.ndarray) -> np.ndarray:
+def rf_score_many(trees: list[Tree], X: np.ndarray) -> np.ndarray:
     """Ensemble-average leaf frequency for each row of X."""
     X = np.asarray(X, dtype=float)
     # running sum over the trees in order, as a loop of acc += leaf values would add
-    return np.add.accumulate(leaf_values(model.trees, X), axis=0)[-1] / len(model.trees)
+    return np.add.accumulate(leaf_values(trees, X), axis=0)[-1] / len(trees)

@@ -30,7 +30,7 @@ def small_chain(small_sim):
     sim, panel = small_sim
     partition = partition_months(sim.dates, sim.market)
     features = aggregate_monthly(compute_daily_stats(panel), partition)
-    labels = label_stress(build_market_monthly(sim.market, partition))
+    labels = label_stress(*build_market_monthly(sim.market, partition))
     return partition, features, labels
 
 

@@ -11,12 +11,15 @@ import os
 import re
 import runpy
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mspi
 from mspi import backtest
 from mspi.artifacts import (
     read_calendar,
@@ -108,18 +111,28 @@ def counted(fn, calls: dict, key):
     return wrapper
 
 
-def test_all_stages_reproduce_golden_artifacts(tmp_path, monkeypatch):
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """The out dir of the nine stages on ``SMALL_CONFIG``, and the number of
+    calls of each function the tracer wraps during that run."""
+    tmp_path = tmp_path_factory.mktemp("golden")
+    calls = {}
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for module_name, attr, _ in runpy.run_path(str(TRACING))["WRAPS"]:
+            module = importlib.import_module(module_name)
+            monkeypatch.setattr(module, attr, counted(getattr(module, attr), calls,
+                                                      f"{module_name}.{attr}"))
+        out = tmp_path / "out"
+        config = write_config(tmp_path, {**SMALL_CONFIG, "out_dir": str(out)})
+        for stage in STAGES:
+            assert main(["--log-level", "WARNING", stage, "--config", config]) == 0, stage
+    return out, calls
+
+
+def test_all_stages_reproduce_golden_artifacts(golden_run):
     # each function the tracer wraps is still called where it wraps it (the
     # parent process keeps a forecast month of every model)
-    calls = {}
-    for module_name, attr, _ in runpy.run_path(str(TRACING))["WRAPS"]:
-        module = importlib.import_module(module_name)
-        monkeypatch.setattr(module, attr, counted(getattr(module, attr), calls,
-                                                  f"{module_name}.{attr}"))
-    out = tmp_path / "out"
-    config = write_config(tmp_path, {**SMALL_CONFIG, "out_dir": str(out)})
-    for stage in STAGES:
-        assert main(["--log-level", "WARNING", stage, "--config", config]) == 0, stage
+    out, calls = golden_run
     assert {name: body_sha256(out / name) for name in GOLDEN_BODIES} == GOLDEN_BODIES
     assert [key for key, n in calls.items() if n == 0] == []
     # each bootstrap delta is the full-sample difference of the metrics.json values
@@ -127,6 +140,39 @@ def test_all_stages_reproduce_golden_artifacts(tmp_path, monkeypatch):
     rows = json.loads((out / "bootstrap.json").read_text(encoding="utf-8"))["rows"]
     assert len(rows) == 15 and [row["delta"] for row in rows] == [
         models[row["model"]][row["metric"]] - models["l2"][row["metric"]] for row in rows]
+
+
+# Run in a fresh interpreter: whether each stage has loaded numpy.random, which
+# NumPy 2 imports only on first use (about 6 MB of a stage's peak memory).
+RANDOM_LOADED = """
+import sys
+import numpy
+with_numpy = "numpy.random" in sys.modules
+from mspi.cli import main
+
+def loaded_after(*stages):
+    for stage in stages:
+        assert main(["--log-level", "WARNING", stage, "--config", sys.argv[1]]) == 0, stage
+    return "numpy.random" in sys.modules
+
+print(with_numpy, loaded_after("features", "label", "evaluate", "regress", "lp", "report"),
+      loaded_after("bootstrap"))
+"""
+
+
+def test_stages_that_draw_no_random_numbers_never_load_numpy_random(golden_run, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(golden_run[0], out)
+    config = write_config(tmp_path, {**SMALL_CONFIG, "out_dir": str(out)})
+    path = [str(Path(mspi.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    result = subprocess.run([sys.executable, "-c", RANDOM_LOADED, config], env=env,
+                            capture_output=True, text=True, check=True)
+    with_numpy, drawless, bootstrap = result.stdout.split()
+    if with_numpy == "True":
+        pytest.skip("this NumPy imports numpy.random with numpy")
+    # the bootstrap draws its resamples, so the check can fail
+    assert (drawless, bootstrap) == ("False", "True")
 
 
 @pytest.mark.parametrize("payload, field", [
@@ -617,7 +663,7 @@ def test_fully_filtered_day_stays_off_the_calendar(tmp_path):
 
     def labels_body(dates):
         monthly = build_market_monthly(market, partition_months(dates, market))
-        write_labels_csv(tmp_path / "ref.csv", label_stress(monthly), "h")
+        write_labels_csv(tmp_path / "ref.csv", label_stress(*monthly), "h")
         return body_sha256(tmp_path / "ref.csv")
 
     assert body_sha256(out / "labels.csv") == labels_body(panel.dates)

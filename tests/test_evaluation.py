@@ -117,34 +117,34 @@ class TestBrierLogLoss:
 class TestEce:
     def test_perfectly_calibrated_constant(self):
         y = np.array([1.0, 0.0, 0.0, 1.0] * 5)
-        value, curve = ece(np.full(20, 0.5), y, 10)
+        value, _, _, count = ece(np.full(20, 0.5), y, 10)
         assert value == pytest.approx(0.0, abs=1e-15)
-        assert curve.count.sum() == 20
+        assert count.sum() == 20
 
     def test_maximal_miscalibration(self):
-        value, _ = ece(np.full(20, 1.0 - 1e-12), np.zeros(20), 10)
+        value, *_ = ece(np.full(20, 1.0 - 1e-12), np.zeros(20), 10)
         assert value == pytest.approx(1.0, abs=1e-9)
 
     def test_hand_computed_20_points(self):
         probs = np.arange(1, 21) / 20.0
         y = (probs > 0.5).astype(float)
-        value, curve = ece(probs, y, 10)
+        value, _, _, count = ece(probs, y, 10)
         # bins of 2: |mean prob - rate| sums to 100/40 over 10 bins of weight 1/10
         assert value == pytest.approx(0.25, rel=1e-12)
-        assert curve.count.tolist() == [2] * 10
+        assert count.tolist() == [2] * 10
 
     def test_remainder_spread_over_lowest_bins(self):
         probs = np.linspace(0, 1, 23)
         y = np.zeros(23)
-        _, curve = ece(probs, y, 10)
-        assert curve.count.tolist() == [3, 3, 3, 2, 2, 2, 2, 2, 2, 2]
+        count = ece(probs, y, 10)[3]
+        assert count.tolist() == [3, 3, 3, 2, 2, 2, 2, 2, 2, 2]
 
     def test_curve_reproduces_value(self):
         rng = np.random.default_rng(5)
         probs = rng.random(137)
         y = (rng.random(137) < probs).astype(float)
-        value, curve = ece(probs, y, 10)
-        recon = float(np.sum(curve.count / 137 * np.abs(curve.mean_prob - curve.event_rate)))
+        value, mean_prob, event_rate, count = ece(probs, y, 10)
+        recon = float(np.sum(count / 137 * np.abs(mean_prob - event_rate)))
         assert value == pytest.approx(recon, abs=1e-12)
 
     def test_too_few_points(self):
@@ -323,11 +323,11 @@ class TestMetricsMatchLoops:
             for got, want in zip(pr_points(scores, y), pr_points_loop(scores, y)):
                 assert same_bits(got, want)
             n_bins = int(rng.integers(1, 11))
-            value, curve = ece(probs, y, n_bins)
+            value, mean_prob, event_rate, _ = ece(probs, y, n_bins)
             want_value, want_mean, want_rate = ece_loop(probs, y, n_bins)
             assert same_bits(value, want_value)
-            assert same_bits(curve.mean_prob, want_mean)
-            assert same_bits(curve.event_rate, want_rate)
+            assert same_bits(mean_prob, want_mean)
+            assert same_bits(event_rate, want_rate)
             assert same_bits(brier(probs, y), np.mean((probs - y) ** 2))
 
     def test_all_tied_scores(self):

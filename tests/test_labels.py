@@ -7,7 +7,6 @@ import pytest
 from mspi.artifacts import write_labels_csv
 from mspi.errors import DataError
 from mspi.labels import (
-    MarketMonthly,
     build_market_monthly,
     expanding_quantile,
     label_stress,
@@ -102,7 +101,8 @@ class TestExpandingQuantile:
 
 
 def monthly(months, r, sigma):
-    return MarketMonthly(months=months, r_mkt=np.array(r), sigma_mkt=np.array(sigma))
+    """The ``(months, r_mkt, sigma_mkt)`` that ``build_market_monthly`` returns."""
+    return months, np.array(r), np.array(sigma)
 
 
 class TestLabelStress:
@@ -113,19 +113,19 @@ class TestLabelStress:
 
     def test_return_branch(self):
         mm = monthly(self.months(4), [0.0, 0.0, 0.0, -0.06], [0.1, 0.2, 0.3, 0.0])
-        ls = label_stress(mm, min_history_months=self.WARM)
+        ls = label_stress(*mm, min_history_months=self.WARM)
         assert ls.months == ["2000-04"] and ls.s.tolist() == [1]
 
     def test_volatility_branch(self):
         mm = monthly(self.months(4), [0.0, 0.0, 0.0, 0.02], [0.10, 0.20, 0.25, 0.30])
-        ls = label_stress(mm, min_history_months=self.WARM)
+        ls = label_stress(*mm, min_history_months=self.WARM)
         # q over {0.10, 0.20, 0.25} at 0.9 is 0.24; 0.30 >= 0.24
         assert ls.s.tolist() == [1]
         assert ls.q_prev[0] == pytest.approx(interp_quantile([0.10, 0.20, 0.25], 0.9))
 
     def test_neither_branch(self):
         mm = monthly(self.months(4), [0.0, 0.0, 0.0, 0.02], [0.10, 0.20, 0.25, 0.10])
-        assert label_stress(mm, min_history_months=self.WARM).s.tolist() == [0]
+        assert label_stress(*mm, min_history_months=self.WARM).s.tolist() == [0]
 
     def test_y_next_alignment(self, tmp_path):
         mm = monthly(
@@ -133,7 +133,7 @@ class TestLabelStress:
             [0.0, 0.0, 0.0, -0.06, 0.02, -0.08],
             [0.10, 0.20, 0.30, 0.10, 0.05, 0.10],
         )
-        ls = label_stress(mm, min_history_months=self.WARM)
+        ls = label_stress(*mm, min_history_months=self.WARM)
         assert ls.s.tolist() == [1, 0, 1]  # return, neither, return
         # the target of month t is the next month's S: labels.csv's Y_next
         write_labels_csv(tmp_path / "labels.csv", ls, "h")
@@ -143,19 +143,16 @@ class TestLabelStress:
     def test_insufficient_history_error(self):
         mm = monthly(self.months(3), [0.0] * 3, [0.1] * 3)
         with pytest.raises(DataError, match="history"):
-            label_stress(mm, min_history_months=self.WARM)
+            label_stress(*mm, min_history_months=self.WARM)
 
     def test_no_lookahead_quantile_path(self):
         # labeling a truncated series reproduces the full run's prefix
         rng = np.random.default_rng(2)
         n = 200
         mm = monthly(self.months(n), rng.normal(0.005, 0.03, n), rng.lognormal(-2, 0.4, n))
-        full = label_stress(mm, min_history_months=12)
+        full = label_stress(*mm, min_history_months=12)
         for cut in (40, 97, 150):
-            trunc = label_stress(
-                monthly(mm.months[:cut], mm.r_mkt[:cut], mm.sigma_mkt[:cut]),
-                min_history_months=12,
-            )
+            trunc = label_stress(*(column[:cut] for column in mm), min_history_months=12)
             k = len(trunc.months)
             assert np.array_equal(trunc.q_prev, full.q_prev[:k])
             assert np.array_equal(trunc.s, full.s[:k])
@@ -164,8 +161,8 @@ class TestLabelStress:
         rng = np.random.default_rng(5)
         n = 120
         mm = monthly(self.months(n), rng.normal(0.005, 0.03, n), rng.lognormal(-2, 0.4, n))
-        strict = label_stress(mm, vol_quantile=0.9, min_history_months=12)
-        loose = label_stress(mm, vol_quantile=0.8, min_history_months=12)
+        strict = label_stress(*mm, vol_quantile=0.9, min_history_months=12)
+        loose = label_stress(*mm, vol_quantile=0.8, min_history_months=12)
         vol_fire_strict = strict.sigma_mkt >= strict.q_prev
         vol_fire_loose = loose.sigma_mkt >= loose.q_prev
         assert np.all(vol_fire_loose[vol_fire_strict])
@@ -174,17 +171,17 @@ class TestLabelStress:
         rng = np.random.default_rng(9)
         n = 1200
         mm = monthly(self.months(n), np.zeros(n), rng.lognormal(-2, 0.3, n))
-        ls = label_stress(mm, min_history_months=36)
+        ls = label_stress(*mm, min_history_months=36)
         freq = float(np.mean(ls.sigma_mkt >= ls.q_prev))
         assert abs(freq - 0.10) < 0.03
 
 
-class TestBuildMarketMonthly:
+class TestMonthlyMarketSeries:
     def test_round_trip_from_simulation(self, small_sim):
         from mspi.panel import partition_months
 
         sim, _ = small_sim
         part = partition_months(sim.dates, sim.market)
-        mm = build_market_monthly(sim.market, part)
-        assert mm.months == part.months
-        assert np.all(mm.sigma_mkt >= 0)
+        months, _, sigma_mkt = build_market_monthly(sim.market, part)
+        assert months == part.months
+        assert np.all(sigma_mkt >= 0)
