@@ -50,7 +50,6 @@ from .errors import DataError, MspiError, NumericError
 from .features import FeatureMatrix
 from .labels import LabelSeries, market_controls
 from .learners import (
-    CalibrationMap,
     PROB_CLAMP,
     boosting,
     calibrate_many,
@@ -183,7 +182,7 @@ class WindowFit:
     learner: Learner
     params: object | None
     model: object  # a fallback's model is its intercept
-    cmap: CalibrationMap | None
+    cmap: tuple[float, float] | None  # Platt's (a, b)
     fallback: bool
     # (sub-model, standardized calibration rows, their targets) behind cmap
     calibration: tuple | None = None
@@ -352,21 +351,12 @@ def forward_chain_cv(
             prev = gi
     mean_losses = [float(v) for v in loss_matrix.mean(axis=1)]
 
-    best_i = select_by_preference(mean_losses, order)
+    best_i = min(order, key=mean_losses.__getitem__)  # the first of equal losses
     return grid[best_i], {
         "selected": learner.describe(grid[best_i]),
         "folds_used": len(usable),
         "mean_losses": mean_losses,
     }
-
-
-def select_by_preference(losses: list[float], order: list[int]) -> int:
-    """Index of the lowest loss; exact ties keep the earliest preference."""
-    best = order[0]
-    for i in order[1:]:
-        if losses[i] < losses[best]:
-            best = i
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ payload and ``innovation_projections`` the ``local_projections.csv`` rows.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,35 +37,6 @@ logger = logging.getLogger(__name__)
 HAC_LAG = 6
 CRASH_CUTOFF = -0.05
 LP_HORIZON = 12
-
-
-@dataclass(frozen=True)
-class RegressionResult:
-    """OLS fit with HAC covariance."""
-
-    names: tuple[str, ...]
-    coef: np.ndarray
-    se: np.ndarray
-    residuals: np.ndarray
-    r2: float
-    n: int
-    hac_lag: int
-
-    def coefficient(self, name: str) -> float:
-        return float(self.coef[self.names.index(name)])
-
-    def std_error(self, name: str) -> float:
-        return float(self.se[self.names.index(name)])
-
-    def to_dict(self) -> dict:
-        return {
-            "names": list(self.names),
-            "coef": self.coef.tolist(),
-            "se": self.se.tolist(),
-            "r2": self.r2,
-            "n": self.n,
-            "hac_lag": self.hac_lag,
-        }
 
 
 def _first_dependent_column(X: np.ndarray, names: tuple[str, ...]) -> str:
@@ -95,8 +65,9 @@ def hac_covariance(X: np.ndarray, residuals: np.ndarray, lag: int) -> np.ndarray
 
 def ols_hac(
     y: np.ndarray, X: np.ndarray, hac_lag: int, names: tuple[str, ...]
-) -> RegressionResult:
-    """OLS via least squares with HAC standard errors.
+) -> tuple[dict, np.ndarray]:
+    """OLS via least squares with HAC standard errors: the regression payload
+    (``names``, ``coef``, ``se``, ``r2``, ``n``, ``hac_lag``) and the residuals.
 
     ``X`` must already include the intercept column if one is wanted; a
     rank-deficient design raises DataError naming the dependent column.
@@ -126,10 +97,8 @@ def ols_hac(
     sst = float(baseline @ baseline)
     ssr = float(residuals @ residuals)
     r2 = 1.0 - ssr / sst if sst > 0 else 1.0
-    return RegressionResult(
-        names=tuple(names), coef=coef, se=se, residuals=residuals,
-        r2=r2, n=n, hac_lag=hac_lag,
-    )
+    return {"names": list(names), "coef": coef.tolist(), "se": se.tolist(),
+            "r2": r2, "n": n, "hac_lag": hac_lag}, residuals
 
 
 def predictive_vol_regression(forecasts: ForecastSeries) -> dict:
@@ -144,11 +113,11 @@ def predictive_vol_regression(forecasts: ForecastSeries) -> dict:
     ones = np.ones(prob.shape[0])
     z = market_controls(forecasts)[mask]
     r2_controls = ols_hac(vol_next, np.column_stack([ones, z]), HAC_LAG,
-                          ("intercept", "r_mkt", "sigma_mkt")).r2
-    reg = ols_hac(vol_next, np.column_stack([ones, prob, z]), HAC_LAG,
-                  ("intercept", "mspi", "r_mkt", "sigma_mkt"))
-    return {"regression": reg.to_dict(), "gamma": reg.coefficient("mspi"),
-            "r2_controls_only": r2_controls, "delta_r2": reg.r2 - r2_controls}
+                          ("intercept", "r_mkt", "sigma_mkt"))[0]["r2"]
+    reg, _ = ols_hac(vol_next, np.column_stack([ones, prob, z]), HAC_LAG,
+                     ("intercept", "mspi", "r_mkt", "sigma_mkt"))
+    return {"regression": reg, "gamma": reg["coef"][1],
+            "r2_controls_only": r2_controls, "delta_r2": reg["r2"] - r2_controls}
 
 
 def crash_regression(forecasts: ForecastSeries) -> dict:
@@ -162,7 +131,7 @@ def crash_regression(forecasts: ForecastSeries) -> dict:
     prob = forecasts.prob[INDEX_MODEL][mask]
     crash = (forecasts.next_ret[mask] <= CRASH_CUTOFF).astype(float)
     X = np.column_stack([np.ones(prob.shape[0]), prob, market_controls(forecasts)[mask]])
-    linear = ols_hac(crash, X, HAC_LAG, ("intercept", "mspi", "r_mkt", "sigma_mkt"))
+    linear, _ = ols_hac(crash, X, HAC_LAG, ("intercept", "mspi", "r_mkt", "sigma_mkt"))
 
     logistic = None
     warning = None
@@ -176,13 +145,13 @@ def crash_regression(forecasts: ForecastSeries) -> dict:
             # quasi-separable crash indicator: the unpenalized MLE is at infinity
             warning = f"logistic variant skipped: {exc}"
             logger.warning("%s", warning)
-    return {"linear": linear.to_dict(), "logistic": logistic, "cutoff": CRASH_CUTOFF,
+    return {"linear": linear, "logistic": logistic, "cutoff": CRASH_CUTOFF,
             "crash_rate": float(np.mean(crash)), "warning": warning}
 
 
-def mspi_innovations(forecasts: ForecastSeries) -> RegressionResult:
-    """Project the index on its lag and lagged market controls; the
-    residuals are the index's innovations, its 'news'.
+def mspi_innovations(forecasts: ForecastSeries) -> tuple[dict, np.ndarray]:
+    """Project the index on its lag and lagged market controls: the
+    regression payload and its residuals, the index's innovations, its 'news'.
 
     Zero-variance regressors (a constant index or control) are dropped
     before the projection; a constant index then has all-zero innovations.
@@ -232,8 +201,8 @@ def local_projections(
             logger.warning("local projection horizon %d omitted: sample exhausted", h)
             continue
         X = np.column_stack([np.ones(m), u[:m], controls[:m]])
-        reg = ols_hac(y[h:], X, hac_lag=h + 1, names=names)
-        rows.append((h, reg.coefficient("u"), reg.std_error("u"), m))
+        reg, _ = ols_hac(y[h:], X, hac_lag=h + 1, names=names)
+        rows.append((h, reg["coef"][1], reg["se"][1], m))
     return rows
 
 
@@ -242,7 +211,7 @@ def innovation_projections(forecasts: ForecastSeries) -> list[tuple[int, float, 
     volatility on the index's innovations, out to ``LP_HORIZON`` months. The
     innovations start at the second forecast month, the controls are lagged
     one month more."""
-    u = mspi_innovations(forecasts).residuals[1:]
+    u = mspi_innovations(forecasts)[1][1:]
     controls = market_controls(forecasts)[1:-1]
     return local_projections(u, forecasts.sigma_mkt[2:], controls, LP_HORIZON)
 
@@ -252,14 +221,14 @@ def regression_table(forecasts: ForecastSeries) -> dict:
     regressions and the innovation projection, all on ``INDEX_MODEL``."""
     vol = predictive_vol_regression(forecasts)
     crash = crash_regression(forecasts)
-    innov = mspi_innovations(forecasts)
+    innov, residuals = mspi_innovations(forecasts)
     return {
         "model": INDEX_MODEL,
         "predictive_volatility": vol,
         "crash": crash,
         "innovations": {
-            "regression": innov.to_dict(),
-            "residual_std": float(np.std(innov.residuals)),
-            "n": len(innov.residuals),
+            "regression": innov,
+            "residual_std": float(np.std(residuals)),
+            "n": len(residuals),
         },
     }

@@ -49,36 +49,19 @@ def market_controls(series) -> np.ndarray:
     return np.column_stack([series.r_mkt, series.sigma_mkt])
 
 
-def _month_returns(market: MarketSeries, partition: MonthPartition):
-    """(month, daily index returns) for each partition month."""
-    bounds = partition.starts.tolist()
-    for month, a, b in zip(partition.months, bounds, bounds[1:]):
-        yield month, market.mkt_ret[partition.market_rows[a:b]]
-
-
-def monthly_market_return(market: MarketSeries, partition: MonthPartition) -> np.ndarray:
-    """Compound daily index returns within each partition month."""
-    return np.array([
-        float(np.prod(1.0 + rets) - 1.0) for _, rets in _month_returns(market, partition)
-    ])
-
-
-def realized_monthly_vol(market: MarketSeries, partition: MonthPartition) -> np.ndarray:
-    """Within-month sample std (ddof=1) of daily returns, annualized."""
-    out = []
-    for month, rets in _month_returns(market, partition):
-        if rets.shape[0] < 2:
-            raise DataError(f"month {month} has a single trading day; volatility undefined")
-        out.append(float(np.std(rets, ddof=1) * ANNUALIZATION))
-    return np.array(out)
-
-
 def build_market_monthly(market: MarketSeries, partition: MonthPartition
                          ) -> tuple[list[str], np.ndarray, np.ndarray]:
     """``(months, r_mkt, sigma_mkt)``: each partition month's compounded
-    market return and annualized realized volatility."""
-    return (list(partition.months), monthly_market_return(market, partition),
-            realized_monthly_vol(market, partition))
+    market return and the annualized sample std (ddof=1) of its daily returns."""
+    r_mkt, sigma_mkt = [], []
+    bounds = partition.starts.tolist()
+    for month, a, b in zip(partition.months, bounds, bounds[1:]):
+        rets = market.mkt_ret[partition.market_rows[a:b]]
+        if rets.shape[0] < 2:
+            raise DataError(f"month {month} has a single trading day; volatility undefined")
+        r_mkt.append(float(np.prod(1.0 + rets) - 1.0))
+        sigma_mkt.append(float(np.std(rets, ddof=1) * ANNUALIZATION))
+    return list(partition.months), np.array(r_mkt), np.array(sigma_mkt)
 
 
 def expanding_quantile(history: np.ndarray, alpha: float) -> float:

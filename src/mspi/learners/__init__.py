@@ -1,7 +1,7 @@
 """Probability learners: penalized logits, tree ensembles, Platt calibration."""
 
 from .boosting import BoostModel, fit_gradient_boosting, gb_score_many
-from .calibration import CalibrationMap, calibrate_many, fit_platt
+from .calibration import calibrate_many, fit_platt
 from .forest import fit_random_forest, rf_score_many
 from .logit import (
     PROB_CLAMP,

@@ -12,8 +12,6 @@ A constant-score segment yields the Laplace-smoothed event rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .logit import PROB_CLAMP, fit_logit_l2, laplace_log_odds, sigmoid
@@ -21,25 +19,18 @@ from .logit import PROB_CLAMP, fit_logit_l2, laplace_log_odds, sigmoid
 _RIDGE = 1e-8
 
 
-@dataclass(frozen=True)
-class CalibrationMap:
-    """Logistic score-to-probability map p = sigmoid(a*s + b)."""
-
-    a: float
-    b: float
-
-
-def fit_platt(scores: np.ndarray, y: np.ndarray) -> CalibrationMap:
-    """Maximum-likelihood calibration map on a segment of (score, outcome)
-    pairs; ``y`` holds both classes."""
+def fit_platt(scores: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Maximum-likelihood calibration map ``(a, b)``, p = sigmoid(a*s + b), on
+    a segment of (score, outcome) pairs; ``y`` holds both classes."""
     scores = np.asarray(scores, dtype=float)
     y = np.asarray(y, dtype=float)
     if float(np.max(scores) - np.min(scores)) == 0.0:
-        return CalibrationMap(a=0.0, b=laplace_log_odds(y))
+        return 0.0, laplace_log_odds(y)
     model = fit_logit_l2(scores[:, None], y, lam=_RIDGE)
-    return CalibrationMap(a=float(model.coef[0]), b=model.intercept)
+    return float(model.coef[0]), model.intercept
 
 
-def calibrate_many(cmap: CalibrationMap, scores: np.ndarray) -> np.ndarray:
-    p = sigmoid(cmap.a * np.asarray(scores, dtype=float) + cmap.b)
+def calibrate_many(cmap: tuple[float, float], scores: np.ndarray) -> np.ndarray:
+    a, b = cmap
+    p = sigmoid(a * np.asarray(scores, dtype=float) + b)
     return np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)

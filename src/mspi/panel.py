@@ -430,8 +430,9 @@ class _PanelColumns:
             rows[name] = column[kept]  # masking the records instead is twice as slow
         self.spill.append(rows)
 
-    def years(self) -> Iterator[DailyPanel]:
-        """Each calendar year's rows as a ``DailyPanel``, in calendar order.
+    def years(self, whole: bool = False) -> Iterator[DailyPanel]:
+        """Each calendar year's rows as a ``DailyPanel``, in calendar order;
+        with ``whole``, one ``DailyPanel`` of every row.
 
         Raises DataError for an empty panel, or for a security id repeated
         within a date when its year is reached. The iterator holds no year
@@ -442,7 +443,10 @@ class _PanelColumns:
         names = sorted(self._sec_codes)
         rank = np.empty(len(names), dtype=np.int64)
         rank[[self._sec_codes[name] for name in names]] = np.arange(len(names))
-        return map(functools.partial(_year_panel, rank=rank, names=names), self.spill.years())
+        blocks = self.spill.years()
+        if whole:
+            blocks = [np.concatenate(list(blocks))]
+        return map(functools.partial(_year_panel, rank=rank, names=names), blocks)
 
 
 def _year_panel(rows: np.ndarray, rank: np.ndarray, names: list[str]) -> DailyPanel:
@@ -463,17 +467,6 @@ def _year_panel(rows: np.ndarray, rank: np.ndarray, names: list[str]) -> DailyPa
     starts = np.flatnonzero(np.diff(day, prepend=-1, append=-1))
     dates = [dt.date.fromordinal(o) for o in day[starts[:-1]].tolist()]
     return DailyPanel(dates, starts, *(np.ascontiguousarray(rows[name]) for name in _VALUE_FIELDS))
-
-
-def _concatenate(blocks: list[DailyPanel]) -> DailyPanel:
-    """The panel of consecutive blocks of days, joined in order."""
-    offsets = np.cumsum([0] + [block.total_observations for block in blocks])
-    starts = [block.starts[:-1] + offset for block, offset in zip(blocks, offsets.tolist())]
-    return DailyPanel(
-        [day for block in blocks for day in block.dates],
-        np.concatenate(starts + [offsets[-1:]]),
-        *(np.concatenate([getattr(block, name) for block in blocks]) for name in _VALUE_FIELDS),
-    )
 
 
 class _YearSpill:
@@ -533,7 +526,7 @@ def load_daily_panel(
     checked for duplicate ids in calendar order. With ``reduce_year`` the
     result is ``[reduce_year(year) for year in years]``, so peak memory
     scales with one year's panel plus one chunk; without it (no stage loads
-    that way), the years are joined into the whole ``DailyPanel``.
+    that way), every kept row is sorted into one whole ``DailyPanel``.
     """
     summary = IngestSummary()
     with open_text(path) as fh, _YearSpill() as spill:
@@ -550,9 +543,9 @@ def load_daily_panel(
                 chunk, n_lines = columns.parse_rowwise(text, fh, line_base)
             line_base += n_lines
             columns.keep(chunk)
-        if reduce_year is not None:
-            return list(map(reduce_year, columns.years())), summary
-        return _concatenate(list(columns.years())), summary
+        if reduce_year is None:
+            return next(columns.years(whole=True)), summary
+        return list(map(reduce_year, columns.years())), summary
 
 
 def load_market_series(path: str) -> MarketSeries:

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import os
 import re
@@ -9,7 +10,6 @@ from mspi import backtest
 from mspi.backtest import (
     LEARNERS,
     MODEL_NAMES,
-    ForecastSeries,
     fit_window,
     forward_chain_cv,
     month_ordinal,
@@ -77,15 +77,24 @@ class TestForwardChainCV:
         assert wins >= 40  # >= 80% of replications
 
     def test_tie_break_prefers_larger_penalty(self):
-        from mspi.backtest import select_by_preference
-
-        learner = LEARNERS["l1"]
+        # a stub l2 whose model is its penalty and whose score depends on it alone
+        scores = {}
+        learner = dataclasses.replace(
+            LEARNERS["l2"], warm_started=False, fit=lambda Xz, y, lam, s, i: lam,
+            score=lambda lam, Xz: np.full(len(Xz), scores[lam]))
+        X = self.rng.normal(size=(60, 4))
+        y = np.tile([1.0, 0.0, 0.0], 20)
         grid = [1e5, 1e6]
-        order = sorted(range(2), key=lambda i: learner.key(grid[i]))
         # identical fold losses: the entry earlier in preference order wins
-        assert grid[select_by_preference([0.61, 0.61], order)] == 1e6
-        # strictly better loss still wins regardless of preference
-        assert grid[select_by_preference([0.60, 0.61], order)] == 1e5
+        scores.update({1e5: -0.5, 1e6: -0.5})
+        hyper, info = forward_chain_cv(learner, X, y, grid, 5, np.random.SeedSequence(0))
+        assert info["mean_losses"][0] == info["mean_losses"][1]
+        assert hyper == 1e6
+        # a strictly lower loss wins regardless of preference
+        scores.update({1e5: -0.7, 1e6: 2.0})
+        hyper, info = forward_chain_cv(learner, X, y, grid, 5, np.random.SeedSequence(0))
+        assert info["mean_losses"][0] < info["mean_losses"][1]
+        assert hyper == 1e5
 
     def test_duplicate_grid_values_select_cleanly(self):
         learner = LEARNERS["l1"]

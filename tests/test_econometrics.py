@@ -77,37 +77,38 @@ class TestOlsHac:
     def test_exact_fit(self):
         x = np.arange(1.0, 21.0)
         X = np.column_stack([np.ones(20), x])
-        res = ols_hac(2.0 * x, X, hac_lag=3, names=("intercept", "x"))
-        assert res.coefficient("x") == pytest.approx(2.0, abs=1e-12)
-        assert np.max(np.abs(res.residuals)) < 1e-10
-        assert res.std_error("x") == pytest.approx(0.0, abs=1e-10)
-        assert res.r2 == pytest.approx(1.0)
+        reg, residuals = ols_hac(2.0 * x, X, hac_lag=3, names=("intercept", "x"))
+        b, se = coefficient(reg, "x")
+        assert b == pytest.approx(2.0, abs=1e-12)
+        assert np.max(np.abs(residuals)) < 1e-10
+        assert se == pytest.approx(0.0, abs=1e-10)
+        assert reg["r2"] == pytest.approx(1.0)
 
     def test_lag_zero_matches_white(self):
         rng = np.random.default_rng(1)
         X = np.column_stack([np.ones(50), rng.standard_normal((50, 2))])
         y = X @ np.array([0.5, 1.0, -2.0]) + rng.standard_normal(50) * (1 + 0.5 * np.abs(X[:, 1]))
-        res = ols_hac(y, X, hac_lag=0, names=column_names(X))
-        expected = white_covariance(X, res.residuals)
-        got = hac_covariance(X, res.residuals, 0)
+        reg, residuals = ols_hac(y, X, hac_lag=0, names=column_names(X))
+        expected = white_covariance(X, residuals)
+        got = hac_covariance(X, residuals, 0)
         assert np.max(np.abs(got - expected)) < 1e-12
-        assert np.max(np.abs(res.se - np.sqrt(np.diag(expected)))) < 1e-12
+        assert np.max(np.abs(np.array(reg["se"]) - np.sqrt(np.diag(expected)))) < 1e-12
 
     def test_column_permutation_symmetry(self):
         rng = np.random.default_rng(2)
         X = np.column_stack([np.ones(60), rng.standard_normal((60, 3))])
         y = rng.standard_normal(60)
-        res = ols_hac(y, X, hac_lag=2, names=column_names(X))
+        coef = np.array(ols_hac(y, X, hac_lag=2, names=column_names(X))[0]["coef"])
         perm = [0, 2, 3, 1]
-        res_p = ols_hac(y, X[:, perm], hac_lag=2, names=column_names(X))
-        assert np.max(np.abs(res_p.coef - res.coef[perm])) < 1e-10
+        coef_p = np.array(ols_hac(y, X[:, perm], hac_lag=2, names=column_names(X))[0]["coef"])
+        assert np.max(np.abs(coef_p - coef[perm])) < 1e-10
 
     def test_residual_orthogonality(self):
         rng = np.random.default_rng(3)
         X = np.column_stack([np.ones(80), rng.standard_normal((80, 4))])
         y = rng.standard_normal(80)
-        res = ols_hac(y, X, hac_lag=4, names=column_names(X))
-        assert np.max(np.abs(X.T @ res.residuals)) < 1e-8
+        _, residuals = ols_hac(y, X, hac_lag=4, names=column_names(X))
+        assert np.max(np.abs(X.T @ residuals)) < 1e-8
 
     def test_rank_deficient_names_column(self):
         x = np.arange(1.0, 31.0)
@@ -214,36 +215,35 @@ class TestInnovations:
     def test_constant_index_zero_innovations(self):
         fs = toy_forecasts(seed=9)
         fs.prob["l1"][:] = 0.25
-        innov = mspi_innovations(fs)
-        assert np.max(np.abs(innov.residuals)) < 1e-12
+        _, residuals = mspi_innovations(fs)
+        assert np.max(np.abs(residuals)) < 1e-12
 
     def test_white_noise_index_keeps_variance(self):
         fs = toy_forecasts(n=500, seed=10)
-        innov = mspi_innovations(fs)
-        ratio = np.std(innov.residuals) / np.std(fs.prob["l1"])
+        _, residuals = mspi_innovations(fs)
+        ratio = np.std(residuals) / np.std(fs.prob["l1"])
         assert abs(ratio - 1.0) < 0.10
 
     def test_orthogonality_to_lagged_index(self):
         fs = toy_forecasts(n=300, seed=11)
-        innov = mspi_innovations(fs)
+        _, residuals = mspi_innovations(fs)
         lagged = fs.prob["l1"][:-1]
-        corr = float(np.dot(innov.residuals - innov.residuals.mean(),
-                            lagged - lagged.mean()))
+        corr = float(np.dot(residuals - residuals.mean(), lagged - lagged.mean()))
         assert abs(corr) / len(lagged) < 1e-8
 
     def test_residuals_sum_to_zero(self):
         fs = toy_forecasts(n=200, seed=12)
-        innov = mspi_innovations(fs)
-        assert abs(float(np.sum(innov.residuals))) < 1e-8
+        _, residuals = mspi_innovations(fs)
+        assert abs(float(np.sum(residuals))) < 1e-8
 
     def test_control_rescaling_invariance(self):
         fs = toy_forecasts(n=200, seed=13)
-        innov1 = mspi_innovations(fs)
+        _, residuals1 = mspi_innovations(fs)
         fs2 = toy_forecasts(n=200, seed=13)
         fs2.r_mkt[:] = 100.0 * fs2.r_mkt + 0.5
         fs2.sigma_mkt[:] = 3.0 * fs2.sigma_mkt - 0.2
-        innov2 = mspi_innovations(fs2)
-        assert np.max(np.abs(innov1.residuals - innov2.residuals)) < 1e-8
+        _, residuals2 = mspi_innovations(fs2)
+        assert np.max(np.abs(residuals1 - residuals2)) < 1e-8
 
 
 def no_controls(u):
@@ -297,9 +297,9 @@ class TestLocalProjections:
         u = rng.standard_normal(80)
         y = 0.4 * u + rng.standard_normal(80)
         [(_, b, se, _)] = local_projections(u, y, no_controls(u), max_horizon=0)
-        direct = ols_hac(y, np.column_stack([np.ones(80), u]), hac_lag=1, names=("intercept", "u"))
-        assert b == direct.coef[1]
-        assert se == direct.se[1]
+        direct, _ = ols_hac(y, np.column_stack([np.ones(80), u]), hac_lag=1,
+                            names=("intercept", "u"))
+        assert (b, se) == coefficient(direct, "u")
 
     def test_sample_exhausting_horizon_omitted(self):
         u = np.arange(6.0)
@@ -312,7 +312,7 @@ class TestLocalProjections:
         # is the second forecast month's) and month t-1's market controls
         fs = toy_forecasts(n=60, seed=18)
         months = fs.months
-        innovation = dict(zip(months[1:], mspi_innovations(fs).residuals))
+        innovation = dict(zip(months[1:], mspi_innovations(fs)[1]))
         sigma = dict(zip(months, fs.sigma_mkt))
         controls = dict(zip(months, market_controls(fs)))
         t = months[2:]

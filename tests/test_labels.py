@@ -10,8 +10,6 @@ from mspi.labels import (
     build_market_monthly,
     expanding_quantile,
     label_stress,
-    monthly_market_return,
-    realized_monthly_vol,
 )
 from mspi.panel import MarketSeries, MonthPartition, read_rows
 
@@ -34,40 +32,40 @@ def series(returns_by_month):
 class TestMonthlyMarketReturn:
     def test_compounding(self):
         market, part = series({"2001-01": [0.01, 0.01]})
-        assert monthly_market_return(market, part)[0] == pytest.approx(0.0201)
+        assert build_market_monthly(market, part)[1][0] == pytest.approx(0.0201)
 
     def test_gain_then_loss(self):
         market, part = series({"2001-01": [0.10, -0.10]})
-        assert monthly_market_return(market, part)[0] == pytest.approx(-0.01)
+        assert build_market_monthly(market, part)[1][0] == pytest.approx(-0.01)
 
     def test_zeros(self):
         market, part = series({"2001-01": [0.0, 0.0, 0.0]})
-        assert monthly_market_return(market, part)[0] == 0.0
+        assert build_market_monthly(market, part)[1][0] == 0.0
 
 
 class TestRealizedMonthlyVol:
     def test_two_day_hand_value(self):
         market, part = series({"2001-01": [0.01, -0.01]})
-        vol = realized_monthly_vol(market, part)[0]
+        vol = build_market_monthly(market, part)[2][0]
         # sample std with ddof=1 is sqrt(2)/100, annualized by sqrt(252)
         assert vol == pytest.approx(math.sqrt(2) / 100 * math.sqrt(252), rel=1e-12)
         assert vol == pytest.approx(0.224499, abs=5e-7)
 
     def test_constant_returns(self):
         market, part = series({"2001-01": [0.01, 0.01, 0.01]})
-        assert realized_monthly_vol(market, part)[0] == 0.0
+        assert build_market_monthly(market, part)[2][0] == 0.0
 
     def test_homogeneous_scaling(self):
         m1, p1 = series({"2001-01": [0.01, -0.02, 0.03]})
         m2, p2 = series({"2001-01": [0.02, -0.04, 0.06]})
-        v1 = realized_monthly_vol(m1, p1)[0]
-        v2 = realized_monthly_vol(m2, p2)[0]
+        v1 = build_market_monthly(m1, p1)[2][0]
+        v2 = build_market_monthly(m2, p2)[2][0]
         assert v2 == pytest.approx(2 * v1, rel=1e-12)
 
     def test_single_day_month_error(self):
         market, part = series({"2001-01": [0.01]})
         with pytest.raises(DataError, match="2001-01"):
-            realized_monthly_vol(market, part)
+            build_market_monthly(market, part)
 
 
 class TestExpandingQuantile:

@@ -392,13 +392,26 @@ class TestChunkedLoad:
     def test_quoted_field_spanning_chunks(self, tmp_path, monkeypatch):
         lines = [f'2001-01-02,S{i:03d},"0.0{i % 10}\n",5.00,100,1000,1,1' for i in range(200)]
         lines.append("2001-01-02,S999,0.01,5.00,100,1000,1,yes?")
-        path = write_lines(tmp_path, lines)
-        monkeypatch.setattr(mspi.panel, "_CHUNK_CHARS", 1000)
-        expected = f"{path}: line 403, column 'exchcd_ok': cannot parse boolean from 'yes?'"
-        assert load_error(load_daily_panel, path) == expected
-        assert load_error(load_daily_panel_rowwise, path) == expected
-        write_lines(tmp_path, lines[:-1])
-        assert_same_load(path, EligibilityFilter())
+        # the chunks that the row-by-row parser gets, and whether each ends
+        # inside a quoted field (an odd number of quotes) that it must
+        # finish from the file
+        open_ends = []
+        parse_rowwise = mspi.panel._PanelColumns.parse_rowwise
+
+        def spy(self, text, fh, line_base):
+            open_ends.append(text.count('"') % 2 == 1)
+            return parse_rowwise(self, text, fh, line_base)
+
+        monkeypatch.setattr(mspi.panel._PanelColumns, "parse_rowwise", spy)
+        for chunk in (1000, 1010, 64):
+            monkeypatch.setattr(mspi.panel, "_CHUNK_CHARS", chunk)
+            path = write_lines(tmp_path, lines)
+            expected = f"{path}: line 403, column 'exchcd_ok': cannot parse boolean from 'yes?'"
+            assert load_error(load_daily_panel, path) == expected
+            assert load_error(load_daily_panel_rowwise, path) == expected
+            write_lines(tmp_path, lines[:-1])
+            assert_same_load(path, EligibilityFilter())
+        assert any(open_ends)
 
     def test_reducing_load_memory_does_not_grow_with_years(self, tmp_path, monkeypatch):
         # small chunks, so that the rows held, not the chunk, set the peak

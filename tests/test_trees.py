@@ -103,19 +103,25 @@ class TestPresortedGrowth:
             assert same_tree(got, expected), (trial, n, p, min_leaf, max_depth, mtry)
 
     def test_shared_presort_and_leaf_rows(self):
-        rng = np.random.default_rng(3)
-        X = rng.integers(0, 5, (70, 4)).astype(float)
-        order = presort(X)
-        for stage in range(5):
-            y = rng.standard_normal(70)
+        def check(X, y, order):
             leaves = []
             tree = build_tree(X, y, None, 3, 4, None, "sse", presorted=order, leaves=leaves)
             assert same_tree(tree, per_node_sort_tree(X, y, None, 3, 4, None, "sse"))
-            leaf_of = np.full(70, -1)
+            leaf_of = np.full(len(y), -1)
             for node, rows in leaves:
                 assert np.all(np.diff(rows) > 0)
                 leaf_of[rows] = node
             assert np.array_equal(leaf_of, descend_one_tree(tree, X))
+
+        rng = np.random.default_rng(3)
+        X = rng.integers(0, 5, (70, 4)).astype(float)
+        order = presort(X)
+        for _ in range(5):
+            check(X, rng.standard_normal(70), order)
+        # each child of the root holds one x and both y values: no boundary
+        # separates distinct values, so the split search makes it a leaf
+        X = np.repeat([[0.0], [1.0]], 12, axis=0)
+        check(X, np.tile([0.0, 1.0, 1.0, 0.0], 6), presort(X))
 
 
 class TestLeafValues:
