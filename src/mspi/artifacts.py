@@ -78,11 +78,14 @@ def write_csv(path: Path, header: list[str], rows, config_hash: str):
             writer.writerow([_fmt(v) for v in row])
 
 
+def json_text(payload: dict, config_hash: str) -> str:
+    """A JSON artifact's text: ``payload`` with its ``config_hash`` field."""
+    return json.dumps({**payload, "config_hash": config_hash}, indent=2, sort_keys=True) + "\n"
+
+
 def write_json(path: Path, payload: dict, config_hash: str):
-    payload = dict(payload)
-    payload["config_hash"] = config_hash
     with open_output(path) as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write(json_text(payload, config_hash))
 
 
 def read_json(path: Path, spec: dict) -> dict:

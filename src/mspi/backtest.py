@@ -9,6 +9,13 @@ fixed. Random streams are keyed on (master seed, model, absolute month), so
 forecasts for a given month are bit-identical whether or not later data
 exist in the input.
 
+A stream is passed down as a seed key ``(entropy, spawn_key)``, the
+arguments of the ``np.random.SeedSequence`` it names, and a child's key is
+its parent's with the child's index appended (``spawn_keys``), as
+``SeedSequence.spawn`` numbers the children of a fresh sequence. Only a
+learner that draws (rf) builds the sequence, so a run without one never
+imports ``numpy.random``.
+
 Forward-chaining CV and the l1/l2 forecast chains run serially in the
 calling process: each l1/l2 month warm-starts from the month before. The rf
 and gb months depend on no other month, so they are split across forked
@@ -92,6 +99,13 @@ INDEX_MODEL = "l1"
 BENCHMARK_MODEL = "l2"
 
 
+def spawn_keys(key: tuple, n: int) -> list[tuple]:
+    """The seed keys of the first ``n`` children of ``key``: those of
+    ``np.random.SeedSequence(entropy, spawn_key=spawn_key).spawn(n)``."""
+    entropy, spawn_key = key
+    return [(entropy, (*spawn_key, i)) for i in range(n)]
+
+
 def month_ordinal(month: str) -> int:
     year, mm = parse_month(month, "month_ordinal")
     return year * 12 + mm - 1
@@ -104,8 +118,9 @@ def month_ordinal(month: str) -> int:
 class Learner:
     """One model as the protocol sees it.
 
-    ``fit(Xz, y, hyper, seed_seq, init)`` returns a fitted model, where
-    ``init`` is an (intercept, coef) warm start or None; ``score(model,
+    ``fit(Xz, y, hyper, seed_key, init)`` returns a fitted model, where
+    ``seed_key`` names its random stream (module docstring) and ``init``
+    is an (intercept, coef) warm start or None; ``score(model,
     Xz)`` gives its raw scores. ``grid(config)`` lists the CV candidates,
     ``key(hyper)`` orders them (earlier entries win exact ties: stronger
     regularization or a smaller model) and ``describe(hyper)`` records one
@@ -144,13 +159,14 @@ def _logit(name: str, fit: Callable, market_features: bool) -> Learner:
 
 
 LEARNERS: dict[str, Learner] = {
-    "l1": _logit("l1", lambda Xz, y, lam, seed_seq, init:
+    "l1": _logit("l1", lambda Xz, y, lam, seed_key, init:
                  fit_logit_l1(Xz, y, lam=float(lam), init=init), market_features=False),
-    "l2": _logit("l2", lambda Xz, y, lam, seed_seq, init:
+    "l2": _logit("l2", lambda Xz, y, lam, seed_key, init:
                  fit_logit_l2(Xz, y, lam=float(lam), init=init), market_features=True),
     "rf": Learner(
         name="rf",
-        fit=lambda Xz, y, n_trees, seed_seq, init: fit_random_forest(Xz, y, n_trees, seed_seq),
+        fit=lambda Xz, y, n_trees, seed_key, init: fit_random_forest(
+            Xz, y, n_trees, np.random.SeedSequence(seed_key[0], spawn_key=seed_key[1])),
         score=lambda trees, Xz: rf_score_many(trees, Xz),
         grid=lambda config: [config.rf_trees],
         key=lambda n_trees: 0,  # the grid has one entry, so no two are compared
@@ -161,7 +177,7 @@ LEARNERS: dict[str, Learner] = {
     ),
     "gb": Learner(
         name="gb",
-        fit=lambda Xz, y, n_stages, seed_seq, init: fit_gradient_boosting(Xz, y, n_stages),
+        fit=lambda Xz, y, n_stages, seed_key, init: fit_gradient_boosting(Xz, y, n_stages),
         score=lambda model, Xz: gb_score_many(model, Xz),
         grid=lambda config: list(config.gb_stage_grid),
         key=lambda n_stages: n_stages,
@@ -236,7 +252,7 @@ def fit_window(
     X_raw: np.ndarray,
     y: np.ndarray,
     hyper,
-    seed_seq: np.random.SeedSequence,
+    seed_key: tuple,
     init: WindowFit | None = None,
 ) -> WindowFit:
     """Fit one training window: standardize, fit, and calibrate if needed.
@@ -255,7 +271,7 @@ def fit_window(
 
     params = standardize_fit(X_raw)
     Xz = standardize_apply(params, X_raw)
-    sub_seed, full_seed = seed_seq.spawn(2)
+    sub_seed, full_seed = spawn_keys(seed_key, 2)
 
     cmap = calibration = None
     if learner.calibrated:
@@ -287,7 +303,7 @@ def forward_chain_cv(
     y: np.ndarray,
     grid: list,
     folds: int,
-    seed_seq: np.random.SeedSequence,
+    seed_key: tuple,
 ) -> tuple[object, dict]:
     """Select a hyperparameter by forward-chaining CV on the initial window.
 
@@ -317,7 +333,7 @@ def forward_chain_cv(
             f"segments of >= {MIN_VALIDATION_MONTHS} months"
         )
     prefix0 = n - folds * seg
-    fold_seeds = seed_seq.spawn(folds)
+    fold_seeds = spawn_keys(seed_key, folds)
     usable = []
     for k in range(folds):
         train_end = prefix0 + k * seg
@@ -503,7 +519,7 @@ def run_expanding_backtest(
     cv_info: dict[str, dict] = {}
     for name in config.models:
         learner = LEARNERS[name]
-        cv_seed = np.random.SeedSequence([config.seed, _MODEL_CODES[name], _CV_TAG])
+        cv_seed = ((config.seed, _MODEL_CODES[name], _CV_TAG), ())
         hyper, info = forward_chain_cv(learner, x_by_model[name][:w], y_pairs[:w],
                                        learner.grid(config), CV_FOLDS, cv_seed)
         selected[name] = hyper
@@ -517,7 +533,7 @@ def run_expanding_backtest(
         cell is (j, model, raw score, probability, fallback message or None)."""
         i = w + j
         learner = LEARNERS[name]
-        seed = np.random.SeedSequence([config.seed, _MODEL_CODES[name], month_ordinal(months[i])])
+        seed = ((config.seed, _MODEL_CODES[name], month_ordinal(months[i])), ())
         X = x_by_model[name]
         msg = None
         try:

@@ -30,6 +30,7 @@ from . import econometrics as econ
 from . import evaluation as ev
 from .artifacts import (
     BIN_COLUMNS,
+    json_text,
     open_output,
     read_bins,
     read_calendar,
@@ -194,8 +195,10 @@ def cmd_report(cfg: PipelineConfig, out: Path, h: str, args) -> int:
         },
     }
     text = _render_report(payload)
-    write_json(out / "report.json", payload, h)
-    with open_output(out / "report.txt") as fh:
+    # the two files as one unit: report.txt is renamed into place first, and
+    # a failed write or rename of either leaves no new report.json
+    with open_output(out / "report.json") as json_fh, open_output(out / "report.txt") as fh:
+        json_fh.write(json_text(payload, h))
         fh.write(text)
     return 0
 

@@ -24,7 +24,6 @@ defaulted and range-checked here, and the stages read it by name.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -34,6 +33,17 @@ import numpy as np
 
 from .backtest import BENCHMARK_MODEL, INDEX_MODEL, MODEL_NAMES
 from .errors import ConfigError
+
+# sha256 from the interpreter's own module, as the standard library's
+# ``random`` takes sha512: ``hashlib`` maps OpenSSL's libcrypto, which a
+# stage that only hashes its config has no use for.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:  # an interpreter built without either
+        from hashlib import sha256
 
 
 _KINDS = {"int": int, "float": float, "str": str, "str | None": str, "list": list}
@@ -155,4 +165,4 @@ class PipelineConfig:
         """sha256 of the settings: every field but ``out_dir``."""
         settings = {k: v for k, v in asdict(self).items() if k != "out_dir"}
         canonical = json.dumps(settings, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return sha256(canonical.encode("utf-8")).hexdigest()

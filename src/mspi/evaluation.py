@@ -282,6 +282,9 @@ _ROW_METRICS = {
     "brier": _brier_rows,
     "log_loss": clamped_log_loss,
 }
+# Replications evaluated at once: the bootstrap's working set is a few
+# (_BOOTSTRAP_ROWS, months) matrices, whatever the number of replications.
+_BOOTSTRAP_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -322,10 +325,11 @@ def block_bootstrap_diff(
 
     Each round draws the block starts of all replications still needed as
     one (need, n_blocks) matrix, which takes the same random stream as one
-    draw per replication, and evaluates the metric on every defined row at
-    once; replication r is the r-th defined row. The row kernels add in the
-    order the one-resample metric does, so every replicate is bit-identical
-    to evaluating the resamples one at a time.
+    draw per replication, and evaluates the metric on its defined rows
+    ``_BOOTSTRAP_ROWS`` rows at a time; replication r is the r-th defined
+    row. The row kernels reduce each row on its own, in the order the
+    one-resample metric adds, so every replicate is bit-identical to
+    evaluating the resamples one at a time.
     """
     values_a = np.asarray(values_a, dtype=float)
     values_b = np.asarray(values_b, dtype=float)
@@ -356,18 +360,20 @@ def block_bootstrap_diff(
     while done < reps:
         need = reps - done
         starts = rng.integers(0, n - block_len + 1, size=(need, n_blocks))
-        idx = (starts[:, :, None] + offsets).reshape(need, -1)[:, :n]
-        ys = y[idx]
-        ok = _defined_rows(metric, ys)
-        redraws += need - int(ok.sum())
-        if redraws > max_redraws:
-            raise NumericError(
-                f"block bootstrap: metric {metric!r} undefined in more than "
-                f"{max_redraws} resamples; outcome too rare for this block design"
-            )
-        idx, ys = idx[ok], ys[ok]
-        rounds.append(fn(values_a[idx], ys) - fn(values_b[idx], ys))
-        done += idx.shape[0]
+        for first in range(0, need, _BOOTSTRAP_ROWS):
+            chunk = starts[first:first + _BOOTSTRAP_ROWS]
+            idx = (chunk[:, :, None] + offsets).reshape(chunk.shape[0], -1)[:, :n]
+            ys = y[idx]
+            ok = _defined_rows(metric, ys)
+            redraws += chunk.shape[0] - int(ok.sum())
+            if redraws > max_redraws:
+                raise NumericError(
+                    f"block bootstrap: metric {metric!r} undefined in more than "
+                    f"{max_redraws} resamples; outcome too rare for this block design"
+                )
+            idx, ys = idx[ok], ys[ok]
+            rounds.append(fn(values_a[idx], ys) - fn(values_b[idx], ys))
+            done += idx.shape[0]
     deltas = np.concatenate(rounds)
     delta = fn(values_a[None], y[None])[0] - fn(values_b[None], y[None])[0]
 

@@ -14,6 +14,7 @@ from mspi.backtest import (
     forward_chain_cv,
     month_ordinal,
     run_expanding_backtest,
+    spawn_keys,
 )
 from mspi.config import PipelineConfig
 from mspi.errors import ConfigError, DataError
@@ -61,7 +62,7 @@ class TestForwardChainCV:
         learner = LEARNERS["l1"]
         X = self.rng.normal(size=(60, 4))
         y = (self.rng.random(60) < 0.3).astype(float)
-        hyper, info = forward_chain_cv(learner, X, y, [0.5], 5, np.random.SeedSequence(0))
+        hyper, info = forward_chain_cv(learner, X, y, [0.5], 5, (0, ()))
         assert hyper == 0.5 and info["folds_used"] == 0
 
     def test_noise_features_select_max_penalty(self):
@@ -72,7 +73,7 @@ class TestForwardChainCV:
             rng = np.random.default_rng(1000 + seed)
             X = rng.normal(size=(120, 16))
             y = (rng.random(120) < 0.25).astype(float)
-            hyper, _ = forward_chain_cv(learner, X, y, grid, 5, np.random.SeedSequence(seed))
+            hyper, _ = forward_chain_cv(learner, X, y, grid, 5, (seed, ()))
             wins += hyper == 1.0
         assert wins >= 40  # >= 80% of replications
 
@@ -87,12 +88,12 @@ class TestForwardChainCV:
         grid = [1e5, 1e6]
         # identical fold losses: the entry earlier in preference order wins
         scores.update({1e5: -0.5, 1e6: -0.5})
-        hyper, info = forward_chain_cv(learner, X, y, grid, 5, np.random.SeedSequence(0))
+        hyper, info = forward_chain_cv(learner, X, y, grid, 5, (0, ()))
         assert info["mean_losses"][0] == info["mean_losses"][1]
         assert hyper == 1e6
         # a strictly lower loss wins regardless of preference
         scores.update({1e5: -0.7, 1e6: 2.0})
-        hyper, info = forward_chain_cv(learner, X, y, grid, 5, np.random.SeedSequence(0))
+        hyper, info = forward_chain_cv(learner, X, y, grid, 5, (0, ()))
         assert info["mean_losses"][0] < info["mean_losses"][1]
         assert hyper == 1e5
 
@@ -101,7 +102,7 @@ class TestForwardChainCV:
         rng = np.random.default_rng(5)
         X = rng.normal(size=(80, 4))
         y = (rng.random(80) < 0.3).astype(float)
-        hyper, info = forward_chain_cv(learner, X, y, [1e6, 1e6], 5, np.random.SeedSequence(0))
+        hyper, info = forward_chain_cv(learner, X, y, [1e6, 1e6], 5, (0, ()))
         assert hyper == 1e6
         assert info["mean_losses"][0] == info["mean_losses"][1]
 
@@ -112,9 +113,9 @@ class TestForwardChainCV:
         y = (rng.random(96) < 1 / (1 + np.exp(-1.5 * X[:, 0] + 1.0))).astype(float)
         grid = [8, 15, 3, 15]
         folds, seg = 4, 96 // 8
-        hyper, info = forward_chain_cv(learner, X, y, grid, folds, np.random.SeedSequence(4))
+        hyper, info = forward_chain_cv(learner, X, y, grid, folds, (4, ()))
         assert info["folds_used"] == folds
-        fold_seeds = np.random.SeedSequence(4).spawn(folds)
+        fold_seeds = spawn_keys((4, ()), folds)
         losses = np.full((len(grid), folds), np.nan)
         for k in range(folds):
             end = 96 - (folds - k) * seg
@@ -130,20 +131,20 @@ class TestForwardChainCV:
         X = self.rng.normal(size=(30, 3))
         y = (self.rng.random(30) < 0.5).astype(float)
         with pytest.raises(DataError, match="validation"):
-            forward_chain_cv(learner, X, y, [0.1, 1.0], 5, np.random.SeedSequence(0))
+            forward_chain_cv(learner, X, y, [0.1, 1.0], 5, (0, ()))
 
     def test_single_class_window_errors(self):
         learner = LEARNERS["l1"]
         X = self.rng.normal(size=(120, 3))
         with pytest.raises(DataError, match="single-class"):
-            forward_chain_cv(learner, X, np.zeros(120), [0.1, 1.0], 5, np.random.SeedSequence(0))
+            forward_chain_cv(learner, X, np.zeros(120), [0.1, 1.0], 5, (0, ()))
 
 
 class TestFitWindow:
     def test_single_class_fallback_probability(self):
         learner = LEARNERS["l1"]
         X = np.random.default_rng(0).normal(size=(30, 4))
-        fitted = fit_window(learner, X, np.zeros(30), 0.1, np.random.SeedSequence(0))
+        fitted = fit_window(learner, X, np.zeros(30), 0.1, (0, ()))
         assert fitted.fallback
         raw, prob = fitted.predict_one(X[0])
         assert prob == pytest.approx(1 / 32)
@@ -153,7 +154,7 @@ class TestFitWindow:
         rng = np.random.default_rng(1)
         X = rng.normal(size=(80, 4))
         y = (rng.random(80) < 1 / (1 + np.exp(-2 * X[:, 0]))).astype(float)
-        fitted = fit_window(learner, X, y, 30, np.random.SeedSequence(3))
+        fitted = fit_window(learner, X, y, 30, (3, ()))
         assert fitted.cmap is not None
         raw, prob = fitted.predict_one(X[0])
         assert 0.0 < prob < 1.0
@@ -261,6 +262,31 @@ class TestRunExpandingBacktest:
         assert month_ordinal("2001-12") - month_ordinal("2001-01") == 11
         with pytest.raises(DataError, match="expected a month YYYY-MM, got '2001-13'"):
             month_ordinal("2001-13")
+
+    def test_seed_keys_name_the_spawn_chains_they_replace(self):
+        def stream(key):
+            return np.random.SeedSequence(key[0], spawn_key=key[1]).generate_state(4).tobytes()
+
+        rf = backtest._MODEL_CODES["rf"]
+        # CV fold k -> its window's sub/full stream -> tree t
+        cv = (3, rf, backtest._CV_TAG)
+        for k, fold in enumerate(np.random.SeedSequence(list(cv)).spawn(5)):
+            fold_key = spawn_keys((cv, ()), 5)[k]
+            for w, window in enumerate(fold.spawn(2)):
+                window_key = spawn_keys(fold_key, 2)[w]
+                for t, tree in enumerate(window.spawn(3)):
+                    assert stream(spawn_keys(window_key, 3)[t]) == tree.generate_state(4).tobytes()
+        # a forecast month's full-window stream -> the forest fitted from it
+        month = (3, rf, month_ordinal("2001-06"))
+        full = np.random.SeedSequence(list(month)).spawn(2)[1]
+        assert stream(spawn_keys((month, ()), 2)[1]) == full.generate_state(4).tobytes()
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(40, 3))
+        y = np.tile([0.0, 1.0], 20)
+        keyed = LEARNERS["rf"].fit(X, y, 4, spawn_keys((month, ()), 2)[1], None)
+        spawned = backtest.fit_random_forest(X, y, 4, full)
+        assert backtest.rf_score_many(keyed, X).tobytes() == \
+            backtest.rf_score_many(spawned, X).tobytes()
 
 
 class TestForecastWorkers:

@@ -4,6 +4,7 @@ import errno
 import functools
 import hashlib
 import importlib
+import importlib.util
 import json
 import logging
 import math
@@ -142,37 +143,47 @@ def test_all_stages_reproduce_golden_artifacts(golden_run):
         models[row["model"]][row["metric"]] - models["l2"][row["metric"]] for row in rows]
 
 
-# Run in a fresh interpreter: whether each stage has loaded numpy.random, which
-# NumPy 2 imports only on first use (about 6 MB of a stage's peak memory).
-RANDOM_LOADED = """
-import sys
+# Run in a fresh interpreter: which of numpy.random (which NumPy 2 imports only
+# on first use) and OpenSSL's libcrypto (through _hashlib) the stages have
+# loaded, about 6 MB of a stage's peak memory. Its arguments are a config
+# and the stages to run. It prints whether ``import numpy`` alone loaded
+# numpy.random, then the two answers after each stage.
+MODULES_LOADED = """
+import json, sys
 import numpy
-with_numpy = "numpy.random" in sys.modules
 from mspi.cli import main
 
-def loaded_after(*stages):
-    for stage in stages:
-        assert main(["--log-level", "WARNING", stage, "--config", sys.argv[1]]) == 0, stage
-    return "numpy.random" in sys.modules
-
-print(with_numpy, loaded_after("features", "label", "evaluate", "regress", "lp", "report"),
-      loaded_after("bootstrap"))
+loaded = [["numpy.random" in sys.modules]]
+for stage in sys.argv[2:]:
+    assert main(["--log-level", "WARNING", stage, "--config", sys.argv[1]]) == 0, stage
+    loaded.append([name in sys.modules for name in ("numpy.random", "_hashlib")])
+print(json.dumps(loaded))
 """
 
 
 def test_stages_that_draw_no_random_numbers_never_load_numpy_random(golden_run, tmp_path):
     out = tmp_path / "out"
     shutil.copytree(golden_run[0], out)
-    config = write_config(tmp_path, {**SMALL_CONFIG, "out_dir": str(out)})
     path = [str(Path(mspi.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    result = subprocess.run([sys.executable, "-c", RANDOM_LOADED, config], env=env,
-                            capture_output=True, text=True, check=True)
-    with_numpy, drawless, bootstrap = result.stdout.split()
-    if with_numpy == "True":
+
+    def loaded(payload, *stages):
+        config = write_config(tmp_path, {**payload, "out_dir": str(out)})
+        result = subprocess.run([sys.executable, "-c", MODULES_LOADED, config, *stages],
+                                env=env, capture_output=True, text=True, check=True)
+        return json.loads(result.stdout)
+
+    # l1 and l2 draw nothing, so their backtest counts as draw-free
+    drawless = ("backtest", "features", "label", "evaluate", "regress", "lp", "report")
+    (with_numpy,), *draw_free, bootstrap = loaded({**SMALL_CONFIG, "models": ["l1", "l2"]},
+                                                  *drawless, "bootstrap")
+    if with_numpy:
         pytest.skip("this NumPy imports numpy.random with numpy")
-    # the bootstrap draws its resamples, so the check can fail
-    assert (drawless, bootstrap) == ("False", "True")
+    # the bootstrap and the forest draw, so each check can fail
+    assert [random for random, _ in draw_free] == [False] * len(drawless)
+    assert bootstrap[0] and loaded(SMALL_CONFIG, "backtest")[1][0]
+    if importlib.util.find_spec("_sha2") or importlib.util.find_spec("_sha256"):
+        assert [crypto for _, crypto in draw_free] == [False] * len(drawless)
 
 
 @pytest.mark.parametrize("payload, field", [
@@ -618,6 +629,8 @@ def test_unwritable_output_exits_2(tmp_path, capsys, stage, name):
     assert capsys.readouterr().err == (
         f"config error: cannot write {out / name}: {os.strerror(errno.EISDIR)}\n")
     assert not list(out.glob("*.partial"))
+    if name == "report.txt":  # the report's two files are one unit
+        assert not (out / "report.json").exists()
 
 
 # Four years of eight stocks: the shortest panel the default stress warm-up labels.

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from mspi.errors import DataError, NumericError
 from mspi.evaluation import (
     BOOTSTRAP_BLOCK,
     ECE_BINS,
+    METRIC_NAMES,
     auc,
     binned_outcomes,
     block_bootstrap_diff,
@@ -264,6 +266,19 @@ class TestBlockBootstrap:
         b = rng.random(120)
         with pytest.raises(NumericError, match="too rare"):
             block_bootstrap_diff(a, b, y, "auc", block_len=12, reps=100, seed=3, ece_bins=10)
+
+    def test_working_set_does_not_grow_with_reps(self):
+        # the default protocol's 2000 replications of 324 months, traced
+        a, b, y = self.make_series(n=324)
+        for metric in METRIC_NAMES:
+            tracemalloc.start()
+            try:
+                block_bootstrap_diff(a, b, y, metric, block_len=BOOTSTRAP_BLOCK, reps=2000,
+                                     seed=1, ece_bins=ECE_BINS)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20, (metric, peak)
 
     def test_table_runs_on_forecasts(self, small_forecasts):
         table = bootstrap_table(small_forecasts, reps=60, seed=4)
