@@ -48,45 +48,45 @@ def _check_binary(y: np.ndarray) -> np.ndarray:
 # Row kernels: each metric of every row of a (m, n) matrix of values against
 # the same row of outcomes. The one-row case defines the scalar metrics, so
 # ``evaluate`` and ``bootstrap`` share one definition (the log loss is
-# ``learners.clamped_log_loss``, shared with the CV). Rank sums and counts
-# are sums of integers and halves, exact in any order; every other sum runs
-# in the order the per-row loop it replaced used.
+# ``learners.clamped_log_loss``, shared with the CV). AUC and PR-AUC read
+# each score's level, its place among the series' distinct scores, so a
+# level is a tie group and they need only each level's positives and months.
+# Those counts, their cumulative sums and U are integers and halves, exact
+# in any order; every other sum runs in the order the per-group loop used.
 
-def _ranked(values: np.ndarray, y: np.ndarray, descending: bool = False):
-    """Each row stably sorted, its outcomes in that order, and for every
-    position the first and last position of its tie group."""
-    order = np.argsort(-values if descending else values, axis=1, kind="stable")
-    ranked = np.take_along_axis(values, order, axis=1)
-    ys = np.take_along_axis(y, order, axis=1)
-    n = values.shape[1]
-    pos = np.broadcast_to(np.arange(n), values.shape)
-    new = np.ones(values.shape, dtype=bool)
-    new[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-    first = np.maximum.accumulate(np.where(new, pos, 0), axis=1)
-    end = np.ones(values.shape, dtype=bool)
-    end[:, :-1] = new[:, 1:]
-    last = np.minimum.accumulate(np.where(end, pos, n - 1)[:, ::-1], axis=1)[:, ::-1]
-    return ys, first, last
+def _levels(values: np.ndarray) -> np.ndarray:
+    """Each score's place among the distinct scores of its series."""
+    if not np.all(np.isfinite(values)):
+        raise DataError("scores must be finite")
+    return np.unique(values, return_inverse=True)[1]
 
 
-def _auc_rows(scores: np.ndarray, y: np.ndarray) -> np.ndarray:
-    ys, first, last = _ranked(scores, y)
-    midranks = 0.5 * (first + last) + 1.0  # 1-based
-    n_pos = ys.sum(axis=1)
+def _level_counts(levels: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positives and months at each level of each row, highest level first."""
+    m = levels.shape[0]
+    k = int(levels.max(initial=0)) + 1
+    at = (k * np.arange(1, m + 1)[:, None] - 1 - levels).ravel()
+    pos = np.bincount(at, weights=y.ravel(), minlength=m * k).reshape(m, k)
+    return pos, np.bincount(at, minlength=m * k).reshape(m, k)
+
+
+def _auc_rows(levels: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # U counts each (positive, negative) pair with the positive above, ties as half
+    pos, rows = _level_counts(levels, y)
+    neg = rows - pos
+    n_pos = pos.sum(axis=1)
     n_neg = y.shape[1] - n_pos
-    u = np.sum(midranks * ys, axis=1) - n_pos * (n_pos + 1) / 2.0
+    u = n_pos * n_neg - np.sum(pos * (np.cumsum(neg, axis=1) - 0.5 * neg), axis=1)
     return u / (n_pos * n_neg)
 
 
-def _pr_auc_rows(scores: np.ndarray, y: np.ndarray) -> np.ndarray:
-    ys, first, last = _ranked(scores, y, descending=True)
-    cum_pos = np.cumsum(ys, axis=1)
-    before = np.where(first > 0, np.take_along_axis(cum_pos, np.maximum(first - 1, 0), axis=1),
-                      0.0)
-    pos = np.arange(1, y.shape[1] + 1)
-    # one term per tie group, added in rank order as the group loop did
-    terms = np.where(last == pos - 1, cum_pos / pos * (cum_pos - before), 0.0)
-    return np.cumsum(terms, axis=1)[:, -1] / cum_pos[:, -1]
+def _pr_auc_rows(levels: np.ndarray, y: np.ndarray) -> np.ndarray:
+    pos, rows = _level_counts(levels, y)
+    cum_pos = np.cumsum(pos, axis=1)
+    # one term per level, added in rank order as the group loop did; an absent level adds 0
+    precision = np.divide(cum_pos, np.cumsum(rows, axis=1), out=np.zeros_like(cum_pos),
+                          where=rows > 0)
+    return np.cumsum(precision * pos, axis=1)[:, -1] / cum_pos[:, -1]
 
 
 def _brier_rows(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -130,7 +130,7 @@ def auc(scores: np.ndarray, y: np.ndarray) -> float:
     y = _check_binary(y)
     if not _defined_rows("auc", y[None])[0]:
         raise DataError("AUC undefined: need both classes")
-    return float(_auc_rows(scores[None], y[None])[0])
+    return float(_auc_rows(_levels(scores)[None], y[None])[0])
 
 
 def pr_auc(scores: np.ndarray, y: np.ndarray) -> float:
@@ -139,7 +139,7 @@ def pr_auc(scores: np.ndarray, y: np.ndarray) -> float:
     y = _check_binary(y)
     if not _defined_rows("pr_auc", y[None])[0]:
         raise DataError("PR-AUC undefined: no positives")
-    return float(_pr_auc_rows(scores[None], y[None])[0])
+    return float(_pr_auc_rows(_levels(scores)[None], y[None])[0])
 
 
 def brier(probs: np.ndarray, y: np.ndarray) -> float:
@@ -176,14 +176,6 @@ def ece(probs: np.ndarray, y: np.ndarray,
     return float(total[0]), mean_prob[0], event_rate[0], count
 
 
-def _group_ends(scores: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positives ranked at or above the end of each tie group, scores in
-    descending order, and the number of rows ranked there."""
-    ys, _, last = _ranked(scores[None], y[None], descending=True)
-    rows = np.flatnonzero(last[0] == np.arange(y.shape[0])) + 1
-    return np.cumsum(ys[0])[rows - 1], rows
-
-
 def roc_points(scores: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """ROC curve: one (FPR, TPR) point per distinct threshold plus the origin.
 
@@ -195,7 +187,8 @@ def roc_points(scores: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
     n_neg = y.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError("ROC undefined: need both classes")
-    tp, rows = _group_ends(scores, y)
+    pos, rows = _level_counts(_levels(scores)[None], y[None])
+    tp, rows = np.cumsum(pos[0]), np.cumsum(rows[0])
     fpr = np.concatenate(([0.0], (rows - tp) / n_neg))
     tpr = np.concatenate(([0.0], tp / n_pos))
     return fpr, tpr
@@ -208,7 +201,8 @@ def pr_points(scores: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     n_pos = int(np.sum(y))
     if n_pos == 0:
         raise DataError("PR curve undefined: no positives")
-    cum_pos, rows = _group_ends(scores, y)
+    pos, rows = _level_counts(_levels(scores)[None], y[None])
+    cum_pos, rows = np.cumsum(pos[0]), np.cumsum(rows[0])
     recall = np.concatenate(([0.0], cum_pos / n_pos))
     precision = np.concatenate(([1.0], cum_pos / rows))
     return recall, precision
@@ -327,7 +321,8 @@ def block_bootstrap_diff(
     one (need, n_blocks) matrix, which takes the same random stream as one
     draw per replication, and evaluates the metric on its defined rows
     ``_BOOTSTRAP_ROWS`` rows at a time; replication r is the r-th defined
-    row. The row kernels reduce each row on its own, in the order the
+    row. AUC and PR-AUC resample each series' levels, so no replicate is
+    sorted. The row kernels reduce each row on its own, in the order the
     one-resample metric adds, so every replicate is bit-identical to
     evaluating the resamples one at a time.
     """
@@ -349,6 +344,8 @@ def block_bootstrap_diff(
         fn = lambda v, ys: _ece_rows(v, ys, ece_bins)[0]  # noqa: E731
     else:
         fn = _ROW_METRICS[metric]
+    if metric in SCORE_METRICS:
+        values_a, values_b = _levels(values_a), _levels(values_b)
 
     rng = np.random.Generator(np.random.PCG64(seed))
     n_blocks = math.ceil(n / block_len)

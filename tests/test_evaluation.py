@@ -323,20 +323,38 @@ def same_bits(a, b) -> bool:
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("entry", [
+    auc, pr_auc, roc_points, pr_points,
+    lambda s, y: block_bootstrap_diff(s, np.arange(24.0), y, "auc", 6, 20, 0, 10),
+    lambda s, y: block_bootstrap_diff(s, np.arange(24.0), y, "pr_auc", 6, 20, 0, 10),
+], ids=["auc", "pr_auc", "roc_points", "pr_points", "bootstrap_auc", "bootstrap_pr_auc"])
+def test_non_finite_scores_raise(entry, bad):
+    # a NaN is not equal to itself, so it has no place among the tie groups
+    scores = np.linspace(0.0, 1.0, 24)
+    scores[:2] = bad
+    with pytest.raises(DataError, match="scores must be finite"):
+        entry(scores, np.tile([1.0, 0.0, 0.0], 8))
+
+
 class TestMetricsMatchLoops:
     """The row kernels against the per-tie-group and per-bin loops."""
+
+    @staticmethod
+    def assert_scores_match(scores, y):
+        assert same_bits(auc(scores, y), auc_loop(scores, y))
+        assert same_bits(pr_auc(scores, y), pr_auc_loop(scores, y))
+        for got, want in zip(roc_points(scores, y), roc_points_loop(scores, y)):
+            assert same_bits(got, want)
+        for got, want in zip(pr_points(scores, y), pr_points_loop(scores, y)):
+            assert same_bits(got, want)
 
     def test_heavy_ties(self):
         rng = np.random.default_rng(21)
         for _ in range(300):
             n = int(rng.integers(10, 300))
             scores, probs, y = tied_case(rng, n)
-            assert same_bits(auc(scores, y), auc_loop(scores, y))
-            assert same_bits(pr_auc(scores, y), pr_auc_loop(scores, y))
-            for got, want in zip(roc_points(scores, y), roc_points_loop(scores, y)):
-                assert same_bits(got, want)
-            for got, want in zip(pr_points(scores, y), pr_points_loop(scores, y)):
-                assert same_bits(got, want)
+            self.assert_scores_match(scores, y)
             n_bins = int(rng.integers(1, 11))
             value, mean_prob, event_rate, _ = ece(probs, y, n_bins)
             want_value, want_mean, want_rate = ece_loop(probs, y, n_bins)
@@ -344,6 +362,13 @@ class TestMetricsMatchLoops:
             assert same_bits(mean_prob, want_mean)
             assert same_bits(event_rate, want_rate)
             assert same_bits(brier(probs, y), np.mean((probs - y) ** 2))
+        for _ in range(50):
+            n = int(rng.integers(10, 300))
+            scores, _, y = tied_case(rng, n)
+            # one distinct score; -0.0 tied with 0.0 below the positive scores
+            self.assert_scores_match(np.full(n, scores[0]), y)
+            signed = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+            self.assert_scores_match(np.where(scores > 0.0, scores, signed), y)
 
     def test_all_tied_scores(self):
         y = np.array([1.0, 0.0, 0.0, 1.0, 0.0])
@@ -382,10 +407,19 @@ class TestBootstrapMatchesLoop:
         y = (rng.random(n) < 0.3).astype(float)
         a = np.round(np.clip(0.3 + 0.4 * y - 0.3 * rng.random(n), 0.01, 0.99), 2)
         b = np.round(rng.random(n), 1)
-        for metric in ("auc", "pr_auc", "brier", "log_loss", "ece"):
-            res = block_bootstrap_diff(a, b, y, metric, block_len=12, reps=300, seed=3,
+        cases = [(a, b, metric) for metric in ("auc", "pr_auc", "brier", "log_loss", "ece")]
+        # score levels that sit in the first or last month only, which most
+        # 12-month-block resamples lack; one distinct score; -0.0 tied with 0.0
+        edged = b.copy()
+        edged[0], edged[-1] = 2.0, -1.0
+        flat = np.full(n, 0.25)
+        signed = np.where(b > 0.5, b, np.where(rng.random(n) < 0.5, -0.0, 0.0))
+        cases += [(x, z, metric) for x, z in ((edged, a), (flat, a), (a, flat), (signed, a))
+                  for metric in ("auc", "pr_auc")]
+        for x, z, metric in cases:
+            res = block_bootstrap_diff(x, z, y, metric, block_len=12, reps=300, seed=3,
                                        ece_bins=10)
-            want = self.expected(a, b, y, metric, 12, 300, 3)
+            want = self.expected(x, z, y, metric, 12, 300, 3)
             assert same_bits(self.summary(res), want), metric
 
     def test_redraws_match(self):
