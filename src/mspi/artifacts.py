@@ -1,12 +1,16 @@
-"""CSV/JSON artifact writers and readers.
+"""CSV artifact writers and readers.
 
 Every artifact embeds the config hash: CSV files carry a leading
-``# config_hash=<sha256>`` comment line (skipped by ``panel.read_rows``,
+``# config_hash=<sha256>`` comment line (skipped by ``textio.read_rows``,
 which every reader here goes through, and by panel ingestion), JSON files
-carry a ``config_hash`` field. Floats are written with ``repr`` so values
-round-trip exactly and identical inputs produce byte-identical files. Each
-CSV's columns are named once, in the constants below or the modules that
-own them.
+carry a ``config_hash`` field (``textio.write_json``). Floats are written
+with ``repr`` so values round-trip exactly and identical inputs produce
+byte-identical files. Each CSV's columns are named once, in the constants
+below or the modules that own them.
+
+The writers of the panel, the market series and the features, and the
+reader of the features, import the module that owns their columns when
+called, so a stage loads only the modules of the artifacts it handles.
 
 ``labels.csv``'s ``Y_next`` restates the next row's ``S`` (``read_labels``
 checks it), and ``forecasts.csv`` carries each month's outcomes for its
@@ -18,27 +22,24 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import json
 import math
-import os
-from contextlib import contextmanager
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .backtest import ForecastSeries
-from .errors import ConfigError, DataError
-from .features import FEATURE_NAMES, FeatureMatrix
-from .labels import LabelSeries
-from .panel import (MARKET_COLUMNS, PANEL_COLUMNS, MarketSeries, open_text, parse_month,
-                    read_rows)
-from .simulate import SimOutput, security_ids
+from .errors import DataError
+from .labels import ForecastSeries, LabelSeries
+from .textio import finite_cell, open_output, parse_month, read_rows
+
+if TYPE_CHECKING:
+    from .features import FeatureMatrix
+    from .panel import MarketSeries
+    from .simulate import SimOutput
 
 LABEL_COLUMNS = ["month", "R_mkt", "sigma_mkt", "q_prev", "S", "Y_next"]
 FORECAST_COLUMNS = ["month", "model", "raw_score", "probability", "y_next", "next_vol",
                     "next_ret"]
-BIN_COLUMNS = ["model", "bin_lo", "bin_hi", "n", "mean_prob", "stress_rate", "next_vol",
-               "next_ret"]
 
 
 def _fmt(v) -> str:
@@ -50,25 +51,6 @@ def _fmt(v) -> str:
     return str(v)
 
 
-@contextmanager
-def open_output(path: Path):
-    """A UTF-8 text file, written as ``<path>.partial`` and renamed onto
-    ``path`` once every write succeeded: a failed write leaves the previous
-    ``path`` as it was and no partial file. An OSError while writing or
-    renaming it (a directory in the place of ``path``, say) raises
-    ConfigError naming ``path``, an out_dir problem like one that cannot be
-    created."""
-    partial = Path(f"{path}.partial")
-    try:
-        with open(partial, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-        os.replace(partial, path)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
-    finally:
-        partial.unlink(missing_ok=True)
-
-
 def write_csv(path: Path, header: list[str], rows, config_hash: str):
     with open_output(path) as fh:
         fh.write(f"# config_hash={config_hash}\n")
@@ -76,69 +58,6 @@ def write_csv(path: Path, header: list[str], rows, config_hash: str):
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-
-
-def json_text(payload: dict, config_hash: str) -> str:
-    """A JSON artifact's text: ``payload`` with its ``config_hash`` field."""
-    return json.dumps({**payload, "config_hash": config_hash}, indent=2, sort_keys=True) + "\n"
-
-
-def write_json(path: Path, payload: dict, config_hash: str):
-    with open_output(path) as fh:
-        fh.write(json_text(payload, config_hash))
-
-
-def read_json(path: Path, spec: dict) -> dict:
-    """A JSON artifact's object; DataError names the file when it cannot be
-    opened as text (``panel.open_text``) or parsed as JSON, and the first key
-    at which it does not fit ``spec``."""
-    with open_text(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"not a UTF-8 JSON file: {exc}") from None
-    _check_json(path, payload, spec)
-    return payload
-
-
-_JSON_KINDS = {dict: "object", list: "array", float: "number", str: "string"}
-
-
-def _check_json(path: Path, value, spec, key: str = ""):
-    """Check ``value``, found at ``key``, against ``spec``: a dict of the keys
-    an object holds (``"*"``: each of its keys) and their specs, a one-item
-    list of the spec of each item of an array, ``float`` for a number, ``str``
-    for a string, or None for any value. An object's keys are all checked
-    for presence before any value."""
-    if spec is None:
-        return
-    kind = type(spec) if isinstance(spec, (dict, list)) else spec
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-        at = f"key {key!r}: " if key else ""
-        raise DataError(f"{path}: {at}expected a JSON {_JSON_KINDS[kind]}, "
-                        f"got {type(value).__name__}")
-    if kind is list:
-        spec, value = {"*": spec[0]}, dict(enumerate(value))
-    elif kind is not dict:
-        return
-    prefix = f"{key}." if key else ""
-    missing = [name for name in spec if name != "*" and name not in value]
-    if missing:
-        raise DataError(f"{path}: no key {prefix + missing[0]!r}")
-    for name, sub in spec.items():
-        for k in value if name == "*" else [name]:
-            _check_json(path, value[k], sub, f"{prefix}{k}")
-
-
-def _finite_cell(path: Path, line: int, column: str, token: str) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise DataError(f"{path}: line {line}, column {column!r}: "
-                        f"expected a finite number, got {token!r}")
-    return value
 
 
 def _indicator_cell(path: Path, line: int, column: str, token: str) -> int:
@@ -183,6 +102,9 @@ def write_panel_csv(path: Path, sim: SimOutput, config_hash: str):
     count is formatted once, and every row carries both eligibility flags 1.
     The bytes equal those ``write_csv`` writes for the per-row tuples.
     """
+    from .panel import PANEL_COLUMNS
+    from .simulate import security_ids
+
     ids = security_ids(sim.shrout.size)
     tails = [f"{s},1,1" for s in _float_tokens(sim.shrout)]  # shrout, shrcd_ok, exchcd_ok
     with open_output(path) as fh:
@@ -195,6 +117,8 @@ def write_panel_csv(path: Path, sim: SimOutput, config_hash: str):
 
 
 def write_market_csv(path: Path, market: MarketSeries, config_hash: str):
+    from .panel import MARKET_COLUMNS
+
     rows = ((d.isoformat(), r) for d, r in zip(market.dates, market.mkt_ret))
     write_csv(path, MARKET_COLUMNS, rows, config_hash)
 
@@ -223,6 +147,8 @@ def read_calendar(path: Path) -> list[dt.date]:
 
 
 def write_features_csv(path: Path, features: FeatureMatrix, config_hash: str):
+    from .features import FEATURE_NAMES
+
     rows = (
         (month, *features.values[i]) for i, month in enumerate(features.months)
     )
@@ -233,9 +159,11 @@ def read_features(path: Path) -> FeatureMatrix:
     """The feature matrix; a ragged row, a blank, unparsable or non-finite
     feature cell or a malformed or out-of-order month raises DataError naming
     its line."""
+    from .features import FEATURE_NAMES, FeatureMatrix
+
     lines, rows = read_rows(path, ["month", *FEATURE_NAMES])
     months = _months(path, lines, rows)
-    values = np.array([[_finite_cell(path, line, c, r[c]) for c in FEATURE_NAMES]
+    values = np.array([[finite_cell(path, line, c, r[c]) for c in FEATURE_NAMES]
                        for line, r in zip(lines, rows)])
     return FeatureMatrix(months=months, values=values)
 
@@ -259,7 +187,7 @@ def read_labels(path: Path) -> LabelSeries:
     lines, rows = read_rows(path, LABEL_COLUMNS)
 
     def finite(column):
-        return np.array([_finite_cell(path, line, column, r[column])
+        return np.array([finite_cell(path, line, column, r[column])
                          for line, r in zip(lines, rows)])
 
     months = _months(path, lines, rows)
@@ -271,17 +199,6 @@ def read_labels(path: Path) -> LabelSeries:
             raise DataError(f"{path}: line {line}, column 'Y_next': expected {want!r} (the "
                             f"next row's S, blank on the last row), got {r['Y_next']!r}")
     return LabelSeries(months, r_mkt, sigma_mkt, q_prev, s)
-
-
-def read_bins(path: Path) -> list[dict[str, str]]:
-    """bins.csv's rows as written; a bin edge that is not a finite number, or
-    another number cell neither blank nor finite, raises DataError naming its
-    line and column."""
-    lines, rows = read_rows(path, BIN_COLUMNS)
-    for line, r in zip(lines, rows):
-        for column in BIN_COLUMNS[1:3] + [c for c in BIN_COLUMNS[4:] if r[c]]:
-            _finite_cell(path, line, column, r[column])
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +255,7 @@ def read_forecasts(path: Path, labels: LabelSeries) -> ForecastSeries:
     def scores(column: str) -> dict[str, np.ndarray]:
         def cell(m: str, k: str) -> float:
             line, r = cells[m, k]
-            value = _finite_cell(path, line, column, r[column])
+            value = finite_cell(path, line, column, r[column])
             if column == "probability" and not 0.0 <= value <= 1.0:
                 raise DataError(f"{path}: line {line}, column {column!r}: "
                                 f"expected a probability in [0, 1], got {r[column]!r}")

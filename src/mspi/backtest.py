@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import DataError, MspiError, NumericError
 from .features import FeatureMatrix
-from .labels import LabelSeries, market_controls
+from .labels import ForecastSeries, LabelSeries, market_controls
 from .learners import (
     PROB_CLAMP,
     boosting,
@@ -74,11 +74,10 @@ from .learners import (
     standardize_apply,
     standardize_fit,
 )
-from .panel import parse_month
+from .textio import parse_month
 
 logger = logging.getLogger(__name__)
 
-MODEL_NAMES = ("l1", "l2", "rf", "gb")
 _MODEL_CODES = {"l1": 1, "l2": 2, "rf": 3, "gb": 4}
 _CV_TAG = 1_000_003  # distinguishes CV streams from forecast streams
 
@@ -88,15 +87,12 @@ _CV_TAG = 1_000_003  # distinguishes CV streams from forecast streams
 # 120 // (2 * 5) = 12 months, above the 6 that keep a fold's log loss from
 # resting on a few months. A Platt map is fitted on the last 20% of a
 # training window, and on at least 12 months: a shorter segment would rarely
-# hold a stress month, and one without gets no map (``fit_window``). l1 is
-# the index the regressions read, l2 the benchmark of the bootstrap.
+# hold a stress month, and one without gets no map (``fit_window``).
 INITIAL_WINDOW_MONTHS = 120
 CV_FOLDS = 5
 MIN_VALIDATION_MONTHS = 6
 CALIBRATION_FRACTION = 0.2
 CALIBRATION_MIN_MONTHS = 12
-INDEX_MODEL = "l1"
-BENCHMARK_MODEL = "l2"
 
 
 def spawn_keys(key: tuple, n: int) -> list[tuple]:
@@ -377,43 +373,6 @@ def forward_chain_cv(
 
 # ---------------------------------------------------------------------------
 # The expanding-window run.
-
-@dataclass
-class ForecastSeries:
-    """Out-of-sample forecasts for every model, plus aligned realizations."""
-
-    months: list[str]
-    models: tuple[str, ...]
-    raw: dict[str, np.ndarray]
-    prob: dict[str, np.ndarray]
-    y_next: np.ndarray
-    next_vol: np.ndarray
-    next_ret: np.ndarray
-    r_mkt: np.ndarray
-    sigma_mkt: np.ndarray
-
-    @classmethod
-    def from_labels(cls, labels: LabelSeries, positions, models, raw: dict[str, np.ndarray],
-                    prob: dict[str, np.ndarray]) -> ForecastSeries:
-        """The forecasts made at the label months ``positions``, each month t
-        paired with its outcomes: y_next = S_{t+1}, and next_vol and next_ret,
-        month t+1's realized volatility and return, all NaN at the last
-        labeled month; r_mkt and sigma_mkt are month t's."""
-        idx = np.asarray(positions, dtype=np.int64)
-
-        def ahead(values: np.ndarray) -> np.ndarray:
-            return np.append(values, np.nan)[idx + 1]
-
-        return cls(
-            months=[labels.months[i] for i in idx.tolist()], models=tuple(models),
-            raw=raw, prob=prob, y_next=ahead(labels.s), next_vol=ahead(labels.sigma_mkt),
-            next_ret=ahead(labels.r_mkt), r_mkt=labels.r_mkt[idx],
-            sigma_mkt=labels.sigma_mkt[idx],
-        )
-
-    def observed_mask(self) -> np.ndarray:
-        return np.isfinite(self.y_next)
-
 
 def _cpu_count() -> int:
     """CPUs this process may run on."""

@@ -15,6 +15,22 @@ projects the market volatility of the forecast months on the index's
 innovations. Exit codes: 0 success, 1 a forecast worker that failed to
 start or to send its forecasts, 2 config error (the config file, out_dir
 and an unwritable output included), 3 data error, 4 numeric failure.
+
+Every stage is a fresh process, so its start-up is part of its run. Up to
+``parse_args`` this module imports only ``argparse``, ``logging`` and
+``sys``, so ``--help`` and a usage error load nothing else. ``main`` then
+loads ``config`` and ``errors`` (the standard library alone), and a config
+error exits before NumPy loads. Each handler imports the modules of its
+own stage when it runs, so no stage loads another stage's modules:
+``report`` reads and writes through ``textio`` and never loads NumPy, and
+``evaluate``, ``bootstrap``, ``regress`` and ``lp`` never load
+``backtest``.
+
+A tracer wraps stage functions where the stage looks them up. So the stage
+functions in ``_TRACED`` are attributes of this module, each imported from
+its defining module on first access (``__getattr__``), and the handlers
+call them as attributes (``_cli.<name>``): a wrapper set on this module
+takes effect, where a function-local import would bypass it.
 """
 
 from __future__ import annotations
@@ -22,66 +38,81 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from pathlib import Path
 
-import numpy as np
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only
+    from pathlib import Path
 
-from . import econometrics as econ
-from . import evaluation as ev
-from .artifacts import (
-    BIN_COLUMNS,
-    json_text,
-    open_output,
-    read_bins,
-    read_calendar,
-    read_features,
-    read_forecasts,
-    read_json,
-    read_labels,
-    write_calendar_csv,
-    write_csv,
-    write_features_csv,
-    write_forecasts_csv,
-    write_json,
-    write_labels_csv,
-    write_market_csv,
-    write_panel_csv,
-)
-from .backtest import BENCHMARK_MODEL, INDEX_MODEL, run_expanding_backtest
-from .config import PipelineConfig
-from .errors import ConfigError, DataError, MspiError, NumericError
-from .features import DailyStats, aggregate_monthly, compute_daily_stats
-from .labels import build_market_monthly, label_stress
-from .panel import EligibilityFilter, load_daily_panel, load_market_series, partition_months
-from .simulate import simulate
+    from .config import PipelineConfig
 
 logger = logging.getLogger(__name__)
+
+# Each traced stage function and the module that defines it.
+_TRACED = {
+    "simulate": "simulate",
+    "write_panel_csv": "artifacts",
+    "load_daily_panel": "panel",
+    "load_market_series": "panel",
+    "partition_months": "panel",
+    "compute_daily_stats": "features",
+    "aggregate_monthly": "features",
+    "build_market_monthly": "labels",
+    "label_stress": "labels",
+    "run_expanding_backtest": "backtest",
+    "read_forecasts": "artifacts",
+}
+
+
+def __getattr__(name: str):
+    if name not in _TRACED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(f".{_TRACED[name]}", __package__), name)
+    globals()[name] = value  # later lookups find it without this hook
+    return value
+
+
+# This module, through which the handlers call the traced functions (it is
+# ``__main__`` under ``python -m mspi.cli``).
+_cli = sys.modules[__name__]
 
 
 # ---------------------------------------------------------------------------
 # Stage implementations.
 
 def cmd_simulate(cfg: PipelineConfig, out: Path, h: str, args) -> int:
-    sim = simulate(cfg)
-    write_panel_csv(out / "panel.csv", sim, h)
-    write_market_csv(out / "market.csv", sim.market, h)
+    from .artifacts import write_market_csv
+    from .textio import staged_output
+
+    sim = _cli.simulate(cfg)
+    # market.csv is complete only once the panel is drawn, and panel.csv
+    # moves into place after it: a failed write of either leaves no new panel
+    with staged_output(out / "panel.csv") as panel:
+        _cli.write_panel_csv(panel, sim, h)
+        write_market_csv(out / "market.csv", sim.market, h)
     logger.info("simulated %d trading days across %d months -> %s",
                 len(sim.dates), len(sim.true_regime), out)
     return 0
 
 
 def cmd_features(cfg: PipelineConfig, out: Path, h: str, args) -> int:
+    from .artifacts import write_calendar_csv, write_features_csv
+    from .features import DailyStats
+    from .panel import EligibilityFilter
+    from .textio import write_json
+
     # the market series first: a bad market.csv fails before the panel is parsed
-    market = load_market_series(cfg.market_csv or out / "market.csv")
+    market = _cli.load_market_series(cfg.market_csv or out / "market.csv")
     # one calendar year of the panel in memory at a time: keep its days and statistics
-    years, summary = load_daily_panel(
+    years, summary = _cli.load_daily_panel(
         cfg.panel_csv or out / "panel.csv", EligibilityFilter(),
-        lambda year: (year.dates, compute_daily_stats(year)),
+        lambda year: (year.dates, _cli.compute_daily_stats(year)),
     )
     dates = [day for year_dates, _ in years for day in year_dates]
     stats = DailyStats.concatenate([year_stats for _, year_stats in years])
-    partition = partition_months(dates, market)
-    features = aggregate_monthly(stats, partition)
+    partition = _cli.partition_months(dates, market)
+    features = _cli.aggregate_monthly(stats, partition)
     write_features_csv(out / "features.csv", features, h)
     write_calendar_csv(out / "calendar.csv", dates, h)
     if getattr(args, "ingest_summary", False):
@@ -91,22 +122,30 @@ def cmd_features(cfg: PipelineConfig, out: Path, h: str, args) -> int:
 
 
 def cmd_label(cfg: PipelineConfig, out: Path, h: str, args) -> int:
+    from .artifacts import read_calendar, write_labels_csv
+
     dates = read_calendar(out / "calendar.csv")
-    market = load_market_series(cfg.market_csv or out / "market.csv")
-    partition = partition_months(dates, market)
-    labels = label_stress(*build_market_monthly(market, partition))
+    market = _cli.load_market_series(cfg.market_csv or out / "market.csv")
+    partition = _cli.partition_months(dates, market)
+    labels = _cli.label_stress(*_cli.build_market_monthly(market, partition))
     write_labels_csv(out / "labels.csv", labels, h)
     logger.info("labeled %d months, stress rate %.3f", len(labels.months),
-                float(np.mean(labels.s)))
+                float(labels.s.mean()))
     return 0
 
 
 def cmd_backtest(cfg: PipelineConfig, out: Path, h: str, args) -> int:
+    from .artifacts import read_features, read_labels, write_forecasts_csv
+    from .textio import staged_output, write_json
+
     features = read_features(out / "features.csv")
     labels = read_labels(out / "labels.csv")
-    forecasts, provenance = run_expanding_backtest(features, labels, cfg)
-    write_forecasts_csv(out / "forecasts.csv", forecasts, h)
-    write_json(out / "provenance.json", provenance, h)
+    forecasts, provenance = _cli.run_expanding_backtest(features, labels, cfg)
+    # forecasts.csv moves into place after provenance.json: a failed write
+    # of either leaves no new forecasts
+    with staged_output(out / "forecasts.csv") as staged:
+        write_forecasts_csv(staged, forecasts, h)
+        write_json(out / "provenance.json", provenance, h)
     logger.info("wrote %d forecast months for models %s", len(forecasts.months),
                 ",".join(forecasts.models))
     return 0
@@ -114,9 +153,12 @@ def cmd_backtest(cfg: PipelineConfig, out: Path, h: str, args) -> int:
 
 def _load_forecasts(out: Path, model: str | None = None):
     """forecasts.csv paired with labels.csv; DataError if it lacks ``model``."""
+    from .artifacts import read_labels
+    from .errors import DataError
+
     labels = read_labels(out / "labels.csv")
     path = out / "forecasts.csv"
-    forecasts = read_forecasts(path, labels)
+    forecasts = _cli.read_forecasts(path, labels)
     if model is not None and model not in forecasts.models:
         raise DataError(f"{path}: no forecasts of model {model!r}; the file holds "
                         f"{', '.join(forecasts.models)}")
@@ -124,6 +166,10 @@ def _load_forecasts(out: Path, model: str | None = None):
 
 
 def cmd_evaluate(cfg: PipelineConfig, out: Path, h: str, args) -> int:
+    from . import evaluation as ev
+    from .artifacts import write_csv
+    from .textio import BIN_COLUMNS, write_json
+
     forecasts = _load_forecasts(out)
     metrics = ev.compute_metrics(forecasts)
     write_json(out / "metrics.json", metrics, h)
@@ -136,6 +182,10 @@ def cmd_evaluate(cfg: PipelineConfig, out: Path, h: str, args) -> int:
 
 
 def cmd_bootstrap(cfg: PipelineConfig, out: Path, h: str, args) -> int:
+    from . import evaluation as ev
+    from .config import BENCHMARK_MODEL
+    from .textio import write_json
+
     forecasts = _load_forecasts(out, BENCHMARK_MODEL)
     payload = ev.bootstrap_table(forecasts, cfg.bootstrap_reps, cfg.seed)
     write_json(out / "bootstrap.json", payload, h)
@@ -144,18 +194,26 @@ def cmd_bootstrap(cfg: PipelineConfig, out: Path, h: str, args) -> int:
 
 
 def cmd_regress(cfg: PipelineConfig, out: Path, h: str, args) -> int:
+    from . import econometrics as econ
+    from .config import INDEX_MODEL
+    from .textio import write_json
+
     forecasts = _load_forecasts(out, INDEX_MODEL)
     write_json(out / "regression.json", econ.regression_table(forecasts), h)
     return 0
 
 
 def cmd_lp(cfg: PipelineConfig, out: Path, h: str, args) -> int:
+    from . import econometrics as econ
+    from .artifacts import write_csv
+    from .config import INDEX_MODEL
+
     rows = econ.innovation_projections(_load_forecasts(out, INDEX_MODEL))
     write_csv(out / "local_projections.csv", ["h", "b_h", "se_h", "n_h"], rows, h)
     return 0
 
 
-# What the report reads of each JSON artifact (see ``artifacts.read_json``):
+# What the report reads of each JSON artifact (see ``textio.read_json``):
 # float for a value it prints as a number, None for one it prints as it is.
 _REPORT_JSON = {
     "metrics.json": {
@@ -176,6 +234,8 @@ _REPORT_JSON = {
 
 
 def cmd_report(cfg: PipelineConfig, out: Path, h: str, args) -> int:
+    from .textio import open_output, read_bins, read_json, staged_output, write_json
+
     metrics, bootstrap = (read_json(out / name, _REPORT_JSON[name])
                           for name in ("metrics.json", "bootstrap.json"))
     reg_path = out / "regression.json"
@@ -195,15 +255,18 @@ def cmd_report(cfg: PipelineConfig, out: Path, h: str, args) -> int:
         },
     }
     text = _render_report(payload)
-    # the two files as one unit: report.txt is renamed into place first, and
-    # a failed write or rename of either leaves no new report.json
-    with open_output(out / "report.json") as json_fh, open_output(out / "report.txt") as fh:
-        json_fh.write(json_text(payload, h))
-        fh.write(text)
+    # report.json moves into place after report.txt: a failed write of
+    # either leaves no new report.json
+    with staged_output(out / "report.json") as staged:
+        write_json(staged, payload, h)
+        with open_output(out / "report.txt") as fh:
+            fh.write(text)
     return 0
 
 
 def _render_report(payload: dict) -> str:
+    from .textio import BIN_COLUMNS
+
     metrics, bootstrap, settings = payload["metrics"], payload["bootstrap"], payload["settings"]
     lines = [
         "Market stress probability index: out-of-sample report", "=" * 70, "",
@@ -277,6 +340,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=getattr(logging, args.log_level),
                         format="%(levelname)s %(name)s: %(message)s")
+    from pathlib import Path
+
+    from .config import PipelineConfig
+    from .errors import ConfigError, DataError, MspiError, NumericError
+
     try:
         cfg = PipelineConfig.from_file(args.config, out_dir=args.out or None, seed=args.seed)
         out = Path(cfg.out_dir)

@@ -8,8 +8,8 @@ verification, so the same settings write the same bytes in any directory.
 
 The config holds only the settings that a workload sets, plus the paths.
 Every other default belongs to the module that uses it, and a config that
-names one is rejected as an unknown field: the initial window, CV folds and
-model roles are constants of ``backtest``, the tree depths, leaf sizes and
+names one is rejected as an unknown field: the initial window and CV folds
+are constants of ``backtest``, the tree depths, leaf sizes and
 shrinkage of ``learners.forest`` and ``learners.boosting``, the tail
 threshold of ``features``, the stress rule of ``labels``, the price floor
 the default of ``EligibilityFilter``, and the evaluation and inference
@@ -20,6 +20,13 @@ defaulted and range-checked here, and the stages read it by name.
 ``simulate.simulate`` reads ``seed`` and the ``sim_`` fields,
 ``backtest.run_expanding_backtest`` the grids, ``rf_trees``, ``models`` and
 ``seed``, and the bootstrap ``bootstrap_reps`` and ``seed``.
+
+The model names and roles live here too, since ``models`` is checked
+against them: ``MODEL_NAMES`` are the models a run may list, and it must
+list ``INDEX_MODEL`` (l1, the index the regressions read) and
+``BENCHMARK_MODEL`` (l2, the benchmark of the bootstrap). This module
+imports only the standard library, so a config error exits before NumPy
+loads.
 """
 
 from __future__ import annotations
@@ -29,9 +36,6 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-import numpy as np
-
-from .backtest import BENCHMARK_MODEL, INDEX_MODEL, MODEL_NAMES
 from .errors import ConfigError
 
 # sha256 from the interpreter's own module, as the standard library's
@@ -45,6 +49,9 @@ except ImportError:
     except ImportError:  # an interpreter built without either
         from hashlib import sha256
 
+MODEL_NAMES = ("l1", "l2", "rf", "gb")
+INDEX_MODEL = "l1"
+BENCHMARK_MODEL = "l2"
 
 _KINDS = {"int": int, "float": float, "str": str, "str | None": str, "list": list}
 
@@ -59,7 +66,13 @@ def _is_kind(value, kind: type) -> bool:
 
 
 def _lambda_grid() -> list[float]:
-    return [float(v) for v in np.logspace(-4.0, 0.0, 20)]
+    """The default l1 and l2 grid: ``np.logspace(-4, 0, 20)``, as written by ``repr``."""
+    return [0.0001, 0.0001623776739188721, 0.00026366508987303583, 0.00042813323987193956,
+            0.0006951927961775605, 0.0011288378916846883, 0.0018329807108324356,
+            0.002976351441631319, 0.004832930238571752, 0.007847599703514606,
+            0.012742749857031334, 0.0206913808111479, 0.03359818286283781,
+            0.05455594781168514, 0.08858667904100823, 0.14384498882876628,
+            0.23357214690901212, 0.3792690190732246, 0.615848211066026, 1.0]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ projections of market volatility on those innovations.
 The inference protocol is fixed: Newey-West lag ``HAC_LAG``, crash cutoff
 ``CRASH_CUTOFF`` on the next month's market return, and local projections
 out to ``LP_HORIZON`` months, all on the probabilities of the index,
-``backtest.INDEX_MODEL``. No run sets another value, so they are constants,
+``config.INDEX_MODEL``. No run sets another value, so they are constants,
 not config settings. The regressions on the forecast series read them; only
 the kernels take them as arguments: ``ols_hac`` its lag, which
 ``local_projections`` sets per horizon, and ``local_projections`` its
@@ -27,9 +27,9 @@ import logging
 
 import numpy as np
 
-from .backtest import INDEX_MODEL, ForecastSeries
+from .config import INDEX_MODEL
 from .errors import DataError, NumericError
-from .labels import market_controls
+from .labels import ForecastSeries, market_controls
 from .learners import fit_logit_l2
 
 logger = logging.getLogger(__name__)

@@ -8,7 +8,7 @@ so serial dependence is preserved.
 The evaluation protocol is fixed: ``ECE_BINS`` equal-mass bins for the ECE
 and the calibration curve, the probability bins ``BIN_EDGES`` of
 ``bins.csv`` and ``BOOTSTRAP_BLOCK``-month bootstrap blocks that compare
-each model with ``backtest.BENCHMARK_MODEL``. No run sets another value,
+each model with ``config.BENCHMARK_MODEL``. No run sets another value,
 so they are constants, not config settings. The stage entry points read
 them; only the kernels ``ece`` and ``block_bootstrap_diff`` take them as
 arguments, so their tests can check other bin counts and blocks.
@@ -24,8 +24,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .backtest import BENCHMARK_MODEL, ForecastSeries
+from .config import BENCHMARK_MODEL
 from .errors import DataError, NumericError
+from .labels import ForecastSeries
 from .learners import clamped_log_loss
 
 ECE_BINS = 10
@@ -248,7 +249,7 @@ def compute_curves(forecasts: ForecastSeries) -> list[tuple]:
 
 
 def binned_outcomes(forecasts: ForecastSeries, model: str) -> list[tuple]:
-    """The ``bins.csv`` rows of ``model`` (``artifacts.BIN_COLUMNS``): months
+    """The ``bins.csv`` rows of ``model`` (``textio.BIN_COLUMNS``): months
     binned by forecast probability at ``BIN_EDGES``, bins [lo, hi) with the
     last closed, and each bin's count and mean probability, stress rate,
     next-month volatility and return (NaN for an empty bin)."""

@@ -10,11 +10,14 @@ The tail threshold is the constant ``TAIL_THRESHOLD``, not a setting.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DataError
-from .panel import DailyPanel, MonthPartition
+
+if TYPE_CHECKING:
+    from .panel import DailyPanel, MonthPartition
 
 
 @dataclass(frozen=True)

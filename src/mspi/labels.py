@@ -9,17 +9,24 @@ quantile history are excluded from the modeling sample. The cutoff, the
 quantile and the history length are the constants ``RETURN_CUTOFF``,
 ``VOL_QUANTILE`` and ``MIN_HISTORY_MONTHS``; the stage applies them, and
 only tests pass ``label_stress`` other values.
+
+``ForecastSeries`` pairs each forecast month with the outcomes the labels
+give it. ``backtest`` makes it and ``artifacts.read_forecasts`` rebuilds it,
+so the stages that read forecasts load neither the backtest nor its learners.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DataError
-from .panel import MarketSeries, MonthPartition
+
+if TYPE_CHECKING:
+    from .panel import MarketSeries, MonthPartition
 
 ANNUALIZATION = math.sqrt(252.0)
 RETURN_CUTOFF = -0.05
@@ -41,6 +48,43 @@ class LabelSeries:
     sigma_mkt: np.ndarray
     q_prev: np.ndarray
     s: np.ndarray
+
+
+@dataclass
+class ForecastSeries:
+    """Out-of-sample forecasts for every model, plus aligned realizations."""
+
+    months: list[str]
+    models: tuple[str, ...]
+    raw: dict[str, np.ndarray]
+    prob: dict[str, np.ndarray]
+    y_next: np.ndarray
+    next_vol: np.ndarray
+    next_ret: np.ndarray
+    r_mkt: np.ndarray
+    sigma_mkt: np.ndarray
+
+    @classmethod
+    def from_labels(cls, labels: LabelSeries, positions, models, raw: dict[str, np.ndarray],
+                    prob: dict[str, np.ndarray]) -> ForecastSeries:
+        """The forecasts made at the label months ``positions``, each month t
+        paired with its outcomes: y_next = S_{t+1}, and next_vol and next_ret,
+        month t+1's realized volatility and return, all NaN at the last
+        labeled month; r_mkt and sigma_mkt are month t's."""
+        idx = np.asarray(positions, dtype=np.int64)
+
+        def ahead(values: np.ndarray) -> np.ndarray:
+            return np.append(values, np.nan)[idx + 1]
+
+        return cls(
+            months=[labels.months[i] for i in idx.tolist()], models=tuple(models),
+            raw=raw, prob=prob, y_next=ahead(labels.s), next_vol=ahead(labels.sigma_mkt),
+            next_ret=ahead(labels.r_mkt), r_mkt=labels.r_mkt[idx],
+            sigma_mkt=labels.sigma_mkt[idx],
+        )
+
+    def observed_mask(self) -> np.ndarray:
+        return np.isfinite(self.y_next)
 
 
 def market_controls(series) -> np.ndarray:

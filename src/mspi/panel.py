@@ -12,8 +12,8 @@ share class and exchange are eligible: an export without that information
 writes ``1``.
 
 Lines starting with ``#`` are treated as comments (artifacts written by the
-CLI carry a ``# config_hash=...`` first line). ``read_rows`` reads the
-market series and every small headered artifact; the panel has its own
+CLI carry a ``# config_hash=...`` first line). ``textio.read_rows`` reads
+the market series and every small headered artifact; the panel has its own
 chunked reader below. Every ``DataError`` the panel and market loaders
 raise starts with the file's path.
 
@@ -49,14 +49,12 @@ day's row in the market series.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import datetime as dt
 import functools
 import io
 import math
 import os
-import re
 import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -64,6 +62,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .textio import open_text, read_header, read_rows
 
 PANEL_COLUMNS = ["date", "security_id", "ret", "prc", "vol", "shrout", "shrcd_ok", "exchcd_ok"]
 MARKET_COLUMNS = ["date", "mkt_ret"]
@@ -81,13 +80,6 @@ _VALUE_FIELDS = _SPILL_ROW.names[2:]
 def month_key(day: dt.date) -> str:
     """Calendar year-month bucket of a date, e.g. '2008-09'."""
     return f"{day.year:04d}-{day.month:02d}"
-
-
-def parse_month(key: str, at: str) -> tuple[int, int]:
-    """(year, month) of a 'YYYY-MM' bucket; DataError placed by ``at`` otherwise."""
-    if not re.fullmatch(r"[0-9]{4}-(0[1-9]|1[0-2])", key):
-        raise DataError(f"{at}: expected a month YYYY-MM, got {key!r}")
-    return int(key[:4]), int(key[5:])
 
 
 @dataclass(frozen=True)
@@ -187,60 +179,6 @@ def _parse_float(token: str, at: str, column: str) -> float:
         return float(token)
     except ValueError:
         raise DataError(f"{at}, column '{column}': cannot parse number from {token!r}") from None
-
-
-def _read_header(reader, required: list[str]) -> tuple[dict[str, int], int]:
-    """Column positions and width from the first non-comment row of a CSV reader."""
-    for header in reader:
-        if header and not header[0].startswith("#"):
-            break
-    else:
-        raise DataError("empty file")
-    index = {name.strip(): i for i, name in enumerate(header)}
-    missing = [c for c in required if c not in index]
-    if missing:
-        raise DataError(f"header is missing columns {missing}")
-    return index, len(header)
-
-
-@contextlib.contextmanager
-def open_text(path) -> Iterator[io.TextIOWrapper]:
-    """``path`` opened as UTF-8 text, CSV or JSON; a missing file, a
-    directory, bytes that are not UTF-8 or a CSV field over
-    ``csv.field_size_limit()`` raise DataError naming it, and so does every
-    DataError raised while it is open."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            yield fh
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    except FileNotFoundError:
-        raise DataError(f"missing file: {path}") from None
-    except IsADirectoryError:
-        raise DataError(f"{path}: is a directory") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    except csv.Error as exc:
-        raise DataError(f"{path}: {exc}") from None
-
-
-def read_rows(path, required: list[str]) -> tuple[list[int], list[dict[str, str]]]:
-    """Line numbers and rows (dicts of the required columns) of a headered
-    CSV, skipping comment and blank lines. A missing or unreadable file, a missing
-    column or a row with more or fewer fields than the header raises DataError."""
-    lines, rows = [], []
-    with open_text(path) as fh:
-        reader = csv.reader(fh)
-        index, width = _read_header(reader, required)
-        for row in reader:
-            if not row or row[0].startswith("#"):
-                continue
-            if len(row) != width:
-                raise DataError(f"line {reader.line_num}: {len(row)} fields, "
-                                f"the header has {width}")
-            lines.append(reader.line_num)
-            rows.append({c: row[index[c]] for c in required})
-    return lines, rows
 
 
 def _parse_panel_row(line: int, row: dict[str, str]) -> tuple:
@@ -519,7 +457,7 @@ def load_daily_panel(
     missing/non-finite, |price| is below the filter floor, or a required
     eligibility flag is false. Missing volume/shares fields are kept as NaN.
     Malformed rows raise DataError naming the file, line and column (see
-    ``open_text`` for a file that cannot be read as CSV text).
+    ``textio.open_text`` for a file that cannot be read as CSV text).
 
     The kept rows are spilled to one temporary file per calendar year (about
     48 bytes a row under ``TMPDIR``), then each year is loaded, sorted and
@@ -531,7 +469,7 @@ def load_daily_panel(
     summary = IngestSummary()
     with open_text(path) as fh, _YearSpill() as spill:
         reader = csv.reader(iter(fh.readline, ""))
-        index, width = _read_header(reader, PANEL_COLUMNS)
+        index, width = read_header(reader, PANEL_COLUMNS)
         columns = _PanelColumns(index, width, filt, summary, spill)
         line_base = reader.line_num
         while text := fh.read(_CHUNK_CHARS):

@@ -15,19 +15,18 @@ from mspi.artifacts import (
     write_labels_csv,
     write_panel_csv,
 )
-from mspi.backtest import ForecastSeries
 from mspi.errors import DataError
 from mspi.features import FEATURE_NAMES, FeatureMatrix
-from mspi.labels import LabelSeries
+from mspi.labels import ForecastSeries, LabelSeries
 from mspi.learners import sigmoid
 from mspi.panel import (
     PANEL_COLUMNS,
     EligibilityFilter,
     MarketSeries,
     load_daily_panel,
-    read_rows,
 )
 from mspi.simulate import SimOutput, security_ids
+from mspi.textio import read_rows
 
 from .oracles import sim_panel
 

@@ -9,14 +9,13 @@ import pytest
 from mspi import backtest
 from mspi.backtest import (
     LEARNERS,
-    MODEL_NAMES,
     fit_window,
     forward_chain_cv,
     month_ordinal,
     run_expanding_backtest,
     spawn_keys,
 )
-from mspi.config import PipelineConfig
+from mspi.config import MODEL_NAMES, PipelineConfig
 from mspi.errors import ConfigError, DataError
 from mspi.features import FEATURE_NAMES, FeatureMatrix
 from mspi.labels import LabelSeries

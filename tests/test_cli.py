@@ -186,6 +186,43 @@ def test_stages_that_draw_no_random_numbers_never_load_numpy_random(golden_run, 
         assert [crypto for _, crypto in draw_free] == [False] * len(drawless)
 
 
+# Run in a fresh interpreter: ``python -m mspi.cli`` on the arguments given.
+# It prints the exit code and every module loaded, on the last line.
+RUN_CLI = """
+import json, runpy, sys
+sys.argv = ["mspi", *sys.argv[1:]]
+try:
+    runpy.run_module("mspi.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(json.dumps([exc.code, sorted(sys.modules)]))
+"""
+
+
+def test_help_config_errors_and_report_never_load_numpy(golden_run, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(golden_run[0], out)
+    path = [str(Path(mspi.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+    def loaded(code, *argv):
+        result = subprocess.run([sys.executable, "-c", RUN_CLI, *argv], env=env,
+                                capture_output=True, text=True, check=True)
+        exit_code, modules = json.loads(result.stdout.splitlines()[-1])
+        assert exit_code == code, result.stderr
+        return set(modules)
+
+    config = write_config(tmp_path, {**SMALL_CONFIG, "out_dir": str(out)})
+    missing = str(tmp_path / "missing.json")
+    for code, argv in [(0, ["--help"]), (2, ["backtest", "--config", missing]),
+                       (0, ["--log-level", "WARNING", "report", "--config", config])]:
+        assert "numpy" not in loaded(code, *argv), argv
+    # the check can fail: evaluate loads NumPy, but no module of another stage
+    evaluate = loaded(0, "--log-level", "WARNING", "evaluate", "--config", config)
+    assert "numpy" in evaluate
+    assert {"mspi.backtest", "mspi.learners.trees", "mspi.features", "mspi.panel",
+            "mspi.simulate"}.isdisjoint(evaluate)
+
+
 @pytest.mark.parametrize("payload, field", [
     ({"seed": "7"}, "seed"),
     ({"rf_trees": 0}, "rf_trees"),
@@ -612,25 +649,32 @@ def test_report_states_the_settings_of_the_artifacts_it_reads(tmp_path):
 
 
 @pytest.mark.parametrize("stage, name", [
-    ("simulate", "panel.csv"), ("simulate", "market.csv"), ("evaluate", "metrics.json"),
-    ("report", "report.txt"),
-], ids=["panel_csv", "csv", "json", "report_txt"])
+    ("simulate", "panel.csv"), ("simulate", "market.csv"), ("backtest", "provenance.json"),
+    ("evaluate", "metrics.json"), ("report", "report.txt"),
+], ids=["panel_csv", "csv", "provenance_json", "json", "report_txt"])
 def test_unwritable_output_exits_2(tmp_path, capsys, stage, name):
     out = tmp_path / "out"
     config = write_config(tmp_path, {**TINY_CONFIG, "out_dir": str(out), "bootstrap_reps": 20})
     if stage == "simulate":
         out.mkdir()
+    elif stage == "backtest":
+        config = write_backtest_inputs(tmp_path, 124)
     else:
         write_index_and_benchmark_forecasts(out)
     if stage == "report":
         run_stages(config, "evaluate", "bootstrap")
+    # the file the stage writes with ``name`` as one unit, left by an earlier run
+    unit = {"market.csv": "panel.csv", "provenance.json": "forecasts.csv",
+            "report.txt": "report.json"}.get(name)
+    if unit is not None:
+        (out / unit).write_text("earlier run\n", encoding="utf-8")
     (out / name).mkdir()  # a directory where the stage writes a file
     assert main(["--log-level", "WARNING", stage, "--config", config]) == 2
     assert capsys.readouterr().err == (
         f"config error: cannot write {out / name}: {os.strerror(errno.EISDIR)}\n")
     assert not list(out.glob("*.partial"))
-    if name == "report.txt":  # the report's two files are one unit
-        assert not (out / "report.json").exists()
+    if unit is not None:
+        assert (out / unit).read_text(encoding="utf-8") == "earlier run\n"
 
 
 # Four years of eight stocks: the shortest panel the default stress warm-up labels.

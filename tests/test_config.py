@@ -83,6 +83,9 @@ def test_overrides_replace_the_raw_values():
 
 def test_config_hash_covers_every_setting_but_out_dir():
     default = PipelineConfig()
+    # config.py writes the default grids out: np.logspace(-4, 0, 20), bit for bit
+    logspace = [float(v).hex() for v in np.logspace(-4, 0, 20)]
+    assert [v.hex() for v in default.l1_grid] == [v.hex() for v in default.l2_grid] == logspace
     # the default hash that ROADMAP.md quotes
     assert default.config_hash() == (
         "a38d3975841e0311d7d5d186e47f57c9148417d869d2c42df60dc9539774242c")

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mspi.artifacts import write_forecasts_csv, write_labels_csv
-from mspi.backtest import ForecastSeries
 from mspi.cli import main
 from mspi.econometrics import (
     CRASH_CUTOFF,
@@ -18,7 +17,7 @@ from mspi.econometrics import (
     predictive_vol_regression,
 )
 from mspi.errors import DataError
-from mspi.labels import LabelSeries, market_controls
+from mspi.labels import ForecastSeries, LabelSeries, market_controls
 from mspi.learners import fit_logit_l2
 
 from .oracles import white_covariance

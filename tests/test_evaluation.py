@@ -4,8 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mspi.artifacts import BIN_COLUMNS, write_csv
-from mspi.backtest import ForecastSeries
+from mspi.artifacts import write_csv
 from mspi.errors import DataError, NumericError
 from mspi.evaluation import (
     BOOTSTRAP_BLOCK,
@@ -23,7 +22,8 @@ from mspi.evaluation import (
     pr_points,
     roc_points,
 )
-from mspi.panel import read_rows
+from mspi.labels import ForecastSeries
+from mspi.textio import BIN_COLUMNS, read_rows
 
 from .oracles import (
     auc_loop,

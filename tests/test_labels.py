@@ -11,7 +11,8 @@ from mspi.labels import (
     expanding_quantile,
     label_stress,
 )
-from mspi.panel import MarketSeries, MonthPartition, read_rows
+from mspi.panel import MarketSeries, MonthPartition
+from mspi.textio import read_rows
 
 from .oracles import interp_quantile
 
