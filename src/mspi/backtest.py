@@ -21,7 +21,7 @@ calling process: each l1/l2 month warm-starts from the month before. The rf
 and gb months depend on no other month, so they are split across forked
 processes, one per CPU this process may run on (at most one per month).
 Worker w of W takes the forecast months j with j mod W = w; the caller is
-worker 0 and runs its share after the chains. A month's fit is the same
+worker 0, and its share begins with the chains. A month's fit is the same
 computation on the same data with the same random stream in whichever
 process runs it, and the results are put back by (month, model), so the
 forecasts and the order of the fallback warnings do not depend on W.
@@ -56,24 +56,19 @@ import numpy as np
 from .errors import DataError, MspiError, NumericError
 from .features import FeatureMatrix
 from .labels import ForecastSeries, LabelSeries, market_controls
-from .learners import (
+from .learners import boosting, forest
+from .learners.boosting import fit_gradient_boosting, gb_score_many
+from .learners.calibration import calibrate_many, fit_platt
+from .learners.forest import fit_random_forest, rf_score_many
+from .learners.logit import (
     PROB_CLAMP,
-    boosting,
-    calibrate_many,
     clamped_log_loss,
-    fit_gradient_boosting,
     fit_logit_l1,
     fit_logit_l2,
-    fit_platt,
-    fit_random_forest,
-    forest,
-    gb_score_many,
     laplace_log_odds,
-    rf_score_many,
     sigmoid,
-    standardize_apply,
-    standardize_fit,
 )
+from .learners.standardize import standardize_apply, standardize_fit
 from .textio import parse_month
 
 logger = logging.getLogger(__name__)
@@ -221,13 +216,6 @@ class WindowFit:
             raw = sigmoid(raw)
         return np.clip(raw, PROB_CLAMP, 1.0 - PROB_CLAMP)
 
-    def prob_many(self, X_raw: np.ndarray) -> np.ndarray:
-        return self.probs(self.raw_many(X_raw))
-
-    def predict_one(self, x_raw: np.ndarray) -> tuple[float, float]:
-        raw = self.raw_many(np.asarray(x_raw, dtype=float)[None, :])
-        return float(raw[0]), float(self.probs(raw)[0])
-
     def restricted(self, hyper) -> WindowFit:
         """This window's fit for a smaller entry of a nested grid: the
         learner restricts the full model and the calibration sub-model,
@@ -313,8 +301,11 @@ def forward_chain_cv(
     counts): there the largest entry is fitted once per fold and every
     other entry is read off it as a prefix (``WindowFit.restricted``),
     which gives the same models, calibration maps and losses bit for bit.
-    A non-finite boosting stage raises ``NumericError`` from that one fit,
-    as it would from the largest entry's own fit.
+    A repeated entry is fitted again and scores the same loss: a logit
+    warm-starts from its twin's solution, where Newton stops at once, and a
+    nested entry is read off the same fit. A non-finite boosting stage
+    raises ``NumericError`` from that one fit, as it would from the largest
+    entry's own fit.
     """
     if len(grid) == 1:
         return grid[0], {"selected": learner.describe(grid[0]), "folds_used": 0,
@@ -346,21 +337,17 @@ def forward_chain_cv(
     largest = grid[order[-1]]
     loss_matrix = np.full((len(grid), len(usable)), np.nan)
     for col, (k, train_end, val_end) in enumerate(usable):
-        fitted = top = prev = None
+        fitted = top = None
         if learner.restrict is not None:
             top = fit_window(learner, X_raw[:train_end], y[:train_end], largest, fold_seeds[k])
         for gi in order:
-            if prev is not None and grid[gi] == grid[prev]:
-                loss_matrix[gi, col] = loss_matrix[prev, col]
-                continue
             if top is None:
                 fitted = fit_window(learner, X_raw[:train_end], y[:train_end], grid[gi],
                                     fold_seeds[k], init=fitted)
             else:
                 fitted = top if grid[gi] == largest else top.restricted(grid[gi])
-            probs = fitted.prob_many(X_raw[train_end:val_end])
+            probs = fitted.probs(fitted.raw_many(X_raw[train_end:val_end]))
             loss_matrix[gi, col] = clamped_log_loss(probs, y[train_end:val_end])
-            prev = gi
     mean_losses = [float(v) for v in loss_matrix.mean(axis=1)]
 
     best_i = min(order, key=mean_losses.__getitem__)  # the first of equal losses
@@ -399,15 +386,14 @@ def _serve_share(k: int, run_share, read_fd: int, write_fd: int):
         os._exit(status)
 
 
-def _run_shares(workers: int, run_share, parent_work) -> tuple[object, list]:
-    """``parent_work()`` and ``run_share(k)`` for k = 0..workers-1.
+def _run_shares(workers: int, run_share) -> list:
+    """``run_share(k)`` for k = 0..workers-1, in share order.
 
     Shares 1..workers-1 run in forked children, started before the parent
-    does ``parent_work`` and share 0. Returns (parent_work's result, the
-    shares' results in share order). A share's exception is raised again
-    here; a child that exits without a result raises ``MspiError``. Whatever
-    fails, no child outlives the call: unreaped children are killed and
-    reaped before the error propagates.
+    runs share 0. A share's exception is raised again here; a child that
+    exits without a result raises ``MspiError``. Whatever fails, no child
+    outlives the call: unreaped children are killed and reaped before the
+    error propagates.
     """
     children = []  # (k, pid, read end of its pipe), unreaped
     try:
@@ -423,7 +409,6 @@ def _run_shares(workers: int, run_share, parent_work) -> tuple[object, list]:
                 _serve_share(k, run_share, read_fd, write_fd)
             os.close(write_fd)
             children.append((k, pid, open(read_fd, "rb")))
-        first = parent_work()
         shares = [run_share(0)]
         while children:
             k, pid, pipe = children[0]
@@ -440,7 +425,7 @@ def _run_shares(workers: int, run_share, parent_work) -> tuple[object, list]:
             if kind == "error":
                 raise value
             shares.append(value)
-        return first, shares
+        return shares
     finally:
         for _, pid, pipe in children:
             pipe.close()
@@ -500,39 +485,38 @@ def run_expanding_backtest(
         except NumericError as exc:
             fitted = WindowFit.base_rate(learner, y_pairs[:i])
             msg = f"{months[i]} {name}: {exc}; base-rate fallback used"
-        return fitted, (j, name, *fitted.predict_one(X[i]), msg)
+        raw = fitted.raw_many(X[i:i + 1])
+        return fitted, (j, name, float(raw[0]), float(fitted.probs(raw)[0]), msg)
 
     # Penalized solvers warm-start from the previous month's solution (one
     # extra training row rarely moves the optimum far). A chain always begins
     # at the first forecast month, so truncated inputs reproduce the full
-    # run's prefix bit for bit.
-    def run_chains() -> list[tuple]:
+    # run's prefix bit for bit. Share 0, the caller's, runs the chains before
+    # its months of the chain-free models, and a share's logged wall time
+    # covers only its chain-free months.
+    chained = [name for name in config.models if LEARNERS[name].warm_started]
+    free = [name for name in config.models if name not in chained]
+    workers = min(_cpu_count(), n_forecasts) if free and hasattr(os, "fork") else 1
+
+    def run_share(k: int) -> tuple[list[tuple], float]:
         cells = []
-        for name in config.models:
-            if not LEARNERS[name].warm_started:
-                continue
+        for name in chained if k == 0 else ():
             fitted = None
             for j in range(n_forecasts):
                 fitted, cell = forecast(name, j, fitted)
                 cells.append(cell)
-        return cells
-
-    free = [name for name in config.models if not LEARNERS[name].warm_started]
-    workers = min(_cpu_count(), n_forecasts) if free and hasattr(os, "fork") else 1
-
-    def run_share(k: int) -> tuple[list[tuple], float]:
         start = time.perf_counter()
-        cells = [forecast(name, j)[1] for j in range(k, n_forecasts, workers) for name in free]
+        cells += [forecast(name, j)[1] for j in range(k, n_forecasts, workers) for name in free]
         return cells, time.perf_counter() - start
 
-    cells, shares = _run_shares(workers, run_share, run_chains)
+    shares = _run_shares(workers, run_share)
     if free:
         logger.info("forecast loop: %d months of %s on %d process(es)",
                     n_forecasts, ", ".join(free), workers)
         for k, (_, wall) in enumerate(shares):
             logger.debug("forecast share %d: %d months of %s in %.2f s",
                          k, len(range(k, n_forecasts, workers)), ", ".join(free), wall)
-    cells += [cell for share_cells, _ in shares for cell in share_cells]
+    cells = [cell for share_cells, _ in shares for cell in share_cells]
 
     position = {name: m for m, name in enumerate(config.models)}
     cells.sort(key=lambda cell: (cell[0], position[cell[1]]))

@@ -5,16 +5,20 @@ evaluate (metrics, curves and the probability bins), bootstrap, regress,
 lp, report. All stages share one flat JSON config (--config); --out and
 --seed override the config's out_dir and seed. ``main`` builds the config
 once, overrides included, and never changes it; it makes out_dir and hashes
-the settings (every field but out_dir) once, and hands each stage the
-config, out_dir and that hash. ``features`` is the only stage that reads
-the daily panel: besides ``features.csv`` it writes ``calendar.csv``, the
-panel's trading days after the eligibility filters (a day whose rows were
-all dropped is not on it), from which ``label`` buckets the market series
-into months. ``lp`` reads only ``labels.csv`` and ``forecasts.csv``: it
+the settings (every field but out_dir) once, and calls the stage's
+handler, ``cmd_<stage>(cfg, out, h)``, with the config, out_dir and that
+hash. ``features`` is the only stage that reads the daily panel: besides
+``features.csv`` it writes ``calendar.csv``, the panel's trading days after
+the eligibility filters (a day whose rows were all dropped is not on it),
+from which ``label`` buckets the market series into months, and
+``ingest_summary.json``, the rows ingest read, kept and dropped by reason.
+It accepts ``--ingest-summary`` and ignores it, because the benchmark
+passes it. ``lp`` reads only ``labels.csv`` and ``forecasts.csv``: it
 projects the market volatility of the forecast months on the index's
-innovations. Exit codes: 0 success, 1 a forecast worker that failed to
-start or to send its forecasts, 2 config error (the config file, out_dir
-and an unwritable output included), 3 data error, 4 numeric failure.
+innovations. Exit codes, each the ``exit_code`` of the ``errors`` class
+raised: 0 success, 1 a forecast worker that failed to start or to send its
+forecasts, 2 config error (the config file, out_dir and an unwritable
+output included), 3 data error, 4 numeric failure.
 
 Every stage is a fresh process, so its start-up is part of its run. Up to
 ``parse_args`` this module imports only ``argparse``, ``logging`` and
@@ -81,7 +85,7 @@ _cli = sys.modules[__name__]
 # ---------------------------------------------------------------------------
 # Stage implementations.
 
-def cmd_simulate(cfg: PipelineConfig, out: Path, h: str, args) -> int:
+def cmd_simulate(cfg: PipelineConfig, out: Path, h: str) -> int:
     from .artifacts import write_market_csv
     from .textio import staged_output
 
@@ -96,7 +100,7 @@ def cmd_simulate(cfg: PipelineConfig, out: Path, h: str, args) -> int:
     return 0
 
 
-def cmd_features(cfg: PipelineConfig, out: Path, h: str, args) -> int:
+def cmd_features(cfg: PipelineConfig, out: Path, h: str) -> int:
     from .artifacts import write_calendar_csv, write_features_csv
     from .features import DailyStats
     from .panel import EligibilityFilter
@@ -115,13 +119,12 @@ def cmd_features(cfg: PipelineConfig, out: Path, h: str, args) -> int:
     features = _cli.aggregate_monthly(stats, partition)
     write_features_csv(out / "features.csv", features, h)
     write_calendar_csv(out / "calendar.csv", dates, h)
-    if getattr(args, "ingest_summary", False):
-        write_json(out / "ingest_summary.json", summary.to_dict(), h)
+    write_json(out / "ingest_summary.json", summary.to_dict(), h)
     logger.info("wrote %d monthly feature rows", len(features.months))
     return 0
 
 
-def cmd_label(cfg: PipelineConfig, out: Path, h: str, args) -> int:
+def cmd_label(cfg: PipelineConfig, out: Path, h: str) -> int:
     from .artifacts import read_calendar, write_labels_csv
 
     dates = read_calendar(out / "calendar.csv")
@@ -134,7 +137,7 @@ def cmd_label(cfg: PipelineConfig, out: Path, h: str, args) -> int:
     return 0
 
 
-def cmd_backtest(cfg: PipelineConfig, out: Path, h: str, args) -> int:
+def cmd_backtest(cfg: PipelineConfig, out: Path, h: str) -> int:
     from .artifacts import read_features, read_labels, write_forecasts_csv
     from .textio import staged_output, write_json
 
@@ -165,7 +168,7 @@ def _load_forecasts(out: Path, model: str | None = None):
     return forecasts
 
 
-def cmd_evaluate(cfg: PipelineConfig, out: Path, h: str, args) -> int:
+def cmd_evaluate(cfg: PipelineConfig, out: Path, h: str) -> int:
     from . import evaluation as ev
     from .artifacts import write_csv
     from .textio import BIN_COLUMNS, write_json
@@ -181,7 +184,7 @@ def cmd_evaluate(cfg: PipelineConfig, out: Path, h: str, args) -> int:
     return 0
 
 
-def cmd_bootstrap(cfg: PipelineConfig, out: Path, h: str, args) -> int:
+def cmd_bootstrap(cfg: PipelineConfig, out: Path, h: str) -> int:
     from . import evaluation as ev
     from .config import BENCHMARK_MODEL
     from .textio import write_json
@@ -193,7 +196,7 @@ def cmd_bootstrap(cfg: PipelineConfig, out: Path, h: str, args) -> int:
     return 0
 
 
-def cmd_regress(cfg: PipelineConfig, out: Path, h: str, args) -> int:
+def cmd_regress(cfg: PipelineConfig, out: Path, h: str) -> int:
     from . import econometrics as econ
     from .config import INDEX_MODEL
     from .textio import write_json
@@ -203,7 +206,7 @@ def cmd_regress(cfg: PipelineConfig, out: Path, h: str, args) -> int:
     return 0
 
 
-def cmd_lp(cfg: PipelineConfig, out: Path, h: str, args) -> int:
+def cmd_lp(cfg: PipelineConfig, out: Path, h: str) -> int:
     from . import econometrics as econ
     from .artifacts import write_csv
     from .config import INDEX_MODEL
@@ -233,7 +236,7 @@ _REPORT_JSON = {
 }
 
 
-def cmd_report(cfg: PipelineConfig, out: Path, h: str, args) -> int:
+def cmd_report(cfg: PipelineConfig, out: Path, h: str) -> int:
     from .textio import open_output, read_bins, read_json, staged_output, write_json
 
     metrics, bootstrap = (read_json(out / name, _REPORT_JSON[name])
@@ -330,9 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to the flat JSON config file")
         p.add_argument("--out", help="output directory (overrides config out_dir)")
         p.add_argument("--seed", type=int, help="master seed (overrides config seed)")
-        if name == "features":
-            p.add_argument("--ingest-summary", action="store_true",
-                           help="also write ingest_summary.json")
+        if name == "features":  # accepted and ignored: the summary is always written
+            p.add_argument("--ingest-summary", action="store_true", help=argparse.SUPPRESS)
     return parser
 
 
@@ -343,7 +345,7 @@ def main(argv=None) -> int:
     from pathlib import Path
 
     from .config import PipelineConfig
-    from .errors import ConfigError, DataError, MspiError, NumericError
+    from .errors import ConfigError, MspiError
 
     try:
         cfg = PipelineConfig.from_file(args.config, out_dir=args.out or None, seed=args.seed)
@@ -352,19 +354,10 @@ def main(argv=None) -> int:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:  # a file of that name, say
             raise ConfigError(f"out_dir {out} cannot be created: {exc.strerror}") from None
-        return _HANDLERS[args.command](cfg, out, cfg.config_hash(), args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 4
+        return _HANDLERS[args.command](cfg, out, cfg.config_hash())
     except MspiError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 def console_main():

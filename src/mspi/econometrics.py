@@ -30,7 +30,7 @@ import numpy as np
 from .config import INDEX_MODEL
 from .errors import DataError, NumericError
 from .labels import ForecastSeries, market_controls
-from .learners import fit_logit_l2
+from .learners.logit import fit_logit_l2
 
 logger = logging.getLogger(__name__)
 

@@ -27,7 +27,7 @@ import numpy as np
 from .config import BENCHMARK_MODEL
 from .errors import DataError, NumericError
 from .labels import ForecastSeries
-from .learners import clamped_log_loss
+from .learners.logit import clamped_log_loss
 
 ECE_BINS = 10
 BIN_EDGES = (0.0, 0.05, 0.10, 0.20, 0.40, 1.0)
@@ -49,7 +49,7 @@ def _check_binary(y: np.ndarray) -> np.ndarray:
 # Row kernels: each metric of every row of a (m, n) matrix of values against
 # the same row of outcomes. The one-row case defines the scalar metrics, so
 # ``evaluate`` and ``bootstrap`` share one definition (the log loss is
-# ``learners.clamped_log_loss``, shared with the CV). AUC and PR-AUC read
+# ``learners.logit.clamped_log_loss``, shared with the CV). AUC and PR-AUC read
 # each score's level, its place among the series' distinct scores, so a
 # level is a tie group and they need only each level's positives and months.
 # Those counts, their cumulative sums and U are integers and halves, exact

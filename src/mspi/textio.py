@@ -31,18 +31,24 @@ BIN_COLUMNS = ["model", "bin_lo", "bin_hi", "n", "mean_prob", "stress_rate", "ne
 @contextlib.contextmanager
 def open_text(path) -> Iterator[io.TextIOWrapper]:
     """``path`` opened as UTF-8 text, CSV or JSON; a missing file, a
-    directory, bytes that are not UTF-8 or a CSV field over
+    directory, any other failure to open it (a path through a regular file,
+    no permission), bytes that are not UTF-8 or a CSV field over
     ``csv.field_size_limit()`` raise DataError naming it, and so does every
-    DataError raised while it is open."""
+    DataError raised while it is open. An OSError raised while it is open
+    (a failed write elsewhere, say) is not the input's and propagates."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            yield fh
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
+        fh = open(path, "r", encoding="utf-8", newline="")
     except FileNotFoundError:
         raise DataError(f"missing file: {path}") from None
     except IsADirectoryError:
         raise DataError(f"{path}: is a directory") from None
+    except OSError as exc:
+        raise DataError(f"{path}: cannot be read: {exc.strerror}") from None
+    try:
+        with fh:
+            yield fh
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:

@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from mspi.errors import DataError
-from mspi.learners import LogitModel, mean_nll
+from mspi.learners.logit import LogitModel, mean_nll
 from mspi.learners.trees import Tree
 from mspi.panel import DailyPanel, EligibilityFilter, IngestSummary
 

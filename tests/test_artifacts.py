@@ -18,7 +18,7 @@ from mspi.artifacts import (
 from mspi.errors import DataError
 from mspi.features import FEATURE_NAMES, FeatureMatrix
 from mspi.labels import ForecastSeries, LabelSeries
-from mspi.learners import sigmoid
+from mspi.learners.logit import sigmoid
 from mspi.panel import (
     PANEL_COLUMNS,
     EligibilityFilter,

@@ -19,7 +19,7 @@ from mspi.config import MODEL_NAMES, PipelineConfig
 from mspi.errors import ConfigError, DataError
 from mspi.features import FEATURE_NAMES, FeatureMatrix
 from mspi.labels import LabelSeries
-from mspi.learners import clamped_log_loss, sigmoid
+from mspi.learners.logit import clamped_log_loss, sigmoid
 
 
 def set_cpus(monkeypatch, n):
@@ -120,8 +120,8 @@ class TestForwardChainCV:
             end = 96 - (folds - k) * seg
             for gi, entry in enumerate(grid):
                 fitted = fit_window(learner, X[:end], y[:end], entry, fold_seeds[k])
-                losses[gi, k] = clamped_log_loss(fitted.prob_many(X[end:end + seg]),
-                                                 y[end:end + seg])
+                probs = fitted.probs(fitted.raw_many(X[end:end + seg]))
+                losses[gi, k] = clamped_log_loss(probs, y[end:end + seg])
         assert info["mean_losses"] == [float(v) for v in losses.mean(axis=1)]
         assert hyper == grid[int(np.argmin(losses.mean(axis=1)))]
 
@@ -145,7 +145,7 @@ class TestFitWindow:
         X = np.random.default_rng(0).normal(size=(30, 4))
         fitted = fit_window(learner, X, np.zeros(30), 0.1, (0, ()))
         assert fitted.fallback
-        raw, prob = fitted.predict_one(X[0])
+        prob = fitted.probs(fitted.raw_many(X[:1]))[0]
         assert prob == pytest.approx(1 / 32)
 
     def test_calibrated_learner_produces_probabilities(self):
@@ -155,7 +155,7 @@ class TestFitWindow:
         y = (rng.random(80) < 1 / (1 + np.exp(-2 * X[:, 0]))).astype(float)
         fitted = fit_window(learner, X, y, 30, (3, ()))
         assert fitted.cmap is not None
-        raw, prob = fitted.predict_one(X[0])
+        prob = fitted.probs(fitted.raw_many(X[:1]))[0]
         assert 0.0 < prob < 1.0
 
 
@@ -222,6 +222,29 @@ class TestRunExpandingBacktest:
             assert np.array_equal(a.raw[name], b.raw[name])
             assert np.array_equal(a.prob[name], b.prob[name])
         assert a_provenance == b_provenance
+
+    def test_repeated_grid_entries_are_refitted_to_the_same_forecasts(self, monkeypatch):
+        # CV fits a repeated entry again: an l1/l2 fit warm-starts from its
+        # twin's solution and a gb entry is read off the same largest fit,
+        # so each repeat scores its twin's loss and nothing downstream moves
+        set_cpus(monkeypatch, 1)
+        features, labels = self.make_inputs(n_months=126, seed=6)
+        grids = dict(l1_grid=[0.01, 0.1, 1.0], l2_grid=[0.01, 0.1, 1.0], gb_stage_grid=[5, 10])
+        repeated = dict(l1_grid=[0.1, 0.01, 0.1, 1.0, 0.01], l2_grid=[1.0, 0.01, 1.0, 0.1],
+                        gb_stage_grid=[10, 5, 10, 5])
+        runs = [run_expanding_backtest(features, labels, self.config(
+            models=["l1", "l2", "gb"], **g)) for g in (grids, repeated)]
+        (plain, plain_provenance), (twice, twice_provenance) = runs
+        for name in plain.models:
+            assert plain.raw[name].tobytes() == twice.raw[name].tobytes()
+            assert plain.prob[name].tobytes() == twice.prob[name].tobytes()
+        assert (plain_provenance["selected_hyperparameters"]
+                == twice_provenance["selected_hyperparameters"])
+        for name, field in (("l1", "l1_grid"), ("l2", "l2_grid"), ("gb", "gb_stage_grid")):
+            assert plain_provenance["cv"][name]["folds_used"] == 5
+            loss = dict(zip(grids[field], plain_provenance["cv"][name]["mean_losses"]))
+            assert twice_provenance["cv"][name]["mean_losses"] == [
+                loss[entry] for entry in repeated[field]]
 
     def test_hyperparameters_frozen(self):
         features, labels = self.make_inputs(n_months=150)

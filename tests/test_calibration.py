@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mspi.learners.calibration as calibration
-from mspi.learners import calibrate_many, fit_platt
+from mspi.learners.calibration import calibrate_many, fit_platt
 
 from .oracles import newton_logit
 

@@ -60,6 +60,7 @@ STAGES = ("simulate", "features", "label", "backtest", "evaluate",
 GOLDEN_BODIES = {
     "panel.csv": "386b9cc3b7820ed4c1b4bda38bd930db804792f05e43dfcf02dc08065bb8f0b8",
     "features.csv": "a4028b4f33345ef67f1f9ac1a4d1be4e3563bf24fafec62a065db89db8ecdd97",
+    "ingest_summary.json": "8486aa2b4db211fea9e4c0e47af9914ae2be6482c18c7add48843c54d3d263b4",
     "labels.csv": "1d2495c7af86f4582530c579fe8a25aa3425d31b9c8a52eef764b4513017b0bf",
     "forecasts.csv": "0c6fc800aa670fde67457745a2f4bfec0d2405917901c1a9cf6949056cdb50c9",
     "metrics.json": "2907a543c2c1e548301a3c6cf507875e7506b989e22a10661df76787d8a489af",
@@ -375,6 +376,21 @@ def test_unreadable_input_exits_with_named_error(tmp_path, capsys, stage, target
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field", ["market_csv", "panel_csv"])
+def test_input_path_through_a_regular_file_exits_3(tmp_path, capsys, field):
+    # opening the path fails with ENOTDIR, for root too, unlike an unreadable file
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "panel.csv").write_bytes(PANEL_HEAD + b"2001-01-02,A,0.01,5.00,100,1000,1,1\n")
+    (out / "market.csv").write_bytes(b"date,mkt_ret\n2001-01-02,0.0\n")
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    path = tmp_path / "afile" / f"{field[:-4]}.csv"
+    config = write_config(tmp_path, {"out_dir": str(out), field: str(path)})
+    assert main(["--log-level", "WARNING", "features", "--config", config]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {path}: cannot be read: {os.strerror(errno.ENOTDIR)}\n")
+
+
 def set_cell(field, token):
     """An edit of a CSV's lines that sets one field of line 5, the third
     data row after the hash and header lines, or deletes it (token None)."""
@@ -684,6 +700,22 @@ TINY_CONFIG = {"sim_n_stocks": 8, "sim_n_years": 4, "seed": 3}
 def run_stages(config, *stages):
     for stage in stages:
         assert main(["--log-level", "WARNING", stage, "--config", config]) == 0, stage
+
+
+def test_features_writes_the_ingest_summary_without_the_flag(tmp_path, capsys):
+    out = tmp_path / "out"
+    config = write_config(tmp_path, {**TINY_CONFIG, "out_dir": str(out)})
+    run_stages(config, "simulate", "features")
+    summary = json.loads((out / "ingest_summary.json").read_text(encoding="utf-8"))
+    assert summary["rows_read"] == summary["rows_kept"] > 0
+    # the flag is still accepted, unlisted, and changes nothing
+    written = (out / "ingest_summary.json").read_bytes()
+    assert main(["--log-level", "WARNING", "features", "--config", config,
+                 "--ingest-summary"]) == 0
+    assert (out / "ingest_summary.json").read_bytes() == written
+    with pytest.raises(SystemExit):
+        main(["features", "--help"])
+    assert "--ingest-summary" not in capsys.readouterr().out
 
 
 def test_label_reads_calendar_not_panel(tmp_path):

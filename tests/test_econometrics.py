@@ -18,7 +18,7 @@ from mspi.econometrics import (
 )
 from mspi.errors import DataError
 from mspi.labels import ForecastSeries, LabelSeries, market_controls
-from mspi.learners import fit_logit_l2
+from mspi.learners.logit import fit_logit_l2
 
 from .oracles import white_covariance
 

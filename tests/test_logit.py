@@ -6,17 +6,18 @@ import pytest
 
 from mspi.backtest import LEARNERS, WindowFit
 from mspi.errors import DataError, NumericError
-from mspi.learners import (
+from mspi.learners.logit import (
+    _QP_ROUNDING,
+    NEWTON_MAX_ITER,
     LogitModel,
-    StandardizationParams,
+    _lasso_qp,
+    _newton,
     fit_logit_l1,
     fit_logit_l2,
     mean_nll,
     sigmoid,
-    standardize_apply,
-    standardize_fit,
 )
-from mspi.learners.logit import _QP_ROUNDING, NEWTON_MAX_ITER, _lasso_qp, _newton
+from mspi.learners.standardize import StandardizationParams, standardize_apply, standardize_fit
 
 from .oracles import fista_logit_l1, l1_objective, newton_logit
 
@@ -518,12 +519,14 @@ class TestPredict:
     def test_midpoint(self):
         model = LogitModel(intercept=0.0, coef=np.zeros(2), penalty="l1", lam=0.0,
                            iterations=0, objective=0.0)
-        assert scoring(model).prob_many(np.zeros((1, 2)))[0] == 0.5
+        fit = scoring(model)
+        assert fit.probs(fit.raw_many(np.zeros((1, 2))))[0] == 0.5
 
     def test_saturation_clamped(self):
         model = LogitModel(intercept=50.0, coef=np.zeros(1), penalty="l1", lam=0.0,
                            iterations=0, objective=0.0)
-        assert scoring(model).prob_many(np.zeros((1, 1)))[0] == 1.0 - 1e-12
+        fit = scoring(model)
+        assert fit.probs(fit.raw_many(np.zeros((1, 1))))[0] == 1.0 - 1e-12
 
     def test_symmetry(self):
         rng = np.random.default_rng(11)

@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from mspi.errors import DataError
-from mspi.learners import (
-    fit_gradient_boosting,
-    fit_random_forest,
-    gb_score_many,
-    rf_score_many,
-)
+from mspi.learners.boosting import fit_gradient_boosting, gb_score_many
+from mspi.learners.forest import fit_random_forest, rf_score_many
 from mspi.learners.trees import Tree, build_tree, leaf_values, presort
 
 from .oracles import descend_one_tree, per_node_sort_tree
