@@ -5,29 +5,31 @@ evaluate (metrics, curves and the probability bins), bootstrap, regress,
 lp, report. All stages share one flat JSON config (--config); --out and
 --seed override the config's out_dir and seed. ``main`` builds the config
 once, overrides included, and never changes it; it makes out_dir and hashes
-the settings (every field but out_dir) once, and calls the stage's
-handler, ``cmd_<stage>(cfg, out, h)``, with the config, out_dir and that
-hash. ``features`` is the only stage that reads the daily panel: besides
-``features.csv`` it writes ``calendar.csv``, the panel's trading days after
-the eligibility filters (a day whose rows were all dropped is not on it),
-from which ``label`` buckets the market series into months, and
-``ingest_summary.json``, the rows ingest read, kept and dropped by reason.
-It accepts ``--ingest-summary`` and ignores it, because the benchmark
-passes it. ``lp`` reads only ``labels.csv`` and ``forecasts.csv``: it
-projects the market volatility of the forecast months on the index's
-innovations. Exit codes, each the ``exit_code`` of the ``errors`` class
-raised: 0 success, 1 a forecast worker that failed to start or to send its
-forecasts, 2 config error (the config file, out_dir and an unwritable
-output included), 3 data error, 4 numeric failure.
+the settings (every field but out_dir) once, and calls the stage's handler,
+``cmd_<stage>(cfg, out, h, stage)``, with the config, out_dir, that hash
+and ``stage(name)``, the path to write output ``name`` at: a stage's
+outputs are one unit, moved into place once its handler returned, the first
+one last (``textio.staged_outputs``). ``features`` is the only stage that
+reads the daily panel: besides ``features.csv`` it writes ``calendar.csv``,
+the panel's trading days after the eligibility filters (a day whose rows
+were all dropped is not on it), from which ``label`` buckets the market
+series into months, and ``ingest_summary.json``, the rows ingest read, kept
+and dropped by reason. It accepts ``--ingest-summary`` and ignores it,
+because the benchmark passes it. ``lp`` reads only ``labels.csv`` and
+``forecasts.csv``: it projects the market volatility of the forecast months
+on the index's innovations. Exit codes, each the ``exit_code`` of the
+``errors`` class raised: 0 success, 1 a forecast worker that failed to
+start or to send its forecasts, 2 config error (the config file, out_dir
+and an unwritable output included), 3 data error, 4 numeric failure.
 
 Every stage is a fresh process, so its start-up is part of its run. Up to
 ``parse_args`` this module imports only ``argparse``, ``logging`` and
 ``sys``, so ``--help`` and a usage error load nothing else. ``main`` then
-loads ``config`` and ``errors`` (the standard library alone), and a config
-error exits before NumPy loads. Each handler imports the modules of its
-own stage when it runs, so no stage loads another stage's modules:
-``report`` reads and writes through ``textio`` and never loads NumPy, and
-``evaluate``, ``bootstrap``, ``regress`` and ``lp`` never load
+loads ``config``, ``errors`` and ``textio`` (the standard library alone),
+and a config error exits before NumPy loads. Each handler imports the
+modules of its own stage when it runs, so no stage loads another stage's
+modules: ``report`` reads and writes through ``textio`` and never loads
+NumPy, and ``evaluate``, ``bootstrap``, ``regress`` and ``lp`` never load
 ``backtest``.
 
 A tracer wraps stage functions where the stage looks them up. So the stage
@@ -45,6 +47,7 @@ import sys
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only
+    from collections.abc import Callable
     from pathlib import Path
 
     from .config import PipelineConfig
@@ -85,22 +88,19 @@ _cli = sys.modules[__name__]
 # ---------------------------------------------------------------------------
 # Stage implementations.
 
-def cmd_simulate(cfg: PipelineConfig, out: Path, h: str) -> int:
+def cmd_simulate(cfg: PipelineConfig, out: Path, h: str, stage: Callable[[str], Path]) -> int:
     from .artifacts import write_market_csv
-    from .textio import staged_output
 
     sim = _cli.simulate(cfg)
-    # market.csv is complete only once the panel is drawn, and panel.csv
-    # moves into place after it: a failed write of either leaves no new panel
-    with staged_output(out / "panel.csv") as panel:
-        _cli.write_panel_csv(panel, sim, h)
-        write_market_csv(out / "market.csv", sim.market, h)
+    # market.csv is complete only once the panel is drawn
+    _cli.write_panel_csv(stage("panel.csv"), sim, h)
+    write_market_csv(stage("market.csv"), sim.market, h)
     logger.info("simulated %d trading days across %d months -> %s",
                 len(sim.dates), len(sim.true_regime), out)
     return 0
 
 
-def cmd_features(cfg: PipelineConfig, out: Path, h: str) -> int:
+def cmd_features(cfg: PipelineConfig, out: Path, h: str, stage: Callable[[str], Path]) -> int:
     from .artifacts import write_calendar_csv, write_features_csv
     from .features import DailyStats
     from .panel import EligibilityFilter
@@ -117,38 +117,35 @@ def cmd_features(cfg: PipelineConfig, out: Path, h: str) -> int:
     stats = DailyStats.concatenate([year_stats for _, year_stats in years])
     partition = _cli.partition_months(dates, market)
     features = _cli.aggregate_monthly(stats, partition)
-    write_features_csv(out / "features.csv", features, h)
-    write_calendar_csv(out / "calendar.csv", dates, h)
-    write_json(out / "ingest_summary.json", summary.to_dict(), h)
+    write_features_csv(stage("features.csv"), features, h)
+    write_calendar_csv(stage("calendar.csv"), dates, h)
+    write_json(stage("ingest_summary.json"), summary.to_dict(), h)
     logger.info("wrote %d monthly feature rows", len(features.months))
     return 0
 
 
-def cmd_label(cfg: PipelineConfig, out: Path, h: str) -> int:
+def cmd_label(cfg: PipelineConfig, out: Path, h: str, stage: Callable[[str], Path]) -> int:
     from .artifacts import read_calendar, write_labels_csv
 
     dates = read_calendar(out / "calendar.csv")
     market = _cli.load_market_series(cfg.market_csv or out / "market.csv")
     partition = _cli.partition_months(dates, market)
     labels = _cli.label_stress(*_cli.build_market_monthly(market, partition))
-    write_labels_csv(out / "labels.csv", labels, h)
+    write_labels_csv(stage("labels.csv"), labels, h)
     logger.info("labeled %d months, stress rate %.3f", len(labels.months),
                 float(labels.s.mean()))
     return 0
 
 
-def cmd_backtest(cfg: PipelineConfig, out: Path, h: str) -> int:
+def cmd_backtest(cfg: PipelineConfig, out: Path, h: str, stage: Callable[[str], Path]) -> int:
     from .artifacts import read_features, read_labels, write_forecasts_csv
-    from .textio import staged_output, write_json
+    from .textio import write_json
 
     features = read_features(out / "features.csv")
     labels = read_labels(out / "labels.csv")
     forecasts, provenance = _cli.run_expanding_backtest(features, labels, cfg)
-    # forecasts.csv moves into place after provenance.json: a failed write
-    # of either leaves no new forecasts
-    with staged_output(out / "forecasts.csv") as staged:
-        write_forecasts_csv(staged, forecasts, h)
-        write_json(out / "provenance.json", provenance, h)
+    write_forecasts_csv(stage("forecasts.csv"), forecasts, h)
+    write_json(stage("provenance.json"), provenance, h)
     logger.info("wrote %d forecast months for models %s", len(forecasts.months),
                 ",".join(forecasts.models))
     return 0
@@ -168,51 +165,51 @@ def _load_forecasts(out: Path, model: str | None = None):
     return forecasts
 
 
-def cmd_evaluate(cfg: PipelineConfig, out: Path, h: str) -> int:
+def cmd_evaluate(cfg: PipelineConfig, out: Path, h: str, stage: Callable[[str], Path]) -> int:
     from . import evaluation as ev
     from .artifacts import write_csv
     from .textio import BIN_COLUMNS, write_json
 
     forecasts = _load_forecasts(out)
     metrics = ev.compute_metrics(forecasts)
-    write_json(out / "metrics.json", metrics, h)
-    write_csv(out / "curves.csv", ["model", "curve", "x", "y", "count"],
+    write_json(stage("metrics.json"), metrics, h)
+    write_csv(stage("curves.csv"), ["model", "curve", "x", "y", "count"],
               ev.compute_curves(forecasts), h)
     bins = [row for model in forecasts.models for row in ev.binned_outcomes(forecasts, model)]
-    write_csv(out / "bins.csv", BIN_COLUMNS, bins, h)
+    write_csv(stage("bins.csv"), BIN_COLUMNS, bins, h)
     logger.info("metrics over %d months (event rate %.3f)", metrics["n"], metrics["event_rate"])
     return 0
 
 
-def cmd_bootstrap(cfg: PipelineConfig, out: Path, h: str) -> int:
+def cmd_bootstrap(cfg: PipelineConfig, out: Path, h: str, stage: Callable[[str], Path]) -> int:
     from . import evaluation as ev
     from .config import BENCHMARK_MODEL
     from .textio import write_json
 
     forecasts = _load_forecasts(out, BENCHMARK_MODEL)
     payload = ev.bootstrap_table(forecasts, cfg.bootstrap_reps, cfg.seed)
-    write_json(out / "bootstrap.json", payload, h)
+    write_json(stage("bootstrap.json"), payload, h)
     logger.info("bootstrap table with %d rows", len(payload["rows"]))
     return 0
 
 
-def cmd_regress(cfg: PipelineConfig, out: Path, h: str) -> int:
+def cmd_regress(cfg: PipelineConfig, out: Path, h: str, stage: Callable[[str], Path]) -> int:
     from . import econometrics as econ
     from .config import INDEX_MODEL
     from .textio import write_json
 
     forecasts = _load_forecasts(out, INDEX_MODEL)
-    write_json(out / "regression.json", econ.regression_table(forecasts), h)
+    write_json(stage("regression.json"), econ.regression_table(forecasts), h)
     return 0
 
 
-def cmd_lp(cfg: PipelineConfig, out: Path, h: str) -> int:
+def cmd_lp(cfg: PipelineConfig, out: Path, h: str, stage: Callable[[str], Path]) -> int:
     from . import econometrics as econ
     from .artifacts import write_csv
     from .config import INDEX_MODEL
 
     rows = econ.innovation_projections(_load_forecasts(out, INDEX_MODEL))
-    write_csv(out / "local_projections.csv", ["h", "b_h", "se_h", "n_h"], rows, h)
+    write_csv(stage("local_projections.csv"), ["h", "b_h", "se_h", "n_h"], rows, h)
     return 0
 
 
@@ -236,8 +233,8 @@ _REPORT_JSON = {
 }
 
 
-def cmd_report(cfg: PipelineConfig, out: Path, h: str) -> int:
-    from .textio import open_output, read_bins, read_json, staged_output, write_json
+def cmd_report(cfg: PipelineConfig, out: Path, h: str, stage: Callable[[str], Path]) -> int:
+    from .textio import open_output, read_bins, read_json, write_json
 
     metrics, bootstrap = (read_json(out / name, _REPORT_JSON[name])
                           for name in ("metrics.json", "bootstrap.json"))
@@ -258,12 +255,9 @@ def cmd_report(cfg: PipelineConfig, out: Path, h: str) -> int:
         },
     }
     text = _render_report(payload)
-    # report.json moves into place after report.txt: a failed write of
-    # either leaves no new report.json
-    with staged_output(out / "report.json") as staged:
-        write_json(staged, payload, h)
-        with open_output(out / "report.txt") as fh:
-            fh.write(text)
+    write_json(stage("report.json"), payload, h)
+    with open_output(stage("report.txt")) as fh:
+        fh.write(text)
     return 0
 
 
@@ -346,6 +340,7 @@ def main(argv=None) -> int:
 
     from .config import PipelineConfig
     from .errors import ConfigError, MspiError
+    from .textio import staged_outputs
 
     try:
         cfg = PipelineConfig.from_file(args.config, out_dir=args.out or None, seed=args.seed)
@@ -354,7 +349,8 @@ def main(argv=None) -> int:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:  # a file of that name, say
             raise ConfigError(f"out_dir {out} cannot be created: {exc.strerror}") from None
-        return _HANDLERS[args.command](cfg, out, cfg.config_hash())
+        with staged_outputs(out) as stage:
+            return _HANDLERS[args.command](cfg, out, cfg.config_hash(), stage)
     except MspiError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

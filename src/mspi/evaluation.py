@@ -318,14 +318,14 @@ def block_bootstrap_diff(
     than reps/2 redraws aborts, since the outcome is then too rare for this
     block design.
 
-    Each round draws the block starts of all replications still needed as
-    one (need, n_blocks) matrix, which takes the same random stream as one
-    draw per replication, and evaluates the metric on its defined rows
-    ``_BOOTSTRAP_ROWS`` rows at a time; replication r is the r-th defined
-    row. AUC and PR-AUC resample each series' levels, so no replicate is
-    sorted. The row kernels reduce each row on its own, in the order the
-    one-resample metric adds, so every replicate is bit-identical to
-    evaluating the resamples one at a time.
+    Each round draws the block starts of the replications still needed
+    ``_BOOTSTRAP_ROWS`` rows at a time, which takes the same random stream
+    as one draw per replication, and evaluates the metric on each chunk's
+    defined rows; replication r is the r-th defined row. AUC and PR-AUC
+    resample each series' levels, so no replicate is sorted. The row
+    kernels reduce each row on its own, in the order the one-resample
+    metric adds, so every replicate is bit-identical to evaluating the
+    resamples one at a time.
     """
     values_a = np.asarray(values_a, dtype=float)
     values_b = np.asarray(values_b, dtype=float)
@@ -357,13 +357,13 @@ def block_bootstrap_diff(
     max_redraws = reps // 2
     while done < reps:
         need = reps - done
-        starts = rng.integers(0, n - block_len + 1, size=(need, n_blocks))
         for first in range(0, need, _BOOTSTRAP_ROWS):
-            chunk = starts[first:first + _BOOTSTRAP_ROWS]
-            idx = (chunk[:, :, None] + offsets).reshape(chunk.shape[0], -1)[:, :n]
+            rows = min(_BOOTSTRAP_ROWS, need - first)
+            starts = rng.integers(0, n - block_len + 1, size=(rows, n_blocks))
+            idx = (starts[:, :, None] + offsets).reshape(rows, -1)[:, :n]
             ys = y[idx]
             ok = _defined_rows(metric, ys)
-            redraws += chunk.shape[0] - int(ok.sum())
+            redraws += rows - int(ok.sum())
             if redraws > max_redraws:
                 raise NumericError(
                     f"block bootstrap: metric {metric!r} undefined in more than "

@@ -1,10 +1,10 @@
 """Text files on the standard library alone: opening an input, reading a
-headered CSV or a JSON artifact, and writing an output in one piece.
+headered CSV or a JSON artifact, and writing a stage's outputs as one unit.
 
 Every reader raises ``DataError`` naming the file and, where there is one,
-the line and column; every writer raises ``ConfigError`` naming the file it
-could not write. ``report`` reads and writes through this module only, so it
-runs without NumPy.
+the line and column; a stage's outputs, not each writer, raise
+``ConfigError`` naming the file that could not be written. ``report`` reads
+and writes through this module only, so it runs without NumPy.
 """
 
 from __future__ import annotations
@@ -164,33 +164,36 @@ def _check_json(path: Path, value, spec, key: str = ""):
 # Writing.
 
 @contextlib.contextmanager
-def staged_output(path: Path):
-    """The path ``<path>.partial``, for the caller to write ``path`` at; it is
-    moved onto ``path`` once the block succeeded, and removed otherwise, so
-    a failed write leaves the previous ``path`` as it was. An OSError in the
-    block or the move (a directory in the place of ``path``, say) raises
-    ConfigError naming ``path``, an out_dir problem like one that cannot be
-    created.
+def staged_outputs(out: Path):
+    """A stage's outputs as one unit: ``stage(name)`` gives the path
+    ``<out>/<name>.partial`` to write ``<out>/<name>`` at. Once the block
+    succeeded, the staged files move onto their names, the first staged
+    last. Any exception removes every ``.partial``, and an OSError (a
+    directory in the place of an output, say) raises ConfigError naming the
+    file being moved, else the last one staged."""
+    staged: list[Path] = []
 
-    Outputs written in the block are moved into place before ``path``: a
-    stage whose two files are one unit writes the second inside the first's
-    block, so a failed write of the second leaves no new first file."""
-    partial = Path(f"{path}.partial")
+    def stage(name: str) -> Path:
+        staged.append(out / name)
+        return Path(f"{staged[-1]}.partial")
+
+    moving = None
     try:
-        yield partial
-        os.replace(partial, path)
+        yield stage
+        for moving in reversed(staged):
+            os.replace(f"{moving}.partial", moving)
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+        if not staged:  # not a write
+            raise
+        raise ConfigError(f"cannot write {moving or staged[-1]}: {exc.strerror}") from None
     finally:
-        partial.unlink(missing_ok=True)
+        for path in staged:
+            Path(f"{path}.partial").unlink(missing_ok=True)
 
 
-@contextlib.contextmanager
 def open_output(path: Path):
-    """A UTF-8 text file written at ``path`` through ``staged_output``."""
-    with staged_output(path) as partial, open(partial, "w", encoding="utf-8",
-                                              newline="") as fh:
-        yield fh
+    """``path`` opened for writing as UTF-8 text."""
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 def write_json(path: Path, payload: dict, config_hash: str):

@@ -26,7 +26,7 @@ from mspi.panel import (
     load_daily_panel,
 )
 from mspi.simulate import SimOutput, security_ids
-from mspi.textio import read_rows
+from mspi.textio import read_rows, staged_outputs
 
 from .oracles import sim_panel
 
@@ -213,17 +213,20 @@ class TestRoundTrips:
             read_calendar(tmp_path / "calendar.csv")
 
 
-class TestOpenOutput:
-    def test_failed_write_keeps_previous_file(self, tmp_path):
-        path = tmp_path / "features.csv"
-        write_csv(path, ["month", "x"], [("2000-01", 1.5), ("2000-02", 2.5)], "old")
-        before = path.read_bytes()
+class TestStagedOutputs:
+    def test_failed_write_keeps_every_earlier_file(self, tmp_path):
+        names = ["features.csv", "calendar.csv"]
+        for name in names:
+            write_csv(tmp_path / name, ["month", "x"], [("2000-01", 1.5)], "old")
+        before = {name: (tmp_path / name).read_bytes() for name in names}
 
         def rows():
             yield ("2000-01", 9.0)
             raise DataError("input ended early")
 
-        with pytest.raises(DataError, match="ended early"):
-            write_csv(path, ["month", "x"], rows(), "new")
-        assert path.read_bytes() == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["features.csv"]
+        with pytest.raises(DataError, match="^input ended early$"):
+            with staged_outputs(tmp_path) as stage:
+                write_csv(stage("features.csv"), ["month", "x"], [("2000-01", 2.5)], "new")
+                write_csv(stage("calendar.csv"), ["month", "x"], rows(), "new")
+        assert {name: (tmp_path / name).read_bytes() for name in names} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)

@@ -665,32 +665,37 @@ def test_report_states_the_settings_of_the_artifacts_it_reads(tmp_path):
 
 
 @pytest.mark.parametrize("stage, name", [
-    ("simulate", "panel.csv"), ("simulate", "market.csv"), ("backtest", "provenance.json"),
-    ("evaluate", "metrics.json"), ("report", "report.txt"),
-], ids=["panel_csv", "csv", "provenance_json", "json", "report_txt"])
+    ("simulate", "panel.csv"), ("simulate", "market.csv"), ("features", "ingest_summary.json"),
+    ("backtest", "provenance.json"), ("evaluate", "metrics.json"), ("evaluate", "bins.csv"),
+    ("report", "report.txt"),
+], ids=["panel_csv", "csv", "ingest_summary_json", "provenance_json", "json", "bins_csv",
+        "report_txt"])
 def test_unwritable_output_exits_2(tmp_path, capsys, stage, name):
     out = tmp_path / "out"
     config = write_config(tmp_path, {**TINY_CONFIG, "out_dir": str(out), "bootstrap_reps": 20})
     if stage == "simulate":
         out.mkdir()
+    elif stage == "features":
+        run_stages(config, "simulate")
     elif stage == "backtest":
         config = write_backtest_inputs(tmp_path, 124)
     else:
         write_index_and_benchmark_forecasts(out)
     if stage == "report":
         run_stages(config, "evaluate", "bootstrap")
-    # the file the stage writes with ``name`` as one unit, left by an earlier run
-    unit = {"market.csv": "panel.csv", "provenance.json": "forecasts.csv",
-            "report.txt": "report.json"}.get(name)
-    if unit is not None:
-        (out / unit).write_text("earlier run\n", encoding="utf-8")
+    # the files the stage writes with ``name`` as one unit, left by an earlier run
+    unit = {"market.csv": ("panel.csv",), "ingest_summary.json": ("features.csv", "calendar.csv"),
+            "provenance.json": ("forecasts.csv",), "bins.csv": ("metrics.json", "curves.csv"),
+            "report.txt": ("report.json",)}.get(name, ())
+    for earlier in unit:
+        (out / earlier).write_text("earlier run\n", encoding="utf-8")
     (out / name).mkdir()  # a directory where the stage writes a file
     assert main(["--log-level", "WARNING", stage, "--config", config]) == 2
     assert capsys.readouterr().err == (
         f"config error: cannot write {out / name}: {os.strerror(errno.EISDIR)}\n")
     assert not list(out.glob("*.partial"))
-    if unit is not None:
-        assert (out / unit).read_text(encoding="utf-8") == "earlier run\n"
+    for earlier in unit:
+        assert (out / earlier).read_text(encoding="utf-8") == "earlier run\n", earlier
 
 
 # Four years of eight stocks: the shortest panel the default stress warm-up labels.
