@@ -14,7 +14,8 @@ arguments of the ``np.random.SeedSequence`` it names, and a child's key is
 its parent's with the child's index appended (``spawn_keys``), as
 ``SeedSequence.spawn`` numbers the children of a fresh sequence. Only a
 learner that draws (rf) builds the sequence, so a run without one never
-imports ``numpy.random``.
+imports ``numpy.random``, and one with it loads ``numpy.random`` through
+``numpy_parts.numpy_random``, without OpenSSL's libcrypto.
 
 Forward-chaining CV and the l1/l2 forecast chains run serially in the
 calling process: each l1/l2 month warm-starts from the month before. The rf
@@ -69,6 +70,7 @@ from .learners.logit import (
     sigmoid,
 )
 from .learners.standardize import standardize_apply, standardize_fit
+from .numpy_parts import has_both_classes, numpy_random
 from .textio import parse_month
 
 logger = logging.getLogger(__name__)
@@ -157,7 +159,7 @@ LEARNERS: dict[str, Learner] = {
     "rf": Learner(
         name="rf",
         fit=lambda Xz, y, n_trees, seed_key, init: fit_random_forest(
-            Xz, y, n_trees, np.random.SeedSequence(seed_key[0], spawn_key=seed_key[1])),
+            Xz, y, n_trees, numpy_random().SeedSequence(seed_key[0], spawn_key=seed_key[1])),
         score=lambda trees, Xz: rf_score_many(trees, Xz),
         grid=lambda config: [config.rf_trees],
         key=lambda n_trees: 0,  # the grid has one entry, so no two are compared
@@ -250,7 +252,7 @@ def fit_window(
     fit, unless that fit is a fallback or retained other feature columns.
     """
     y = np.asarray(y, dtype=float)
-    if np.unique(y).shape[0] < 2:
+    if not has_both_classes(y):
         return WindowFit.base_rate(learner, y)
 
     params = standardize_fit(X_raw)
@@ -262,7 +264,7 @@ def fit_window(
         n = y.shape[0]
         cal_len = max(CALIBRATION_MIN_MONTHS, math.ceil(CALIBRATION_FRACTION * n))
         k = n - cal_len
-        if k >= 2 and np.unique(y[:k]).shape[0] == 2 and np.unique(y[k:]).shape[0] == 2:
+        if k >= 2 and has_both_classes(y[:k]) and has_both_classes(y[k:]):
             sub_params = standardize_fit(X_raw[:k])
             sub_model = learner.fit(standardize_apply(sub_params, X_raw[:k]), y[:k], hyper,
                                     sub_seed, None)
@@ -324,7 +326,7 @@ def forward_chain_cv(
     usable = []
     for k in range(folds):
         train_end = prefix0 + k * seg
-        if np.unique(y[:train_end]).shape[0] < 2:
+        if not has_both_classes(y[:train_end]):
             logger.warning("%s CV fold %d skipped: single-class training prefix", learner.name, k)
             continue
         usable.append((k, train_end, train_end + seg))

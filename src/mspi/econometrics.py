@@ -31,6 +31,7 @@ from .config import INDEX_MODEL
 from .errors import DataError, NumericError
 from .labels import ForecastSeries, market_controls
 from .learners.logit import fit_logit_l2
+from .numpy_parts import has_both_classes
 
 logger = logging.getLogger(__name__)
 
@@ -135,7 +136,7 @@ def crash_regression(forecasts: ForecastSeries) -> dict:
 
     logistic = None
     warning = None
-    if np.unique(crash).shape[0] < 2:
+    if not has_both_classes(crash):
         warning = "single-class crash indicator; logistic variant skipped"
         logger.warning("%s", warning)
     else:

@@ -28,6 +28,7 @@ from .config import BENCHMARK_MODEL
 from .errors import DataError, NumericError
 from .labels import ForecastSeries
 from .learners.logit import clamped_log_loss
+from .numpy_parts import numpy_random
 
 ECE_BINS = 10
 BIN_EDGES = (0.0, 0.05, 0.10, 0.20, 0.40, 1.0)
@@ -348,7 +349,8 @@ def block_bootstrap_diff(
     if metric in SCORE_METRICS:
         values_a, values_b = _levels(values_a), _levels(values_b)
 
-    rng = np.random.Generator(np.random.PCG64(seed))
+    nprandom = numpy_random()
+    rng = nprandom.Generator(nprandom.PCG64(seed))
     n_blocks = math.ceil(n / block_len)
     offsets = np.arange(block_len)
     rounds = []

@@ -94,7 +94,7 @@ def _segment_means(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """
     lengths = np.diff(starts)
     out = np.full(lengths.shape[0], np.nan)
-    for length in np.unique(lengths[lengths > 0]).tolist():
+    for length in sorted(set(lengths[lengths > 0].tolist())):
         seg = np.flatnonzero(lengths == length)
         out[seg] = np.mean(_stack(values, starts, seg, length), axis=1)
     return out
@@ -157,7 +157,7 @@ def compute_daily_stats(panel: DailyPanel) -> DailyStats:
         empty = panel.dates[int(np.argmin(n_stocks))]
         raise DataError(f"{empty.isoformat()}: empty cross section")
     columns = {name: np.empty(n_stocks.shape[0]) for name in FEATURE_NAMES if name != "n_stocks"}
-    for length in np.unique(n_stocks).tolist():
+    for length in sorted(set(n_stocks.tolist())):
         days = np.flatnonzero(n_stocks == length)
         step = max(1, _BLOCK_ROWS // length)
         for i in range(0, days.shape[0], step):

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DataError, NumericError
+from ..numpy_parts import has_both_classes
 from .logit import mean_nll, sigmoid
 from .trees import Tree, build_tree, leaf_values, presort
 
@@ -55,7 +56,7 @@ def fit_gradient_boosting(X: np.ndarray, y: np.ndarray, n_stages: int,
     """Fit ``n_stages`` stages; requires both classes present."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.unique(y).shape[0] < 2:
+    if not has_both_classes(y):
         raise DataError("gradient boosting needs both classes in the training targets")
 
     rate = float(np.mean(y))

@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from ..errors import DataError
+from ..numpy_parts import has_both_classes, numpy_random
 from .trees import Tree, build_tree, leaf_values
 
 MAX_DEPTH = 8
@@ -30,12 +31,13 @@ def fit_random_forest(
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
-    if np.unique(y).shape[0] < 2:
+    if not has_both_classes(y):
         raise DataError("random forest needs both classes in the training targets")
     mtry = math.ceil(math.sqrt(p))
+    nprandom = numpy_random()
     trees = []
     for child in seed.spawn(n_trees):
-        rng = np.random.Generator(np.random.PCG64(child))
+        rng = nprandom.Generator(nprandom.PCG64(child))
         idx = rng.integers(0, n, size=n)
         trees.append(
             build_tree(

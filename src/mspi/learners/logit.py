@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DataError, NumericError
+from ..numpy_parts import has_both_classes
 
 PROB_CLAMP = 1e-12
 NEWTON_MAX_ITER = 100
@@ -104,10 +105,9 @@ def _check_targets(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     y = np.asarray(y, dtype=float)
     if y.shape[0] != X.shape[0]:
         raise DataError(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
-    classes = np.unique(y)
-    if not np.all(np.isin(classes, (0.0, 1.0))):
+    if not np.all((y == 0.0) | (y == 1.0)):
         raise DataError("targets must be binary 0/1")
-    if classes.shape[0] < 2:
+    if not has_both_classes(y):
         raise DataError("logistic regression needs both classes in the training targets")
     return X, y
 

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numpy_parts import numpy_random
 from .panel import MarketSeries, month_key
 
 JUMP_RETURN = -0.08
@@ -93,7 +94,8 @@ def simulate(config) -> SimOutput:
     """Run the simulation described in the module docstring. ``config`` is a
     ``config.PipelineConfig``, which imports this module; every setting is
     read here, before the first month is drawn."""
-    rng = np.random.Generator(np.random.PCG64(config.seed))
+    nprandom = numpy_random()
+    rng = nprandom.Generator(nprandom.PCG64(config.seed))
     n = config.sim_n_stocks
 
     # Static per-stock attributes. Prices are floored at $1 later so the

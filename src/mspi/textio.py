@@ -168,9 +168,10 @@ def staged_outputs(out: Path):
     """A stage's outputs as one unit: ``stage(name)`` gives the path
     ``<out>/<name>.partial`` to write ``<out>/<name>`` at. Once the block
     succeeded, the staged files move onto their names, the first staged
-    last. Any exception removes every ``.partial``, and an OSError (a
-    directory in the place of an output, say) raises ConfigError naming the
-    file being moved, else the last one staged."""
+    last. Any exception removes every ``.partial`` file (a directory at a
+    ``.partial`` name stays), and an OSError (a directory in the place of an
+    output, say) raises ConfigError naming the file being moved, else the
+    last one staged."""
     staged: list[Path] = []
 
     def stage(name: str) -> Path:
@@ -188,7 +189,8 @@ def staged_outputs(out: Path):
         raise ConfigError(f"cannot write {moving or staged[-1]}: {exc.strerror}") from None
     finally:
         for path in staged:
-            Path(f"{path}.partial").unlink(missing_ok=True)
+            with contextlib.suppress(OSError):  # gone, or a directory: leave it
+                Path(f"{path}.partial").unlink()
 
 
 def open_output(path: Path):

@@ -145,10 +145,13 @@ def test_all_stages_reproduce_golden_artifacts(golden_run):
 
 
 # Run in a fresh interpreter: which of numpy.random (which NumPy 2 imports only
-# on first use) and OpenSSL's libcrypto (through _hashlib) the stages have
-# loaded, about 6 MB of a stage's peak memory. Its arguments are a config
-# and the stages to run. It prints whether ``import numpy`` alone loaded
-# numpy.random, then the two answers after each stage.
+# on first use, about 2.4 MB), OpenSSL's libcrypto (through _hashlib, 3.7 MB)
+# and numpy.ma (1.6 MB) the stages have loaded. ``mspi.numpy_parts`` imports
+# numpy.random against a stand-in ``secrets``, so libcrypto never loads, and
+# checks classes without np.unique, which loads numpy.ma. Its arguments are a
+# config and the stages to run. It prints whether ``import numpy`` alone loaded
+# numpy.random, the three answers after each stage, and whether ``import
+# secrets`` then gives the real module.
 MODULES_LOADED = """
 import json, sys
 import numpy
@@ -157,7 +160,9 @@ from mspi.cli import main
 loaded = [["numpy.random" in sys.modules]]
 for stage in sys.argv[2:]:
     assert main(["--log-level", "WARNING", stage, "--config", sys.argv[1]]) == 0, stage
-    loaded.append([name in sys.modules for name in ("numpy.random", "_hashlib")])
+    loaded.append([name in sys.modules for name in ("numpy.random", "_hashlib", "numpy.ma")])
+import secrets
+loaded.append([hasattr(secrets, "token_bytes")])
 print(json.dumps(loaded))
 """
 
@@ -174,17 +179,24 @@ def test_stages_that_draw_no_random_numbers_never_load_numpy_random(golden_run, 
                                 env=env, capture_output=True, text=True, check=True)
         return json.loads(result.stdout)
 
-    # l1 and l2 draw nothing, so their backtest counts as draw-free
-    drawless = ("backtest", "features", "label", "evaluate", "regress", "lp", "report")
-    (with_numpy,), *draw_free, bootstrap = loaded({**SMALL_CONFIG, "models": ["l1", "l2"]},
-                                                  *drawless, "bootstrap")
+    # l1 and l2 draw nothing, so their backtest counts as draw-free; label and
+    # the bootstrap load numpy.ma through np.quantile, so they come last
+    drawless = ("backtest", "features", "regress", "evaluate", "lp", "report", "label")
+    (with_numpy,), *draw_free, bootstrap, (real_secrets,) = loaded(
+        {**SMALL_CONFIG, "models": ["l1", "l2"]}, *drawless, "bootstrap")
     if with_numpy:
         pytest.skip("this NumPy imports numpy.random with numpy")
-    # the bootstrap and the forest draw, so each check can fail
-    assert [random for random, _ in draw_free] == [False] * len(drawless)
-    assert bootstrap[0] and loaded(SMALL_CONFIG, "backtest")[1][0]
+    # the bootstrap and the rf backtest each draw first in their process, so
+    # their checks can fail; simulate draws after the backtest
+    _, forest, simulate, (real_secrets_too,) = loaded(SMALL_CONFIG, "backtest", "simulate")
+    assert [random for random, _, _ in draw_free] == [False] * len(drawless)
+    assert bootstrap[0] and forest[0] and simulate[0]
+    # sys.modules only grows, so the first three stages together load no numpy.ma
+    assert [ma for _, _, ma in draw_free[:3]] == [False] * 3 and forest[2] is False
+    assert real_secrets and real_secrets_too
     if importlib.util.find_spec("_sha2") or importlib.util.find_spec("_sha256"):
-        assert [crypto for _, crypto in draw_free] == [False] * len(drawless)
+        assert [crypto for _, crypto, _ in draw_free + [bootstrap, forest, simulate]] == (
+            [False] * (len(drawless) + 3))
 
 
 # Run in a fresh interpreter: ``python -m mspi.cli`` on the arguments given.
@@ -667,9 +679,9 @@ def test_report_states_the_settings_of_the_artifacts_it_reads(tmp_path):
 @pytest.mark.parametrize("stage, name", [
     ("simulate", "panel.csv"), ("simulate", "market.csv"), ("features", "ingest_summary.json"),
     ("backtest", "provenance.json"), ("evaluate", "metrics.json"), ("evaluate", "bins.csv"),
-    ("report", "report.txt"),
+    ("report", "report.txt"), ("evaluate", "curves.csv.partial"),
 ], ids=["panel_csv", "csv", "ingest_summary_json", "provenance_json", "json", "bins_csv",
-        "report_txt"])
+        "report_txt", "partial_dir"])
 def test_unwritable_output_exits_2(tmp_path, capsys, stage, name):
     out = tmp_path / "out"
     config = write_config(tmp_path, {**TINY_CONFIG, "out_dir": str(out), "bootstrap_reps": 20})
@@ -686,14 +698,19 @@ def test_unwritable_output_exits_2(tmp_path, capsys, stage, name):
     # the files the stage writes with ``name`` as one unit, left by an earlier run
     unit = {"market.csv": ("panel.csv",), "ingest_summary.json": ("features.csv", "calendar.csv"),
             "provenance.json": ("forecasts.csv",), "bins.csv": ("metrics.json", "curves.csv"),
-            "report.txt": ("report.json",)}.get(name, ())
+            "report.txt": ("report.json",),
+            "curves.csv.partial": ("metrics.json", "curves.csv", "bins.csv")}.get(name, ())
     for earlier in unit:
         (out / earlier).write_text("earlier run\n", encoding="utf-8")
-    (out / name).mkdir()  # a directory where the stage writes a file
+    # a directory where the stage writes a file, or stages it: the clean-up
+    # leaves a directory at a staged name in place
+    (out / name).mkdir()
     assert main(["--log-level", "WARNING", stage, "--config", config]) == 2
-    assert capsys.readouterr().err == (
-        f"config error: cannot write {out / name}: {os.strerror(errno.EISDIR)}\n")
-    assert not list(out.glob("*.partial"))
+    assert capsys.readouterr().err == (f"config error: cannot write "
+                                       f"{out / name.removesuffix('.partial')}: "
+                                       f"{os.strerror(errno.EISDIR)}\n")
+    assert [p.name for p in out.glob("*.partial")] == (
+        [name] if name.endswith(".partial") else [])
     for earlier in unit:
         assert (out / earlier).read_text(encoding="utf-8") == "earlier run\n", earlier
 

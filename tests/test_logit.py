@@ -18,6 +18,7 @@ from mspi.learners.logit import (
     sigmoid,
 )
 from mspi.learners.standardize import StandardizationParams, standardize_apply, standardize_fit
+from mspi.numpy_parts import has_both_classes
 
 from .oracles import fista_logit_l1, l1_objective, newton_logit
 
@@ -546,3 +547,19 @@ class TestPredict:
         clone = json.loads(json.dumps(model.to_dict()))
         assert clone["intercept"] == model.intercept
         assert np.array_equal(np.array(clone["coef"]), model.coef)
+
+
+class TestTargets:
+    @pytest.mark.parametrize("y", [[], [0.0], [1.0], [0.0] * 6, [1.0] * 6, [0.0, 0.0, 1.0],
+                                   [1.0, 0.0, 1.0, 1.0]],
+                             ids=["empty", "one", "one_1", "all_0", "all_1", "mixed", "mixed_1"])
+    def test_two_class_check_agrees_with_unique(self, y):
+        y = np.array(y, dtype=float)
+        assert has_both_classes(y) == (np.unique(y).shape[0] >= 2)
+
+    # the binary check comes first: an all-NaN target holds a single class too
+    @pytest.mark.parametrize("y", [[0.0, 1.0, 2.0, 0.0], [math.nan] * 4], ids=["two", "nan"])
+    @pytest.mark.parametrize("fit", [fit_logit_l1, fit_logit_l2], ids=["l1", "l2"])
+    def test_non_binary_targets_rejected(self, fit, y):
+        with pytest.raises(DataError, match="targets must be binary 0/1"):
+            fit(np.zeros((4, 1)), np.array(y), lam=0.1)
