@@ -17,15 +17,16 @@ the market series and every small headered artifact; the panel has its own
 chunked reader below. Every ``DataError`` the panel and market loaders
 raise starts with the file's path.
 
-The panel is read in chunks of about 256 KB and parsed column by column:
-each float column in one ``float`` pass, dates and flags once per distinct
-token, the drop reasons as masks, and dates and security ids as integer
-codes, so no per-row Python object outlives its chunk. A chunk the column
-pass cannot take as it is (a quote character, a blank, comment or ragged
-line, or a token that fails to parse) is parsed again row by row by
-``_parse_panel_row``, the one definition of what a row means: it raises the
-``DataError`` naming the line and column, or returns the same values. The
-contract and the loaded panel do not depend on which path a chunk took.
+The panel is read in chunks of about 256 KB, and each chunk is tokenised
+into a flat list of fields and each row's line number: by ``str.split``
+unless a line holds a quote, NUL or bare carriage return, or is blank, a
+comment, ragged or over ``csv``'s field limit, and by ``csv.reader``
+otherwise. Both feed one column pass, the one definition of what a row
+means: each float column in one ``float`` pass, dates and flags once per
+distinct token, the drop reasons as masks, and dates and security ids as
+integer codes, so no per-row Python object outlives its chunk. A chunk with
+a malformed field is passed again one row at a time, to raise the
+``DataError`` naming the first such field's line and column.
 
 Each chunk's kept rows are appended, as 48-byte records, to one spill file
 per calendar year in a ``tempfile.TemporaryDirectory``, so a load needs
@@ -57,7 +58,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -156,7 +157,8 @@ class IngestSummary:
         }
 
 
-# ``at`` places a token in its file for an error message: "line 7".
+# ``at`` places a token in its file for an error message, "<path>: line 7";
+# the panel's column pass gives "" and its caller adds the line.
 
 def _parse_bool(token: str, at: str, column: str) -> bool:
     low = token.strip().lower()
@@ -181,56 +183,33 @@ def _parse_float(token: str, at: str, column: str) -> float:
         raise DataError(f"{at}, column '{column}': cannot parse number from {token!r}") from None
 
 
-def _parse_panel_row(line: int, row: dict[str, str]) -> tuple:
-    """One panel row as (day, security_id, ret, prc, vol, shrout, share_ok, exch_ok).
+def _float_column(tokens: list[str], column: str) -> np.ndarray:
+    """``float`` of every token, blank and whitespace-only ones as NaN.
 
-    Blank return, price, volume and share fields become NaN. Raises DataError
-    naming the line and column for a malformed field, an empty identifier or
-    a negative volume or share count.
-    """
-    at = f"line {line}"
-    day = _parse_date(row["date"], at, "date")
-    sec = row["security_id"].strip()
-    if not sec:
-        raise DataError(f"{at}, column 'security_id': empty identifier")
-    share_ok = _parse_bool(row["shrcd_ok"], at, "shrcd_ok")
-    exch_ok = _parse_bool(row["exchcd_ok"], at, "exchcd_ok")
-
-    ret_tok = row["ret"].strip()
-    prc_tok = row["prc"].strip()
-    ret = _parse_float(ret_tok, at, "ret") if ret_tok else math.nan
-    prc = _parse_float(prc_tok, at, "prc") if prc_tok else math.nan
-
-    vol_tok = row["vol"].strip()
-    shrout_tok = row["shrout"].strip()
-    vol = _parse_float(vol_tok, at, "vol") if vol_tok else math.nan
-    shrout = _parse_float(shrout_tok, at, "shrout") if shrout_tok else math.nan
-    if not math.isnan(vol) and vol < 0:
-        raise DataError(f"{at}, column 'vol': negative volume {vol}")
-    if not math.isnan(shrout) and shrout < 0:
-        raise DataError(f"{at}, column 'shrout': negative shares outstanding {shrout}")
-    return day, sec, ret, prc, vol, shrout, share_ok, exch_ok
-
-
-def _float_column(tokens: list[str]) -> np.ndarray:
-    """``float`` of every token, empty tokens as NaN.
-
-    Raises ValueError for any other token ``float`` rejects, a
-    whitespace-only one included: ``parse_rowwise`` then names it or reads it
-    as NaN.
+    Two passes at C speed, the tokens as they are and then with empty ones
+    as ``"nan"``, take nearly every column; only a column both reject is
+    parsed token by token, which raises DataError naming a malformed token.
     """
     try:
         return np.fromiter(map(float, tokens), float, len(tokens))
-    except ValueError:  # an empty token
+    except ValueError:
+        pass
+    try:
         return np.fromiter(map(float, [t or "nan" for t in tokens]), float, len(tokens))
+    except ValueError:  # a whitespace-only or malformed token
+        stripped = [t.strip() for t in tokens]
+        return np.fromiter((_parse_float(t, "", column) if t else math.nan for t in stripped),
+                           float, len(tokens))
 
 
 class _PanelColumns:
-    """The parsed and filtered columns of one panel file, built chunk by chunk.
+    """The parsed and filtered columns of one panel file, built chunk by chunk
+    (``add_chunk``): ``split_fields`` or else ``read_fields`` tokenises a
+    chunk, ``convert`` turns its fields into columns and ``keep`` spills the
+    rows that pass.
 
-    Dates are kept as proleptic ordinals and security ids as codes in order
-    of first appearance; the token caches map each distinct raw token to its
-    parsed value once. The kept rows go to ``spill``.
+    Dates are kept as proleptic ordinals and security ids as codes; the token
+    caches map each distinct raw token to its parsed value once.
     """
 
     def __init__(self, index: dict[str, int], width: int, filt: EligibilityFilter,
@@ -245,72 +224,44 @@ class _PanelColumns:
         self._day_tokens: dict[str, int] = {}
         self._flag_tokens: dict[str, bool] = {}
 
-    def parse_columnar(self, text: str) -> tuple[list[np.ndarray], int]:
-        """(columns, line count) of a chunk of whole lines, column by column.
+    def add_chunk(self, text: str, fh, line_base: int) -> int:
+        """Tokenise, convert and keep a chunk of whole lines that ``line_base``
+        lines precede; returns its line count, lines taken from ``fh`` included.
+        Its fields go on return, so no two chunks' fields are held at once."""
+        fields, lines, n_lines = (self.split_fields(text, line_base)
+                                  or self.read_fields(text, fh, line_base))
+        self.keep(self.convert(fields, lines))
+        return n_lines
 
-        Raises ValueError or DataError where the row-by-row parse could
-        differ; the chunk must then go through ``parse_rowwise``.
+    def split_fields(self, text: str, line_base: int) -> tuple[list[str], range, int] | None:
+        """(fields, row line numbers, line count) of a chunk of whole lines,
+        split at commas and newlines, where ``line_base`` lines precede it;
+        None when ``csv`` could read a line differently (module docstring).
         """
         if '"' in text or "\0" in text:
-            raise ValueError("quoted or NUL field")
+            return None
         if "\r" in text:
             text = text.replace("\r\n", "\n")
             if "\r" in text:
-                raise ValueError("bare carriage return")
+                return None
         if text.endswith("\n"):
             text = text[:-1]
         if text.startswith("#") or "\n#" in text:
-            raise ValueError("comment line")
+            return None
         lines = text.split("\n")
-        width = self.width
         if (not all(lines)
-                or set(map(str.count, lines, [","] * len(lines))) != {width - 1}
+                or set(map(str.count, lines, [","] * len(lines))) != {self.width - 1}
                 or max(map(len, lines)) > csv.field_size_limit()):
-            raise ValueError("blank, ragged or oversized line")
+            return None
         n = len(lines)
-        fields = text.replace("\n", ",").split(",")
+        return text.replace("\n", ",").split(","), range(line_base + 1, line_base + n + 1), n
 
-        def column(name: str) -> list[str]:
-            return fields[self.index[name]::width]
-
-        day_tokens = column("date")
-        for token in set(day_tokens).difference(self._day_tokens):
-            self._day_tokens[token] = _parse_date(token, "", "date").toordinal()
-        sec_tokens = column("security_id")
-        for token in set(sec_tokens).difference(self._sec_tokens):
-            sec = token.strip()
-            if not sec:
-                raise ValueError("empty identifier")
-            self._sec_tokens[token] = self._sec_codes.setdefault(sec, len(self._sec_codes))
-
-        def flags(name: str) -> np.ndarray:
-            tokens = column(name)
-            for token in set(tokens).difference(self._flag_tokens):
-                self._flag_tokens[token] = _parse_bool(token, "", name)
-            return np.fromiter(map(self._flag_tokens.__getitem__, tokens), bool, n)
-
-        vol = _float_column(column("vol"))
-        shrout = _float_column(column("shrout"))
-        if np.any(vol < 0) or np.any(shrout < 0):
-            raise ValueError("negative volume or shares outstanding")
-        return [
-            np.fromiter(map(self._day_tokens.__getitem__, day_tokens), np.int64, n),
-            np.fromiter(map(self._sec_tokens.__getitem__, sec_tokens), np.int64, n),
-            _float_column(column("ret")),
-            _float_column(column("prc")),
-            vol,
-            shrout,
-            flags("shrcd_ok"),
-            flags("exchcd_ok"),
-        ], n
-
-    def parse_rowwise(self, text: str, fh, line_base: int) -> tuple[list[np.ndarray], int]:
-        """(columns, line count) of a chunk, parsed row by row.
-
-        ``line_base`` is the number of lines before the chunk. A quoted field
-        left open at the end of the chunk is completed from ``fh``; the line
-        count includes the lines taken from it.
-        """
+    def read_fields(self, text: str, fh, line_base: int) -> tuple[list[str], list[int], int]:
+        """(fields, row line numbers, line count) of a chunk by ``csv.reader``,
+        past comment and blank lines; a quoted field open at the chunk's end
+        is completed from ``fh``, and its lines are counted. A ragged row or a
+        field over the ``csv`` limit raises only once the rows before it are
+        converted, so that a malformed field on an earlier line wins."""
         record_done = True
 
         def lines():
@@ -325,25 +276,78 @@ class _PanelColumns:
                 yield line
 
         reader = csv.reader(lines())
-        rows = []
-        for row in reader:
-            record_done = True
-            if not row or row[0].startswith("#"):
-                continue
-            line = line_base + reader.line_num
-            if len(row) != self.width:
-                raise DataError(
-                    f"line {line}: expected {self.width} fields, found {len(row)}"
-                )
-            rows.append(_parse_panel_row(line, {c: row[self.index[c]] for c in PANEL_COLUMNS}))
-        codes = self._sec_codes
-        columns = [
-            np.array([r[0].toordinal() for r in rows], dtype=np.int64),
-            np.array([codes.setdefault(r[1], len(codes)) for r in rows], dtype=np.int64),
+        fields, rows = [], []
+        try:
+            for row in reader:
+                record_done = True
+                if not row or row[0].startswith("#"):
+                    continue
+                line = line_base + reader.line_num
+                if len(row) != self.width:
+                    raise DataError(f"line {line}: expected {self.width} fields, found {len(row)}")
+                fields += row
+                rows.append(line)
+        except (DataError, csv.Error):
+            self.convert(fields, rows)
+            raise
+        return fields, rows, reader.line_num
+
+    def convert(self, fields: list[str], lines: Sequence[int]) -> list[np.ndarray]:
+        """The columns of the rows given by their fields and line numbers;
+        DataError names the line and column of the first malformed field in
+        file order, found by converting one row at a time once the column
+        pass has failed."""
+        try:
+            return self._columns(fields, len(lines))
+        except DataError:
+            width = self.width
+            for i, line in enumerate(lines):
+                try:
+                    self._columns(fields[i * width:(i + 1) * width], 1)
+                except DataError as exc:
+                    raise DataError(f"line {line}{exc}") from None
+            raise
+
+    def _columns(self, fields: list[str], n: int) -> list[np.ndarray]:
+        """(day, sec, ret, prc, vol, shrout, share_ok, exch_ok) of ``n`` rows.
+
+        Blank and whitespace-only numeric fields become NaN. The checks run
+        in a row's order (date, security_id, the two flags, the four numbers,
+        then the signs of vol and shrout), each raising DataError(", column
+        '<name>': ...") for the first column it rejects.
+        """
+        width = self.width
+
+        def column(name: str) -> list[str]:
+            return fields[self.index[name]::width]
+
+        day_tokens = column("date")
+        for token in set(day_tokens).difference(self._day_tokens):
+            self._day_tokens[token] = _parse_date(token, "", "date").toordinal()
+        sec_tokens = column("security_id")
+        for token in set(sec_tokens).difference(self._sec_tokens):
+            sec = token.strip()
+            if not sec:
+                raise DataError(", column 'security_id': empty identifier")
+            self._sec_tokens[token] = self._sec_codes.setdefault(sec, len(self._sec_codes))
+
+        def flags(name: str) -> np.ndarray:
+            tokens = column(name)
+            for token in set(tokens).difference(self._flag_tokens):
+                self._flag_tokens[token] = _parse_bool(token, "", name)
+            return np.fromiter(map(self._flag_tokens.__getitem__, tokens), bool, n)
+
+        share_ok, exch_ok = flags("shrcd_ok"), flags("exchcd_ok")
+        ret, prc, vol, shrout = (_float_column(column(name), name) for name in _VALUE_FIELDS)
+        for name, values, what in (("vol", vol, "volume"), ("shrout", shrout, "shares outstanding")):
+            negative = values < 0
+            if negative.any():
+                raise DataError(f", column '{name}': negative {what} {float(values[negative][0])}")
+        return [
+            np.fromiter(map(self._day_tokens.__getitem__, day_tokens), np.int64, n),
+            np.fromiter(map(self._sec_tokens.__getitem__, sec_tokens), np.int64, n),
+            ret, prc, vol, shrout, share_ok, exch_ok,
         ]
-        columns += [np.array([r[k] for r in rows], dtype=float) for k in range(2, 6)]
-        columns += [np.array([r[k] for r in rows], dtype=bool) for k in (6, 7)]
-        return columns, reader.line_num
 
     def keep(self, columns: list[np.ndarray]):
         """Count the chunk's rows and drop reasons; spill the rows that pass."""
@@ -475,12 +479,7 @@ def load_daily_panel(
         while text := fh.read(_CHUNK_CHARS):
             if not text.endswith("\n"):
                 text += fh.readline()
-            try:
-                chunk, n_lines = columns.parse_columnar(text)
-            except (ValueError, DataError):
-                chunk, n_lines = columns.parse_rowwise(text, fh, line_base)
-            line_base += n_lines
-            columns.keep(chunk)
+            line_base += columns.add_chunk(text, fh, line_base)
         if reduce_year is None:
             return next(columns.years(whole=True)), summary
         return list(map(reduce_year, columns.years())), summary

@@ -30,14 +30,15 @@ BIN_COLUMNS = ["model", "bin_lo", "bin_hi", "n", "mean_prob", "stress_rate", "ne
 
 @contextlib.contextmanager
 def open_text(path) -> Iterator[io.TextIOWrapper]:
-    """``path`` opened as UTF-8 text, CSV or JSON; a missing file, a
+    """``path`` opened as UTF-8 text, CSV or JSON, past a byte-order mark
+    if it starts with one (as Excel writes); a missing file, a
     directory, any other failure to open it (a path through a regular file,
     no permission), bytes that are not UTF-8 or a CSV field over
     ``csv.field_size_limit()`` raise DataError naming it, and so does every
     DataError raised while it is open. An OSError raised while it is open
     (a failed write elsewhere, say) is not the input's and propagates."""
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except FileNotFoundError:
         raise DataError(f"missing file: {path}") from None
     except IsADirectoryError:
@@ -56,13 +57,19 @@ def open_text(path) -> Iterator[io.TextIOWrapper]:
 
 
 def read_header(reader, required: list[str]) -> tuple[dict[str, int], int]:
-    """Column positions and width from the first non-comment row of a CSV reader."""
+    """Column positions and width from the first non-comment row of a CSV
+    reader; a required column missing from it, or named twice, raises
+    DataError."""
     for header in reader:
         if header and not header[0].startswith("#"):
             break
     else:
         raise DataError("empty file")
-    index = {name.strip(): i for i, name in enumerate(header)}
+    names = [name.strip() for name in header]
+    repeated = [c for c in required if names.count(c) > 1]
+    if repeated:
+        raise DataError(f"header names column {repeated[0]!r} more than once")
+    index = {name: i for i, name in enumerate(names)}
     missing = [c for c in required if c not in index]
     if missing:
         raise DataError(f"header is missing columns {missing}")

@@ -88,6 +88,25 @@ class TestLoadDailyPanel:
             load_daily_panel(path, EligibilityFilter())
         assert str(info.value) == f"{path}: line 2, column 'ret': cannot parse number from 'zap'"
 
+    def test_required_column_named_twice_is_error(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.write_text(PANEL_HEADER.replace("\n", ",ret\n")
+                        + "2001-01-02,A,0.01,5.00,100,1000,1,1,0.9\n", encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            load_daily_panel(str(path), EligibilityFilter())
+        assert str(info.value) == f"{path}: header names column 'ret' more than once"
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        rows = ["2001-01-02,A,0.01,5.00,100,1000,1,1", "2001-01-03,A,0.02,5.00,,1000,1,1"]
+        plain = write_panel(tmp_path, rows)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "panel.csv").read_bytes())
+        panel, summary = load_daily_panel(plain, EligibilityFilter())
+        marked_panel, marked_summary = load_daily_panel(str(marked), EligibilityFilter())
+        assert marked_panel.dates == panel.dates and marked_summary == summary
+        for name in FIELDS:
+            assert getattr(marked_panel, name).tobytes() == getattr(panel, name).tobytes()
+
     def test_empty_after_filter_is_error(self, tmp_path):
         path = write_panel(tmp_path, ["2001-01-02,A,0.01,0.10,100,1000,1,1"])
         with pytest.raises(DataError) as info:
@@ -275,9 +294,9 @@ class TestChunkedLoad:
         monkeypatch.setattr(mspi.panel, "_CHUNK_CHARS", 2000)
 
         def no_rowwise(*args):
-            raise AssertionError("clean chunk parsed row by row")
+            raise AssertionError("clean chunk read by csv")
 
-        monkeypatch.setattr(mspi.panel._PanelColumns, "parse_rowwise", no_rowwise)
+        monkeypatch.setattr(mspi.panel._PanelColumns, "read_fields", no_rowwise)
         panel, summary = load_daily_panel(path, EligibilityFilter())
         assert summary.rows_kept == 1000 and len(panel.dates) == 20
 
@@ -287,6 +306,22 @@ class TestChunkedLoad:
         path = write_panel(tmp_path, rows, name="blanks.csv")
         summary = assert_same_load(path, EligibilityFilter())
         assert summary.rows_read == 1000 and summary.dropped == {"missing_ret": 334}
+
+    def test_padded_and_malformed_cells_stay_on_the_split_path(self, tmp_path, monkeypatch):
+        rows = [f"2001-01-{2 + d:02d},S{i:03d},0.01,{5 + i}.5,{'  ' if i % 4 else 100},1000,1,1"
+                for i in range(50) for d in range(20)]
+        monkeypatch.setattr(mspi.panel, "_CHUNK_CHARS", 2000)
+
+        def no_csv(*args):
+            raise AssertionError("clean chunk read by csv")
+
+        monkeypatch.setattr(mspi.panel._PanelColumns, "read_fields", no_csv)
+        panel, summary = load_daily_panel(write_panel(tmp_path, rows), EligibilityFilter())
+        assert summary.rows_kept == 1000 and np.isnan(panel.vol).sum() == 740
+        rows[700] = rows[700].replace(",0.01,", ", zap ,")
+        path = write_panel(tmp_path, rows, name="bad.csv")
+        assert load_error(load_daily_panel, path) == (
+            f"{path}: line 702, column 'ret': cannot parse number from 'zap'")
 
     @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
     @pytest.mark.parametrize("row, message", [
@@ -353,9 +388,21 @@ class TestChunkedLoad:
         # the 2001 duplicate wins over the 2002 one written before it
         PANEL_HEADER + "2002-03-04,B,0.01,5.0,100,1000,1,1\n2002-03-04,B,0.02,5.0,100,1000,1,1\n"
         "2001-05-07,A,0.01,5.0,100,1000,1,1\n2001-05-07,A,0.02,5.0,100,1000,1,1\n",
+        # within a row: the shrout parse error wins over the negative vol
+        PANEL_HEADER + "2001-01-02,A,0.01,5.0,-100,zz,1,1\n",
+        # within a row: the flag wins over the return
+        PANEL_HEADER + "2001-01-02,A,zap,5.0,100,1000,maybe,1\n",
+        # in one chunk read by csv: a bad field wins over a later ragged line,
+        PANEL_HEADER + "2001-01-02,A,0.01,5.0,100,1000,1,1\n2001-01-02,B,zap,5.0,100,1000,1,1\n"
+        "2001-01-02,C,0.01,5.0,100,1000,1\n",
+        # and over a later field over the csv limit
+        PANEL_HEADER + "2001-01-02,A,0.01,5.0,100,1000,1,1\n2001-01-02,B,zap,5.0,100,1000,1,1\n"
+        "2001-01-02," + "C" * 140_000 + ",0.01,5.0,100,1000,1,1\n",
     ], ids=["no_final_newline", "cr_endings", "mixed_endings", "cr_in_field", "extra_column",
             "header_only", "field_over_csv_limit", "years_date_sorted", "years_security_major",
-            "years_shuffled", "parse_error_after_duplicate", "duplicates_in_two_years"])
+            "years_shuffled", "parse_error_after_duplicate", "duplicates_in_two_years",
+            "shrout_error_before_vol_sign", "flag_before_ret", "bad_field_before_ragged_line",
+            "bad_field_before_field_over_limit"])
     def test_small_files_match_oracle(self, tmp_path, monkeypatch, text):
         path = tmp_path / "panel.csv"
         path.write_bytes(text.encode("utf-8"))
@@ -392,17 +439,17 @@ class TestChunkedLoad:
     def test_quoted_field_spanning_chunks(self, tmp_path, monkeypatch):
         lines = [f'2001-01-02,S{i:03d},"0.0{i % 10}\n",5.00,100,1000,1,1' for i in range(200)]
         lines.append("2001-01-02,S999,0.01,5.00,100,1000,1,yes?")
-        # the chunks that the row-by-row parser gets, and whether each ends
+        # the chunks that the csv tokeniser gets, and whether each ends
         # inside a quoted field (an odd number of quotes) that it must
         # finish from the file
         open_ends = []
-        parse_rowwise = mspi.panel._PanelColumns.parse_rowwise
+        read_fields = mspi.panel._PanelColumns.read_fields
 
         def spy(self, text, fh, line_base):
             open_ends.append(text.count('"') % 2 == 1)
-            return parse_rowwise(self, text, fh, line_base)
+            return read_fields(self, text, fh, line_base)
 
-        monkeypatch.setattr(mspi.panel._PanelColumns, "parse_rowwise", spy)
+        monkeypatch.setattr(mspi.panel._PanelColumns, "read_fields", spy)
         for chunk in (1000, 1010, 64):
             monkeypatch.setattr(mspi.panel, "_CHUNK_CHARS", chunk)
             path = write_lines(tmp_path, lines)
@@ -454,6 +501,21 @@ class TestLoadMarketSeries:
         path = write_market(tmp_path, [])
         with pytest.raises(DataError, match="empty series"):
             load_market_series(path)
+
+    def test_required_column_named_twice_is_error(self, tmp_path):
+        path = tmp_path / "market.csv"
+        path.write_text("date,mkt_ret,mkt_ret\n2001-01-02,0.01,0.9\n", encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            load_market_series(str(path))
+        assert str(info.value) == f"{path}: header names column 'mkt_ret' more than once"
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = write_market(tmp_path, ["2001-01-03,0.02", "2001-01-02,0.01"])
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "market.csv").read_bytes())
+        market, marked_market = load_market_series(path), load_market_series(str(marked))
+        assert marked_market.dates == market.dates
+        assert marked_market.mkt_ret.tobytes() == market.mkt_ret.tobytes()
 
     def test_non_finite_return_is_error(self, tmp_path):
         path = write_market(tmp_path, ["2001-01-02,nan"])
