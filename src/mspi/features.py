@@ -62,10 +62,6 @@ class FeatureMatrix:
 # |daily return| at or beyond which a stock is an extreme mover
 TAIL_THRESHOLD = 0.05
 
-# Rows per block of equal-length days in compute_daily_stats: bounds the
-# temporaries, so the daily statistics add little to the stage's peak memory.
-_BLOCK_ROWS = 8192
-
 
 def _kept_offsets(kept: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Segment offsets into ``values[kept]`` of the segments ``starts`` cuts
@@ -73,20 +69,12 @@ def _kept_offsets(kept: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(kept)))[starts]
 
 
-def _stack(values: np.ndarray, starts: np.ndarray, seg: np.ndarray, length: int) -> np.ndarray:
-    """The (len(seg), length) block of the equal-length segments ``seg``: a
-    reshape view where they are adjacent, a gather otherwise."""
-    if seg[-1] - seg[0] + 1 == seg.shape[0]:
-        first = int(starts[seg[0]])
-        return values[first:first + seg.shape[0] * length].reshape(-1, length)
-    return values[starts[seg, None] + np.arange(length)]
-
-
 def _segment_means(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """``np.mean(values[starts[i]:starts[i+1]])`` for every segment i; NaN
     for an empty segment.
 
-    Segments of one length are stacked into one block and reduced by
+    Segments of one length are stacked into one block (a reshape view where
+    they are adjacent, a gather otherwise) and reduced by
     ``np.mean(block, axis=1)``. A reduction along the contiguous last axis
     sums each row pairwise, as ``np.mean`` sums a 1-D slice, so every mean
     is bit-identical to the per-segment one (``np.add.reduceat`` sums left
@@ -96,43 +84,13 @@ def _segment_means(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     out = np.full(lengths.shape[0], np.nan)
     for length in sorted(set(lengths[lengths > 0].tolist())):
         seg = np.flatnonzero(lengths == length)
-        out[seg] = np.mean(_stack(values, starts, seg, length), axis=1)
+        if seg[-1] - seg[0] + 1 == seg.shape[0]:
+            first = int(starts[seg[0]])
+            block = values[first:first + seg.shape[0] * length].reshape(-1, length)
+        else:
+            block = values[starts[seg, None] + np.arange(length)]
+        out[seg] = np.mean(block, axis=1)
     return out
-
-
-def _block_stats(ret, prc, vol, shrout) -> dict:
-    """Float statistics of a block of equal-length days, one day per row of
-    the (days, stocks) column blocks, keyed by DailyStats field."""
-    mean = np.mean(ret, axis=1)
-    dev = ret - mean[:, None]
-    dev2 = dev * dev
-    var = np.mean(dev2, axis=1)
-    std = np.sqrt(var)
-    # explicit products, not pow(): keeps the statistics exactly
-    # equivariant under power-of-two rescaling of returns
-    m3 = np.mean(dev2 * dev, axis=1)
-    m4 = np.mean(dev2 * dev2, axis=1)
-    skew = np.zeros_like(var)
-    kurt = np.zeros_like(var)
-    ok = std != 0.0
-    skew[ok] = m3[ok] / (var[ok] * std[ok])
-    kurt[ok] = m4[ok] / (var[ok] * var[ok])
-
-    vol_ok = np.isfinite(vol)
-    turn_ok = vol_ok & np.isfinite(shrout) & (shrout > 0)
-    # masked means: the kept entries compacted row by row, one segment a day
-    days = np.arange(0, vol.size + 1, vol.shape[1])
-    vol_days = _kept_offsets(vol_ok.ravel(), days)
-    return {
-        "xs_std": std, "xs_skew": skew, "xs_kurt": kurt,
-        "mean_abs_ret": np.mean(np.abs(ret), axis=1),
-        "frac_dn": np.mean(ret <= -TAIL_THRESHOLD, axis=1),
-        "frac_up": np.mean(ret >= TAIL_THRESHOLD, axis=1),
-        "mean_log_vol": _segment_means(np.log1p(vol[vol_ok]), vol_days),
-        "mean_dollar_vol": _segment_means(np.abs(prc[vol_ok]) * vol[vol_ok], vol_days),
-        "mean_turnover": _segment_means(vol[turn_ok] / shrout[turn_ok],
-                                        _kept_offsets(turn_ok.ravel(), days)),
-    }
 
 
 def compute_daily_stats(panel: DailyPanel) -> DailyStats:
@@ -144,29 +102,44 @@ def compute_daily_stats(panel: DailyPanel) -> DailyStats:
     fields are present, and turnover additionally requires shares
     outstanding > 0.
 
-    Days of one length are stacked in blocks of at most ``_BLOCK_ROWS`` rows
-    (a longer day is a block of its own), one day per row, and each
-    statistic is reduced along the block's last axis (masked means through
-    ``_segment_means``). That sums every day's values pairwise in the order
-    ``np.mean`` sums the day's slice, so each statistic is bit-identical to
-    a per-day ``np.mean`` and does not depend on the other days.
+    Every statistic is one ``_segment_means`` reduction over the panel's
+    rows cut at its day starts (a masked mean over the kept rows, cut at
+    ``_kept_offsets``), so each is bit-identical to a per-day ``np.mean``
+    and does not depend on the other days.
     """
     starts = panel.starts
     n_stocks = np.diff(starts)
     if not n_stocks.all():
         empty = panel.dates[int(np.argmin(n_stocks))]
         raise DataError(f"{empty.isoformat()}: empty cross section")
-    columns = {name: np.empty(n_stocks.shape[0]) for name in FEATURE_NAMES if name != "n_stocks"}
-    for length in sorted(set(n_stocks.tolist())):
-        days = np.flatnonzero(n_stocks == length)
-        step = max(1, _BLOCK_ROWS // length)
-        for i in range(0, days.shape[0], step):
-            seg = days[i:i + step]
-            block = _block_stats(*(_stack(getattr(panel, name), starts, seg, length)
-                                   for name in ("ret", "prc", "vol", "shrout")))
-            for name, values in block.items():
-                columns[name][seg] = values
-    return DailyStats(n_stocks=n_stocks, **columns)
+    ret, prc, vol, shrout = panel.ret, panel.prc, panel.vol, panel.shrout
+    dev = ret - np.repeat(_segment_means(ret, starts), n_stocks)
+    dev2 = dev * dev
+    var = _segment_means(dev2, starts)
+    std = np.sqrt(var)
+    # explicit products, not pow(): keeps the statistics exactly
+    # equivariant under power-of-two rescaling of returns
+    m3 = _segment_means(dev2 * dev, starts)
+    m4 = _segment_means(dev2 * dev2, starts)
+    skew = np.zeros_like(var)
+    kurt = np.zeros_like(var)
+    ok = std != 0.0
+    skew[ok] = m3[ok] / (var[ok] * std[ok])
+    kurt[ok] = m4[ok] / (var[ok] * var[ok])
+
+    vol_ok = np.isfinite(vol)
+    turn_ok = vol_ok & np.isfinite(shrout) & (shrout > 0)
+    vol_days = _kept_offsets(vol_ok, starts)
+    return DailyStats(
+        n_stocks=n_stocks, xs_std=std, xs_skew=skew, xs_kurt=kurt,
+        mean_abs_ret=_segment_means(np.abs(ret), starts),
+        frac_dn=_segment_means(ret <= -TAIL_THRESHOLD, starts),
+        frac_up=_segment_means(ret >= TAIL_THRESHOLD, starts),
+        mean_log_vol=_segment_means(np.log1p(vol[vol_ok]), vol_days),
+        mean_dollar_vol=_segment_means(np.abs(prc[vol_ok]) * vol[vol_ok], vol_days),
+        mean_turnover=_segment_means(vol[turn_ok] / shrout[turn_ok],
+                                     _kept_offsets(turn_ok, starts)),
+    )
 
 
 def aggregate_monthly(daily_stats: DailyStats, partition: MonthPartition) -> FeatureMatrix:

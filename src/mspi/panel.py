@@ -287,9 +287,12 @@ class _PanelColumns:
                     raise DataError(f"line {line}: expected {self.width} fields, found {len(row)}")
                 fields += row
                 rows.append(line)
-        except (DataError, csv.Error):
+        except DataError:
             self.convert(fields, rows)
             raise
+        except csv.Error as exc:
+            self.convert(fields, rows)
+            raise DataError(f"line {line_base + reader.line_num}: {exc}") from None
         return fields, rows, reader.line_num
 
     def convert(self, fields: list[str], lines: Sequence[int]) -> list[np.ndarray]:

@@ -33,10 +33,10 @@ def open_text(path) -> Iterator[io.TextIOWrapper]:
     """``path`` opened as UTF-8 text, CSV or JSON, past a byte-order mark
     if it starts with one (as Excel writes); a missing file, a
     directory, any other failure to open it (a path through a regular file,
-    no permission), bytes that are not UTF-8 or a CSV field over
-    ``csv.field_size_limit()`` raise DataError naming it, and so does every
-    DataError raised while it is open. An OSError raised while it is open
-    (a failed write elsewhere, say) is not the input's and propagates."""
+    no permission) or bytes that are not UTF-8 raise DataError naming it,
+    and so does every DataError raised while it is open (``_csv_rows``
+    turns a CSV error into one). An OSError raised while it is open (a failed
+    write elsewhere, say) is not the input's and propagates."""
     try:
         fh = open(path, "r", encoding="utf-8-sig", newline="")
     except FileNotFoundError:
@@ -52,15 +52,22 @@ def open_text(path) -> Iterator[io.TextIOWrapper]:
         raise DataError(f"{path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _csv_rows(reader) -> Iterator[list[str]]:
+    """The rows of a ``csv.reader``; a ``csv.Error`` (a field over
+    ``csv.field_size_limit()``, say) raises DataError naming its line."""
+    try:
+        yield from reader
     except csv.Error as exc:
-        raise DataError(f"{path}: {exc}") from None
+        raise DataError(f"line {reader.line_num}: {exc}") from None
 
 
 def read_header(reader, required: list[str]) -> tuple[dict[str, int], int]:
     """Column positions and width from the first non-comment row of a CSV
     reader; a required column missing from it, or named twice, raises
-    DataError."""
-    for header in reader:
+    DataError, and so does a ``csv.Error`` (``_csv_rows``)."""
+    for header in _csv_rows(reader):
         if header and not header[0].startswith("#"):
             break
     else:
@@ -84,7 +91,7 @@ def read_rows(path, required: list[str]) -> tuple[list[int], list[dict[str, str]
     with open_text(path) as fh:
         reader = csv.reader(fh)
         index, width = read_header(reader, required)
-        for row in reader:
+        for row in _csv_rows(reader):
             if not row or row[0].startswith("#"):
                 continue
             if len(row) != width:

@@ -209,43 +209,41 @@ def _parse_float(token: str, at: str, column: str) -> float:
 
 
 def _open_rows(path: str, required: list[str]):
-    """Yield (line_number, row dict) for a headered CSV, skipping comments."""
+    """Yield (line_number, row dict) for a headered CSV, skipping comments;
+    a csv.Error raises DataError naming its line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = None
-        for row in reader:
-            if not row or (row[0].startswith("#") and header is None):
-                continue
-            header = row
-            break
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        index = {name.strip(): i for i, name in enumerate(header)}
-        missing = [c for c in required if c not in index]
-        if missing:
-            raise DataError(f"{path}: header is missing columns {missing}")
-        width = len(header)
-        for row in reader:
-            if not row or row[0].startswith("#"):
-                continue
-            if len(row) != width:
-                raise DataError(
-                    f"{path}: line {reader.line_num}: expected {width} fields, found {len(row)}"
-                )
-            yield reader.line_num, {c: row[index[c]] for c in required}
+        try:
+            header = None
+            for row in reader:
+                if not row or (row[0].startswith("#") and header is None):
+                    continue
+                header = row
+                break
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            index = {name.strip(): i for i, name in enumerate(header)}
+            missing = [c for c in required if c not in index]
+            if missing:
+                raise DataError(f"{path}: header is missing columns {missing}")
+            width = len(header)
+            for row in reader:
+                if not row or row[0].startswith("#"):
+                    continue
+                if len(row) != width:
+                    raise DataError(
+                        f"{path}: line {reader.line_num}: expected {width} fields, "
+                        f"found {len(row)}"
+                    )
+                yield reader.line_num, {c: row[index[c]] for c in required}
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def load_daily_panel_rowwise(
     path: str, filt: EligibilityFilter
 ) -> tuple[DailyPanel, IngestSummary]:
     """Load and filter the daily panel CSV one row at a time."""
-    try:
-        return _load_rowwise(path, filt)
-    except csv.Error as exc:
-        raise DataError(f"{path}: {exc}") from None
-
-
-def _load_rowwise(path: str, filt: EligibilityFilter) -> tuple[DailyPanel, IngestSummary]:
     summary = IngestSummary()
     by_date: dict[dt.date, list[tuple]] = {}
     for line, row in _open_rows(path, PANEL_COLUMNS):

@@ -386,6 +386,8 @@ def test_unreadable_input_exits_with_named_error(tmp_path, capsys, stage, target
     err = capsys.readouterr().err
     assert err.startswith({2: "config error: ", 3: "data error: "}[code]) and str(path) in err
     assert "Traceback" not in err
+    if content is not None and LONG_FIELD in content:
+        assert f"{path}: line 2: field larger than field limit" in err
 
 
 @pytest.mark.parametrize("field", ["market_csv", "panel_csv"])

@@ -8,7 +8,6 @@ import pytest
 
 from mspi.errors import DataError
 from mspi.features import (
-    _BLOCK_ROWS,
     FEATURE_NAMES,
     TAIL_THRESHOLD,
     _segment_means,
@@ -222,8 +221,8 @@ class TestBatchedDailyStats:
         assert np.isnan(stats.mean_log_vol[1]) and np.isnan(stats.mean_turnover[1])
         assert stats.xs_std[2] == 0.0 and stats.xs_std[[0, 1]].all()
 
-    def test_day_longer_than_a_block(self):
-        self.assert_matches_per_day(ragged_panel(2, [40, _BLOCK_ROWS + 77, 3, 41, 129]))
+    def test_long_day_among_short_ones(self):
+        self.assert_matches_per_day(ragged_panel(2, [40, 8192 + 77, 3, 41, 129]))
 
     def test_uniform_days_in_many_blocks(self):
         self.assert_matches_per_day(ragged_panel(3, [500] * 40))

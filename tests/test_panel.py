@@ -338,7 +338,10 @@ class TestChunkedLoad:
          "line {line}: expected 8 fields, found 7"),
         ("2001-03-01,  ,0.01,5.00,100,1000,1,1",
          "line {line}, column 'security_id': empty identifier"),
-    ], ids=["number", "negative_volume", "flag", "ragged", "ragged_pair", "empty_id"])
+        ("2001-03-01," + "X" * 140_000 + ",0.01,5.00,100,1000,1,1",
+         "line {line}: field larger than field limit (131072)"),
+    ], ids=["number", "negative_volume", "flag", "ragged", "ragged_pair", "empty_id",
+            "field_over_limit"])
     def test_bad_row_after_first_chunk(self, tmp_path, ending, row, message):
         lines = [f"2001-01-{2 + d:02d},S{i:04d},0.01,5.00,100,1000,1,1"
                  for d in range(20) for i in range(1600)]
@@ -379,6 +382,7 @@ class TestChunkedLoad:
         PANEL_HEADER.replace("\n", ",note\n") + "2001-01-02,A,0.01,5.0,100,1000,1,1,x\n",
         PANEL_HEADER,
         PANEL_HEADER + "2001-01-02," + "A" * 140_000 + ",0.01,5.0,100,1000,1,1\n",
+        "# source=test\n" + PANEL_HEADER.replace("\n", ",n" + "n" * 140_000 + "\n"),
         years_panel_text("date_sorted"),
         years_panel_text("security_major"),
         years_panel_text("shuffled"),
@@ -399,7 +403,8 @@ class TestChunkedLoad:
         PANEL_HEADER + "2001-01-02,A,0.01,5.0,100,1000,1,1\n2001-01-02,B,zap,5.0,100,1000,1,1\n"
         "2001-01-02," + "C" * 140_000 + ",0.01,5.0,100,1000,1,1\n",
     ], ids=["no_final_newline", "cr_endings", "mixed_endings", "cr_in_field", "extra_column",
-            "header_only", "field_over_csv_limit", "years_date_sorted", "years_security_major",
+            "header_only", "field_over_csv_limit", "header_field_over_csv_limit",
+            "years_date_sorted", "years_security_major",
             "years_shuffled", "parse_error_after_duplicate", "duplicates_in_two_years",
             "shrout_error_before_vol_sign", "flag_before_ret", "bad_field_before_ragged_line",
             "bad_field_before_field_over_limit"])
@@ -516,6 +521,16 @@ class TestLoadMarketSeries:
         market, marked_market = load_market_series(path), load_market_series(str(marked))
         assert marked_market.dates == market.dates
         assert marked_market.mkt_ret.tobytes() == market.mkt_ret.tobytes()
+
+    @pytest.mark.parametrize("rows, line", [
+        (["2001-01-02,0.01", "# a comment", "2001-01-04," + "1" * 140_000], 4),
+        (["2001-01-02," + "1" * 140_000, "2001-01-03,0.01"], 2),
+    ], ids=["after_comment", "first_row"])
+    def test_field_over_csv_limit_names_its_line(self, tmp_path, rows, line):
+        path = write_market(tmp_path, rows)
+        with pytest.raises(DataError) as info:
+            load_market_series(path)
+        assert str(info.value) == f"{path}: line {line}: field larger than field limit (131072)"
 
     def test_non_finite_return_is_error(self, tmp_path):
         path = write_market(tmp_path, ["2001-01-02,nan"])
