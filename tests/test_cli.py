@@ -2,7 +2,6 @@ import csv
 import datetime as dt
 import errno
 import functools
-import hashlib
 import importlib
 import importlib.util
 import json
@@ -81,24 +80,12 @@ def write_config(tmp_path, payload) -> str:
     return str(path)
 
 
-def body_sha256(path) -> str:
-    """sha256 of an artifact without its config hash: a CSV file without its
-    first line, a JSON file re-serialized without its "config_hash" keys (a
-    report nests the hashes of the artifacts it copies), any other file whole."""
-    if path.suffix == ".json":
-        payload = json.loads(path.read_text(encoding="utf-8"), object_hook=lambda obj: {
-            key: value for key, value in obj.items() if key != "config_hash"})
-        body = json.dumps(payload, indent=2, sort_keys=True).encode("utf-8")
-    elif path.suffix == ".csv":
-        body = path.read_bytes().split(b"\n", 1)[1]
-    else:
-        body = path.read_bytes()
-    return hashlib.sha256(body).hexdigest()
-
-
+ROOT = Path(__file__).resolve().parents[1]
 # The benchmark's stage tracer; its WRAPS names each function it wraps by the
 # module that calls it.
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+TRACING = ROOT / "bench" / "tracing.py"
+# The artifact-body hash that tools/default_run.py pins the default-config bodies by.
+body_sha256 = runpy.run_path(str(ROOT / "tools" / "default_run.py"))["body_sha256"]
 
 
 def counted(fn, calls: dict, key):
@@ -234,6 +221,46 @@ def test_help_config_errors_and_report_never_load_numpy(golden_run, tmp_path):
     assert "numpy" in evaluate
     assert {"mspi.backtest", "mspi.learners.trees", "mspi.features", "mspi.panel",
             "mspi.simulate"}.isdisjoint(evaluate)
+
+
+def default_run(out, *stages):
+    """tools/default_run.py's ``default`` run of ``stages`` in ``out``: its
+    exit code, its standard error and its record."""
+    path = [str(Path(mspi.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    result = subprocess.run([sys.executable, str(ROOT / "tools" / "default_run.py"), "default",
+                             str(out), *stages], env=env, capture_output=True, text=True)
+    return result.returncode, result.stderr, json.loads(result.stdout.splitlines()[-1])
+
+
+def test_default_run_records_a_stage_and_fails_on_a_staged_file_or_a_failed_stage(
+        golden_run, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(golden_run[0], out)
+    code, stderr, record = default_run(out, "report")
+    assert (code, record["failures"], record["bodies"]) == (0, [], {}), stderr
+    assert record["stages"]["report"]["exit"] == 0
+    # os.wait4 reports at least the RSS of the launcher that started the stage,
+    # so the launcher must stay below the stage's own peak to measure it
+    assert record["launcher_rss_mb"] < record["stages"]["report"]["peak_rss_mb"]
+    (out / "x.partial").write_text("", encoding="utf-8")
+    code, stderr, record = default_run(out, "report")
+    assert code == 1 and "x.partial" in stderr
+    assert record["failures"] == [f"staged file left in {out}: x.partial"]
+    (out / "x.partial").unlink()
+    (out / "metrics.json").unlink()
+    code, stderr, record = default_run(out, "report")
+    assert (code, record["failures"]) == (1, ["report exited 3"])
+    assert "report exited 3" in stderr
+
+
+def test_default_run_loads_neither_hashlib_nor_numpy():
+    # the launcher's own RSS is a floor under each stage's peak (see above)
+    script = ("import runpy, sys; runpy.run_path(sys.argv[1]); "
+              "print(sorted({'hashlib', 'numpy'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", script, str(ROOT / "tools" / "default_run.py")],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("payload, field", [
